@@ -183,8 +183,7 @@ def cmd_expand(ns) -> str:
     U = escobar_halfspace_optimizer(n)
     eps = ns.eps0 * 0.5 ** np.arange(ns.eps_levels)
     jet = fermi_jet(geo.data, order=2, chart_radius=max(1.0, ns.eps0 * 2.1 * ns.R))
-    sweep = deficit_series(jet, U, ns.R, eps, functional=ns.functional,
-                           workers=ns.workers)
+    sweep = deficit_series(jet, U, ns.R, eps, functional=ns.functional)
     rows = [(r.eps, r.numerator, r.denominator, r.quotient, r.deficit, r.err_estimate)
             for r in sweep.results]
     _emit_csv(ns.out, ["eps", "numerator", "denominator", "quotient", "deficit", "err_est"],
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
         sp.add_argument("--out", help="output path (stdout if omitted)")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="worker pool size for sweeps")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("moments", help="weighted moment table")

@@ -13,6 +13,10 @@ a single quadrature pass yields the entire eps-sweep, and the Taylor
 coefficients of the quotient in eps come from the same numbers, which is
 what the estimator error-rate tests use as ground truth.
 
+One engine, ``halfspace_moment_matrix``, computes every truncated moment in
+the package: the half-space and interior matrices of the models below and
+the truncated moment tables and GN boundary moments of ``moments``.
+
 Escobar numerator (covariant graph form, rescaled coordinates):
 
     N(eps) = int g^ij(eps y) d_i w d_j w sqrt|g(eps y)| dy
@@ -28,14 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .geometry import FermiJetMetric, InteriorPointData, geometry_catalog, fermi_jet
-from .moments import EscobarConstants
-from .profiles import RadialProfile, cutoff, sphere_area
+from .profiles import RadialProfile, cutoff, gn_exponents, sphere_area
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, grid_1d
+
+if TYPE_CHECKING:
+    from .moments import EscobarConstants
 
 __all__ = [
     "BubbleParams", "QuotientResult", "DeficitSweep", "ChartOverflowError",
@@ -168,91 +174,102 @@ def _interior_jet_polys(data: InteriorPointData):
 # moment matrices: one quadrature pass per (profile, cutoff)
 # --------------------------------------------------------------------------
 
-_BULK_KEYS = [(i, j) for i in range(5) for j in range(5) if i + j <= 4]
+_HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
+_POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 
 
 @dataclass
 class _HalfspaceMatrix:
     """Monomial-weighted integrals of the truncated profile.
 
-    tan/nor/w2/w1/pp map (i, j) -> int weight * r^i t^j measure, with weight
-    in {w_r^2, w_t^2, w^2, w, |w|^(p+1)}; tr2/trq/trq1 are the boundary
-    analogues over {t = 0}.
+    tan/nor/w2/w1/pp are 5x5 arrays, [i, j] = int weight * r^i t^j measure,
+    with weight in {w_r^2, w_t^2, w^2, w, |w|^(p+1)}; tr2/trq/trq1 (5x1) are
+    the boundary analogues over {t = 0}. For radial profiles t is the single
+    node 0, so column 0 holds the 1-D moments, tan = (w')^2 and nor = 0.
+    delta maps each name to its fine - coarse difference.
     """
     n: int
     R: float
-    tan: dict
-    nor: dict
-    w2: dict
-    w1: dict
-    pp: Optional[dict]
-    tr2: dict
-    trq: dict
-    trq1: dict
+    tan: np.ndarray
+    nor: np.ndarray
+    w2: np.ndarray
+    w1: np.ndarray
+    pp: Optional[np.ndarray]
+    tr2: np.ndarray
+    trq: np.ndarray
+    trq1: np.ndarray
     err: float
+    delta: dict
 
 
 def halfspace_moment_matrix(profile: RadialProfile, R: float,
                             spec: QuadratureSpec = DEFAULT_QUAD,
                             p_exponent: Optional[float] = None,
                             t_offset: float = 0.0) -> _HalfspaceMatrix:
-    n = profile.n
-    om = sphere_area(n - 2)
-    chi = cutoff(R)
+    """Every truncated moment of chi_R * profile, from two resolutions.
 
+    Half-space kinds integrate over [0, 2R] x [0, 2R + t_offset] with measure
+    |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with |S^(n-1)| r^(n-1). The
+    profile fields are evaluated once per grid and every monomial moment
+    comes from contracting them with the weighted Vandermonde rows of each
+    axis. Raises QuadratureNonConvergence when the resolutions disagree.
+    """
+    n = profile.n
+    halfspace = profile.kind in _HALFSPACE_KINDS
+    dim = n - 1 if halfspace else n          # dimension of the r variable
+    om = sphere_area(dim - 1)
+    chi = cutoff(R)
     cut_edges = (R, 1.5 * R)  # conform panels to the cutoff transition zone
 
     def run(sp: QuadratureSpec):
         r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=cut_edges)
-        t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
-        Rg, Tg = np.meshgrid(r, t, indexing="ij")
+        if halfspace:
+            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
+            Rg, Tg = np.meshgrid(r, t, indexing="ij")
+            u = profile.value(Rg, Tg)
+            ur, ut = profile.grad(Rg, Tg)
+        else:
+            t, wt = np.zeros(1), np.ones(1)
+            Rg, Tg = r[:, None], np.zeros((r.size, 1))
+            u, ur, ut = profile.value(Rg), profile.grad(Rg), 0.0
         rho = np.sqrt(Rg ** 2 + Tg ** 2)
-        u = profile.value(Rg, Tg)
-        ur, ut = profile.grad(Rg, Tg)
         c = chi(rho)
         dc = chi.deriv(rho)
         safe = np.where(rho > 0, rho, 1.0)
         w = c * u
-        wrad = c * ur + u * dc * (Rg / safe)
-        wnor = c * ut + u * dc * (Tg / safe)
-        meas = om * Rg ** (n - 2)
-        weights = {"tan": wrad ** 2, "nor": wnor ** 2, "w2": w ** 2, "w1": w}
+        fields = {"tan": (c * ur + u * dc * (Rg / safe)) ** 2,
+                  "nor": (c * ut + u * dc * (Tg / safe)) ** 2,
+                  "w2": w ** 2, "w1": w}
         if p_exponent is not None:
-            weights["pp"] = np.abs(w) ** (p_exponent + 1.0)
-        out = {}
-        for name, wt2d in weights.items():
-            out[name] = {}
-            base = wt2d * meas
-            for (i, j) in _BULK_KEYS:
-                out[name][(i, j)] = float(np.einsum("i,j,ij->", wr, wt, base * Rg ** i * Tg ** j))
+            fields["pp"] = np.abs(w) ** (p_exponent + 1.0)
+        # two einsum steps: no (grid x grid x monomial) temporary, and no
+        # multithreaded BLAS call, which is far slower on these small shapes
+        Vr = r ** _POWERS * (wr * om * r ** (dim - 1))
+        Vt = t ** _POWERS * wt
+        out = {name: np.einsum("jb,ib->ij", Vt, np.einsum("ia,ab->ib", Vr, F))
+               for name, F in fields.items()}
         # boundary traces (critical exponent defined for n >= 3; the GN
         # half-space profiles are Dirichlet and never use these)
-        if n >= 3:
+        if halfspace and n >= 3:
             q = 2.0 * (n - 1) / (n - 2)
-            rb, wb = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=cut_edges)
-            ub = chi(rb) * profile.value(rb, 0.0)
-            mb = om * rb ** (n - 2)
-            for name, dens in (("tr2", ub ** 2), ("trq", np.abs(ub) ** q),
-                               ("trq1", np.abs(ub) ** (q - 1.0))):
-                out[name] = {}
-                for i in (0, 1, 2):
-                    out[name][(i, 0)] = float(np.sum(wb * dens * mb * rb ** i))
+            ub = chi(r) * profile.value(r, 0.0)
+            traces = {"tr2": ub ** 2, "trq": np.abs(ub) ** q, "trq1": np.abs(ub) ** (q - 1.0)}
+            out.update((name, np.einsum("ia,a->i", Vr, dens)[:, None])
+                       for name, dens in traces.items())
         else:
-            for name in ("tr2", "trq", "trq1"):
-                out[name] = {(i, 0): 0.0 for i in (0, 1, 2)}
+            out.update((name, np.zeros((5, 1))) for name in ("tr2", "trq", "trq1"))
         return out
 
     coarse = run(spec)
     fine = run(spec.refined())
-    err = max(abs(fine[k][key] - coarse[k][key]) / max(1.0, abs(fine[k][key]))
-              for k in coarse for key in coarse[k])
+    delta = {k: fine[k] - coarse[k] for k in fine}
+    err = float(max(np.max(np.abs(delta[k]) / np.maximum(1.0, np.abs(fine[k])))
+                    for k in fine))
     if err > max(1e-6, 100.0 * spec.rtol):
         raise QuadratureNonConvergence(
             f"moment matrix two-resolution difference {err:.2e} at R={R}")
-    return _HalfspaceMatrix(n=n, R=float(R), tan=fine["tan"], nor=fine["nor"],
-                            w2=fine["w2"], w1=fine["w1"], pp=fine.get("pp"),
-                            tr2=fine["tr2"], trq=fine["trq"], trq1=fine["trq1"],
-                            err=err)
+    fine.setdefault("pp", None)
+    return _HalfspaceMatrix(n=n, R=float(R), err=err, delta=delta, **fine)
 
 
 def _poly_eval(poly: dict, matrix: dict, eps: float) -> float:
@@ -357,6 +374,7 @@ class HalfspaceEnergyModel:
     moment matrix, so sweep values and series truths are mutually consistent
     to quadrature precision.
     """
+    gn_functional = "gn-boundary"
 
     def __init__(self, jet: FermiJetMetric, profile: RadialProfile, R: float,
                  spec: QuadratureSpec = DEFAULT_QUAD,
@@ -514,7 +532,6 @@ class HalfspaceEnergyModel:
     def gn_quotient(self, eps: float) -> QuotientResult:
         if self.p_exponent is None:
             raise ValueError("model built without the L^(p+1) weight")
-        from .profiles import gn_exponents
         al, be = gn_exponents(self.n, self.p_exponent)
         Ipp = self.bulk_pp(eps)
         I2 = self.bulk_mass2(eps)
@@ -528,14 +545,13 @@ class HalfspaceEnergyModel:
         rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
                          - 0.5 * be * math.log1p(dg))
         W = flat * (1.0 + rel)
-        return QuotientResult("gn-boundary", eps, self.R, Ipp,
+        return QuotientResult(self.gn_functional, eps, self.R, Ipp,
                               I2 ** (al / 2.0) * D ** (be / 2.0), W, flat,
                               -rel,
                               {"I_pp": Ipp, "I_2": I2, "dirichlet": D,
                                "rel_change": rel}, self.M.err)
 
     def flat_gn(self) -> float:
-        from .profiles import gn_exponents
         al, be = gn_exponents(self.n, self.p_exponent)
         Ipp = self.M.pp[(0, 0)]
         I2 = self.M.w2[(0, 0)]
@@ -544,7 +560,6 @@ class HalfspaceEnergyModel:
 
     def gn_series(self, order: int = 3) -> np.ndarray:
         """Relative Taylor coefficients of W(eps)/W(0) - 1."""
-        from .profiles import gn_exponents
         al, be = gn_exponents(self.n, self.p_exponent)
         Ipp = _poly_series(self.P_sca, self.M.pp, order)
         I2 = _poly_series(self.P_sca, self.M.w2, order)
@@ -556,8 +571,13 @@ class HalfspaceEnergyModel:
         return rel[1:order + 1]
 
 
-class InteriorEnergyModel:
-    """GN quotient of an interior bubble over the normal-coordinate jet."""
+class InteriorEnergyModel(HalfspaceEnergyModel):
+    """GN quotient of an interior bubble over the normal-coordinate jet.
+
+    The 1-D case of the half-space model: the moment matrix of a radial
+    profile has nor = 0 and only t-power 0, so the GN formulas are shared.
+    """
+    gn_functional = "gn-interior"
 
     def __init__(self, data: InteriorPointData, profile: RadialProfile, R: float,
                  spec: QuadratureSpec = DEFAULT_QUAD):
@@ -568,80 +588,9 @@ class InteriorEnergyModel:
         self.R = float(R)
         self.n = profile.n
         self.spec = spec
+        self.p_exponent = profile.p
         self.P_tan, self.P_sca = _interior_jet_polys(data)
-        self.M = self._matrix(spec)
-
-    def _matrix(self, spec: QuadratureSpec):
-        n, p = self.n, self.profile.p
-        om = sphere_area(n - 1)
-        chi = cutoff(self.R)
-
-        def run(sp):
-            x, wx = grid_1d(0.0, 2.0 * self.R, sp.order, sp.subdiv,
-                            extra=(self.R, 1.5 * self.R))
-            u = self.profile.value(x)
-            du = self.profile.grad(x)
-            c = chi(x)
-            dc = chi.deriv(x)
-            w = c * u
-            dw = c * du + u * dc
-            meas = om * x ** (n - 1)
-            out = {}
-            for name, dens in (("grad", dw ** 2), ("w2", w ** 2), ("pp", np.abs(w) ** (p + 1))):
-                out[name] = {i: float(np.sum(wx * dens * meas * x ** i)) for i in (0, 2, 4)}
-            return out
-
-        coarse, fine = run(spec), run(spec.refined())
-        self_err = max(abs(fine[k][i] - coarse[k][i]) for k in coarse for i in coarse[k])
-        fine["err"] = self_err
-        return fine
-
-    def _eval(self, poly: dict, mat: dict, eps: float) -> float:
-        return sum(c * mat[i] * eps ** i for (i, _), c in poly.items())
-
-    def _series(self, poly: dict, mat: dict, order: int) -> np.ndarray:
-        out = np.zeros(order + 1)
-        for (i, _), c in poly.items():
-            if i <= order:
-                out[i] += c * mat[i]
-        return out
-
-    def gn_quotient(self, eps: float) -> QuotientResult:
-        from .profiles import gn_exponents
-        al, be = gn_exponents(self.n, self.profile.p)
-        Ipp = self._eval(self.P_sca, self.M["pp"], eps)
-        I2 = self._eval(self.P_sca, self.M["w2"], eps)
-        D = self._eval(self.P_tan, self.M["grad"], eps)
-        flat = self.flat_gn()
-        ddel = lambda poly, mat: sum(c * mat[i] * eps ** i
-                                     for (i, _), c in poly.items() if i > 0)
-        dpp = ddel(self.P_sca, self.M["pp"]) / self.M["pp"][0]
-        d2 = ddel(self.P_sca, self.M["w2"]) / self.M["w2"][0]
-        dg = ddel(self.P_tan, self.M["grad"]) / self.M["grad"][0]
-        rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
-                         - 0.5 * be * math.log1p(dg))
-        W = flat * (1.0 + rel)
-        return QuotientResult("gn-interior", eps, self.R, Ipp,
-                              I2 ** (al / 2.0) * D ** (be / 2.0), W, flat,
-                              -rel,
-                              {"I_pp": Ipp, "I_2": I2, "dirichlet": D,
-                               "rel_change": rel}, self.M["err"])
-
-    def flat_gn(self) -> float:
-        from .profiles import gn_exponents
-        al, be = gn_exponents(self.n, self.profile.p)
-        return self.M["pp"][0] / (self.M["w2"][0] ** (al / 2.0) * self.M["grad"][0] ** (be / 2.0))
-
-    def gn_series(self, order: int = 3) -> np.ndarray:
-        from .profiles import gn_exponents
-        al, be = gn_exponents(self.n, self.profile.p)
-        Ipp = self._series(self.P_sca, self.M["pp"], order)
-        I2 = self._series(self.P_sca, self.M["w2"], order)
-        D = self._series(self.P_tan, self.M["grad"], order)
-        rel = _ser_mul(Ipp / Ipp[0],
-                       _ser_mul(_ser_pow(I2 / I2[0], -al / 2.0),
-                                _ser_pow(D / D[0], -be / 2.0)))
-        return rel[1:order + 1]
+        self.M = halfspace_moment_matrix(profile, R, spec, profile.p)
 
 
 # --------------------------------------------------------------------------
@@ -698,7 +647,7 @@ class DeficitSweep:
 
 def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
                    spec: QuadratureSpec = DEFAULT_QUAD, functional: str = "escobar",
-                   synthetic: Optional[dict] = None, workers: int = 1,
+                   synthetic: Optional[dict] = None,
                    diagonal: bool = False) -> DeficitSweep:
     """E(eps) over a grid; ``synthetic={'coeffs': [...], 'S': S}`` bypasses
     quadrature and returns E = S * sum_k c_k eps^k exactly (estimator unit mode).
@@ -707,9 +656,6 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
     one: each level gets its own cutoff R(eps) = R * sqrt(eps_max/eps), so
     eps R(eps) -> 0 while R(eps) -> infinity and each deficit is measured
     against the flat value at its own truncation.
-
-    Grid points are independent; ``workers > 1`` maps them over a thread pool
-    and gathers deterministically by grid index.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if synthetic is not None:
@@ -744,12 +690,7 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
         evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
     else:
         raise KeyError(functional)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            res = list(pool.map(evaluate, eps_grid))
-    else:
-        res = [evaluate(e) for e in eps_grid]
+    res = [evaluate(e) for e in eps_grid]
     vals = np.array([r.deficit for r in res])
     return DeficitSweep(functional, eps_grid, vals, ref, results=res, series=ser)
 

@@ -2,8 +2,9 @@
 
 Everything here is a quadrature of the model profiles:
 
-* truncated moments of chi_R * U at cutoff R over the half-ball (rectangle
-  rule is exact because the cutoff vanishes outside |y| = 2R);
+* truncated moments of chi_R * U at cutoff R over the half-ball, read from
+  the moment matrix of ``energy.halfspace_moment_matrix`` (the cutoff
+  vanishes outside |y| = 2R, so the rectangle [0, 2R]^2 is the whole domain);
 * untruncated limits via polar coordinates with an exponent-aware tail map;
 * the first-order coefficient rho_n^conf both as the bracket combination
   (2/(n-1)) g1_tan - g1 + ((n-2)/2) Theta and in the harmonic closed form
@@ -24,10 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .profiles import (RadialProfile, Cutoff, cutoff, sphere_area, gn_exponents,
-                       weinstein_quotient_fullspace)
-from .quadrature import (QuadratureSpec, DEFAULT_QUAD, integrate_2d, integrate_1d,
-                         integrate_halfplane_polar, integrate_ray)
+from .energy import halfspace_moment_matrix
+from .profiles import RadialProfile, sphere_area, gn_exponents, weinstein_quotient_fullspace
+from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
 
 __all__ = [
     "MomentTable", "EscobarConstants", "GNCoefficients", "FDEExponents",
@@ -46,7 +46,16 @@ class ConstantsMismatch(RuntimeError):
     """Bracket and closed forms of rho_n^conf disagree beyond tolerance."""
 
 
-_ENTRIES = ("J", "g1", "g1tan", "Theta", "Tq", "g2", "g2tan")
+# truncated table entries as sums of moment-matrix entries (field, i, j)
+_TRUNCATED = {
+    "J": (("tan", 0, 0), ("nor", 0, 0)),
+    "g1": (("tan", 0, 1), ("nor", 0, 1)),
+    "g1tan": (("tan", 0, 1),),
+    "g2": (("tan", 0, 2), ("nor", 0, 2)),
+    "g2tan": (("tan", 0, 2),),
+    "Theta": (("tr2", 0, 0),),
+    "Tq": (("trq", 0, 0),),
+}
 
 
 @dataclass
@@ -73,7 +82,7 @@ class MomentTable:
         return self.limits[name]
 
     def _check(self, name: str) -> None:
-        if name not in _ENTRIES:
+        if name not in _TRUNCATED:
             raise KeyError(name)
         if name in ("g2", "g2tan") and self.n == 4:
             raise LogDivergentMoment(
@@ -84,59 +93,8 @@ class MomentTable:
         return 2.0 * (self.n - 1) / (self.n - 2)
 
 
-def _halfspace_fields(profile: RadialProfile, chi: Optional[Cutoff]):
-    """(w, w_r, w_t) of chi_R * U at (r, t), with the cutoff product rule."""
-
-    def fields(r, t):
-        u = profile.value(r, t)
-        ur, ut = profile.grad(r, t)
-        if chi is None:
-            return u, ur, ut
-        rho = np.sqrt(r ** 2 + t ** 2)
-        c = chi(rho)
-        dc = chi.deriv(rho)
-        safe = np.where(rho > 0, rho, 1.0)
-        wr = c * ur + u * dc * (r / safe)
-        wt = c * ut + u * dc * (t / safe)
-        return c * u, wr, wt
-
-    return fields
-
-
-def _truncated_moments(profile: RadialProfile, R: float, spec: QuadratureSpec):
-    n = profile.n
-    om = sphere_area(n - 2)
-    chi = cutoff(R)
-    fields = _halfspace_fields(profile, chi)
-
-    def bulk(r, t):
-        w, wr, wt = fields(r, t)
-        g2full = wr ** 2 + wt ** 2
-        meas = om * r ** (n - 2)
-        rows = [g2full, t * g2full, t * wr ** 2]
-        if n >= 5:
-            rows += [t ** 2 * g2full, t ** 2 * wr ** 2]
-        return np.stack(rows, axis=-1) * meas[..., None]
-
-    vals, errs = integrate_2d(bulk, 2.0 * R, 2.0 * R, spec, with_error=True,
-                              extra_edges=(R, 1.5 * R))
-
-    q = 2.0 * (n - 1) / (n - 2)
-
-    def trace(r):
-        w = chi(r) * profile.value(r, 0.0)
-        meas = om * r ** (n - 2)
-        return np.stack([w ** 2, np.abs(w) ** q], axis=-1) * meas[..., None]
-
-    tvals, terrs = integrate_1d(trace, 2.0 * R, spec, with_error=True,
-                                extra_edges=(R, 1.5 * R))
-
-    names = ["J", "g1", "g1tan"] + (["g2", "g2tan"] if n >= 5 else [])
-    values = dict(zip(names, map(float, vals)))
-    errors = dict(zip(names, map(float, errs)))
-    values["Theta"], values["Tq"] = float(tvals[0]), float(tvals[1])
-    errors["Theta"], errors["Tq"] = float(terrs[0]), float(terrs[1])
-    return values, errors
+def _table_entry(fields: dict, name: str) -> float:
+    return float(sum(fields[f][i, j] for f, i, j in _TRUNCATED[name]))
 
 
 def _limit_moments(profile: RadialProfile, spec: QuadratureSpec):
@@ -181,7 +139,10 @@ def weighted_moments(profile: RadialProfile, R: float,
         raise LogDivergentMoment("first moments require n >= 4")
     if R < 1.0:
         raise ValueError("cutoff radius must be >= 1")
-    values, errors = _truncated_moments(profile, R, spec)
+    M = halfspace_moment_matrix(profile, R, spec)
+    names = [k for k in _TRUNCATED if profile.n >= 5 or k not in ("g2", "g2tan")]
+    values = {k: _table_entry(vars(M), k) for k in names}
+    errors = {k: abs(_table_entry(M.delta, k)) for k in names}
     limits, lerrs = _limit_moments(profile, spec)
     return MomentTable(n=profile.n, R=float(R), values=values, errors=errors,
                        limits=limits, limit_errors=lerrs)
@@ -366,27 +327,14 @@ def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
     M2 = ray(lambda r: om_n * r ** 2 * Q.value(r) ** 2 * r ** (n - 1), "M_2", errs) / (n * I2)
     Mgr = ray(lambda r: om_n * r ** 2 * Q.grad(r) ** 2 * r ** (n - 1), "M_grad", errs) / (n * Jg)
 
-    om_b = sphere_area(n - 2)
-    chi = cutoff(R)
-    fields = _halfspace_fields(Qplus, chi)
-
-    def plane(fn, label):
-        val, err = integrate_2d(fn, 2.0 * R, 2.0 * R + Qplus.shift, spec, with_error=True)
-        errs[label] = float(np.max(err))
-        return val
-
-    def bulk(r, t):
-        w, wr, wt = fields(r, t)
-        meas = om_b * r ** (n - 2)
-        return np.stack([
-            np.abs(w) ** (p + 1), t * np.abs(w) ** (p + 1),
-            w ** 2, t * w ** 2,
-            wr ** 2 + wt ** 2, t * (wr ** 2 + wt ** 2), t * wr ** 2,
-        ], axis=-1) * meas[..., None]
-
-    (ippR, y_ipp, i2R, y_i2, jgR, y_jg, y_jgtan) = map(float, plane(bulk, "boundary"))
+    bdy = halfspace_moment_matrix(Qplus, R, spec, p_exponent=p, t_offset=Qplus.shift)
+    (ippR, y_ipp), (i2R, y_i2), (jgR, y_jg), (_, y_jgtan) = (
+        a[0, :2].tolist() for a in (bdy.pp, bdy.w2, bdy.tan + bdy.nor, bdy.tan))
     m1_pp, m1_2 = y_ipp / ippR, y_i2 / i2R
     m1_g, m1_gt = y_jg / jgR, y_jgtan / jgR
+    d = bdy.delta
+    errs["boundary"] = float(max(np.abs(a[0, :2]).max()
+                                 for a in (d["pp"], d["w2"], d["tan"] + d["nor"], d["tan"])))
 
     kint = kappa_int_from_moments(Mpp, M2, Mgr, alpha, beta)
     kbdy = kappa_bdy_from_moments(m1_pp, m1_2, m1_gt, m1_g, alpha, beta, n)

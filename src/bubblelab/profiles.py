@@ -70,9 +70,6 @@ def _smoothstep(s):
     return out
 
 
-_CHI_GRAD_SUP = 2.0  # sup |chi'| of the base shape, by dense sampling
-
-
 @dataclass(frozen=True)
 class Cutoff:
     """chi_R(y) = chi(|y|/R): 1 on B_R, 0 outside B_2R, |grad| <= C/R."""
@@ -89,10 +86,6 @@ class Cutoff:
         rho = np.asarray(rho, dtype=float)
         h = 1e-6
         return (self(rho + h) - self(rho - h)) / (2.0 * h)
-
-    @property
-    def grad_sup_bound(self) -> float:
-        return _CHI_GRAD_SUP / self.R
 
 
 def cutoff(R: float) -> Cutoff:

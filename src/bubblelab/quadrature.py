@@ -76,23 +76,6 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def integrate_2d(f, rmax: float, tmax: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                 with_error: bool = False, extra_edges: tuple = ()):
-    """integral of f(r, t) over [0, rmax] x [0, tmax] (vectorized integrand)."""
-    def run(sp: QuadratureSpec) -> np.ndarray:
-        r, wr = grid_1d(0.0, rmax, sp.order, sp.subdiv, extra=extra_edges)
-        t, wt = grid_1d(0.0, tmax, sp.order, sp.subdiv, extra=extra_edges)
-        R, T = np.meshgrid(r, t, indexing="ij")
-        vals = f(R, T)
-        return np.einsum("i,j,ij...->...", wr, wt, np.asarray(vals))
-
-    coarse = run(spec)
-    if not with_error:
-        return coarse
-    fine = run(spec.refined())
-    return fine, np.abs(fine - coarse)
-
-
 def integrate_1d(f, xmax: float, spec: QuadratureSpec = DEFAULT_QUAD,
                  with_error: bool = False, extra_edges: tuple = ()):
     """integral of f(x) over [0, xmax]."""

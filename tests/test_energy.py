@@ -9,9 +9,13 @@ from bubblelab.geometry import (BoundaryPointData, InteriorPointData, fermi_jet,
                                 geometry_catalog)
 from bubblelab.energy import (
     BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
-    escobar_quotient, plain_trace_quotient, gn_quotient, deficit_series,
-    channel_fit_second_order, fit_power_series, sphere_average,
+    QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
+    deficit_series, channel_fit_second_order, fit_power_series, sphere_average,
+    halfspace_moment_matrix,
 )
+from bubblelab.moments import weighted_moments
+from bubblelab.profiles import cutoff, sphere_area
+from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
 
@@ -51,6 +55,38 @@ class TestSphereAverage:
 
     def test_odd_vanishes(self):
         assert sphere_average(np.ones(5), 5) == 0.0
+
+
+class TestMomentEngine:
+    def test_matches_per_monomial_quadrature(self, halfspace_profiles, gn23):
+        # reference: each monomial integrated on its own, on the fine grid
+        R, spec = 20.0, QuadratureSpec(order=12)
+        fine = spec.refined()
+        edges = (R, 1.5 * R)
+        r, wr = grid_1d(0.0, 2 * R, fine.order, fine.subdiv, extra=edges)
+        U = halfspace_profiles[5]
+        Rg, Tg = np.meshgrid(r, r, indexing="ij")
+        w = cutoff(R)(np.sqrt(Rg ** 2 + Tg ** 2)) * U.value(Rg, Tg)
+        base = np.outer(wr, wr) * w * sphere_area(3) * Rg ** 3
+        M = halfspace_moment_matrix(U, R, spec)
+        for i in range(5):
+            for j in range(5):
+                ref = np.sum(base * Rg ** i * Tg ** j)
+                assert M.w1[i, j] == pytest.approx(ref, rel=1e-12)
+        Q = gn23[0]
+        wq = cutoff(R)(r) * Q.value(r)
+        Mq = halfspace_moment_matrix(Q, R, spec)
+        for i in range(5):
+            ref = np.sum(wr * wq ** 2 * sphere_area(1) * r * r ** i)
+            assert Mq.w2[i, 0] == pytest.approx(ref, rel=1e-12)
+        assert not Mq.nor.any() and not Mq.w2[:, 1:].any()
+
+    def test_underresolved_spec_raises(self, halfspace_profiles, gn23):
+        spec = QuadratureSpec(order=4)
+        with pytest.raises(QuadratureNonConvergence):
+            weighted_moments(halfspace_profiles[5], 40.0, spec)
+        with pytest.raises(QuadratureNonConvergence):
+            InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), gn23[0], 20.0, spec)
 
 
 class TestEscobarQuotient:

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
 from bubblelab.quadrature import (QuadratureSpec, grid_1d, integrate_1d,
-                                  integrate_2d, integrate_radial_tail,
-                                  integrate_halfplane_polar, integrate_ray)
+                                  integrate_radial_tail, integrate_halfplane_polar,
+                                  integrate_ray)
 from bubblelab.energy import sphere_average
 from bubblelab.profiles import escobar_halfspace_optimizer, sphere_area
 from bubblelab.moments import weighted_moments
@@ -23,10 +23,6 @@ class TestPanelledGL:
         from bubblelab.quadrature import panel_edges
         edges = panel_edges(0.0, 8.0, extra=(2.5, 7.1))
         assert 2.5 in edges and 7.1 in edges
-
-    def test_2d_separable(self):
-        val = integrate_2d(lambda r, t: np.exp(-r - t), 20.0, 20.0)
-        assert val == pytest.approx((1.0 - math.exp(-20.0)) ** 2, rel=1e-12)
 
     def test_error_estimate_bounds_truth(self):
         spec = QuadratureSpec(order=6, subdiv=1)
