@@ -60,7 +60,8 @@ def _emit_json(path: str | None, doc: dict) -> None:
 def _emit_csv(path: str | None, header: list, rows: list, comment: str) -> None:
     lines = [f"# {comment}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row))
     text = "\n".join(lines) + "\n"
     if path:
         _atomic_write(path, text)
@@ -197,7 +198,7 @@ def cmd_estimate(ns) -> str:
     from .profiles import escobar_halfspace_optimizer
     from .moments import weighted_moments, escobar_constants, gn_coefficients
     from .estimators import (escobar_single_scale_sweep, escobar_three_scale_sweep,
-                             ring_II_estimator, gn_interior_sweep, gn_boundary_sweep)
+                             ring_II_estimator, gn_interior_sweep)
     from .geometry import InteriorPointData
     from .fixtures import cached_gn_profiles
     n = ns.n = _int_check("--n", ns.n)
@@ -298,8 +299,7 @@ def cmd_reduce(ns) -> str:
 
 
 def cmd_dynamics(ns) -> str:
-    from .dynamics import (DecayParams, ode_decay_check, window_ladder,
-                           decay_envelope)
+    from .dynamics import DecayParams, ode_decay_check, window_ladder
     if ns.mode == "fde":
         par = DecayParams(n=_int_check("--n", ns.n), m=ns.m, E0=ns.E0, M0=ns.M0,
                           C=ns.C)

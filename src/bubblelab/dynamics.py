@@ -11,9 +11,10 @@ The PDE itself is never solved; this module implements the ODE/bound layer:
 * Small Dirichlet window: first radial eigenvalue of the ball with a Dirichlet
   window of radius d at the center and a Neumann outer shell (the window is
   the only essential boundary, which is what drives lambda_1 -> 0 at the
-  capacity rate: lambda_1 ~ 1/|log d| in n = 2, ~ d^(n-2) in n = 3). The
-  d = 0 case is the separate all-Dirichlet disk, checked against the Bessel
-  root.
+  capacity rate: lambda_1 ~ 1/|log d| in n = 2, ~ d^(n-2) in n = 3), as the
+  squared first root of its characteristic equation (a Bessel cross-product
+  in n = 2, a trigonometric one in n = 3). The d = 0 case is the separate
+  all-Dirichlet ball, in closed form (j_{0,1}^2, pi^2).
 
 The EEP constant's "euclidean-leading" mode identifies the form-B GN
 inequality (q = 1 + 1/m, r = 1/m) with the Weinstein family at p = 1/m, so
@@ -22,12 +23,13 @@ C = C*(n, 1/m) comes from the same ground-state machinery as everything else.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+from scipy import special
 
 from .moments import fde_exponents, FDEExponents
 from .profiles import gn_ground_state, weinstein_quotient_fullspace
@@ -149,75 +151,64 @@ def eig_competitor_bound(vol: float, lam1: float, n: int, p: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# radial eigenvalue solver
+# window eigenvalue from its characteristic equation
 # --------------------------------------------------------------------------
 
-def _radial_shoot(n: int, lam: float, d: float, rtol: float = 1e-11):
-    """Integrate u'' + ((n-1)/r) u' + lam u = 0 from the window to r = 1."""
-
-    def rhs(r, y):
-        return [y[1], -lam * y[0] - (n - 1) / r * y[1]]
-
-    if d > 0.0:
-        y0, r0 = [0.0, 1.0], d
-    else:
-        r0 = 1e-8
-        y0 = [1.0 - lam * r0 ** 2 / (2.0 * n), -lam * r0 / n]
-    sol = solve_ivp(rhs, (r0, 1.0), y0, rtol=rtol, atol=1e-14, method="RK45",
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"radial shooting failed: {sol.message}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+# brentq to double precision (its smallest admissible rtol)
+_ROOT_TOL = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}
 
 
-def small_window_lambda1(n: int, d: float, lam_tol: float = 1e-8,
-                         lam_floor: float = 1e-9) -> float:
+def small_window_lambda1(n: int, d: float) -> float:
     """First radial eigenvalue of the unit ball with a window of radius d.
 
-    d > 0: Dirichlet at r = d, Neumann at r = 1 (the capacity-window model);
-    bisection on the Neumann residual u'(1; lambda). d = 0: the all-Dirichlet
-    disk, bisection on u(1; lambda). Relative lambda tolerance ``lam_tol``.
+    d > 0: Dirichlet at r = d, Neumann at r = 1 (the capacity-window model).
+    lambda = k^2 with k the first positive root of the characteristic equation,
+    L = 1 - d:
+
+        n = 3:  k cos(kL) = sin(kL)               (u = sin(k (r - d)) / r)
+        n = 2:  J1(k) Y0(kd) - Y1(k) J0(kd) = 0   (u = J0(kr) Y0(kd) - Y0(kr) J0(kd))
+
+    d = 0: the all-Dirichlet ball, closed form j_{0,1}^2 (n = 2) or pi^2 (n = 3).
     """
     if n not in (2, 3):
         raise ValueError("window solver covers n in {2, 3}")
     if not (0.0 <= d < 1.0):
         raise ValueError("window radius must lie in [0, 1)")
+    if d == 0.0:
+        return float(special.jn_zeros(0, 1)[0]) ** 2 if n == 2 else math.pi ** 2
+    L = 1.0 - d
+    if n == 3:
+        # (k cos(kL) - sin(kL)) / k = d j0(x) - x j1(x), x = kL, in spherical
+        # Bessel functions, free of the cancellation at small d: it is d at
+        # k = 0 and -2L/pi at k = pi/(2L)
+        def neumann(k):
+            x = k * L
+            return d * special.spherical_jn(0, x) - x * special.spherical_jn(1, x)
 
-    def residual(lam):
-        u1, du1 = _radial_shoot(n, lam, d)
-        return du1 if d > 0.0 else u1
+        k = brentq(neumann, 0.0, math.pi / (2.0 * L), **_ROOT_TOL)
+        return k * k
 
-    lo = lam_floor if d > 0.0 else 1.0
-    f_lo = residual(lo)
-    hi = lo
-    f_hi = f_lo
-    for _ in range(200):
-        hi *= 1.5
-        f_hi = residual(hi)
-        if f_lo * f_hi < 0:
-            break
-    else:
-        raise RuntimeError(f"bisection bracket failure for n={n}, d={d}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = residual(mid)
-        if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= lam_tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    def cross(k):
+        return special.j1(k) * special.y0(k * d) - special.y1(k) * special.j0(k * d)
+
+    # cross is +inf as k -> 0+, and its first root lies below pi/L (the mixed
+    # eigenvalue is below the Dirichlet annulus one): scan up to there
+    ks = np.geomspace(1e-3, math.pi / L, 256)
+    i = int(np.argmax(cross(ks) <= 0.0))
+    if i == 0:
+        raise RuntimeError(f"no window root below k = pi/(1-d) for n={n}, d={d}")
+    k = brentq(cross, ks[i - 1], ks[i], **_ROOT_TOL)
+    return k * k
 
 
-def window_ladder(n: int, ds, lam_tol: float = 1e-8) -> dict:
+def window_ladder(n: int, ds) -> dict:
     """lambda_1 across a window-radius ladder with the capacity-scaled column.
 
     The scaled column is lambda_1 * |log d| (n = 2) or lambda_1 / d^(n-2)
     (n = 3); its stabilization across the last two rungs is the check.
     """
     ds = np.asarray(ds, dtype=float)
-    lams = np.array([small_window_lambda1(n, d, lam_tol) for d in ds])
+    lams = np.array([small_window_lambda1(n, d) for d in ds])
     if n == 2:
         scaled = lams * np.abs(np.log(ds))
     else:
@@ -227,7 +218,7 @@ def window_ladder(n: int, ds, lam_tol: float = 1e-8) -> dict:
             "tail_variation": float(tail_variation)}
 
 
-def capacity_blowup_bound(n: int, p: float, ds, lam_tol: float = 1e-8) -> dict:
+def capacity_blowup_bound(n: int, p: float, ds) -> dict:
     """Chain the window eigenvalue through the competitor bound over a ladder.
 
     Reports the fitted divergence exponent of the bound against d (n = 3) or
@@ -238,7 +229,7 @@ def capacity_blowup_bound(n: int, p: float, ds, lam_tol: float = 1e-8) -> dict:
     ball_vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
     lams, bounds = [], []
     for d in ds:
-        lam = small_window_lambda1(n, d, lam_tol)
+        lam = small_window_lambda1(n, d)
         vol = ball_vol * (1.0 - d ** n)
         lams.append(lam)
         bounds.append(eig_competitor_bound(vol, lam, n, p))

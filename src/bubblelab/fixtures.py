@@ -15,8 +15,6 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from .quadrature import QuadratureSpec
 from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
                        gn_halfspace_near_optimizer, profile_to_json, profile_from_json)

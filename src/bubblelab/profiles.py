@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,35 +56,37 @@ def sphere_area(k: int) -> float:
 # smooth cutoff
 # --------------------------------------------------------------------------
 
-def _smoothstep(s):
-    """C^infinity transition: 1 on s<=0, 0 on s>=1 (standard exp(-1/s) glue)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s <= 0.0] = 1.0
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    a = np.exp(-1.0 / sm)
-    b = np.exp(-1.0 / (1.0 - sm))
-    out[mid] = b / (a + b)
-    return out
-
-
 @dataclass(frozen=True)
 class Cutoff:
-    """chi_R(y) = chi(|y|/R): 1 on B_R, 0 outside B_2R, |grad| <= C/R."""
+    """chi_R(y) = chi(|y|/R): 1 on B_R, 0 outside B_2R, |grad| <= C/R.
+
+    chi(1 + s) is the C^infinity exp(-1/s) glue b/(a+b), a = exp(-1/s),
+    b = exp(-1/(1-s)), on the band 0 < s < 1.
+    """
     R: float
 
     def __post_init__(self):
         if self.R < 1.0:
             raise ValueError("cutoff radius must be >= 1")
 
+    def _glue(self, rho):
+        s = np.asarray(rho, dtype=float) / self.R - 1.0
+        band = (s > 0.0) & (s < 1.0)
+        sb = s[band]
+        return s, band, sb, np.exp(-1.0 / sb), np.exp(-1.0 / (1.0 - sb))
+
     def __call__(self, rho):
-        return _smoothstep(np.asarray(rho) / self.R - 1.0)
+        s, band, _, a, b = self._glue(rho)
+        out = np.where(s <= 0.0, 1.0, 0.0)
+        out[band] = b / (a + b)
+        return out
 
     def deriv(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        h = 1e-6
-        return (self(rho + h) - self(rho - h)) / (2.0 * h)
+        """d chi_R / d rho = -ab (1/s^2 + 1/(1-s)^2) / ((a+b)^2 R) on the band."""
+        s, band, sb, a, b = self._glue(rho)
+        out = np.zeros_like(s)
+        out[band] = -a * b * (1.0 / sb ** 2 + 1.0 / (1.0 - sb) ** 2) / ((a + b) ** 2 * self.R)
+        return out
 
 
 def cutoff(R: float) -> Cutoff:
@@ -195,26 +196,16 @@ class RadialProfile:
     def _radial_value(self, r):
         r = np.abs(np.asarray(r, dtype=float))
         sp = self._spline()
-        out = np.where(r <= self.grid[-1], sp(np.clip(r, 0.0, self.grid[-1])), self._tail(r))
+        out = np.where(r <= self.grid[-1], sp(np.clip(r, 0.0, self.grid[-1])),
+                       _bessel_tail(self.n, self.tail_coeff, r))
         return np.maximum(out, 0.0)
 
     def _radial_deriv(self, r):
         r = np.abs(np.asarray(r, dtype=float))
         self._spline()
         dsp = self.meta["_dspline"]
-        return np.where(r <= self.grid[-1], dsp(np.clip(r, 0.0, self.grid[-1])), self._tail_deriv(r))
-
-    # far field: decaying solution of Q'' + ((n-1)/r)Q' - Q = 0,
-    # Q = A r^(1-n/2) K_{n/2-1}(r)
-    def _tail(self, r):
-        nu = self.n / 2.0 - 1.0
-        r = np.maximum(np.asarray(r, dtype=float), 0.5)
-        with np.errstate(over="ignore"):
-            return self.tail_coeff * r ** (1.0 - self.n / 2.0) * kv(nu, r)
-
-    def _tail_deriv(self, r):
-        h = 1e-6 * np.maximum(r, 1.0)
-        return (self._tail(r + h) - self._tail(r - h)) / (2.0 * h)
+        return np.where(r <= self.grid[-1], dsp(np.clip(r, 0.0, self.grid[-1])),
+                        _bessel_tail(self.n, self.tail_coeff, r, deriv=True))
 
     # -- norms (used by normalization and tests) ----------------------------
     def dirichlet_norm_sq(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -283,6 +274,20 @@ def aubin_talenti(n: int, lam: float = 1.0, xi: tuple = (), spec: QuadratureSpec
     return RadialProfile(kind="aubin-talenti-interior", n=n,
                          amplitude=1.0 / math.sqrt(norm_sq), lam=float(lam),
                          xi=tuple(xi))
+
+
+def _bessel_tail(n: int, A: float, r, deriv: bool = False):
+    """Far field A r^(-nu) K_nu(r), nu = n/2 - 1, or its r-derivative
+    -A r^(-nu) K_{nu+1}(r): the decaying solution of Q'' + ((n-1)/r)Q' - Q = 0.
+
+    r is clamped to r >= 0.5, away from the singular center.
+    """
+    nu = n / 2.0 - 1.0
+    r = np.maximum(np.asarray(r, dtype=float), 0.5)
+    with np.errstate(over="ignore"):
+        if deriv:
+            return -A * r ** (-nu) * kv(nu + 1.0, r)
+        return A * r ** (-nu) * kv(nu, r)
 
 
 def _admissible_gn(n: int, p: float) -> bool:
@@ -378,15 +383,13 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
     # noise floor where the unstable mode takes over
     r_dense = np.linspace(1e-8, min(r_shoot, sol.t[-1]), 20001)
     qd = sol.sol(r_dense)[0]
-    pd = sol.sol(r_dense)[1]
     floor = max(1e-9, 5e-13 * b * math.exp(r_shoot))
     ok = qd > floor
     r_match = r_dense[ok][-1]
     r_match = min(r_match, r_shoot - 1e-3)
 
-    nu = n / 2.0 - 1.0
     qm = float(sol.sol(r_match)[0])
-    tail_coeff = qm / (r_match ** (1.0 - n / 2.0) * float(kv(nu, r_match)))
+    tail_coeff = qm / float(_bessel_tail(n, 1.0, r_match))
 
     # 2048-node tabulation grid: uniform head + geometric body. The head
     # spacing ~2e-3 balances the quintic interpolant's two error sources
@@ -401,13 +404,8 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
     ders[inside] = sol.sol(np.maximum(grid[inside], 1e-8))[1]
     ders[0] = 0.0
     out = ~inside
-    rr = grid[out]
-    with np.errstate(over="ignore"):
-        vals[out] = tail_coeff * rr ** (1.0 - n / 2.0) * kv(nu, rr)
-    h = 1e-6 * np.maximum(rr, 1.0)
-    vals_p = tail_coeff * (rr + h) ** (1.0 - n / 2.0) * kv(nu, rr + h)
-    vals_m = tail_coeff * (rr - h) ** (1.0 - n / 2.0) * kv(nu, rr - h)
-    ders[out] = (vals_p - vals_m) / (2.0 * h)
+    vals[out] = _bessel_tail(n, tail_coeff, grid[out])
+    ders[out] = _bessel_tail(n, tail_coeff, grid[out], deriv=True)
 
     # exact second derivatives from the ODE itself (linearized on the tail)
     ders2 = np.empty_like(grid)

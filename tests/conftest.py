@@ -1,9 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bubblelab.profiles import escobar_halfspace_optimizer
 from bubblelab.moments import weighted_moments, escobar_constants, gn_coefficients
 from bubblelab.fixtures import cached_gn_profiles
+
+# CLI runs in subprocesses import the same source tree as the tests
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,12 @@ from bubblelab import fixtures as fx
 REPO = Path(__file__).resolve().parents[1]
 
 
+def csv_floats(lines):
+    """Data rows of a CLI CSV (comment and header skipped), each cell read by
+    plain float(), which rejects any cell that is not a float literal."""
+    return [[float(c) for c in ln.split(",")] for ln in lines[2:]]
+
+
 def run_cli(args, **env):
     e = dict(os.environ, **{k: str(v) for k, v in env.items()})
     return subprocess.run([sys.executable, "-m", "bubblelab.cli", *args],
@@ -78,6 +84,9 @@ class TestOutputs:
         lines = out.read_text().splitlines()
         assert lines[1] == "eps,numerator,denominator,quotient,deficit,err_est"
         assert len(lines) == 2 + 3
+        rows = csv_floats(lines)
+        assert all(len(r) == 6 for r in rows)
+        assert [r[0] for r in rows] == pytest.approx([1e-2, 5e-3, 2.5e-3])
 
     def test_coefficients_carries_snapshot(self, tmp_path):
         out = tmp_path / "c.json"
@@ -123,6 +132,9 @@ class TestOutputs:
                      "--rungs", "2", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "d,lambda1,scaled"
+        rows = csv_floats(lines)
+        assert [r[0] for r in rows] == pytest.approx([1e-2, 1e-3])
+        assert all(len(r) == 3 and r[1] > 0 for r in rows)
 
 
 class TestDeterminism:

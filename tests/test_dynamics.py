@@ -28,15 +28,62 @@ def j0_series(x: float) -> float:
     return total
 
 
-def j0_first_root() -> float:
-    lo, hi = 2.0, 3.0
+def _bisect(f, lo: float, hi: float) -> float:
+    assert f(lo) * f(hi) < 0, "bracket has no sign change"
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if j0_series(lo) * j0_series(mid) <= 0:
+        if f(lo) * f(mid) <= 0:
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def j0_first_root() -> float:
+    return _bisect(j0_series, 2.0, 3.0)
+
+
+# independent window oracles: math-only series and bisection, no scipy.special
+def _bessel_series(x: float):
+    """(J0, J1, Y0, Y1)(x) by their power series (DLMF 10.2.2, 10.8.1); x <= 2."""
+    q = -(x * x / 4.0)
+    j0 = j1 = 0.0
+    s0 = s1 = 0.0                       # the psi-weighted sums of Y0 and Y1
+    psi = -0.5772156649015329           # psi(1) = -Euler gamma
+    term = 1.0                          # q^m / (m!)^2
+    for m in range(40):
+        psi_next = psi + 1.0 / (m + 1)  # psi(m + 2)
+        j0 += term
+        j1 += term / (m + 1)
+        s0 += 2.0 * psi * term
+        s1 += (psi + psi_next) * term / (m + 1)
+        term *= q / ((m + 1) * (m + 1))
+        psi = psi_next
+    h = x / 2.0
+    log_h = math.log(h)
+    j1 *= h
+    y0 = (2.0 * log_h * j0 - s0) / math.pi
+    y1 = (2.0 * log_h * j1 - 1.0 / h - h * s1) / math.pi
+    return j0, j1, y0, y1
+
+
+def window_root(n: int, d: float) -> float:
+    """First positive k of the mixed window problem, L = 1 - d (small d).
+
+    n = 3: k cos(kL) = sin(kL); n = 2: J1(k) Y0(kd) = Y1(k) J0(kd).
+    """
+    L = 1.0 - d
+    if n == 3:
+        # k (d - k^2/3) to leading order: positive below sqrt(3d)
+        return _bisect(lambda k: k * math.cos(k * L) - math.sin(k * L),
+                       0.5 * math.sqrt(3.0 * d), math.pi / (2.0 * L))
+
+    def cross(k):
+        J0k, J1k, _, Y1k = _bessel_series(k)
+        J0kd, _, Y0kd, _ = _bessel_series(k * d)
+        return J1k * Y0kd - Y1k * J0kd
+
+    return _bisect(cross, 0.1, 2.0)
 
 
 class TestDecayEnvelope:
@@ -176,6 +223,33 @@ class TestWindowEigenvalues:
         lam = small_window_lambda1(3, d)
         k = math.sqrt(lam)
         assert math.tan(k * (1 - d)) == pytest.approx(k, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_default_ladder_vs_characteristic_root(self, n, d):
+        # the CLI's default ladder 1e-2:1e-5, to near double precision
+        k = window_root(n, d)
+        assert abs(small_window_lambda1(n, d) - k * k) <= 1e-10 * k * k
+
+    @pytest.mark.parametrize("d", [1e-8, 1e-12, 1e-16])
+    def test_n3_tiny_window_capacity_limit(self, d):
+        # lambda = 3d (1 + 9d/5 + O(d^2)) as d -> 0; at these d the form
+        # k cos(kL) - sin(kL) loses its digits to cancellation
+        assert small_window_lambda1(3, d) == pytest.approx(3 * d * (1 + 1.8 * d), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1e-2, 0.5, 0.9])
+    def test_n2_neumann_residual_changes_sign(self, d):
+        # the Bessel equation against the radial ODE itself: u(d) = 0 and
+        # u'(1) = 0 at lambda, so u'(1) changes sign across it
+        lam = small_window_lambda1(2, d)
+
+        def du1(lam):
+            sol = solve_ivp(lambda r, y: [y[1], -lam * y[0] - y[1] / r], (d, 1.0),
+                            [0.0, 1.0], rtol=1e-11, atol=1e-14, method="DOP853")
+            assert sol.success
+            return sol.y[1, -1]
+
+        assert du1(lam * (1 - 1e-6)) * du1(lam * (1 + 1e-6)) < 0
 
     def test_monotone_in_window_radius(self):
         lams = [small_window_lambda1(2, d) for d in (0.05, 0.2, 0.5, 0.8)]
