@@ -17,6 +17,16 @@ One engine, ``halfspace_moment_matrix``, computes every truncated moment in
 the package: the half-space and interior matrices of the models below and
 the truncated moment tables and GN boundary moments of ``moments``.
 
+The matrix does not depend on the jet, so the engine memoizes it in a
+process-wide LRU of ``_MEMO_CAP`` entries keyed by (profile fingerprint, R,
+spec, p_exponent, t_offset). The fingerprint covers every field that profile
+evaluation reads (scalars plus a digest of the tabulated arrays, not
+``meta``), so an equal profile hits whatever its ``meta`` holds: a JSON
+reload, or ``normalized()`` of the unit-amplitude closed form. A build that
+raises is not stored. Cached arrays are read-only because every model with
+the same key shares them. The untruncated limits of ``moments`` use the same
+memo.
+
 Escobar numerator (covariant graph form, rescaled coordinates):
 
     N(eps) = int g^ij(eps y) d_i w d_j w sqrt|g(eps y)| dy
@@ -30,9 +40,14 @@ the three bulk norms.
 """
 from __future__ import annotations
 
+import hashlib
 import math
+import threading
+import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -178,7 +193,47 @@ _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 
 
-@dataclass
+_MEMO_CAP = 64   # entries; one costs a few kB of 5x5 arrays
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memoized(key: tuple, build: Callable):
+    """``build()`` through the process-wide LRU; exceptions are not stored."""
+    with _memo_lock:
+        if key in _memo:
+            _memo.move_to_end(key)
+            return _memo[key]
+    value = build()
+    with _memo_lock:
+        _memo[key] = value
+        while len(_memo) > _MEMO_CAP:
+            _memo.popitem(last=False)
+    return value
+
+
+def _profile_fingerprint(profile: RadialProfile) -> tuple:
+    """Hashable identity of everything ``value``/``grad`` read (not ``meta``)."""
+    digest = hashlib.sha1()
+    for a in (profile.grid, profile.values, profile.derivs, profile.derivs2):
+        if a is None:
+            digest.update(b"none;")
+        else:
+            a = np.ascontiguousarray(a, dtype=float)
+            digest.update(f"{a.shape};".encode())
+            digest.update(a.tobytes())
+    return (profile.kind, profile.n, profile.amplitude, profile.lam,
+            tuple(profile.xi), profile.p, profile.tail_coeff, profile.tail_r0,
+            profile.shift, digest.hexdigest())
+
+
+def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class _HalfspaceMatrix:
     """Monomial-weighted integrals of the truncated profile.
 
@@ -186,7 +241,8 @@ class _HalfspaceMatrix:
     with weight in {w_r^2, w_t^2, w^2, w, |w|^(p+1)}; tr2/trq/trq1 (5x1) are
     the boundary analogues over {t = 0}. For radial profiles t is the single
     node 0, so column 0 holds the 1-D moments, tan = (w')^2 and nor = 0.
-    delta maps each name to its fine - coarse difference.
+    delta maps each name to its fine - coarse difference. Instances are
+    shared through the memo, so every array and ``delta`` are read-only.
     """
     n: int
     R: float
@@ -199,7 +255,7 @@ class _HalfspaceMatrix:
     trq: np.ndarray
     trq1: np.ndarray
     err: float
-    delta: dict
+    delta: MappingProxyType
 
 
 def halfspace_moment_matrix(profile: RadialProfile, R: float,
@@ -213,7 +269,16 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
     profile fields are evaluated once per grid and every monomial moment
     comes from contracting them with the weighted Vandermonde rows of each
     axis. Raises QuadratureNonConvergence when the resolutions disagree.
+    Memoized by (profile fingerprint, R, spec, p_exponent, t_offset).
     """
+    key = ("matrix", _profile_fingerprint(profile), float(R), spec, p_exponent,
+           float(t_offset))
+    return _memoized(key, lambda: _build_moment_matrix(profile, R, spec, p_exponent,
+                                                       t_offset))
+
+
+def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
+                         p_exponent: Optional[float], t_offset: float) -> _HalfspaceMatrix:
     n = profile.n
     halfspace = profile.kind in _HALFSPACE_KINDS
     dim = n - 1 if halfspace else n          # dimension of the r variable
@@ -269,7 +334,10 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
         raise QuadratureNonConvergence(
             f"moment matrix two-resolution difference {err:.2e} at R={R}")
     fine.setdefault("pp", None)
-    return _HalfspaceMatrix(n=n, R=float(R), err=err, delta=delta, **fine)
+    return _HalfspaceMatrix(
+        n=n, R=float(R), err=err,
+        delta=MappingProxyType({k: _read_only(v) for k, v in delta.items()}),
+        **{k: _read_only(v) for k, v in fine.items()})
 
 
 def _poly_eval(poly: dict, matrix: dict, eps: float) -> float:
@@ -418,10 +486,9 @@ class HalfspaceEnergyModel:
 
     def _check_jet_positivity(self, eps: float) -> None:
         t_deep = eps * (2.0 * self.R + getattr(self.profile, "shift", 0.0))
-        zero = np.zeros(self.jet.data.m)
-        vals = [self.jet.sqrt_det(zero, t) for t in np.linspace(0.0, t_deep, 9)]
-        if min(vals) <= 0.0:
-            import warnings
+        # sqrt|g| on the axis y' = 0, at 9 depths through the support
+        t = np.linspace(0.0, t_deep, 9)
+        if np.min(1.0 - self.jet.H * t + self.jet.kappa_vol * t ** 2) <= 0.0:
             warnings.warn(
                 f"jet volume element non-positive inside the bubble support "
                 f"(depth eps*2R = {t_deep:.3g}); shrink eps or the cutoff",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import os
+import tempfile
 from pathlib import Path
 
 from .quadrature import QuadratureSpec
@@ -26,6 +27,8 @@ __all__ = ["default_fixture_path", "cache_dir", "cached_gn_profiles",
            "regenerate", "verify", "canonical_json"]
 
 SCHEMA_VERSION = 1
+# bump when GN profile construction changes, so cached profiles are re-solved
+PROFILE_CACHE_VERSION = 2
 
 _HIGH = QuadratureSpec(order=28, subdiv=2)
 _STD = QuadratureSpec(order=20, subdiv=1)
@@ -44,18 +47,35 @@ def cache_dir() -> Path:
     return d
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file of its own, so concurrent writers never mix."""
+    fh = tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=path.name + ".",
+                                     suffix=".tmp", delete=False)
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(fh.name, path)
+    except BaseException:
+        os.unlink(fh.name)
+        raise
+
+
 def cached_gn_profiles(n: int, p: float, delta0: float = 0.05,
                        spec: QuadratureSpec = _STD):
-    """Ground state and half-space near-optimizer, cached as JSON by (n, p)."""
-    key = cache_dir() / f"gn_{n}_{p}_{delta0}.json"
+    """Ground state and half-space near-optimizer, cached as JSON.
+
+    The file name carries (n, p, delta0), the quadrature spec and
+    PROFILE_CACHE_VERSION, so a request at another resolution or after a
+    construction change never reads a stale entry.
+    """
+    key = cache_dir() / (f"gn_{n}_{p}_{delta0}_o{spec.order}_s{spec.subdiv}"
+                         f"_r{spec.rtol!r}_v{PROFILE_CACHE_VERSION}.json")
     if key.exists():
         d = json.loads(key.read_text())
         return profile_from_json(d["Q"]), profile_from_json(d["Qplus"])
     Q = gn_ground_state(n, p, spec)
     Qp = gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
-    tmp = key.with_suffix(".tmp")
-    tmp.write_text(json.dumps({"Q": profile_to_json(Q), "Qplus": profile_to_json(Qp)}))
-    os.replace(tmp, key)
+    _write_atomic(key, json.dumps({"Q": profile_to_json(Q), "Qplus": profile_to_json(Qp)}))
     return Q, Qp
 
 

@@ -5,7 +5,8 @@ Everything here is a quadrature of the model profiles:
 * truncated moments of chi_R * U at cutoff R over the half-ball, read from
   the moment matrix of ``energy.halfspace_moment_matrix`` (the cutoff
   vanishes outside |y| = 2R, so the rectangle [0, 2R]^2 is the whole domain);
-* untruncated limits via polar coordinates with an exponent-aware tail map;
+* untruncated limits via polar coordinates with an exponent-aware tail map,
+  memoized per (profile, spec) in the engine's memo;
 * the first-order coefficient rho_n^conf both as the bracket combination
   (2/(n-1)) g1_tan - g1 + ((n-2)/2) Theta and in the harmonic closed form
   (n-2)^2 Theta / (2(n-1)), with an agreement assertion;
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import halfspace_moment_matrix
+from .energy import _memoized, _profile_fingerprint, halfspace_moment_matrix
 from .profiles import RadialProfile, sphere_area, gn_exponents, weinstein_quotient_fullspace
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
 
@@ -143,7 +144,10 @@ def weighted_moments(profile: RadialProfile, R: float,
     names = [k for k in _TRUNCATED if profile.n >= 5 or k not in ("g2", "g2tan")]
     values = {k: _table_entry(vars(M), k) for k in names}
     errors = {k: abs(_table_entry(M.delta, k)) for k in names}
-    limits, lerrs = _limit_moments(profile, spec)
+    # the limits do not depend on R: one computation per (profile, spec)
+    cached = _memoized(("limits", _profile_fingerprint(profile), spec),
+                       lambda: _limit_moments(profile, spec))
+    limits, lerrs = (dict(d) for d in cached)
     return MomentTable(n=profile.n, R=float(R), values=values, errors=errors,
                        limits=limits, limit_errors=lerrs)
 

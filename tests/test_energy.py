@@ -1,20 +1,23 @@
 import dataclasses
 import math
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bubblelab import energy
 from bubblelab.geometry import (BoundaryPointData, InteriorPointData, fermi_jet,
                                 geometry_catalog)
 from bubblelab.energy import (
     BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
     QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
     deficit_series, channel_fit_second_order, fit_power_series, sphere_average,
-    halfspace_moment_matrix,
+    halfspace_moment_matrix, _ser_div, _ser_pow,
 )
 from bubblelab.moments import weighted_moments
-from bubblelab.profiles import cutoff, sphere_area
+from bubblelab.profiles import cutoff, profile_from_json, profile_to_json, sphere_area
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -56,6 +59,60 @@ class TestSphereAverage:
     def test_odd_vanishes(self):
         assert sphere_average(np.ones(5), 5) == 0.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+    def test_isotropic_closed_forms(self, m, seed):
+        # <w_i w_j> = delta_ij / m and
+        # <w_i w_j w_k w_l> = (d_ij d_kl + d_ik d_jl + d_il d_jk) / (m (m+2))
+        rng = np.random.default_rng(seed)
+        I = np.eye(m)
+        i, j = rng.integers(m, size=2)
+        assert sphere_average(np.outer(I[i], I[j]), m) == pytest.approx((i == j) / m, abs=1e-15)
+        T2 = rng.standard_normal((m, m))
+        assert sphere_average(T2, m) == pytest.approx(np.trace(T2) / m, rel=1e-12, abs=1e-12)
+        T4 = rng.standard_normal((m,) * 4)
+        pairs = (np.einsum("iijj", T4) + np.einsum("ijij", T4) + np.einsum("ijji", T4))
+        assert sphere_average(T4, m) == pytest.approx(pairs / (m * (m + 2)),
+                                                      rel=1e-12, abs=1e-12)
+        assert sphere_average(rng.standard_normal((m,) * 3), m) == 0.0
+
+
+def _taylor(f, K, r=0.1, N=64):
+    """First K Taylor coefficients of f at 0 from N values on the circle |x| = r."""
+    x = r * np.exp(2j * np.pi * np.arange(N) / N)
+    return (np.fft.fft(f(x))[:K] / N / r ** np.arange(K)).real
+
+
+def _poly(c, x):
+    return sum(ck * x ** k for k, ck in enumerate(c))
+
+
+_lead = st.floats(0.5, 2.0)
+_tail = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5)
+
+
+class TestSeriesAlgebra:
+    """Truncated-series helpers against direct evaluation of the composed function."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a0=_lead, tail=_tail, alpha=st.floats(-3.0, 3.0))
+    def test_ser_pow(self, a0, tail, alpha):
+        a = a0 * np.array([1.0] + tail)
+        ref = _taylor(lambda x: _poly(a, x) ** alpha, len(a))
+        np.testing.assert_allclose(_ser_pow(a, alpha), ref, rtol=1e-9,
+                                   atol=1e-9 * a0 ** alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=6), b0=_lead,
+           tail=_tail, alpha=st.floats(-3.0, 3.0))
+    def test_ser_div_of_power(self, a, b0, tail, alpha):
+        # the shape of every quotient series: numerator / denominator^alpha
+        K = min(len(a), len(tail) + 1)
+        a, b = np.array(a[:K]), b0 * np.array([1.0] + tail[:K - 1])
+        ref = _taylor(lambda x: _poly(a, x) / _poly(b, x) ** alpha, K)
+        np.testing.assert_allclose(_ser_div(a, _ser_pow(b, alpha)), ref, rtol=1e-9,
+                                   atol=1e-9 * (1.0 + np.abs(a).max()) * b0 ** -alpha)
+
 
 class TestMomentEngine:
     def test_matches_per_monomial_quadrature(self, halfspace_profiles, gn23):
@@ -87,6 +144,116 @@ class TestMomentEngine:
             weighted_moments(halfspace_profiles[5], 40.0, spec)
         with pytest.raises(QuadratureNonConvergence):
             InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), gn23[0], 20.0, spec)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty memo for the test, and the arguments of every real build."""
+    monkeypatch.setattr(energy, "_memo", OrderedDict())
+    calls = []
+    build = energy._build_moment_matrix
+
+    def counting(*args):
+        calls.append(args[1:])
+        return build(*args)
+
+    monkeypatch.setattr(energy, "_build_moment_matrix", counting)
+    return calls
+
+
+_FIELDS = ("tan", "nor", "w2", "w1", "pp", "tr2", "trq", "trq1")
+
+
+class TestMatrixMemo:
+    def test_repeat_hits_bit_identical(self, builds, halfspace_profiles):
+        U = halfspace_profiles[5]
+        first = halfspace_moment_matrix(U, 20.0)
+        again = halfspace_moment_matrix(U, 20)            # int R: same key
+        assert again is first and len(builds) == 1
+        fresh = energy._build_moment_matrix(U, 20.0, QuadratureSpec(), None, 0.0)
+        assert len(builds) == 2
+        for name in _FIELDS:
+            a, b = getattr(again, name), getattr(fresh, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        for name in fresh.delta:
+            assert again.delta[name].tobytes() == fresh.delta[name].tobytes()
+        assert again.err == fresh.err
+
+    def test_models_share_one_build(self, builds, halfspace_profiles):
+        U = halfspace_profiles[5]
+        for geo, kw in (("ricci-only", {}), ("h-only", {"H": 1.0}), ("flat-halfspace", {})):
+            jet = fermi_jet(geometry_catalog(geo, 5, **kw).data, order=2, chart_radius=2.0)
+            HalfspaceEnergyModel(jet, U, 20.0)
+        assert len(builds) == 1
+
+    def test_distinct_keys(self, builds, halfspace_profiles):
+        U = halfspace_profiles[5]
+        variants = [(U, 20.0, QuadratureSpec(), None, 0.0),
+                    (U, 20.0, QuadratureSpec(order=24), None, 0.0),
+                    (U, 20.0, QuadratureSpec(), 2.0, 0.0),
+                    (U, 20.0, QuadratureSpec(), None, 1.0),
+                    (U, 25.0, QuadratureSpec(), None, 0.0),
+                    (dataclasses.replace(U, amplitude=2.0 * U.amplitude), 20.0,
+                     QuadratureSpec(), None, 0.0)]
+        mats = [halfspace_moment_matrix(*v) for v in variants]
+        assert len(builds) == len(variants) == len(energy._memo)
+        assert len({id(M) for M in mats}) == len(variants)
+        assert mats[5].w2[0, 0] == pytest.approx(4.0 * mats[0].w2[0, 0], rel=1e-14)
+
+    def test_normalized_and_reloaded_copies_hit(self, builds, halfspace_profiles, gn23):
+        U = halfspace_profiles[5]
+        M = halfspace_moment_matrix(U, 20.0)
+        raw = dataclasses.replace(U, amplitude=1.0, meta={"note": "ignored"})
+        assert halfspace_moment_matrix(raw.normalized(), 20.0) is M
+        # re-normalizing moves the amplitude by a few ulps: a different key
+        assert U.normalized().amplitude != U.amplitude
+        halfspace_moment_matrix(U.normalized(), 20.0)
+        assert len(builds) == 2
+        Qp = gn23[1]
+        B = halfspace_moment_matrix(Qp, 20.0, p_exponent=3.0, t_offset=Qp.shift)
+        reloaded = profile_from_json(profile_to_json(Qp))
+        assert halfspace_moment_matrix(reloaded, 20.0, p_exponent=3.0,
+                                       t_offset=reloaded.shift) is B
+        assert len(builds) == 3
+
+    def test_tabulated_data_enters_the_key(self, builds, gn23):
+        Q = gn23[0]
+        values = Q.values.copy()
+        values[-1] *= 1.0 + 1e-12
+        halfspace_moment_matrix(Q, 20.0)
+        halfspace_moment_matrix(dataclasses.replace(Q, values=values, meta={}), 20.0)
+        assert len(builds) == 2
+
+    def test_cached_arrays_read_only(self, halfspace_profiles):
+        M = halfspace_moment_matrix(halfspace_profiles[5], 20.0)
+        for name in ("tan", "nor", "w2", "w1", "tr2", "trq", "trq1"):
+            with pytest.raises(ValueError):
+                getattr(M, name)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            M.delta["tan"][0, 0] = 1.0
+        with pytest.raises(TypeError):
+            M.delta["tan"] = np.zeros((5, 5))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            M.tan = np.zeros((5, 5))
+
+    def test_failures_not_cached(self, builds, halfspace_profiles):
+        spec = QuadratureSpec(order=4)
+        for _ in range(2):
+            with pytest.raises(QuadratureNonConvergence):
+                halfspace_moment_matrix(halfspace_profiles[5], 40.0, spec)
+        assert len(builds) == 2 and not energy._memo
+
+    def test_size_stays_at_cap(self, builds, monkeypatch, halfspace_profiles):
+        monkeypatch.setattr(energy, "_build_moment_matrix", lambda *args: object())
+        U = halfspace_profiles[5]
+        first = halfspace_moment_matrix(U, 1.0)
+        for R in np.linspace(1.5, 100.0, energy._MEMO_CAP + 10):
+            halfspace_moment_matrix(U, R)
+            assert len(energy._memo) <= energy._MEMO_CAP
+        assert len(energy._memo) == energy._MEMO_CAP
+        assert halfspace_moment_matrix(U, 1.0) is not first        # evicted
+        last = halfspace_moment_matrix(U, 100.0)
+        assert halfspace_moment_matrix(U, 100.0) is last           # still held
 
 
 class TestEscobarQuotient:
@@ -154,6 +321,22 @@ class TestEscobarQuotient:
         m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
         with pytest.warns(UserWarning, match="non-positive"):
             m.escobar_quotient(1e-2)   # depth 0.8, H t > 1
+
+    def test_jet_positivity_warning_second_order(self, halfspace_profiles):
+        # H = 0: only the kappa_vol t^2 term, -(Ric_nn / 2) t^2, turns the
+        # axis volume element negative (1 - 5 t^2 < 0 from t = 0.45 on)
+        data = geometry_catalog("ricci-only", 5, value=10.0).data
+        jet = fermi_jet(data, order=2, chart_radius=10.0)
+        m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.escobar_quotient(1e-3)   # depth 0.08: positive throughout
+        with pytest.warns(UserWarning, match="non-positive"):
+            m.escobar_quotient(1e-2)   # depth 0.8
+        # the check reads the same axis values as the jet's own volume element
+        t = np.linspace(0.0, 0.8, 9)
+        axis = [jet.sqrt_det(np.zeros(4), s) for s in t]
+        assert np.array_equal(1.0 - jet.H * t + jet.kappa_vol * t ** 2, axis)
 
 
 class TestPlainTrace:

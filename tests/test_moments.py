@@ -1,17 +1,20 @@
 import math
 import warnings
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bubblelab import energy, moments
 from bubblelab.moments import (
     MomentTable, weighted_moments, verify_harmonic_identities,
     second_moment_identity, escobar_constants, gn_coefficients, fde_exponents,
     kappa_int_from_moments, LogDivergentMoment, ConstantsMismatch,
 )
 from bubblelab.profiles import sphere_area, gn_exponents
+from bubblelab.quadrature import QuadratureSpec
 
 
 class TestWeightedMoments:
@@ -29,6 +32,21 @@ class TestWeightedMoments:
         for name in ("Theta", "Tq"):
             vals = [t.truncated(name) for t in tabs]
             assert vals[0] < vals[1] < vals[2] <= tabs[0].limit(name) + 1e-12
+
+    def test_limits_computed_once_per_profile_and_spec(self, monkeypatch, halfspace_profiles):
+        monkeypatch.setattr(energy, "_memo", OrderedDict())
+        calls = []
+        limit_moments = moments._limit_moments
+        monkeypatch.setattr(moments, "_limit_moments",
+                            lambda *args: calls.append(args) or limit_moments(*args))
+        U = halfspace_profiles[5]
+        t1 = weighted_moments(U, 20.0)
+        t1.limits["J"] = -1.0                      # each table owns its dicts
+        t2 = weighted_moments(U, 30.0)
+        assert len(calls) == 1 and t2.limits["J"] > 0.0
+        assert t2.limit_errors == weighted_moments(U, 20.0).limit_errors
+        weighted_moments(U, 20.0, QuadratureSpec(order=24))
+        assert len(calls) == 2
 
     def test_all_entries_converge_to_limits(self, halfspace_profiles):
         U = halfspace_profiles[5]
