@@ -454,6 +454,9 @@ class HalfspaceEnergyModel:
         self.spec = spec
         self.p_exponent = p_exponent
         self.P_tan, self.P_sca, self.P_bdy = _halfspace_jet_polys(jet)
+        # off-axis terms of the volume-element bound in _check_jet_positivity
+        self._grad_h_norm = float(np.sqrt(np.sum(jet.gradH ** 2)))
+        self._ric_top = max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0)
         self.M = halfspace_moment_matrix(profile, R, spec, p_exponent,
                                          t_offset=getattr(profile, "shift", 0.0))
 
@@ -485,13 +488,29 @@ class HalfspaceEnergyModel:
         }
 
     def _check_jet_positivity(self, eps: float) -> None:
+        """Warn when the jet's volume element may be non-positive on the support.
+
+        On |y'| <= rho = 2R eps, 0 <= t <= t_deep, the jet's
+        sqrt|g| = 1 - (H + gradH.y') t + kappa_vol t^2 - Ric_bar[y', y']/6 is
+        at least 1 - (H + |gradH| rho) t + kappa_vol t^2 - lam+ rho^2/6, with
+        lam+ the top eigenvalue of Ric_bar clipped at 0. That quadratic in t
+        takes its minimum at an end of [0, t_deep] or at its vertex.
+
+        A warning, not an error: the bound covers a cylinder around the
+        support and pairs the worst y' of two terms, so it can fire where the
+        volume element is positive; and the quotient stays the jet model's
+        polynomial in eps, which the series and the sweeps use as such.
+        """
         t_deep = eps * (2.0 * self.R + getattr(self.profile, "shift", 0.0))
-        # sqrt|g| on the axis y' = 0, at 9 depths through the support
-        t = np.linspace(0.0, t_deep, 9)
-        if np.min(1.0 - self.jet.H * t + self.jet.kappa_vol * t ** 2) <= 0.0:
+        rho = 2.0 * self.R * eps
+        b = self.jet.H + self._grad_h_norm * rho
+        a = self.jet.kappa_vol
+        vertex = min(max(b / (2.0 * a), 0.0), t_deep) if a > 0.0 else 0.0
+        t = np.array([0.0, t_deep, vertex])
+        if np.min(1.0 - b * t + a * t ** 2) - self._ric_top * rho ** 2 / 6.0 <= 0.0:
             warnings.warn(
                 f"jet volume element non-positive inside the bubble support "
-                f"(depth eps*2R = {t_deep:.3g}); shrink eps or the cutoff",
+                f"(|y'| <= {rho:.3g}, depth <= {t_deep:.3g}); shrink eps or the cutoff",
                 stacklevel=3)
 
     def escobar_quotient(self, eps: float) -> QuotientResult:

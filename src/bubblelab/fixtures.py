@@ -28,7 +28,7 @@ __all__ = ["default_fixture_path", "cache_dir", "cached_gn_profiles",
 
 SCHEMA_VERSION = 1
 # bump when GN profile construction changes, so cached profiles are re-solved
-PROFILE_CACHE_VERSION = 2
+PROFILE_CACHE_VERSION = 3
 
 _HIGH = QuadratureSpec(order=28, subdiv=2)
 _STD = QuadratureSpec(order=20, subdiv=1)

@@ -9,8 +9,10 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
   unit Dirichlet energy over the half-space.
 * aubin-talenti-interior: U(y) = c (lambda / (1 + lambda^2 |y-xi|^2))^((n-2)/2).
 * gn-ground-state: the positive radial decreasing solution of
-  -Q'' - ((n-1)/r) Q' + Q = Q^p, tabulated from a shooting solve with a
-  matched Bessel-K tail.
+  -Q'' - ((n-1)/r) Q' + Q = Q^p, from a Chebyshev collocation solve on
+  [0, L] (Petviashvili iteration polished by Newton) with the matched
+  Bessel-K tail beyond L. The dense algebra is elementwise numpy and einsum,
+  never BLAS, so its bytes do not depend on the BLAS thread count.
 * gn-halfspace-near-optimizer: Q shifted off the wall and multiplied by a
   smooth ramp vanishing on {t = 0}; carries its achieved quotient.
 
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
+from numpy.polynomial.chebyshev import chebder, chebval
+from scipy.interpolate import BPoly
 from scipy.special import kv
 
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
@@ -44,7 +46,8 @@ class MomentDivergentDimension(ValueError):
 
 
 class ShootingError(RuntimeError):
-    """Raised when the radial shooting solve cannot bracket or converge."""
+    """Raised when the radial collocation solve cannot converge, or when a
+    near-optimizer ladder misses its target."""
 
 
 def sphere_area(k: int) -> float:
@@ -97,6 +100,24 @@ def cutoff(R: float) -> Cutoff:
 # profile container
 # --------------------------------------------------------------------------
 
+def _hermite_spline(x, y, dy, d2y=None) -> BPoly:
+    """Piecewise Hermite interpolant from closed-form Bernstein coefficients.
+
+    Quintic when second derivatives are given: on [x_i, x_i + h] the control
+    values are y_i, y_i + h y'_i/5, y_i + 2h y'_i/5 + h^2 y''_i/20, mirrored at
+    x_{i+1}. Cubic otherwise: y_i, y_i + h y'_i/3, mirrored.
+    """
+    h = np.diff(x)
+    y0, y1, d0, d1 = y[:-1], y[1:], h * dy[:-1], h * dy[1:]
+    if d2y is None:
+        c = [y0, y0 + d0 / 3.0, y1 - d1 / 3.0, y1]
+    else:
+        e0, e1 = h ** 2 * d2y[:-1] / 20.0, h ** 2 * d2y[1:] / 20.0
+        c = [y0, y0 + d0 / 5.0, y0 + 2.0 * d0 / 5.0 + e0,
+             y1 - 2.0 * d1 / 5.0 + e1, y1 - d1 / 5.0, y1]
+    return BPoly(np.array(c), x)
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """A tangentially radial (half-space) or radial (interior) model profile.
@@ -121,6 +142,15 @@ class RadialProfile:
     shift: float = 0.0
     achieved_quotient: Optional[float] = None
     meta: dict = field(default_factory=dict)
+    # interpolant of the tabulated data and its derivative, built once here
+    _sp: Optional[BPoly] = field(default=None, init=False, repr=False, compare=False)
+    _dsp: Optional[BPoly] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.grid is not None:
+            sp = _hermite_spline(self.grid, self.values, self.derivs, self.derivs2)
+            object.__setattr__(self, "_sp", sp)
+            object.__setattr__(self, "_dsp", sp.derivative())
 
     # -- evaluation ---------------------------------------------------------
     def value(self, r, t=None):
@@ -179,33 +209,20 @@ class RadialProfile:
         return dataclasses.replace(
             self, amplitude=self.amplitude / math.sqrt(norm_sq), meta={})
 
-    def _spline(self):
-        # cached lazily on the instance despite frozen=True (pure cache)
-        sp = self.meta.get("_spline")
-        if sp is None:
-            if self.derivs2 is not None:
-                from scipy.interpolate import BPoly
-                data = np.stack([self.values, self.derivs, self.derivs2], axis=1)
-                sp = BPoly.from_derivatives(self.grid, data)
-            else:
-                sp = CubicHermiteSpline(self.grid, self.values, self.derivs)
-            self.meta["_spline"] = sp
-            self.meta["_dspline"] = sp.derivative()
-        return sp
+    def _radial(self, r, deriv: bool = False):
+        """Interpolant on the grid, Bessel-K tail beyond it; each only where used."""
+        r = np.abs(np.asarray(r, dtype=float))
+        out = np.empty_like(r)
+        inside = r <= self.grid[-1]
+        out[inside] = (self._dsp if deriv else self._sp)(r[inside])
+        out[~inside] = _bessel_tail(self.n, self.tail_coeff, r[~inside], deriv=deriv)
+        return out
 
     def _radial_value(self, r):
-        r = np.abs(np.asarray(r, dtype=float))
-        sp = self._spline()
-        out = np.where(r <= self.grid[-1], sp(np.clip(r, 0.0, self.grid[-1])),
-                       _bessel_tail(self.n, self.tail_coeff, r))
-        return np.maximum(out, 0.0)
+        return np.maximum(self._radial(r), 0.0)
 
     def _radial_deriv(self, r):
-        r = np.abs(np.asarray(r, dtype=float))
-        self._spline()
-        dsp = self.meta["_dspline"]
-        return np.where(r <= self.grid[-1], dsp(np.clip(r, 0.0, self.grid[-1])),
-                        _bessel_tail(self.n, self.tail_coeff, r, deriv=True))
+        return self._radial(r, deriv=True)
 
     # -- norms (used by normalization and tests) ----------------------------
     def dirichlet_norm_sq(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -296,47 +313,171 @@ def _admissible_gn(n: int, p: float) -> bool:
     return 1.0 < p < math.inf
 
 
-def _shoot_once(n: int, p: float, b: float, r_max: float, method: str = "RK45",
-                rtol: float = 1e-12, atol: float = 1e-14):
-    """Integrate outward from the regular center; classify the outcome."""
+def _cheb(N: int):
+    """Chebyshev-Lobatto points x_j = cos(pi j/N) with their first and second
+    differentiation matrices, built entry by entry (Trefethen, Spectral
+    Methods in MATLAB, 2000, ch. 6; Welfert, SIAM J. Numer. Anal. 34 (1997)
+    1640, for the second) so that no matrix product is formed."""
+    j = np.arange(N + 1)
+    x = np.sin(np.pi * (N - 2 * j) / (2.0 * N))
+    w = np.where(j % 2 == 0, 1.0, -1.0)          # barycentric weights
+    w[[0, N]] *= 0.5
+    # x_i - x_j as a product of sines, free of cancellation
+    dx = 2.0 * np.sin(np.pi * (j[:, None] + j) / (2.0 * N)) * np.sin(np.pi * (j - j[:, None]) / (2.0 * N))
+    np.fill_diagonal(dx, 1.0)
+    ratio = w / w[:, None]
+    D = ratio / dx
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    D2 = 2.0 * (ratio * np.diag(D)[:, None] - D) / dx
+    np.fill_diagonal(D2, 0.0)
+    np.fill_diagonal(D2, -D2.sum(axis=1))
+    return x, D, D2
 
-    def rhs(r, y):
-        Q, P = y
-        src = Q - np.sign(Q) * np.abs(Q) ** p
-        return [P, src - (n - 1) / r * P]
 
-    def crossed(r, y):
-        return y[0]
+def _lu_factor(A):
+    """Partial-pivot LU by rank-1 broadcast updates (elementwise numpy only)."""
+    a = np.array(A, dtype=float)
+    piv = np.arange(a.shape[0])
+    for k in range(a.shape[0] - 1):
+        i = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, i]] = a[[i, k]]
+        piv[[k, i]] = piv[[i, k]]
+        if a[k, k] == 0.0:
+            raise ShootingError("singular collocation matrix")
+        a[k + 1:, k] /= a[k, k]
+        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, None, k + 1:]
+    return a, piv
 
-    crossed.terminal = True
 
-    def escaped(r, y):
-        return y[0] - 2.5 * b
+def _lu_solve(lu, piv, b):
+    """Solve A y = b from ``_lu_factor``; b is a vector or a matrix of columns."""
+    y = np.array(b, dtype=float)[piv]
+    for i in range(1, y.shape[0]):
+        y[i] -= np.einsum("j,j...->...", lu[i, :i], y[:i])
+    for i in range(y.shape[0] - 1, -1, -1):
+        y[i] = (y[i] - np.einsum("j,j...->...", lu[i, i + 1:], y[i + 1:])) / lu[i, i]
+    return y
 
-    escaped.terminal = True
 
-    r0 = 1e-8
-    # series start: Q = b + (b - b^p) r^2 / (2n) + O(r^4)
-    q0 = b + (b - b ** p) * r0 ** 2 / (2 * n)
-    p0 = (b - b ** p) * r0 / n
-    sol = solve_ivp(rhs, (r0, r_max), [q0, p0], events=[crossed, escaped],
-                    rtol=rtol, atol=atol, dense_output=True, method=method)
-    if sol.t_events[0].size:
-        return "crossed", sol
-    if sol.t_events[1].size:
-        return "escaped", sol
-    # reached r_max while positive: rising tail means undershoot
-    return ("escaped" if sol.y[1, -1] > 0 else "end"), sol
+# Collocation on [0, L]. L = 14 leaves Q(L)^p below 1e-10 Q(0) for p >= ~1.6;
+# closer to p = 1 the profile decays slower and L is stretched. N = 200
+# resolves the Chebyshev series of the fixture cases to rounding; the
+# concentrated profiles near the critical p take 2N.
+_COLL_L = 14.0
+_COLL_N = 200
+_RESOLVED_TOL = 1e-9
+_ROBIN_TOL = 1e-10
+_PETVIASHVILI_TOL = 1e-6
+_NEWTON_TOL = 1e-13
+
+
+def _collocation_operator(n: int, N: int, L: float):
+    """Nodes r_j = L (1 - x_j)/2, the derivative rows (each summing to zero)
+    and the diagonal that completes the linear operator.
+
+    Rows: the regular centre -n Q'' at r = 0; -Q'' - ((n-1)/r) Q' at the
+    interior nodes; at r = L the Robin row Q' + (K_{nu+1}(L)/K_nu(L)) Q of
+    the decaying Bessel-K branch, nu = n/2 - 1. The diagonal adds Q on the
+    ODE rows and the Robin coefficient on the last.
+    """
+    x, D, D2 = _cheb(N)
+    r = 0.5 * L * (1.0 - x)
+    D1 = (-2.0 / L) * D
+    D2 = (4.0 / L ** 2) * D2
+    op = -D2
+    op[1:] -= ((n - 1) / r[1:, None]) * D1[1:]
+    op[0] = -n * D2[0]
+    op[N] = D1[N]
+    nu = n / 2.0 - 1.0
+    shift = np.ones(N + 1)
+    shift[N] = kv(nu + 1.0, L) / kv(nu, L)
+    return r, op, shift
+
+
+def _collocation_ground_state(n: int, p: float, N: int):
+    """(L, nodal values of Q, their Chebyshev coefficients, largest ODE
+    residual at the nodes).
+
+    Petviashvili iteration (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42
+    (2004) 1110) from a Gaussian reaches the ground state's basin, reusing
+    one factorization of the linear operator. The Robin row neglects Q^p at
+    r = L, so while Q(L)^p exceeds 1e-10 Q(0), L is stretched by the decay
+    Q^p ~ exp(-p r) and the iteration rerun. Newton then polishes Q.
+    Raises ShootingError unless Q is positive and decreasing and its series
+    is resolved to 1e-9 Q(0).
+    """
+    L = _COLL_L
+    rows = np.ones(N + 1)                         # rows carrying Q^p
+    rows[N] = 0.0
+    diag = np.arange(N + 1)
+    for attempt in range(4):
+        r, op, shift = _collocation_operator(n, N, L)
+        A = op.copy()
+        A[diag, diag] += shift
+        Ainv = _lu_solve(*_lu_factor(A), np.eye(N + 1))
+        Q = np.exp(-r ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(1000):
+                Qpow = rows * np.abs(Q) ** p
+                M = np.einsum("i,i->", Q, np.einsum("ij,j->i", A, Q)) / np.einsum("i,i->", Q, Qpow)
+                Qn = M ** (p / (p - 1.0)) * np.einsum("ij,j->i", Ainv, Qpow)
+                step = np.max(np.abs(Qn - Q)) / np.max(np.abs(Qn))
+                Q = Qn
+                if not step > _PETVIASHVILI_TOL:      # converged, or NaN
+                    break
+        if not step <= _PETVIASHVILI_TOL:
+            raise ShootingError(f"Petviashvili iteration did not converge for (n={n}, p={p})")
+        excess = abs(Q[N]) ** p / (_ROBIN_TOL * Q[0])
+        if excess <= 1.0:
+            break
+        if attempt == 3:
+            raise ShootingError(
+                f"Q(L)^p = {excess * _ROBIN_TOL:.3g} Q(0) > {_ROBIN_TOL} Q(0) at L = {L:.4g} for "
+                f"(n={n}, p={p}): the profile decays too slowly for the Robin tail row")
+        L += math.log(excess) / p + 1.0
+
+    def residual(Q):
+        # op Q as sum_j op_ij (Q_j - Q_i): small differences meet the large
+        # entries next to the clustered end points
+        return (np.einsum("ij,ij->i", op, Q - Q[:, None]) + shift * Q
+                - rows * np.abs(Q) ** p)
+
+    for _ in range(8):
+        J = A.copy()
+        J[diag, diag] -= rows * p * np.abs(Q) ** (p - 1.0)
+        dQ = _lu_solve(*_lu_factor(J), -residual(Q))
+        Q = Q + dQ
+        if np.max(np.abs(dQ)) <= _NEWTON_TOL * Q[0]:
+            break
+    else:
+        raise ShootingError(f"Newton polish did not converge for (n={n}, p={p})")
+    if not (np.all(Q > 0.0) and np.all(np.diff(Q) < 0.0)):
+        raise ShootingError(
+            f"collocation solve for (n={n}, p={p}) left the positive decreasing ground state")
+    # Chebyshev coefficients by DCT-I (the real FFT of the even extension)
+    c = np.fft.rfft(np.concatenate([Q, Q[-2:0:-1]])).real / N
+    c[[0, N]] *= 0.5
+    trailing = np.max(np.abs(c[-8:]))
+    if trailing > _RESOLVED_TOL * Q[0]:
+        raise ShootingError(
+            f"Chebyshev series of (n={n}, p={p}) not resolved at N={N}: trailing "
+            f"coefficients {trailing:.3g} > {_RESOLVED_TOL} Q(0)")
+    return L, Q, c, float(np.max(np.abs(residual(Q)[:N])))
 
 
 def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
                     grid_nodes: int = 2048, r_max: float = 40.0) -> RadialProfile:
-    """Ground state of -Q'' - ((n-1)/r)Q' + Q = Q^p by bisection on Q(0).
+    """Ground state of -Q'' - ((n-1)/r)Q' + Q = Q^p by Chebyshev collocation.
 
-    The shooting is integrated on [0, r_match]; beyond r_match the profile is
-    the matched decaying far-field branch r^(1-n/2) K_{n/2-1}(r), which keeps
-    the tabulated tail below 1e-8 at r = 40 without amplifying the unstable
-    shooting mode.
+    On [0, L] the profile is the Chebyshev series of the collocation solution;
+    beyond L (``tail_r0``; 14 unless p is near 1) it is the matched decaying
+    far-field branch A r^(1-n/2) K_{n/2-1}(r). ``meta`` carries Q(0) and the
+    largest ODE residual at the collocation nodes. A solve that fails at
+    N = 200 nodes is repeated at 400. Raises ShootingError when that fails
+    too (it converges, stays positive and decreasing, and resolves the
+    series to 1e-9 Q(0) up to p = 4.8 at n = 3 and p = 15 at n = 2), or when
+    no L < r_max makes Q(L)^p negligible against Q(0).
     """
     if int(n) != n or n < 2:
         raise ValueError("gn_ground_state requires integer n >= 2")
@@ -344,64 +485,27 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
         raise ValueError(
             f"subcritical-range violation: need 1 < p < (n+2)/(n-2) for n>=3, got n={n}, p={p}")
     n, p = int(n), float(p)
-    r_shoot = 18.0
-
-    lo, hi = 0.5, 4.0
-    lo_ok = hi_ok = False
-    for _ in range(80):
-        state, _ = _shoot_once(n, p, hi, r_shoot)
-        if state == "crossed":
-            hi_ok = True
-            break
-        hi *= 1.6
-    for _ in range(80):
-        state, _ = _shoot_once(n, p, lo, r_shoot)
-        if state != "crossed":
-            lo_ok = True
-            break
-        lo *= 0.6
-    if not (lo_ok and hi_ok):
+    try:
+        L, Q, c, residual = _collocation_ground_state(n, p, _COLL_N)
+    except ShootingError:
+        L, Q, c, residual = _collocation_ground_state(n, p, 2 * _COLL_N)
+    if L >= r_max:
         raise ShootingError(
-            f"shooting bracket failure for (n={n}, p={p}): tried Q(0) in [{lo}, {hi}]")
+            f"(n={n}, p={p}) decays too slowly: the Robin row needs L = {L:.4g} >= r_max = {r_max}")
+    b = float(Q[0])
+    tail_coeff = float(Q[-1]) / float(_bessel_tail(n, 1.0, L))
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        state, _ = _shoot_once(n, p, mid, r_shoot)
-        if state == "crossed":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    b = 0.5 * (lo + hi)
-    # tabulation pass at a tighter tolerance: the quintic interpolant
-    # amplifies nodal noise in its second derivative like noise/h^2
-    state, sol = _shoot_once(n, p, b, r_shoot, method="DOP853",
-                             rtol=1e-13, atol=3e-15)
-
-    # keep the trajectory while it is positive, decreasing, and above the
-    # noise floor where the unstable mode takes over
-    r_dense = np.linspace(1e-8, min(r_shoot, sol.t[-1]), 20001)
-    qd = sol.sol(r_dense)[0]
-    floor = max(1e-9, 5e-13 * b * math.exp(r_shoot))
-    ok = qd > floor
-    r_match = r_dense[ok][-1]
-    r_match = min(r_match, r_shoot - 1e-3)
-
-    qm = float(sol.sol(r_match)[0])
-    tail_coeff = qm / float(_bessel_tail(n, 1.0, r_match))
-
-    # 2048-node tabulation grid: uniform head + geometric body. The head
-    # spacing ~2e-3 balances the quintic interpolant's two error sources
-    # (integrator noise amplified like eps/h^2 vs the h^4 truncation term).
+    # 2048-node tabulation grid: uniform head + geometric body, the head
+    # spacing ~2e-3 keeping the quintic interpolant's h^4 term small
     head = np.linspace(0.0, 1.0, grid_nodes // 4 + 1)[:-1]
     geo = np.geomspace(1.0, r_max, grid_nodes - grid_nodes // 4)
     grid = np.unique(np.concatenate([head, geo]))
     vals = np.empty_like(grid)
     ders = np.empty_like(grid)
-    inside = grid <= r_match
-    vals[inside] = sol.sol(np.maximum(grid[inside], 1e-8))[0]
-    ders[inside] = sol.sol(np.maximum(grid[inside], 1e-8))[1]
+    inside = grid <= L
+    x = 1.0 - 2.0 * grid[inside] / L
+    vals[inside] = chebval(x, c)
+    ders[inside] = (-2.0 / L) * chebval(x, chebder(c))
     ders[0] = 0.0
     out = ~inside
     vals[out] = _bessel_tail(n, tail_coeff, grid[out])
@@ -414,11 +518,10 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
     ders2[0] = (b - b ** p) / n
     ders2[out] = vals[out] - (n - 1) / grid[out] * ders[out]
 
-    prof = RadialProfile(kind="gn-ground-state", n=n, amplitude=1.0, p=p,
+    return RadialProfile(kind="gn-ground-state", n=n, amplitude=1.0, p=p,
                          grid=grid, values=vals, derivs=ders, derivs2=ders2,
-                         tail_coeff=tail_coeff, tail_r0=float(r_match),
-                         meta={"Q0": b})
-    return prof
+                         tail_coeff=tail_coeff, tail_r0=L,
+                         meta={"Q0": b, "residual": residual})
 
 
 def gn_halfspace_near_optimizer(n: int, p: float, delta0: float,
@@ -473,14 +576,8 @@ def gn_ode_residual(Q: RadialProfile, r) -> np.ndarray:
     if Q.kind != "gn-ground-state":
         raise ValueError("residual check applies to the tabulated ground state")
     r = np.asarray(r, dtype=float)
-    sp = Q._spline()
-    d1 = Q.meta["_dspline"]
-    d2 = Q.meta.get("_d2spline")
-    if d2 is None:
-        d2 = d1.derivative()
-        Q.meta["_d2spline"] = d2
-    q = np.maximum(sp(r), 0.0)
-    return -d2(r) - (Q.n - 1) / r * d1(r) + q - q ** Q.p
+    q = np.maximum(Q._sp(r), 0.0)
+    return -Q._dsp.derivative()(r) - (Q.n - 1) / r * Q._dsp(r) + q - q ** Q.p
 
 
 def weinstein_quotient_fullspace(Q: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD) -> float:

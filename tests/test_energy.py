@@ -338,6 +338,20 @@ class TestEscobarQuotient:
         axis = [jet.sqrt_det(np.zeros(4), s) for s in t]
         assert np.array_equal(1.0 - jet.H * t + jet.kappa_vol * t ** 2, axis)
 
+    def test_jet_positivity_warning_off_axis(self, halfspace_profiles):
+        # boundary-scal-only: sqrt|g| = 1 on the axis, but the -Ric_bar/6 term
+        # makes it negative at |y'| = 0.8 inside the support at eps = 1e-2
+        data = geometry_catalog("boundary-scal-only", 5, value=100.0).data
+        jet = fermi_jet(data, order=2, chart_radius=10.0)
+        assert all(jet.sqrt_det(np.zeros(4), s) > 0 for s in np.linspace(0.0, 0.8, 9))
+        assert jet.sqrt_det((0.8, 0.0, 0.0, 0.0), 0.0) < 0
+        m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
+        with pytest.warns(UserWarning, match="non-positive"):
+            m.escobar_quotient(1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m.escobar_quotient(1e-3)   # |y'| <= 0.08: 1 - 25 * 0.08^2 / 6 > 0
+
 
 class TestPlainTrace:
     def test_flat_value_scale_free(self, flat_model):

@@ -1,15 +1,24 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
+from scipy.interpolate import BPoly
 
 from bubblelab.profiles import (
     escobar_halfspace_optimizer, aubin_talenti, gn_ground_state,
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
     profile_to_json, profile_from_json, weinstein_quotient_fullspace,
-    weinstein_quotient_halfspace, sphere_area,
+    weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestEscobarOptimizer:
@@ -126,6 +135,80 @@ class TestGNGroundState:
             gn_ground_state(3, 5.0)
         with pytest.raises(ValueError):
             gn_ground_state(3, 0.5)
+
+
+class TestCollocationSolve:
+    def test_bytes_independent_of_blas_threads(self):
+        # the solve never calls BLAS, so the thread count cannot reach it
+        code = ("import hashlib; from bubblelab.profiles import gn_ground_state; "
+                "Q = gn_ground_state(2, 3.0); "
+                "print(hashlib.sha256(Q.values.tobytes() + Q.derivs.tobytes()"
+                " + Q.derivs2.tobytes()).hexdigest())")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_q0_matches_pin(self, n):
+        pins = json.loads((REPO / "fixtures" / "derived.json").read_text())["entries"]
+        pin = pins[f"gn/n={n}/p=3.0/Q0"]["value"]
+        assert gn_ground_state(n, 3.0).meta["Q0"] == pytest.approx(pin, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n, p", [(3, 1.2), (3, 4.5), (2, 7.0), (3, 4.8)])
+    def test_edge_of_range_converges(self, n, p):
+        Q = gn_ground_state(n, p)
+        q0 = Q.meta["Q0"]
+        assert Q.meta["residual"] <= 1e-10 * q0 ** p
+        # against an independent RK solve from the same centre value, on a
+        # range short enough that its unstable mode stays below the tolerance
+        r0 = 1e-6
+        sol = solve_ivp(lambda r, y: [y[1], y[0] - y[0] ** p - (n - 1) / r * y[1]],
+                        (r0, 3.0), [q0 + (q0 - q0 ** p) * r0 ** 2 / (2 * n),
+                                    (q0 - q0 ** p) * r0 / n],
+                        method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+        r = np.linspace(0.05, 3.0, 60)
+        assert np.max(np.abs(Q.value(r) - sol.sol(r)[0])) <= 1e-8 * q0
+        assert np.all(np.diff(Q.value(np.linspace(0.0, 40.0, 400))) < 0)
+
+    def test_near_critical_needs_more_nodes(self):
+        # N = 200 cannot resolve the (3, 4.8) profile; the 400-node retry can
+        with pytest.raises(ShootingError, match="positive decreasing"):
+            _collocation_ground_state(3, 4.8, 200)
+        assert len(_collocation_ground_state(3, 4.8, 400)[1]) == 401
+
+    def test_slow_decay_stretches_the_domain(self):
+        # Q(14)/Q(0) = 2e-4 at p = 1.2, where the Robin row would be wrong
+        assert gn_ground_state(3, 3.0).tail_r0 == 14.0
+        assert gn_ground_state(3, 1.2).tail_r0 > 20.0
+        with pytest.raises(ShootingError, match="decays too slowly"):
+            gn_ground_state(2, 1.05)     # needs L = 46, past the 40 of the grid
+
+
+class TestInterpolant:
+    def test_closed_form_quintic_matches_from_derivatives(self, gn33):
+        Q, _, _ = gn33
+        ref = BPoly.from_derivatives(Q.grid, np.stack([Q.values, Q.derivs, Q.derivs2], axis=1))
+        r = np.linspace(0.0, Q.grid[-1], 200_000)
+        assert np.max(np.abs(Q._sp(r) - ref(r))) <= 1e-14
+
+    def test_tail_only_where_used_is_bit_identical(self, gn23):
+        # reference: spline and tail on every point, then a pick by np.where
+        Q, _, _ = gn23
+        r = np.concatenate([np.linspace(0.0, 60.0, 3001), [Q.grid[-1]], -np.linspace(0.0, 50.0, 7)])
+        a, rmax = np.abs(r), Q.grid[-1]
+        val = np.maximum(np.where(a <= rmax, Q._sp(np.clip(a, 0.0, rmax)),
+                                  _bessel_tail(Q.n, Q.tail_coeff, a)), 0.0)
+        der = np.where(a <= rmax, Q._dsp(np.clip(a, 0.0, rmax)),
+                       _bessel_tail(Q.n, Q.tail_coeff, a, deriv=True))
+        assert np.array_equal(Q._radial_value(r), val)
+        assert np.array_equal(Q._radial_deriv(r), der)
+        for s in (0.7, 55.0):   # 0-d input takes the same path
+            assert Q._radial_value(s) == Q._radial_value(np.array([s]))[0]
+            assert Q._radial_deriv(s) == Q._radial_deriv(np.array([s]))[0]
 
 
 class TestHalfspaceNearOptimizer:
