@@ -200,7 +200,6 @@ def cmd_estimate(ns) -> str:
     from .estimators import (escobar_single_scale_sweep, escobar_three_scale_sweep,
                              ring_II_estimator, gn_interior_sweep)
     from .geometry import InteriorPointData
-    from .fixtures import cached_gn_profiles
     n = ns.n = _int_check("--n", ns.n)
     eps = ns.eps * 0.5 ** np.arange(ns.sweep)
     if ns.target in ("H", "mass", "theta", "ringII"):
@@ -239,7 +238,8 @@ def cmd_estimate(ns) -> str:
         return (f"estimate {ns.target} on {geo.name}: finest={reports[-1].estimate:.6g} "
                 f"order={order:.3f}")
     if ns.target == "scal":
-        Q, Qp = cached_gn_profiles(2 if n == 2 else n, ns.p)
+        from .fixtures import cached_gn_profiles
+        Q, Qp = cached_gn_profiles(n, ns.p)
         co = gn_coefficients(n, ns.p, Q, Qp, R=ns.R)
         data = InteriorPointData(n=n, scal=ns.value)
         sw = gn_interior_sweep(data, Q, co, ns.R, eps)
@@ -311,9 +311,13 @@ def cmd_dynamics(ns) -> str:
         return (f"dynamics fde: alpha={par.alpha:.6g} sup_gap={chk['sup_gap']:.3g} "
                 f"majorized={chk['majorized']}")
     if ns.mode == "window":
-        lo, hi = ns.ladder.split(":")
-        lo, hi = float(lo), float(hi)
-        rungs = ns.rungs
+        try:
+            lo, hi = (float(v) for v in str(ns.ladder).split(":"))
+        except ValueError:
+            raise ValidationFailure(f"--ladder must be lo:hi, two floats; got {ns.ladder!r}")
+        rungs = _int_check("--rungs", ns.rungs)
+        if rungs < 2:
+            raise ValidationFailure(f"--rungs must be at least 2, got {rungs}")
         ds = np.geomspace(lo, hi, rungs)
         lad = window_ladder(_int_check("--n", ns.n), ds)
         rows = list(zip(lad["d"], lad["lambda1"], lad["scaled"]))

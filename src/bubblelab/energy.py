@@ -21,11 +21,11 @@ The matrix does not depend on the jet, so the engine memoizes it in a
 process-wide LRU of ``_MEMO_CAP`` entries keyed by (profile fingerprint, R,
 spec, p_exponent, t_offset). The fingerprint covers every field that profile
 evaluation reads (scalars plus a digest of the tabulated arrays, not
-``meta``), so an equal profile hits whatever its ``meta`` holds: a JSON
-reload, or ``normalized()`` of the unit-amplitude closed form. A build that
-raises is not stored. Cached arrays are read-only because every model with
-the same key shares them. The untruncated limits of ``moments`` use the same
-memo.
+``meta``), so an equal profile hits whatever its ``meta`` holds: a copy
+with equal arrays, or ``normalized()`` of the unit-amplitude closed form. A
+build that raises is not stored. Cached arrays are read-only because every
+model with the same key shares them. The untruncated limits of ``moments``
+and the GN profiles of ``fixtures.cached_gn_profiles`` use the same memo.
 
 Escobar numerator (covariant graph form, rescaled coordinates):
 
@@ -193,7 +193,7 @@ _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 
 
-_MEMO_CAP = 64   # entries; one costs a few kB of 5x5 arrays
+_MEMO_CAP = 64   # entries: a few kB of 5x5 arrays, or ~0.5 MB for a GN profile pair
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
 

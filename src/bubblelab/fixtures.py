@@ -7,28 +7,29 @@ coefficients, window eigenvalues) together with provenance: which oracle
 produced it, at what resolution, when, and the tolerance the verify pass
 must meet. The comparison payload is canonical JSON (sorted keys, shortest
 round-trip floats), so repeated regenerations are byte-identical.
+
+The GN ground state and its half-space near-optimizer are solved once per
+process and memoized there (``cached_gn_profiles``); nothing is written to
+disk.
 """
 from __future__ import annotations
 
 import datetime as _dt
 import json
 import os
-import tempfile
 from pathlib import Path
 
 from .quadrature import QuadratureSpec
 from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
-                       gn_halfspace_near_optimizer, profile_to_json, profile_from_json)
+                       gn_halfspace_near_optimizer)
 from .moments import weighted_moments, escobar_constants, gn_coefficients
-from .energy import channel_fit_second_order
+from .energy import _memoized, channel_fit_second_order
 from .dynamics import small_window_lambda1
 
-__all__ = ["default_fixture_path", "cache_dir", "cached_gn_profiles",
+__all__ = ["default_fixture_path", "cached_gn_profiles",
            "regenerate", "verify", "canonical_json"]
 
 SCHEMA_VERSION = 1
-# bump when GN profile construction changes, so cached profiles are re-solved
-PROFILE_CACHE_VERSION = 3
 
 _HIGH = QuadratureSpec(order=28, subdiv=2)
 _STD = QuadratureSpec(order=20, subdiv=1)
@@ -41,42 +42,18 @@ def default_fixture_path() -> Path:
     return Path(__file__).resolve().parents[2] / "fixtures" / "derived.json"
 
 
-def cache_dir() -> Path:
-    d = Path(os.environ.get("BUBBLELAB_CACHE", Path.home() / ".cache" / "bubblelab"))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temp file of its own, so concurrent writers never mix."""
-    fh = tempfile.NamedTemporaryFile("w", dir=path.parent, prefix=path.name + ".",
-                                     suffix=".tmp", delete=False)
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(fh.name, path)
-    except BaseException:
-        os.unlink(fh.name)
-        raise
-
-
 def cached_gn_profiles(n: int, p: float, delta0: float = 0.05,
                        spec: QuadratureSpec = _STD):
-    """Ground state and half-space near-optimizer, cached as JSON.
+    """Ground state and half-space near-optimizer, solved once per process.
 
-    The file name carries (n, p, delta0), the quadrature spec and
-    PROFILE_CACHE_VERSION, so a request at another resolution or after a
-    construction change never reads a stale entry.
+    Memoized in the process-wide LRU of ``energy`` under (n, p, delta0, spec);
+    a solve that raises stores nothing.
     """
-    key = cache_dir() / (f"gn_{n}_{p}_{delta0}_o{spec.order}_s{spec.subdiv}"
-                         f"_r{spec.rtol!r}_v{PROFILE_CACHE_VERSION}.json")
-    if key.exists():
-        d = json.loads(key.read_text())
-        return profile_from_json(d["Q"]), profile_from_json(d["Qplus"])
-    Q = gn_ground_state(n, p, spec)
-    Qp = gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
-    _write_atomic(key, json.dumps({"Q": profile_to_json(Q), "Qplus": profile_to_json(Qp)}))
-    return Q, Qp
+    def solve():
+        Q = gn_ground_state(n, p, spec)
+        return Q, gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
+
+    return _memoized(("gn-profiles", n, p, delta0, spec), solve)
 
 
 def canonical_json(obj) -> str:

@@ -16,19 +16,17 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
 * gn-halfspace-near-optimizer: Q shifted off the wall and multiplied by a
   smooth ramp vanishing on {t = 0}; carries its achieved quotient.
 
-Profiles are immutable after construction and safe to share across workers.
+Profiles are immutable after construction (their tabulated arrays are
+read-only views) and safe to share across workers.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
-from scipy.interpolate import BPoly
-from scipy.special import kv
 
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
 
@@ -37,7 +35,6 @@ __all__ = [
     "escobar_halfspace_optimizer", "aubin_talenti", "gn_ground_state",
     "gn_halfspace_near_optimizer", "cutoff", "sphere_area", "gn_exponents",
     "weinstein_quotient_fullspace", "weinstein_quotient_halfspace",
-    "profile_to_json", "profile_from_json",
 ]
 
 
@@ -100,13 +97,15 @@ def cutoff(R: float) -> Cutoff:
 # profile container
 # --------------------------------------------------------------------------
 
-def _hermite_spline(x, y, dy, d2y=None) -> BPoly:
+def _hermite_spline(x, y, dy, d2y=None):
     """Piecewise Hermite interpolant from closed-form Bernstein coefficients.
 
     Quintic when second derivatives are given: on [x_i, x_i + h] the control
     values are y_i, y_i + h y'_i/5, y_i + 2h y'_i/5 + h^2 y''_i/20, mirrored at
-    x_{i+1}. Cubic otherwise: y_i, y_i + h y'_i/3, mirrored.
+    x_{i+1}. Cubic otherwise: y_i, y_i + h y'_i/3, mirrored. Returns a
+    ``scipy.interpolate.BPoly``.
     """
+    from scipy.interpolate import BPoly
     h = np.diff(x)
     y0, y1, d0, d1 = y[:-1], y[1:], h * dy[:-1], h * dy[1:]
     if d2y is None:
@@ -143,10 +142,18 @@ class RadialProfile:
     achieved_quotient: Optional[float] = None
     meta: dict = field(default_factory=dict)
     # interpolant of the tabulated data and its derivative, built once here
-    _sp: Optional[BPoly] = field(default=None, init=False, repr=False, compare=False)
-    _dsp: Optional[BPoly] = field(default=None, init=False, repr=False, compare=False)
+    _sp: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    _dsp: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # read-only views: memoized profiles are shared by every caller, and
+        # the arrays passed in stay writable for their owner
+        for name in ("grid", "values", "derivs", "derivs2"):
+            a = getattr(self, name)
+            if a is not None:
+                a = np.asarray(a).view()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
         if self.grid is not None:
             sp = _hermite_spline(self.grid, self.values, self.derivs, self.derivs2)
             object.__setattr__(self, "_sp", sp)
@@ -299,6 +306,7 @@ def _bessel_tail(n: int, A: float, r, deriv: bool = False):
 
     r is clamped to r >= 0.5, away from the singular center.
     """
+    from scipy.special import kv
     nu = n / 2.0 - 1.0
     r = np.maximum(np.asarray(r, dtype=float), 0.5)
     with np.errstate(over="ignore"):
@@ -381,6 +389,7 @@ def _collocation_operator(n: int, N: int, L: float):
     the decaying Bessel-K branch, nu = n/2 - 1. The diagonal adds Q on the
     ODE rows and the Robin coefficient on the last.
     """
+    from scipy.special import kv
     x, D, D2 = _cheb(N)
     r = 0.5 * L * (1.0 - x)
     D1 = (-2.0 / L) * D
@@ -612,39 +621,3 @@ def weinstein_quotient_halfspace(Qp: RadialProfile, spec: QuadratureSpec = DEFAU
     jg = Qp.dirichlet_norm_sq(spec)
     al, be = gn_exponents(n, p)
     return float(ipp / (i2 ** (al / 2.0) * jg ** (be / 2.0)))
-
-
-# --------------------------------------------------------------------------
-# JSON round trip (fixture caching)
-# --------------------------------------------------------------------------
-
-def profile_to_json(prof: RadialProfile) -> str:
-    d = {
-        "kind": prof.kind, "n": prof.n, "amplitude": prof.amplitude,
-        "lam": prof.lam, "xi": list(prof.xi), "p": prof.p,
-        "tail_coeff": prof.tail_coeff, "tail_r0": prof.tail_r0,
-        "shift": prof.shift, "achieved_quotient": prof.achieved_quotient,
-        "meta": {k: v for k, v in prof.meta.items()
-                 if not k.startswith("_") and isinstance(v, (int, float, str))},
-    }
-    if prof.grid is not None:
-        d["grid"] = prof.grid.tolist()
-        d["values"] = prof.values.tolist()
-        d["derivs"] = prof.derivs.tolist()
-        if prof.derivs2 is not None:
-            d["derivs2"] = prof.derivs2.tolist()
-    return json.dumps(d, sort_keys=True)
-
-
-def profile_from_json(s: str) -> RadialProfile:
-    d = json.loads(s)
-    grid = np.asarray(d["grid"]) if "grid" in d else None
-    vals = np.asarray(d["values"]) if "values" in d else None
-    ders = np.asarray(d["derivs"]) if "derivs" in d else None
-    ders2 = np.asarray(d["derivs2"]) if "derivs2" in d else None
-    return RadialProfile(kind=d["kind"], n=d["n"], amplitude=d["amplitude"],
-                         lam=d["lam"], xi=tuple(d["xi"]), p=d["p"],
-                         grid=grid, values=vals, derivs=ders, derivs2=ders2,
-                         tail_coeff=d["tail_coeff"], tail_r0=d["tail_r0"],
-                         shift=d["shift"], achieved_quotient=d["achieved_quotient"],
-                         meta=dict(d.get("meta", {})))

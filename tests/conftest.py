@@ -13,16 +13,6 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
-@pytest.fixture(scope="session", autouse=True)
-def profile_cache(tmp_path_factory):
-    """An empty profile cache for the session (CLI subprocesses inherit it),
-    so the suite solves every GN profile itself and leaves ~/.cache alone."""
-    mp = pytest.MonkeyPatch()
-    mp.setenv("BUBBLELAB_CACHE", str(tmp_path_factory.mktemp("profile-cache")))
-    yield
-    mp.undo()
-
-
 @pytest.fixture(scope="session")
 def halfspace_profiles():
     return {n: escobar_halfspace_optimizer(n) for n in (4, 5, 6, 7, 8)}

@@ -58,6 +58,12 @@ class TestValidation:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["constants"]["R"] == 25.0
 
+    @pytest.mark.parametrize("flags", [["--ladder", "1e-2"], ["--ladder", "a:b"],
+                                       ["--rungs", "0"], ["--rungs", "1"]])
+    def test_bad_window_ladder_exits_2(self, flags, capsys):
+        assert main(["dynamics", "window", "--n", "2", *flags]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
 
 class TestOutputs:
     def test_moments_json_schema(self, tmp_path):
@@ -135,6 +141,19 @@ class TestOutputs:
         rows = csv_floats(lines)
         assert [r[0] for r in rows] == pytest.approx([1e-2, 1e-3])
         assert all(len(r) == 3 and r[1] > 0 for r in rows)
+
+
+class TestLazyImports:
+    def test_escobar_commands_do_not_load_scipy(self, tmp_path):
+        code = ("import sys\n"
+                "from bubblelab.cli import main\n"
+                f"assert main(['coefficients', '--n', '5', '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
+                "assert main(['estimate', '--target', 'H', '--n', '5', "
+                f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
 
 class TestDeterminism:

@@ -1,55 +1,69 @@
-import json
+import os
+from collections import OrderedDict
 
 import pytest
 
-from bubblelab import fixtures
-from bubblelab.profiles import RadialProfile
+from bubblelab import energy, fixtures
+from bubblelab.profiles import RadialProfile, ShootingError
 
 
 @pytest.fixture
-def solves(monkeypatch, tmp_path):
-    """An empty profile cache, and stub GN solvers that record each solve."""
-    monkeypatch.setenv("BUBBLELAB_CACHE", str(tmp_path))
+def solves(monkeypatch):
+    """An empty memo, and stub GN solvers that record each solve."""
+    monkeypatch.setattr(energy, "_memo", OrderedDict())
     calls = []
 
     def ground_state(n, p, spec):
-        calls.append(spec)
+        calls.append((n, p, spec))
         return RadialProfile(kind="gn-ground-state", n=n, amplitude=float(spec.order), p=p)
 
     def near_optimizer(n, p, delta0, spec, ground_state):
         return RadialProfile(kind="gn-halfspace-near-optimizer", n=n,
-                             amplitude=ground_state.amplitude, p=p, shift=1.0)
+                             amplitude=ground_state.amplitude, p=p, shift=delta0)
 
     monkeypatch.setattr(fixtures, "gn_ground_state", ground_state)
     monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
     return calls
 
 
-class TestProfileCache:
-    def test_spec_enters_the_key(self, solves, tmp_path):
-        # a file under the old (n, p, delta0) name is never read
-        (tmp_path / "gn_2_3.0_0.05.json").write_text("stale")
-        Q, _ = fixtures.cached_gn_profiles(2, 3.0)
-        Q2, _ = fixtures.cached_gn_profiles(2, 3.0)
-        assert solves == [fixtures._STD] and Q2.amplitude == Q.amplitude == 20.0
+class TestProfileMemo:
+    def test_one_solve_per_key(self, solves):
+        Q, Qp = fixtures.cached_gn_profiles(2, 3.0)
+        again = fixtures.cached_gn_profiles(2, 3.0)
+        assert again[0] is Q and again[1] is Qp
+        assert solves == [(2, 3.0, fixtures._STD)]
+        assert Q.amplitude == Qp.amplitude == 20.0 and Qp.shift == 0.05
+        fixtures.cached_gn_profiles(3, 3.0)
+        fixtures.cached_gn_profiles(2, 2.0)
+        _, Qp1 = fixtures.cached_gn_profiles(2, 3.0, delta0=0.1)
+        assert Qp1.shift == 0.1 and len(solves) == 4
+        for args in ((2, 3.0), (3, 3.0), (2, 2.0)):
+            fixtures.cached_gn_profiles(*args)
+        assert len(solves) == 4
+
+    def test_spec_is_a_separate_solve(self, solves):
+        fixtures.cached_gn_profiles(2, 3.0)
         Qh, Qph = fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)
-        assert solves == [fixtures._STD, fixtures._HIGH]
+        assert solves == [(2, 3.0, fixtures._STD), (2, 3.0, fixtures._HIGH)]
         assert Qh.amplitude == Qph.amplitude == float(fixtures._HIGH.order)
-        fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)
+        assert fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)[0] is Qh
         assert len(solves) == 2
-        assert len(list(tmp_path.iterdir())) == 3       # stale file + one per spec
 
-    def test_writes_leave_one_file(self, tmp_path):
-        path = tmp_path / "gn_key.json"
-        fixtures._write_atomic(path, json.dumps({"write": 1}))
-        fixtures._write_atomic(path, json.dumps({"write": 2}))
-        assert [f.name for f in tmp_path.iterdir()] == ["gn_key.json"]
-        assert json.loads(path.read_text()) == {"write": 2}
+    def test_failed_solve_stores_nothing(self, solves, monkeypatch):
+        def failing(n, p, spec):
+            solves.append((n, p, spec))
+            raise ShootingError("no ground state")
 
-    def test_failed_write_leaves_no_temp(self, tmp_path):
-        target = tmp_path / "occupied"
-        target.mkdir()
-        (target / "x").write_text("")
-        with pytest.raises(OSError):
-            fixtures._write_atomic(target, "{}")
-        assert [f.name for f in tmp_path.iterdir()] == ["occupied"]
+        monkeypatch.setattr(fixtures, "gn_ground_state", failing)
+        for _ in range(2):
+            with pytest.raises(ShootingError):
+                fixtures.cached_gn_profiles(3, 4.9)
+        assert len(solves) == 2 and not energy._memo
+
+    def test_nothing_written_to_disk(self, solves, monkeypatch, tmp_path):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        for name in [k for k in os.environ if k.startswith("BUBBLELAB_")]:
+            monkeypatch.delenv(name)
+        fixtures.cached_gn_profiles(2, 3.0)
+        assert len(solves) == 1
+        assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,7 @@ from scipy.interpolate import BPoly
 from bubblelab.profiles import (
     escobar_halfspace_optimizer, aubin_talenti, gn_ground_state,
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
-    profile_to_json, profile_from_json, weinstein_quotient_fullspace,
+    RadialProfile, weinstein_quotient_fullspace,
     weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
 )
 
@@ -254,24 +254,21 @@ class TestCutoff:
             assert np.max(np.abs(chi.deriv(s))) * R <= 2.0 + 1e-6
 
 
-class TestSerialization:
-    def test_round_trip_closed_form(self, halfspace_profiles):
-        U = halfspace_profiles[5]
-        V = profile_from_json(profile_to_json(U))
-        pts = [(0.0, 0.0), (1.3, 0.7), (8.0, 2.0)]
-        for r, t in pts:
-            assert V.value(r, t) == pytest.approx(U.value(r, t), abs=1e-10)
-
-    def test_round_trip_tabulated(self, gn23):
+class TestReadOnlyArrays:
+    def test_shared_profile_rejects_writes(self, gn23):
         Q, Qp, _ = gn23
         for prof in (Q, Qp):
-            V = profile_from_json(profile_to_json(prof))
-            r = np.linspace(0.0, 20.0, 64)
-            if prof.kind == "gn-ground-state":
-                assert np.max(np.abs(V.value(r) - prof.value(r))) < 1e-10
-            else:
-                t = np.linspace(0.0, 20.0, 64)
-                assert np.max(np.abs(V.value(r, t) - prof.value(r, t))) < 1e-10
+            for name in ("grid", "values", "derivs", "derivs2"):
+                with pytest.raises(ValueError):
+                    getattr(prof, name)[0] = 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        grid = np.linspace(0.0, 4.0, 9)
+        values, derivs = np.exp(-grid), -np.exp(-grid)
+        prof = RadialProfile(kind="gn-ground-state", n=2, amplitude=1.0, p=3.0,
+                             grid=grid, values=values, derivs=derivs)
+        for own, held in ((grid, prof.grid), (values, prof.values), (derivs, prof.derivs)):
+            assert own.flags.writeable and not held.flags.writeable
 
 
 class TestNormalization:
