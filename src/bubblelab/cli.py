@@ -238,6 +238,10 @@ def cmd_estimate(ns) -> str:
         return (f"estimate {ns.target} on {geo.name}: finest={reports[-1].estimate:.6g} "
                 f"order={order:.3f}")
     if ns.target == "scal":
+        from .profiles import _admissible_gn
+        if n < 2 or not _admissible_gn(n, ns.p):
+            raise ValidationFailure(
+                f"--p {ns.p} at --n {n}: need n >= 2 and 1 < p < (n+2)/(n-2) (any p > 1 at n = 2)")
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(n, ns.p)
         co = gn_coefficients(n, ns.p, Q, Qp, R=ns.R)
@@ -255,6 +259,8 @@ def cmd_estimate(ns) -> str:
 def cmd_gauss_bonnet(ns) -> str:
     from .estimators import (gauss_bonnet_recovery, disk_fields_exact,
                              annulus_fields_exact, disk_fields_estimated)
+    if ns.surface == "annulus" and not 0.0 < ns.inner_radius < 1.0:
+        raise ValidationFailure(f"--inner-radius must lie in (0, 1), got {ns.inner_radius}")
     if ns.mode == "exact":
         if ns.surface == "disk":
             interior, boundary = disk_fields_exact()
@@ -289,6 +295,8 @@ def cmd_reduce(ns) -> str:
     else:
         fld = ExpressionField(spec)
     k = _int_check("--k", ns.k)
+    if k < 1:
+        raise ValidationFailure(f"--k must be at least 1, got {k}")
     pts = critical_point_search(fld, k, CircleDomain(), seeds=ns.seeds, seed=ns.seed)
     doc = {"kind": "critical-points", "k": k, "n": ns.n, "seeds": ns.seeds,
            "points": [{"centers": p.centers.ravel().tolist(), "value": p.value,
@@ -300,9 +308,11 @@ def cmd_reduce(ns) -> str:
 
 def cmd_dynamics(ns) -> str:
     from .dynamics import DecayParams, ode_decay_check, window_ladder
+    n = _int_check("--n", ns.n)
     if ns.mode == "fde":
-        par = DecayParams(n=_int_check("--n", ns.n), m=ns.m, E0=ns.E0, M0=ns.M0,
-                          C=ns.C)
+        if n < 2 or not 0.0 < ns.m < 1.0:
+            raise ValidationFailure(f"fde needs --n >= 2 and 0 < --m < 1, got n={n}, m={ns.m}")
+        par = DecayParams(n=n, m=ns.m, E0=ns.E0, M0=ns.M0, C=ns.C)
         chk = ode_decay_check(par, ns.horizon)
         rows = list(zip(chk["t"], chk["E"], chk["envelope"]))
         _emit_csv(ns.out, ["t", "E_ode", "envelope"], rows,
@@ -315,11 +325,15 @@ def cmd_dynamics(ns) -> str:
             lo, hi = (float(v) for v in str(ns.ladder).split(":"))
         except ValueError:
             raise ValidationFailure(f"--ladder must be lo:hi, two floats; got {ns.ladder!r}")
+        if not (0.0 < lo < 1.0 and 0.0 < hi < 1.0):
+            raise ValidationFailure(f"--ladder bounds must lie in (0, 1); got {ns.ladder!r}")
+        if n not in (2, 3):
+            raise ValidationFailure(f"window covers --n 2 or 3, got {n}")
         rungs = _int_check("--rungs", ns.rungs)
         if rungs < 2:
             raise ValidationFailure(f"--rungs must be at least 2, got {rungs}")
         ds = np.geomspace(lo, hi, rungs)
-        lad = window_ladder(_int_check("--n", ns.n), ds)
+        lad = window_ladder(n, ds)
         rows = list(zip(lad["d"], lad["lambda1"], lad["scaled"]))
         _emit_csv(ns.out, ["d", "lambda1", "scaled"], rows,
                   "window eigenvalues; scaled = lambda1*|log d| (n=2) or lambda1/d^(n-2) (n=3)")

@@ -27,9 +27,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy import special
 
 from .moments import fde_exponents, FDEExponents
 from .profiles import gn_ground_state, weinstein_quotient_fullspace
@@ -109,6 +106,7 @@ def ode_decay_check(params: DecayParams, horizon: float,
     At equality the solution and the envelope coincide; the report carries the
     sup gap over the horizon and flags the near-exponential regime alpha ~ 1.
     """
+    from scipy.integrate import solve_ivp
     al = params.alpha
     if not params.bernoulli_ok:
         raise ValueError(f"no Bernoulli regime: alpha = {al} not in (0, 1)")
@@ -170,6 +168,8 @@ def small_window_lambda1(n: int, d: float) -> float:
 
     d = 0: the all-Dirichlet ball, closed form j_{0,1}^2 (n = 2) or pi^2 (n = 3).
     """
+    from scipy import special
+    from scipy.optimize import brentq
     if n not in (2, 3):
         raise ValueError("window solver covers n in {2, 3}")
     if not (0.0 <= d < 1.0):

@@ -24,7 +24,6 @@ from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
                        gn_halfspace_near_optimizer)
 from .moments import weighted_moments, escobar_constants, gn_coefficients
 from .energy import _memoized, channel_fit_second_order
-from .dynamics import small_window_lambda1
 
 __all__ = ["default_fixture_path", "cached_gn_profiles",
            "regenerate", "verify", "canonical_json"]
@@ -61,6 +60,7 @@ def canonical_json(obj) -> str:
 
 
 def _compute_entries(spec: QuadratureSpec) -> dict:
+    from .dynamics import small_window_lambda1
     entries: dict = {}
 
     def put(name, value, tol):

@@ -59,9 +59,28 @@ class TestValidation:
         assert json.loads(out.read_text())["constants"]["R"] == 25.0
 
     @pytest.mark.parametrize("flags", [["--ladder", "1e-2"], ["--ladder", "a:b"],
-                                       ["--rungs", "0"], ["--rungs", "1"]])
+                                       ["--rungs", "0"], ["--rungs", "1"],
+                                       ["--ladder", "0:1e-3"], ["--ladder", "1e-2:2"],
+                                       ["--ladder=-1e-2:-1e-3"], ["--ladder", "nan:1e-3"],
+                                       ["--ladder", "1e-2:inf"]])
     def test_bad_window_ladder_exits_2(self, flags, capsys):
         assert main(["dynamics", "window", "--n", "2", *flags]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("args", [
+        ["dynamics", "window", "--n", "4"],
+        ["gauss-bonnet", "--surface", "annulus", "--inner-radius", "1.5"],
+        ["gauss-bonnet", "--surface", "annulus", "--inner-radius", "-1"],
+        ["reduce", "--field", "cos(theta)", "--k", "0"],
+        ["dynamics", "fde", "--m", "2"],
+        ["dynamics", "fde", "--n", "1"],
+        ["estimate", "--target", "scal", "--n", "4"],
+        ["estimate", "--target", "scal", "--n", "3", "--p", "6"],
+        ["estimate", "--target", "scal", "--n", "2", "--p", "1"],
+    ], ids=" ".join)
+    def test_out_of_range_exits_2(self, args, capsys):
+        # rejected before any numerics run, not mapped to a numerical failure
+        assert main(args) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
 
@@ -150,6 +169,42 @@ class TestLazyImports:
                 f"assert main(['coefficients', '--n', '5', '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
                 "assert main(['estimate', '--target', 'H', '--n', '5', "
                 f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    @staticmethod
+    def scipy_packages(code):
+        """Public scipy subpackages loaded after running ``code`` in a fresh process."""
+        code += ("\nimport sys\n"
+                 "print(sorted(m for m, mod in list(sys.modules.items())\n"
+                 "             if m.count('.') == 1 and m.startswith('scipy.')\n"
+                 "             and not m.split('.')[1].startswith('_') and hasattr(mod, '__path__')))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        return out.stdout.splitlines()[-1]
+
+    def test_gn_commands_load_only_scipy_special(self, tmp_path):
+        loaded = self.scipy_packages(
+            "from bubblelab.cli import main\n"
+            "assert main(['estimate', '--target', 'scal', '--n', '2', "
+            f"'--out', {str(tmp_path / 's.json')!r}]) == 0\n"
+            "assert main(['gauss-bonnet', '--surface', 'disk', '--mode', 'estimated', "
+            f"'--out', {str(tmp_path / 'g.json')!r}]) == 0\n")
+        assert loaded == "['scipy.special']"
+
+    def test_window_skips_interpolate_and_integrate(self, tmp_path):
+        loaded = self.scipy_packages(
+            "from bubblelab.cli import main\n"
+            "assert main(['dynamics', 'window', '--n', '3', "
+            f"'--out', {str(tmp_path / 'w.csv')!r}]) == 0\n")
+        assert "scipy.special" in loaded
+        assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
+
+    def test_dynamics_and_fixtures_import_without_scipy(self):
+        code = ("import sys\n"
+                "import bubblelab.dynamics, bubblelab.fixtures\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)

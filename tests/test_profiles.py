@@ -16,6 +16,7 @@ from bubblelab.profiles import (
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
     RadialProfile, weinstein_quotient_fullspace,
     weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
+    _Bernstein,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -194,6 +195,33 @@ class TestInterpolant:
         ref = BPoly.from_derivatives(Q.grid, np.stack([Q.values, Q.derivs, Q.derivs2], axis=1))
         r = np.linspace(0.0, Q.grid[-1], 200_000)
         assert np.max(np.abs(Q._sp(r) - ref(r))) <= 1e-14
+
+    @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 3.0), (3, 4.5), (2, 7.0)])
+    def test_numpy_bernstein_matches_bpoly(self, n, p):
+        # the value against scipy's own Hermite construction; the value and
+        # both derivatives against scipy's evaluator on the same coefficients
+        # (from_derivatives' coefficients differ by rounding, which h^-1 and
+        # h^-2 amplify to 1e-12 and 1e-9 in the derivatives)
+        Q = gn_ground_state(n, p)
+        r = np.linspace(0.0, Q.grid[-1], 200_000)
+        hermite = BPoly.from_derivatives(Q.grid, np.stack([Q.values, Q.derivs, Q.derivs2], axis=1))
+        same = BPoly(Q._sp.c, Q.grid)
+        pairs = [(Q._sp, hermite), (Q._sp, same), (Q._dsp, same.derivative()),
+                 (Q._dsp.derivative(), same.derivative(2))]
+        for ours, ref in pairs:
+            want = ref(r)
+            assert np.max(np.abs(ours(r) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_nodes_return_values_exactly(self, gn33):
+        # grid[-1] included: the last node evaluates the last piece at s = 1
+        Q, _, _ = gn33
+        assert np.array_equal(Q._sp(Q.grid), Q.values)
+
+    def test_breakpoints_take_the_right_piece_and_the_end_the_last(self):
+        # two discontinuous linear pieces: 0 -> 2 on [0, 1], 1 -> 3 on [1, 2]
+        b = _Bernstein(np.array([[0.0, 1.0], [2.0, 3.0]]), np.array([0.0, 1.0, 2.0]))
+        assert b(np.array([0.0, 0.5, 1.0, 2.0])).tolist() == [0.0, 1.0, 1.0, 3.0]
+        assert b(2.0) == 3.0 and b(3.0) == 5.0 and b(-1.0) == -2.0
 
     def test_tail_only_where_used_is_bit_identical(self, gn23):
         # reference: spline and tail on every point, then a pick by np.where
