@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -137,6 +138,16 @@ def _int_check(name, value):
     return int(value)
 
 
+def _positive_check(name, value):
+    if not 0.0 < value < math.inf:
+        raise ValidationFailure(f"{name} must be positive and finite, got {value}")
+
+
+def _cutoff_check(R):
+    if not 1.0 <= R < math.inf:
+        raise ValidationFailure(f"--R must be a finite cutoff radius >= 1, got {R}")
+
+
 # --------------------------------------------------------------------------
 # subcommand implementations
 # --------------------------------------------------------------------------
@@ -145,6 +156,7 @@ def cmd_moments(ns) -> str:
     from .profiles import escobar_halfspace_optimizer, MomentDivergentDimension
     from .moments import weighted_moments
     n = _int_check("--n", ns.n)
+    _cutoff_check(ns.R)
     try:
         U = escobar_halfspace_optimizer(n)
         tab = weighted_moments(U, ns.R)
@@ -168,6 +180,7 @@ def cmd_coefficients(ns) -> str:
     from .profiles import escobar_halfspace_optimizer
     from .moments import weighted_moments, escobar_constants
     n = _int_check("--n", ns.n)
+    _cutoff_check(ns.R)
     U = escobar_halfspace_optimizer(n)
     C = escobar_constants(n, weighted_moments(U, ns.R))
     _emit_json(ns.out, {"kind": "escobar-constants", "constants": C.snapshot()})
@@ -180,6 +193,7 @@ def cmd_expand(ns) -> str:
     from .geometry import fermi_jet
     from .energy import deficit_series
     n = ns.n = _int_check("--n", ns.n)
+    _cutoff_check(ns.R)
     geo = _geometry(ns)
     U = escobar_halfspace_optimizer(n)
     eps = ns.eps0 * 0.5 ** np.arange(ns.eps_levels)
@@ -201,6 +215,7 @@ def cmd_estimate(ns) -> str:
                              ring_II_estimator, gn_interior_sweep)
     from .geometry import InteriorPointData
     n = ns.n = _int_check("--n", ns.n)
+    _cutoff_check(ns.R)
     eps = ns.eps * 0.5 ** np.arange(ns.sweep)
     if ns.target in ("H", "mass", "theta", "ringII"):
         geo = _geometry(ns)
@@ -297,8 +312,11 @@ def cmd_reduce(ns) -> str:
     k = _int_check("--k", ns.k)
     if k < 1:
         raise ValidationFailure(f"--k must be at least 1, got {k}")
-    pts = critical_point_search(fld, k, CircleDomain(), seeds=ns.seeds, seed=ns.seed)
-    doc = {"kind": "critical-points", "k": k, "n": ns.n, "seeds": ns.seeds,
+    seeds = _int_check("--seeds", ns.seeds)
+    if seeds < 1:
+        raise ValidationFailure(f"--seeds must be at least 1, got {seeds}")
+    pts = critical_point_search(fld, k, CircleDomain(), seeds=seeds, seed=ns.seed)
+    doc = {"kind": "critical-points", "k": k, "n": ns.n, "seeds": seeds,
            "points": [{"centers": p.centers.ravel().tolist(), "value": p.value,
                        "grad_norm": p.grad_norm, "inertia": list(p.inertia),
                        "degenerate": p.degenerate} for p in pts]}
@@ -310,8 +328,14 @@ def cmd_dynamics(ns) -> str:
     from .dynamics import DecayParams, ode_decay_check, window_ladder
     n = _int_check("--n", ns.n)
     if ns.mode == "fde":
-        if n < 2 or not 0.0 < ns.m < 1.0:
-            raise ValidationFailure(f"fde needs --n >= 2 and 0 < --m < 1, got n={n}, m={ns.m}")
+        # the Bernoulli regime 0 < alpha = mn/(2mn + 2 - n) < 1 is (n-2)/n < m < 1
+        if n < 2 or not (n - 2) / n < ns.m < 1.0:
+            raise ValidationFailure(
+                f"fde needs --n >= 2 and (n-2)/n < --m < 1 (the Bernoulli regime), got n={n}, m={ns.m}")
+        for name in ("E0", "M0", "horizon"):
+            _positive_check(f"--{name}", getattr(ns, name))
+        if ns.C is not None:
+            _positive_check("--C", ns.C)
         par = DecayParams(n=n, m=ns.m, E0=ns.E0, M0=ns.M0, C=ns.C)
         chk = ode_decay_check(par, ns.horizon)
         rows = list(zip(chk["t"], chk["E"], chk["envelope"]))

