@@ -25,13 +25,16 @@ def main():
     print(f"{len(pts)} critical configuration(s) of W_{args.k} for field "
           f"'{args.field}' (merged up to relabeling)")
     for p in pts:
-        kind = {0: "minimum", args.k: "maximum"}.get(p.inertia[0], "saddle")
-        if p.inertia[0] == args.k * field.dim:
-            kind = "maximum"
-        elif p.inertia[0] == 0 and p.inertia[1] == 0:
+        if p.degenerate or p.inertia[1]:
+            kind = "degenerate"
+        elif p.inertia[0] == 0:
             kind = "minimum"
+        elif p.inertia[0] == args.k * field.dim:
+            kind = "maximum"
+        else:
+            kind = "saddle"
         print(f"  centers {np.round(p.centers.ravel(), 6)}  value {p.value:+.8f}  "
-              f"inertia {p.inertia}  ({kind}{', degenerate' if p.degenerate else ''})")
+              f"inertia {p.inertia}  ({kind})")
 
 
 if __name__ == "__main__":

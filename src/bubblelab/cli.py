@@ -119,7 +119,10 @@ def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def _geometry(ns):
-    from .geometry import geometry_catalog
+    from .geometry import geometry_catalog, CATALOG_NAMES
+    if ns.geometry not in CATALOG_NAMES:
+        raise ValidationFailure(f"unknown --geometry {ns.geometry!r}; the catalog has "
+                                f"{', '.join(CATALOG_NAMES)}")
     kw = {}
     if ns.geometry == "euclidean-ball":
         kw["radius"] = ns.radius
@@ -132,9 +135,11 @@ def _geometry(ns):
     return geometry_catalog(ns.geometry, ns.n, **kw)
 
 
-def _int_check(name, value):
+def _int_check(name, value, at_least=None):
     if value != int(value):
         raise ValidationFailure(f"{name} must be an integer, got {value}")
+    if at_least is not None and value < at_least:
+        raise ValidationFailure(f"{name} must be at least {at_least}, got {int(value)}")
     return int(value)
 
 
@@ -194,9 +199,11 @@ def cmd_expand(ns) -> str:
     from .energy import deficit_series
     n = ns.n = _int_check("--n", ns.n)
     _cutoff_check(ns.R)
+    _positive_check("--eps0", ns.eps0)
+    levels = _int_check("--eps-levels", ns.eps_levels, at_least=1)
     geo = _geometry(ns)
     U = escobar_halfspace_optimizer(n)
-    eps = ns.eps0 * 0.5 ** np.arange(ns.eps_levels)
+    eps = ns.eps0 * 0.5 ** np.arange(levels)
     jet = fermi_jet(geo.data, order=2, chart_radius=max(1.0, ns.eps0 * 2.1 * ns.R))
     sweep = deficit_series(jet, U, ns.R, eps, functional=ns.functional)
     rows = [(r.eps, r.numerator, r.denominator, r.quotient, r.deficit, r.err_estimate)
@@ -216,7 +223,8 @@ def cmd_estimate(ns) -> str:
     from .geometry import InteriorPointData
     n = ns.n = _int_check("--n", ns.n)
     _cutoff_check(ns.R)
-    eps = ns.eps * 0.5 ** np.arange(ns.sweep)
+    _positive_check("--eps", ns.eps)
+    eps = ns.eps * 0.5 ** np.arange(_int_check("--sweep", ns.sweep, at_least=1))
     if ns.target in ("H", "mass", "theta", "ringII"):
         geo = _geometry(ns)
         U = escobar_halfspace_optimizer(n)
@@ -284,6 +292,7 @@ def cmd_gauss_bonnet(ns) -> str:
     else:
         if ns.surface != "disk":
             raise ValidationFailure("estimated mode implemented for the disk")
+        _positive_check("--eps", ns.eps)
         from .moments import gn_coefficients
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(2, 3.0)
@@ -309,12 +318,8 @@ def cmd_reduce(ns) -> str:
             raise ValidationFailure("field spec needs 'expression' or 'samples'")
     else:
         fld = ExpressionField(spec)
-    k = _int_check("--k", ns.k)
-    if k < 1:
-        raise ValidationFailure(f"--k must be at least 1, got {k}")
-    seeds = _int_check("--seeds", ns.seeds)
-    if seeds < 1:
-        raise ValidationFailure(f"--seeds must be at least 1, got {seeds}")
+    k = _int_check("--k", ns.k, at_least=1)
+    seeds = _int_check("--seeds", ns.seeds, at_least=1)
     pts = critical_point_search(fld, k, CircleDomain(), seeds=seeds, seed=ns.seed)
     doc = {"kind": "critical-points", "k": k, "n": ns.n, "seeds": seeds,
            "points": [{"centers": p.centers.ravel().tolist(), "value": p.value,
@@ -353,9 +358,7 @@ def cmd_dynamics(ns) -> str:
             raise ValidationFailure(f"--ladder bounds must lie in (0, 1); got {ns.ladder!r}")
         if n not in (2, 3):
             raise ValidationFailure(f"window covers --n 2 or 3, got {n}")
-        rungs = _int_check("--rungs", ns.rungs)
-        if rungs < 2:
-            raise ValidationFailure(f"--rungs must be at least 2, got {rungs}")
+        rungs = _int_check("--rungs", ns.rungs, at_least=2)
         ds = np.geomspace(lo, hi, rungs)
         lad = window_ladder(n, ds)
         rows = list(zip(lad["d"], lad["lambda1"], lad["scaled"]))

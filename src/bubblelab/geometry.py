@@ -34,8 +34,12 @@ import numpy as np
 __all__ = [
     "BoundaryPointData", "FermiJetMetric", "InteriorPointData", "ModelGeometry",
     "fermi_jet", "boundary_area_element", "renormalized_mass", "theta_coefficient",
-    "geometry_catalog",
+    "geometry_catalog", "CATALOG_NAMES",
 ]
+
+CATALOG_NAMES = ("euclidean-ball", "flat-halfspace", "umbilic-sphere-cap",
+                 "anisotropic-cylinder-like", "ricci-only", "boundary-scal-only",
+                 "h-only", "custom")
 
 
 def _as_matrix(II, m: int) -> np.ndarray:
@@ -349,7 +353,7 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
     if name == "custom":
         data = BoundaryPointData(n=n, **{k: v for k, v in kw.items() if k != "truth"})
         return ModelGeometry(name, data, truth=kw.get("truth", {}))
-    raise KeyError(f"unknown geometry '{name}'")
+    raise KeyError(f"unknown geometry '{name}'; the catalog has {', '.join(CATALOG_NAMES)}")
 
 
 # --------------------------------------------------------------------------

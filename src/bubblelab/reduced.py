@@ -14,7 +14,8 @@ constant c are model units (the analysis fixes neither number).
 Center-only potential: W_k(x) = sum_i Rmass(x_i); its critical points are
 located by a projected Newton iteration with a log-barrier on pairwise
 distances (the kernel's collision barrier), with barrier continuation to
-zero and a final polish on the bare potential.
+zero and a final polish on the bare potential. The seeds of the search
+advance together, so fields and domains evaluate batches of points.
 """
 from __future__ import annotations
 
@@ -47,19 +48,38 @@ def _wrap(delta):
     return (np.asarray(delta) + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _row_norm(v):
+    """Euclidean norm over the last axis; the same bits as ``np.linalg.norm``
+    of each row on its own."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _diff(a, b):
+    """Wrapped coordinate differences of points; the last axis holds the
+    coordinates."""
+    return np.atleast_1d(_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+# Distances and their gradients act on (..., dim) arrays of points and reduce
+# the last axis; one pair of points gives a float.
+
 @dataclass(frozen=True)
 class CircleDomain:
     """Unit circle parametrized by an angle; geodesic distance on radius 1."""
     dim: int = 1
 
-    def distance(self, a, b) -> float:
-        return float(np.abs(_wrap(np.asarray(a) - np.asarray(b))).item())
+    def distance(self, a, b):
+        return _scalar(np.abs(_diff(a, b)[..., 0]))
 
     def dist_grad(self, a, b):
-        w = float(_wrap(np.asarray(a) - np.asarray(b)).item())
-        if w == 0.0:
+        w = _diff(a, b)
+        if np.any(w == 0.0):
             raise CollisionError("coincident centers")
-        return abs(w), np.array([math.copysign(1.0, w)])
+        return _scalar(np.abs(w[..., 0])), np.sign(w)
 
 
 @dataclass(frozen=True)
@@ -67,15 +87,15 @@ class TorusDomain:
     """Flat torus (product of unit circles)."""
     dim: int = 2
 
-    def distance(self, a, b) -> float:
-        return float(np.linalg.norm(_wrap(np.asarray(a) - np.asarray(b))))
+    def distance(self, a, b):
+        return _scalar(_row_norm(_diff(a, b)))
 
     def dist_grad(self, a, b):
-        w = _wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
-        d = float(np.linalg.norm(w))
-        if d == 0.0:
+        w = _diff(a, b)
+        d = _row_norm(w)
+        if np.any(d == 0.0):
             raise CollisionError("coincident centers")
-        return d, w / d
+        return _scalar(d), w / np.asarray(d)[..., None]
 
 
 @dataclass(frozen=True)
@@ -102,11 +122,31 @@ _EVAL_NS = {name: getattr(np, name) for name in
 _EVAL_NS["pi"] = math.pi
 
 
-class ExpressionField:
+class _Field:
+    """Batched evaluation: ``values`` and ``derivatives`` take an (m, dim)
+    array of points; ``value``, ``grad`` and ``hess`` are the one-point case."""
+    dim: int
+
+    def _row(self, x):
+        return np.asarray(x, dtype=float).reshape(1, self.dim)
+
+    def value(self, x) -> float:
+        return float(self.values(self._row(x))[0])
+
+    def grad(self, x) -> np.ndarray:
+        return self.derivatives(self._row(x))[0][0]
+
+    def hess(self, x) -> np.ndarray:
+        return self.derivatives(self._row(x))[1][0]
+
+
+class ExpressionField(_Field):
     """Scalar field from a numpy expression in theta (or theta1..thetad).
 
     Derivatives by central differences (the search declares convergence on
-    the same finite-difference gradient it iterates with).
+    the same finite-difference gradient it iterates with). All stencil points
+    of a batch go through one evaluation of the expression; an expression
+    without theta is broadcast.
     """
 
     def __init__(self, expr: str, dim: int = 1, h: float = 1e-5):
@@ -118,39 +158,47 @@ class ExpressionField:
             if name not in _EVAL_NS and not name.startswith("theta"):
                 raise ValueError(f"disallowed name in field expression: {name}")
         self._code = code
+        # stencil point = (x + first) + second: +-h e_i for the gradient
+        # (second = -0.0 adds nothing), then (+-hh e_i) +- hh e_j, i <= j,
+        # for the Hessian
+        self._hh = h ** 0.5 * 1e-2 + h
+        self._pairs = np.triu_indices(dim)
+        e, f = np.eye(dim) * h, np.eye(dim) * self._hh
+        first = [s * e[i] for i in range(dim) for s in (1.0, -1.0)]
+        second = [np.full(dim, -0.0)] * (2 * dim)
+        for i, j in zip(*self._pairs):
+            for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                first.append(si * f[i])
+                second.append(sj * f[j])
+        self._first = np.array(first)[:, None, :]
+        self._second = np.array(second)[:, None, :]
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def values(self, X) -> np.ndarray:
+        cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
         ns = dict(_EVAL_NS)
-        ns["theta"] = x[0]
+        ns["theta"] = cols[0]
         for i in range(self.dim):
-            ns[f"theta{i + 1}"] = x[i]
-        return float(eval(self._code, {"__builtins__": {}}, ns))
+            ns[f"theta{i + 1}"] = cols[i]
+        out = eval(self._code, {"__builtins__": {}}, ns)
+        return np.broadcast_to(np.asarray(out, dtype=float), cols.shape[1:])
 
-    def grad(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        g = np.zeros(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim); e[i] = self.h
-            g[i] = (self.value(x + e) - self.value(x - e)) / (2.0 * self.h)
-        return g
-
-    def hess(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        H = np.zeros((self.dim, self.dim))
-        h = self.h ** 0.5 * 1e-2 + self.h
-        for i in range(self.dim):
-            ei = np.zeros(self.dim); ei[i] = h
-            for j in range(i, self.dim):
-                ej = np.zeros(self.dim); ej[j] = h
-                H[i, j] = H[j, i] = (
-                    self.value(x + ei + ej) - self.value(x + ei - ej)
-                    - self.value(x - ei + ej) + self.value(x - ei - ej)
-                ) / (4.0 * h * h)
-        return H
+    def derivatives(self, X) -> tuple:
+        """(gradients (m, dim), Hessians (m, dim, dim)) from one evaluation."""
+        X = np.asarray(X, dtype=float)
+        m, dim = X.shape
+        v = self.values(((X + self._first) + self._second).reshape(-1, dim))
+        v = v.reshape(len(self._first), m)
+        g = ((v[0:2 * dim:2] - v[1:2 * dim:2]) / (2.0 * self.h)).T
+        q = v[2 * dim:].reshape(len(self._pairs[0]), 4, m)
+        hij = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * self._hh * self._hh)).T
+        H = np.empty((m, dim, dim))
+        I, J = self._pairs
+        H[:, I, J] = hij
+        H[:, J, I] = hij
+        return g, H
 
 
-class GridField:
+class GridField(_Field):
     """Periodic field from samples on a uniform angle grid (cubic spline)."""
 
     def __init__(self, samples, dim: int = 1):
@@ -165,17 +213,16 @@ class GridField:
         self._d2sp = self._dsp.derivative()
         self.dim = 1
 
-    def value(self, x) -> float:
-        t = float(np.atleast_1d(x)[0]) % (2.0 * math.pi)
-        return float(self._sp(t))
+    @staticmethod
+    def _angles(X):
+        return np.asarray(X, dtype=float)[:, 0] % (2.0 * math.pi)
 
-    def grad(self, x) -> np.ndarray:
-        t = float(np.atleast_1d(x)[0]) % (2.0 * math.pi)
-        return np.array([float(self._dsp(t))])
+    def values(self, X) -> np.ndarray:
+        return self._sp(self._angles(X))
 
-    def hess(self, x) -> np.ndarray:
-        t = float(np.atleast_1d(x)[0]) % (2.0 * math.pi)
-        return np.array([[float(self._d2sp(t))]])
+    def derivatives(self, X) -> tuple:
+        t = self._angles(X)
+        return self._dsp(t)[:, None], self._d2sp(t)[:, None, None]
 
 
 # --------------------------------------------------------------------------
@@ -407,35 +454,65 @@ class CriticalPoint:
     degenerate: bool = False
 
 
-def _potential_parts(field, domain, k: int, dim: int):
+def _potential_parts(field, k: int, dim: int):
+    """W_k and (gradient, block-diagonal Hessian) of W_k on (m, k*dim) rows."""
     def W(theta):
-        th = theta.reshape(k, dim)
-        return sum(field.value(th[i]) for i in range(k))
+        v = field.values(theta.reshape(-1, dim)).reshape(-1, k)
+        return sum(v[:, i] for i in range(k))
 
-    def gradW(theta):
-        th = theta.reshape(k, dim)
-        return np.concatenate([field.grad(th[i]) for i in range(k)])
-
-    def hessW(theta):
-        th = theta.reshape(k, dim)
-        H = np.zeros((k * dim, k * dim))
+    def derivs(theta):
+        g, blocks = field.derivatives(theta.reshape(-1, dim))
+        blocks = blocks.reshape(-1, k, dim, dim)
+        H = np.zeros((blocks.shape[0], k * dim, k * dim))
         for i in range(k):
-            H[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = field.hess(th[i])
-        return H
+            H[:, i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = blocks[:, i]
+        return g.reshape(-1, k * dim), H
 
-    return W, gradW, hessW
+    return W, derivs
 
 
-def _barrier_parts(domain, k: int, dim: int, mu: float):
-    def grad(theta):
-        th = theta.reshape(k, dim)
-        g = np.zeros((k, dim))
-        for i, j in combinations(range(k), 2):
-            d, dg = domain.dist_grad(th[i], th[j])
-            g[i] -= mu * dg / d
-            g[j] += mu * dg / d
-        return g.ravel()
-    return grad
+def _barrier(domain, theta, pairs, dim: int, mu: float, h: float = 1e-6):
+    """Gradient of -mu sum_{i<j} log d(x_i, x_j) on (m, k*dim) rows and its
+    curvature by central differences of that gradient, with one distance
+    evaluation for every stencil point. ``pairs`` is ``np.triu_indices(k, 1)``,
+    the order of ``combinations(range(k), 2)``."""
+    m, kd = theta.shape
+    E = (np.eye(kd) * h)[:, None, :]
+    pts = np.concatenate([theta[None], theta + E, theta - E]).reshape(-1, kd // dim, dim)
+    I, J = pairs
+    d, dg = domain.dist_grad(pts[:, I], pts[:, J])
+    push = mu * dg / d[..., None]
+    g = np.zeros_like(pts)
+    for p, (i, j) in enumerate(zip(I, J)):
+        g[:, i] -= push[:, p]
+        g[:, j] += push[:, p]
+    g = g.reshape(-1, kd)
+    shifted = g[m:].reshape(2, kd, m, kd)
+    return g[:m], np.transpose((shifted[0] - shifted[1]) / (2 * h), (1, 2, 0))
+
+
+def _newton_steps(A, b):
+    """Solve every row's A x = b at once; if that raises, row by row, and a
+    singular row gives ``ok = False``."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), bool)
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        ok = np.zeros(len(b), bool)
+        for r in range(len(b)):
+            try:
+                x[r] = np.linalg.solve(A[r], b[r])
+                ok[r] = True
+            except np.linalg.LinAlgError:
+                pass
+        return x, ok
+
+
+# Newton converges quadratically at a Morse critical point, so successive
+# steps shrink by far more than this ratio; at a degenerate one (W'' = 0
+# along some direction) it converges linearly, with ratio (m-1)/m at a zero
+# of multiplicity m of the gradient.
+_LINEAR_RATIO = 0.25
 
 
 def critical_point_search(field, k: int, domain=None, seeds: int = 64,
@@ -445,74 +522,98 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
                           min_separation: float = 1e-3) -> list:
     """Multi-seed projected Newton search for critical points of W_k.
 
-    The log-barrier keeps iterates off the collision set while mu > 0; the
-    final mu = 0 stage polishes on the bare potential and the convergence
-    check ||grad W_k|| <= grad_tol is barrier-free. Results are merged up to
-    relabeling of the centers (permutation + distance merge_tol).
+    All seeds advance together: each Newton step evaluates the field once on
+    every active seed and makes one batched solve, and per-seed masks apply
+    the stopping, separation and singular-Hessian rules. The log-barrier
+    keeps iterates off the collision set while mu > 0; the final mu = 0
+    stage polishes on the bare potential and the convergence check
+    ||grad W_k|| <= grad_tol is barrier-free.
+
+    A point is flagged ``degenerate`` (not Morse) when its last two Newton
+    steps (both in the final stage when k > 1) shrink by a ratio in
+    [1/4, 1], i.e. converge linearly; its inertia then counts as zero every
+    Hessian eigenvalue of magnitude at most 2 |H u|, u the unit last step.
+    Results are merged up to relabeling of the centers (permutation +
+    distance merge_tol, widened for degenerate points to cover the spread
+    of their linear convergence).
     """
     domain = domain or CircleDomain()
     dim = domain.dim
-    W, gradW, hessW = _potential_parts(field, domain, k, dim)
+    kd = k * dim
+    W, derivs = _potential_parts(field, k, dim)
 
     # constant-field degeneracy: the gradient vanishes identically
     rng = np.random.default_rng(seed)
-    probes = rng.uniform(0.0, 2.0 * math.pi, size=(8, k * dim))
-    if max(np.linalg.norm(gradW(p)) for p in probes) < 1e-12:
-        theta = probes[0]
-        Hm = hessW(theta)
-        return [CriticalPoint(theta.reshape(k, dim) % (2 * math.pi), W(theta), 0.0,
-                              _inertia(Hm), Hm, True, degenerate=True)]
+    probes = rng.uniform(0.0, 2.0 * math.pi, size=(8, kd))
+    g, Hs = derivs(probes)
+    if np.max(_row_norm(g)) < 1e-12:
+        return [CriticalPoint(probes[0].reshape(k, dim) % (2 * math.pi),
+                              float(W(probes[:1])[0]), 0.0, _inertia(Hs[0]), Hs[0], True,
+                              degenerate=True)]
 
-    found = []
-    for _ in range(seeds):
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=k * dim)
-        ok = True
-        for mu in barrier_mu:
-            bgrad = _barrier_parts(domain, k, dim, mu) if (mu > 0 and k > 1) else None
-            for _ in range(max_iter):
-                g = gradW(theta)
-                if bgrad is not None:
-                    g = g + bgrad(theta)
-                if np.linalg.norm(g) <= (grad_tol if mu == 0 else 1e-6):
-                    break
-                Hm = hessW(theta)
-                if bgrad is not None:
-                    # curvature of the barrier, finite-difference (cheap, k small)
-                    h = 1e-6
-                    Hb = np.zeros_like(Hm)
-                    for a in range(k * dim):
-                        e = np.zeros(k * dim); e[a] = h
-                        Hb[:, a] = (bgrad(theta + e) - bgrad(theta - e)) / (2 * h)
-                    Hm = Hm + Hb
-                try:
-                    step = np.linalg.solve(Hm + 1e-12 * np.eye(k * dim), -g)
-                except np.linalg.LinAlgError:
-                    ok = False
-                    break
-                if np.linalg.norm(step) > 1.0:
-                    step *= 1.0 / np.linalg.norm(step)
-                theta = theta + step
-                try:
-                    if k > 1:
-                        th = theta.reshape(k, dim)
-                        if min(domain.distance(th[i], th[j])
-                               for i, j in combinations(range(k), 2)) < min_separation:
-                            ok = False
-                            break
-                except CollisionError:
-                    ok = False
-                    break
-            if not ok:
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=(seeds, kd))
+    ok = np.ones(seeds, bool)
+    step_norm = np.full((seeds, 2), np.nan)   # the previous and the last step
+    last_step = np.zeros((seeds, kd))
+    eye = 1e-12 * np.eye(kd)
+    pairs = I, J = np.triu_indices(k, 1)
+    for mu in barrier_mu:
+        barrier = mu > 0 and k > 1
+        if k > 1:
+            step_norm[:] = np.nan         # each stage moves the target point
+        tol = grad_tol if mu == 0 else 1e-6
+        active = ok.copy()
+        for _ in range(max_iter):
+            idx = np.flatnonzero(active)
+            if not idx.size:
                 break
-        if not ok:
-            continue
-        gn = float(np.linalg.norm(gradW(theta)))
-        Hm = hessW(theta)
-        cp = CriticalPoint((theta.reshape(k, dim)) % (2 * math.pi), W(theta), gn,
-                           _inertia(Hm), Hm, gn <= grad_tol)
-        if cp.converged:
-            found.append(cp)
+            th = theta[idx]
+            g, Hm = derivs(th)
+            if barrier:
+                gb, Hb = _barrier(domain, th, pairs, dim, mu)
+                g, Hm = g + gb, Hm + Hb
+            moving = ~(_row_norm(g) <= tol)
+            active[idx[~moving]] = False
+            if not moving.any():
+                break
+            idx, th = idx[moving], th[moving]
+            step, solved = _newton_steps(Hm[moving] + eye, -g[moving])
+            ok[idx[~solved]] = active[idx[~solved]] = False
+            idx, th, step = idx[solved], th[solved], step[solved]
+            nrm = _row_norm(step)
+            big = nrm > 1.0
+            step[big] *= (1.0 / nrm[big])[:, None]
+            theta[idx] = th + step
+            step_norm[idx, 0] = step_norm[idx, 1]
+            step_norm[idx, 1] = np.minimum(nrm, 1.0)
+            last_step[idx] = step
+            if k > 1:
+                th = theta[idx].reshape(-1, k, dim)
+                close = np.min(domain.distance(th[:, I], th[:, J]), axis=1) < min_separation
+                ok[idx[close]] = active[idx[close]] = False
 
+    idx = np.flatnonzero(ok)
+    th = theta[idx]
+    g, Hs = derivs(th)
+    gn = _row_norm(g)
+    conv = gn <= grad_tol
+    idx, th, gn, Hs = idx[conv], th[conv], gn[conv], Hs[conv]
+    vals = W(th)
+    ratio = step_norm[idx, 1] / step_norm[idx, 0]
+    found = []
+    for r, s in enumerate(idx):
+        Hm = Hs[r]
+        degenerate = bool(_LINEAR_RATIO <= ratio[r] <= 1.0)
+        radius, zero_tol = 0.0, 1e-7
+        if degenerate:
+            # distance to the limit of a geometric sequence of steps
+            radius = step_norm[s, 1] * min(ratio[r], 0.9) / (1.0 - min(ratio[r], 0.9))
+            u = last_step[s] / step_norm[s, 1]
+            zero_tol = max(zero_tol, 2.0 * float(_row_norm(Hm @ u)))
+        cp = CriticalPoint(th[r].reshape(k, dim) % (2 * math.pi), float(vals[r]),
+                           float(gn[r]), _inertia(Hm, zero_tol), Hm, True,
+                           degenerate=degenerate)
+        found.append((cp, radius))
     return _merge(found, domain, merge_tol)
 
 
@@ -528,18 +629,24 @@ def _canonical(centers: np.ndarray, tol: float) -> np.ndarray:
     return c[np.lexsort(c.T[::-1])]
 
 
-def _merge(points: list, domain, tol: float) -> list:
+def _merge(points: list, domain, merge_tol: float) -> list:
+    """Merge (point, radius) pairs closer than max(merge_tol, 2 (r_a + r_b)).
+
+    A group is represented by its first degenerate member if it has one,
+    else by its first member."""
     out = []
-    for cp in points:
-        canon = _canonical(cp.centers, tol)
-        dup = False
-        for other in out:
+    for cp, radius in points:
+        for q, (other, oradius) in enumerate(out):
+            tol = max(merge_tol, 2.0 * (radius + oradius))
+            canon = _canonical(cp.centers, tol)
             oc = _canonical(other.centers, tol)
             if canon.shape == oc.shape and all(
                     domain.distance(a, b) <= tol for a, b in zip(canon, oc)):
-                dup = True
+                if cp.degenerate and not other.degenerate:
+                    out[q] = (cp, radius)
                 break
-        if not dup:
-            out.append(cp)
-    out.sort(key=lambda c: c.value)
-    return out
+        else:
+            out.append((cp, radius))
+    pts = [cp for cp, _ in out]
+    pts.sort(key=lambda c: c.value)
+    return pts

@@ -89,11 +89,29 @@ class TestValidation:
         ["dynamics", "fde", "--horizon", "nan"],
         ["dynamics", "fde", "--C", "-1"],
         ["reduce", "--field", "cos(theta)", "--k", "2", "--seeds", "0"],
+        ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "-1"],
+        ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0"],
+        ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "nan"],
+        ["expand", "--geometry", "euclidean-ball", "--n", "5", "--eps-levels", "0"],
+        ["expand", "--geometry", "euclidean-ball", "--n", "5", "--eps0", "0"],
+        ["estimate", "--target", "H", "--n", "5", "--sweep", "0"],
+        ["estimate", "--target", "H", "--n", "5", "--eps", "-1"],
+        ["estimate", "--target", "scal", "--n", "2", "--eps", "0"],
     ], ids=" ".join)
     def test_out_of_range_exits_2(self, args, capsys):
         # rejected before any numerics run, not mapped to a numerical failure
         assert main(args) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("args", [
+        ["expand", "--geometry", "nosuch", "--n", "5"],
+        ["estimate", "--target", "H", "--geometry", "nosuch", "--n", "5"],
+    ], ids=" ".join)
+    def test_unknown_geometry_exits_2(self, args, capsys):
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation"
+        assert "nosuch" in err["detail"] and "euclidean-ball" in err["detail"]
 
 
 class TestOutputs:
@@ -145,6 +163,14 @@ class TestOutputs:
                      "--seeds", "12", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert len(doc["points"]) == 4
+
+    def test_reduce_flags_degenerate_points(self, tmp_path):
+        out = tmp_path / "crit.json"
+        assert main(["reduce", "--field", "cos(theta)**3", "--k", "1",
+                     "--seeds", "64", "--out", str(out)]) == 0
+        pts = json.loads(out.read_text())["points"]
+        assert len(pts) == 4
+        assert sorted(p["degenerate"] for p in pts) == [False, False, True, True]
 
     def test_reduce_field_spec_file(self, tmp_path):
         spec = tmp_path / "field.json"

@@ -5,7 +5,7 @@ import pytest
 
 from bubblelab.geometry import (
     BoundaryPointData, InteriorPointData, fermi_jet, boundary_area_element,
-    renormalized_mass, theta_coefficient, geometry_catalog,
+    renormalized_mass, theta_coefficient, geometry_catalog, CATALOG_NAMES,
 )
 
 
@@ -219,8 +219,12 @@ class TestCatalog:
         assert scal.data.scal_bdy == 1.0 and scal.data.II_sq == 0.0
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="euclidean-ball"):
             geometry_catalog("mystery", 5)
+
+    def test_every_listed_name_builds(self):
+        for name in CATALOG_NAMES:
+            assert geometry_catalog(name, 5).name.startswith(name)
 
     def test_interior_point(self):
         d = InteriorPointData(n=3, scal=6.0)

@@ -205,7 +205,89 @@ class TestScaleJacobian:
         assert e2 < 0.3 * e1 + 1e-7  # O(h^2) Richardson consistency
 
 
+def per_seed_search(field, k, domain, seeds, seed, grad_tol=1e-8, max_iter=200,
+                    barrier_mu=(1e-2, 1e-4, 0.0), min_separation=1e-3):
+    """Reference: the search one seed at a time with scalar field calls, as it
+    was written before the seeds were batched; unmerged converged centers."""
+    dim = domain.dim
+    kd = k * dim
+
+    def grad(t):
+        return np.concatenate([field.grad(c) for c in t.reshape(k, dim)])
+
+    def hess(t):
+        H = np.zeros((kd, kd))
+        for i, c in enumerate(t.reshape(k, dim)):
+            H[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = field.hess(c)
+        return H
+
+    def bgrad(t, mu):
+        th, g = t.reshape(k, dim), np.zeros((k, dim))
+        for i, j in itertools.combinations(range(k), 2):
+            d, dg = domain.dist_grad(th[i], th[j])
+            g[i] -= mu * dg / d
+            g[j] += mu * dg / d
+        return g.ravel()
+
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.0, 2 * math.pi, size=(8, kd))          # the constant-field probes
+    found = []
+    for _ in range(seeds):
+        t = rng.uniform(0.0, 2 * math.pi, size=kd)
+        ok = True
+        for mu in barrier_mu:
+            barrier = mu > 0 and k > 1
+            for _ in range(max_iter):
+                g = grad(t) + (bgrad(t, mu) if barrier else 0.0)
+                if np.linalg.norm(g) <= (grad_tol if mu == 0 else 1e-6):
+                    break
+                H = hess(t)
+                if barrier:
+                    H = H + np.column_stack([(bgrad(t + e, mu) - bgrad(t - e, mu)) / (2 * 1e-6)
+                                             for e in np.eye(kd) * 1e-6])
+                try:
+                    step = np.linalg.solve(H + 1e-12 * np.eye(kd), -g)
+                except np.linalg.LinAlgError:
+                    ok = False
+                    break
+                if np.linalg.norm(step) > 1.0:
+                    step *= 1.0 / np.linalg.norm(step)
+                t = t + step
+                th = t.reshape(k, dim)
+                if k > 1 and min(domain.distance(th[i], th[j]) for i, j in
+                                 itertools.combinations(range(k), 2)) < min_separation:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and np.linalg.norm(grad(t)) <= grad_tol:
+            found.append(t.reshape(k, dim) % (2 * math.pi))
+    return found
+
+
+def same_configuration(a, b, tol):
+    """Equal center sets up to relabeling and 2 pi."""
+    return any(np.max(np.abs((a[list(p)] - b + math.pi) % (2 * math.pi) - math.pi)) <= tol
+               for p in itertools.permutations(range(len(a))))
+
+
 class TestCriticalPointSearch:
+    @pytest.mark.parametrize("expr, k, dim, seed", [
+        ("cos(2*theta)", 2, 1, 0), ("cos(2*theta)", 2, 1, 17),
+        ("sin(theta) + 0.3*cos(3*theta)", 2, 1, 5),
+        ("cos(theta1) + 0.5*sin(theta2)", 2, 2, 3),
+    ])
+    def test_matches_per_seed_reference(self, expr, k, dim, seed):
+        domain = TorusDomain() if dim == 2 else CircleDomain()
+        field = ExpressionField(expr, dim=dim)
+        pts = critical_point_search(field, k, domain, seeds=8, seed=seed)
+        ref = per_seed_search(field, k, domain, seeds=8, seed=seed)
+        assert pts and ref
+        for p in pts:
+            assert any(same_configuration(p.centers, r, 1e-10) for r in ref)
+        for r in ref:
+            assert any(same_configuration(p.centers, r, 1e-6) for p in pts)
+
     def test_cos_single_center(self):
         pts = critical_point_search(ExpressionField("cos(theta)"), 1, seeds=16)
         locs = sorted(float(p.centers[0, 0]) % (2 * math.pi) for p in pts)
@@ -237,6 +319,63 @@ class TestCriticalPointSearch:
     def test_constant_field_degenerate(self):
         pts = critical_point_search(ExpressionField("1.0 + 0*theta"), 1, seeds=4)
         assert len(pts) == 1 and pts[0].degenerate
+
+    def test_constant_expression_broadcast(self):
+        f = ExpressionField("1.0")
+        assert f.values(np.zeros((5, 1))).shape == (5,)
+        pts = critical_point_search(f, 1, seeds=4)
+        assert len(pts) == 1 and pts[0].degenerate and pts[0].inertia == (0, 1, 0)
+
+    def test_batched_rows_match_one_point_calls(self):
+        f = ExpressionField("sin(theta1) * cos(2*theta2) + theta1**2", dim=2)
+        X = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(7, 2))
+        vals, (grads, hess) = f.values(X), f.derivatives(X)
+        for r, x in enumerate(X):
+            assert vals[r] == f.value(x)
+            assert np.array_equal(grads[r], f.grad(x))
+            assert np.array_equal(hess[r], f.hess(x))
+
+    def test_torus_sum_of_cosines(self):
+        f = ExpressionField("cos(theta1) + cos(theta2)", dim=2)
+        pts = critical_point_search(f, 1, TorusDomain(), seeds=32)
+        assert sorted(p.inertia for p in pts) == [(0, 0, 2), (1, 0, 1), (1, 0, 1), (2, 0, 0)]
+        assert not any(p.degenerate for p in pts)
+        dom = TorusDomain()
+        for p in pts:
+            assert min(dom.distance(p.centers[0], [a, b]) for a in (0.0, math.pi)
+                       for b in (0.0, math.pi)) < 1e-6
+
+    def test_singular_hessian_drops_only_that_seed(self):
+        # the search draws 8 probes, then one start per seed; the Hessian is
+        # made exactly singular (H + 1e-12 = 0) at the first seed's start
+        rng = np.random.default_rng(0)
+        rng.uniform(0.0, 2 * math.pi, size=(8, 1))
+        start = rng.uniform(0.0, 2 * math.pi, size=(1, 1))[0, 0]
+
+        class Trap(ExpressionField):
+            def derivatives(self, X):
+                g, H = super().derivatives(X)
+                H[np.asarray(X)[:, 0] == start] = -1e-12
+                return g, H
+
+        assert critical_point_search(Trap("cos(theta)"), 1, seeds=1) == []
+        pts = critical_point_search(Trap("cos(theta)"), 1, seeds=16)
+        assert sorted(p.inertia for p in pts) == [(0, 0, 1), (1, 0, 0)]
+
+    def test_cubic_degenerate_zeros(self):
+        # W' = -3 cos^2 sin: Morse zeros at 0 and pi, degenerate ones
+        # (W'' = 0) at pi/2 and 3 pi/2, where Newton converges linearly
+        pts = critical_point_search(ExpressionField("cos(theta)**3"), 1, seeds=64)
+        assert len(pts) == 4
+        dom = CircleDomain()
+        for p in pts:
+            x = p.centers[0, 0]
+            on_degenerate = min(dom.distance(x, math.pi / 2),
+                                dom.distance(x, 3 * math.pi / 2)) < 1e-3
+            assert p.degenerate == on_degenerate
+            assert p.grad_norm <= 1e-8
+        assert sum(p.degenerate for p in pts) == 2
+        assert sorted(p.inertia for p in pts) == [(0, 0, 1), (0, 1, 0), (0, 1, 0), (1, 0, 0)]
 
     def test_grid_field_roundtrip(self):
         theta = np.linspace(0, 2 * math.pi, 256, endpoint=False)
