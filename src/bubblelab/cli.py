@@ -279,6 +279,12 @@ def cmd_estimate(ns) -> str:
     raise ValidationFailure(f"unknown target {ns.target}")
 
 
+# The bound of ``_check_jet_positivity`` on the volume element of the disk's
+# H = 1 Fermi jet is 1 - t, and the (2, 3) near-optimizer (shift 2) cut off at
+# R = 20 reaches depth t = eps (2R + 2): the estimated mode needs eps < 1/42.
+_GB_EPS_MAX = 1.0 / 42.0
+
+
 def cmd_gauss_bonnet(ns) -> str:
     from .estimators import (gauss_bonnet_recovery, disk_fields_exact,
                              annulus_fields_exact, disk_fields_estimated)
@@ -292,7 +298,10 @@ def cmd_gauss_bonnet(ns) -> str:
     else:
         if ns.surface != "disk":
             raise ValidationFailure("estimated mode implemented for the disk")
-        _positive_check("--eps", ns.eps)
+        if not 0.0 < ns.eps < _GB_EPS_MAX:
+            raise ValidationFailure(
+                f"--eps must lie in (0, {_GB_EPS_MAX:.4g}), where the disk jet's volume "
+                f"element stays positive on the bubble support; got {ns.eps}")
         from .moments import gn_coefficients
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(2, 3.0)
@@ -442,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--surface", choices=("disk", "annulus"))
     sp.add_argument("--mode", choices=("exact", "estimated"))
     sp.add_argument("--inner-radius", dest="inner_radius", type=float)
-    sp.add_argument("--eps", type=float)
+    sp.add_argument("--eps", type=float,
+                    help=f"estimated mode's boundary scale, in (0, 1/42 = {_GB_EPS_MAX:.4f})")
     sp.set_defaults(func=cmd_gauss_bonnet)
 
     sp = sub.add_parser("reduce", help="critical points of the center potential")

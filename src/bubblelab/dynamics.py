@@ -13,8 +13,12 @@ The PDE itself is never solved; this module implements the ODE/bound layer:
   the only essential boundary, which is what drives lambda_1 -> 0 at the
   capacity rate: lambda_1 ~ 1/|log d| in n = 2, ~ d^(n-2) in n = 3), as the
   squared first root of its characteristic equation (a Bessel cross-product
-  in n = 2, a trigonometric one in n = 3). The d = 0 case is the separate
-  all-Dirichlet ball, in closed form (j_{0,1}^2, pi^2).
+  in n = 2, a spherical-Bessel one in n = 3), bisected to adjacent floats.
+  J0, J1, Y0 and Y1 are evaluated in numpy from their power series, Bessel's
+  integrals and Hankel's expansion. The d = 0 case is the separate
+  all-Dirichlet ball, j_{0,1}^2 (the first root of the same J0) or pi^2.
+* The equality ODE is integrated by a Dormand-Prince 5(4) pair that takes
+  the same steps as scipy's RK45, so the module needs no scipy.
 
 The EEP constant's "euclidean-leading" mode identifies the form-B GN
 inequality (q = 1 + 1/m, r = 1/m) with the Weinstein family at p = 1/m, so
@@ -24,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .moments import fde_exponents, FDEExponents
 from .profiles import gn_ground_state, weinstein_quotient_fullspace
-from .quadrature import QuadratureSpec, DEFAULT_QUAD
+from .quadrature import QuadratureSpec, DEFAULT_QUAD, _gl_nodes
 
 __all__ = [
     "DecayParams", "decay_envelope", "ode_decay_check", "extinction_time_lower",
@@ -98,35 +103,111 @@ def decay_envelope(params: DecayParams, t) -> np.ndarray:
     return (params.E0 ** (-a) + a * params.kappa * t) ** (-1.0 / a)
 
 
+def _dopri45(fun, t_end: float, y0: float, t_eval, rtol: float, atol: float):
+    """Integrate the scalar autonomous ODE y' = fun(y) from t = 0 to t_end.
+
+    Returns (y at t_eval, the number of fun calls). The Dormand-Prince 5(4)
+    pair (Dormand & Prince, J. Comput. Appl. Math. 6 (1980) 19) with the
+    initial step, RMS error norm and step controller of Hairer, Norsett &
+    Wanner (Solving ODEs I, sec. II.4: safety 0.9, factors within [0.2, 10],
+    no growth right after a rejection) and Shampine's quartic dense output
+    (Math. Comp. 46 (1986) 135) at the points of t_eval, which must be sorted
+    in [0, t_end]. These are the rules of scipy's RK45, and the stage sums are
+    np.dot products on the shapes that solver forms, so that both round alike
+    (numpy's BLAS may fuse multiply-adds): the two agree bit for bit.
+    """
+    A = np.array([
+        [0, 0, 0, 0, 0],
+        [1/5, 0, 0, 0, 0],
+        [3/40, 9/40, 0, 0, 0],
+        [44/45, -56/15, 32/9, 0, 0],
+        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]])
+    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+    P = np.array([
+        [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+        [0, 0, 0, 0],
+        [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+        [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+        [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+    t, y = 0.0, np.array([float(y0)])
+    f = np.array([fun(y[0])])
+    # initial step: the RMS norm of one component is its absolute value
+    scale = atol + abs(y[0]) * rtol
+    d0, d1 = abs(y[0] / scale), abs(f[0] / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    d2 = abs((fun(y[0] + h0 * f[0]) - f[0]) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_end)
+    nfev = 2
+    K = np.empty((7, 1))
+    out = np.empty(len(t_eval))
+    i = 0
+    while t < t_end:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError("ODE solver failure: Required step size is less "
+                                   "than spacing between numbers.")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun((y + np.dot(K[:s].T, A[s, :s]) * h)[0])
+            y_new = y + h * np.dot(K[:-1].T, B)
+            K[6] = f_new = np.array([fun(y_new[0])])
+            nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = abs((np.dot(K.T, E) * h / scale)[0])
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        j = int(np.searchsorted(t_eval, t_new, side="right"))
+        if j > i:
+            x = (t_eval[i:j] - t) / h
+            out[i:j] = (h * np.dot(K.T.dot(P), np.cumprod(np.tile(x, (4, 1)), axis=0))
+                        + y[:, None])[0]
+            i = j
+        t, y, f = t_new, y_new, f_new
+    return out, nfev
+
+
 def ode_decay_check(params: DecayParams, horizon: float,
                     rtol: float = 1e-11, atol: float = 1e-13,
                     n_samples: int = 400) -> dict:
     """Integrate the equality ODE E' = -kappa E^(1/alpha) and compare.
 
     At equality the solution and the envelope coincide; the report carries the
-    sup gap over the horizon and flags the near-exponential regime alpha ~ 1.
+    sup gap over the horizon, the number of right-hand-side evaluations, and
+    flags the near-exponential regime alpha ~ 1.
     """
-    from scipy.integrate import solve_ivp
     al = params.alpha
     if not params.bernoulli_ok:
         raise ValueError(f"no Bernoulli regime: alpha = {al} not in (0, 1)")
 
-    def rhs(t, y):
-        return [-params.kappa * max(y[0], 0.0) ** (1.0 / al)]
+    def rhs(y):
+        return -params.kappa * max(y, 0.0) ** (1.0 / al)
 
     ts = np.linspace(0.0, horizon, n_samples)
-    sol = solve_ivp(rhs, (0.0, horizon), [params.E0], t_eval=ts,
-                    rtol=rtol, atol=atol, method="RK45")
-    if not sol.success:
-        raise RuntimeError(f"ODE solver failure: {sol.message}")
+    E, nfev = _dopri45(rhs, horizon, params.E0, ts, rtol, atol)
     env = decay_envelope(params, ts)
-    gap = sol.y[0] - env
+    gap = E - env
     return {
         "t": ts,
-        "E": sol.y[0],
+        "E": E,
         "envelope": env,
+        "nfev": nfev,
         "sup_gap": float(np.max(np.abs(gap))),
-        "majorized": bool(np.all(sol.y[0] <= env + 1e-8 * np.abs(env))),
+        "majorized": bool(np.all(E <= env + 1e-8 * np.abs(env))),
         "near_exponential": bool(al > 0.95),
     }
 
@@ -152,8 +233,126 @@ def eig_competitor_bound(vol: float, lam1: float, n: int, p: float) -> float:
 # window eigenvalue from its characteristic equation
 # --------------------------------------------------------------------------
 
-# brentq to double precision (its smallest admissible rtol)
-_ROOT_TOL = {"xtol": 1e-300, "rtol": 4.0 * np.finfo(float).eps}
+@lru_cache(maxsize=1)
+def _bessel_tables():
+    """Coefficient tables and quadrature nodes of ``_bessel01``, built on first use.
+
+    Row m of ``series`` holds the coefficients of q^m, q = -x^2/4, in J0,
+    J1/h and the psi-weighted sums S0, S1 of Y0, Y1 (h = x/2; psi(m + 1) is
+    the digamma function). Row k of ``hankel`` holds those of x^(-k) in
+    P0, Q0, P1, Q1: +-a_k(nu) = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (8i),
+    with the sign (-1)^floor(k/2). Then the 16-point Gauss-Legendre rule on
+    10 panels of [0, pi] and on 3 panels of [0, 1].
+    """
+    m = np.arange(20)
+    inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
+    psi = -0.5772156649015329 + np.concatenate([[0.0], np.cumsum(1.0 / m[1:])])
+    t0 = inv_fact * inv_fact                   # 1/(m!)^2
+    t1 = t0 / (m + 1)                          # 1/(m! (m+1)!)
+    series = np.stack([t0, t1, 2.0 * psi * t0, (2.0 * psi + 1.0 / (m + 1)) * t1], axis=1)
+    hankel = np.zeros((20, 4))
+    odd = m % 2 == 1
+    for col, mu in ((0, 0.0), (2, 4.0)):       # mu = 4 nu^2
+        a = np.cumprod(np.concatenate([[1.0], (mu - (2.0 * m[1:] - 1.0) ** 2) / (8.0 * m[1:])]))
+        a *= np.where(m % 4 < 2, 1.0, -1.0)
+        hankel[:, col] = np.where(odd, 0.0, a)
+        hankel[:, col + 1] = np.where(odd, a, 0.0)
+    x0, w0 = _gl_nodes(16)
+
+    def panels(b, count):
+        h = 0.5 * b / count
+        return ((h * (2.0 * np.arange(count) + 1.0))[:, None] + h * x0).ravel(), np.tile(h * w0, count)
+
+    return (series, hankel) + panels(math.pi, 10) + panels(1.0, 3)
+
+
+def _bessel01(x) -> np.ndarray:
+    """(J0, J1, Y0, Y1)(x) for x > 0, stacked on a new first axis, in numpy.
+
+    * x <= 2: the power series (DLMF 10.2.2, 10.8.1).
+    * 2 < x < 20: Bessel's and Schlaefli's integrals (DLMF 10.9.2, 10.9.7),
+      J_n + i Y_n = (1/pi) int_0^pi exp(i (x sin s - n s)) ds
+      - (i/pi) int_0^inf (e^(nt) + (-1)^n e^(-nt)) e^(-x sinh t) dt,
+      by the 16-point rule on 10 panels of [0, pi] (enough for an integrand
+      of x/pi oscillations up to x = 20) and on 3 panels of [0, asinh(40/x)],
+      beyond which e^(-x sinh t) < e^(-40).
+    * x >= 20: Hankel's expansion (DLMF 10.17.3, 10.17.4), 20 terms,
+      J_n + i Y_n = sqrt(2/(pi x)) (P_n + i Q_n) exp(i (x - (2n + 1) pi/4)).
+      The phase enters through sin x and cos x, so pi/4 is never rounded
+      against x.
+
+    Against mpmath at 2199 points of [1e-8, 100], each is within 2.2e-15 of
+    the modulus sqrt(J_n^2 + Y_n^2) (scipy.special: 6.1e-15 on the same
+    points).
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((4,) + x.shape)
+    small, large = x <= 2.0, x >= 20.0
+    mid = ~(small | large)
+    series, hankel, s, w, u, wu = _bessel_tables()
+    powers = np.arange(20)
+    if small.any():
+        h = x[small] / 2.0
+        j0, j1, s0, s1 = ((-h * h)[:, None] ** powers @ series).T
+        log_h = np.log(h)
+        j1 = h * j1
+        out[:, small] = (j0, j1, (2.0 * log_h * j0 - s0) / math.pi,
+                         (2.0 * log_h * j1 - 1.0 / h - h * s1) / math.pi)
+    if mid.any():
+        xm = x[mid, None]
+        phase = xm * np.sin(s)
+        T = np.arcsinh(40.0 / xm)
+        sh = np.sinh(T * u)
+        decay = np.exp(-xm * sh) * (T * wu)
+        out[:, mid] = (np.cos(phase) @ w, np.cos(phase - s) @ w,
+                       np.sin(phase) @ w - 2.0 * decay.sum(axis=1),
+                       np.sin(phase - s) @ w - 2.0 * (sh * decay).sum(axis=1))
+        out[:, mid] /= math.pi
+    if large.any():
+        xl = x[large]
+        P0, Q0, P1, Q1 = ((1.0 / xl)[:, None] ** powers @ hankel).T
+        sx, cx = np.sin(xl), np.cos(xl)
+        amp = np.sqrt(1.0 / (math.pi * xl))   # sqrt(2/(pi x)) / sqrt(2)
+        out[:, large] = (amp * (P0 * (cx + sx) - Q0 * (sx - cx)),
+                         amp * (P1 * (sx - cx) + Q1 * (sx + cx)),
+                         amp * (P0 * (sx - cx) + Q0 * (cx + sx)),
+                         amp * (Q1 * (sx - cx) - P1 * (sx + cx)))
+    return out
+
+
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f bracketed by f(lo) > 0 >= f(hi), bisected until lo and hi
+    are adjacent floats; the end with the smaller |f|."""
+    f_lo, f_hi = f(lo), f(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) < abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
+def _window_residual_n3(x: float, d: float) -> float:
+    """d j0(x) - x j1(x) = d sin(x)/x - (sin(x)/x - cos(x)).
+
+    For x < 1 both come from their Taylor series, sum_k (-1)^k x^(2k)/(2k+1)!
+    and sum_k (-1)^(k+1) 2k x^(2k)/(2k+1)!, free of the cancellation in
+    sin(x)/x - cos(x) = x^2/3 - ... that would swamp d near the tiny-window
+    root x ~ sqrt(3d).
+    """
+    if x < 1.0:
+        j0 = xj1 = 0.0
+        term = 1.0                     # (-1)^k x^(2k) / (2k+1)!
+        for k in range(10):
+            j0 += term
+            xj1 -= 2 * k * term
+            term *= -x * x / ((2 * k + 2) * (2 * k + 3))
+        return d * j0 - xj1
+    sinc = math.sin(x) / x
+    return d * sinc - (sinc - math.cos(x))
 
 
 def small_window_lambda1(n: int, d: float) -> float:
@@ -166,30 +365,31 @@ def small_window_lambda1(n: int, d: float) -> float:
         n = 3:  k cos(kL) = sin(kL)               (u = sin(k (r - d)) / r)
         n = 2:  J1(k) Y0(kd) - Y1(k) J0(kd) = 0   (u = J0(kr) Y0(kd) - Y0(kr) J0(kd))
 
-    d = 0: the all-Dirichlet ball, closed form j_{0,1}^2 (n = 2) or pi^2 (n = 3).
+    d = 0: the all-Dirichlet ball, j_{0,1}^2 (n = 2) or pi^2 (n = 3).
+
+    Each root is bisected to adjacent floats inside a bracket with a sign
+    change. n = 3 uses the form d j0(kL) - kL j1(kL) = (k cos(kL) - sin(kL))/k
+    in spherical Bessel functions, free of cancellation at small d; it is d at
+    k = 0 and -2L/pi at k = pi/(2L). n = 2 brackets its root by a vectorized
+    256-point geometric scan of the cross product; J0, J1, Y0, Y1 and j_{0,1}
+    come from ``_bessel01``.
     """
-    from scipy import special
-    from scipy.optimize import brentq
     if n not in (2, 3):
         raise ValueError("window solver covers n in {2, 3}")
     if not (0.0 <= d < 1.0):
         raise ValueError("window radius must lie in [0, 1)")
     if d == 0.0:
-        return float(special.jn_zeros(0, 1)[0]) ** 2 if n == 2 else math.pi ** 2
+        return _bisect(lambda k: _bessel01([k])[0, 0], 2.0, 3.0) ** 2 if n == 2 else math.pi ** 2
     L = 1.0 - d
     if n == 3:
-        # (k cos(kL) - sin(kL)) / k = d j0(x) - x j1(x), x = kL, in spherical
-        # Bessel functions, free of the cancellation at small d: it is d at
-        # k = 0 and -2L/pi at k = pi/(2L)
-        def neumann(k):
-            x = k * L
-            return d * special.spherical_jn(0, x) - x * special.spherical_jn(1, x)
-
-        k = brentq(neumann, 0.0, math.pi / (2.0 * L), **_ROOT_TOL)
+        k = _bisect(lambda k: _window_residual_n3(k * L, d), 0.0, math.pi / (2.0 * L))
         return k * k
 
     def cross(k):
-        return special.j1(k) * special.y0(k * d) - special.y1(k) * special.j0(k * d)
+        k = np.atleast_1d(k)
+        J0, J1, Y0, Y1 = _bessel01(np.concatenate([k, k * d]))
+        m = k.size
+        return J1[:m] * Y0[m:] - Y1[:m] * J0[m:]
 
     # cross is +inf as k -> 0+, and its first root lies below pi/L (the mixed
     # eigenvalue is below the Dirichlet annulus one): scan up to there
@@ -197,7 +397,7 @@ def small_window_lambda1(n: int, d: float) -> float:
     i = int(np.argmax(cross(ks) <= 0.0))
     if i == 0:
         raise RuntimeError(f"no window root below k = pi/(1-d) for n={n}, d={d}")
-    k = brentq(cross, ks[i - 1], ks[i], **_ROOT_TOL)
+    k = _bisect(lambda k: float(cross(k)[0]), float(ks[i - 1]), float(ks[i]))
     return k * k
 
 

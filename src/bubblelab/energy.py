@@ -628,6 +628,13 @@ class HalfspaceEnergyModel:
         d2 = _poly_delta(self.P_sca, self.M.w2, eps) / self.M.w2[(0, 0)]
         dg = (_poly_delta(self.P_tan, self.M.tan, eps)
               + _poly_delta(self.P_sca, self.M.nor, eps)) / (self.M.tan[(0, 0)] + self.M.nor[(0, 0)])
+        if min(dpp, d2, dg) <= -1.0:
+            # each integrand is non-negative, so a non-positive integral means
+            # the jet's volume element is non-positive on the bubble support
+            raise ValueError(
+                f"jet volume element non-positive on the bubble support at eps={eps:.6g} "
+                f"(I_pp, I_2 and the Dirichlet energy change by {dpp:.3g}, {d2:.3g}, "
+                f"{dg:.3g} relative); shrink eps or the cutoff")
         rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
                          - 0.5 * be * math.log1p(dg))
         W = flat * (1.0 + rel)

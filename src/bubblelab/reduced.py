@@ -199,16 +199,26 @@ class ExpressionField(_Field):
 
 
 class GridField(_Field):
-    """Periodic field from samples on a uniform angle grid (cubic spline)."""
+    """Periodic field from samples on a uniform angle grid (cubic spline).
+
+    The periodic spline's knot slopes s_i solve the circulant system
+    s_{i-1} + 4 s_i + s_{i+1} = 3 (y_{i+1} - y_{i-1}) / h, h = 2 pi / N, with
+    eigenvalues 4 + 2 cos(2 pi j / N): one FFT division solves it. The
+    cubic Hermite pieces are ``profiles._hermite_spline``, the evaluator of
+    the GN profiles.
+    """
 
     def __init__(self, samples, dim: int = 1):
-        from scipy.interpolate import CubicSpline
+        from .profiles import _hermite_spline
         if dim != 1:
             raise NotImplementedError("gridded fields are 1D (circle) for now")
-        samples = np.asarray(samples, dtype=float)
-        theta = np.linspace(0.0, 2.0 * math.pi, samples.size + 1)
-        vals = np.append(samples, samples[0])
-        self._sp = CubicSpline(theta, vals, bc_type="periodic")
+        y = np.asarray(samples, dtype=float)
+        N = y.size
+        rhs = 3.0 * (np.roll(y, -1) - np.roll(y, 1)) / (2.0 * math.pi / N)
+        eig = 4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(N // 2 + 1) / N)
+        slopes = np.fft.irfft(np.fft.rfft(rhs) / eig, n=N)
+        theta = np.linspace(0.0, 2.0 * math.pi, N + 1)
+        self._sp = _hermite_spline(theta, np.append(y, y[0]), np.append(slopes, slopes[0]))
         self._dsp = self._sp.derivative()
         self._d2sp = self._dsp.derivative()
         self.dim = 1

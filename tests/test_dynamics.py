@@ -1,14 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from bubblelab.dynamics import (
     DecayParams, decay_envelope, ode_decay_check, extinction_time_lower,
     eig_competitor_bound, small_window_lambda1, window_ladder,
-    capacity_blowup_bound, euclidean_leading_constant,
+    capacity_blowup_bound, euclidean_leading_constant, _bessel01,
 )
 from bubblelab.moments import fde_exponents
 
@@ -86,6 +88,60 @@ def window_root(n: int, d: float) -> float:
     return _bisect(cross, 0.1, 2.0)
 
 
+def mpmath_window_root(n: int, d: float, k0: float) -> float:
+    """lambda_1 = k^2 from a 30-digit root of the characteristic equation near k0."""
+    with mpmath.workdps(30):
+        d = mpmath.mpf(d)
+        L = 1 - d
+        if n == 3:
+            def f(k):
+                return k * mpmath.cos(k * L) - mpmath.sin(k * L)
+        else:
+            def f(k):
+                return (mpmath.besselj(1, k) * mpmath.bessely(0, k * d)
+                        - mpmath.bessely(1, k) * mpmath.besselj(0, k * d))
+        return float(mpmath.findroot(f, mpmath.mpf(k0)) ** 2)
+
+
+def bessel_modulus(x):
+    """sqrt(J_n^2 + Y_n^2) for n = 0, 1, 0, 1: the scale of an absolute error."""
+    mod = np.hypot([special.j0(x), special.j1(x)], [special.y0(x), special.y1(x)])
+    return np.concatenate([mod, mod])
+
+
+class TestNumpyBessel:
+    X = np.concatenate([np.geomspace(1e-8, 2.0, 200), np.linspace(2.0, 100.0, 981)[1:]])
+
+    def test_against_scipy(self):
+        x = self.X
+        ref = np.array([special.j0(x), special.j1(x), special.y0(x), special.y1(x)])
+        # scipy itself is up to 6.1e-15 of the modulus off mpmath for x >= 20
+        assert np.all(np.abs(_bessel01(x) - ref) <= 1e-14 * bessel_modulus(x))
+
+    def test_against_mpmath(self):
+        x = np.concatenate([np.geomspace(1e-8, 2.0, 8), np.linspace(2.1, 19.9, 16),
+                            np.linspace(20.0, 100.0, 8)])
+        with mpmath.workdps(30):
+            ref = np.array([[float(f(n, mpmath.mpf(v))) for v in x]
+                            for f, n in ((mpmath.besselj, 0), (mpmath.besselj, 1),
+                                         (mpmath.bessely, 0), (mpmath.bessely, 1))])
+        assert np.all(np.abs(_bessel01(x) - ref) <= 3e-15 * bessel_modulus(x))
+
+    def test_series_branch_against_series_oracle(self):
+        x = self.X[self.X <= 2.0]
+        ref = np.array([_bessel_series(v) for v in x]).T
+        # the same series summed in another order: each is within 4e-16 of
+        # the modulus of mpmath's values
+        assert np.all(np.abs(_bessel01(x) - ref) <= 1e-15 * bessel_modulus(x))
+
+    def test_branches_agree_at_their_joins(self):
+        # each side is within 3e-15 of the modulus of the truth
+        for x0 in (2.0, 20.0):
+            x = np.array([np.nextafter(x0, 0.0), x0, np.nextafter(x0, 3 * x0)])
+            got = _bessel01(x)
+            assert np.all(np.abs(got - got[:, [1]]) <= 6e-15 * bessel_modulus(x))
+
+
 class TestDecayEnvelope:
     def test_alpha_half_unit_kappa(self):
         # kappa = (m+1) C^(-2) M0^(-2): choose C, M0 so kappa = 1
@@ -142,6 +198,26 @@ class TestODECheck:
         assert par.alpha > 0.95
         chk = ode_decay_check(par, 5.0)
         assert chk["near_exponential"]
+
+    @pytest.mark.parametrize("n, m, E0, M0, C, horizon", [
+        (2, 0.5, 1.0, 1.0, None, 100.0),     # the CLI's default run
+        (2, 0.5, 0.5, 2.0, None, 200.0),
+        (2, 0.5, 2.0, 0.5, None, 50.0),
+        (3, 0.7, 1.0, 1.0, 1.0, 50.0),
+        (3, 0.3404, 1.0, 1.0, 1.0, 5.0),     # alpha > 0.95
+    ])
+    def test_same_steps_and_bits_as_rk45(self, n, m, E0, M0, C, horizon):
+        par = DecayParams(n=n, m=m, E0=E0, M0=M0, C=C)
+        chk = ode_decay_check(par, horizon)
+
+        def rhs(t, y):
+            return [-par.kappa * max(y[0], 0.0) ** (1.0 / par.alpha)]
+
+        sol = solve_ivp(rhs, (0.0, horizon), [par.E0], t_eval=chk["t"],
+                        rtol=1e-11, atol=1e-13, method="RK45")
+        assert np.array_equal(sol.t, chk["t"])
+        assert np.array_equal(sol.y[0], chk["E"])
+        assert chk["nfev"] == sol.nfev
 
     def test_euclidean_leading_mode(self):
         par = DecayParams(n=2, m=0.5, E0=1.0, M0=1.0)
@@ -250,6 +326,19 @@ class TestWindowEigenvalues:
             return sol.y[1, -1]
 
         assert du1(lam * (1 - 1e-6)) * du1(lam * (1 + 1e-6)) < 0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_mpmath_root(self, n):
+        # the root is bisected to adjacent floats from Bessel functions good to
+        # a few ulps, so lambda_1 holds 1e-12 relative across the range
+        for d in np.geomspace(1e-8, 0.95, 40):
+            lam = small_window_lambda1(n, float(d))
+            ref = mpmath_window_root(n, float(d), math.sqrt(lam))
+            assert abs(lam - ref) <= 1e-12 * ref, (n, d)
+
+    def test_disk_is_j01_squared(self):
+        j01 = float(mpmath.besseljzero(0, 1))
+        assert small_window_lambda1(2, 0.0) == pytest.approx(j01 * j01, rel=1e-15)
 
     def test_monotone_in_window_radius(self):
         lams = [small_window_lambda1(2, d) for d in (0.05, 0.2, 0.5, 0.8)]

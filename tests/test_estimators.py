@@ -217,6 +217,29 @@ class TestGaussBonnet:
         with pytest.raises(ValueError):
             gauss_bonnet_recovery(3, *disk_fields_exact())
 
+    def test_cli_eps_bound_is_the_volume_element_bound(self, gn23):
+        # the CLI's estimated-mode limit is where _check_jet_positivity starts
+        # to fire for the disk jet and the (2, 3) near-optimizer at R = 20
+        from bubblelab.cli import _GB_EPS_MAX
+        _, Qp, _ = gn23
+        assert Qp.shift == 2.0
+        jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data,
+                        order=2, chart_radius=2.0)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model._check_jet_positivity(_GB_EPS_MAX * (1 - 1e-12))
+        with pytest.warns(UserWarning, match="volume element"):
+            model._check_jet_positivity(_GB_EPS_MAX)
+
+    def test_non_positive_volume_element_named(self, gn23):
+        _, Qp, _ = gn23
+        jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data,
+                        order=2, chart_radius=25.0)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        with pytest.raises(ValueError, match="volume element non-positive"):
+            model.gn_quotient(0.5)
+
 
 class TestSweepsOnJets:
     def test_ball_single_scale(self, halfspace_profiles):

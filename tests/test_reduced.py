@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from bubblelab.reduced import (
     CircleDomain, TorusDomain, SphereDomain, ExpressionField, GridField,
@@ -12,6 +13,23 @@ from bubblelab.reduced import (
     reduced_functional, scale_jacobian, critical_point_search, quantized_levels,
     balance_law_residual,
 )
+
+
+class CubicSplineField(GridField):
+    """Reference grid field on scipy's periodic ``CubicSpline``."""
+
+    def __init__(self, samples):
+        samples = np.asarray(samples, dtype=float)
+        theta = np.linspace(0.0, 2.0 * math.pi, samples.size + 1)
+        self._cs = CubicSpline(theta, np.append(samples, samples[0]), bc_type="periodic")
+        self.dim = 1
+
+    def values(self, X):
+        return self._cs(np.asarray(X, dtype=float)[:, 0] % (2.0 * math.pi))
+
+    def derivatives(self, X):
+        t = np.asarray(X, dtype=float)[:, 0] % (2.0 * math.pi)
+        return self._cs(t, 1)[:, None], self._cs(t, 2)[:, None, None]
 
 
 def circle_config(angles, scales, **kw):
@@ -377,6 +395,20 @@ class TestCriticalPointSearch:
         assert sum(p.degenerate for p in pts) == 2
         assert sorted(p.inertia for p in pts) == [(0, 0, 1), (0, 1, 0), (0, 1, 0), (1, 0, 0)]
 
+    @pytest.mark.parametrize("N", [64, 501])
+    def test_grid_field_search_matches_cubic_spline_reference(self, N):
+        samples = np.cos(2 * np.linspace(0, 2 * math.pi, N, endpoint=False))
+        pts = critical_point_search(GridField(samples), 2, seeds=64, seed=3)
+        ref = critical_point_search(CubicSplineField(samples), 2, seeds=64, seed=3)
+        assert len(pts) == len(ref) == 6
+        # the same points, up to the order of points with equal values
+        for p in pts:
+            match = [r for r in ref if same_configuration(p.centers, r.centers, 1e-10)]
+            assert len(match) == 1
+            r = match[0]
+            assert p.inertia == r.inertia and p.degenerate == r.degenerate
+            assert p.value == pytest.approx(r.value, abs=1e-12)
+
     def test_grid_field_roundtrip(self):
         theta = np.linspace(0, 2 * math.pi, 256, endpoint=False)
         f = GridField(np.cos(2 * theta))
@@ -386,6 +418,44 @@ class TestCriticalPointSearch:
         assert len(locs) == 4
         for e in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
             assert min(dom.distance(th, e) for th in locs) < 1e-4
+
+
+class TestGridFieldSpline:
+    @pytest.mark.parametrize("N", [8, 64, 501])
+    def test_matches_periodic_cubic_spline(self, N):
+        # the two solve the same spline system with different rounding, which
+        # the knot spacing h = 2 pi/N amplifies as 1/h and 1/h^2 in the
+        # derivatives; scaled by each quantity's size the gaps stay at 1e-14
+        rng = np.random.default_rng(N)
+        samples = rng.standard_normal(N)
+        ref = CubicSplineField(samples)
+        f = GridField(samples)
+        t = np.concatenate([rng.uniform(0.0, 2 * math.pi, 4000),
+                            np.linspace(0, 2 * math.pi, N, endpoint=False)])[:, None]
+        (g, H), (rg, rH) = f.derivatives(t), ref.derivatives(t)
+        v, rv = f.values(t), ref.values(t)
+        assert np.max(np.abs(v - rv)) <= 2e-14 * np.max(np.abs(rv))
+        assert np.max(np.abs(g - rg)) <= 1e-13 * np.max(np.abs(rg))
+        assert np.max(np.abs(H - rH)) <= 2e-13 * np.max(np.abs(rH))
+
+    def test_interpolates_and_is_periodic(self):
+        samples = np.random.default_rng(1).standard_normal(12)
+        f = GridField(samples)
+        knots = np.linspace(0, 2 * math.pi, 12, endpoint=False)[:, None]
+        assert np.allclose(f.values(knots), samples, rtol=0, atol=1e-15)
+        shifted = knots + 2 * math.pi
+        assert np.allclose(f.values(shifted), samples, rtol=0, atol=1e-14)
+        assert np.allclose(f.derivatives(shifted)[0], f.derivatives(knots)[0], rtol=1e-12)
+
+    def test_reproduces_a_trigonometric_field(self):
+        theta = np.linspace(0, 2 * math.pi, 256, endpoint=False)
+        f = GridField(np.sin(theta) + 0.3 * np.cos(3 * theta))
+        t = np.linspace(0, 2 * math.pi, 1001)[:, None]
+        g, H = f.derivatives(t)
+        x = t[:, 0]
+        assert np.max(np.abs(f.values(t) - (np.sin(x) + 0.3 * np.cos(3 * x)))) < 1e-7
+        assert np.max(np.abs(g[:, 0] - (np.cos(x) - 0.9 * np.sin(3 * x)))) < 1e-4
+        assert np.max(np.abs(H[:, 0, 0] - (-np.sin(x) - 2.7 * np.cos(3 * x)))) < 2e-2
 
 
 class TestQuantizedLevels:
