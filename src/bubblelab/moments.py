@@ -1,12 +1,12 @@
 """Weighted profile moments, moment identities, and closed-form coefficients.
 
-Everything here is a quadrature of the model profiles:
+Everything here is built from the model profiles:
 
 * truncated moments of chi_R * U at cutoff R over the half-ball, read from
   the moment matrix of ``energy.halfspace_moment_matrix`` (the cutoff
   vanishes outside |y| = 2R, so the rectangle [0, 2R]^2 is the whole domain);
-* untruncated limits via polar coordinates with an exponent-aware tail map,
-  memoized per (profile, spec) in the engine's memo;
+* untruncated limits in closed form, each a product of two Beta functions
+  (DLMF 5.12) in the profile's own amplitude;
 * the first-order coefficient rho_n^conf both as the bracket combination
   (2/(n-1)) g1_tan - g1 + ((n-2)/2) Theta and in the harmonic closed form
   (n-2)^2 Theta / (2(n-1)), with an agreement assertion;
@@ -26,9 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import _memoized, _profile_fingerprint, halfspace_moment_matrix
-from .profiles import RadialProfile, sphere_area, gn_exponents, weinstein_quotient_fullspace
-from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
+from .energy import halfspace_moment_matrix
+from .profiles import (RadialProfile, beta_function, sphere_area, gn_exponents,
+                       weinstein_quotient_fullspace)
+from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_ray
 
 __all__ = [
     "MomentTable", "EscobarConstants", "GNCoefficients", "FDEExponents",
@@ -64,7 +65,7 @@ class MomentTable:
     """Truncated moments at cutoff R plus their R->infinity extrapolants.
 
     values[name] / errors[name]: truncated moment and its two-resolution
-    quadrature error. limits / limit_errors: untruncated counterparts.
+    quadrature error. limits: untruncated counterparts, exact up to rounding.
     Entries g2, g2tan exist only for n >= 5 (log-divergent in n = 4).
     """
     n: int
@@ -72,7 +73,6 @@ class MomentTable:
     values: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
     limits: dict = field(default_factory=dict)
-    limit_errors: dict = field(default_factory=dict)
 
     def truncated(self, name: str) -> float:
         self._check(name)
@@ -98,37 +98,35 @@ def _table_entry(fields: dict, name: str) -> float:
     return float(sum(fields[f][i, j] for f, i, j in _TRUNCATED[name]))
 
 
-def _limit_moments(profile: RadialProfile, spec: QuadratureSpec):
-    n = profile.n
+def _limit_moments(profile: RadialProfile) -> dict:
+    """Untruncated moments of U = c (r^2 + (1+t)^2)^(-(n-2)/2), in closed form.
+
+    Each is |S^(n-2)| times a power of c times a quarter-plane integral that
+    factors into two Beta functions (DLMF 5.12):
+    int_0^inf int_0^inf r^(m-1) t^b (r^2 + (1+t)^2)^(-s) dr dt
+        = (1/2) B(m/2, s - m/2) B(b+1, 2s - m - b - 1).
+    """
+    n, c = profile.n, profile.amplitude
     om = sphere_area(n - 2)
     q = 2.0 * (n - 1) / (n - 2)
-    limits, errs = {}, {}
 
-    def bulk_entry(weight_pow, tan_only, decay):
-        def f(r, t):
-            ur, ut = profile.grad(r, t)
-            g = ur ** 2 if tan_only else ur ** 2 + ut ** 2
-            return om * t ** weight_pow * g * r ** (n - 2)
-        return integrate_halfplane_polar(f, spec, decay=decay, with_error=True)
+    def quarter_plane(m, s, b):
+        return (0.5 * beta_function(m / 2.0, s - m / 2.0)
+                * beta_function(b + 1.0, 2.0 * s - m - b - 1.0))
 
-    # decays of the 2D integrands (without the polar jacobian):
-    # |grad U|^2 r^(n-2) ~ rho^(-n); extra t-powers raise it
-    limits["J"], errs["J"] = bulk_entry(0, False, n)
-    limits["g1"], errs["g1"] = bulk_entry(1, False, n - 1)
-    limits["g1tan"], errs["g1tan"] = bulk_entry(1, True, n - 1)
+    # r^(n-2) |grad U|^2 = c^2 (n-2)^2 r^(n-2) rho^(2-2n), and its r-part alone
+    # r^(n-2) U_r^2 = c^2 (n-2)^2 r^n rho^(-2n), with rho^2 = r^2 + (1+t)^2
+    grad = c * c * (n - 2) ** 2 * om
+    limits = {"J": grad * quarter_plane(n - 1, n - 1, 0),
+              "g1": grad * quarter_plane(n - 1, n - 1, 1),
+              "g1tan": grad * quarter_plane(n + 1, n, 1)}
     if n >= 5:
-        limits["g2"], errs["g2"] = bulk_entry(2, False, n - 2)
-        limits["g2tan"], errs["g2tan"] = bulk_entry(2, True, n - 2)
-
-    def trace2(r):
-        return om * profile.value(r, 0.0) ** 2 * r ** (n - 2)
-
-    def traceq(r):
-        return om * np.abs(profile.value(r, 0.0)) ** q * r ** (n - 2)
-
-    limits["Theta"], errs["Theta"] = integrate_ray(trace2, spec, decay=n - 2, with_error=True)
-    limits["Tq"], errs["Tq"] = integrate_ray(traceq, spec, decay=n, with_error=True)
-    return limits, errs
+        limits["g2"] = grad * quarter_plane(n - 1, n - 1, 2)
+        limits["g2tan"] = grad * quarter_plane(n + 1, n, 2)
+    # traces on {t = 0}: U^2 = c^2 (1 + r^2)^(2-n) and |U|^q = c^q (1 + r^2)^(1-n)
+    limits["Theta"] = om * c * c * 0.5 * beta_function((n - 1) / 2.0, (n - 3) / 2.0)
+    limits["Tq"] = om * c ** q * 0.5 * beta_function((n - 1) / 2.0, (n - 1) / 2.0)
+    return limits
 
 
 def weighted_moments(profile: RadialProfile, R: float,
@@ -144,12 +142,8 @@ def weighted_moments(profile: RadialProfile, R: float,
     names = [k for k in _TRUNCATED if profile.n >= 5 or k not in ("g2", "g2tan")]
     values = {k: _table_entry(vars(M), k) for k in names}
     errors = {k: abs(_table_entry(M.delta, k)) for k in names}
-    # the limits do not depend on R: one computation per (profile, spec)
-    cached = _memoized(("limits", _profile_fingerprint(profile), spec),
-                       lambda: _limit_moments(profile, spec))
-    limits, lerrs = (dict(d) for d in cached)
     return MomentTable(n=profile.n, R=float(R), values=values, errors=errors,
-                       limits=limits, limit_errors=lerrs)
+                       limits=_limit_moments(profile))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
   smooth ramp vanishing on {t = 0}; carries its achieved quotient.
 
 Profiles are immutable after construction (their tabulated arrays are
-read-only views) and safe to share across workers.
+read-only views), so the memo and every caller can share one instance.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar,
 __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
     "escobar_halfspace_optimizer", "aubin_talenti", "gn_ground_state",
-    "gn_halfspace_near_optimizer", "cutoff", "sphere_area", "gn_exponents",
+    "gn_halfspace_near_optimizer", "cutoff", "sphere_area", "beta_function", "gn_exponents",
     "weinstein_quotient_fullspace", "weinstein_quotient_halfspace",
 ]
 
@@ -53,6 +53,11 @@ class ShootingError(RuntimeError):
 def sphere_area(k: int) -> float:
     """Surface measure of the unit sphere S^k in R^(k+1)."""
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+
+
+def beta_function(a: float, b: float) -> float:
+    """Euler's B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), through lgamma."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 # --------------------------------------------------------------------------
@@ -268,20 +273,13 @@ class RadialProfile:
         """Full-domain ||grad||_L2^2 (half-space or R^n according to kind)."""
         n = self.n
         if self.kind == "escobar-halfspace":
-            om = sphere_area(n - 2)
-
-            def f(r, t):
-                gr, gt = self.grad(r, t)
-                return om * (gr ** 2 + gt ** 2) * r ** (n - 2)
-
-            return integrate_halfplane_polar(f, spec, decay=2 * (n - 1) - (n - 2))
+            # c^2 (n-2)^2 |S^(n-2)| int int r^(n-2) (r^2 + (1+t)^2)^(1-n) dr dt
+            return (self.amplitude ** 2 * (n - 2) * sphere_area(n - 2)
+                    * 0.5 * beta_function((n - 1) / 2.0, (n - 1) / 2.0))
         if self.kind == "aubin-talenti-interior":
-            om = sphere_area(n - 1)
-
-            def f(r):
-                return om * self.grad(r) ** 2 * r ** (n - 1)
-
-            return integrate_ray(f, spec, decay=2 * (n - 1) - (n - 1))
+            # dilation invariant: c^2 (n-2)^2 |S^(n-1)| int r^(n+1) (1 + r^2)^(-n) dr
+            return (self.amplitude ** 2 * (n - 2) ** 2 * sphere_area(n - 1)
+                    * 0.5 * beta_function((n + 2) / 2.0, (n - 2) / 2.0))
         if self.kind == "gn-ground-state":
             om = sphere_area(n - 1)
 
@@ -304,28 +302,25 @@ class RadialProfile:
 # constructors
 # --------------------------------------------------------------------------
 
-def escobar_halfspace_optimizer(n: int, spec: QuadratureSpec = DEFAULT_QUAD) -> RadialProfile:
+def escobar_halfspace_optimizer(n: int) -> RadialProfile:
     """Normalized harmonic half-space optimizer; rejects n <= 3."""
     if int(n) != n or n <= 3:
         raise MomentDivergentDimension(
             f"moment-divergent dimension n={n}: the defining weighted moments "
             "are finite only for n >= 4")
     n = int(n)
-    raw = RadialProfile(kind="escobar-halfspace", n=n, amplitude=1.0)
-    norm_sq = raw.dirichlet_norm_sq(spec)
-    # quotient is exactly quadratic in the amplitude: one Newton step is exact
+    norm_sq = RadialProfile(kind="escobar-halfspace", n=n, amplitude=1.0).dirichlet_norm_sq()
     return RadialProfile(kind="escobar-halfspace", n=n, amplitude=1.0 / math.sqrt(norm_sq))
 
 
-def aubin_talenti(n: int, lam: float = 1.0, xi: tuple = (), spec: QuadratureSpec = DEFAULT_QUAD) -> RadialProfile:
+def aubin_talenti(n: int, lam: float = 1.0, xi: tuple = ()) -> RadialProfile:
     """Normalized interior bubble; value/grad are functions of |y - xi|."""
     if int(n) != n or n < 3:
         raise ValueError("aubin_talenti requires integer n >= 3")
     if lam <= 0:
         raise ValueError("dilation parameter must be positive")
     n = int(n)
-    raw = RadialProfile(kind="aubin-talenti-interior", n=n, amplitude=1.0, lam=1.0)
-    norm_sq = raw.dirichlet_norm_sq(spec)
+    norm_sq = RadialProfile(kind="aubin-talenti-interior", n=n, amplitude=1.0).dirichlet_norm_sq()
     # the Dirichlet norm is dilation invariant at the critical scaling
     return RadialProfile(kind="aubin-talenti-interior", n=n,
                          amplitude=1.0 / math.sqrt(norm_sq), lam=float(lam),

@@ -77,10 +77,10 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 def integrate_1d(f, xmax: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                 with_error: bool = False, extra_edges: tuple = ()):
+                 with_error: bool = False):
     """integral of f(x) over [0, xmax]."""
     def run(sp: QuadratureSpec) -> np.ndarray:
-        x, w = grid_1d(0.0, xmax, sp.order, sp.subdiv, extra=extra_edges)
+        x, w = grid_1d(0.0, xmax, sp.order, sp.subdiv)
         return np.einsum("i,i...->...", w, np.asarray(f(x)))
 
     coarse = run(spec)
@@ -108,8 +108,7 @@ def integrate_radial_tail(f, x0: float, decay: float,
 
 
 def integrate_halfplane_polar(f, spec: QuadratureSpec = DEFAULT_QUAD,
-                              rho_inner: float = 16.0, decay: float | None = None,
-                              with_error: bool = False):
+                              rho_inner: float = 16.0, decay: float | None = None) -> float:
     """integral over the quarter plane {r >= 0, t >= 0} of f(r, t).
 
     Polar coordinates (rho, phi): inner disk by panelled GL, tail in rho by the
@@ -120,24 +119,16 @@ def integrate_halfplane_polar(f, spec: QuadratureSpec = DEFAULT_QUAD,
     if decay is None:
         raise ValueError("decay exponent required for half-plane integrals")
 
-    def run(sp: QuadratureSpec) -> float:
-        phi, wphi = grid_1d(0.0, np.pi / 2.0, sp.order, sp.subdiv, base=np.pi)
-        c, s = np.cos(phi), np.sin(phi)
+    phi, wphi = grid_1d(0.0, np.pi / 2.0, spec.order, spec.subdiv, base=np.pi)
+    c, s = np.cos(phi), np.sin(phi)
 
-        rho, wrho = grid_1d(0.0, rho_inner, sp.order, sp.subdiv)
-        inner = np.einsum("i,j,ij->", wrho, wphi, f(np.outer(rho, c), np.outer(rho, s)) * rho[:, None])
+    rho, wrho = grid_1d(0.0, rho_inner, spec.order, spec.subdiv)
+    inner = np.einsum("i,j,ij->", wrho, wphi, f(np.outer(rho, c), np.outer(rho, s)) * rho[:, None])
 
-        def radial(x):
-            return np.einsum("j,ij->i", wphi, f(np.outer(x, c), np.outer(x, s))) * x
+    def radial(x):
+        return np.einsum("j,ij->i", wphi, f(np.outer(x, c), np.outer(x, s))) * x
 
-        tail = integrate_radial_tail(radial, rho_inner, decay - 1.0, sp)
-        return float(inner + tail)
-
-    coarse = run(spec)
-    if not with_error:
-        return coarse
-    fine = run(spec.refined())
-    return fine, abs(fine - coarse)
+    return float(inner + integrate_radial_tail(radial, rho_inner, decay - 1.0, spec))
 
 
 def integrate_ray(f, spec: QuadratureSpec = DEFAULT_QUAD, inner: float = 16.0,

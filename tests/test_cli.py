@@ -116,6 +116,14 @@ class TestValidation:
         assert err["error"] == "validation"
         assert "nosuch" in err["detail"] and "euclidean-ball" in err["detail"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("args", [["moments", "--n", "200", "--R", "20"],
+                                      ["moments", "--n", "400"]], ids=" ".join)
+    def test_large_dimension_exits_3(self, args, capsys):
+        # the moment matrix turns nan at n = 200; |S^(n-2)| overflows at n = 400
+        assert main(args) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
 
 class TestOutputs:
     def test_moments_json_schema(self, tmp_path):
@@ -152,6 +160,12 @@ class TestOutputs:
         doc = json.loads(out.read_text())
         for key in ("S_star", "rho_conf", "kappa3", "c_conf", "a_kernel"):
             assert key in doc["constants"]
+
+    def test_coefficients_large_dimension_finite(self, tmp_path):
+        out = tmp_path / "c.json"
+        assert main(["coefficients", "--n", "80", "--out", str(out)]) == 0
+        C = json.loads(out.read_text())["constants"]
+        assert all(math.isfinite(C[k]) for k in ("S_star", "rho_conf", "kappa3"))
 
     def test_gauss_bonnet_exact(self, tmp_path):
         out = tmp_path / "gb.json"

@@ -17,7 +17,7 @@ from bubblelab.energy import (
     halfspace_moment_matrix, _ser_div, _ser_pow,
 )
 from bubblelab.moments import weighted_moments
-from bubblelab.profiles import cutoff, sphere_area
+from bubblelab.profiles import RadialProfile, cutoff, sphere_area
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -144,6 +144,16 @@ class TestMomentEngine:
             weighted_moments(halfspace_profiles[5], 40.0, spec)
         with pytest.raises(QuadratureNonConvergence):
             InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), gn23[0], 20.0, spec)
+
+    @pytest.mark.parametrize("poisoned", ["bulk", "trace"])
+    def test_nan_in_any_field_raises(self, poisoned):
+        class Poisoned(RadialProfile):
+            def value(self, r, t=None):
+                v = super().value(r, t)
+                return v * np.nan if (np.ndim(r) == 2) == (poisoned == "bulk") else v
+
+        with pytest.raises(QuadratureNonConvergence):
+            halfspace_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5), 20.0)
 
 
 @pytest.fixture

@@ -1,20 +1,19 @@
 import math
 import warnings
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bubblelab import energy, moments
 from bubblelab.moments import (
     MomentTable, weighted_moments, verify_harmonic_identities,
     second_moment_identity, escobar_constants, gn_coefficients, fde_exponents,
     kappa_int_from_moments, LogDivergentMoment, ConstantsMismatch,
 )
-from bubblelab.profiles import sphere_area, gn_exponents
-from bubblelab.quadrature import QuadratureSpec
+from bubblelab.profiles import (RadialProfile, escobar_halfspace_optimizer, sphere_area,
+                                gn_exponents)
+from bubblelab.quadrature import integrate_halfplane_polar, integrate_ray
 
 
 class TestWeightedMoments:
@@ -33,20 +32,11 @@ class TestWeightedMoments:
             vals = [t.truncated(name) for t in tabs]
             assert vals[0] < vals[1] < vals[2] <= tabs[0].limit(name) + 1e-12
 
-    def test_limits_computed_once_per_profile_and_spec(self, monkeypatch, halfspace_profiles):
-        monkeypatch.setattr(energy, "_memo", OrderedDict())
-        calls = []
-        limit_moments = moments._limit_moments
-        monkeypatch.setattr(moments, "_limit_moments",
-                            lambda *args: calls.append(args) or limit_moments(*args))
+    def test_each_table_owns_its_limits(self, halfspace_profiles):
         U = halfspace_profiles[5]
         t1 = weighted_moments(U, 20.0)
-        t1.limits["J"] = -1.0                      # each table owns its dicts
-        t2 = weighted_moments(U, 30.0)
-        assert len(calls) == 1 and t2.limits["J"] > 0.0
-        assert t2.limit_errors == weighted_moments(U, 20.0).limit_errors
-        weighted_moments(U, 20.0, QuadratureSpec(order=24))
-        assert len(calls) == 2
+        t1.limits["J"] = -1.0
+        assert weighted_moments(U, 20.0).limits["J"] > 0.0
 
     def test_all_entries_converge_to_limits(self, halfspace_profiles):
         U = halfspace_profiles[5]
@@ -78,6 +68,46 @@ class TestWeightedMoments:
             moment_tables[4].limit("g2tan")
 
 
+class TestClosedFormLimits:
+    """The Beta-function limits against the polar and ray quadratures of the
+    same integrands; amplitudes other than the unit-Dirichlet one check the
+    c^2 and c^q scaling."""
+
+    @pytest.mark.parametrize("amplitude", [1.0, 2.5])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_limits_match_quadrature(self, n, amplitude):
+        U = RadialProfile(kind="escobar-halfspace", n=n, amplitude=amplitude)
+        om = sphere_area(n - 2)
+        q = 2.0 * (n - 1) / (n - 2)
+
+        def bulk(weight_pow, tan_only, decay):
+            def f(r, t):
+                ur, ut = U.grad(r, t)
+                g = ur ** 2 if tan_only else ur ** 2 + ut ** 2
+                return om * t ** weight_pow * g * r ** (n - 2)
+            return integrate_halfplane_polar(f, decay=decay)
+
+        quad = {"J": bulk(0, False, n), "g1": bulk(1, False, n - 1),
+                "g1tan": bulk(1, True, n - 1),
+                "Theta": integrate_ray(lambda r: om * U.value(r, 0.0) ** 2 * r ** (n - 2),
+                                       decay=n - 2),
+                "Tq": integrate_ray(lambda r: om * U.value(r, 0.0) ** q * r ** (n - 2),
+                                    decay=n)}
+        if n >= 5:
+            quad["g2"], quad["g2tan"] = bulk(2, False, n - 2), bulk(2, True, n - 2)
+        assert U.dirichlet_norm_sq() == pytest.approx(quad["J"], rel=1e-12)
+        limits = weighted_moments(U, 20.0).limits
+        assert limits.keys() == quad.keys()
+        for name, value in quad.items():
+            assert limits[name] == pytest.approx(value, rel=1e-12), name
+
+    def test_large_dimension(self):
+        n = 60
+        C = escobar_constants(n, weighted_moments(escobar_halfspace_optimizer(n), 20.0))
+        assert C.kappa3 == pytest.approx(-1.0 / ((n - 1) * (n - 3)), rel=1e-12, abs=0)
+        assert C.Theta == pytest.approx(2.0 / (n - 3), rel=1e-12, abs=0)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_harmonic_identities(self, moment_tables, n):
@@ -92,8 +122,7 @@ class TestIdentities:
     def test_synthetic_violation_detected(self, moment_tables):
         tab = moment_tables[5]
         bad = MomentTable(n=5, R=tab.R, values=dict(tab.values),
-                          errors=dict(tab.errors), limits=dict(tab.limits),
-                          limit_errors=dict(tab.limit_errors))
+                          errors=dict(tab.errors), limits=dict(tab.limits))
         bad.limits["g1"] = bad.limits["Theta"]  # g1 = Theta instead of Theta/2
         rep = verify_harmonic_identities(bad)
         assert not rep.ok
@@ -103,8 +132,7 @@ class TestIdentities:
     def test_synthetic_second_moment_violation(self, moment_tables):
         tab = moment_tables[5]
         bad = MomentTable(n=5, R=tab.R, values=dict(tab.values),
-                          errors=dict(tab.errors), limits=dict(tab.limits),
-                          limit_errors=dict(tab.limit_errors))
+                          errors=dict(tab.errors), limits=dict(tab.limits))
         bad.limits["g2tan"] = bad.limits["g2"]
         assert not second_moment_identity(bad).ok
 
@@ -139,8 +167,7 @@ class TestEscobarConstants:
     def test_mismatch_detection(self, moment_tables):
         tab = moment_tables[5]
         bad = MomentTable(n=5, R=tab.R, values=dict(tab.values),
-                          errors=dict(tab.errors), limits=dict(tab.limits),
-                          limit_errors=dict(tab.limit_errors))
+                          errors=dict(tab.errors), limits=dict(tab.limits))
         bad.limits["g1tan"] = 0.9 * bad.limits["g1tan"]
         with pytest.raises(ConstantsMismatch):
             escobar_constants(5, bad)

@@ -20,6 +20,7 @@ from bubblelab.profiles import (
     weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
     _Bernstein, _kv,
 )
+from bubblelab.quadrature import integrate_ray
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -92,6 +93,14 @@ class TestAubinTalenti:
         lhs = Ul.value(y)
         rhs = lam ** 1.0 * U1.value(lam * y)  # lam^((n-2)/2), n = 4
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_dirichlet_norm_matches_quadrature(self, n, lam):
+        U = RadialProfile(kind="aubin-talenti-interior", n=n, amplitude=1.7, lam=lam)
+        om = sphere_area(n - 1)
+        quad = integrate_ray(lambda r: om * U.grad(r) ** 2 * r ** (n - 1), decay=n - 1)
+        assert U.dirichlet_norm_sq() == pytest.approx(quad, rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -69,18 +69,17 @@ class TestBetaFunctionOracle:
     """Closed-form moments of the half-space optimizer, derived by hand from
     iterated Beta integrals; computed here only as an independent oracle."""
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_moment_limits_match_closed_forms(self, n):
         U = escobar_halfspace_optimizer(n)
         tab = weighted_moments(U, 20.0)
-        assert tab.limit("J") == pytest.approx(1.0, rel=1e-10)
-        assert tab.limit("Theta") == pytest.approx(2.0 / (n - 3), rel=1e-10)
-        assert tab.limit("g1") == pytest.approx(1.0 / (n - 3), rel=1e-10)
-        assert tab.limit("g1tan") == pytest.approx(0.5 / (n - 3), rel=1e-10)
+        exact = {"J": 1.0, "Theta": 2.0 / (n - 3), "g1": 1.0 / (n - 3),
+                 "g1tan": 0.5 / (n - 3)}
         if n >= 5:
-            g2 = 2.0 / ((n - 3) * (n - 4))
-            assert tab.limit("g2") == pytest.approx(g2, rel=1e-10)
-            assert tab.limit("g2tan") == pytest.approx(g2 / 2.0, rel=1e-10)
+            exact["g2"] = 2.0 / ((n - 3) * (n - 4))
+            exact["g2tan"] = exact["g2"] / 2.0
+        for name, value in exact.items():
+            assert tab.limit(name) == pytest.approx(value, rel=1e-14, abs=0), name
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_amplitude_closed_form(self, n):
