@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -94,6 +94,18 @@ def _pairings(idx: tuple) -> list:
 _LETTERS = "abcdefgh"
 
 
+@lru_cache(maxsize=None)
+def _pairing_subscripts(k: int) -> tuple:
+    """einsum subscripts contracting k tensor slots by each delta pairing."""
+    subs = []
+    for pairing in _pairings(tuple(range(k))):
+        sub = [None] * k
+        for letter, (i, j) in zip(_LETTERS, pairing):
+            sub[i] = sub[j] = letter
+        subs.append("".join(sub))
+    return tuple(subs)
+
+
 def sphere_average(T, m: int) -> float:
     """Average of T_{i1..ik} omega_{i1}..omega_{ik} over the unit sphere S^(m-1).
 
@@ -110,11 +122,8 @@ def sphere_average(T, m: int) -> float:
     for j in range(0, k, 2):
         denom *= (m + j)
     total = 0.0
-    for pairing in _pairings(tuple(range(k))):
-        sub = [None] * k
-        for letter, (i, j) in zip(_LETTERS, pairing):
-            sub[i] = sub[j] = letter
-        total += float(np.einsum("".join(sub), T))
+    for sub in _pairing_subscripts(k):
+        total += float(np.einsum(sub, T))
     return total / denom
 
 
@@ -195,20 +204,17 @@ _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 
 _MEMO_CAP = 64   # entries: a few kB of 5x5 arrays, or ~0.5 MB for a GN profile pair
 _memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
 
 
 def _memoized(key: tuple, build: Callable):
     """``build()`` through the process-wide LRU; exceptions are not stored."""
-    with _memo_lock:
-        if key in _memo:
-            _memo.move_to_end(key)
-            return _memo[key]
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
     value = build()
-    with _memo_lock:
-        _memo[key] = value
-        while len(_memo) > _MEMO_CAP:
-            _memo.popitem(last=False)
+    _memo[key] = value
+    while len(_memo) > _MEMO_CAP:
+        _memo.popitem(last=False)
     return value
 
 
@@ -265,11 +271,13 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
     """Every truncated moment of chi_R * profile, from two resolutions.
 
     Half-space kinds integrate over [0, 2R] x [0, 2R + t_offset] with measure
-    |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with |S^(n-1)| r^(n-1). The
-    profile fields are evaluated once per grid and every monomial moment
-    comes from contracting them with the weighted Vandermonde rows of each
-    axis. Raises QuadratureNonConvergence when the resolutions disagree.
-    Memoized by (profile fingerprint, R, spec, p_exponent, t_offset).
+    |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with |S^(n-1)| r^(n-1). On
+    each resolution every grid point is evaluated once: the profile yields
+    (u, u_r, u_t) from one call on the broadcast (r, t) axes, the cutoff
+    yields chi_R and, on the band R < rho < 2R only, chi_R'. Every monomial
+    moment comes from contracting the fields with the weighted Vandermonde
+    rows of each axis. Raises QuadratureNonConvergence when the resolutions
+    disagree. Memoized by (profile fingerprint, R, spec, p_exponent, t_offset).
     """
     key = ("matrix", _profile_fingerprint(profile), float(R), spec, p_exponent,
            float(t_offset))
@@ -288,22 +296,31 @@ def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
 
     def run(sp: QuadratureSpec):
         r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=cut_edges)
-        if halfspace:
-            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
-            Rg, Tg = np.meshgrid(r, t, indexing="ij")
-            u = profile.value(Rg, Tg)
-            ur, ut = profile.grad(Rg, Tg)
-        else:
+        if not halfspace:
             t, wt = np.zeros(1), np.ones(1)
-            Rg, Tg = r[:, None], np.zeros((r.size, 1))
-            u, ur, ut = profile.value(Rg), profile.grad(Rg), 0.0
-        rho = np.sqrt(Rg ** 2 + Tg ** 2)
-        c = chi(rho)
-        dc = chi.deriv(rho)
-        safe = np.where(rho > 0, rho, 1.0)
+        elif t_offset == 0.0:
+            t, wt = r, wr
+        else:
+            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
+        # the (r, t) grid as broadcast axes; radial kinds ignore t (= 0)
+        rg, tg = r[:, None], t[None, :]
+        u, ur, ut = profile._fields(rg, tg)
+        rho = np.sqrt(rg ** 2 + tg ** 2)
+        c, band, dc = chi._glue(rho)
+        # chi' vanishes off the band R < rho < 2R, where its terms add only
+        # a signed zero that squaring removes; rho > R on the band
+        ib, jb = np.divmod(band, t.size)
+        udc = np.take(u, band) * dc
+        rho_b = np.take(rho, band)
+        tan = c * ur
+        tan.reshape(-1)[band] += udc * (r[ib] / rho_b)
+        if ut is None:
+            nor = np.zeros_like(tan)
+        else:
+            nor = c * ut
+            nor.reshape(-1)[band] += udc * (t[jb] / rho_b)
         w = c * u
-        fields = {"tan": (c * ur + u * dc * (Rg / safe)) ** 2,
-                  "nor": (c * ut + u * dc * (Tg / safe)) ** 2,
+        fields = {"tan": np.square(tan, out=tan), "nor": np.square(nor, out=nor),
                   "w2": w ** 2, "w1": w}
         if p_exponent is not None:
             fields["pp"] = np.abs(w) ** (p_exponent + 1.0)

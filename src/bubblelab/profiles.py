@@ -19,6 +19,11 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
 * gn-halfspace-near-optimizer: Q shifted off the wall and multiplied by a
   smooth ramp vanishing on {t = 0}; carries its achieved quotient.
 
+Each kind's formula is written once, in ``RadialProfile._fields``, which
+returns the value and the gradient from one evaluation; ``value`` and
+``grad`` are its two public views (``value`` skips the derivatives). The
+cutoff likewise yields chi_R and chi_R' from one pass.
+
 Profiles are immutable after construction (their tabulated arrays are
 read-only views), so the memo and every caller can share one instance.
 """
@@ -78,22 +83,27 @@ class Cutoff:
             raise ValueError("cutoff radius must be >= 1")
 
     def _glue(self, rho):
+        """(chi_R, band, chi_R' on the band) from one pass: band holds the
+        flat indices of the glue zone R < rho < 2R, where chi_R' =
+        -ab (1/s^2 + 1/(1-s)^2) / ((a+b)^2 R); chi_R' is 0 everywhere else."""
         s = np.asarray(rho, dtype=float) / self.R - 1.0
-        band = (s > 0.0) & (s < 1.0)
-        sb = s[band]
-        return s, band, sb, np.exp(-1.0 / sb), np.exp(-1.0 / (1.0 - sb))
+        band = np.flatnonzero((s > 0.0) & (s < 1.0))
+        sb = np.take(s, band)
+        sc = 1.0 - sb
+        a, b = np.exp(-1.0 / sb), np.exp(-1.0 / sc)
+        ab = a + b
+        chi = np.where(s <= 0.0, 1.0, 0.0)
+        chi.reshape(-1)[band] = b / ab
+        return chi, band, -a * b * (1.0 / sb ** 2 + 1.0 / sc ** 2) / (ab ** 2 * self.R)
 
     def __call__(self, rho):
-        s, band, _, a, b = self._glue(rho)
-        out = np.where(s <= 0.0, 1.0, 0.0)
-        out[band] = b / (a + b)
-        return out
+        return self._glue(rho)[0]
 
     def deriv(self, rho):
-        """d chi_R / d rho = -ab (1/s^2 + 1/(1-s)^2) / ((a+b)^2 R) on the band."""
-        s, band, sb, a, b = self._glue(rho)
-        out = np.zeros_like(s)
-        out[band] = -a * b * (1.0 / sb ** 2 + 1.0 / (1.0 - sb) ** 2) / ((a + b) ** 2 * self.R)
+        """d chi_R / d rho."""
+        chi, band, dband = self._glue(rho)
+        out = np.zeros_like(chi)
+        out.reshape(-1)[band] = dband
         return out
 
 
@@ -121,12 +131,24 @@ class _Bernstein:
         self.x = x
 
     def __call__(self, r):
+        return self.at(*self.locate(r))
+
+    def locate(self, r):
+        """(piece index i, [s^j], [(1 - s)^j]) of each point, j = 0..k, with
+        s its local coordinate. A derivative spline shares the breakpoints
+        and needs lower powers only, so one location serves both."""
         r = np.asarray(r, dtype=float)
         x = self.x
         i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(x) - 2)
         s = (r - x[i]) / (x[i + 1] - x[i])
+        sc = 1.0 - s
         k = len(self.c) - 1
-        return sum(math.comb(k, j) * s ** j * (1.0 - s) ** (k - j) * self.c[j][i]
+        return i, [s ** j for j in range(k + 1)], [sc ** j for j in range(k + 1)]
+
+    def at(self, i, s_pow, sc_pow):
+        """The Bernstein sum of piece i from the powers that ``locate`` gives."""
+        k = len(self.c) - 1
+        return sum(math.comb(k, j) * s_pow[j] * sc_pow[k - j] * self.c[j][i]
                    for j in range(k + 1))
 
     def derivative(self) -> "_Bernstein":
@@ -198,47 +220,55 @@ class RadialProfile:
 
     # -- evaluation ---------------------------------------------------------
     def value(self, r, t=None):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "escobar-halfspace":
-            t = np.asarray(t, dtype=float)
-            return self.amplitude * (r ** 2 + (1.0 + t) ** 2) ** (-(self.n - 2) / 2.0)
-        if self.kind == "aubin-talenti-interior":
-            return self.amplitude * (self.lam / (1.0 + self.lam ** 2 * r ** 2)) ** ((self.n - 2) / 2.0)
-        if self.kind == "gn-ground-state":
-            return self.amplitude * self._radial_value(r)
-        if self.kind == "gn-halfspace-near-optimizer":
-            t = np.asarray(t, dtype=float)
-            rad = np.sqrt(r ** 2 + (t - self.shift) ** 2)
-            return self.amplitude * self._radial_value(rad) * np.tanh(t)
-        raise ValueError(self.kind)
+        return self._fields(r, t, derivs=False)[0]
 
     def grad(self, r, t=None):
         """Gradient components; ((d/dr, d/dt) for half-space kinds, d/dr else)."""
+        _, ur, ut = self._fields(r, t)
+        return ur if ut is None else (ur, ut)
+
+    def _fields(self, r, t=None, derivs: bool = True):
+        """(u, du/dr, du/dt) from one evaluation of the kind's formula.
+
+        du/dt is None for the radial kinds, which ignore t; with
+        ``derivs=False`` both derivatives are None and only u is computed.
+        Pieces the value and the gradient share (the Escobar base, the GN
+        radius and its spline location) are computed once.
+        """
         r = np.asarray(r, dtype=float)
+        amp, n = self.amplitude, self.n
         if self.kind == "escobar-halfspace":
-            t = np.asarray(t, dtype=float)
-            a = 1.0 + t
-            base = (r ** 2 + a ** 2) ** (-(self.n) / 2.0)
-            fac = -(self.n - 2) * self.amplitude
-            return fac * r * base, fac * a * base
+            a = 1.0 + np.asarray(t, dtype=float)
+            B = r ** 2 + a ** 2
+            u = amp * B ** (-(n - 2) / 2.0)
+            if not derivs:
+                return u, None, None
+            base = B ** (-n / 2.0)
+            fac = -(n - 2) * amp
+            return u, fac * r * base, fac * a * base
         if self.kind == "aubin-talenti-interior":
             lam = self.lam
-            u = (lam / (1.0 + lam ** 2 * r ** 2)) ** ((self.n - 2) / 2.0)
-            return self.amplitude * u * (-(self.n - 2) * lam ** 2 * r / (1.0 + lam ** 2 * r ** 2))
+            u = amp * (lam / (1.0 + lam ** 2 * r ** 2)) ** ((n - 2) / 2.0)
+            if not derivs:
+                return u, None, None
+            return u, u * (-(n - 2) * lam ** 2 * r / (1.0 + lam ** 2 * r ** 2)), None
         if self.kind == "gn-ground-state":
-            return self.amplitude * self._radial_deriv(r)
+            q, qp = self._radial(r, derivs)
+            return amp * q, (amp * qp if derivs else None), None
         if self.kind == "gn-halfspace-near-optimizer":
             t = np.asarray(t, dtype=float)
             dt_ = t - self.shift
             rad = np.sqrt(r ** 2 + dt_ ** 2)
-            q = self._radial_value(rad)
-            qp = self._radial_deriv(rad)
-            safe = np.where(rad > 0, rad, 1.0)
+            q, qp = self._radial(rad, derivs)
             ramp = np.tanh(t)
+            u = amp * q * ramp
+            if not derivs:
+                return u, None, None
+            safe = np.where(rad > 0, rad, 1.0)
             dramp = np.where(np.abs(t) < 20.0, 1.0 / np.cosh(np.minimum(np.abs(t), 20.0)) ** 2, 0.0)
-            gr = self.amplitude * qp * (r / safe) * ramp
-            gt = self.amplitude * (qp * (dt_ / safe) * ramp + q * dramp)
-            return gr, gt
+            gr = amp * qp * (r / safe) * ramp
+            gt = amp * (qp * (dt_ / safe) * ramp + q * dramp)
+            return u, gr, gt
         raise ValueError(self.kind)
 
     def normalized(self, spec: QuadratureSpec = DEFAULT_QUAD) -> "RadialProfile":
@@ -253,20 +283,24 @@ class RadialProfile:
         return dataclasses.replace(
             self, amplitude=self.amplitude / math.sqrt(norm_sq), meta={})
 
-    def _radial(self, r, deriv: bool = False):
-        """Interpolant on the grid, Bessel-K tail beyond it; each only where used."""
+    def _radial(self, r, derivs: bool = True):
+        """(max(Q, 0), Q') at |r|, Q' None unless ``derivs``: the interpolant
+        on the grid, located once for both splines, and the Bessel-K tail
+        beyond it; each only where used."""
         r = np.abs(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
         inside = r <= self.grid[-1]
-        out[inside] = (self._dsp if deriv else self._sp)(r[inside])
-        out[~inside] = _bessel_tail(self.n, self.tail_coeff, r[~inside], deriv=deriv)
-        return out
-
-    def _radial_value(self, r):
-        return np.maximum(self._radial(r), 0.0)
-
-    def _radial_deriv(self, r):
-        return self._radial(r, deriv=True)
+        outside = ~inside
+        loc = self._sp.locate(r[inside])
+        far = r[outside]
+        q = np.empty_like(r)
+        q[inside] = self._sp.at(*loc)
+        q[outside] = _bessel_tail(self.n, self.tail_coeff, far)
+        if not derivs:
+            return np.maximum(q, 0.0), None
+        qp = np.empty_like(r)
+        qp[inside] = self._dsp.at(*loc)
+        qp[outside] = _bessel_tail(self.n, self.tail_coeff, far, deriv=True)
+        return np.maximum(q, 0.0), qp
 
     # -- norms (used by normalization and tests) ----------------------------
     def dirichlet_norm_sq(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:

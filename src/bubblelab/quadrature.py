@@ -76,18 +76,10 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
-def integrate_1d(f, xmax: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                 with_error: bool = False):
+def integrate_1d(f, xmax: float, spec: QuadratureSpec = DEFAULT_QUAD):
     """integral of f(x) over [0, xmax]."""
-    def run(sp: QuadratureSpec) -> np.ndarray:
-        x, w = grid_1d(0.0, xmax, sp.order, sp.subdiv)
-        return np.einsum("i,i...->...", w, np.asarray(f(x)))
-
-    coarse = run(spec)
-    if not with_error:
-        return coarse
-    fine = run(spec.refined())
-    return fine, np.abs(fine - coarse)
+    x, w = grid_1d(0.0, xmax, spec.order, spec.subdiv)
+    return np.einsum("i,i...->...", w, np.asarray(f(x)))
 
 
 def integrate_radial_tail(f, x0: float, decay: float,

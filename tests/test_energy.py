@@ -17,7 +17,7 @@ from bubblelab.energy import (
     halfspace_moment_matrix, _ser_div, _ser_pow,
 )
 from bubblelab.moments import weighted_moments
-from bubblelab.profiles import RadialProfile, cutoff, sphere_area
+from bubblelab.profiles import RadialProfile, aubin_talenti, cutoff, sphere_area
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -114,6 +114,82 @@ class TestSeriesAlgebra:
                                    atol=1e-9 * (1.0 + np.abs(a).max()) * b0 ** -alpha)
 
 
+_FIELDS = ("tan", "nor", "w2", "w1", "pp", "tr2", "trq", "trq1")
+_STD_SPEC, _HIGH_SPEC = QuadratureSpec(order=20, subdiv=1), QuadratureSpec(order=28, subdiv=2)
+# (id, profile, R, spec, p_exponent, slot): the profile is an Escobar n, a
+# GN fixture name with the slot of its ground state (0) or half-space
+# near-optimizer (1), or "at" for an Aubin-Talenti bubble
+_ENGINE_CASES = (
+    [(f"escobar-n{n}-R{R:g}", n, R, _STD_SPEC, None, None)
+     for n in (4, 5, 6, 7) for R in (20.0, 135.0, 707.0)]
+    + [("escobar-n5-R20-high", 5, 20.0, _HIGH_SPEC, None, None),
+       ("gn23-halfspace", "gn23", 20.0, _STD_SPEC, 3.0, 1),
+       ("gn33-halfspace", "gn33", 20.0, _STD_SPEC, 3.0, 1),
+       ("gn23-ground", "gn23", 20.0, _STD_SPEC, 3.0, 0),
+       ("gn33-ground", "gn33", 20.0, _STD_SPEC, 3.0, 0),
+       ("aubin-talenti-n4", "at", 30.0, _STD_SPEC, 2.0, None)])
+
+
+def _engine_case(case, request):
+    name, which, R, spec, p, slot = case
+    if which == "at":
+        prof = aubin_talenti(4, lam=0.7)
+    elif isinstance(which, int):
+        prof = request.getfixturevalue("halfspace_profiles")[which]
+    else:
+        prof = request.getfixturevalue(which)[slot]
+    return name, prof, R, spec, p, getattr(prof, "shift", 0.0)
+
+
+def _two_call_matrix(profile, R, spec, p_exponent, t_offset):
+    """The moment matrix as first written: meshgrid coordinates, separate
+    value/grad and chi/chi' calls, every field on the whole square."""
+    n = profile.n
+    halfspace = profile.kind in energy._HALFSPACE_KINDS
+    dim = n - 1 if halfspace else n
+    om = sphere_area(dim - 1)
+    chi = cutoff(R)
+
+    def run(sp):
+        r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))
+        if halfspace:
+            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=(R, 1.5 * R))
+            Rg, Tg = np.meshgrid(r, t, indexing="ij")
+            u = profile.value(Rg, Tg)
+            ur, ut = profile.grad(Rg, Tg)
+        else:
+            t, wt = np.zeros(1), np.ones(1)
+            Rg, Tg = r[:, None], np.zeros((r.size, 1))
+            u, ur, ut = profile.value(Rg), profile.grad(Rg), 0.0
+        rho = np.sqrt(Rg ** 2 + Tg ** 2)
+        c, dc = chi(rho), chi.deriv(rho)
+        safe = np.where(rho > 0, rho, 1.0)
+        w = c * u
+        fields = {"tan": (c * ur + u * dc * (Rg / safe)) ** 2,
+                  "nor": (c * ut + u * dc * (Tg / safe)) ** 2,
+                  "w2": w ** 2, "w1": w}
+        if p_exponent is not None:
+            fields["pp"] = np.abs(w) ** (p_exponent + 1.0)
+        Vr = r ** energy._POWERS * (wr * om * r ** (dim - 1))
+        Vt = t ** energy._POWERS * wt
+        out = {k: np.einsum("jb,ib->ij", Vt, np.einsum("ia,ab->ib", Vr, F))
+               for k, F in fields.items()}
+        if halfspace and n >= 3:
+            q = 2.0 * (n - 1) / (n - 2)
+            ub = chi(r) * profile.value(r, 0.0)
+            traces = {"tr2": ub ** 2, "trq": np.abs(ub) ** q, "trq1": np.abs(ub) ** (q - 1.0)}
+            out.update((k, np.einsum("ia,a->i", Vr, d)[:, None]) for k, d in traces.items())
+        else:
+            out.update((k, np.zeros((5, 1))) for k in ("tr2", "trq", "trq1"))
+        return out
+
+    coarse, fine = run(spec), run(spec.refined())
+    delta = {k: fine[k] - coarse[k] for k in fine}
+    err = float(np.max([np.max(np.abs(delta[k]) / np.maximum(1.0, np.abs(fine[k])))
+                        for k in fine]))
+    return fine, delta, err
+
+
 class TestMomentEngine:
     def test_matches_per_monomial_quadrature(self, halfspace_profiles, gn23):
         # reference: each monomial integrated on its own, on the fine grid
@@ -147,13 +223,81 @@ class TestMomentEngine:
 
     @pytest.mark.parametrize("poisoned", ["bulk", "trace"])
     def test_nan_in_any_field_raises(self, poisoned):
+        # the bulk fields come from one 2-D evaluation, the traces from a 1-D one
         class Poisoned(RadialProfile):
-            def value(self, r, t=None):
-                v = super().value(r, t)
-                return v * np.nan if (np.ndim(r) == 2) == (poisoned == "bulk") else v
+            def _fields(self, r, t=None, derivs=True):
+                u, ur, ut = super()._fields(r, t, derivs)
+                return (u * np.nan if (np.ndim(r) == 2) == (poisoned == "bulk") else u), ur, ut
 
         with pytest.raises(QuadratureNonConvergence):
             halfspace_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5), 20.0)
+
+    @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
+    def test_bit_identical_to_two_call_formula(self, case, request):
+        _, prof, R, spec, p, t_offset = _engine_case(case, request)
+        M = energy._build_moment_matrix(prof, R, spec, p, t_offset)
+        fine, delta, err = _two_call_matrix(prof, R, spec, p, t_offset)
+        for name in _FIELDS:
+            got, want = getattr(M, name), fine.get(name)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+        assert set(M.delta) == set(delta)
+        for name in delta:
+            assert M.delta[name].tobytes() == delta[name].tobytes(), name
+        assert M.err == err
+
+    @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
+    def test_fused_evaluations_match_public_ones(self, case, request):
+        # broadcast (r, t) axes against the full meshgrid, bit for bit
+        _, prof, R, _, _, t_offset = _engine_case(case, request)
+        x = np.linspace(0.0, 2.0 * R + t_offset, 97)
+        halfspace = prof.kind in energy._HALFSPACE_KINDS
+        t = x if halfspace else np.zeros(1)
+        Rg, Tg = np.meshgrid(x, t, indexing="ij")
+        u, ur, ut = prof._fields(x[:, None], t[None, :])
+        if halfspace:
+            grad = prof.grad(Rg, Tg)
+            pairs = [(u, prof.value(Rg, Tg)), (ur, grad[0]), (ut, grad[1])]
+        else:
+            assert ut is None
+            pairs = [(u, prof.value(Rg)), (ur, prof.grad(Rg))]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        chi = cutoff(R)
+        rho = np.sqrt(Rg ** 2 + Tg ** 2)
+        c, band, dc = chi._glue(rho)
+        assert c.tobytes() == chi(rho).tobytes()
+        d = np.zeros_like(rho)
+        d.reshape(-1)[band] = dc
+        assert d.tobytes() == chi.deriv(rho).tobytes()
+        inside = (rho > R) & (rho < 2.0 * R)
+        assert band.tolist() == np.flatnonzero(inside).tolist()
+
+    @pytest.mark.parametrize("which", ["escobar", "gn-halfspace", "gn-ground-state"])
+    def test_one_location_and_one_bulk_glue_per_resolution(self, which, monkeypatch,
+                                                           halfspace_profiles, gn23):
+        from bubblelab import profiles
+        counts = {"locate": 0, "bulk_glue": 0, "bulk_fields": 0}
+
+        def counting(name, fn, bulk_only):
+            def wrapped(self, x, *args, **kwargs):
+                if not bulk_only or np.ndim(x) == 2:
+                    counts[name] += 1
+                return fn(self, x, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(profiles._Bernstein, "locate",
+                            counting("locate", profiles._Bernstein.locate, False))
+        monkeypatch.setattr(profiles.Cutoff, "_glue",
+                            counting("bulk_glue", profiles.Cutoff._glue, True))
+        monkeypatch.setattr(profiles.RadialProfile, "_fields",
+                            counting("bulk_fields", profiles.RadialProfile._fields, True))
+        prof, p, t_offset = {"escobar": (halfspace_profiles[5], None, 0.0),
+                             "gn-halfspace": (gn23[1], 3.0, gn23[1].shift),
+                             "gn-ground-state": (gn23[0], 3.0, 0.0)}[which]
+        energy._build_moment_matrix(prof, 20.0, QuadratureSpec(), p, t_offset)
+        # two resolutions; the n = 2 GN profiles have no boundary traces
+        assert counts == {"locate": 0 if which == "escobar" else 2,
+                          "bulk_glue": 2, "bulk_fields": 2}
 
 
 @pytest.fixture
@@ -170,8 +314,6 @@ def builds(monkeypatch):
     monkeypatch.setattr(energy, "_build_moment_matrix", counting)
     return calls
 
-
-_FIELDS = ("tan", "nor", "w2", "w1", "pp", "tr2", "trq", "trq1")
 
 
 class TestMatrixMemo:

@@ -243,11 +243,13 @@ class TestInterpolant:
                                   _bessel_tail(Q.n, Q.tail_coeff, a)), 0.0)
         der = np.where(a <= rmax, Q._dsp(np.clip(a, 0.0, rmax)),
                        _bessel_tail(Q.n, Q.tail_coeff, a, deriv=True))
-        assert np.array_equal(Q._radial_value(r), val)
-        assert np.array_equal(Q._radial_deriv(r), der)
+        q, qp = Q._radial(r)
+        assert np.array_equal(q, val) and np.array_equal(qp, der)
+        assert np.array_equal(Q._radial(r, derivs=False)[0], val)
         for s in (0.7, 55.0):   # 0-d input takes the same path
-            assert Q._radial_value(s) == Q._radial_value(np.array([s]))[0]
-            assert Q._radial_deriv(s) == Q._radial_deriv(np.array([s]))[0]
+            q, qp = Q._radial(s)
+            q1, qp1 = Q._radial(np.array([s]))
+            assert q == q1[0] and qp == qp1[0]
 
 
 class TestBesselK:

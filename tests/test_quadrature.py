@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-from bubblelab.quadrature import (QuadratureSpec, grid_1d, integrate_1d,
+from bubblelab.quadrature import (QuadratureSpec, grid_1d,
                                   integrate_radial_tail, integrate_halfplane_polar,
                                   integrate_ray)
 from bubblelab.energy import sphere_average
@@ -25,10 +25,12 @@ class TestPanelledGL:
         assert 2.5 in edges and 7.1 in edges
 
     def test_error_estimate_bounds_truth(self):
+        # the two-resolution estimate that gn_coefficients reports
         spec = QuadratureSpec(order=6, subdiv=1)
-        val, err = integrate_1d(lambda x: np.sin(3 * x), 2.0, spec, with_error=True)
-        truth = (1 - math.cos(6.0)) / 3.0
-        assert abs(val - truth) <= 10 * err + 1e-14
+        val, err = integrate_ray(lambda x: x ** 2 / (1 + x ** 2) ** 3, spec, decay=4.0,
+                                 with_error=True)
+        truth = 0.5 * beta_fn(1.5, 1.5)
+        assert 0.0 < abs(val - truth) <= 10 * err + 1e-14
 
 
 class TestTailMaps:
