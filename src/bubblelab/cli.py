@@ -153,20 +153,28 @@ def _cutoff_check(R):
         raise ValidationFailure(f"--R must be a finite cutoff radius >= 1, got {R}")
 
 
+def _escobar_dimension_check(n: int, target: str = "") -> None:
+    """The half-space optimizer's weighted moments are finite only for n >= 4;
+    the channel fit behind ``--target ringII`` needs n >= 5."""
+    if n < 4:
+        raise ValidationFailure(
+            f"moment-divergent dimension --n {n}: the weighted moments of the "
+            "half-space optimizer are finite only for n >= 4")
+    if target == "ringII" and n < 5:
+        raise ValidationFailure(f"--target ringII needs --n >= 5 for the channel fit, got {n}")
+
+
 # --------------------------------------------------------------------------
 # subcommand implementations
 # --------------------------------------------------------------------------
 
 def cmd_moments(ns) -> str:
-    from .profiles import escobar_halfspace_optimizer, MomentDivergentDimension
+    from .profiles import escobar_halfspace_optimizer
     from .moments import weighted_moments
     n = _int_check("--n", ns.n)
+    _escobar_dimension_check(n)
     _cutoff_check(ns.R)
-    try:
-        U = escobar_halfspace_optimizer(n)
-        tab = weighted_moments(U, ns.R)
-    except MomentDivergentDimension as exc:
-        raise ValidationFailure(str(exc))
+    tab = weighted_moments(escobar_halfspace_optimizer(n), ns.R)
     if ns.format == "csv":
         rows = [(k, tab.values[k], tab.errors[k]) for k in sorted(tab.values)]
         rows += [(f"{k}_limit", tab.limits[k], 0.0) for k in sorted(tab.limits)]
@@ -185,6 +193,7 @@ def cmd_coefficients(ns) -> str:
     from .profiles import escobar_halfspace_optimizer
     from .moments import weighted_moments, escobar_constants
     n = _int_check("--n", ns.n)
+    _escobar_dimension_check(n)
     _cutoff_check(ns.R)
     U = escobar_halfspace_optimizer(n)
     C = escobar_constants(n, weighted_moments(U, ns.R))
@@ -198,6 +207,7 @@ def cmd_expand(ns) -> str:
     from .geometry import fermi_jet
     from .energy import deficit_series
     n = ns.n = _int_check("--n", ns.n)
+    _escobar_dimension_check(n)
     _cutoff_check(ns.R)
     _positive_check("--eps0", ns.eps0)
     levels = _int_check("--eps-levels", ns.eps_levels, at_least=1)
@@ -222,10 +232,13 @@ def cmd_estimate(ns) -> str:
                              ring_II_estimator, gn_interior_sweep)
     from .geometry import InteriorPointData
     n = ns.n = _int_check("--n", ns.n)
+    escobar = ns.target in ("H", "mass", "theta", "ringII")
+    if escobar:
+        _escobar_dimension_check(n, ns.target)
     _cutoff_check(ns.R)
     _positive_check("--eps", ns.eps)
     eps = ns.eps * 0.5 ** np.arange(_int_check("--sweep", ns.sweep, at_least=1))
-    if ns.target in ("H", "mass", "theta", "ringII"):
+    if escobar:
         geo = _geometry(ns)
         U = escobar_halfspace_optimizer(n)
         if ns.target == "H":

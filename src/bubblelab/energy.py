@@ -27,6 +27,14 @@ build that raises is not stored. Cached arrays are read-only because every
 model with the same key shares them. The GN profiles of
 ``fixtures.cached_gn_profiles`` use the same memo.
 
+The jet reductions share that LRU too, keyed by ``_jet_fingerprint``: the
+content of every field a reduction reads, never ``chart_radius``, ``label``
+or the object's ``id``, so equal jets share one read-only reduction. A model
+turns each (polynomial, matrix) pair into per-term products when it is
+built, and keeps the jet scalars it reads: it is a snapshot of its jet at
+construction, and changing the point data in place reaches only models
+built afterwards.
+
 Escobar numerator (covariant graph form, rescaled coordinates):
 
     N(eps) = int g^ij(eps y) d_i w d_j w sqrt|g(eps y)| dy
@@ -45,9 +53,9 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -133,18 +141,95 @@ def _poly_add(poly: dict, key: tuple, val: float) -> None:
 
 
 # --------------------------------------------------------------------------
+# process-wide memo: moment matrices and jet reductions
+# --------------------------------------------------------------------------
+
+_MEMO_CAP = 64   # entries: a few kB of 5x5 arrays or polynomials, ~0.5 MB for a GN pair
+_memo: OrderedDict = OrderedDict()
+
+
+def _memoized(key: tuple, build: Callable):
+    """``build()`` through the process-wide LRU; exceptions are not stored."""
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    value = build()
+    _memo[key] = value
+    while len(_memo) > _MEMO_CAP:
+        _memo.popitem(last=False)
+    return value
+
+
+def _digest(*arrays) -> str:
+    """SHA-1 over the shapes and float64 bytes of ``arrays`` (None allowed)."""
+    digest = hashlib.sha1()
+    for a in arrays:
+        if a is None:
+            digest.update(b"none;")
+        else:
+            a = np.ascontiguousarray(a, dtype=float)
+            digest.update(f"{a.shape};".encode())
+            digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+def _profile_fingerprint(profile: RadialProfile) -> tuple:
+    """Hashable identity of everything ``value``/``grad`` read (not ``meta``)."""
+    return (profile.kind, profile.n, profile.amplitude, profile.lam,
+            tuple(profile.xi), profile.p, profile.tail_coeff, profile.tail_r0,
+            profile.shift, _digest(profile.grid, profile.values, profile.derivs,
+                                   profile.derivs2))
+
+
+def _jet_fingerprint(jet) -> tuple:
+    """Hashable identity of everything a jet reduction reads.
+
+    A Fermi jet: its order, n, ric_nn and the II, gradT_II, gradT_H,
+    riemann_bdy and r_anbn arrays; an interior point: n, scal and ric. Not
+    ``label`` or ``chart_radius``. The point data is mutable, so the key is
+    built from its content at the time of the call, never from its ``id``.
+    """
+    if isinstance(jet, InteriorPointData):
+        return ("interior", jet.n, jet.scal, _digest(jet.ric))
+    d = jet.data
+    return ("fermi", jet.order, d.n, d.ric_nn,
+            _digest(d.II, d.gradT_II, d.gradT_H, d.riemann_bdy, d.r_anbn))
+
+
+# --------------------------------------------------------------------------
 # reduced jet polynomials
 # --------------------------------------------------------------------------
 
-def _halfspace_jet_polys(jet: FermiJetMetric):
+class _JetReduction(NamedTuple):
+    """A jet's angular-averaged polynomials and the scalars the quotients read.
+
+    P_tan, P_sca and P_bdy weigh the tangential gradient, the scalar terms
+    and the boundary traces; the boundary scalars are zero at an interior
+    point. Shared through the memo, so the polynomials are read-only.
+    """
+    P_tan: MappingProxyType
+    P_sca: MappingProxyType
+    P_bdy: MappingProxyType = MappingProxyType({})
+    H: float = 0.0
+    kappa_vol: float = 0.0
+    grad_h_norm: float = 0.0   # |gradT H| and the top eigenvalue of Ric_bar clipped
+    ric_top: float = 0.0       # at 0: the off-axis terms of _check_jet_positivity
+
+
+def _halfspace_jet_polys(jet: FermiJetMetric) -> _JetReduction:
     """Angular-averaged jet polynomials in (X, Y) = (eps r, eps t).
 
-    Returns (P_tan, P_sca, P_bdy): coefficients of the tangential-gradient
-    weight <(w^T g^ab w) sqrt|g|>, the scalar weight <sqrt|g|> (which also
-    multiplies d_n w by g^nn = 1), and the boundary density.
-    Term tensors carry one omega slot per y'-contraction; the tangential
-    gradient contributes two more.
+    P_tan holds the coefficients of the tangential-gradient weight
+    <(w^T g^ab w) sqrt|g|>, P_sca those of the scalar weight <sqrt|g|> (which
+    also multiplies d_n w by g^nn = 1), P_bdy those of the boundary density.
+    Memoized by ``_jet_fingerprint``.
     """
+    return _memoized(("jet", _jet_fingerprint(jet)), lambda: _reduce_halfspace_jet(jet))
+
+
+def _reduce_halfspace_jet(jet: FermiJetMetric) -> _JetReduction:
+    # Term tensors carry one omega slot per y'-contraction; the tangential
+    # gradient contributes two more.
     m = jet.data.m
     I = np.eye(m)
     # sqrt|g| terms: (x-power, y-power, tensor with x-power omega slots)
@@ -173,11 +258,20 @@ def _halfspace_jet_polys(jet: FermiJetMetric):
             _poly_add(P_tan, (gx + sx, gy + sy), sphere_average(T, m))
     P_bdy = {(0, 0): 1.0}
     _poly_add(P_bdy, (2, 0), -float(np.trace(jet.ric_bar)) / (6.0 * m))
-    return P_tan, P_sca, P_bdy
+    return _JetReduction(
+        MappingProxyType(P_tan), MappingProxyType(P_sca), MappingProxyType(P_bdy),
+        H=jet.H, kappa_vol=jet.kappa_vol,
+        grad_h_norm=float(np.sqrt(np.sum(jet.gradH ** 2))),
+        ric_top=max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0))
 
 
-def _interior_jet_polys(data: InteriorPointData):
-    """Same reduction for the normal-coordinate jet at an interior point."""
+def _interior_jet_polys(data: InteriorPointData) -> _JetReduction:
+    """Same reduction for the normal-coordinate jet at an interior point
+    (no boundary: P_bdy is empty). Memoized like ``_halfspace_jet_polys``."""
+    return _memoized(("jet", _jet_fingerprint(data)), lambda: _reduce_interior_jet(data))
+
+
+def _reduce_interior_jet(data: InteriorPointData) -> _JetReduction:
     n = data.n
     I = np.eye(n)
     k = data.scal / (n * (n - 1)) if n >= 2 else 0.0
@@ -191,7 +285,7 @@ def _interior_jet_polys(data: InteriorPointData):
     for gx, TG in g_terms:
         for sx, TS in s_terms:
             _poly_add(P_tan, (gx + sx, 0), sphere_average(np.multiply.outer(TG, TS), n))
-    return P_tan, P_sca
+    return _JetReduction(MappingProxyType(P_tan), MappingProxyType(P_sca))
 
 
 # --------------------------------------------------------------------------
@@ -200,37 +294,6 @@ def _interior_jet_polys(data: InteriorPointData):
 
 _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
-
-
-_MEMO_CAP = 64   # entries: a few kB of 5x5 arrays, or ~0.5 MB for a GN profile pair
-_memo: OrderedDict = OrderedDict()
-
-
-def _memoized(key: tuple, build: Callable):
-    """``build()`` through the process-wide LRU; exceptions are not stored."""
-    if key in _memo:
-        _memo.move_to_end(key)
-        return _memo[key]
-    value = build()
-    _memo[key] = value
-    while len(_memo) > _MEMO_CAP:
-        _memo.popitem(last=False)
-    return value
-
-
-def _profile_fingerprint(profile: RadialProfile) -> tuple:
-    """Hashable identity of everything ``value``/``grad`` read (not ``meta``)."""
-    digest = hashlib.sha1()
-    for a in (profile.grid, profile.values, profile.derivs, profile.derivs2):
-        if a is None:
-            digest.update(b"none;")
-        else:
-            a = np.ascontiguousarray(a, dtype=float)
-            digest.update(f"{a.shape};".encode())
-            digest.update(a.tobytes())
-    return (profile.kind, profile.n, profile.amplitude, profile.lam,
-            tuple(profile.xi), profile.p, profile.tail_coeff, profile.tail_r0,
-            profile.shift, digest.hexdigest())
 
 
 def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -358,28 +421,6 @@ def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
         **{k: _read_only(v) for k, v in fine.items()})
 
 
-def _poly_eval(poly: dict, matrix: dict, eps: float) -> float:
-    return sum(c * matrix[key] * eps ** (key[0] + key[1]) for key, c in poly.items())
-
-
-def _poly_delta(poly: dict, matrix: dict, eps: float) -> float:
-    """Same sum restricted to positive total degree (the eps-dependent part).
-
-    Deficits are assembled from these so that quotient-minus-flat never loses
-    precision to cancellation of the O(1) parts.
-    """
-    return sum(c * matrix[key] * eps ** (key[0] + key[1])
-               for key, c in poly.items() if key[0] + key[1] > 0)
-
-
-def _poly_series(poly: dict, matrix: dict, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    for (i, j), c in poly.items():
-        if i + j <= order:
-            out[i + j] += c * matrix[(i, j)]
-    return out
-
-
 # truncated Taylor-series helpers ------------------------------------------
 
 def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,12 +494,20 @@ class QuotientResult:
     err_estimate: float = 0.0
 
 
+# (matrix field, jet polynomial) pairs the quotients contract: the
+# tangential weight with tan, the scalar weight with nor and the bulk norms,
+# the boundary density with the traces
+_PAIRS = (("tan", "P_tan"), ("nor", "P_sca"), ("w2", "P_sca"), ("w1", "P_sca"),
+          ("pp", "P_sca"), ("tr2", "P_bdy"), ("trq", "P_bdy"), ("trq1", "P_bdy"))
+
+
 class HalfspaceEnergyModel:
     """All boundary-bubble quotients of one (jet, profile, cutoff) triple.
 
     Evaluation at any eps and the exact eps-Taylor series share the same
     moment matrix, so sweep values and series truths are mutually consistent
-    to quadrature precision.
+    to quadrature precision. A model is a snapshot of its jet at
+    construction: changing the point data afterwards does not reach it.
     """
     gn_functional = "gn-boundary"
 
@@ -466,43 +515,79 @@ class HalfspaceEnergyModel:
                  spec: QuadratureSpec = DEFAULT_QUAD,
                  p_exponent: Optional[float] = None):
         self.jet = jet
+        self._setup(_halfspace_jet_polys(jet), profile, R, spec, p_exponent,
+                    t_offset=getattr(profile, "shift", 0.0))
+        # Scal_g reads scal_bdy and its override, which the reduction does not
+        self._scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
+
+    def _setup(self, red: _JetReduction, profile: RadialProfile, R: float,
+               spec: QuadratureSpec, p_exponent: Optional[float],
+               t_offset: float = 0.0) -> None:
+        """Set-up of both models: jet reduction, moment matrix, term lists.
+
+        Each (polynomial, matrix field) pair becomes the list of
+        (c * M[i, j], i + j) in the polynomial's order. The sums below form
+        c * M[i, j] first and add in that order, so they round exactly as
+        term-by-term sums over the polynomial would.
+        """
         self.profile = profile
         self.R = float(R)
         self.n = profile.n
         self.spec = spec
         self.p_exponent = p_exponent
-        self.P_tan, self.P_sca, self.P_bdy = _halfspace_jet_polys(jet)
-        # off-axis terms of the volume-element bound in _check_jet_positivity
-        self._grad_h_norm = float(np.sqrt(np.sum(jet.gradH ** 2)))
-        self._ric_top = max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0)
-        self.M = halfspace_moment_matrix(profile, R, spec, p_exponent,
-                                         t_offset=getattr(profile, "shift", 0.0))
+        self.P_tan, self.P_sca, self.P_bdy = red.P_tan, red.P_sca, red.P_bdy
+        self._H, self._kappa_vol = red.H, red.kappa_vol
+        self._grad_h_norm, self._ric_top = red.grad_h_norm, red.ric_top
+        self.M = halfspace_moment_matrix(profile, R, spec, p_exponent, t_offset=t_offset)
+        self._terms = {}
+        for name, poly in _PAIRS:
+            matrix = getattr(self.M, name)
+            if matrix is not None:
+                self._terms[name] = [(c * matrix[key], key[0] + key[1])
+                                     for key, c in getattr(red, poly).items()]
+        # the eps-dependent parts (positive total degree): deficits are built
+        # from these so that quotient-minus-flat never loses precision to
+        # cancellation of the O(1) parts
+        self._dterms = {name: [t for t in terms if t[1] > 0]
+                        for name, terms in self._terms.items()}
+        self._J0 = self.M.tan[0, 0] + self.M.nor[0, 0]
+
+    def _eval(self, name: str, eps: float) -> float:
+        return sum(cm * eps ** d for cm, d in self._terms[name])
+
+    def _delta(self, name: str, eps: float) -> float:
+        return sum(cm * eps ** d for cm, d in self._dterms[name])
+
+    def _series(self, name: str, order: int) -> np.ndarray:
+        out = np.zeros(order + 1)
+        for cm, d in self._terms[name]:
+            if d <= order:
+                out[d] += cm
+        return out
 
     # -- raw integrals -------------------------------------------------------
     def dirichlet(self, eps: float) -> float:
-        return (_poly_eval(self.P_tan, self.M.tan, eps)
-                + _poly_eval(self.P_sca, self.M.nor, eps))
+        return self._eval("tan", eps) + self._eval("nor", eps)
 
     def bulk_mass2(self, eps: float) -> float:
-        return _poly_eval(self.P_sca, self.M.w2, eps)
+        return self._eval("w2", eps)
 
     def bulk_pp(self, eps: float) -> float:
-        return _poly_eval(self.P_sca, self.M.pp, eps)
+        return self._eval("pp", eps)
 
     def trace2(self, eps: float) -> float:
-        return _poly_eval(self.P_bdy, self.M.tr2, eps)
+        return self._eval("tr2", eps)
 
     def traceq(self, eps: float) -> float:
-        return _poly_eval(self.P_bdy, self.M.trq, eps)
+        return self._eval("trq", eps)
 
     # -- Escobar -------------------------------------------------------------
     def escobar_numerator_terms(self, eps: float) -> dict:
         n = self.n
-        scal = self.jet.data.scal_ambient if self.jet.order >= 2 else 0.0
         return {
             "gradient": self.dirichlet(eps),
-            "scal": (n - 2) / (4.0 * (n - 1)) * scal * eps ** 2 * self.bulk_mass2(eps),
-            "H_boundary": (n - 2) / 2.0 * eps * self.jet.H * self.trace2(eps),
+            "scal": (n - 2) / (4.0 * (n - 1)) * self._scal * eps ** 2 * self.bulk_mass2(eps),
+            "H_boundary": (n - 2) / 2.0 * eps * self._H * self.trace2(eps),
         }
 
     def _check_jet_positivity(self, eps: float) -> None:
@@ -521,11 +606,11 @@ class HalfspaceEnergyModel:
         """
         t_deep = eps * (2.0 * self.R + getattr(self.profile, "shift", 0.0))
         rho = 2.0 * self.R * eps
-        b = self.jet.H + self._grad_h_norm * rho
-        a = self.jet.kappa_vol
+        b = self._H + self._grad_h_norm * rho
+        a = self._kappa_vol
         vertex = min(max(b / (2.0 * a), 0.0), t_deep) if a > 0.0 else 0.0
-        t = np.array([0.0, t_deep, vertex])
-        if np.min(1.0 - b * t + a * t ** 2) - self._ric_top * rho ** 2 / 6.0 <= 0.0:
+        low = min(1.0 - b * t + a * (t * t) for t in (0.0, t_deep, vertex))
+        if low - self._ric_top * rho ** 2 / 6.0 <= 0.0:
             warnings.warn(
                 f"jet volume element non-positive inside the bubble support "
                 f"(|y'| <= {rho:.3g}, depth <= {t_deep:.3g}); shrink eps or the cutoff",
@@ -540,54 +625,55 @@ class HalfspaceEnergyModel:
         Tq = self.traceq(eps)
         flat = self.flat_escobar()
         # cancellation-free deficit: J - J_flat = (dN - N0 ((Tq/T0)^(2/q)-1)) / Tq^(2/q)
-        N0 = self.M.tan[(0, 0)] + self.M.nor[(0, 0)]
-        T0 = self.M.trq[(0, 0)]
-        dN = (_poly_delta(self.P_tan, self.M.tan, eps)
-              + _poly_delta(self.P_sca, self.M.nor, eps)
+        T0 = self.M.trq[0, 0]
+        dN = (self._delta("tan", eps) + self._delta("nor", eps)
               + terms["scal"] + terms["H_boundary"])
-        dT_rel = _poly_delta(self.P_bdy, self.M.trq, eps) / T0
-        deficit = (dN - N0 * math.expm1((2.0 / q) * math.log1p(dT_rel))) / Tq ** (2.0 / q)
+        dT_rel = self._delta("trq", eps) / T0
+        deficit = (dN - self._J0 * math.expm1((2.0 / q) * math.log1p(dT_rel))) / Tq ** (2.0 / q)
         quot = flat + deficit
         return QuotientResult("escobar", eps, self.R, N, Tq ** (2.0 / q), quot,
                               flat, deficit, dict(terms, trace_mass=Tq),
                               self.M.err)
 
     def flat_escobar(self) -> float:
-        n = self.n
-        q = 2.0 * (n - 1) / (n - 2)
-        J = self.M.tan[(0, 0)] + self.M.nor[(0, 0)]
-        return J / self.M.trq[(0, 0)] ** (2.0 / q)
+        return self._flat_escobar
+
+    @cached_property
+    def _flat_escobar(self) -> float:
+        q = 2.0 * (self.n - 1) / (self.n - 2)
+        return self._J0 / self.M.trq[0, 0] ** (2.0 / q)
 
     def escobar_series(self, order: int = 4) -> np.ndarray:
         """Taylor coefficients c_1..c_order of J(eps)/J(0) - 1 (exact jet model)."""
         n = self.n
         q = 2.0 * (n - 1) / (n - 2)
         K = order + 1
-        N = (_poly_series(self.P_tan, self.M.tan, order)
-             + _poly_series(self.P_sca, self.M.nor, order))
-        scal = self.jet.data.scal_ambient if self.jet.order >= 2 else 0.0
-        w2 = _poly_series(self.P_sca, self.M.w2, order)
-        N += (n - 2) / (4.0 * (n - 1)) * scal * np.concatenate([[0.0, 0.0], w2[:-2]])
-        t2 = _poly_series(self.P_bdy, self.M.tr2, order)
-        N += (n - 2) / 2.0 * self.jet.H * np.concatenate([[0.0], t2[:-1]])
-        Tq = _poly_series(self.P_bdy, self.M.trq, order)
+        N = self._series("tan", order) + self._series("nor", order)
+        w2 = self._series("w2", order)
+        N += (n - 2) / (4.0 * (n - 1)) * self._scal * np.concatenate([[0.0, 0.0], w2[:-2]])
+        t2 = self._series("tr2", order)
+        N += (n - 2) / 2.0 * self._H * np.concatenate([[0.0], t2[:-1]])
+        Tq = self._series("trq", order)
         rel = _ser_mul(N / N[0], _ser_pow(Tq / Tq[0], -2.0 / q))
         return rel[1:K]
 
     # -- plain trace ----------------------------------------------------------
     def _gauge_shift(self, eps: float) -> float:
         """Chart-volume average of the bubble (mean-zero gauge constant)."""
+        return eps ** ((self.n + 2) / 2.0) * self._eval("w1", eps) / self._chart_volume
+
+    @cached_property
+    def _chart_volume(self) -> float:
+        """Jet volume of the chart |y'| <= r0, 0 <= t <= r0 (the P_sca monomials)."""
         n = self.n
-        mass1 = _poly_eval(self.P_sca, self.M.w1, eps)
         r0 = self.jet.chart_radius
         vol = 0.0
-        m = n - 1
         for (i, j), c in self.P_sca.items():
             a, b = n - 2 + i, j
             vol += (c * sphere_area(n - 2) * r0 ** (a + b + 2) / (a + b + 2)
                     * 0.5 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
                     / math.gamma((a + b + 2) / 2))
-        return eps ** ((n + 2) / 2.0) * mass1 / vol
+        return vol
 
     def plain_trace_quotient(self, eps: float) -> QuotientResult:
         n = self.n
@@ -599,15 +685,13 @@ class HalfspaceEnergyModel:
         # first-order effect of subtracting the constant cbar from the bubble:
         # u = eps^(-(n-2)/2) w(./eps), so q * cbar * int u^(q-1) dsigma pulls
         # back to q * cbar * eps^((n-2)/2) * int w^(q-1) dsigma'
-        gauge = -q * cbar * eps ** ((n - 2) / 2.0) * _poly_eval(self.P_bdy, self.M.trq1, eps)
+        gauge = -q * cbar * eps ** ((n - 2) / 2.0) * self._eval("trq1", eps)
         Tq_gauged = Tq + gauge
         flat = self.flat_plain_trace()
         # cancellation-free: T_M - flat = (dT - T0 ((D/D0)^alpha - 1)) / D^alpha
-        D0 = self.M.tan[(0, 0)] + self.M.nor[(0, 0)]
-        T0 = self.M.trq[(0, 0)]
-        dT = _poly_delta(self.P_bdy, self.M.trq, eps) + gauge
-        dD_rel = (_poly_delta(self.P_tan, self.M.tan, eps)
-                  + _poly_delta(self.P_sca, self.M.nor, eps)) / D0
+        T0 = self.M.trq[0, 0]
+        dT = self._delta("trq", eps) + gauge
+        dD_rel = (self._delta("tan", eps) + self._delta("nor", eps)) / self._J0
         deficit = (dT - T0 * math.expm1(alpha * math.log1p(dD_rel))) / D ** alpha
         quot = flat + deficit
         return QuotientResult("plain-trace", eps, self.R, Tq_gauged, D ** alpha,
@@ -616,19 +700,20 @@ class HalfspaceEnergyModel:
                                "gauge_correction": gauge}, self.M.err)
 
     def flat_plain_trace(self) -> float:
-        n = self.n
-        alpha = (n - 1.0) / (n - 2.0)
-        J = self.M.tan[(0, 0)] + self.M.nor[(0, 0)]
-        return self.M.trq[(0, 0)] / J ** alpha
+        return self._flat_plain_trace
+
+    @cached_property
+    def _flat_plain_trace(self) -> float:
+        alpha = (self.n - 1.0) / (self.n - 2.0)
+        return self.M.trq[0, 0] / self._J0 ** alpha
 
     def plain_trace_series(self, order: int = 3) -> np.ndarray:
         """Relative Taylor coefficients of T_M(eps)/T_M(0) - 1 (gauge term omitted:
         it is O(eps^((n+2)/2) * eps^((n-2)/2)), below every fitted order)."""
         n = self.n
         alpha = (n - 1.0) / (n - 2.0)
-        D = (_poly_series(self.P_tan, self.M.tan, order)
-             + _poly_series(self.P_sca, self.M.nor, order))
-        Tq = _poly_series(self.P_bdy, self.M.trq, order)
+        D = self._series("tan", order) + self._series("nor", order)
+        Tq = self._series("trq", order)
         rel = _ser_mul(Tq / Tq[0], _ser_pow(D / D[0], -alpha))
         return rel[1:order + 1]
 
@@ -642,10 +727,9 @@ class HalfspaceEnergyModel:
         D = self.dirichlet(eps)
         flat = self.flat_gn()
         # cancellation-free relative change of the quotient
-        dpp = _poly_delta(self.P_sca, self.M.pp, eps) / self.M.pp[(0, 0)]
-        d2 = _poly_delta(self.P_sca, self.M.w2, eps) / self.M.w2[(0, 0)]
-        dg = (_poly_delta(self.P_tan, self.M.tan, eps)
-              + _poly_delta(self.P_sca, self.M.nor, eps)) / (self.M.tan[(0, 0)] + self.M.nor[(0, 0)])
+        dpp = self._delta("pp", eps) / self.M.pp[0, 0]
+        d2 = self._delta("w2", eps) / self.M.w2[0, 0]
+        dg = (self._delta("tan", eps) + self._delta("nor", eps)) / self._J0
         if min(dpp, d2, dg) <= -1.0:
             # each integrand is non-negative, so a non-positive integral means
             # the jet's volume element is non-positive on the bubble support
@@ -663,19 +747,19 @@ class HalfspaceEnergyModel:
                                "rel_change": rel}, self.M.err)
 
     def flat_gn(self) -> float:
+        return self._flat_gn
+
+    @cached_property
+    def _flat_gn(self) -> float:
         al, be = gn_exponents(self.n, self.p_exponent)
-        Ipp = self.M.pp[(0, 0)]
-        I2 = self.M.w2[(0, 0)]
-        D = self.M.tan[(0, 0)] + self.M.nor[(0, 0)]
-        return Ipp / (I2 ** (al / 2.0) * D ** (be / 2.0))
+        return self.M.pp[0, 0] / (self.M.w2[0, 0] ** (al / 2.0) * self._J0 ** (be / 2.0))
 
     def gn_series(self, order: int = 3) -> np.ndarray:
         """Relative Taylor coefficients of W(eps)/W(0) - 1."""
         al, be = gn_exponents(self.n, self.p_exponent)
-        Ipp = _poly_series(self.P_sca, self.M.pp, order)
-        I2 = _poly_series(self.P_sca, self.M.w2, order)
-        D = (_poly_series(self.P_tan, self.M.tan, order)
-             + _poly_series(self.P_sca, self.M.nor, order))
+        Ipp = self._series("pp", order)
+        I2 = self._series("w2", order)
+        D = self._series("tan", order) + self._series("nor", order)
         rel = _ser_mul(Ipp / Ipp[0],
                        _ser_mul(_ser_pow(I2 / I2[0], -al / 2.0),
                                 _ser_pow(D / D[0], -be / 2.0)))
@@ -686,7 +770,8 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
     """GN quotient of an interior bubble over the normal-coordinate jet.
 
     The 1-D case of the half-space model: the moment matrix of a radial
-    profile has nor = 0 and only t-power 0, so the GN formulas are shared.
+    profile has nor = 0 and only t-power 0, and the boundary density is
+    empty, so the GN formulas and the set-up are shared.
     """
     gn_functional = "gn-interior"
 
@@ -695,13 +780,7 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
         if profile.p is None:
             raise ValueError("interior GN model needs a GN ground-state profile")
         self.data = data
-        self.profile = profile
-        self.R = float(R)
-        self.n = profile.n
-        self.spec = spec
-        self.p_exponent = profile.p
-        self.P_tan, self.P_sca = _interior_jet_polys(data)
-        self.M = halfspace_moment_matrix(profile, R, spec, profile.p)
+        self._setup(_interior_jet_polys(data), profile, R, spec, profile.p)
 
 
 # --------------------------------------------------------------------------

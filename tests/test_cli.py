@@ -27,6 +27,20 @@ def run_cli(args, **env):
                           capture_output=True, text=True, env=e)
 
 
+# the half-space optimizer's moments diverge below n = 4; the channel fit
+# behind ringII needs n >= 5
+_BAD_ESCOBAR_DIMENSIONS = [
+    ["moments", "--n", "3"],
+    ["coefficients", "--n", "3"],
+    ["expand", "--geometry", "h-only", "--n", "3"],
+    ["estimate", "--target", "H", "--n", "3"],
+    ["estimate", "--target", "mass", "--n", "3"],
+    ["estimate", "--target", "theta", "--n", "3"],
+    ["estimate", "--target", "ringII", "--n", "3"],
+    ["estimate", "--target", "ringII", "--n", "4"],
+]
+
+
 class TestValidation:
     def test_non_integer_dimension_exits_2(self):
         assert main(["moments", "--n", "3.5"]) == 2
@@ -100,11 +114,23 @@ class TestValidation:
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.5"],
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "2"],
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.024"],
+        *_BAD_ESCOBAR_DIMENSIONS,
     ], ids=" ".join)
     def test_out_of_range_exits_2(self, args, capsys):
         # rejected before any numerics run, not mapped to a numerical failure
         assert main(args) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    @pytest.mark.parametrize("args", _BAD_ESCOBAR_DIMENSIONS, ids=" ".join)
+    def test_bad_escobar_dimension_builds_no_profile(self, args, monkeypatch, capsys):
+        from bubblelab import profiles
+
+        def forbidden(n):
+            raise AssertionError(f"half-space optimizer built for n = {n}")
+
+        monkeypatch.setattr(profiles, "escobar_halfspace_optimizer", forbidden)
+        assert main(args) == 2
+        assert "n >= " in json.loads(capsys.readouterr().err)["detail"]
 
     @pytest.mark.parametrize("args", [
         ["expand", "--geometry", "nosuch", "--n", "5"],

@@ -14,10 +14,10 @@ from bubblelab.energy import (
     BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
     QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
     deficit_series, channel_fit_second_order, fit_power_series, sphere_average,
-    halfspace_moment_matrix, _ser_div, _ser_pow,
+    halfspace_moment_matrix, _ser_div, _ser_mul, _ser_pow,
 )
 from bubblelab.moments import weighted_moments
-from bubblelab.profiles import RadialProfile, aubin_talenti, cutoff, sphere_area
+from bubblelab.profiles import RadialProfile, aubin_talenti, cutoff, gn_exponents, sphere_area
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -408,6 +408,292 @@ class TestMatrixMemo:
         assert halfspace_moment_matrix(U, 1.0) is not first        # evicted
         last = halfspace_moment_matrix(U, 100.0)
         assert halfspace_moment_matrix(U, 100.0) is last           # still held
+
+
+# --------------------------------------------------------------------------
+# the quotient layer: per-model term lists against term-by-term sums
+# --------------------------------------------------------------------------
+
+# An in-test copy of the sums over the jet polynomials that the quotients
+# were built from; the models' term lists must reproduce them bit for bit.
+
+def _sum_eval(poly, matrix, eps):
+    return sum(c * matrix[key] * eps ** (key[0] + key[1]) for key, c in poly.items())
+
+
+def _sum_delta(poly, matrix, eps):
+    return sum(c * matrix[key] * eps ** (key[0] + key[1])
+               for key, c in poly.items() if key[0] + key[1] > 0)
+
+
+def _sum_series(poly, matrix, order):
+    out = np.zeros(order + 1)
+    for (i, j), c in poly.items():
+        if i + j <= order:
+            out[i + j] += c * matrix[(i, j)]
+    return out
+
+
+def _sum_escobar(jet, P, M, eps):
+    P_tan, P_sca, P_bdy = P
+    n = M.n
+    q = 2.0 * (n - 1) / (n - 2)
+    scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
+    terms = {"gradient": _sum_eval(P_tan, M.tan, eps) + _sum_eval(P_sca, M.nor, eps),
+             "scal": (n - 2) / (4.0 * (n - 1)) * scal * eps ** 2 * _sum_eval(P_sca, M.w2, eps),
+             "H_boundary": (n - 2) / 2.0 * eps * jet.H * _sum_eval(P_bdy, M.tr2, eps)}
+    Tq = _sum_eval(P_bdy, M.trq, eps)
+    N0, T0 = M.tan[(0, 0)] + M.nor[(0, 0)], M.trq[(0, 0)]
+    flat = N0 / T0 ** (2.0 / q)
+    dN = (_sum_delta(P_tan, M.tan, eps) + _sum_delta(P_sca, M.nor, eps)
+          + terms["scal"] + terms["H_boundary"])
+    dT_rel = _sum_delta(P_bdy, M.trq, eps) / T0
+    deficit = (dN - N0 * math.expm1((2.0 / q) * math.log1p(dT_rel))) / Tq ** (2.0 / q)
+    return {"numerator": sum(terms.values()), "denominator": Tq ** (2.0 / q),
+            "quotient": flat + deficit, "reference": flat, "deficit": deficit,
+            "breakdown": dict(terms, trace_mass=Tq)}
+
+
+def _sum_plain_trace(jet, P, M, eps):
+    P_tan, P_sca, P_bdy = P
+    n = M.n
+    q = 2.0 * (n - 1) / (n - 2)
+    alpha = q / 2.0
+    D = _sum_eval(P_tan, M.tan, eps) + _sum_eval(P_sca, M.nor, eps)
+    Tq = _sum_eval(P_bdy, M.trq, eps)
+    r0, vol = jet.chart_radius, 0.0
+    for (i, j), c in P_sca.items():
+        a, b = n - 2 + i, j
+        vol += (c * sphere_area(n - 2) * r0 ** (a + b + 2) / (a + b + 2)
+                * 0.5 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
+                / math.gamma((a + b + 2) / 2))
+    cbar = eps ** ((n + 2) / 2.0) * _sum_eval(P_sca, M.w1, eps) / vol
+    gauge = -q * cbar * eps ** ((n - 2) / 2.0) * _sum_eval(P_bdy, M.trq1, eps)
+    D0, T0 = M.tan[(0, 0)] + M.nor[(0, 0)], M.trq[(0, 0)]
+    flat = T0 / D0 ** ((n - 1.0) / (n - 2.0))
+    dT = _sum_delta(P_bdy, M.trq, eps) + gauge
+    dD_rel = (_sum_delta(P_tan, M.tan, eps) + _sum_delta(P_sca, M.nor, eps)) / D0
+    deficit = (dT - T0 * math.expm1(alpha * math.log1p(dD_rel))) / D ** alpha
+    return {"numerator": Tq + gauge, "denominator": D ** alpha,
+            "quotient": flat + deficit, "reference": flat, "deficit": deficit,
+            "breakdown": {"dirichlet": D, "trace_mass": Tq, "gauge_shift": cbar,
+                          "gauge_correction": gauge}}
+
+
+def _sum_gn(P, M, eps, p):
+    P_tan, P_sca, _ = P
+    al, be = gn_exponents(M.n, p)
+    Ipp, I2 = _sum_eval(P_sca, M.pp, eps), _sum_eval(P_sca, M.w2, eps)
+    D = _sum_eval(P_tan, M.tan, eps) + _sum_eval(P_sca, M.nor, eps)
+    D0 = M.tan[(0, 0)] + M.nor[(0, 0)]
+    flat = M.pp[(0, 0)] / (M.w2[(0, 0)] ** (al / 2.0) * D0 ** (be / 2.0))
+    dpp = _sum_delta(P_sca, M.pp, eps) / M.pp[(0, 0)]
+    d2 = _sum_delta(P_sca, M.w2, eps) / M.w2[(0, 0)]
+    dg = (_sum_delta(P_tan, M.tan, eps) + _sum_delta(P_sca, M.nor, eps)) / D0
+    rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
+                     - 0.5 * be * math.log1p(dg))
+    return {"numerator": Ipp, "denominator": I2 ** (al / 2.0) * D ** (be / 2.0),
+            "quotient": flat * (1.0 + rel), "reference": flat, "deficit": -rel,
+            "breakdown": {"I_pp": Ipp, "I_2": I2, "dirichlet": D, "rel_change": rel}}
+
+
+def _sum_escobar_series(jet, P, M, order=4):
+    P_tan, P_sca, P_bdy = P
+    n = M.n
+    q = 2.0 * (n - 1) / (n - 2)
+    N = _sum_series(P_tan, M.tan, order) + _sum_series(P_sca, M.nor, order)
+    scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
+    w2 = _sum_series(P_sca, M.w2, order)
+    N += (n - 2) / (4.0 * (n - 1)) * scal * np.concatenate([[0.0, 0.0], w2[:-2]])
+    t2 = _sum_series(P_bdy, M.tr2, order)
+    N += (n - 2) / 2.0 * jet.H * np.concatenate([[0.0], t2[:-1]])
+    Tq = _sum_series(P_bdy, M.trq, order)
+    return _ser_mul(N / N[0], _ser_pow(Tq / Tq[0], -2.0 / q))[1:order + 1]
+
+
+def _sum_plain_trace_series(P, M, order=3):
+    P_tan, P_sca, P_bdy = P
+    alpha = (M.n - 1.0) / (M.n - 2.0)
+    D = _sum_series(P_tan, M.tan, order) + _sum_series(P_sca, M.nor, order)
+    Tq = _sum_series(P_bdy, M.trq, order)
+    return _ser_mul(Tq / Tq[0], _ser_pow(D / D[0], -alpha))[1:order + 1]
+
+
+def _sum_gn_series(P, M, p, order=3):
+    P_tan, P_sca, _ = P
+    al, be = gn_exponents(M.n, p)
+    Ipp, I2 = _sum_series(P_sca, M.pp, order), _sum_series(P_sca, M.w2, order)
+    D = _sum_series(P_tan, M.tan, order) + _sum_series(P_sca, M.nor, order)
+    return _ser_mul(Ipp / Ipp[0], _ser_mul(_ser_pow(I2 / I2[0], -al / 2.0),
+                                           _ser_pow(D / D[0], -be / 2.0)))[1:order + 1]
+
+
+def _custom_data(n, seed=7):
+    """Every field of the reduction nonzero, gradT_H and gradT_II included."""
+    m = n - 1
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, m))
+    G = 0.3 * rng.normal(size=(m, m, m))
+    B = rng.normal(size=(m, m))
+    return geometry_catalog(
+        "custom", n, II=0.2 * (A + A.T), gradT_II=G + G.transpose(0, 2, 1),
+        gradT_H=0.4 * rng.normal(size=m), ric_nn=0.7, scal_bdy=-1.3 if m >= 2 else 0.0,
+        r_anbn=0.1 * (B + B.T), label="custom").data
+
+
+def _same(result, want):
+    got = {k: getattr(result, k) for k in want}
+    assert got == want
+    for key in ("numerator", "denominator", "quotient", "reference", "deficit"):
+        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+
+
+_CATALOG_JETS = [("euclidean-ball", {"radius": 2.0}), ("h-only", {"H": 0.5}),
+                 ("umbilic-sphere-cap", {"curvature": 1.0}),
+                 ("anisotropic-cylinder-like", {}), ("ricci-only", {"value": 1.0}),
+                 ("boundary-scal-only", {"value": 1.0}), ("flat-halfspace", {})]
+
+
+@pytest.mark.filterwarnings("ignore:jet volume element")
+class TestQuotientLayerBitIdentity:
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("geo", _CATALOG_JETS + [("custom", None)],
+                             ids=lambda g: g[0])
+    def test_escobar_and_plain_trace(self, geo, order, n, halfspace_profiles):
+        name, kw = geo
+        data = _custom_data(n) if name == "custom" else geometry_catalog(name, n, **kw).data
+        jet = fermi_jet(data, order=order, chart_radius=1.5)
+        model = HalfspaceEnergyModel(jet, halfspace_profiles[n], 30.0)
+        P = energy._reduce_halfspace_jet(jet)[:3]        # fresh, not memoized
+        for eps in (1e-3, np.float64(3e-3), 1e-2):
+            _same(model.escobar_quotient(eps), _sum_escobar(jet, P, model.M, eps))
+            _same(model.plain_trace_quotient(eps), _sum_plain_trace(jet, P, model.M, eps))
+        assert model.flat_escobar() == _sum_escobar(jet, P, model.M, 0.0)["reference"]
+        assert model.escobar_series().tobytes() == _sum_escobar_series(jet, P, model.M).tobytes()
+        assert (model.escobar_series(order=3).tobytes()
+                == _sum_escobar_series(jet, P, model.M, order=3).tobytes())
+        assert (model.plain_trace_series().tobytes()
+                == _sum_plain_trace_series(P, model.M).tobytes())
+
+    @pytest.mark.parametrize("case", ["gn23", "gn33"])
+    @pytest.mark.parametrize("geo", ["euclidean-ball", "flat-halfspace", "custom"])
+    def test_gn_boundary(self, geo, case, request):
+        Q, Qp, co = request.getfixturevalue(case)
+        data = _custom_data(co.n) if geo == "custom" else geometry_catalog(geo, co.n).data
+        jet = fermi_jet(data, order=2, chart_radius=2.0)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p)
+        P = energy._reduce_halfspace_jet(jet)[:3]
+        for eps in (1e-3, np.float64(2e-3), 4e-3):
+            _same(model.gn_quotient(eps), _sum_gn(P, model.M, eps, co.p))
+        assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
+
+    @pytest.mark.parametrize("case", ["gn23", "gn33"])
+    def test_gn_interior(self, case, request):
+        Q, _, co = request.getfixturevalue(case)
+        n = co.n
+        ric = np.diag(np.linspace(-1.0, 2.0, n))
+        for data in (InteriorPointData(n=n, scal=0.0), InteriorPointData(n=n, scal=2.0),
+                     InteriorPointData(n=n, scal=float(np.trace(ric)), ric=ric)):
+            model = InteriorEnergyModel(data, Q, 20.0)
+            P = energy._reduce_interior_jet(data)[:3]
+            for eps in (1e-3, np.float64(5e-3), 1e-2):
+                _same(model.gn_quotient(eps), _sum_gn(P, model.M, eps, co.p))
+            assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
+
+
+# --------------------------------------------------------------------------
+# the jet memo
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """An empty memo for the test, and the argument of every real jet reduction."""
+    monkeypatch.setattr(energy, "_memo", OrderedDict())
+    calls = []
+    for name in ("_reduce_halfspace_jet", "_reduce_interior_jet"):
+        def counting(jet, reduce=getattr(energy, name)):
+            calls.append(jet)
+            return reduce(jet)
+        monkeypatch.setattr(energy, name, counting)
+    return calls
+
+
+class TestJetMemo:
+    def test_equal_content_shares_one_reduction(self, reductions, halfspace_profiles):
+        U = halfspace_profiles[5]
+        data = _custom_data(5)
+        copies = {name: getattr(data, name).copy()
+                  for name in ("II", "gradT_II", "gradT_H", "riemann_bdy", "r_anbn")}
+        twin = dataclasses.replace(data, **copies, label="twin", dnu_ric_nn=3.0)
+        first = HalfspaceEnergyModel(fermi_jet(data, order=2, chart_radius=1.0), U, 20.0)
+        again = HalfspaceEnergyModel(fermi_jet(twin, order=2, chart_radius=3.0), U, 20.0)
+        assert len(reductions) == 1
+        assert again.P_tan is first.P_tan and again.P_sca is first.P_sca
+        assert again.P_bdy is first.P_bdy
+        inner = [InteriorPointData(n=3, scal=6.0, label=label) for label in ("a", "b")]
+        assert energy._interior_jet_polys(inner[0]) is energy._interior_jet_polys(inner[1])
+        assert len(reductions) == 2
+
+    def test_each_key_field_gives_a_miss(self, reductions):
+        data = _custom_data(5)
+        base = energy._halfspace_jet_polys(fermi_jet(data, order=2))
+        variants = [dataclasses.replace(data, ric_nn=0.5)]
+        for name, index in (("II", (0, 0)), ("gradT_II", (0, 1, 1)), ("gradT_H", (2,)),
+                            ("riemann_bdy", (0, 1, 2, 3)), ("r_anbn", (3, 3))):
+            a = getattr(data, name).copy()
+            a[index] += 0.25
+            variants.append(dataclasses.replace(data, **{name: a}))
+        reds = [energy._halfspace_jet_polys(fermi_jet(v, order=2)) for v in variants]
+        reds.append(energy._halfspace_jet_polys(fermi_jet(data, order=1)))
+        assert len(reductions) == 1 + len(reds) == len(energy._memo)
+        assert len({id(r) for r in [base] + reds}) == len(reductions)
+        ric = np.diag([1.0, 2.0, 3.0])
+        for point in (InteriorPointData(n=3, scal=6.0), InteriorPointData(n=4, scal=6.0),
+                      InteriorPointData(n=3, scal=3.0), InteriorPointData(n=3, scal=6.0, ric=ric),
+                      InteriorPointData(n=3, scal=3.0, ric=ric)):   # scal alone, too
+            energy._interior_jet_polys(point)
+        assert len(reductions) == 1 + len(reds) + 5
+
+    def test_in_place_mutation_reduces_the_new_content(self, reductions, halfspace_profiles):
+        U = halfspace_profiles[5]
+        data = geometry_catalog("h-only", 5, H=1.0).data
+        jet = fermi_jet(data, order=2, chart_radius=2.0)
+        before = HalfspaceEnergyModel(jet, U, 20.0)
+        q = vars(before.escobar_quotient(1e-2))
+        data.II *= 2.0                       # the same objects, new content
+        after = HalfspaceEnergyModel(jet, U, 20.0)
+        assert len(reductions) == 2 and after.P_tan is not before.P_tan
+        # a model is a snapshot of its jet at construction
+        assert vars(before.escobar_quotient(1e-2)) == q
+        fresh = HalfspaceEnergyModel(
+            fermi_jet(geometry_catalog("h-only", 5, H=2.0).data, order=2, chart_radius=2.0),
+            U, 20.0)
+        assert fresh.P_tan is after.P_tan and len(reductions) == 2
+        assert vars(fresh.escobar_quotient(1e-2)) == vars(after.escobar_quotient(1e-2))
+        assert vars(after.escobar_quotient(1e-2)) != q
+
+    def test_cached_reductions_read_only(self, reductions):
+        red = energy._halfspace_jet_polys(fermi_jet(_custom_data(5), order=2))
+        inner = energy._interior_jet_polys(InteriorPointData(n=3, scal=6.0))
+        for r in (red, inner):
+            for poly in r[:3]:
+                with pytest.raises(TypeError):
+                    poly[(0, 0)] = 1.0
+            with pytest.raises(AttributeError):
+                r.H = 1.0
+            with pytest.raises(TypeError):
+                r[0] = {}
+
+    def test_repeated_channel_fit_reduces_no_jet(self, reductions, halfspace_profiles):
+        from bubblelab.moments import escobar_constants
+        U = halfspace_profiles[5]
+        fits = []
+        for R in (40.0, 40.0, 120.0):     # chart radius 1, 1, then 1.008
+            C = escobar_constants(5, weighted_moments(U, R))
+            fits.append(channel_fit_second_order(5, U, C, R=R))
+            assert len(reductions) == 4   # the four probe jets, reduced once
+        assert fits[1].details == fits[0].details
 
 
 class TestEscobarQuotient:
