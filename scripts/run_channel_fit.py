@@ -29,7 +29,6 @@ def main():
     print(f"  kappa3 fitted               = {fit.kappa3_fit:+.8f}")
     print(f"  kappa3 from moments         = {fit.kappa3_moment:+.8f}   "
           f"(rel dev {fit.kappa3_rel_err:.3%})")
-    print(f"  flat-geometry noise floor   = {fit.noise_floor:.2e}")
     print(f"  max fit residual            = {max(fit.fit_errors.values()):.2e}")
 
 

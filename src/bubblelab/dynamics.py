@@ -51,7 +51,7 @@ def euclidean_leading_constant(n: int, m: float,
     if n >= 3 and p >= (n + 2.0) / (n - 2.0):
         raise ValueError(
             f"euclidean-leading mode needs m > (n-2)/(n+2); got m={m}, n={n}")
-    Q = gn_ground_state(n, p, spec)
+    Q = gn_ground_state(n, p)
     return weinstein_quotient_fullspace(Q, spec)
 
 
@@ -63,7 +63,6 @@ class DecayParams:
     E0: float
     M0: float
     C: Optional[float] = None          # EEP constant; None -> euclidean-leading
-    C_mode: str = "euclidean-leading"
     exponents: FDEExponents = None
     kappa: float = field(init=False, default=0.0)
 
@@ -73,8 +72,6 @@ class DecayParams:
         if self.exponents is None:
             self.exponents = fde_exponents(self.n, self.m)
         if self.C is None:
-            if self.C_mode != "euclidean-leading":
-                raise ValueError("explicit C required unless mode is euclidean-leading")
             # Euclidean-leading value carries an O(eps_*) caveat on curved (M, g)
             self.C = euclidean_leading_constant(self.n, self.m)
         al, be = self.exponents.alpha, self.exponents.beta
@@ -181,9 +178,11 @@ def _dopri45(fun, t_end: float, y0: float, t_eval, rtol: float, atol: float):
     return out, nfev
 
 
-def ode_decay_check(params: DecayParams, horizon: float,
-                    rtol: float = 1e-11, atol: float = 1e-13,
-                    n_samples: int = 400) -> dict:
+# tolerances and sample count of the equality-ODE check
+_ODE_RTOL, _ODE_ATOL, _ODE_SAMPLES = 1e-11, 1e-13, 400
+
+
+def ode_decay_check(params: DecayParams, horizon: float) -> dict:
     """Integrate the equality ODE E' = -kappa E^(1/alpha) and compare.
 
     At equality the solution and the envelope coincide; the report carries the
@@ -197,8 +196,8 @@ def ode_decay_check(params: DecayParams, horizon: float,
     def rhs(y):
         return -params.kappa * max(y, 0.0) ** (1.0 / al)
 
-    ts = np.linspace(0.0, horizon, n_samples)
-    E, nfev = _dopri45(rhs, horizon, params.E0, ts, rtol, atol)
+    ts = np.linspace(0.0, horizon, _ODE_SAMPLES)
+    E, nfev = _dopri45(rhs, horizon, params.E0, ts, _ODE_RTOL, _ODE_ATOL)
     env = decay_envelope(params, ts)
     gap = E - env
     return {

@@ -454,10 +454,6 @@ def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
     return out * a0 ** alpha
 
 
-def _ser_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _ser_mul(a, _ser_pow(b, -1.0))
-
-
 # --------------------------------------------------------------------------
 # energy models
 # --------------------------------------------------------------------------
@@ -926,16 +922,20 @@ class ChannelFitResult:
     kappa3_moment: float
     kappa3_rel_err: float
     kappa2_positive: bool
-    noise_floor: float
     fit_errors: dict
     details: dict
 
 
+# the channel fit's dyadic eps levels, its largest allowed fit residual, and
+# the relative gap allowed between the fitted and the moment kappa3
+_FIT_LEVELS = 6
+_FIT_RESIDUAL_TOL = 1e-8
+_KAPPA3_TOL = 0.05
+
+
 def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarConstants,
-                             R: float = 100.0, eps0: float = 4e-3, levels: int = 6,
-                             spec: QuadratureSpec = DEFAULT_QUAD,
-                             residual_tol: float = 1e-8,
-                             kappa3_tol: float = 0.05) -> ChannelFitResult:
+                             R: float = 100.0, eps0: float = 4e-3,
+                             spec: QuadratureSpec = DEFAULT_QUAD) -> ChannelFitResult:
     """Fit kappa_1, kappa_2 and cross-check kappa_3 from channel-isolating jets.
 
     Each geometry has H = 0, so deficit/S*(R) = c2 eps^2 + c3 eps^3 + c4 eps^4
@@ -946,17 +946,16 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
     """
     if n < 5:
         raise ValueError("channel fit requires n >= 5")
-    eps = eps0 * 0.5 ** np.arange(levels)
+    eps = eps0 * 0.5 ** np.arange(_FIT_LEVELS)
     geos = {
         "ricci": geometry_catalog("ricci-only", n, value=1.0),
         "scal": geometry_catalog("boundary-scal-only", n, value=1.0),
         "aniso": geometry_catalog("anisotropic-cylinder-like", n),
-        "flat": geometry_catalog("flat-halfspace", n),
     }
     fitted, fit_errors, details = {}, {}, {}
     for key, geo in geos.items():
-        jet = fermi_jet(geo.data, order=2, chart_radius=max(1.0, eps0 * 2.1 * R))
-        sweep = deficit_series(jet, profile, R, eps, spec, functional="escobar")
+        sweep = deficit_series(fermi_jet(geo.data, order=2), profile, R, eps, spec,
+                               functional="escobar")
         y = sweep.deficits / sweep.reference
         c = fit_power_series(eps, y, (2, 3, 4))
         resid = y - c[0] * eps ** 2 - c[1] * eps ** 3 - c[2] * eps ** 4
@@ -965,8 +964,7 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
         details[key] = {"c2": float(c[0]), "c3": float(c[1]), "c4": float(c[2]),
                         "series": sweep.series.tolist(),
                         "deficits": y.tolist()}
-    noise = abs(fitted["flat"]) + fit_errors["flat"] / eps.min() ** 2
-    if max(fit_errors.values()) > residual_tol:
+    if max(fit_errors.values()) > _FIT_RESIDUAL_TOL:
         raise RuntimeError(f"channel fit residual exceeds threshold: {fit_errors}")
     k1 = fitted["ricci"] / 1.0
     k2 = fitted["scal"] / 1.0
@@ -974,10 +972,10 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
     k3_fit = fitted["aniso"] / aniso_val
     k3_mom = constants.kappa3
     rel = abs(k3_fit - k3_mom) / abs(k3_mom)
-    if rel > kappa3_tol:
+    if rel > _KAPPA3_TOL:
         raise RuntimeError(
             f"kappa3 mismatch: fit {k3_fit} vs moments {k3_mom} ({rel:.2%})")
     return ChannelFitResult(n=n, kappa1=k1, kappa2=k2, kappa3_fit=k3_fit,
                             kappa3_moment=k3_mom, kappa3_rel_err=rel,
-                            kappa2_positive=bool(k2 > 0), noise_floor=noise,
+                            kappa2_positive=bool(k2 > 0),
                             fit_errors=fit_errors, details=details)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .energy import HalfspaceEnergyModel, InteriorEnergyModel, empirical_slope
 from .geometry import BoundaryPointData, InteriorPointData, fermi_jet, geometry_catalog
-from .moments import EscobarConstants, GNCoefficients
+from .moments import EscobarConstants, GNCoefficients, escobar_scales
 from .profiles import RadialProfile
 from .quadrature import QuadratureSpec, DEFAULT_QUAD
 
@@ -60,21 +60,14 @@ class EstimatorScales:
     rho: float
 
     @classmethod
-    def from_constants(cls, constants: EscobarConstants, truncated: bool = True):
-        if truncated:
-            return cls(constants.S_star_R, constants.rho_conf_R)
-        return cls(constants.S_star, constants.rho_conf)
-
-    @classmethod
     def from_model(cls, model: HalfspaceEnergyModel):
+        """S*(R) and rho_n^conf(R) from the model's own moment matrix: the
+        S_star_R and rho_conf_R of escobar_constants for the same profile,
+        cutoff and spec, without computing the limits."""
         M = model.M
-        n = model.n
-        g1 = M.tan[(0, 1)] + M.nor[(0, 1)]
-        g1tan = M.tan[(0, 1)]
-        theta = M.tr2[(0, 0)]
-        J = M.tan[(0, 0)] + M.nor[(0, 0)]
-        rho = ((2.0 / (n - 1)) * g1tan - g1 + (n - 2) / 2.0 * theta) / J
-        return cls(model.flat_escobar(), rho)
+        return cls(*escobar_scales(
+            model.n, J=float(M.tan[0, 0] + M.nor[0, 0]), g1=float(M.tan[0, 1] + M.nor[0, 1]),
+            g1tan=float(M.tan[0, 1]), Theta=float(M.tr2[0, 0]), Tq=float(M.trq[0, 0])))
 
 
 def hat_H_single(E: float, eps: float, scales: EstimatorScales,
@@ -182,94 +175,75 @@ def gn_interior_scal(delta1: float, delta2: float, eps1: float, eps2: float,
 # sweep pipelines on jet geometries
 # --------------------------------------------------------------------------
 
-def escobar_single_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
-                               R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD,
-                               chart_radius: Optional[float] = None) -> dict:
-    """H-hat over an eps-grid with cutoff-consistent constants; order vs truth H."""
+def _sweep(quotient, eps_grid, multiples: tuple, invert) -> list:
+    """One inversion per base scale, from the deficits at its multiples.
+
+    At each base eps of the grid, ``invert(eps, *deficits)`` gets
+    quotient(k eps).deficit for each k in ``multiples`` and returns one
+    report per target. Returns, per target, its reports, the grid, their
+    errors and their empirical order, which each report also carries.
+    """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    chart = chart_radius or max(1.0, float(eps_grid.max()) * 2.0 * R * 1.05)
-    jet = fermi_jet(data, order=2, chart_radius=chart)
-    model = HalfspaceEnergyModel(jet, profile, R, spec)
+    rows = [invert(e, *(quotient(k * e).deficit for k in multiples)) for e in eps_grid]
+    out = []
+    for reports in zip(*rows):
+        errs = np.array([r.error for r in reports])
+        order = empirical_slope(eps_grid, errs)
+        for r in reports:
+            r.order = order
+        out.append({"reports": list(reports), "eps": eps_grid, "errors": errs,
+                    "order": order})
+    return out
+
+
+def escobar_single_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
+                               R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+    """H-hat over an eps-grid with cutoff-consistent constants; order vs truth H."""
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R, spec)
     scales = EstimatorScales.from_model(model)
     truth = data.H
-    reports = []
-    for e in eps_grid:
-        E = model.escobar_quotient(e).deficit
-        reports.append(hat_H_single(E, e, scales, truth=truth))
-    errs = np.array([r.error for r in reports])
-    order = empirical_slope(eps_grid, errs)
-    return {"reports": reports, "eps": eps_grid, "errors": errs, "order": order,
-            "truth": truth, "scales": scales, "series": model.escobar_series()}
+    sw, = _sweep(model.escobar_quotient, eps_grid, (1,),
+                 lambda e, E: (hat_H_single(E, e, scales, truth=truth),))
+    return dict(sw, truth=truth, scales=scales, series=model.escobar_series())
 
 
 def escobar_three_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
-                              R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD,
-                              chart_radius: Optional[float] = None) -> dict:
+                              R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
     """(H, R, T)-estimates over base scales; truths from the exact jet series."""
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    chart = chart_radius or max(1.0, float(eps_grid.max()) * 6.0 * R * 1.05)
-    jet = fermi_jet(data, order=2, chart_radius=chart)
-    model = HalfspaceEnergyModel(jet, profile, R, spec)
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R, spec)
     scales = EstimatorScales.from_model(model)
     c = model.escobar_series(order=3)
     truths = (data.H, c[1], c[2])  # H; mass = c2; theta = c3 of the jet quotient
-    out = {"H": [], "mass": [], "theta": []}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for e in eps_grid:
-            E1 = model.escobar_quotient(e).deficit
-            E2 = model.escobar_quotient(2 * e).deficit
-            E3 = model.escobar_quotient(3 * e).deficit
-            rH, rR, rT = three_scale_debias(E1, E2, E3, e, scales, n=model.n,
-                                            truths=truths)
-            out["H"].append(rH); out["mass"].append(rR); out["theta"].append(rT)
-    orders = {}
-    for key in out:
-        errs = np.array([r.error for r in out[key]])
-        orders[key] = empirical_slope(eps_grid, errs)
-        for r in out[key]:
-            r.order = orders[key]
-    return {"reports": out, "eps": eps_grid, "orders": orders, "truths": truths,
+        sws = _sweep(model.escobar_quotient, eps_grid, (1, 2, 3),
+                     lambda e, *E: three_scale_debias(*E, e, scales, n=model.n, truths=truths))
+    keys = ("H", "mass", "theta")
+    return {"reports": {k: sw["reports"] for k, sw in zip(keys, sws)}, "eps": sws[0]["eps"],
+            "orders": {k: sw["order"] for k, sw in zip(keys, sws)}, "truths": truths,
             "scales": scales, "series": c}
 
 
 def gn_boundary_sweep(data: BoundaryPointData, Qplus: RadialProfile,
                       coeffs: GNCoefficients, R: float, eps_grid,
-                      spec: QuadratureSpec = DEFAULT_QUAD,
-                      chart_radius: Optional[float] = None) -> dict:
+                      spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
     """GN H-hat from deficit pairs (eps, 2 eps) on a boundary jet."""
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    chart = chart_radius or max(1.0, float(eps_grid.max()) * 4.0 * (R + Qplus.shift) * 1.05)
-    jet = fermi_jet(data, order=2, chart_radius=chart)
-    model = HalfspaceEnergyModel(jet, Qplus, R, spec, p_exponent=Qplus.p)
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), Qplus, R, spec, p_exponent=Qplus.p)
     truth = data.H
-    reports = []
-    for e in eps_grid:
-        d1 = model.gn_quotient(e).deficit
-        d2 = model.gn_quotient(2 * e).deficit
-        reports.append(gn_boundary_H(d1, d2, e, 2 * e, coeffs, truth=truth))
-    errs = np.array([r.error for r in reports])
-    return {"reports": reports, "eps": eps_grid, "errors": errs,
-            "order": empirical_slope(eps_grid, errs), "truth": truth,
-            "series": model.gn_series()}
+    sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
+                 lambda e, d1, d2: (gn_boundary_H(d1, d2, e, 2 * e, coeffs, truth=truth),))
+    return dict(sw, truth=truth, series=model.gn_series())
 
 
 def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile,
                       coeffs: GNCoefficients, R: float, eps_grid,
                       spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
     """GN Scal-hat from deficit pairs (eps, 2 eps) on an interior jet."""
-    eps_grid = np.asarray(eps_grid, dtype=float)
     model = InteriorEnergyModel(data, Q, R, spec)
     truth = data.scal
-    reports = []
-    for e in eps_grid:
-        d1 = model.gn_quotient(e).deficit
-        d2 = model.gn_quotient(2 * e).deficit
-        reports.append(gn_interior_scal(d1, d2, e, 2 * e, coeffs, truth=truth))
-    errs = np.array([r.error for r in reports])
-    return {"reports": reports, "eps": eps_grid, "errors": errs,
-            "order": empirical_slope(eps_grid, errs), "truth": truth,
-            "series": model.gn_series()}
+    sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
+                 lambda e, d1, d2: (gn_interior_scal(d1, d2, e, 2 * e, coeffs, truth=truth),))
+    return dict(sw, truth=truth, series=model.gn_series())
 
 
 # --------------------------------------------------------------------------
@@ -297,58 +271,50 @@ def gauss_bonnet_recovery(n: int, interior_scal: SampledField,
         "nearest_integer": int(nearest), "distance_to_integer": abs(chi - nearest)})
 
 
-def disk_fields_exact(n_interior: int = 25, n_boundary: int = 16) -> tuple:
+# sample counts of the disk and annulus fields: the exact fields, and the
+# estimated ones (one estimate per sample point, all equal on the round disk)
+_EXACT_INTERIOR, _EXACT_BOUNDARY = 25, 16
+_ESTIMATED_INTERIOR, _ESTIMATED_BOUNDARY = 9, 8
+
+
+def disk_fields_exact() -> tuple:
     """Exact fields on the flat unit disk: Scal = 0, H = 1, length 2 pi."""
-    rng = np.linspace(0.1, 0.9, max(1, n_interior))
-    w = np.full(rng.size, math.pi / rng.size)       # weights sum to the area
-    interior = SampledField(np.zeros(rng.size), w)
-    wb = np.full(n_boundary, 2.0 * math.pi / n_boundary)
-    boundary = SampledField(np.ones(n_boundary), wb)
+    w = np.full(_EXACT_INTERIOR, math.pi / _EXACT_INTERIOR)   # weights sum to the area
+    interior = SampledField(np.zeros(_EXACT_INTERIOR), w)
+    wb = np.full(_EXACT_BOUNDARY, 2.0 * math.pi / _EXACT_BOUNDARY)
+    boundary = SampledField(np.ones(_EXACT_BOUNDARY), wb)
     return interior, boundary
 
 
-def annulus_fields_exact(r_inner: float, n_boundary: int = 16) -> tuple:
+def annulus_fields_exact(r_inner: float) -> tuple:
     """Exact fields on the flat annulus (r, 1): outer H = 1, inner H = -1/r."""
     if not (0 < r_inner < 1):
         raise ValueError("inner radius must lie in (0, 1)")
     area = math.pi * (1.0 - r_inner ** 2)
     interior = SampledField(np.zeros(4), np.full(4, area / 4.0))
-    outer = np.ones(n_boundary)
-    inner = np.full(n_boundary, -1.0 / r_inner)
-    values = np.concatenate([outer, inner])
-    weights = np.concatenate([
-        np.full(n_boundary, 2.0 * math.pi / n_boundary),
-        np.full(n_boundary, 2.0 * math.pi * r_inner / n_boundary),
-    ])
+    nb = _EXACT_BOUNDARY
+    values = np.concatenate([np.ones(nb), np.full(nb, -1.0 / r_inner)])
+    weights = np.concatenate([np.full(nb, 2.0 * math.pi / nb),
+                              np.full(nb, 2.0 * math.pi * r_inner / nb)])
     return interior, SampledField(values, weights)
 
 
 def disk_fields_estimated(Q: RadialProfile, Qplus: RadialProfile,
                           coeffs: GNCoefficients, eps: float = 1e-2,
-                          R: float = 20.0, spec: QuadratureSpec = DEFAULT_QUAD,
-                          n_interior: int = 9, n_boundary: int = 8) -> tuple:
-    """Estimator-produced fields on the unit disk via the GN pipelines.
+                          R: float = 20.0, spec: QuadratureSpec = DEFAULT_QUAD) -> tuple:
+    """Estimator-produced fields on the unit disk via the GN sweeps.
 
     Every interior point of the flat disk carries the flat jet and every
-    boundary point the H = 1 Fermi jet, so one model of each kind serves the
-    whole grid; the estimators still run per sample point.
+    boundary point the H = 1 Fermi jet, so one sweep of each kind serves the
+    whole grid. The boundary sweep at (eps/2, eps/4) gives two applications
+    of the two-scale estimator, Richardson-combined to cancel its leading
+    O(eps1 + eps2) bias.
     """
-    int_model = InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), Q, R, spec)
-    d1 = int_model.gn_quotient(eps).deficit
-    d2 = int_model.gn_quotient(2 * eps).deficit
-    scal_hat = gn_interior_scal(d1, d2, eps, 2 * eps, coeffs).estimate
-    interior_vals = np.full(n_interior, scal_hat)
-    interior = SampledField(interior_vals, np.full(n_interior, math.pi / n_interior))
-
-    bdata = geometry_catalog("euclidean-ball", 2, radius=1.0).data
-    jet = fermi_jet(bdata, order=2, chart_radius=max(1.0, eps * 2.2 * (R + Qplus.shift)))
-    bmodel = HalfspaceEnergyModel(jet, Qplus, R, spec, p_exponent=Qplus.p)
-    # two applications of the two-scale estimator, Richardson-combined to
-    # cancel its leading O(eps1 + eps2) bias
-    d = {e: bmodel.gn_quotient(e).deficit for e in (eps, eps / 2, eps / 4)}
-    h1 = gn_boundary_H(d[eps / 2], d[eps], eps / 2, eps, coeffs).estimate
-    h2 = gn_boundary_H(d[eps / 4], d[eps / 2], eps / 4, eps / 2, coeffs).estimate
-    h_hat = 2.0 * h2 - h1
-    boundary = SampledField(np.full(n_boundary, h_hat),
-                            np.full(n_boundary, 2.0 * math.pi / n_boundary))
+    inner = gn_interior_sweep(InteriorPointData(n=2, scal=0.0), Q, coeffs, R, [eps], spec)
+    ni, nb = _ESTIMATED_INTERIOR, _ESTIMATED_BOUNDARY
+    interior = SampledField(np.full(ni, inner["reports"][0].estimate), np.full(ni, math.pi / ni))
+    ball = geometry_catalog("euclidean-ball", 2, radius=1.0).data
+    h1, h2 = (r.estimate for r in
+              gn_boundary_sweep(ball, Qplus, coeffs, R, [eps / 2, eps / 4], spec)["reports"])
+    boundary = SampledField(np.full(nb, 2.0 * h2 - h1), np.full(nb, 2.0 * math.pi / nb))
     return interior, boundary

@@ -49,7 +49,7 @@ def cached_gn_profiles(n: int, p: float, delta0: float = 0.05,
     a solve that raises stores nothing.
     """
     def solve():
-        Q = gn_ground_state(n, p, spec)
+        Q = gn_ground_state(n, p)
         return Q, gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
 
     return _memoized(("gn-profiles", n, p, delta0, spec), solve)

@@ -136,10 +136,6 @@ class BoundaryPointData:
         return self.scal_bdy + 2.0 * self.ric_nn - self.H ** 2 + self.II_sq
 
     def validate(self) -> None:
-        if abs(self.H - np.trace(self.II)) > 1e-12:
-            raise ValueError("H inconsistent with trace of II")
-        if self.II_ring_sq < -1e-12:
-            raise ValueError("negative |II_ring|^2")
         tr_rb = float(np.trace(self.ric_bar))
         if self.n >= 3 and abs(tr_rb - self.scal_bdy) > 1e-9 * max(1.0, abs(self.scal_bdy)):
             raise ValueError("boundary Riemann tensor inconsistent with scal_bdy")

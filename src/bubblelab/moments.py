@@ -35,7 +35,7 @@ __all__ = [
     "MomentTable", "EscobarConstants", "GNCoefficients", "FDEExponents",
     "LogDivergentMoment", "IdentityReport", "ConstantsMismatch",
     "weighted_moments", "verify_harmonic_identities", "second_moment_identity",
-    "escobar_constants", "gn_coefficients", "fde_exponents",
+    "escobar_scales", "escobar_constants", "gn_coefficients", "fde_exponents",
     "kappa_int_from_moments", "kappa_bdy_from_moments",
 ]
 
@@ -227,25 +227,35 @@ class EscobarConstants:
             "alpha_channels")}
 
 
-def escobar_constants(n: int, table: MomentTable, rho_tol: float = 1e-6) -> EscobarConstants:
+# the moments escobar_scales reads, in its argument order
+_SCALE_MOMENTS = ("J", "g1", "g1tan", "Theta", "Tq")
+_RHO_TOL = 1e-6        # relative gap allowed between the two forms of rho_n^conf
+
+
+def escobar_scales(n: int, J: float, g1: float, g1tan: float, Theta: float,
+                   Tq: float) -> tuple:
+    """(S*, rho_n^conf) of one set of moments, truncated or untruncated:
+    S* = J / Tq^(2/q) and the bracket ((2/(n-1)) g1tan - g1 + ((n-2)/2) Theta) / J."""
+    q = 2.0 * (n - 1) / (n - 2)
+    rho = ((2.0 / (n - 1)) * g1tan - g1 + (n - 2) / 2.0 * Theta) / J
+    return J / Tq ** (2.0 / q), rho
+
+
+def escobar_constants(n: int, table: MomentTable) -> EscobarConstants:
     if table.n != n:
         raise ValueError("table dimension mismatch")
     q = 2.0 * (n - 1) / (n - 2)
     a_n = 4.0 * (n - 1) / (n - 2)
     th = table.limit("Theta")
-    bracket = ((2.0 / (n - 1)) * table.limit("g1tan") - table.limit("g1")
-               + (n - 2) / 2.0 * th) / table.limit("J")
+    s_star, bracket = escobar_scales(n, *map(table.limit, _SCALE_MOMENTS))
     closed = (n - 2) ** 2 * th / (2.0 * (n - 1)) / table.limit("J")
-    if abs(bracket - closed) > rho_tol * abs(closed):
+    if abs(bracket - closed) > _RHO_TOL * abs(closed):
         raise ConstantsMismatch(
             f"rho_n^conf bracket {bracket} vs closed form {closed} disagree "
-            f"beyond {rho_tol} relative")
-    bracket_R = ((2.0 / (n - 1)) * table.truncated("g1tan") - table.truncated("g1")
-                 + (n - 2) / 2.0 * table.truncated("Theta")) / table.truncated("J")
+            f"beyond {_RHO_TOL} relative")
+    s_star_R, bracket_R = escobar_scales(n, *map(table.truncated, _SCALE_MOMENTS))
     g2 = table.limit("g2") if n >= 5 else None
     kappa3 = (4.0 - n) * g2 / (2.0 * (n - 1)) if g2 is not None else None
-    s_star = table.limit("J") / table.limit("Tq") ** (2.0 / q)
-    s_star_R = table.truncated("J") / table.truncated("Tq") ** (2.0 / q)
     alpha_pt = (n - 1.0) / (n - 2.0)
     s_trace_R = table.truncated("Tq") / table.truncated("J") ** alpha_pt
     return EscobarConstants(
@@ -314,7 +324,11 @@ def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
         val, err = integrate_ray(fn, spec, inner=rmax, decay=4.0, with_error=True)
         errs[label] = err
         if not np.isfinite(val) or (abs(val) > 0 and err > 1e-6 * abs(val)):
-            raise RuntimeError(f"tail non-convergence in GN moment '{label}': err {err}")
+            # the tail past rmax is far below 1e-6 of each integral, so a
+            # failure here is the head quadrature's
+            raise RuntimeError(
+                f"GN moment '{label}' under-resolved on [0, {rmax:.4g}]: two-resolution "
+                f"difference {err:.3g} exceeds 1e-6 of its value {val:.6g}")
         return val
 
     errs: dict = {}

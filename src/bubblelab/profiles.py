@@ -477,6 +477,9 @@ _RESOLVED_TOL = 1e-9
 _ROBIN_TOL = 1e-10
 _PETVIASHVILI_TOL = 1e-6
 _NEWTON_TOL = 1e-13
+# the tabulated profile: 2048 nodes on [0, 40]; L must stay below the end
+_GN_GRID_NODES = 2048
+_GN_R_MAX = 40.0
 
 
 def _collocation_operator(n: int, N: int, L: float):
@@ -573,8 +576,7 @@ def _collocation_ground_state(n: int, p: float, N: int):
     return L, Q, c, float(np.max(np.abs(residual(Q)[:N])))
 
 
-def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                    grid_nodes: int = 2048, r_max: float = 40.0) -> RadialProfile:
+def gn_ground_state(n: int, p: float) -> RadialProfile:
     """Ground state of -Q'' - ((n-1)/r)Q' + Q = Q^p by Chebyshev collocation.
 
     On [0, L] the profile is the Chebyshev series of the collocation solution;
@@ -584,7 +586,7 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
     N = 200 nodes is repeated at 400. Raises ShootingError when that fails
     too (it converges, stays positive and decreasing, and resolves the
     series to 1e-9 Q(0) up to p = 4.8 at n = 3 and p = 15 at n = 2), or when
-    no L < r_max makes Q(L)^p negligible against Q(0).
+    no L below the grid's end r = 40 makes Q(L)^p negligible against Q(0).
     """
     if int(n) != n or n < 2:
         raise ValueError("gn_ground_state requires integer n >= 2")
@@ -596,16 +598,16 @@ def gn_ground_state(n: int, p: float, spec: QuadratureSpec = DEFAULT_QUAD,
         L, Q, c, residual = _collocation_ground_state(n, p, _COLL_N)
     except ShootingError:
         L, Q, c, residual = _collocation_ground_state(n, p, 2 * _COLL_N)
-    if L >= r_max:
-        raise ShootingError(
-            f"(n={n}, p={p}) decays too slowly: the Robin row needs L = {L:.4g} >= r_max = {r_max}")
+    if L >= _GN_R_MAX:
+        raise ShootingError(f"(n={n}, p={p}) decays too slowly: the Robin row needs "
+                            f"L = {L:.4g} >= r_max = {_GN_R_MAX}")
     b = float(Q[0])
     tail_coeff = float(Q[-1]) / float(_bessel_tail(n, 1.0, L))
 
-    # 2048-node tabulation grid: uniform head + geometric body, the head
-    # spacing ~2e-3 keeping the quintic interpolant's h^4 term small
-    head = np.linspace(0.0, 1.0, grid_nodes // 4 + 1)[:-1]
-    geo = np.geomspace(1.0, r_max, grid_nodes - grid_nodes // 4)
+    # tabulation grid: uniform head + geometric body, the head spacing ~2e-3
+    # keeping the quintic interpolant's h^4 term small
+    head = np.linspace(0.0, 1.0, _GN_GRID_NODES // 4 + 1)[:-1]
+    geo = np.geomspace(1.0, _GN_R_MAX, _GN_GRID_NODES - _GN_GRID_NODES // 4)
     grid = np.unique(np.concatenate([head, geo]))
     vals = np.empty_like(grid)
     ders = np.empty_like(grid)
@@ -643,7 +645,7 @@ def gn_halfspace_near_optimizer(n: int, p: float, delta0: float,
     """
     if delta0 <= 0:
         raise ValueError("delta0 must be positive")
-    Q = ground_state if ground_state is not None else gn_ground_state(n, p, spec)
+    Q = ground_state if ground_state is not None else gn_ground_state(n, p)
     cstar = weinstein_quotient_fullspace(Q, spec)
 
     best = None

@@ -332,14 +332,18 @@ def _interaction_sum(config: Configuration, kernel: InteractionKernel,
     return out
 
 
+# the separation ratio below which the truncated expansion is uncontrolled
+_LAMBDA_MIN = 2.0
+
+
 def reduced_functional(config: Configuration, kernel: InteractionKernel,
-                       constants, lambda_min: float = 2.0) -> float:
+                       constants) -> float:
     """Truncated F_k = (J_k/S*)^(n-1); warns below the separation threshold."""
     n = constants.n
     diag = config.separation_diagnostics()
-    if diag["min_ratio"] < lambda_min:
+    if diag["min_ratio"] < _LAMBDA_MIN:
         warnings.warn(f"separation ratio {diag['min_ratio']:.3g} below "
-                      f"Lambda = {lambda_min}; truncation error uncontrolled",
+                      f"Lambda = {_LAMBDA_MIN}; truncation error uncontrolled",
                       stacklevel=2)
     alpha = (n - 2) / 2.0
     rho = constants.rho_conf
@@ -523,11 +527,13 @@ def _newton_steps(A, b):
 # along some direction) it converges linearly, with ratio (m-1)/m at a zero
 # of multiplicity m of the gradient.
 _LINEAR_RATIO = 0.25
+# critical points closer than this (up to relabeling) are one point
+_MERGE_TOL = 1e-6
 
 
 def critical_point_search(field, k: int, domain=None, seeds: int = 64,
                           seed: int = 0, grad_tol: float = 1e-8,
-                          max_iter: int = 200, merge_tol: float = 1e-6,
+                          max_iter: int = 200,
                           barrier_mu: tuple = (1e-2, 1e-4, 0.0),
                           min_separation: float = 1e-3) -> list:
     """Multi-seed projected Newton search for critical points of W_k.
@@ -544,7 +550,7 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
     [1/4, 1], i.e. converge linearly; its inertia then counts as zero every
     Hessian eigenvalue of magnitude at most 2 |H u|, u the unit last step.
     Results are merged up to relabeling of the centers (permutation +
-    distance merge_tol, widened for degenerate points to cover the spread
+    distance _MERGE_TOL, widened for degenerate points to cover the spread
     of their linear convergence).
     """
     domain = domain or CircleDomain()
@@ -624,7 +630,7 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
                            float(gn[r]), _inertia(Hm, zero_tol), Hm, True,
                            degenerate=degenerate)
         found.append((cp, radius))
-    return _merge(found, domain, merge_tol)
+    return _merge(found, domain)
 
 
 def _inertia(H: np.ndarray, tol: float = 1e-7) -> tuple:
@@ -639,15 +645,15 @@ def _canonical(centers: np.ndarray, tol: float) -> np.ndarray:
     return c[np.lexsort(c.T[::-1])]
 
 
-def _merge(points: list, domain, merge_tol: float) -> list:
-    """Merge (point, radius) pairs closer than max(merge_tol, 2 (r_a + r_b)).
+def _merge(points: list, domain) -> list:
+    """Merge (point, radius) pairs closer than max(_MERGE_TOL, 2 (r_a + r_b)).
 
     A group is represented by its first degenerate member if it has one,
     else by its first member."""
     out = []
     for cp, radius in points:
         for q, (other, oradius) in enumerate(out):
-            tol = max(merge_tol, 2.0 * (radius + oradius))
+            tol = max(_MERGE_TOL, 2.0 * (radius + oradius))
             canon = _canonical(cp.centers, tol)
             oc = _canonical(other.centers, tol)
             if canon.shape == oc.shape and all(

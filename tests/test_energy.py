@@ -14,7 +14,7 @@ from bubblelab.energy import (
     BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
     QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
     deficit_series, channel_fit_second_order, fit_power_series, sphere_average,
-    halfspace_moment_matrix, _ser_div, _ser_mul, _ser_pow,
+    halfspace_moment_matrix, _ser_mul, _ser_pow,
 )
 from bubblelab.moments import weighted_moments
 from bubblelab.profiles import RadialProfile, aubin_talenti, cutoff, gn_exponents, sphere_area
@@ -110,7 +110,7 @@ class TestSeriesAlgebra:
         K = min(len(a), len(tail) + 1)
         a, b = np.array(a[:K]), b0 * np.array([1.0] + tail[:K - 1])
         ref = _taylor(lambda x: _poly(a, x) / _poly(b, x) ** alpha, K)
-        np.testing.assert_allclose(_ser_div(a, _ser_pow(b, alpha)), ref, rtol=1e-9,
+        np.testing.assert_allclose(_ser_mul(a, _ser_pow(b, -alpha)), ref, rtol=1e-9,
                                    atol=1e-9 * (1.0 + np.abs(a).max()) * b0 ** -alpha)
 
 
@@ -689,10 +689,10 @@ class TestJetMemo:
         from bubblelab.moments import escobar_constants
         U = halfspace_profiles[5]
         fits = []
-        for R in (40.0, 40.0, 120.0):     # chart radius 1, 1, then 1.008
+        for R in (40.0, 40.0, 120.0):
             C = escobar_constants(5, weighted_moments(U, R))
             fits.append(channel_fit_second_order(5, U, C, R=R))
-            assert len(reductions) == 4   # the four probe jets, reduced once
+            assert len(reductions) == 3   # the three probe jets, reduced once
         assert fits[1].details == fits[0].details
 
 
@@ -701,7 +701,10 @@ class TestEscobarQuotient:
         q1 = flat_model.escobar_quotient(1e-3).quotient
         q2 = flat_model.escobar_quotient(1e-2).quotient
         assert abs(q1 - q2) / q1 < 1e-6
-        assert flat_model.escobar_quotient(1e-3).deficit == pytest.approx(0.0, abs=1e-14)
+        # every deficit term of the flat jet has degree 0: exact zeros at the
+        # channel fit's eps levels
+        for eps in 4e-3 * 0.5 ** np.arange(6):
+            assert flat_model.escobar_quotient(eps).deficit == 0.0
 
     def test_flat_matches_moment_S_star(self, flat_model, constants):
         # independent code path: rectangle-matrix quotient vs moment-table S*(R)
@@ -885,9 +888,6 @@ class TestChannelFit:
 
     def test_fit_residuals_at_noise(self, channel_fit_n5):
         assert max(channel_fit_n5.fit_errors.values()) < 1e-10
-
-    def test_flat_geometry_below_noise(self, channel_fit_n5):
-        assert abs(channel_fit_n5.details["flat"]["c2"]) < 1e-10
 
     def test_measured_channel_values(self, channel_fit_n5):
         # exact Beta-function predictions for the probe channels at R = infinity:

@@ -217,6 +217,28 @@ class TestGaussBonnet:
         with pytest.raises(ValueError):
             gauss_bonnet_recovery(3, *disk_fields_exact())
 
+    def test_estimated_disk_fields_from_the_model_deficits(self, gn23):
+        # the interior sweep at eps and the boundary sweep at (eps/2, eps/4)
+        # evaluate the models at eps, eps/2 and eps/4 and their doubles
+        from bubblelab.energy import InteriorEnergyModel
+        from bubblelab.estimators import disk_fields_estimated
+        from bubblelab.geometry import InteriorPointData
+        Q, Qp, co = gn23
+        eps = 1e-2
+        interior, boundary = disk_fields_estimated(Q, Qp, co, eps=eps)
+        inner = InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), Q, 20.0)
+        scal = gn_interior_scal(inner.gn_quotient(eps).deficit,
+                                inner.gn_quotient(2 * eps).deficit, eps, 2 * eps, co)
+        jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data, order=2)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        d = {e: model.gn_quotient(e).deficit for e in (eps, eps / 2, eps / 4)}
+        h1 = gn_boundary_H(d[eps / 2], d[eps], eps / 2, eps, co).estimate
+        h2 = gn_boundary_H(d[eps / 4], d[eps / 2], eps / 4, eps / 2, co).estimate
+        assert set(interior.values.tolist()) == {scal.estimate}
+        assert set(boundary.values.tolist()) == {2.0 * h2 - h1}
+        assert interior.weights.sum() == pytest.approx(math.pi, rel=1e-15)
+        assert boundary.weights.sum() == pytest.approx(2.0 * math.pi, rel=1e-15)
+
     def test_cli_eps_bound_is_the_volume_element_bound(self, gn23):
         # the CLI's estimated-mode limit is where _check_jet_positivity starts
         # to fire for the disk jet and the (2, 3) near-optimizer at R = 20
@@ -259,8 +281,8 @@ class TestSweepsOnJets:
         jet = fermi_jet(geometry_catalog("flat-halfspace", 5).data, order=2)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
         sc = EstimatorScales.from_model(model)
-        assert sc.S_star == pytest.approx(constants[5].S_star_R, rel=1e-10)
-        assert sc.rho == pytest.approx(constants[5].rho_conf_R, rel=1e-9)
+        assert sc.S_star == constants[5].S_star_R
+        assert sc.rho == constants[5].rho_conf_R
 
 
 class TestGNSweepRates:

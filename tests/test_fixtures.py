@@ -13,13 +13,13 @@ def solves(monkeypatch):
     monkeypatch.setattr(energy, "_memo", OrderedDict())
     calls = []
 
-    def ground_state(n, p, spec):
-        calls.append((n, p, spec))
-        return RadialProfile(kind="gn-ground-state", n=n, amplitude=float(spec.order), p=p)
+    def ground_state(n, p):
+        calls.append((n, p))
+        return RadialProfile(kind="gn-ground-state", n=n, amplitude=1.0, p=p)
 
     def near_optimizer(n, p, delta0, spec, ground_state):
         return RadialProfile(kind="gn-halfspace-near-optimizer", n=n,
-                             amplitude=ground_state.amplitude, p=p, shift=delta0)
+                             amplitude=float(spec.order), p=p, shift=delta0)
 
     monkeypatch.setattr(fixtures, "gn_ground_state", ground_state)
     monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
@@ -31,8 +31,8 @@ class TestProfileMemo:
         Q, Qp = fixtures.cached_gn_profiles(2, 3.0)
         again = fixtures.cached_gn_profiles(2, 3.0)
         assert again[0] is Q and again[1] is Qp
-        assert solves == [(2, 3.0, fixtures._STD)]
-        assert Q.amplitude == Qp.amplitude == 20.0 and Qp.shift == 0.05
+        assert solves == [(2, 3.0)]
+        assert Qp.amplitude == fixtures._STD.order and Qp.shift == 0.05
         fixtures.cached_gn_profiles(3, 3.0)
         fixtures.cached_gn_profiles(2, 2.0)
         _, Qp1 = fixtures.cached_gn_profiles(2, 3.0, delta0=0.1)
@@ -44,14 +44,14 @@ class TestProfileMemo:
     def test_spec_is_a_separate_solve(self, solves):
         fixtures.cached_gn_profiles(2, 3.0)
         Qh, Qph = fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)
-        assert solves == [(2, 3.0, fixtures._STD), (2, 3.0, fixtures._HIGH)]
-        assert Qh.amplitude == Qph.amplitude == float(fixtures._HIGH.order)
+        assert solves == [(2, 3.0), (2, 3.0)]
+        assert Qph.amplitude == fixtures._HIGH.order
         assert fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)[0] is Qh
         assert len(solves) == 2
 
     def test_failed_solve_stores_nothing(self, solves, monkeypatch):
-        def failing(n, p, spec):
-            solves.append((n, p, spec))
+        def failing(n, p):
+            solves.append((n, p))
             raise ShootingError("no ground state")
 
         monkeypatch.setattr(fixtures, "gn_ground_state", failing)
