@@ -34,7 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .moments import fde_exponents, FDEExponents
-from .profiles import gn_ground_state, weinstein_quotient_fullspace
+from .fixtures import cached_gn_ground_state
+from .profiles import weinstein_quotient_fullspace
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, _gl_nodes
 
 __all__ = [
@@ -51,7 +52,7 @@ def euclidean_leading_constant(n: int, m: float,
     if n >= 3 and p >= (n + 2.0) / (n - 2.0):
         raise ValueError(
             f"euclidean-leading mode needs m > (n-2)/(n+2); got m={m}, n={n}")
-    Q = gn_ground_state(n, p)
+    Q = cached_gn_ground_state(n, p)
     return weinstein_quotient_fullspace(Q, spec)
 
 

@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .geometry import FermiJetMetric, InteriorPointData, geometry_catalog, fermi_jet
-from .profiles import RadialProfile, cutoff, gn_exponents, sphere_area
+from .profiles import RadialProfile, beta_function, cutoff, gn_exponents, sphere_area
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, grid_1d
 
 if TYPE_CHECKING:
@@ -433,25 +433,18 @@ def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
-    """(a0 + a1 x + ...)^alpha with a0 > 0, truncated at len(a)."""
-    K = len(a)
+    """(a0 + a1 x + ...)^alpha with a0 > 0, truncated at len(a).
+
+    One O(K^2) recurrence (Knuth, TAOCP vol. 2, 4.7): b_0 = a0^alpha and
+    b_k = (1/(k a0)) sum_{j=1..k} ((alpha+1) j - k) a_j b_(k-j).
+    """
+    a = [float(x) for x in a]
     a0 = a[0]
-    u = a / a0
-    # log series
-    lg = np.zeros(K)
-    x = u.copy(); x[0] = 0.0
-    term = x.copy()
-    for k in range(1, K):
-        lg += ((-1) ** (k + 1) / k) * term
-        term = _ser_mul(term, x)
-    lg *= alpha
-    # exp series
-    out = np.zeros(K); out[0] = 1.0
-    term = np.zeros(K); term[0] = 1.0
-    for k in range(1, K):
-        term = _ser_mul(term, lg) / k
-        out += term
-    return out * a0 ** alpha
+    b = [a0 ** alpha]
+    for k in range(1, len(a)):
+        b.append(sum(((alpha + 1.0) * j - k) * a[j] * b[k - j]
+                     for j in range(1, k + 1)) / (k * a0))
+    return np.array(b)
 
 
 # --------------------------------------------------------------------------
@@ -667,8 +660,7 @@ class HalfspaceEnergyModel:
         for (i, j), c in self.P_sca.items():
             a, b = n - 2 + i, j
             vol += (c * sphere_area(n - 2) * r0 ** (a + b + 2) / (a + b + 2)
-                    * 0.5 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
-                    / math.gamma((a + b + 2) / 2))
+                    * 0.5 * beta_function((a + 1) / 2, (b + 1) / 2))
         return vol
 
     def plain_trace_quotient(self, eps: float) -> QuotientResult:
@@ -904,9 +896,10 @@ def empirical_slope(eps, errors, levels: int = 3) -> float:
     good = err > 0
     if good.sum() < 2:
         return float("nan")
-    A = np.stack([np.log(eps[good]), np.ones(good.sum())], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.log(err[good]), rcond=None)
-    return float(coef[0])
+    # least-squares line in closed form: sum x~ y~ / sum x~^2 on centred logs
+    x, y = np.log(eps[good]), np.log(err[good])
+    x, y = x - x.mean(), y - y.mean()
+    return float(np.dot(x, y) / np.dot(x, x))
 
 
 # --------------------------------------------------------------------------
@@ -926,55 +919,55 @@ class ChannelFitResult:
     details: dict
 
 
-# the channel fit's dyadic eps levels, its largest allowed fit residual, and
-# the relative gap allowed between the fitted and the moment kappa3
-_FIT_LEVELS = 6
+# the guard's largest eps, its largest allowed series residual, and the
+# relative gap allowed between the series and the moment kappa3
+_GUARD_EPS = 4e-3
 _FIT_RESIDUAL_TOL = 1e-8
 _KAPPA3_TOL = 0.05
 
 
 def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarConstants,
-                             R: float = 100.0, eps0: float = 4e-3,
+                             R: float = 100.0,
                              spec: QuadratureSpec = DEFAULT_QUAD) -> ChannelFitResult:
-    """Fit kappa_1, kappa_2 and cross-check kappa_3 from channel-isolating jets.
+    """kappa_1, kappa_2 and a kappa_3 cross-check from channel-isolating jets.
 
-    Each geometry has H = 0, so deficit/S*(R) = c2 eps^2 + c3 eps^3 + c4 eps^4
-    with no linear term (c3 comes out at noise level: the probe deficits are
-    even in eps); c2 is fitted over a dyadic grid and divided by the channel
-    value. The anisotropic fit is compared against the moment formula
-    (4-n) g2 / (2(n-1)).
+    Each probe geometry has H = 0 and one second-order channel, so its
+    deficit over S*(R) is c2 eps^2 + O(eps^3); c2 is read from the exact jet
+    series (``escobar_series()[1]``) of the probe's model at R and divided by
+    the channel value. One quadrature level guards each series: the deficit
+    at eps = min(4e-3, 0.25/R), which keeps the bubble support inside the
+    unit chart, must match sum_k c_k eps^k to ``_FIT_RESIDUAL_TOL``
+    (``fit_errors`` holds the residuals). The anisotropic value is compared
+    against the moment formula (4-n) g2 / (2(n-1)).
     """
     if n < 5:
         raise ValueError("channel fit requires n >= 5")
-    eps = eps0 * 0.5 ** np.arange(_FIT_LEVELS)
+    eps = min(_GUARD_EPS, 0.25 / R)
     geos = {
         "ricci": geometry_catalog("ricci-only", n, value=1.0),
         "scal": geometry_catalog("boundary-scal-only", n, value=1.0),
         "aniso": geometry_catalog("anisotropic-cylinder-like", n),
     }
-    fitted, fit_errors, details = {}, {}, {}
+    c2, fit_errors, details = {}, {}, {}
     for key, geo in geos.items():
-        sweep = deficit_series(fermi_jet(geo.data, order=2), profile, R, eps, spec,
-                               functional="escobar")
-        y = sweep.deficits / sweep.reference
-        c = fit_power_series(eps, y, (2, 3, 4))
-        resid = y - c[0] * eps ** 2 - c[1] * eps ** 3 - c[2] * eps ** 4
-        fitted[key] = c[0]
-        fit_errors[key] = float(np.max(np.abs(resid)))
-        details[key] = {"c2": float(c[0]), "c3": float(c[1]), "c4": float(c[2]),
-                        "series": sweep.series.tolist(),
-                        "deficits": y.tolist()}
+        model = HalfspaceEnergyModel(fermi_jet(geo.data, order=2), profile, R, spec)
+        series = model.escobar_series()
+        y = model.escobar_quotient(eps).deficit / model.flat_escobar()
+        c2[key] = float(series[1])
+        fit_errors[key] = float(abs(y - sum(c * eps ** (k + 1)
+                                            for k, c in enumerate(series))))
+        details[key] = {"series": series.tolist()}
     if max(fit_errors.values()) > _FIT_RESIDUAL_TOL:
-        raise RuntimeError(f"channel fit residual exceeds threshold: {fit_errors}")
-    k1 = fitted["ricci"] / 1.0
-    k2 = fitted["scal"] / 1.0
+        raise RuntimeError(f"channel series residual exceeds threshold: {fit_errors}")
+    k1 = c2["ricci"] / 1.0
+    k2 = c2["scal"] / 1.0
     aniso_val = geos["aniso"].data.II_ring_sq
-    k3_fit = fitted["aniso"] / aniso_val
+    k3_fit = c2["aniso"] / aniso_val
     k3_mom = constants.kappa3
     rel = abs(k3_fit - k3_mom) / abs(k3_mom)
     if rel > _KAPPA3_TOL:
         raise RuntimeError(
-            f"kappa3 mismatch: fit {k3_fit} vs moments {k3_mom} ({rel:.2%})")
+            f"kappa3 mismatch: series {k3_fit} vs moments {k3_mom} ({rel:.2%})")
     return ChannelFitResult(n=n, kappa1=k1, kappa2=k2, kappa3_fit=k3_fit,
                             kappa3_moment=k3_mom, kappa3_rel_err=rel,
                             kappa2_positive=bool(k2 > 0),

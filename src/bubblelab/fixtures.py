@@ -9,8 +9,8 @@ must meet. The comparison payload is canonical JSON (sorted keys, shortest
 round-trip floats), so repeated regenerations are byte-identical.
 
 The GN ground state and its half-space near-optimizer are solved once per
-process and memoized there (``cached_gn_profiles``); nothing is written to
-disk.
+process and memoized there (``cached_gn_ground_state`` and
+``cached_gn_profiles``); nothing is written to disk.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
 from .moments import weighted_moments, escobar_constants, gn_coefficients
 from .energy import _memoized, channel_fit_second_order
 
-__all__ = ["default_fixture_path", "cached_gn_profiles",
+__all__ = ["default_fixture_path", "cached_gn_ground_state", "cached_gn_profiles",
            "regenerate", "verify", "canonical_json"]
 
 SCHEMA_VERSION = 1
@@ -41,15 +41,26 @@ def default_fixture_path() -> Path:
     return Path(__file__).resolve().parents[2] / "fixtures" / "derived.json"
 
 
+def cached_gn_ground_state(n: int, p: float):
+    """GN ground state, solved once per process.
+
+    Memoized in the process-wide LRU of ``energy`` under ("gn-ground", n, p);
+    ``cached_gn_profiles`` and the Euclidean-leading EEP constant of
+    ``dynamics`` read the same entry. A solve that raises stores nothing.
+    """
+    return _memoized(("gn-ground", n, p), lambda: gn_ground_state(n, p))
+
+
 def cached_gn_profiles(n: int, p: float, delta0: float = 0.05,
                        spec: QuadratureSpec = _STD):
     """Ground state and half-space near-optimizer, solved once per process.
 
-    Memoized in the process-wide LRU of ``energy`` under (n, p, delta0, spec);
-    a solve that raises stores nothing.
+    Memoized in the process-wide LRU of ``energy`` under (n, p, delta0, spec),
+    the ground state under its own key (``cached_gn_ground_state``); a solve
+    that raises stores nothing.
     """
     def solve():
-        Q = gn_ground_state(n, p)
+        Q = cached_gn_ground_state(n, p)
         return Q, gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
 
     return _memoized(("gn-profiles", n, p, delta0, spec), solve)

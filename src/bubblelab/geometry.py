@@ -81,7 +81,11 @@ class BoundaryPointData:
         self.n = int(self.n)
         m = self.m
         self.II = _as_matrix(self.II if self.II is not None else np.zeros((m, m)), m)
-        if not np.allclose(self.II, self.II.T, atol=1e-12):
+        # np.allclose's predicate (atol 1e-12, rtol 1e-5; equal infinities
+        # pass, nan fails) without its overhead
+        II, IIt = self.II, self.II.T
+        gap = np.abs(II - IIt)
+        if not (((gap <= 1e-12 + 1e-5 * np.abs(IIt)) & (gap < np.inf)) | (II == IIt)).all():
             raise ValueError("II must be symmetric")
         if self.gradT_II is None:
             self.gradT_II = np.zeros((m, m, m))

@@ -1,4 +1,5 @@
 import math
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.integrate import solve_ivp
 
+from bubblelab import energy, fixtures
 from bubblelab.dynamics import (
     DecayParams, decay_envelope, ode_decay_check, extinction_time_lower,
     eig_competitor_bound, small_window_lambda1, window_ladder,
@@ -223,6 +225,25 @@ class TestODECheck:
         par = DecayParams(n=2, m=0.5, E0=1.0, M0=1.0)
         assert par.C == pytest.approx(euclidean_leading_constant(2, 0.5), rel=1e-9)
         assert par.C > 0
+
+    def test_ground_state_solved_once(self, monkeypatch):
+        # the EEP constant reads the process memo of the ground state alone:
+        # one solve for two parameter sets, and no near-optimizer solve
+        monkeypatch.setattr(energy, "_memo", OrderedDict())
+        solves = []
+
+        def counting(n, p, solve=fixtures.gn_ground_state):
+            solves.append((n, p))
+            return solve(n, p)
+
+        def near_optimizer(*args, **kwargs):
+            raise AssertionError("the EEP constant needs no near-optimizer")
+
+        monkeypatch.setattr(fixtures, "gn_ground_state", counting)
+        monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
+        first = DecayParams(n=2, m=0.5, E0=1.0, M0=1.0)
+        second = DecayParams(n=2, m=0.5, E0=2.0, M0=3.0)
+        assert solves == [(2, 2.0)] and first.C == second.C
 
     def test_kappa_formula(self):
         par = DecayParams(n=2, m=0.5, E0=2.0, M0=3.0, C=1.7)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from collections import OrderedDict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +14,12 @@ from bubblelab.geometry import (BoundaryPointData, InteriorPointData, fermi_jet,
 from bubblelab.energy import (
     BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
     QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
-    deficit_series, channel_fit_second_order, fit_power_series, sphere_average,
-    halfspace_moment_matrix, _ser_mul, _ser_pow,
+    deficit_series, channel_fit_second_order, empirical_slope, fit_power_series,
+    sphere_average, halfspace_moment_matrix, _ser_mul, _ser_pow,
 )
-from bubblelab.moments import weighted_moments
-from bubblelab.profiles import RadialProfile, aubin_talenti, cutoff, gn_exponents, sphere_area
+from bubblelab.moments import escobar_constants, weighted_moments
+from bubblelab.profiles import (RadialProfile, aubin_talenti, beta_function, cutoff, gn_exponents,
+                               sphere_area)
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -112,6 +114,77 @@ class TestSeriesAlgebra:
         ref = _taylor(lambda x: _poly(a, x) / _poly(b, x) ** alpha, K)
         np.testing.assert_allclose(_ser_mul(a, _ser_pow(b, -alpha)), ref, rtol=1e-9,
                                    atol=1e-9 * (1.0 + np.abs(a).max()) * b0 ** -alpha)
+
+    # the exponents the quotient series raise their normalised series to
+    _ALPHAS = ([-2.0 / (2.0 * (n - 1) / (n - 2)) for n in (5, 6, 7)]
+               + [-(n - 1.0) / (n - 2.0) for n in (5, 6, 7)]
+               + [-gn_exponents(n, p)[1] / 2.0 for n, p in ((2, 3.0), (3, 3.0), (3, 4.2))])
+
+    @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-1, 3), Fraction(-4, 3),
+                                       Fraction(5, 2), Fraction(-12, 5)])
+    def test_ser_pow_exact_binomial(self, alpha):
+        # (1 + x)^alpha: the binomial coefficients, exact in rationals
+        ref, c = [], Fraction(1)
+        for k in range(8):
+            ref.append(c)
+            c = c * (alpha - k) / (k + 1)
+        got = _ser_pow(np.array([1.0, 1.0] + [0.0] * 6), float(alpha))
+        np.testing.assert_allclose(got, [float(r) for r in ref], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", _ALPHAS)
+    def test_ser_pow_exact_five_terms(self, alpha):
+        # a0^alpha (1 + u)^alpha = a0^alpha sum_m binom(alpha, m) u^m with
+        # u = a/a0 - 1, in exact rationals (alpha is the float's exact value);
+        # relative to the largest coefficient, since the x^4 one cancels to
+        # ~1e-3 of the others at the first three exponents
+        a = [1.75, -0.5, 0.375, 0.25, -0.125]
+        A, u = Fraction(alpha), [Fraction(0)] + [Fraction(x) / Fraction(a[0]) for x in a[1:]]
+        ref, power, binom = [Fraction(0)] * 5, [Fraction(1)] + [Fraction(0)] * 4, Fraction(1)
+        for m in range(5):
+            ref = [r + binom * p for r, p in zip(ref, power)]
+            power = [sum((power[i] * u[k - i] for i in range(k + 1)), Fraction(0))
+                     for k in range(5)]
+            binom = binom * (A - m) / (m + 1)
+        want = np.array([float(r) for r in ref]) * a[0] ** alpha
+        got = _ser_pow(np.array(a), alpha)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_series_move_against_log_exp(self, monkeypatch, halfspace_profiles, gn23, gn33):
+        # the recurrence against the log/exp-series composition it replaces,
+        # on the normalised series every quotient series raises to a power
+        def log_exp_pow(a, alpha):
+            K, a0 = len(a), a[0]
+            x = a / a0
+            x[0] = 0.0
+            lg, term = np.zeros(K), x.copy()
+            for k in range(1, K):
+                lg += ((-1) ** (k + 1) / k) * term
+                term = _ser_mul(term, x)
+            out, term = np.zeros(K), np.zeros(K)
+            out[0] = term[0] = 1.0
+            for k in range(1, K):
+                term = _ser_mul(term, alpha * lg) / k
+                out += term
+            return out * a0 ** alpha
+
+        models = []
+        for n in (5, 6, 7):
+            for name in ("euclidean-ball", "umbilic-sphere-cap", "h-only", "ricci-only",
+                         "boundary-scal-only", "anisotropic-cylinder-like"):
+                jet = fermi_jet(geometry_catalog(name, n).data, order=2)
+                models.append(HalfspaceEnergyModel(jet, halfspace_profiles[n], 20.0))
+        series = ([m.escobar_series for m in models]
+                  + [m.plain_trace_series for m in models])
+        for Q, Qp, co in (gn23, gn33):
+            jet = fermi_jet(geometry_catalog("euclidean-ball", co.n).data, order=2)
+            series.append(HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p).gn_series)
+            series.append(InteriorEnergyModel(InteriorPointData(n=co.n, scal=1.3), Q,
+                                              20.0).gn_series)
+        now = [f() for f in series]
+        monkeypatch.setattr(energy, "_ser_pow", log_exp_pow)
+        for f, got in zip(series, now):
+            want = f()
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (got, want)
 
 
 _FIELDS = ("tan", "nor", "w2", "w1", "pp", "tr2", "trq", "trq1")
@@ -465,8 +538,7 @@ def _sum_plain_trace(jet, P, M, eps):
     for (i, j), c in P_sca.items():
         a, b = n - 2 + i, j
         vol += (c * sphere_area(n - 2) * r0 ** (a + b + 2) / (a + b + 2)
-                * 0.5 * math.gamma((a + 1) / 2) * math.gamma((b + 1) / 2)
-                / math.gamma((a + b + 2) / 2))
+                * 0.5 * beta_function((a + 1) / 2, (b + 1) / 2))
     cbar = eps ** ((n + 2) / 2.0) * _sum_eval(P_sca, M.w1, eps) / vol
     gauge = -q * cbar * eps ** ((n - 2) / 2.0) * _sum_eval(P_bdy, M.trq1, eps)
     D0, T0 = M.tan[(0, 0)] + M.nor[(0, 0)], M.trq[(0, 0)]
@@ -686,7 +758,6 @@ class TestJetMemo:
                 r[0] = {}
 
     def test_repeated_channel_fit_reduces_no_jet(self, reductions, halfspace_profiles):
-        from bubblelab.moments import escobar_constants
         U = halfspace_profiles[5]
         fits = []
         for R in (40.0, 40.0, 120.0):
@@ -899,6 +970,43 @@ class TestChannelFit:
         with pytest.raises(ValueError):
             channel_fit_second_order(4, halfspace_profiles[4], constants[4])
 
+    @pytest.mark.parametrize("n, R", [(5, 100.0), (6, 40.0), (7, 300.0)])
+    def test_series_matches_dyadic_fit(self, n, R, halfspace_profiles):
+        # c2 read from the series equals a least-squares fit of c2 eps^2 +
+        # c3 eps^3 + c4 eps^4 to six dyadic levels of quadrature deficits
+        U = halfspace_profiles[n]
+        fit = channel_fit_second_order(n, U, escobar_constants(n, weighted_moments(U, R)), R=R)
+        eps = min(4e-3, 0.25 / R) * 0.5 ** np.arange(6)
+        probes = {"kappa1": ("ricci-only", {"value": 1.0}),
+                  "kappa2": ("boundary-scal-only", {"value": 1.0}),
+                  "kappa3_fit": ("anisotropic-cylinder-like", {})}
+        for field_name, (name, kw) in probes.items():
+            data = geometry_catalog(name, n, **kw).data
+            sweep = deficit_series(fermi_jet(data, order=2), U, R, eps)
+            c2 = fit_power_series(eps, sweep.deficits / sweep.reference, (2, 3, 4))[0]
+            channel = data.II_ring_sq if name.startswith("aniso") else 1.0
+            assert c2 / channel == pytest.approx(getattr(fit, field_name), rel=1e-10, abs=0)
+
+    def test_no_jet_warning_at_large_cutoff(self, halfspace_profiles):
+        # the guard level keeps eps 2R <= 1/2 inside the unit chart at every R
+        U = halfspace_profiles[5]
+        C = escobar_constants(5, weighted_moments(U, 500.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = channel_fit_second_order(5, U, C, R=500.0)
+        assert fit.kappa2 == pytest.approx(-0.1875, rel=0.01)
+
+    def test_guard_residual_raises(self, monkeypatch, halfspace_profiles, constants):
+        monkeypatch.setattr(energy, "_FIT_RESIDUAL_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="residual"):
+            channel_fit_second_order(5, halfspace_profiles[5], constants[5], R=40.0)
+
+    def test_details_hold_the_series(self, channel_fit_n5, halfspace_profiles):
+        jet = fermi_jet(geometry_catalog("ricci-only", 5, value=1.0).data, order=2)
+        series = HalfspaceEnergyModel(jet, halfspace_profiles[5], 100.0).escobar_series()
+        assert channel_fit_n5.details["ricci"]["series"] == series.tolist()
+        assert channel_fit_n5.kappa1 == series[1]
+
 
 class TestDiagonalRegime:
     def test_diagonal_sweep_slope(self, halfspace_profiles, constants):
@@ -922,3 +1030,24 @@ class TestDiagonalRegime:
         with pytest.raises(ValueError, match="diagonal"):
             deficit_series(None, halfspace_profiles[5], 30.0, [1e-3],
                            functional="plain-trace", diagonal=True)
+
+
+class TestEmpiricalSlope:
+    def test_matches_least_squares_line(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            eps = np.sort(rng.uniform(1e-4, 1e-1, size=int(rng.integers(2, 7))))
+            err = rng.uniform(0.5, 2.0, size=eps.size) * eps ** rng.uniform(0.5, 3.0)
+            levels = int(rng.integers(2, eps.size + 1))
+            A = np.stack([np.log(eps[:levels]), np.ones(levels)], axis=1)
+            want = np.linalg.lstsq(A, np.log(err[:levels]), rcond=None)[0][0]
+            got = empirical_slope(eps[::-1], -err[::-1], levels=levels)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_zero_errors_dropped_then_nan(self):
+        eps = np.array([1e-3, 2e-3, 4e-3])
+        assert empirical_slope(eps, [0.0, 8e-6, 3.2e-5]) == pytest.approx(2.0, rel=1e-12)
+        assert math.isnan(empirical_slope(eps, [0.0, 0.0, 1e-5]))
+        # only the finest ``levels`` scales count: the coarsest error is ignored
+        eps4 = np.append(eps, 8e-3)
+        assert empirical_slope(eps4, [1e-6, 4e-6, 0.0, 1.0]) == pytest.approx(2.0, rel=1e-12)

@@ -9,7 +9,7 @@ from bubblelab.profiles import RadialProfile, ShootingError
 
 @pytest.fixture
 def solves(monkeypatch):
-    """An empty memo, and stub GN solvers that record each solve."""
+    """An empty memo, and stub GN solvers that record each ground-state solve."""
     monkeypatch.setattr(energy, "_memo", OrderedDict())
     calls = []
 
@@ -26,28 +26,52 @@ def solves(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def near_solves(solves, monkeypatch):
+    """The stub near-optimizer's (spec order, ground state) for each solve."""
+    calls = []
+    stub = fixtures.gn_halfspace_near_optimizer
+
+    def near_optimizer(n, p, delta0, spec, ground_state):
+        calls.append((spec.order, ground_state))
+        return stub(n, p, delta0, spec, ground_state)
+
+    monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
+    return calls
+
+
 class TestProfileMemo:
-    def test_one_solve_per_key(self, solves):
+    def test_one_solve_per_key(self, solves, near_solves):
         Q, Qp = fixtures.cached_gn_profiles(2, 3.0)
         again = fixtures.cached_gn_profiles(2, 3.0)
         assert again[0] is Q and again[1] is Qp
-        assert solves == [(2, 3.0)]
+        assert solves == [(2, 3.0)] and len(near_solves) == 1
         assert Qp.amplitude == fixtures._STD.order and Qp.shift == 0.05
         fixtures.cached_gn_profiles(3, 3.0)
         fixtures.cached_gn_profiles(2, 2.0)
-        _, Qp1 = fixtures.cached_gn_profiles(2, 3.0, delta0=0.1)
-        assert Qp1.shift == 0.1 and len(solves) == 4
+        Q1, Qp1 = fixtures.cached_gn_profiles(2, 3.0, delta0=0.1)
+        # a new delta0 solves a new near-optimizer on the memoized ground state
+        assert Qp1.shift == 0.1 and Q1 is Q and near_solves[-1][1] is Q
+        assert len(solves) == 3 and len(near_solves) == 4
         for args in ((2, 3.0), (3, 3.0), (2, 2.0)):
             fixtures.cached_gn_profiles(*args)
-        assert len(solves) == 4
+        assert len(solves) == 3 and len(near_solves) == 4
 
-    def test_spec_is_a_separate_solve(self, solves):
-        fixtures.cached_gn_profiles(2, 3.0)
+    def test_spec_is_a_separate_solve(self, solves, near_solves):
+        # a new spec solves a new near-optimizer on the memoized ground state
+        Q, _ = fixtures.cached_gn_profiles(2, 3.0)
         Qh, Qph = fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)
-        assert solves == [(2, 3.0), (2, 3.0)]
+        assert solves == [(2, 3.0)] and Qh is Q
+        assert near_solves == [(fixtures._STD.order, Q), (fixtures._HIGH.order, Q)]
         assert Qph.amplitude == fixtures._HIGH.order
-        assert fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)[0] is Qh
-        assert len(solves) == 2
+        assert fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)[1] is Qph
+        assert len(solves) == 1 and len(near_solves) == 2
+
+    def test_ground_state_shared(self, solves, near_solves):
+        Q = fixtures.cached_gn_ground_state(2, 3.0)
+        assert fixtures.cached_gn_ground_state(2, 3.0) is Q and not near_solves
+        assert fixtures.cached_gn_profiles(2, 3.0)[0] is Q
+        assert solves == [(2, 3.0)] and near_solves == [(fixtures._STD.order, Q)]
 
     def test_failed_solve_stores_nothing(self, solves, monkeypatch):
         def failing(n, p):

@@ -25,6 +25,25 @@ class TestBoundaryPointData:
         with pytest.raises(ValueError, match="symmetric"):
             BoundaryPointData(n=4, II=np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    def test_symmetry_tolerance_boundary(self):
+        # the np.allclose predicate: |II - II^T| <= 1e-12 + 1e-5 |II^T|
+        II = np.diag([1.0, 2.0, 3.0])
+        II[1, 0] = 1e-13
+        BoundaryPointData(n=4, II=II)
+        for gap in (1e-6, 1e-11):   # past atol, and rtol scales the zero partner
+            II[1, 0] = gap
+            with pytest.raises(ValueError, match="symmetric"):
+                BoundaryPointData(n=4, II=II)
+        big = 1e8 * np.array([[1.0, 2.0], [2.0, 1.0]])
+        for gap, ok in ((1e-4, True), (1.5e3, True), (2.5e3, False)):   # rtol 1e-5 of 2e8
+            II = big.copy()
+            II[0, 1] += gap
+            if ok:
+                BoundaryPointData(n=3, II=II)
+            else:
+                with pytest.raises(ValueError, match="symmetric"):
+                    BoundaryPointData(n=3, II=II)
+
     def test_trace_and_ring(self):
         d = rng_data(5)
         assert d.H == pytest.approx(np.trace(d.II), abs=1e-12)
