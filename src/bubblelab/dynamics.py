@@ -33,9 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import fde_exponents, FDEExponents
+from .moments import fde_exponents, FDEExponents, gn_untruncated_moments, weinstein_quotient
 from .fixtures import cached_gn_ground_state
-from .profiles import weinstein_quotient_fullspace
 from .quadrature import QuadratureSpec, DEFAULT_QUAD, _gl_nodes
 
 __all__ = [
@@ -53,7 +52,7 @@ def euclidean_leading_constant(n: int, m: float,
         raise ValueError(
             f"euclidean-leading mode needs m > (n-2)/(n+2); got m={m}, n={n}")
     Q = cached_gn_ground_state(n, p)
-    return weinstein_quotient_fullspace(Q, spec)
+    return weinstein_quotient(gn_untruncated_moments(Q, spec), p)
 
 
 @dataclass

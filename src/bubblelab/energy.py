@@ -14,15 +14,16 @@ coefficients of the quotient in eps come from the same numbers, which is
 what the estimator error-rate tests use as ground truth.
 
 One engine, ``halfspace_moment_matrix``, computes every truncated moment in
-the package: the half-space and interior matrices of the models below and
-the truncated moment tables and GN boundary moments of ``moments``.
+the package: the half-space and interior matrices of the models below, and
+the truncated moment tables and every GN norm of ``moments`` (the
+untruncated GN norms are a radial matrix cut off deep in the e^(-r) tail).
 
 The matrix does not depend on the jet, so the engine memoizes it in a
 process-wide LRU of ``_MEMO_CAP`` entries keyed by (profile fingerprint, R,
 spec, p_exponent, t_offset). The fingerprint covers every field that profile
 evaluation reads (scalars plus a digest of the tabulated arrays, not
 ``meta``), so an equal profile hits whatever its ``meta`` holds: a copy
-with equal arrays, or ``normalized()`` of the unit-amplitude closed form. A
+with equal arrays, or a closed form rebuilt with the same amplitude. A
 build that raises is not stored. Cached arrays are read-only because every
 model with the same key shares them. The GN profiles of
 ``fixtures.cached_gn_profiles`` use the same memo.
@@ -739,8 +740,8 @@ class HalfspaceEnergyModel:
 
     @cached_property
     def _flat_gn(self) -> float:
-        al, be = gn_exponents(self.n, self.p_exponent)
-        return self.M.pp[0, 0] / (self.M.w2[0, 0] ** (al / 2.0) * self._J0 ** (be / 2.0))
+        from .moments import weinstein_quotient   # moments imports this module
+        return weinstein_quotient(self.M, self.p_exponent)
 
     def gn_series(self, order: int = 3) -> np.ndarray:
         """Relative Taylor coefficients of W(eps)/W(0) - 1."""

@@ -8,8 +8,8 @@ produced it, at what resolution, when, and the tolerance the verify pass
 must meet. The comparison payload is canonical JSON (sorted keys, shortest
 round-trip floats), so repeated regenerations are byte-identical.
 
-The GN ground state and its half-space near-optimizer are solved once per
-process and memoized there (``cached_gn_ground_state`` and
+The GN ground state is solved, and its half-space near-optimizer built, once
+per process and memoized there (``cached_gn_ground_state`` and
 ``cached_gn_profiles``); nothing is written to disk.
 """
 from __future__ import annotations
@@ -51,19 +51,19 @@ def cached_gn_ground_state(n: int, p: float):
     return _memoized(("gn-ground", n, p), lambda: gn_ground_state(n, p))
 
 
-def cached_gn_profiles(n: int, p: float, delta0: float = 0.05,
-                       spec: QuadratureSpec = _STD):
-    """Ground state and half-space near-optimizer, solved once per process.
+def cached_gn_profiles(n: int, p: float):
+    """Ground state and the half-space near-optimizer built from it, once per
+    process.
 
-    Memoized in the process-wide LRU of ``energy`` under (n, p, delta0, spec),
-    the ground state under its own key (``cached_gn_ground_state``); a solve
-    that raises stores nothing.
+    Memoized in the process-wide LRU of ``energy`` under (n, p), the ground
+    state under its own key (``cached_gn_ground_state``); a solve that raises
+    stores nothing.
     """
     def solve():
         Q = cached_gn_ground_state(n, p)
-        return Q, gn_halfspace_near_optimizer(n, p, delta0, spec, ground_state=Q)
+        return Q, gn_halfspace_near_optimizer(Q)
 
-    return _memoized(("gn-profiles", n, p, delta0, spec), solve)
+    return _memoized(("gn-profiles", n, p), solve)
 
 
 def canonical_json(obj) -> str:
@@ -94,7 +94,7 @@ def _compute_entries(spec: QuadratureSpec) -> dict:
             put("channel_fit/n=5/kappa3", fit.kappa3_fit, 1e-4)
 
     for (n, p) in ((2, 3.0), (3, 3.0)):
-        Q, Qp = cached_gn_profiles(n, p, spec=spec)
+        Q, Qp = cached_gn_profiles(n, p)
         co = gn_coefficients(n, p, Q, Qp, R=20.0, spec=spec)
         put(f"gn/n={n}/p={p}/C_star", co.C_star, 1e-6)
         put(f"gn/n={n}/p={p}/kappa_int", co.kappa_int, 1e-6)

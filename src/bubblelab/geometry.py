@@ -87,6 +87,8 @@ class BoundaryPointData:
         gap = np.abs(II - IIt)
         if not (((gap <= 1e-12 + 1e-5 * np.abs(IIt)) & (gap < np.inf)) | (II == IIt)).all():
             raise ValueError("II must be symmetric")
+        # store the symmetric part: exact, (a + a)/2 = a, for symmetric input
+        self.II = 0.5 * (II + IIt)
         if self.gradT_II is None:
             self.gradT_II = np.zeros((m, m, m))
         if self.gradT_H is None:

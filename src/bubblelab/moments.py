@@ -14,7 +14,8 @@ Everything here is built from the model profiles:
   plain-trace first-order coefficient Theta/2;
 * Gagliardo-Nirenberg curvature coefficients kappa_int / kappa_bdy from the
   (normalized) second and first vertical moments of the ground state and the
-  half-space near-optimizer;
+  half-space near-optimizer, and the Weinstein quotient of a moment matrix,
+  which gives the sharp constant C* and the near-optimizer's quotient;
 * fast-diffusion exponents theta_m, alpha_{n,m}, beta_{n,m}.
 """
 from __future__ import annotations
@@ -27,16 +28,16 @@ from typing import Optional
 import numpy as np
 
 from .energy import halfspace_moment_matrix
-from .profiles import (RadialProfile, beta_function, sphere_area, gn_exponents,
-                       weinstein_quotient_fullspace)
-from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_ray
+from .profiles import RadialProfile, ShootingError, beta_function, sphere_area, gn_exponents
+from .quadrature import QuadratureSpec, DEFAULT_QUAD
 
 __all__ = [
     "MomentTable", "EscobarConstants", "GNCoefficients", "FDEExponents",
     "LogDivergentMoment", "IdentityReport", "ConstantsMismatch",
     "weighted_moments", "verify_harmonic_identities", "second_moment_identity",
     "escobar_scales", "escobar_constants", "gn_coefficients", "fde_exponents",
-    "kappa_int_from_moments", "kappa_bdy_from_moments",
+    "kappa_int_from_moments", "kappa_bdy_from_moments", "gn_untruncated_moments",
+    "weinstein_quotient",
 ]
 
 
@@ -307,37 +308,53 @@ class GNCoefficients:
             "m1_pp", "m1_2", "m1_grad", "m1_grad_tan")}
 
 
+# Beyond tail_r0 = L the GN ground state is its Bessel-K tail, which decays
+# like e^(-r); L = 14 unless p is near 1, where the profile decays slower and
+# the solve stretches L. A cutoff at R = L + 6 (R = 20 when L = 14) leaves
+# Q(R) <= 2.1e-9 Q(0) for 1.1 <= p <= 5 at n = 2 and 3, so it acts only where
+# Q^2 < 1e-17 Q(0)^2: the radial matrix at R = L + 6 holds the untruncated GN
+# moments to rounding (within 4.4e-16 relative of a cutoff 20 further out).
+_GN_TAIL_MARGIN = 6.0
+# the near-optimizer's largest accepted deficit, in absolute form W >= C* - delta0
+_GN_DELTA0 = 0.05
+
+
+def gn_untruncated_moments(Q: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD):
+    """The untruncated GN moments of the ground state Q: its radial moment
+    matrix at R = Q.tail_r0 + 6, with the L^(p+1) weight."""
+    return halfspace_moment_matrix(Q, Q.tail_r0 + _GN_TAIL_MARGIN, spec, p_exponent=Q.p)
+
+
+def weinstein_quotient(M, p: float) -> float:
+    """I_pp / (I_2^(alpha/2) J^(beta/2)) from the [0, 0] entries pp, w2 and
+    tan + nor of a moment matrix built with ``p_exponent = p``."""
+    alpha, beta = gn_exponents(M.n, p)
+    return M.pp[0, 0] / (M.w2[0, 0] ** (alpha / 2.0)
+                         * (M.tan[0, 0] + M.nor[0, 0]) ** (beta / 2.0))
+
+
 def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
                     R: float = 20.0, spec: QuadratureSpec = DEFAULT_QUAD) -> GNCoefficients:
     """Curvature coefficients kappa_int / kappa_bdy and the sharp constant.
 
     Interior second moments are normalized by n * I; boundary first vertical
     moments are normalized by the matching truncated integral of P_R = chi_R Q+.
+    The interior moments and C* come from ``gn_untruncated_moments``, the
+    boundary moments and W_flat_halfspace from the cutoff-R half-space matrix
+    of Q+; ``errors`` holds their two-resolution differences. Raises
+    ShootingError when W_flat_halfspace < C* - delta0, delta0 = 0.05.
     """
     if Q.kind != "gn-ground-state" or Qplus.kind != "gn-halfspace-near-optimizer":
         raise ValueError("gn_coefficients expects (ground state, half-space near-optimizer)")
     alpha, beta = gn_exponents(n, p)
-    om_n = sphere_area(n - 1)
-    rmax = Q.grid[-1]
-
-    def ray(fn, label, errs):
-        val, err = integrate_ray(fn, spec, inner=rmax, decay=4.0, with_error=True)
-        errs[label] = err
-        if not np.isfinite(val) or (abs(val) > 0 and err > 1e-6 * abs(val)):
-            # the tail past rmax is far below 1e-6 of each integral, so a
-            # failure here is the head quadrature's
-            raise RuntimeError(
-                f"GN moment '{label}' under-resolved on [0, {rmax:.4g}]: two-resolution "
-                f"difference {err:.3g} exceeds 1e-6 of its value {val:.6g}")
-        return val
-
-    errs: dict = {}
-    Ipp = ray(lambda r: om_n * Q.value(r) ** (p + 1) * r ** (n - 1), "I_pp", errs)
-    I2 = ray(lambda r: om_n * Q.value(r) ** 2 * r ** (n - 1), "I_2", errs)
-    Jg = ray(lambda r: om_n * Q.grad(r) ** 2 * r ** (n - 1), "J_grad", errs)
-    Mpp = ray(lambda r: om_n * r ** 2 * Q.value(r) ** (p + 1) * r ** (n - 1), "M_pp", errs) / (n * Ipp)
-    M2 = ray(lambda r: om_n * r ** 2 * Q.value(r) ** 2 * r ** (n - 1), "M_2", errs) / (n * I2)
-    Mgr = ray(lambda r: om_n * r ** 2 * Q.grad(r) ** 2 * r ** (n - 1), "M_grad", errs) / (n * Jg)
+    full = gn_untruncated_moments(Q, spec)
+    # radial matrix: column 0 holds the moments of r^0 and r^2
+    (Ipp, Mpp), (I2, M2), (Jg, Mgr) = (a[0:3:2, 0].tolist() for a in (full.pp, full.w2, full.tan))
+    d = full.delta
+    errs = {label: abs(float(d[name][i, 0])) for label, name, i in (
+        ("I_pp", "pp", 0), ("I_2", "w2", 0), ("J_grad", "tan", 0),
+        ("M_pp", "pp", 2), ("M_2", "w2", 2), ("M_grad", "tan", 2))}
+    Mpp, M2, Mgr = Mpp / (n * Ipp), M2 / (n * I2), Mgr / (n * Jg)
 
     bdy = halfspace_moment_matrix(Qplus, R, spec, p_exponent=p, t_offset=Qplus.shift)
     (ippR, y_ipp), (i2R, y_i2), (jgR, y_jg), (_, y_jgtan) = (
@@ -348,10 +365,14 @@ def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
     errs["boundary"] = float(max(np.abs(a[0, :2]).max()
                                  for a in (d["pp"], d["w2"], d["tan"] + d["nor"], d["tan"])))
 
+    cstar = weinstein_quotient(full, p)
+    wflat = weinstein_quotient(bdy, p)
+    if wflat < cstar - _GN_DELTA0:
+        raise ShootingError(
+            f"half-space near-optimizer misses its deficit target at R={R}: "
+            f"W = {wflat:.6g} < C* - delta0 = {cstar:.6g} - {_GN_DELTA0}")
     kint = kappa_int_from_moments(Mpp, M2, Mgr, alpha, beta)
     kbdy = kappa_bdy_from_moments(m1_pp, m1_2, m1_gt, m1_g, alpha, beta, n)
-    cstar = weinstein_quotient_fullspace(Q, spec)
-    wflat = ippR / (i2R ** (alpha / 2.0) * jgR ** (beta / 2.0))
     return GNCoefficients(n=n, p=p, alpha=alpha, beta=beta, C_star=cstar,
                           W_flat_halfspace=wflat, I_pp=Ipp, I_2=I2, J_grad=Jg,
                           M_pp=Mpp, M_2=M2, M_grad=Mgr, m1_pp=m1_pp, m1_2=m1_2,

@@ -16,8 +16,8 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
   tabulated profile is a quintic Hermite spline evaluated in numpy from its
   Bernstein coefficients, and K_nu (the Robin row and the tail) is evaluated
   in numpy too, so the module needs no scipy.
-* gn-halfspace-near-optimizer: Q shifted off the wall and multiplied by a
-  smooth ramp vanishing on {t = 0}; carries its achieved quotient.
+* gn-halfspace-near-optimizer: Q centered at depth 2 and multiplied by the
+  ramp tanh(t), which vanishes on {t = 0}.
 
 Each kind's formula is written once, in ``RadialProfile._fields``, which
 returns the value and the gradient from one evaluation; ``value`` and
@@ -30,19 +30,16 @@ read-only views), so the memo and every caller can share one instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
-from .quadrature import QuadratureSpec, DEFAULT_QUAD, integrate_halfplane_polar, integrate_ray
-
 __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
     "escobar_halfspace_optimizer", "aubin_talenti", "gn_ground_state",
     "gn_halfspace_near_optimizer", "cutoff", "sphere_area", "beta_function", "gn_exponents",
-    "weinstein_quotient_fullspace", "weinstein_quotient_halfspace",
 ]
 
 
@@ -51,8 +48,8 @@ class MomentDivergentDimension(ValueError):
 
 
 class ShootingError(RuntimeError):
-    """Raised when the radial collocation solve cannot converge, or when a
-    near-optimizer ladder misses its target."""
+    """Raised when the radial collocation solve cannot converge, or when the
+    half-space near-optimizer misses its deficit target (``moments.gn_coefficients``)."""
 
 
 def sphere_area(k: int) -> float:
@@ -198,7 +195,6 @@ class RadialProfile:
     tail_coeff: float = 0.0
     tail_r0: float = 0.0
     shift: float = 0.0
-    achieved_quotient: Optional[float] = None
     meta: dict = field(default_factory=dict)
     # interpolant of the tabulated data and its derivative, built once here
     _sp: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
@@ -271,18 +267,6 @@ class RadialProfile:
             return u, gr, gt
         raise ValueError(self.kind)
 
-    def normalized(self, spec: QuadratureSpec = DEFAULT_QUAD) -> "RadialProfile":
-        """Amplitude-rescaled copy with unit Dirichlet norm.
-
-        The closed-form kinds are built normalized; for GN kinds the quotient
-        is amplitude-invariant, so this is a gauge fix only. Rescaling is one
-        exact Newton step on the amplitude (the norm is quadratic in it).
-        """
-        import dataclasses
-        norm_sq = self.dirichlet_norm_sq(spec)
-        return dataclasses.replace(
-            self, amplitude=self.amplitude / math.sqrt(norm_sq), meta={})
-
     def _radial(self, r, derivs: bool = True):
         """(max(Q, 0), Q') at |r|, Q' None unless ``derivs``: the interpolant
         on the grid, located once for both splines, and the Bessel-K tail
@@ -302,8 +286,8 @@ class RadialProfile:
         qp[outside] = _bessel_tail(self.n, self.tail_coeff, far, deriv=True)
         return np.maximum(q, 0.0), qp
 
-    # -- norms (used by normalization and tests) ----------------------------
-    def dirichlet_norm_sq(self, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+    # -- norms (closed forms) ------------------------------------------------
+    def dirichlet_norm_sq(self) -> float:
         """Full-domain ||grad||_L2^2 (half-space or R^n according to kind)."""
         n = self.n
         if self.kind == "escobar-halfspace":
@@ -314,22 +298,8 @@ class RadialProfile:
             # dilation invariant: c^2 (n-2)^2 |S^(n-1)| int r^(n+1) (1 + r^2)^(-n) dr
             return (self.amplitude ** 2 * (n - 2) ** 2 * sphere_area(n - 1)
                     * 0.5 * beta_function((n + 2) / 2.0, (n - 2) / 2.0))
-        if self.kind == "gn-ground-state":
-            om = sphere_area(n - 1)
-
-            def f(r):
-                return om * self.grad(r) ** 2 * r ** (n - 1)
-
-            return float(integrate_ray(f, spec, inner=self.grid[-1], decay=4.0))
-        if self.kind == "gn-halfspace-near-optimizer":
-            om = sphere_area(n - 2)
-
-            def f(r, t):
-                gr, gt = self.grad(r, t)
-                return om * (gr ** 2 + gt ** 2) * r ** (n - 2)
-
-            return integrate_halfplane_polar(f, spec, rho_inner=self.grid[-1] + self.shift, decay=6.0)
-        raise ValueError(self.kind)
+        # the GN norms are moments of the engine (``moments.gn_coefficients``)
+        raise ValueError(f"no closed-form Dirichlet norm for kind {self.kind}")
 
 
 # --------------------------------------------------------------------------
@@ -633,46 +603,26 @@ def gn_ground_state(n: int, p: float) -> RadialProfile:
                          meta={"Q0": b, "residual": residual})
 
 
-def gn_halfspace_near_optimizer(n: int, p: float, delta0: float,
-                                spec: QuadratureSpec = DEFAULT_QUAD,
-                                shifts=(2.0, 4.0, 8.0, 16.0),
-                                ground_state: Optional[RadialProfile] = None) -> RadialProfile:
-    """Dirichlet near-optimizer on the half-space from a shifted, ramped Q.
+# depth of the near-optimizer's center: its relative Weinstein deficit
+# (C* - W)/C* is 0.09-5.8% at p in {1.1, 1.5, 2, 3, 5, 8, 10, 15} for n = 2
+# and {1.1, 1.5, 2, 3, 4, 4.5, 4.8} for n = 3, within the absolute bound
+# W >= C* - 0.05 that ``moments.gn_coefficients`` checks.
+_NEAR_OPTIMIZER_SHIFT = 2.0
 
-    Walks the shift ladder and returns the first profile whose Weinstein
-    quotient is within delta0 of the Euclidean sharp value (relative form
-    W >= C* - delta0); fails if the largest shift does not reach the target.
+
+def gn_halfspace_near_optimizer(Q: RadialProfile) -> RadialProfile:
+    """Dirichlet near-optimizer on the half-space: Q(|(r, t - 2)|) tanh(t).
+
+    Shares the ground state's tabulated arrays.
     """
-    if delta0 <= 0:
-        raise ValueError("delta0 must be positive")
-    Q = ground_state if ground_state is not None else gn_ground_state(n, p)
-    cstar = weinstein_quotient_fullspace(Q, spec)
-
-    best = None
-    quotients = []
-    for s in shifts:
-        prof = RadialProfile(kind="gn-halfspace-near-optimizer", n=Q.n, amplitude=1.0,
-                             p=Q.p, grid=Q.grid, values=Q.values, derivs=Q.derivs,
-                             derivs2=Q.derivs2, tail_coeff=Q.tail_coeff,
-                             tail_r0=Q.tail_r0, shift=float(s),
-                             meta={"Q0": Q.meta.get("Q0")})
-        w = weinstein_quotient_halfspace(prof, spec)
-        quotients.append((s, w))
-        best = RadialProfile(kind="gn-halfspace-near-optimizer", n=Q.n, amplitude=1.0,
-                             p=Q.p, grid=Q.grid, values=Q.values, derivs=Q.derivs,
-                             derivs2=Q.derivs2, tail_coeff=Q.tail_coeff,
-                             tail_r0=Q.tail_r0, shift=float(s), achieved_quotient=w,
-                             meta={"Q0": Q.meta.get("Q0"), "cstar": cstar,
-                                   "ladder": quotients})
-        if w >= cstar - delta0:
-            return best
-    raise ShootingError(
-        f"target deficit {delta0} not reached at maximum shift {shifts[-1]}: "
-        f"ladder {quotients}, C* = {cstar}")
+    if Q.kind != "gn-ground-state":
+        raise ValueError("the near-optimizer is built from the GN ground state")
+    return replace(Q, kind="gn-halfspace-near-optimizer", shift=_NEAR_OPTIMIZER_SHIFT,
+                   meta={"Q0": Q.meta.get("Q0")})
 
 
 # --------------------------------------------------------------------------
-# Weinstein quotients of the bare profiles (flat space, no cutoff)
+# GN exponents and the ODE residual
 # --------------------------------------------------------------------------
 
 def gn_exponents(n: int, p: float) -> tuple[float, float]:
@@ -687,37 +637,3 @@ def gn_ode_residual(Q: RadialProfile, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     q = np.maximum(Q._sp(r), 0.0)
     return -Q._dsp.derivative()(r) - (Q.n - 1) / r * Q._dsp(r) + q - q ** Q.p
-
-
-def weinstein_quotient_fullspace(Q: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    n, p = Q.n, Q.p
-    om = sphere_area(n - 1)
-    rmax = Q.grid[-1]
-
-    def make(power):
-        def f(r):
-            return om * Q.value(r) ** power * r ** (n - 1)
-        return f
-
-    ipp = integrate_ray(make(p + 1), spec, inner=rmax, decay=4.0)
-    i2 = integrate_ray(make(2), spec, inner=rmax, decay=4.0)
-    jg = Q.dirichlet_norm_sq(spec)
-    al, be = gn_exponents(n, p)
-    return float(ipp / (i2 ** (al / 2.0) * jg ** (be / 2.0)))
-
-
-def weinstein_quotient_halfspace(Qp: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    n, p = Qp.n, Qp.p
-    om = sphere_area(n - 2)
-    rho = Qp.grid[-1] + Qp.shift
-
-    def make(power):
-        def f(r, t):
-            return om * Qp.value(r, t) ** power * r ** (n - 2)
-        return f
-
-    ipp = integrate_halfplane_polar(make(p + 1), spec, rho_inner=rho, decay=6.0)
-    i2 = integrate_halfplane_polar(make(2), spec, rho_inner=rho, decay=6.0)
-    jg = Qp.dirichlet_norm_sq(spec)
-    al, be = gn_exponents(n, p)
-    return float(ipp / (i2 ** (al / 2.0) * jg ** (be / 2.0)))

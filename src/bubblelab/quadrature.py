@@ -2,8 +2,8 @@
 
 All bulk integrals reduce to 1D or 2D weighted integrals after the angular
 variables are averaged out analytically (profiles are tangentially radial),
-so the only machinery needed is tensor Gauss-Legendre on dyadic panels plus
-an algebraic compactification for integrals over [0, inf).
+so the only machinery needed is tensor Gauss-Legendre on dyadic panels. Every
+integrand is cut off at a finite radius, so no rule covers [0, inf).
 
 Error estimates are two-resolution differences (panel count doubled), per
 the convergence convention used throughout: a value is converged when the
@@ -74,67 +74,3 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
-
-
-def integrate_1d(f, xmax: float, spec: QuadratureSpec = DEFAULT_QUAD):
-    """integral of f(x) over [0, xmax]."""
-    x, w = grid_1d(0.0, xmax, spec.order, spec.subdiv)
-    return np.einsum("i,i...->...", w, np.asarray(f(x)))
-
-
-def integrate_radial_tail(f, x0: float, decay: float,
-                          spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """integral of f(x) over [x0, inf) for f ~ x^(-decay), decay > 1.
-
-    Substitutes x = x0/u, mapping the tail onto u in (0, 1]; for integrands
-    with a 1/x-power series at infinity the result is u^(decay-2) times a
-    smooth series in u, which panelled GL resolves to near machine precision
-    whenever decay is an integer (all tails in this package are).
-    """
-    if decay <= 1.0:
-        raise ValueError("tail integral requires decay exponent > 1")
-    u, w = grid_1d(0.0, 1.0, spec.order, max(2, spec.subdiv), base=0.125)
-    x = x0 / u
-    jac = x0 / u ** 2
-    return float(np.sum(w * f(x) * jac))
-
-
-def integrate_halfplane_polar(f, spec: QuadratureSpec = DEFAULT_QUAD,
-                              rho_inner: float = 16.0, decay: float | None = None) -> float:
-    """integral over the quarter plane {r >= 0, t >= 0} of f(r, t).
-
-    Polar coordinates (rho, phi): inner disk by panelled GL, tail in rho by the
-    algebraic substitution of ``integrate_radial_tail`` (requires the radial
-    decay exponent of rho -> f along rays, inclusive of any r^k weights already
-    in f, to satisfy decay - 1 > 1 so the full integral converges).
-    """
-    if decay is None:
-        raise ValueError("decay exponent required for half-plane integrals")
-
-    phi, wphi = grid_1d(0.0, np.pi / 2.0, spec.order, spec.subdiv, base=np.pi)
-    c, s = np.cos(phi), np.sin(phi)
-
-    rho, wrho = grid_1d(0.0, rho_inner, spec.order, spec.subdiv)
-    inner = np.einsum("i,j,ij->", wrho, wphi, f(np.outer(rho, c), np.outer(rho, s)) * rho[:, None])
-
-    def radial(x):
-        return np.einsum("j,ij->i", wphi, f(np.outer(x, c), np.outer(x, s))) * x
-
-    return float(inner + integrate_radial_tail(radial, rho_inner, decay - 1.0, spec))
-
-
-def integrate_ray(f, spec: QuadratureSpec = DEFAULT_QUAD, inner: float = 16.0,
-                  decay: float | None = None, with_error: bool = False):
-    """integral of f(x) over [0, inf) with algebraic tail of exponent ``decay``."""
-    if decay is None:
-        raise ValueError("decay exponent required for ray integrals")
-
-    def run(sp: QuadratureSpec) -> float:
-        head = float(integrate_1d(f, inner, sp))
-        return head + integrate_radial_tail(f, inner, decay, sp)
-
-    coarse = run(spec)
-    if not with_error:
-        return coarse
-    fine = run(spec.refined())
-    return fine, abs(fine - coarse)

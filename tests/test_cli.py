@@ -144,9 +144,14 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("args", [["moments", "--n", "200", "--R", "20"],
-                                      ["moments", "--n", "400"]], ids=" ".join)
+                                      ["moments", "--n", "400"],
+                                      ["dynamics", "fde", "--n", "2", "--m", "0.0667"],
+                                      ["estimate", "--target", "scal", "--n", "2", "--R", "1"]],
+                             ids=" ".join)
     def test_large_dimension_exits_3(self, args, capsys):
-        # the moment matrix turns nan at n = 200; |S^(n-2)| overflows at n = 400
+        # the moment matrix turns nan at n = 200; |S^(n-2)| overflows at n = 400;
+        # C* of the concentrated (2, 15) ground state is under-resolved at the
+        # default spec; at R = 1 the cut-off near-optimizer has W < C* - 0.05
         assert main(args) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
 

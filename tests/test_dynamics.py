@@ -226,6 +226,12 @@ class TestODECheck:
         assert par.C == pytest.approx(euclidean_leading_constant(2, 0.5), rel=1e-9)
         assert par.C > 0
 
+    @pytest.mark.parametrize("case", ["gn23", "gn33"])
+    def test_euclidean_constant_is_the_sharp_constant(self, case, request):
+        # C*(n, p = 1/m) is the C_star of gn_coefficients, bit for bit
+        co = request.getfixturevalue(case)[2]
+        assert euclidean_leading_constant(co.n, 1.0 / co.p) == co.C_star
+
     def test_ground_state_solved_once(self, monkeypatch):
         # the EEP constant reads the process memo of the ground state alone:
         # one solve for two parameter sets, and no near-optimizer solve

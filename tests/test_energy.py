@@ -17,9 +17,9 @@ from bubblelab.energy import (
     deficit_series, channel_fit_second_order, empirical_slope, fit_power_series,
     sphere_average, halfspace_moment_matrix, _ser_mul, _ser_pow,
 )
-from bubblelab.moments import escobar_constants, weighted_moments
-from bubblelab.profiles import (RadialProfile, aubin_talenti, beta_function, cutoff, gn_exponents,
-                               sphere_area)
+from bubblelab.moments import escobar_constants, weighted_moments, weinstein_quotient
+from bubblelab.profiles import (RadialProfile, aubin_talenti, beta_function, cutoff,
+                                escobar_halfspace_optimizer, gn_exponents, sphere_area)
 from bubblelab.quadrature import QuadratureSpec, grid_1d
 
 EPS6 = 1e-2 * 0.5 ** np.arange(6)
@@ -428,11 +428,12 @@ class TestMatrixMemo:
     def test_normalized_and_reloaded_copies_hit(self, builds, halfspace_profiles, gn23):
         U = halfspace_profiles[5]
         M = halfspace_moment_matrix(U, 20.0)
-        raw = dataclasses.replace(U, amplitude=1.0, meta={"note": "ignored"})
-        assert halfspace_moment_matrix(raw.normalized(), 20.0) is M
-        # re-normalizing moves the amplitude by a few ulps: a different key
-        assert U.normalized().amplitude != U.amplitude
-        halfspace_moment_matrix(U.normalized(), 20.0)
+        # a freshly normalized copy has the same amplitude; meta is not read
+        fresh = dataclasses.replace(escobar_halfspace_optimizer(5), meta={"note": "ignored"})
+        assert halfspace_moment_matrix(fresh, 20.0) is M
+        # an amplitude one ulp away is a different key
+        halfspace_moment_matrix(dataclasses.replace(U, amplitude=np.nextafter(U.amplitude, 2.0)),
+                                20.0)
         assert len(builds) == 2
         Qp = gn23[1]
         B = halfspace_moment_matrix(Qp, 20.0, p_exponent=3.0, t_offset=Qp.shift)
@@ -893,9 +894,10 @@ class TestGNQuotients:
         Q, Qp, co = gn23
         jet = fermi_jet(BoundaryPointData(n=2), order=2, chart_radius=2.0)
         m = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=3.0)
-        assert m.flat_gn() == pytest.approx(co.W_flat_halfspace, rel=1e-9)
+        assert m.flat_gn() == co.W_flat_halfspace
         # cutoff barely moves the quotient for exponentially decaying profiles
-        assert m.flat_gn() == pytest.approx(Qp.achieved_quotient, rel=1e-6)
+        deep = halfspace_moment_matrix(Qp, 40.0, p_exponent=3.0, t_offset=Qp.shift)
+        assert m.flat_gn() == pytest.approx(weinstein_quotient(deep, 3.0), rel=1e-6)
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
     def test_boundary_slope(self, case, request):

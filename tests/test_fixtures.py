@@ -17,9 +17,9 @@ def solves(monkeypatch):
         calls.append((n, p))
         return RadialProfile(kind="gn-ground-state", n=n, amplitude=1.0, p=p)
 
-    def near_optimizer(n, p, delta0, spec, ground_state):
-        return RadialProfile(kind="gn-halfspace-near-optimizer", n=n,
-                             amplitude=float(spec.order), p=p, shift=delta0)
+    def near_optimizer(Q):
+        return RadialProfile(kind="gn-halfspace-near-optimizer", n=Q.n,
+                             amplitude=1.0, p=Q.p, shift=2.0)
 
     monkeypatch.setattr(fixtures, "gn_ground_state", ground_state)
     monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
@@ -28,13 +28,13 @@ def solves(monkeypatch):
 
 @pytest.fixture
 def near_solves(solves, monkeypatch):
-    """The stub near-optimizer's (spec order, ground state) for each solve."""
+    """The ground state of each stub near-optimizer built."""
     calls = []
     stub = fixtures.gn_halfspace_near_optimizer
 
-    def near_optimizer(n, p, delta0, spec, ground_state):
-        calls.append((spec.order, ground_state))
-        return stub(n, p, delta0, spec, ground_state)
+    def near_optimizer(Q):
+        calls.append(Q)
+        return stub(Q)
 
     monkeypatch.setattr(fixtures, "gn_halfspace_near_optimizer", near_optimizer)
     return calls
@@ -42,36 +42,24 @@ def near_solves(solves, monkeypatch):
 
 class TestProfileMemo:
     def test_one_solve_per_key(self, solves, near_solves):
+        # the key is (n, p): one ground-state solve and one near-optimizer each
         Q, Qp = fixtures.cached_gn_profiles(2, 3.0)
         again = fixtures.cached_gn_profiles(2, 3.0)
         assert again[0] is Q and again[1] is Qp
-        assert solves == [(2, 3.0)] and len(near_solves) == 1
-        assert Qp.amplitude == fixtures._STD.order and Qp.shift == 0.05
+        assert solves == [(2, 3.0)] and near_solves == [Q]
+        assert Qp.p == 3.0 and Qp.shift == 2.0
         fixtures.cached_gn_profiles(3, 3.0)
         fixtures.cached_gn_profiles(2, 2.0)
-        Q1, Qp1 = fixtures.cached_gn_profiles(2, 3.0, delta0=0.1)
-        # a new delta0 solves a new near-optimizer on the memoized ground state
-        assert Qp1.shift == 0.1 and Q1 is Q and near_solves[-1][1] is Q
-        assert len(solves) == 3 and len(near_solves) == 4
+        assert len(solves) == 3 and len(near_solves) == 3
         for args in ((2, 3.0), (3, 3.0), (2, 2.0)):
             fixtures.cached_gn_profiles(*args)
-        assert len(solves) == 3 and len(near_solves) == 4
-
-    def test_spec_is_a_separate_solve(self, solves, near_solves):
-        # a new spec solves a new near-optimizer on the memoized ground state
-        Q, _ = fixtures.cached_gn_profiles(2, 3.0)
-        Qh, Qph = fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)
-        assert solves == [(2, 3.0)] and Qh is Q
-        assert near_solves == [(fixtures._STD.order, Q), (fixtures._HIGH.order, Q)]
-        assert Qph.amplitude == fixtures._HIGH.order
-        assert fixtures.cached_gn_profiles(2, 3.0, spec=fixtures._HIGH)[1] is Qph
-        assert len(solves) == 1 and len(near_solves) == 2
+        assert len(solves) == 3 and len(near_solves) == 3
 
     def test_ground_state_shared(self, solves, near_solves):
         Q = fixtures.cached_gn_ground_state(2, 3.0)
         assert fixtures.cached_gn_ground_state(2, 3.0) is Q and not near_solves
         assert fixtures.cached_gn_profiles(2, 3.0)[0] is Q
-        assert solves == [(2, 3.0)] and near_solves == [(fixtures._STD.order, Q)]
+        assert solves == [(2, 3.0)] and near_solves == [Q]
 
     def test_failed_solve_stores_nothing(self, solves, monkeypatch):
         def failing(n, p):

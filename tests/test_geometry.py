@@ -39,10 +39,18 @@ class TestBoundaryPointData:
             II = big.copy()
             II[0, 1] += gap
             if ok:
-                BoundaryPointData(n=3, II=II)
+                d = BoundaryPointData(n=3, II=II)
+                # the accepted II is stored symmetrized, and II_ring_sq reads it
+                assert np.array_equal(d.II, d.II.T)
+                assert np.array_equal(d.II, 0.5 * (II + II.T))
+                ring = d.II - (np.trace(II) / 2) * np.eye(2)
+                assert d.II_ring_sq == np.sum(ring ** 2)
             else:
                 with pytest.raises(ValueError, match="symmetric"):
                     BoundaryPointData(n=3, II=II)
+        # symmetric input is stored exactly
+        sym = np.array([[0.3, 0.1], [0.1, -0.7]])
+        assert np.array_equal(BoundaryPointData(n=3, II=sym).II, sym)
 
     def test_trace_and_ring(self):
         d = rng_data(5)

@@ -5,15 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import dblquad, quad
 
 from bubblelab.moments import (
     MomentTable, weighted_moments, verify_harmonic_identities,
     second_moment_identity, escobar_constants, gn_coefficients, fde_exponents,
     kappa_int_from_moments, LogDivergentMoment, ConstantsMismatch,
 )
+from bubblelab.fixtures import cached_gn_profiles
 from bubblelab.profiles import (RadialProfile, escobar_halfspace_optimizer, sphere_area,
                                 gn_exponents)
-from bubblelab.quadrature import integrate_halfplane_polar, integrate_ray
 
 
 class TestWeightedMoments:
@@ -69,9 +70,9 @@ class TestWeightedMoments:
 
 
 class TestClosedFormLimits:
-    """The Beta-function limits against the polar and ray quadratures of the
-    same integrands; amplitudes other than the unit-Dirichlet one check the
-    c^2 and c^q scaling."""
+    """The Beta-function limits against scipy's adaptive quadrature of the
+    same integrands over [0, inf); amplitudes other than the unit-Dirichlet
+    one check the c^2 and c^q scaling."""
 
     @pytest.mark.parametrize("amplitude", [1.0, 2.5])
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -79,26 +80,36 @@ class TestClosedFormLimits:
         U = RadialProfile(kind="escobar-halfspace", n=n, amplitude=amplitude)
         om = sphere_area(n - 2)
         q = 2.0 * (n - 1) / (n - 2)
+        # scalar integrands, about 10x cheaper per call than U.grad:
+        # |grad U|^2 = c^2 (n-2)^2 B^(1-n), U_r^2 = c^2 (n-2)^2 r^2 B^(-n), B = r^2 + (1+t)^2
+        k = amplitude ** 2 * (n - 2) ** 2
 
-        def bulk(weight_pow, tan_only, decay):
-            def f(r, t):
-                ur, ut = U.grad(r, t)
-                g = ur ** 2 if tan_only else ur ** 2 + ut ** 2
-                return om * t ** weight_pow * g * r ** (n - 2)
-            return integrate_halfplane_polar(f, decay=decay)
+        def grad_sq(r, t, tan_only):
+            B = r * r + (1.0 + t) ** 2
+            return k * r * r * B ** -n if tan_only else k * B ** (1 - n)
 
-        quad = {"J": bulk(0, False, n), "g1": bulk(1, False, n - 1),
-                "g1tan": bulk(1, True, n - 1),
-                "Theta": integrate_ray(lambda r: om * U.value(r, 0.0) ** 2 * r ** (n - 2),
-                                       decay=n - 2),
-                "Tq": integrate_ray(lambda r: om * U.value(r, 0.0) ** q * r ** (n - 2),
-                                    decay=n)}
+        r, t = np.meshgrid(np.geomspace(1e-3, 1e3, 9), np.geomspace(1e-3, 1e3, 9))
+        ur, ut = U.grad(r, t)
+        assert np.allclose(grad_sq(r, t, True), ur ** 2, rtol=1e-13, atol=0)
+        assert np.allclose(grad_sq(r, t, False), ur ** 2 + ut ** 2, rtol=1e-13, atol=0)
+
+        def bulk(weight_pow, tan_only):
+            def f(t, r):   # dblquad integrates over its first argument innermost
+                return om * t ** weight_pow * grad_sq(r, t, tan_only) * r ** (n - 2)
+            return dblquad(f, 0.0, np.inf, 0.0, np.inf, epsabs=0.0, epsrel=1e-13)[0]
+
+        def trace(power):
+            return quad(lambda r: om * U.value(r, 0.0) ** power * r ** (n - 2), 0.0, np.inf,
+                        epsabs=0.0, epsrel=1e-13)[0]
+
+        quads = {"J": bulk(0, False), "g1": bulk(1, False), "g1tan": bulk(1, True),
+                 "Theta": trace(2), "Tq": trace(q)}
         if n >= 5:
-            quad["g2"], quad["g2tan"] = bulk(2, False, n - 2), bulk(2, True, n - 2)
-        assert U.dirichlet_norm_sq() == pytest.approx(quad["J"], rel=1e-12)
+            quads["g2"], quads["g2tan"] = bulk(2, False), bulk(2, True)
+        assert U.dirichlet_norm_sq() == pytest.approx(quads["J"], rel=1e-12)
         limits = weighted_moments(U, 20.0).limits
-        assert limits.keys() == quad.keys()
-        for name, value in quad.items():
+        assert limits.keys() == quads.keys()
+        for name, value in quads.items():
             assert limits[name] == pytest.approx(value, rel=1e-12), name
 
     def test_large_dimension(self):
@@ -204,6 +215,27 @@ class TestGNCoefficients:
         co15 = gn_coefficients(2, 3.0, Q, Qp, R=15.0)
         assert co15.kappa_bdy == pytest.approx(co20.kappa_bdy, rel=1e-2)
         assert co15.kappa_int == pytest.approx(co20.kappa_int, rel=1e-2)
+
+    @pytest.mark.parametrize("n, p", [(2, 3.0), (3, 3.0), (2, 1.1)])
+    def test_untruncated_moments_match_quadrature(self, n, p, gn_quad):
+        # the six interior moments and C* against the integrands over [0, inf);
+        # at p = 1.1 the profile decays slowly and the cutoff moves out to 40.5
+        Q, Qp = cached_gn_profiles(n, p)
+        co = gn_coefficients(n, p, Q, Qp)
+        raw = {(name, i): gn_quad(Q, name, i) for name in ("pp", "w2", "tan") for i in (0, 2)}
+        expect = {"I_pp": raw["pp", 0], "I_2": raw["w2", 0], "J_grad": raw["tan", 0],
+                  "M_pp": raw["pp", 2] / (n * raw["pp", 0]),
+                  "M_2": raw["w2", 2] / (n * raw["w2", 0]),
+                  "M_grad": raw["tan", 2] / (n * raw["tan", 0]),
+                  "C_star": raw["pp", 0] / (raw["w2", 0] ** (co.alpha / 2.0)
+                                            * raw["tan", 0] ** (co.beta / 2.0))}
+        for name, value in expect.items():
+            assert getattr(co, name) == pytest.approx(value, rel=1e-12, abs=0), name
+
+    def test_errors_keep_their_labels(self, gn23):
+        errs = gn23[2].errors
+        assert list(errs) == ["I_pp", "I_2", "J_grad", "M_pp", "M_2", "M_grad", "boundary"]
+        assert all(0.0 <= e < 1e-9 for e in errs.values())
 
     def test_moments_positive(self, gn23):
         _, _, co = gn23

@@ -9,18 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import BPoly
 from scipy.special import kv, kve
 
 from bubblelab.profiles import (
     escobar_halfspace_optimizer, aubin_talenti, gn_ground_state,
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
-    RadialProfile, weinstein_quotient_fullspace,
-    weinstein_quotient_halfspace, sphere_area, _bessel_tail, _collocation_ground_state,
-    _Bernstein, _kv,
+    RadialProfile, sphere_area, _bessel_tail, _collocation_ground_state, _Bernstein, _kv,
 )
-from bubblelab.quadrature import integrate_ray
+from bubblelab import moments
+from bubblelab.energy import halfspace_moment_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -99,8 +98,9 @@ class TestAubinTalenti:
     def test_dirichlet_norm_matches_quadrature(self, n, lam):
         U = RadialProfile(kind="aubin-talenti-interior", n=n, amplitude=1.7, lam=lam)
         om = sphere_area(n - 1)
-        quad = integrate_ray(lambda r: om * U.grad(r) ** 2 * r ** (n - 1), decay=n - 1)
-        assert U.dirichlet_norm_sq() == pytest.approx(quad, rel=1e-12)
+        value = quad(lambda r: om * U.grad(r) ** 2 * r ** (n - 1), 0.0, np.inf,
+                     epsabs=0.0, epsrel=1e-13)[0]
+        assert U.dirichlet_norm_sq() == pytest.approx(value, rel=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -298,30 +298,47 @@ class TestBesselK:
 
 
 class TestHalfspaceNearOptimizer:
+    def test_no_closed_form_norm(self, gn23):
+        # the GN norms are engine moments (moments.gn_coefficients)
+        for prof in gn23[:2]:
+            with pytest.raises(ValueError, match="closed-form"):
+                prof.dirichlet_norm_sq()
+
     def test_dirichlet_trace(self, gn23):
         _, Qp, _ = gn23
         r = np.linspace(0.0, 10.0, 50)
         assert np.all(Qp.value(r, 0.0) == 0.0)
 
+    def test_shift_two_on_the_ground_state_arrays(self, gn23):
+        Q, Qp, _ = gn23
+        built = gn_halfspace_near_optimizer(Q)
+        assert built.kind == Qp.kind == "gn-halfspace-near-optimizer"
+        assert built.shift == Qp.shift == 2.0
+        assert np.shares_memory(Qp.values, Q.values)
+        with pytest.raises(ValueError):
+            gn_halfspace_near_optimizer(Qp)
+
     def test_deficit_target(self, gn23):
-        Q, Qp, co = gn23
-        assert Qp.achieved_quotient >= co.C_star - 0.05
+        _, _, co = gn23
+        assert co.W_flat_halfspace >= co.C_star - 0.05
 
     def test_shift_ladder_monotone(self, gn23):
+        # W rises toward C* with the depth of the center
+        import dataclasses
         Q, _, co = gn23
         quots = []
         for s in (2.0, 4.0, 8.0):
-            import dataclasses
             prof = dataclasses.replace(Q, kind="gn-halfspace-near-optimizer",
                                        shift=s, meta={})
-            quots.append(weinstein_quotient_halfspace(prof))
+            M = halfspace_moment_matrix(prof, 20.0, p_exponent=3.0, t_offset=s)
+            quots.append(moments.weinstein_quotient(M, 3.0))
         assert quots[0] < quots[1] < quots[2] <= co.C_star + 1e-9
 
-    def test_unreachable_deficit_fails(self, gn23):
-        Q, _, _ = gn23
-        with pytest.raises(ShootingError):
-            gn_halfspace_near_optimizer(2, 3.0, 1e-12, ground_state=Q,
-                                        shifts=(2.0,))
+    def test_unreachable_deficit_fails(self, gn23, monkeypatch):
+        Q, Qp, _ = gn23
+        monkeypatch.setattr(moments, "_GN_DELTA0", 1e-12)
+        with pytest.raises(ShootingError, match=r"at R=20.0: W = .* < C\* - delta0"):
+            moments.gn_coefficients(2, 3.0, Q, Qp)
 
 
 class TestCutoff:
@@ -355,17 +372,3 @@ class TestReadOnlyArrays:
                              grid=grid, values=values, derivs=derivs)
         for own, held in ((grid, prof.grid), (values, prof.values), (derivs, prof.derivs)):
             assert own.flags.writeable and not held.flags.writeable
-
-
-class TestNormalization:
-    def test_normalized_gn_profile(self, gn23):
-        Q, _, _ = gn23
-        Qn = Q.normalized()
-        assert Qn.dirichlet_norm_sq() == pytest.approx(1.0, abs=1e-8)
-        # quotient gauge: value rescaled, shape unchanged
-        assert Qn.value(1.3) / Q.value(1.3) == pytest.approx(Qn.amplitude, rel=1e-12)
-
-    def test_normalized_idempotent_for_closed_forms(self, halfspace_profiles):
-        U = halfspace_profiles[6]
-        V = U.normalized()
-        assert V.amplitude == pytest.approx(U.amplitude, rel=1e-9)

@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-from bubblelab.quadrature import (QuadratureSpec, grid_1d,
-                                  integrate_radial_tail, integrate_halfplane_polar,
-                                  integrate_ray)
+from bubblelab.quadrature import QuadratureSpec, grid_1d
 from bubblelab.energy import sphere_average
 from bubblelab.profiles import escobar_halfspace_optimizer, sphere_area
-from bubblelab.moments import weighted_moments
+from bubblelab.moments import gn_untruncated_moments, weighted_moments
 
 
 class TestPanelledGL:
@@ -24,34 +20,16 @@ class TestPanelledGL:
         edges = panel_edges(0.0, 8.0, extra=(2.5, 7.1))
         assert 2.5 in edges and 7.1 in edges
 
-    def test_error_estimate_bounds_truth(self):
-        # the two-resolution estimate that gn_coefficients reports
-        spec = QuadratureSpec(order=6, subdiv=1)
-        val, err = integrate_ray(lambda x: x ** 2 / (1 + x ** 2) ** 3, spec, decay=4.0,
-                                 with_error=True)
-        truth = 0.5 * beta_fn(1.5, 1.5)
-        assert 0.0 < abs(val - truth) <= 10 * err + 1e-14
-
-
-class TestTailMaps:
-    @pytest.mark.parametrize("s", [2.0, 3.0, 5.0])
-    def test_pure_power_tail(self, s):
-        got = integrate_radial_tail(lambda x: x ** (-s), 2.0, s)
-        assert got == pytest.approx(2.0 ** (1 - s) / (s - 1), rel=1e-12)
-
-    def test_ray_with_algebraic_tail(self):
-        # int_0^inf x^2/(1+x^2)^3 dx = (1/2) B(3/2, 3/2)
-        got = integrate_ray(lambda x: x ** 2 / (1 + x ** 2) ** 3, decay=4.0)
-        assert got == pytest.approx(0.5 * beta_fn(1.5, 1.5), rel=1e-12)
-
-    def test_halfplane_polar_gaussian(self):
-        got = integrate_halfplane_polar(
-            lambda r, t: np.exp(-(r ** 2 + t ** 2)), decay=8.0)
-        assert got == pytest.approx(math.pi / 4.0, rel=1e-11)
-
-    def test_divergent_tail_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_radial_tail(lambda x: 1.0 / x, 1.0, 1.0)
+    def test_error_estimate_bounds_truth(self, gn23, gn_quad):
+        # the engine's two-resolution estimate, which gn_coefficients reports,
+        # bounds the error of each untruncated GN moment at a coarse spec
+        Q = gn23[0]
+        M = gn_untruncated_moments(Q, QuadratureSpec(order=8, subdiv=1))
+        for name in ("pp", "w2", "tan"):
+            for i in (0, 2):
+                val, err = getattr(M, name)[i, 0], abs(M.delta[name][i, 0])
+                truth = gn_quad(Q, name, i)
+                assert 0.0 < abs(val - truth) <= 10 * err + 1e-14 * truth, (name, i)
 
 
 class TestSphereMoments:
