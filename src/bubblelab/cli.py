@@ -280,7 +280,7 @@ def cmd_estimate(ns) -> str:
                 f"--p {ns.p} at --n {n}: need n >= 2 and 1 < p < (n+2)/(n-2) (any p > 1 at n = 2)")
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(n, ns.p)
-        co = gn_coefficients(n, ns.p, Q, Qp, R=ns.R)
+        co = gn_coefficients(Q, Qp, R=ns.R)
         data = InteriorPointData(n=n, scal=ns.value)
         sw = gn_interior_sweep(data, Q, co, ns.R, eps)
         doc = {"kind": "estimator-report", "target": "scal", "n": n,
@@ -318,7 +318,7 @@ def cmd_gauss_bonnet(ns) -> str:
         from .moments import gn_coefficients
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(2, 3.0)
-        co = gn_coefficients(2, 3.0, Q, Qp, R=20.0)
+        co = gn_coefficients(Q, Qp, R=20.0)
         interior, boundary = disk_fields_estimated(Q, Qp, co, eps=ns.eps)
     rep = gauss_bonnet_recovery(2, interior, boundary)
     _emit_json(ns.out, {"kind": "gauss-bonnet", "surface": ns.surface,

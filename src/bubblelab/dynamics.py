@@ -35,7 +35,7 @@ import numpy as np
 
 from .moments import fde_exponents, FDEExponents, gn_untruncated_moments, weinstein_quotient
 from .fixtures import cached_gn_ground_state
-from .quadrature import QuadratureSpec, DEFAULT_QUAD, _gl_nodes
+from .quadrature import _gl_nodes
 
 __all__ = [
     "DecayParams", "decay_envelope", "ode_decay_check", "extinction_time_lower",
@@ -44,15 +44,14 @@ __all__ = [
 ]
 
 
-def euclidean_leading_constant(n: int, m: float,
-                               spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def euclidean_leading_constant(n: int, m: float) -> float:
     """EEP constant in euclidean-leading mode: C*(n, p = 1/m)."""
     p = 1.0 / m
     if n >= 3 and p >= (n + 2.0) / (n - 2.0):
         raise ValueError(
             f"euclidean-leading mode needs m > (n-2)/(n+2); got m={m}, n={n}")
     Q = cached_gn_ground_state(n, p)
-    return weinstein_quotient(gn_untruncated_moments(Q, spec), p)
+    return weinstein_quotient(gn_untruncated_moments(Q), p)
 
 
 @dataclass
@@ -63,14 +62,13 @@ class DecayParams:
     E0: float
     M0: float
     C: Optional[float] = None          # EEP constant; None -> euclidean-leading
-    exponents: FDEExponents = None
+    exponents: FDEExponents = field(init=False)   # from (n, m)
     kappa: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.E0 <= 0 or self.M0 <= 0:
             raise ValueError("initial entropy and mass must be positive")
-        if self.exponents is None:
-            self.exponents = fde_exponents(self.n, self.m)
+        self.exponents = fde_exponents(self.n, self.m)
         if self.C is None:
             # Euclidean-leading value carries an O(eps_*) caveat on curved (M, g)
             self.C = euclidean_leading_constant(self.n, self.m)

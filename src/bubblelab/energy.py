@@ -18,15 +18,18 @@ the package: the half-space and interior matrices of the models below, and
 the truncated moment tables and every GN norm of ``moments`` (the
 untruncated GN norms are a radial matrix cut off deep in the e^(-r) tail).
 
-The matrix does not depend on the jet, so the engine memoizes it in a
-process-wide LRU of ``_MEMO_CAP`` entries keyed by (profile fingerprint, R,
-spec, p_exponent, t_offset). The fingerprint covers every field that profile
-evaluation reads (scalars plus a digest of the tabulated arrays, not
-``meta``), so an equal profile hits whatever its ``meta`` holds: a copy
-with equal arrays, or a closed form rebuilt with the same amplitude. A
-build that raises is not stored. Cached arrays are read-only because every
-model with the same key shares them. The GN profiles of
-``fixtures.cached_gn_profiles`` use the same memo.
+The matrix is a function of the profile, the cutoff and the quadrature
+spec alone: the profile's GN exponent p decides whether the L^(p+1) weight is
+integrated, and its depth offset ``shift`` extends the t-axis. It does not
+depend on the jet, so the engine memoizes it in a process-wide LRU of
+``_MEMO_CAP`` entries keyed by (profile fingerprint, R, spec). The
+fingerprint covers every field that profile evaluation reads (p and shift
+among the scalars, plus a digest of the tabulated arrays, not ``meta``), so
+an equal profile hits whatever its ``meta`` holds: a copy with equal arrays,
+or a closed form rebuilt with the same amplitude. A build that raises is not
+stored. Cached arrays are read-only because every model with the same key
+shares them. The GN profiles of ``fixtures.cached_gn_profiles`` use the same
+memo.
 
 The jet reductions share that LRU too, keyed by ``_jet_fingerprint``: the
 content of every field a reduction reads, never ``chart_radius``, ``label``
@@ -295,6 +298,8 @@ def _reduce_interior_jet(data: InteriorPointData) -> _JetReduction:
 
 _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
+# largest relative two-resolution difference a moment matrix may show
+_MATRIX_TOL = 1e-6
 
 
 def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -329,29 +334,27 @@ class _HalfspaceMatrix:
 
 
 def halfspace_moment_matrix(profile: RadialProfile, R: float,
-                            spec: QuadratureSpec = DEFAULT_QUAD,
-                            p_exponent: Optional[float] = None,
-                            t_offset: float = 0.0) -> _HalfspaceMatrix:
+                            spec: QuadratureSpec = DEFAULT_QUAD) -> _HalfspaceMatrix:
     """Every truncated moment of chi_R * profile, from two resolutions.
 
-    Half-space kinds integrate over [0, 2R] x [0, 2R + t_offset] with measure
-    |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with |S^(n-1)| r^(n-1). On
-    each resolution every grid point is evaluated once: the profile yields
-    (u, u_r, u_t) from one call on the broadcast (r, t) axes, the cutoff
-    yields chi_R and, on the band R < rho < 2R only, chi_R'. Every monomial
-    moment comes from contracting the fields with the weighted Vandermonde
-    rows of each axis. Raises QuadratureNonConvergence when the resolutions
-    disagree. Memoized by (profile fingerprint, R, spec, p_exponent, t_offset).
+    Half-space kinds integrate over [0, 2R] x [0, 2R + profile.shift] with
+    measure |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with
+    |S^(n-1)| r^(n-1). The |w|^(p+1) moments ``pp`` are built exactly when
+    the profile carries a GN exponent p. On each resolution every grid point
+    is evaluated once: the profile yields (u, u_r, u_t) from one call on the
+    broadcast (r, t) axes, the cutoff yields chi_R and, on the band
+    R < rho < 2R only, chi_R'. Every monomial moment comes from contracting
+    the fields with the weighted Vandermonde rows of each axis. Raises
+    QuadratureNonConvergence when the resolutions differ by more than
+    ``_MATRIX_TOL`` relative. Memoized by (profile fingerprint, R, spec).
     """
-    key = ("matrix", _profile_fingerprint(profile), float(R), spec, p_exponent,
-           float(t_offset))
-    return _memoized(key, lambda: _build_moment_matrix(profile, R, spec, p_exponent,
-                                                       t_offset))
+    key = ("matrix", _profile_fingerprint(profile), float(R), spec)
+    return _memoized(key, lambda: _build_moment_matrix(profile, R, spec))
 
 
-def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
-                         p_exponent: Optional[float], t_offset: float) -> _HalfspaceMatrix:
-    n = profile.n
+def _build_moment_matrix(profile: RadialProfile, R: float,
+                         spec: QuadratureSpec) -> _HalfspaceMatrix:
+    n, p, t_offset = profile.n, profile.p, profile.shift
     halfspace = profile.kind in _HALFSPACE_KINDS
     dim = n - 1 if halfspace else n          # dimension of the r variable
     om = sphere_area(dim - 1)
@@ -386,8 +389,8 @@ def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
         w = c * u
         fields = {"tan": np.square(tan, out=tan), "nor": np.square(nor, out=nor),
                   "w2": w ** 2, "w1": w}
-        if p_exponent is not None:
-            fields["pp"] = np.abs(w) ** (p_exponent + 1.0)
+        if p is not None:
+            fields["pp"] = np.abs(w) ** (p + 1.0)
         # two einsum steps: no (grid x grid x monomial) temporary, and no
         # multithreaded BLAS call, which is far slower on these small shapes
         Vr = r ** _POWERS * (wr * om * r ** (dim - 1))
@@ -412,7 +415,7 @@ def _build_moment_matrix(profile: RadialProfile, R: float, spec: QuadratureSpec,
     # np.max, unlike the builtin, propagates a nan from any field
     err = float(np.max([np.max(np.abs(delta[k]) / np.maximum(1.0, np.abs(fine[k])))
                         for k in fine]))
-    if not err <= max(1e-6, 100.0 * spec.rtol):   # a nan difference fails too
+    if not err <= _MATRIX_TOL:   # a nan difference fails too
         raise QuadratureNonConvergence(
             f"moment matrix two-resolution difference {err:.2e} at R={R}")
     fine.setdefault("pp", None)
@@ -454,11 +457,10 @@ def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """One concentrating bubble: profile, scale, cutoff, amplitude."""
+    """One concentrating bubble: profile, scale, cutoff."""
     profile: RadialProfile
     eps: float
     R: float
-    amplitude: float = 1.0
     chart_radius: float = 1.0
 
     def __post_init__(self):
@@ -502,17 +504,14 @@ class HalfspaceEnergyModel:
     gn_functional = "gn-boundary"
 
     def __init__(self, jet: FermiJetMetric, profile: RadialProfile, R: float,
-                 spec: QuadratureSpec = DEFAULT_QUAD,
-                 p_exponent: Optional[float] = None):
+                 spec: QuadratureSpec = DEFAULT_QUAD):
         self.jet = jet
-        self._setup(_halfspace_jet_polys(jet), profile, R, spec, p_exponent,
-                    t_offset=getattr(profile, "shift", 0.0))
+        self._setup(_halfspace_jet_polys(jet), profile, R, spec)
         # Scal_g reads scal_bdy and its override, which the reduction does not
         self._scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
 
     def _setup(self, red: _JetReduction, profile: RadialProfile, R: float,
-               spec: QuadratureSpec, p_exponent: Optional[float],
-               t_offset: float = 0.0) -> None:
+               spec: QuadratureSpec) -> None:
         """Set-up of both models: jet reduction, moment matrix, term lists.
 
         Each (polynomial, matrix field) pair becomes the list of
@@ -523,12 +522,10 @@ class HalfspaceEnergyModel:
         self.profile = profile
         self.R = float(R)
         self.n = profile.n
-        self.spec = spec
-        self.p_exponent = p_exponent
         self.P_tan, self.P_sca, self.P_bdy = red.P_tan, red.P_sca, red.P_bdy
         self._H, self._kappa_vol = red.H, red.kappa_vol
         self._grad_h_norm, self._ric_top = red.grad_h_norm, red.ric_top
-        self.M = halfspace_moment_matrix(profile, R, spec, p_exponent, t_offset=t_offset)
+        self.M = halfspace_moment_matrix(profile, R, spec)
         self._terms = {}
         for name, poly in _PAIRS:
             matrix = getattr(self.M, name)
@@ -594,7 +591,7 @@ class HalfspaceEnergyModel:
         volume element is positive; and the quotient stays the jet model's
         polynomial in eps, which the series and the sweeps use as such.
         """
-        t_deep = eps * (2.0 * self.R + getattr(self.profile, "shift", 0.0))
+        t_deep = eps * (2.0 * self.R + self.profile.shift)
         rho = 2.0 * self.R * eps
         b = self._H + self._grad_h_norm * rho
         a = self._kappa_vol
@@ -708,9 +705,9 @@ class HalfspaceEnergyModel:
 
     # -- GN -------------------------------------------------------------------
     def gn_quotient(self, eps: float) -> QuotientResult:
-        if self.p_exponent is None:
+        if self.profile.p is None:
             raise ValueError("model built without the L^(p+1) weight")
-        al, be = gn_exponents(self.n, self.p_exponent)
+        al, be = gn_exponents(self.n, self.profile.p)
         Ipp = self.bulk_pp(eps)
         I2 = self.bulk_mass2(eps)
         D = self.dirichlet(eps)
@@ -741,11 +738,11 @@ class HalfspaceEnergyModel:
     @cached_property
     def _flat_gn(self) -> float:
         from .moments import weinstein_quotient   # moments imports this module
-        return weinstein_quotient(self.M, self.p_exponent)
+        return weinstein_quotient(self.M, self.profile.p)
 
     def gn_series(self, order: int = 3) -> np.ndarray:
         """Relative Taylor coefficients of W(eps)/W(0) - 1."""
-        al, be = gn_exponents(self.n, self.p_exponent)
+        al, be = gn_exponents(self.n, self.profile.p)
         Ipp = self._series("pp", order)
         I2 = self._series("w2", order)
         D = self._series("tan", order) + self._series("nor", order)
@@ -769,7 +766,7 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
         if profile.p is None:
             raise ValueError("interior GN model needs a GN ground-state profile")
         self.data = data
-        self._setup(_interior_jet_polys(data), profile, R, spec, profile.p)
+        self._setup(_interior_jet_polys(data), profile, R, spec)
 
 
 # --------------------------------------------------------------------------
@@ -782,33 +779,28 @@ def _check_chart(jet, bubble: BubbleParams) -> None:
             f"eps*2R = {bubble.eps * 2 * bubble.R} exceeds chart radius")
 
 
-def escobar_quotient(jet: FermiJetMetric, bubble: BubbleParams,
-                     spec: QuadratureSpec = DEFAULT_QUAD) -> QuotientResult:
+def escobar_quotient(jet: FermiJetMetric, bubble: BubbleParams) -> QuotientResult:
     _check_chart(jet, bubble)
-    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R, spec)
+    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R)
     return model.escobar_quotient(bubble.eps)
 
 
-def plain_trace_quotient(jet: FermiJetMetric, bubble: BubbleParams,
-                         spec: QuadratureSpec = DEFAULT_QUAD) -> QuotientResult:
+def plain_trace_quotient(jet: FermiJetMetric, bubble: BubbleParams) -> QuotientResult:
     _check_chart(jet, bubble)
-    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R, spec)
+    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R)
     return model.plain_trace_quotient(bubble.eps)
 
 
-def gn_quotient(metric, bubble: BubbleParams,
-                spec: QuadratureSpec = DEFAULT_QUAD) -> QuotientResult:
+def gn_quotient(metric, bubble: BubbleParams) -> QuotientResult:
     _check_chart(metric, bubble)
     if isinstance(metric, InteriorPointData):
-        return InteriorEnergyModel(metric, bubble.profile, bubble.R, spec).gn_quotient(bubble.eps)
-    model = HalfspaceEnergyModel(metric, bubble.profile, bubble.R, spec,
-                                 p_exponent=bubble.profile.p)
-    return model.gn_quotient(bubble.eps)
+        return InteriorEnergyModel(metric, bubble.profile, bubble.R).gn_quotient(bubble.eps)
+    return HalfspaceEnergyModel(metric, bubble.profile, bubble.R).gn_quotient(bubble.eps)
 
 
 @dataclass
 class DeficitSweep:
-    """Deficits over an eps-grid, from quadrature or synthetic injection."""
+    """Deficits over an eps-grid, with the exact jet-model series."""
     functional: str
     eps: np.ndarray
     deficits: np.ndarray          # E(eps): quotient - flat (escobar/plain), relative for GN
@@ -825,11 +817,8 @@ class DeficitSweep:
 
 
 def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
-                   spec: QuadratureSpec = DEFAULT_QUAD, functional: str = "escobar",
-                   synthetic: Optional[dict] = None,
-                   diagonal: bool = False) -> DeficitSweep:
-    """E(eps) over a grid; ``synthetic={'coeffs': [...], 'S': S}`` bypasses
-    quadrature and returns E = S * sum_k c_k eps^k exactly (estimator unit mode).
+                   functional: str = "escobar", diagonal: bool = False) -> DeficitSweep:
+    """E(eps) over a grid, from one model of ``functional`` at cutoff R.
 
     ``diagonal=True`` switches from the fixed-cutoff regime to the diagonal
     one: each level gets its own cutoff R(eps) = R * sqrt(eps_max/eps), so
@@ -837,12 +826,6 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
     against the flat value at its own truncation.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if synthetic is not None:
-        S = synthetic.get("S", 1.0)
-        coeffs = np.asarray(synthetic["coeffs"], dtype=float)
-        vals = S * sum(c * eps_grid ** (k + 1) for k, c in enumerate(coeffs))
-        return DeficitSweep(functional, eps_grid, vals, S,
-                            series=coeffs, source="synthetic")
     if diagonal:
         if functional != "escobar":
             raise ValueError("diagonal cutoff regime implemented for the "
@@ -850,22 +833,22 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
         res = []
         for e in eps_grid:
             Re = R * math.sqrt(float(eps_grid.max()) / e)
-            model = HalfspaceEnergyModel(jet, profile, Re, spec)
+            model = HalfspaceEnergyModel(jet, profile, Re)
             res.append(model.escobar_quotient(e))
         vals = np.array([r.deficit for r in res])
         return DeficitSweep(functional, eps_grid, vals, res[-1].reference,
                             results=res, source="geometry-diagonal")
     if functional == "escobar":
-        model = HalfspaceEnergyModel(jet, profile, R, spec)
+        model = HalfspaceEnergyModel(jet, profile, R)
         evaluate, ref, ser = model.escobar_quotient, model.flat_escobar(), model.escobar_series()
     elif functional == "plain-trace":
-        model = HalfspaceEnergyModel(jet, profile, R, spec)
+        model = HalfspaceEnergyModel(jet, profile, R)
         evaluate, ref, ser = model.plain_trace_quotient, model.flat_plain_trace(), model.plain_trace_series()
     elif functional == "gn-boundary":
-        model = HalfspaceEnergyModel(jet, profile, R, spec, p_exponent=profile.p)
+        model = HalfspaceEnergyModel(jet, profile, R)
         evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
     elif functional == "gn-interior":
-        model = InteriorEnergyModel(jet, profile, R, spec)
+        model = InteriorEnergyModel(jet, profile, R)
         evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
     else:
         raise KeyError(functional)

@@ -7,8 +7,8 @@ the boundary-bubble expansion
 
 the isotropic recovery of |II_ring|^2, the GN boundary/interior estimators,
 and the 2D Gauss-Bonnet assembly. Estimators are pure arithmetic on deficit
-values; the deficits may come from the jet-energy models (geometry mode) or
-be injected synthetically (unit mode) through the same code path.
+values: the sweeps feed them the deficits of the jet-energy models, and the
+inversions take any deficit values a caller passes.
 
 Truth values for jet sweeps are the exact Taylor coefficients of the jet
 quotient (energy.HalfspaceEnergyModel.escobar_series), computed from the same
@@ -25,9 +25,9 @@ import numpy as np
 
 from .energy import HalfspaceEnergyModel, InteriorEnergyModel, empirical_slope
 from .geometry import BoundaryPointData, InteriorPointData, fermi_jet, geometry_catalog
-from .moments import EscobarConstants, GNCoefficients, escobar_scales
+from .moments import (_SCALE_MOMENTS, EscobarConstants, GNCoefficients, _table_entry,
+                      escobar_scales)
 from .profiles import RadialProfile
-from .quadrature import QuadratureSpec, DEFAULT_QUAD
 
 __all__ = [
     "EstimatorReport", "EstimatorScales", "hat_H_single", "three_scale_debias",
@@ -64,10 +64,9 @@ class EstimatorScales:
         """S*(R) and rho_n^conf(R) from the model's own moment matrix: the
         S_star_R and rho_conf_R of escobar_constants for the same profile,
         cutoff and spec, without computing the limits."""
-        M = model.M
-        return cls(*escobar_scales(
-            model.n, J=float(M.tan[0, 0] + M.nor[0, 0]), g1=float(M.tan[0, 1] + M.nor[0, 1]),
-            g1tan=float(M.tan[0, 1]), Theta=float(M.tr2[0, 0]), Tq=float(M.trq[0, 0])))
+        fields = vars(model.M)
+        return cls(*escobar_scales(model.n, *(_table_entry(fields, name)
+                                              for name in _SCALE_MOMENTS)))
 
 
 def hat_H_single(E: float, eps: float, scales: EstimatorScales,
@@ -197,9 +196,9 @@ def _sweep(quotient, eps_grid, multiples: tuple, invert) -> list:
 
 
 def escobar_single_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
-                               R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+                               R: float, eps_grid) -> dict:
     """H-hat over an eps-grid with cutoff-consistent constants; order vs truth H."""
-    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R, spec)
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R)
     scales = EstimatorScales.from_model(model)
     truth = data.H
     sw, = _sweep(model.escobar_quotient, eps_grid, (1,),
@@ -208,9 +207,9 @@ def escobar_single_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
 
 
 def escobar_three_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
-                              R: float, eps_grid, spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+                              R: float, eps_grid) -> dict:
     """(H, R, T)-estimates over base scales; truths from the exact jet series."""
-    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R, spec)
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R)
     scales = EstimatorScales.from_model(model)
     c = model.escobar_series(order=3)
     truths = (data.H, c[1], c[2])  # H; mass = c2; theta = c3 of the jet quotient
@@ -225,10 +224,9 @@ def escobar_three_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
 
 
 def gn_boundary_sweep(data: BoundaryPointData, Qplus: RadialProfile,
-                      coeffs: GNCoefficients, R: float, eps_grid,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+                      coeffs: GNCoefficients, R: float, eps_grid) -> dict:
     """GN H-hat from deficit pairs (eps, 2 eps) on a boundary jet."""
-    model = HalfspaceEnergyModel(fermi_jet(data, order=2), Qplus, R, spec, p_exponent=Qplus.p)
+    model = HalfspaceEnergyModel(fermi_jet(data, order=2), Qplus, R)
     truth = data.H
     sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
                  lambda e, d1, d2: (gn_boundary_H(d1, d2, e, 2 * e, coeffs, truth=truth),))
@@ -236,10 +234,9 @@ def gn_boundary_sweep(data: BoundaryPointData, Qplus: RadialProfile,
 
 
 def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile,
-                      coeffs: GNCoefficients, R: float, eps_grid,
-                      spec: QuadratureSpec = DEFAULT_QUAD) -> dict:
+                      coeffs: GNCoefficients, R: float, eps_grid) -> dict:
     """GN Scal-hat from deficit pairs (eps, 2 eps) on an interior jet."""
-    model = InteriorEnergyModel(data, Q, R, spec)
+    model = InteriorEnergyModel(data, Q, R)
     truth = data.scal
     sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
                  lambda e, d1, d2: (gn_interior_scal(d1, d2, e, 2 * e, coeffs, truth=truth),))
@@ -301,7 +298,7 @@ def annulus_fields_exact(r_inner: float) -> tuple:
 
 def disk_fields_estimated(Q: RadialProfile, Qplus: RadialProfile,
                           coeffs: GNCoefficients, eps: float = 1e-2,
-                          R: float = 20.0, spec: QuadratureSpec = DEFAULT_QUAD) -> tuple:
+                          R: float = 20.0) -> tuple:
     """Estimator-produced fields on the unit disk via the GN sweeps.
 
     Every interior point of the flat disk carries the flat jet and every
@@ -310,11 +307,11 @@ def disk_fields_estimated(Q: RadialProfile, Qplus: RadialProfile,
     of the two-scale estimator, Richardson-combined to cancel its leading
     O(eps1 + eps2) bias.
     """
-    inner = gn_interior_sweep(InteriorPointData(n=2, scal=0.0), Q, coeffs, R, [eps], spec)
+    inner = gn_interior_sweep(InteriorPointData(n=2, scal=0.0), Q, coeffs, R, [eps])
     ni, nb = _ESTIMATED_INTERIOR, _ESTIMATED_BOUNDARY
     interior = SampledField(np.full(ni, inner["reports"][0].estimate), np.full(ni, math.pi / ni))
     ball = geometry_catalog("euclidean-ball", 2, radius=1.0).data
     h1, h2 = (r.estimate for r in
-              gn_boundary_sweep(ball, Qplus, coeffs, R, [eps / 2, eps / 4], spec)["reports"])
+              gn_boundary_sweep(ball, Qplus, coeffs, R, [eps / 2, eps / 4])["reports"])
     boundary = SampledField(np.full(nb, 2.0 * h2 - h1), np.full(nb, 2.0 * math.pi / nb))
     return interior, boundary

@@ -19,7 +19,7 @@ import json
 import os
 from pathlib import Path
 
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, DEFAULT_QUAD
 from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
                        gn_halfspace_near_optimizer)
 from .moments import weighted_moments, escobar_constants, gn_coefficients
@@ -31,7 +31,6 @@ __all__ = ["default_fixture_path", "cached_gn_ground_state", "cached_gn_profiles
 SCHEMA_VERSION = 1
 
 _HIGH = QuadratureSpec(order=28, subdiv=2)
-_STD = QuadratureSpec(order=20, subdiv=1)
 
 
 def default_fixture_path() -> Path:
@@ -95,7 +94,7 @@ def _compute_entries(spec: QuadratureSpec) -> dict:
 
     for (n, p) in ((2, 3.0), (3, 3.0)):
         Q, Qp = cached_gn_profiles(n, p)
-        co = gn_coefficients(n, p, Q, Qp, R=20.0, spec=spec)
+        co = gn_coefficients(Q, Qp, R=20.0, spec=spec)
         put(f"gn/n={n}/p={p}/C_star", co.C_star, 1e-6)
         put(f"gn/n={n}/p={p}/kappa_int", co.kappa_int, 1e-6)
         put(f"gn/n={n}/p={p}/kappa_bdy", co.kappa_bdy, 2e-6)
@@ -138,7 +137,7 @@ def verify(path: Path | None = None) -> dict:
     doc = json.loads(path.read_text())
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError("fixture schema version mismatch")
-    fresh = _compute_entries(_STD)
+    fresh = _compute_entries(DEFAULT_QUAD)
     failures = []
     for name, pin in doc["entries"].items():
         if name not in fresh:

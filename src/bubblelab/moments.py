@@ -91,9 +91,6 @@ class MomentTable:
                 "log-divergent moment: y_n^2-weighted moments diverge "
                 "logarithmically in n = 4")
 
-    def q(self) -> float:
-        return 2.0 * (self.n - 1) / (self.n - 2)
-
 
 def _table_entry(fields: dict, name: str) -> float:
     return float(sum(fields[f][i, j] for f, i, j in _TRUNCATED[name]))
@@ -321,24 +318,27 @@ _GN_DELTA0 = 0.05
 
 def gn_untruncated_moments(Q: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD):
     """The untruncated GN moments of the ground state Q: its radial moment
-    matrix at R = Q.tail_r0 + 6, with the L^(p+1) weight."""
-    return halfspace_moment_matrix(Q, Q.tail_r0 + _GN_TAIL_MARGIN, spec, p_exponent=Q.p)
+    matrix at R = Q.tail_r0 + 6, with the L^(p+1) weight of Q.p."""
+    return halfspace_moment_matrix(Q, Q.tail_r0 + _GN_TAIL_MARGIN, spec)
 
 
 def weinstein_quotient(M, p: float) -> float:
     """I_pp / (I_2^(alpha/2) J^(beta/2)) from the [0, 0] entries pp, w2 and
-    tan + nor of a moment matrix built with ``p_exponent = p``."""
+    tan + nor of the moment matrix of a profile with GN exponent p (the
+    matrix does not record p)."""
     alpha, beta = gn_exponents(M.n, p)
     return M.pp[0, 0] / (M.w2[0, 0] ** (alpha / 2.0)
                          * (M.tan[0, 0] + M.nor[0, 0]) ** (beta / 2.0))
 
 
-def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
-                    R: float = 20.0, spec: QuadratureSpec = DEFAULT_QUAD) -> GNCoefficients:
+def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
+                    spec: QuadratureSpec = DEFAULT_QUAD) -> GNCoefficients:
     """Curvature coefficients kappa_int / kappa_bdy and the sharp constant.
 
-    Interior second moments are normalized by n * I; boundary first vertical
-    moments are normalized by the matching truncated integral of P_R = chi_R Q+.
+    n and p are those of the ground state Q; the near-optimizer Q+ must share
+    them (ValueError otherwise). Interior second moments are normalized by
+    n * I; boundary first vertical moments are normalized by the matching
+    truncated integral of P_R = chi_R Q+.
     The interior moments and C* come from ``gn_untruncated_moments``, the
     boundary moments and W_flat_halfspace from the cutoff-R half-space matrix
     of Q+; ``errors`` holds their two-resolution differences. Raises
@@ -346,6 +346,10 @@ def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
     """
     if Q.kind != "gn-ground-state" or Qplus.kind != "gn-halfspace-near-optimizer":
         raise ValueError("gn_coefficients expects (ground state, half-space near-optimizer)")
+    n, p = Q.n, Q.p
+    if (Qplus.n, Qplus.p) != (n, p):
+        raise ValueError(f"gn_coefficients needs one (n, p): the ground state has ({n}, {p}), "
+                         f"the near-optimizer ({Qplus.n}, {Qplus.p})")
     alpha, beta = gn_exponents(n, p)
     full = gn_untruncated_moments(Q, spec)
     # radial matrix: column 0 holds the moments of r^0 and r^2
@@ -356,7 +360,7 @@ def gn_coefficients(n: int, p: float, Q: RadialProfile, Qplus: RadialProfile,
         ("M_pp", "pp", 2), ("M_2", "w2", 2), ("M_grad", "tan", 2))}
     Mpp, M2, Mgr = Mpp / (n * Ipp), M2 / (n * I2), Mgr / (n * Jg)
 
-    bdy = halfspace_moment_matrix(Qplus, R, spec, p_exponent=p, t_offset=Qplus.shift)
+    bdy = halfspace_moment_matrix(Qplus, R, spec)
     (ippR, y_ipp), (i2R, y_i2), (jgR, y_jg), (_, y_jgtan) = (
         a[0, :2].tolist() for a in (bdy.pp, bdy.w2, bdy.tan + bdy.nor, bdy.tan))
     m1_pp, m1_2 = y_ipp / ippR, y_i2 / i2R

@@ -6,8 +6,10 @@ so the only machinery needed is tensor Gauss-Legendre on dyadic panels. Every
 integrand is cut off at a finite radius, so no rule covers [0, inf).
 
 Error estimates are two-resolution differences (panel count doubled), per
-the convergence convention used throughout: a value is converged when the
-doubling changes it by less than ``rtol`` relatively.
+the convergence convention used throughout: the moment engine
+(``energy.halfspace_moment_matrix``) accepts a build when the doubling
+changes every moment by at most ``energy._MATRIX_TOL`` = 1e-6 relative
+(absolute below magnitude 1), and raises otherwise.
 """
 from __future__ import annotations
 
@@ -63,14 +65,12 @@ class QuadratureSpec:
     order: GL points per panel and direction.
     subdiv: extra uniform splits of each dyadic panel (doubled for the
         error-estimate pass).
-    rtol: declared-convergence threshold for two-resolution differences.
     """
     order: int = 20
     subdiv: int = 1
-    rtol: float = 1e-8
 
     def refined(self) -> "QuadratureSpec":
-        return QuadratureSpec(order=self.order, subdiv=2 * self.subdiv, rtol=self.rtol)
+        return QuadratureSpec(order=self.order, subdiv=2 * self.subdiv)
 
 
 DEFAULT_QUAD = QuadratureSpec()

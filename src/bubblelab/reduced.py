@@ -120,6 +120,7 @@ _EVAL_NS = {name: getattr(np, name) for name in
             ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh",
              "arctan", "arcsin", "arccos")}
 _EVAL_NS["pi"] = math.pi
+_FD_STEP = 1e-5   # central-difference step of ExpressionField
 
 
 class _Field:
@@ -143,16 +144,15 @@ class _Field:
 class ExpressionField(_Field):
     """Scalar field from a numpy expression in theta (or theta1..thetad).
 
-    Derivatives by central differences (the search declares convergence on
-    the same finite-difference gradient it iterates with). All stencil points
-    of a batch go through one evaluation of the expression; an expression
-    without theta is broadcast.
+    Derivatives by central differences of step ``_FD_STEP`` (the search
+    declares convergence on the same finite-difference gradient it iterates
+    with). All stencil points of a batch go through one evaluation of the
+    expression; an expression without theta is broadcast.
     """
 
-    def __init__(self, expr: str, dim: int = 1, h: float = 1e-5):
+    def __init__(self, expr: str, dim: int = 1):
         self.expr = expr
         self.dim = dim
-        self.h = h
         code = compile(expr, "<field>", "eval")
         for name in code.co_names:
             if name not in _EVAL_NS and not name.startswith("theta"):
@@ -161,6 +161,7 @@ class ExpressionField(_Field):
         # stencil point = (x + first) + second: +-h e_i for the gradient
         # (second = -0.0 adds nothing), then (+-hh e_i) +- hh e_j, i <= j,
         # for the Hessian
+        h = _FD_STEP
         self._hh = h ** 0.5 * 1e-2 + h
         self._pairs = np.triu_indices(dim)
         e, f = np.eye(dim) * h, np.eye(dim) * self._hh
@@ -188,7 +189,7 @@ class ExpressionField(_Field):
         m, dim = X.shape
         v = self.values(((X + self._first) + self._second).reshape(-1, dim))
         v = v.reshape(len(self._first), m)
-        g = ((v[0:2 * dim:2] - v[1:2 * dim:2]) / (2.0 * self.h)).T
+        g = ((v[0:2 * dim:2] - v[1:2 * dim:2]) / (2.0 * _FD_STEP)).T
         q = v[2 * dim:].reshape(len(self._pairs[0]), 4, m)
         hij = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * self._hh * self._hh)).T
         H = np.empty((m, dim, dim))
@@ -208,10 +209,8 @@ class GridField(_Field):
     the GN profiles.
     """
 
-    def __init__(self, samples, dim: int = 1):
+    def __init__(self, samples):
         from .profiles import _hermite_spline
-        if dim != 1:
-            raise NotImplementedError("gridded fields are 1D (circle) for now")
         y = np.asarray(samples, dtype=float)
         N = y.size
         rhs = 3.0 * (np.roll(y, -1) - np.roll(y, 1)) / (2.0 * math.pi / N)
@@ -529,13 +528,17 @@ def _newton_steps(A, b):
 _LINEAR_RATIO = 0.25
 # critical points closer than this (up to relabeling) are one point
 _MERGE_TOL = 1e-6
+# the barrier-free convergence test, the Newton steps per barrier stage, the
+# barrier weights of the stages (the last one polishes on the bare
+# potential), and the center separation below which a seed is dropped
+_GRAD_TOL = 1e-8
+_MAX_ITER = 200
+_BARRIER_MU = (1e-2, 1e-4, 0.0)
+_MIN_SEPARATION = 1e-3
 
 
 def critical_point_search(field, k: int, domain=None, seeds: int = 64,
-                          seed: int = 0, grad_tol: float = 1e-8,
-                          max_iter: int = 200,
-                          barrier_mu: tuple = (1e-2, 1e-4, 0.0),
-                          min_separation: float = 1e-3) -> list:
+                          seed: int = 0) -> list:
     """Multi-seed projected Newton search for critical points of W_k.
 
     All seeds advance together: each Newton step evaluates the field once on
@@ -543,7 +546,7 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
     the stopping, separation and singular-Hessian rules. The log-barrier
     keeps iterates off the collision set while mu > 0; the final mu = 0
     stage polishes on the bare potential and the convergence check
-    ||grad W_k|| <= grad_tol is barrier-free.
+    ||grad W_k|| <= _GRAD_TOL is barrier-free.
 
     A point is flagged ``degenerate`` (not Morse) when its last two Newton
     steps (both in the final stage when k > 1) shrink by a ratio in
@@ -573,13 +576,13 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
     last_step = np.zeros((seeds, kd))
     eye = 1e-12 * np.eye(kd)
     pairs = I, J = np.triu_indices(k, 1)
-    for mu in barrier_mu:
+    for mu in _BARRIER_MU:
         barrier = mu > 0 and k > 1
         if k > 1:
             step_norm[:] = np.nan         # each stage moves the target point
-        tol = grad_tol if mu == 0 else 1e-6
+        tol = _GRAD_TOL if mu == 0 else 1e-6
         active = ok.copy()
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             idx = np.flatnonzero(active)
             if not idx.size:
                 break
@@ -605,14 +608,14 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
             last_step[idx] = step
             if k > 1:
                 th = theta[idx].reshape(-1, k, dim)
-                close = np.min(domain.distance(th[:, I], th[:, J]), axis=1) < min_separation
+                close = np.min(domain.distance(th[:, I], th[:, J]), axis=1) < _MIN_SEPARATION
                 ok[idx[close]] = active[idx[close]] = False
 
     idx = np.flatnonzero(ok)
     th = theta[idx]
     g, Hs = derivs(th)
     gn = _row_norm(g)
-    conv = gn <= grad_tol
+    conv = gn <= _GRAD_TOL
     idx, th, gn, Hs = idx[conv], th[conv], gn[conv], Hs[conv]
     vals = W(th)
     ratio = step_norm[idx, 1] / step_norm[idx, 0]

@@ -33,13 +33,13 @@ def constants(moment_tables):
 @pytest.fixture(scope="session")
 def gn23():
     Q, Qp = cached_gn_profiles(2, 3.0)
-    return Q, Qp, gn_coefficients(2, 3.0, Q, Qp, R=20.0)
+    return Q, Qp, gn_coefficients(Q, Qp, R=20.0)
 
 
 @pytest.fixture(scope="session")
 def gn33():
     Q, Qp = cached_gn_profiles(3, 3.0)
-    return Q, Qp, gn_coefficients(3, 3.0, Q, Qp, R=20.0)
+    return Q, Qp, gn_coefficients(Q, Qp, R=20.0)
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,7 @@ def test_criterion_08_gn_expansions(case, request):
     bdata = geometry_catalog("euclidean-ball", n).data if n == 2 else \
         geometry_catalog("h-only", n, H=1.0).data
     jet = fermi_jet(bdata, order=2, chart_radius=3.0)
-    bm = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p)
+    bm = HalfspaceEnergyModel(jet, Qp, 20.0)
     rel = np.array([bm.gn_quotient(e).breakdown["rel_change"] for e in eps])
     slope = fit_power_series(eps, rel, (1, 2, 3))[0]
     rel_err_b = abs(slope - co.kappa_bdy * bdata.H) / abs(co.kappa_bdy * bdata.H)

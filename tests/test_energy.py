@@ -177,7 +177,7 @@ class TestSeriesAlgebra:
                   + [m.plain_trace_series for m in models])
         for Q, Qp, co in (gn23, gn33):
             jet = fermi_jet(geometry_catalog("euclidean-ball", co.n).data, order=2)
-            series.append(HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p).gn_series)
+            series.append(HalfspaceEnergyModel(jet, Qp, 20.0).gn_series)
             series.append(InteriorEnergyModel(InteriorPointData(n=co.n, scal=1.3), Q,
                                               20.0).gn_series)
         now = [f() for f in series]
@@ -189,29 +189,30 @@ class TestSeriesAlgebra:
 
 _FIELDS = ("tan", "nor", "w2", "w1", "pp", "tr2", "trq", "trq1")
 _STD_SPEC, _HIGH_SPEC = QuadratureSpec(order=20, subdiv=1), QuadratureSpec(order=28, subdiv=2)
-# (id, profile, R, spec, p_exponent, slot): the profile is an Escobar n, a
-# GN fixture name with the slot of its ground state (0) or half-space
-# near-optimizer (1), or "at" for an Aubin-Talenti bubble
+# (id, profile, R, spec, slot): the profile is an Escobar n, a GN fixture
+# name with the slot of its ground state (0) or half-space near-optimizer
+# (1), or "at" for an Aubin-Talenti bubble given the exponent p = 2
 _ENGINE_CASES = (
-    [(f"escobar-n{n}-R{R:g}", n, R, _STD_SPEC, None, None)
+    [(f"escobar-n{n}-R{R:g}", n, R, _STD_SPEC, None)
      for n in (4, 5, 6, 7) for R in (20.0, 135.0, 707.0)]
-    + [("escobar-n5-R20-high", 5, 20.0, _HIGH_SPEC, None, None),
-       ("gn23-halfspace", "gn23", 20.0, _STD_SPEC, 3.0, 1),
-       ("gn33-halfspace", "gn33", 20.0, _STD_SPEC, 3.0, 1),
-       ("gn23-ground", "gn23", 20.0, _STD_SPEC, 3.0, 0),
-       ("gn33-ground", "gn33", 20.0, _STD_SPEC, 3.0, 0),
-       ("aubin-talenti-n4", "at", 30.0, _STD_SPEC, 2.0, None)])
+    + [("escobar-n5-R20-high", 5, 20.0, _HIGH_SPEC, None),
+       ("gn23-halfspace", "gn23", 20.0, _STD_SPEC, 1),
+       ("gn33-halfspace", "gn33", 20.0, _STD_SPEC, 1),
+       ("gn23-ground", "gn23", 20.0, _STD_SPEC, 0),
+       ("gn33-ground", "gn33", 20.0, _STD_SPEC, 0),
+       ("aubin-talenti-n4", "at", 30.0, _STD_SPEC, None)])
 
 
 def _engine_case(case, request):
-    name, which, R, spec, p, slot = case
+    """(id, profile, R, spec, p, t_offset), p and t_offset read off the profile."""
+    name, which, R, spec, slot = case
     if which == "at":
-        prof = aubin_talenti(4, lam=0.7)
+        prof = dataclasses.replace(aubin_talenti(4, lam=0.7), p=2.0)
     elif isinstance(which, int):
         prof = request.getfixturevalue("halfspace_profiles")[which]
     else:
         prof = request.getfixturevalue(which)[slot]
-    return name, prof, R, spec, p, getattr(prof, "shift", 0.0)
+    return name, prof, R, spec, prof.p, prof.shift
 
 
 def _two_call_matrix(profile, R, spec, p_exponent, t_offset):
@@ -308,7 +309,7 @@ class TestMomentEngine:
     @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
     def test_bit_identical_to_two_call_formula(self, case, request):
         _, prof, R, spec, p, t_offset = _engine_case(case, request)
-        M = energy._build_moment_matrix(prof, R, spec, p, t_offset)
+        M = energy._build_moment_matrix(prof, R, spec)
         fine, delta, err = _two_call_matrix(prof, R, spec, p, t_offset)
         for name in _FIELDS:
             got, want = getattr(M, name), fine.get(name)
@@ -364,10 +365,9 @@ class TestMomentEngine:
                             counting("bulk_glue", profiles.Cutoff._glue, True))
         monkeypatch.setattr(profiles.RadialProfile, "_fields",
                             counting("bulk_fields", profiles.RadialProfile._fields, True))
-        prof, p, t_offset = {"escobar": (halfspace_profiles[5], None, 0.0),
-                             "gn-halfspace": (gn23[1], 3.0, gn23[1].shift),
-                             "gn-ground-state": (gn23[0], 3.0, 0.0)}[which]
-        energy._build_moment_matrix(prof, 20.0, QuadratureSpec(), p, t_offset)
+        prof = {"escobar": halfspace_profiles[5], "gn-halfspace": gn23[1],
+                "gn-ground-state": gn23[0]}[which]
+        energy._build_moment_matrix(prof, 20.0, QuadratureSpec())
         # two resolutions; the n = 2 GN profiles have no boundary traces
         assert counts == {"locate": 0 if which == "escobar" else 2,
                           "bulk_glue": 2, "bulk_fields": 2}
@@ -395,7 +395,7 @@ class TestMatrixMemo:
         first = halfspace_moment_matrix(U, 20.0)
         again = halfspace_moment_matrix(U, 20)            # int R: same key
         assert again is first and len(builds) == 1
-        fresh = energy._build_moment_matrix(U, 20.0, QuadratureSpec(), None, 0.0)
+        fresh = energy._build_moment_matrix(U, 20.0, QuadratureSpec())
         assert len(builds) == 2
         for name in _FIELDS:
             a, b = getattr(again, name), getattr(fresh, name)
@@ -413,13 +413,14 @@ class TestMatrixMemo:
 
     def test_distinct_keys(self, builds, halfspace_profiles):
         U = halfspace_profiles[5]
-        variants = [(U, 20.0, QuadratureSpec(), None, 0.0),
-                    (U, 20.0, QuadratureSpec(order=24), None, 0.0),
-                    (U, 20.0, QuadratureSpec(), 2.0, 0.0),
-                    (U, 20.0, QuadratureSpec(), None, 1.0),
-                    (U, 25.0, QuadratureSpec(), None, 0.0),
+        # the GN exponent and the depth offset are read off the profile
+        variants = [(U, 20.0, QuadratureSpec()),
+                    (U, 20.0, QuadratureSpec(order=24)),
+                    (dataclasses.replace(U, p=2.0), 20.0, QuadratureSpec()),
+                    (dataclasses.replace(U, shift=1.0), 20.0, QuadratureSpec()),
+                    (U, 25.0, QuadratureSpec()),
                     (dataclasses.replace(U, amplitude=2.0 * U.amplitude), 20.0,
-                     QuadratureSpec(), None, 0.0)]
+                     QuadratureSpec())]
         mats = [halfspace_moment_matrix(*v) for v in variants]
         assert len(builds) == len(variants) == len(energy._memo)
         assert len({id(M) for M in mats}) == len(variants)
@@ -436,12 +437,11 @@ class TestMatrixMemo:
                                 20.0)
         assert len(builds) == 2
         Qp = gn23[1]
-        B = halfspace_moment_matrix(Qp, 20.0, p_exponent=3.0, t_offset=Qp.shift)
+        B = halfspace_moment_matrix(Qp, 20.0)
         copy = dataclasses.replace(Qp, grid=Qp.grid.copy(), values=Qp.values.copy(),
                                    derivs=Qp.derivs.copy(), derivs2=Qp.derivs2.copy(),
                                    meta={})
-        assert halfspace_moment_matrix(copy, 20.0, p_exponent=3.0,
-                                       t_offset=copy.shift) is B
+        assert halfspace_moment_matrix(copy, 20.0) is B
         assert len(builds) == 3
 
     def test_tabulated_data_enters_the_key(self, builds, gn23):
@@ -655,7 +655,7 @@ class TestQuotientLayerBitIdentity:
         Q, Qp, co = request.getfixturevalue(case)
         data = _custom_data(co.n) if geo == "custom" else geometry_catalog(geo, co.n).data
         jet = fermi_jet(data, order=2, chart_radius=2.0)
-        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0)
         P = energy._reduce_halfspace_jet(jet)[:3]
         for eps in (1e-3, np.float64(2e-3), 4e-3):
             _same(model.gn_quotient(eps), _sum_gn(P, model.M, eps, co.p))
@@ -893,10 +893,10 @@ class TestGNQuotients:
     def test_boundary_flat_matches_profile_quotient(self, gn23):
         Q, Qp, co = gn23
         jet = fermi_jet(BoundaryPointData(n=2), order=2, chart_radius=2.0)
-        m = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=3.0)
+        m = HalfspaceEnergyModel(jet, Qp, 20.0)
         assert m.flat_gn() == co.W_flat_halfspace
         # cutoff barely moves the quotient for exponentially decaying profiles
-        deep = halfspace_moment_matrix(Qp, 40.0, p_exponent=3.0, t_offset=Qp.shift)
+        deep = halfspace_moment_matrix(Qp, 40.0)
         assert m.flat_gn() == pytest.approx(weinstein_quotient(deep, 3.0), rel=1e-6)
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
@@ -906,7 +906,7 @@ class TestGNQuotients:
         data = geometry_catalog("euclidean-ball", n).data if n == 2 else \
             geometry_catalog("h-only", n, H=1.0).data
         jet = fermi_jet(data, order=2, chart_radius=3.0)
-        m = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=co.p)
+        m = HalfspaceEnergyModel(jet, Qp, 20.0)
         rel = np.array([m.gn_quotient(e).breakdown["rel_change"] for e in EPS6])
         c1 = fit_power_series(EPS6, rel, (1, 2, 3))[0]
         assert c1 == pytest.approx(co.kappa_bdy * data.H, rel=0.02)
@@ -922,6 +922,13 @@ class TestGNQuotients:
         c2 = fit_power_series(EPS6, defs, (2, 3))[0]
         assert c2 == pytest.approx(co.kappa_int * scal, rel=0.05)
 
+    def test_profile_without_p_raises(self, halfspace_profiles):
+        jet = fermi_jet(BoundaryPointData(n=5), order=2)
+        model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0)
+        assert model.M.pp is None
+        with pytest.raises(ValueError, match=r"L\^\(p\+1\)"):
+            model.gn_quotient(1e-3)
+
     def test_interior_flat_exact(self, gn23):
         Q, _, co = gn23
         m = InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), Q, 20.0)
@@ -931,13 +938,6 @@ class TestGNQuotients:
 
 
 class TestDeficitSeries:
-    def test_synthetic_injection_exact(self):
-        sweep = deficit_series(None, None, 0.0, EPS6,
-                               synthetic={"coeffs": [2.0, -1.0, 0.5], "S": 3.0})
-        expect = 3.0 * (2.0 * EPS6 - EPS6 ** 2 + 0.5 * EPS6 ** 3)
-        assert np.allclose(sweep.deficits, expect, rtol=0, atol=0)
-        assert sweep.source == "synthetic"
-
     def test_geometry_sweep_carries_series(self, halfspace_profiles):
         data = geometry_catalog("h-only", 5, H=0.5).data
         jet = fermi_jet(data, order=2, chart_radius=2.0)
@@ -947,10 +947,11 @@ class TestDeficitSeries:
         model_vals = sum(c * EPS6[:3] ** (k + 1) for k, c in enumerate(sweep.series))
         assert np.allclose(model_vals * sweep.reference, sweep.deficits, rtol=1e-4)
 
-    def test_deficit_at_lookup(self):
-        sweep = deficit_series(None, None, 0.0, EPS6,
-                               synthetic={"coeffs": [1.0], "S": 1.0})
-        assert sweep.deficit_at(EPS6[2]) == pytest.approx(EPS6[2])
+    def test_deficit_at_lookup(self, halfspace_profiles):
+        jet = fermi_jet(geometry_catalog("h-only", 5, H=0.5).data, order=2, chart_radius=2.0)
+        sweep = deficit_series(jet, halfspace_profiles[5], 30.0, EPS6)
+        assert sweep.deficit_at(EPS6[2]) == sweep.deficits[2]
+        assert sweep.deficit_at(EPS6[2] * (1.0 + 1e-13)) == sweep.deficits[2]
         with pytest.raises(KeyError):
             sweep.deficit_at(1.7e-5)
 

@@ -230,7 +230,7 @@ class TestGaussBonnet:
         scal = gn_interior_scal(inner.gn_quotient(eps).deficit,
                                 inner.gn_quotient(2 * eps).deficit, eps, 2 * eps, co)
         jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data, order=2)
-        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0)
         d = {e: model.gn_quotient(e).deficit for e in (eps, eps / 2, eps / 4)}
         h1 = gn_boundary_H(d[eps / 2], d[eps], eps / 2, eps, co).estimate
         h2 = gn_boundary_H(d[eps / 4], d[eps / 2], eps / 4, eps / 2, co).estimate
@@ -247,7 +247,7 @@ class TestGaussBonnet:
         assert Qp.shift == 2.0
         jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data,
                         order=2, chart_radius=2.0)
-        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model._check_jet_positivity(_GB_EPS_MAX * (1 - 1e-12))
@@ -258,7 +258,7 @@ class TestGaussBonnet:
         _, Qp, _ = gn23
         jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data,
                         order=2, chart_radius=25.0)
-        model = HalfspaceEnergyModel(jet, Qp, 20.0, p_exponent=Qp.p)
+        model = HalfspaceEnergyModel(jet, Qp, 20.0)
         with pytest.raises(ValueError, match="volume element non-positive"):
             model.gn_quotient(0.5)
 

@@ -212,7 +212,7 @@ class TestGNCoefficients:
     def test_boundary_moment_cutoff_stability(self, gn23):
         # two cutoff levels agree to 1% (exponential tails)
         Q, Qp, co20 = gn23
-        co15 = gn_coefficients(2, 3.0, Q, Qp, R=15.0)
+        co15 = gn_coefficients(Q, Qp, R=15.0)
         assert co15.kappa_bdy == pytest.approx(co20.kappa_bdy, rel=1e-2)
         assert co15.kappa_int == pytest.approx(co20.kappa_int, rel=1e-2)
 
@@ -221,7 +221,7 @@ class TestGNCoefficients:
         # the six interior moments and C* against the integrands over [0, inf);
         # at p = 1.1 the profile decays slowly and the cutoff moves out to 40.5
         Q, Qp = cached_gn_profiles(n, p)
-        co = gn_coefficients(n, p, Q, Qp)
+        co = gn_coefficients(Q, Qp)
         raw = {(name, i): gn_quad(Q, name, i) for name in ("pp", "w2", "tan") for i in (0, 2)}
         expect = {"I_pp": raw["pp", 0], "I_2": raw["w2", 0], "J_grad": raw["tan", 0],
                   "M_pp": raw["pp", 2] / (n * raw["pp", 0]),
@@ -243,6 +243,14 @@ class TestGNCoefficients:
                      "m1_pp", "m1_2", "m1_grad", "m1_grad_tan"):
             assert getattr(co, name) > 0
         assert co.C_star > 0
+
+    def test_mismatched_pair_rejected(self, gn23):
+        # n and p are read off the ground state; a near-optimizer of another
+        # p would weigh W and kappa_bdy with its own exponent
+        Q, _, _ = gn23
+        _, Qp22 = cached_gn_profiles(2, 2.0)
+        with pytest.raises(ValueError, match=r"one \(n, p\)"):
+            gn_coefficients(Q, Qp22)
 
 
 class TestFDEExponents:

@@ -330,7 +330,7 @@ class TestHalfspaceNearOptimizer:
         for s in (2.0, 4.0, 8.0):
             prof = dataclasses.replace(Q, kind="gn-halfspace-near-optimizer",
                                        shift=s, meta={})
-            M = halfspace_moment_matrix(prof, 20.0, p_exponent=3.0, t_offset=s)
+            M = halfspace_moment_matrix(prof, 20.0)
             quots.append(moments.weinstein_quotient(M, 3.0))
         assert quots[0] < quots[1] < quots[2] <= co.C_star + 1e-9
 
@@ -338,7 +338,7 @@ class TestHalfspaceNearOptimizer:
         Q, Qp, _ = gn23
         monkeypatch.setattr(moments, "_GN_DELTA0", 1e-12)
         with pytest.raises(ShootingError, match=r"at R=20.0: W = .* < C\* - delta0"):
-            moments.gn_coefficients(2, 3.0, Q, Qp)
+            moments.gn_coefficients(Q, Qp)
 
 
 class TestCutoff:
