@@ -300,6 +300,8 @@ _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 # largest relative two-resolution difference a moment matrix may show
 _MATRIX_TOL = 1e-6
+# grid points per column block of a build: a block's fields fit in L2
+_BLOCK = 32768
 
 
 def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
@@ -340,11 +342,15 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
     Half-space kinds integrate over [0, 2R] x [0, 2R + profile.shift] with
     measure |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with
     |S^(n-1)| r^(n-1). The |w|^(p+1) moments ``pp`` are built exactly when
-    the profile carries a GN exponent p. On each resolution every grid point
-    is evaluated once: the profile yields (u, u_r, u_t) from one call on the
-    broadcast (r, t) axes, the cutoff yields chi_R and, on the band
-    R < rho < 2R only, chi_R'. Every monomial moment comes from contracting
-    the fields with the weighted Vandermonde rows of each axis. Raises
+    the profile carries a GN exponent p. Each resolution walks the (r, t)
+    grid in blocks of whole t columns, about ``_BLOCK`` points each, so no
+    full-grid array is formed and a block's fields stay in cache. Every grid
+    point is evaluated once: the profile yields (u, u_r, u_t) from one call
+    on the block's broadcast axes, the cutoff yields chi_R and, on the band
+    R < rho < 2R only, chi_R'. Each block's fields are summed over r with the
+    weighted Vandermonde rows of r, then the t sums run once on all columns.
+    A column is summed over r in the order the full grid would use, so the
+    moments do not depend on the block width to the last bit. Raises
     QuadratureNonConvergence when the resolutions differ by more than
     ``_MATRIX_TOL`` relative. Memoized by (profile fingerprint, R, spec).
     """
@@ -369,34 +375,46 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
             t, wt = r, wr
         else:
             t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
-        # the (r, t) grid as broadcast axes; radial kinds ignore t (= 0)
-        rg, tg = r[:, None], t[None, :]
-        u, ur, ut = profile._fields(rg, tg)
-        rho = np.sqrt(rg ** 2 + tg ** 2)
-        c, band, dc = chi._glue(rho)
-        # chi' vanishes off the band R < rho < 2R, where its terms add only
-        # a signed zero that squaring removes; rho > R on the band
-        ib, jb = np.divmod(band, t.size)
-        udc = np.take(u, band) * dc
-        rho_b = np.take(rho, band)
-        tan = c * ur
-        tan.reshape(-1)[band] += udc * (r[ib] / rho_b)
-        if ut is None:
-            nor = np.zeros_like(tan)
-        else:
-            nor = c * ut
-            nor.reshape(-1)[band] += udc * (t[jb] / rho_b)
-        w = c * u
-        fields = {"tan": np.square(tan, out=tan), "nor": np.square(nor, out=nor),
-                  "w2": w ** 2, "w1": w}
-        if p is not None:
-            fields["pp"] = np.abs(w) ** (p + 1.0)
         # two einsum steps: no (grid x grid x monomial) temporary, and no
         # multithreaded BLAS call, which is far slower on these small shapes
         Vr = r ** _POWERS * (wr * om * r ** (dim - 1))
         Vt = t ** _POWERS * wt
-        out = {name: np.einsum("jb,ib->ij", Vt, np.einsum("ia,ab->ib", Vr, F))
-               for name, F in fields.items()}
+        names = ("tan", "nor", "w2", "w1") + (() if p is None else ("pp",))
+        rsum = {name: np.empty((5, t.size)) for name in names}
+        rg = r[:, None]
+        # one block of whole t columns at a time, so a block's fields stay in
+        # cache: each column is summed over r in the order the full grid
+        # uses, which keeps every bit. A block holds two columns or more
+        # unless the grid has one: einsum sums a lone contiguous column with
+        # its reduction kernel, in another order.
+        width = max(2, _BLOCK // r.size)
+        starts = range(0, max(t.size - 1, 1), width)
+        for j0, j1 in zip(starts, [*starts[1:], t.size]):
+            tb = t[j0:j1]
+            tg = tb[None, :]
+            u, ur, ut = profile._fields(rg, tg)
+            rho = np.sqrt(rg ** 2 + tg ** 2)
+            c, band, dc = chi._glue(rho)
+            # chi' vanishes off the band R < rho < 2R, where its terms add
+            # only a signed zero that squaring removes; rho > R on the band
+            ib, jb = np.divmod(band, tb.size)
+            udc = np.take(u, band) * dc
+            rho_b = np.take(rho, band)
+            tan = c * ur
+            tan.reshape(-1)[band] += udc * (r[ib] / rho_b)
+            if ut is None:
+                nor = np.zeros_like(tan)
+            else:
+                nor = c * ut
+                nor.reshape(-1)[band] += udc * (tb[jb] / rho_b)
+            w = c * u
+            fields = {"tan": np.square(tan, out=tan), "nor": np.square(nor, out=nor),
+                      "w2": w ** 2, "w1": w}
+            if p is not None:
+                fields["pp"] = np.abs(w) ** (p + 1.0)
+            for name, F in fields.items():
+                rsum[name][:, j0:j1] = np.einsum("ia,ab->ib", Vr, F)
+        out = {name: np.einsum("jb,ib->ij", Vt, S) for name, S in rsum.items()}
         # boundary traces (critical exponent defined for n >= 3; the GN
         # half-space profiles are Dirichlet and never use these)
         if halfspace and n >= 3:

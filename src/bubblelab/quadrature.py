@@ -45,17 +45,15 @@ def grid_1d(a: float, b: float, order: int, subdiv: int = 1,
             base: float = 1.0, extra: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights of panelled GL on [a, b]; each dyadic panel split ``subdiv`` times."""
     edges = panel_edges(a, b, base=base, extra=extra)
-    fine = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fine.append(np.linspace(lo, hi, subdiv + 1))
-    cuts = np.unique(np.concatenate(fine))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    # np.linspace(lo, hi, subdiv + 1) on every panel at once, bit for bit:
+    # cut i is i * step + lo, and the last cut is hi itself
+    cuts = np.arange(subdiv + 1.0) * ((hi - lo) / subdiv) + lo
+    cuts[:, -1] = hi[:, 0]
+    cuts = np.unique(cuts)
     x0, w0 = _gl_nodes(order)
-    xs, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        h = 0.5 * (hi - lo)
-        xs.append(lo + h * (x0 + 1.0))
-        ws.append(h * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    lo, h = cuts[:-1, None], 0.5 * np.diff(cuts)[:, None]
+    return (lo + h * (x0 + 1.0)).ravel(), (h * w0).ravel()
 
 
 @dataclass(frozen=True)

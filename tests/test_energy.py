@@ -347,30 +347,134 @@ class TestMomentEngine:
         assert band.tolist() == np.flatnonzero(inside).tolist()
 
     @pytest.mark.parametrize("which", ["escobar", "gn-halfspace", "gn-ground-state"])
-    def test_one_location_and_one_bulk_glue_per_resolution(self, which, monkeypatch,
-                                                           halfspace_profiles, gn23):
+    def test_each_grid_point_once_per_resolution(self, which, monkeypatch,
+                                                 halfspace_profiles, gn23):
+        # each resolution's bulk calls tile its (r, t) grid by t columns, and
+        # the profile, the cutoff and the spline location see each point once
         from bubblelab import profiles
-        counts = {"locate": 0, "bulk_glue": 0, "bulk_fields": 0}
-
-        def counting(name, fn, bulk_only):
-            def wrapped(self, x, *args, **kwargs):
-                if not bulk_only or np.ndim(x) == 2:
-                    counts[name] += 1
-                return fn(self, x, *args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(profiles._Bernstein, "locate",
-                            counting("locate", profiles._Bernstein.locate, False))
-        monkeypatch.setattr(profiles.Cutoff, "_glue",
-                            counting("bulk_glue", profiles.Cutoff._glue, True))
-        monkeypatch.setattr(profiles.RadialProfile, "_fields",
-                            counting("bulk_fields", profiles.RadialProfile._fields, True))
         prof = {"escobar": halfspace_profiles[5], "gn-halfspace": gn23[1],
                 "gn-ground-state": gn23[0]}[which]
-        energy._build_moment_matrix(prof, 20.0, QuadratureSpec())
-        # two resolutions; the n = 2 GN profiles have no boundary traces
-        assert counts == {"locate": 0 if which == "escobar" else 2,
-                          "bulk_glue": 2, "bulk_fields": 2}
+        fields, glue, locate = (profiles.RadialProfile._fields, profiles.Cutoff._glue,
+                                profiles._Bernstein.locate)
+        blocks, located = [], []
+
+        def counting_fields(self, r, t=None, derivs=True):
+            if np.ndim(r) != 2:
+                return fields(self, r, t, derivs)
+            blocks.append({"r": np.ravel(r), "t": np.ravel(t), "glue": 0, "located": 0})
+            located.clear()
+            out = fields(self, r, t, derivs)
+            blocks[-1]["located"] = sum(located)
+            return out
+
+        def counting_glue(self, rho):
+            if np.ndim(rho) == 2:
+                blocks[-1]["glue"] += np.size(rho)
+            return glue(self, rho)
+
+        def counting_locate(self, x):
+            located.append(np.size(x))
+            return locate(self, x)
+
+        monkeypatch.setattr(profiles.RadialProfile, "_fields", counting_fields)
+        monkeypatch.setattr(profiles.Cutoff, "_glue", counting_glue)
+        monkeypatch.setattr(profiles._Bernstein, "locate", counting_locate)
+        R, spec = 20.0, QuadratureSpec()
+        energy._build_moment_matrix(prof, R, spec)
+        halfspace = prof.kind in energy._HALFSPACE_KINDS
+        for sp in (spec, spec.refined()):
+            r = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
+            t = (grid_1d(0.0, 2.0 * R + prof.shift, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
+                 if halfspace else np.zeros(1))
+            mine = [b for b in blocks if b["r"].size == r.size]
+            assert all(b["r"].tobytes() == r.tobytes() for b in mine)
+            assert np.concatenate([b["t"] for b in mine]).tobytes() == t.tobytes()
+            assert sum(b["glue"] for b in mine) == r.size * t.size
+            if which == "escobar":
+                want = 0
+            else:   # the spline covers the points within its grid; the tail the rest
+                rad = np.sqrt(r[:, None] ** 2 + (t[None, :] - prof.shift) ** 2)
+                want = np.count_nonzero(rad <= prof.grid[-1])
+                assert 0 < want
+            assert sum(b["located"] for b in mine) == want
+        # the fine grid (R = 20: 360 x 360 points) is split into several blocks
+        assert len(blocks) > 2 or not halfspace
+
+    @pytest.mark.parametrize("budget", ["two", "merge", "partial", "whole"])
+    @pytest.mark.parametrize("case", [c for c in _ENGINE_CASES
+                                      if c[0] in ("escobar-n5-R20", "escobar-n7-R135",
+                                                  "escobar-n5-R20-high", "gn23-halfspace",
+                                                  "aubin-talenti-n4")],
+                             ids=lambda c: c[0])
+    def test_bit_identical_at_block_edges(self, case, budget, request, monkeypatch):
+        # the block width changes no bit: two columns a block (the narrowest
+        # the engine forms), a last column that joins the block before it, a
+        # partial last block, and one block for the whole grid
+        _, prof, R, spec, p, t_offset = _engine_case(case, request)
+        n_r = grid_1d(0.0, 2.0 * R, spec.order, spec.subdiv, extra=(R, 1.5 * R))[0].size
+        n_t = grid_1d(0.0, 2.0 * R + t_offset, spec.order, spec.subdiv,
+                      extra=(R, 1.5 * R))[0].size
+        monkeypatch.setattr(energy, "_BLOCK", {"two": 1, "merge": (n_t - 1) * n_r,
+                                               "partial": 7 * n_r, "whole": 10 ** 9}[budget])
+        widths, fields = [], RadialProfile._fields
+
+        def spying(self, r, t=None, derivs=True):
+            if np.ndim(r) == 2:
+                widths.append(np.shape(t)[1])
+            return fields(self, r, t, derivs)
+
+        monkeypatch.setattr(RadialProfile, "_fields", spying)
+        M = energy._build_moment_matrix(prof, R, spec)
+        monkeypatch.setattr(RadialProfile, "_fields", fields)
+        # einsum sums a lone contiguous column in another order, so a block
+        # holds two columns or more unless the grid has one
+        assert min(widths) >= 2 or widths == [1, 1]
+        fine, delta, err = _two_call_matrix(prof, R, spec, p, t_offset)
+        for name in _FIELDS:
+            got, want = getattr(M, name), fine.get(name)
+            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+        for name in delta:
+            assert M.delta[name].tobytes() == delta[name].tobytes(), name
+        assert M.err == err
+
+    @pytest.mark.parametrize("resolution", ["coarse", "fine"])
+    def test_nan_in_last_partial_block_raises(self, resolution, monkeypatch):
+        # a nan in the last, partial column block of one resolution still
+        # reaches the two-resolution guard
+        R, spec = 20.0, QuadratureSpec()
+        sp = spec if resolution == "coarse" else spec.refined()
+        r = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
+        width = 7
+        assert r.size % width > 1       # a partial last block
+        monkeypatch.setattr(energy, "_BLOCK", width * r.size)
+        poisoned = []
+
+        class Poisoned(RadialProfile):
+            def _fields(self, r_, t=None, derivs=True):
+                u, ur, ut = super()._fields(r_, t, derivs)
+                if np.ndim(r_) == 2 and r_.size == r.size and t[0, -1] == r[-1]:
+                    poisoned.append(t.size)
+                    u = u * np.nan
+                return u, ur, ut
+
+        with pytest.raises(QuadratureNonConvergence):
+            energy._build_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5),
+                                        R, spec)
+        assert poisoned == [r.size % width]
+
+    def test_build_peak_memory_is_a_few_blocks(self, halfspace_profiles):
+        # numpy reports its buffers to tracemalloc; at R = 500 one fine-grid
+        # field is 520 x 520 float64 = 2.2 MB, and the build holds a few
+        # column blocks of fields, never a dozen full-grid arrays
+        import tracemalloc
+        U = halfspace_profiles[5]
+        tracemalloc.start()
+        try:
+            energy._build_moment_matrix(U, 500.0, QuadratureSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
 
 
 @pytest.fixture

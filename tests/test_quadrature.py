@@ -20,6 +20,24 @@ class TestPanelledGL:
         edges = panel_edges(0.0, 8.0, extra=(2.5, 7.1))
         assert 2.5 in edges and 7.1 in edges
 
+    @pytest.mark.parametrize("a, b, order, subdiv, extra", [
+        (0.0, 3.0, 8, 1, ()), (0.0, 40.0, 20, 1, (20.0, 30.0)),
+        (0.0, 40.0, 20, 2, (20.0, 30.0)), (0.0, 1000.0, 28, 4, (500.0, 750.0)),
+        (0.0, 41.5, 20, 3, (20.0, 30.0)), (0.5, 7.3, 5, 7, (1.5, 2.0)),
+        (-3.0, 5.0, 1, 2, (4.2,)), (0.3, 0.9, 6, 3, ()), (0.3, 8.0, 4, 6, (3.1,))])
+    def test_vectorized_grid_matches_panel_loop(self, a, b, order, subdiv, extra):
+        # the grid as built one panel at a time, with np.linspace cuts
+        from bubblelab.quadrature import _gl_nodes, panel_edges
+        edges = panel_edges(a, b, extra=extra)
+        cuts = np.unique(np.concatenate([np.linspace(lo, hi, subdiv + 1)
+                                         for lo, hi in zip(edges[:-1], edges[1:])]))
+        x0, w0 = _gl_nodes(order)
+        h = [0.5 * (hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        x = np.concatenate([lo + hk * (x0 + 1.0) for lo, hk in zip(cuts[:-1], h)])
+        w = np.concatenate([hk * w0 for hk in h])
+        got = grid_1d(a, b, order, subdiv, extra=extra)
+        assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == w.tobytes()
+
     def test_error_estimate_bounds_truth(self, gn23, gn_quad):
         # the engine's two-resolution estimate, which gn_coefficients reports,
         # bounds the error of each untruncated GN moment at a coarse spec
