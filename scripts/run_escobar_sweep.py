@@ -29,7 +29,9 @@ def main():
 
     U = escobar_halfspace_optimizer(args.n)
     C = escobar_constants(args.n, weighted_moments(U, args.R))
-    geo = geometry_catalog(args.geometry, args.n, H=args.H)
+    # --H sets the mean curvature of h-only, the one entry that reads it
+    kw = {"H": args.H} if args.geometry == "h-only" else {}
+    geo = geometry_catalog(args.geometry, args.n, **kw)
     jet = fermi_jet(geo.data, order=2, chart_radius=max(1.0, args.eps0 * 2.1 * args.R))
     eps = args.eps0 * 0.5 ** np.arange(args.levels)
     sweep = deficit_series(jet, U, args.R, eps, functional=args.functional)
@@ -42,8 +44,11 @@ def main():
     print(f"fitted (c1, c2, c3)   = {fit}")
     print(f"exact jet series      = {sweep.series[:3]}")
     ref = C.rho_conf if args.functional == "escobar" else C.plain_rho
-    print(f"first-order reference = {ref * geo.data.H:.8f}  "
-          f"(rel dev {abs(fit[0] - ref * geo.data.H) / abs(ref * geo.data.H):.3%})")
+    first = ref * geo.data.H
+    dev = abs(fit[0] - first)
+    # a zero reference (H = 0) has no relative deviation
+    dev_text = f"rel dev {dev / abs(first):.3%}" if first else f"abs dev {dev:.3e}"
+    print(f"first-order reference = {first:.8f}  ({dev_text})")
 
 
 if __name__ == "__main__":

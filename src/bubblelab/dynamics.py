@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .moments import fde_exponents, FDEExponents, gn_untruncated_moments, weinstein_quotient
+from .profiles import gn_exponents, sphere_area
 from .fixtures import cached_gn_ground_state
 from .quadrature import _gl_nodes
 
@@ -85,7 +86,7 @@ class DecayParams:
 
     @property
     def bernoulli_ok(self) -> bool:
-        return 0.0 < self.alpha < 1.0
+        return self.exponents.bernoulli_ok
 
 
 def decay_envelope(params: DecayParams, t) -> np.ndarray:
@@ -222,7 +223,7 @@ def eig_competitor_bound(vol: float, lam1: float, n: int, p: float) -> float:
     """Lower bound Vol^(1-(p+1)/2) lambda_1^(-beta/2) on the GN supremum."""
     if vol <= 0 or lam1 <= 0:
         raise ValueError("volume and lambda_1 must be positive")
-    beta = n * (p - 1.0) / 2.0
+    beta = gn_exponents(n, p)[1]
     return vol ** (1.0 - (p + 1.0) / 2.0) * lam1 ** (-beta / 2.0)
 
 
@@ -422,15 +423,11 @@ def capacity_blowup_bound(n: int, p: float, ds) -> dict:
     against |log d| (n = 2), to compare with beta/2 scaling.
     """
     ds = np.asarray(ds, dtype=float)
-    beta = n * (p - 1.0) / 2.0
-    ball_vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    lams, bounds = [], []
-    for d in ds:
-        lam = small_window_lambda1(n, d)
-        vol = ball_vol * (1.0 - d ** n)
-        lams.append(lam)
-        bounds.append(eig_competitor_bound(vol, lam, n, p))
-    lams = np.array(lams); bounds = np.array(bounds)
+    beta = gn_exponents(n, p)[1]
+    ball_vol = sphere_area(n - 1) / n
+    lams = window_ladder(n, ds)["lambda1"]
+    bounds = np.array([eig_competitor_bound(ball_vol * (1.0 - d ** n), lam, n, p)
+                       for d, lam in zip(ds, lams)])
     if n == 2:
         x = np.log(np.abs(np.log(ds)))
         expected = beta / 2.0

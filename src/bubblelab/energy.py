@@ -75,7 +75,7 @@ __all__ = [
     "QuadratureNonConvergence", "escobar_quotient", "plain_trace_quotient",
     "gn_quotient", "deficit_series", "channel_fit_second_order",
     "ChannelFitResult", "HalfspaceEnergyModel", "InteriorEnergyModel",
-    "fit_power_series", "empirical_slope",
+    "fit_power_series", "empirical_slope", "halfspace_moment_matrix", "sphere_average",
 ]
 
 
@@ -669,7 +669,9 @@ class HalfspaceEnergyModel:
 
     @cached_property
     def _chart_volume(self) -> float:
-        """Jet volume of the chart |y'| <= r0, 0 <= t <= r0 (the P_sca monomials)."""
+        """Jet volume of the chart, the half-ball |y| <= r0, t >= 0 of
+        y = (y', t): the P_sca monomials |y'|^i t^j integrate in polar
+        coordinates to a radial power times a half-sphere Beta factor."""
         n = self.n
         r0 = self.jet.chart_radius
         vol = 0.0

@@ -26,7 +26,7 @@ hypersurfaces, not a modeling choice).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -282,7 +282,6 @@ class ModelGeometry:
     data: BoundaryPointData
     exact_fermi_gab: object = None       # callable t -> (n-1)x(n-1) matrix, or None
     exact_boundary_density: object = None  # callable r -> float (radial), or None
-    truth: dict = field(default_factory=dict)
 
 
 def _ball(n: int, radius: float = 1.0) -> ModelGeometry:
@@ -303,10 +302,8 @@ def _ball(n: int, radius: float = 1.0) -> ModelGeometry:
             return np.where(s > 0, np.sin(s) / np.maximum(s, 1e-300), 1.0) ** (m - 1)
         return None
 
-    truth = {"H": m / a, "II_ring_sq": 0.0, "ric_nn": 0.0,
-             "scal_bdy": (m * (m - 1)) / a ** 2 if n >= 3 else 0.0, "scal_ambient": 0.0}
     return ModelGeometry(f"euclidean-ball({a})", data, exact_gab,
-                         exact_density if n == 3 else None, truth)
+                         exact_density if n == 3 else None)
 
 
 def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
@@ -321,13 +318,13 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
         return _ball(n, kw.get("radius", 1.0))
     if name == "flat-halfspace":
         data = BoundaryPointData(n=n, label="flat-halfspace")
-        return ModelGeometry(name, data, truth={"H": 0.0, "II_ring_sq": 0.0})
+        return ModelGeometry(name, data)
     if name == "umbilic-sphere-cap":
         c = kw.get("curvature", 1.0)
         data = BoundaryPointData(n=n, II=c * np.eye(m),
                                  scal_bdy=(m * (m - 1)) * c ** 2 if n >= 3 else 0.0,
                                  label="umbilic-sphere-cap")
-        return ModelGeometry(name, data, truth={"H": m * c, "II_ring_sq": 0.0})
+        return ModelGeometry(name, data)
     if name == "anisotropic-cylinder-like":
         # channel probe: every field but II_ring is off, including the ambient
         # scalar curvature the Gauss identity would otherwise generate
@@ -338,23 +335,21 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
         scale = kw.get("scale", 1.0)
         data = BoundaryPointData(n=n, II=scale * II, scal_ambient_override=0.0,
                                  label="anisotropic-cylinder-like")
-        return ModelGeometry(name, data,
-                             truth={"H": 0.0, "II_ring_sq": 2.0 * scale ** 2})
+        return ModelGeometry(name, data)
     if name == "ricci-only":
         data = BoundaryPointData(n=n, ric_nn=kw.get("value", 1.0),
                                  scal_ambient_override=0.0, label="ricci-only")
-        return ModelGeometry(name, data, truth={"H": 0.0, "ric_nn": kw.get("value", 1.0)})
+        return ModelGeometry(name, data)
     if name == "boundary-scal-only":
         data = BoundaryPointData(n=n, scal_bdy=kw.get("value", 1.0),
                                  scal_ambient_override=0.0, label="boundary-scal-only")
-        return ModelGeometry(name, data, truth={"H": 0.0, "scal_bdy": kw.get("value", 1.0)})
+        return ModelGeometry(name, data)
     if name == "h-only":
         h = kw.get("H", 1.0)
         data = BoundaryPointData(n=n, II=(h / m) * np.eye(m), label="h-only")
-        return ModelGeometry(name, data, truth={"H": h, "II_ring_sq": 0.0})
+        return ModelGeometry(name, data)
     if name == "custom":
-        data = BoundaryPointData(n=n, **{k: v for k, v in kw.items() if k != "truth"})
-        return ModelGeometry(name, data, truth=kw.get("truth", {}))
+        return ModelGeometry(name, BoundaryPointData(n=n, **kw))
     raise KeyError(f"unknown geometry '{name}'; the catalog has {', '.join(CATALOG_NAMES)}")
 
 

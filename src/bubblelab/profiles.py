@@ -40,6 +40,7 @@ __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
     "escobar_halfspace_optimizer", "aubin_talenti", "gn_ground_state",
     "gn_halfspace_near_optimizer", "cutoff", "sphere_area", "beta_function", "gn_exponents",
+    "gn_ode_residual",
 ]
 
 

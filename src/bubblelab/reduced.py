@@ -7,9 +7,11 @@ The finite-dimensional model evaluated here is the displayed truncation
 
 of the k-bubble quotient power (J_k/S*)^(n-1); its remainder is dropped by
 design, so every claim in this module is about the truncated model. The
-interaction kernel carries the singular law a d^(2-n) (a d^(-1) in n = 3)
-plus a user-supplied smooth part; the kernel units a and the interaction
-constant c are model units (the analysis fixes neither number).
+interaction kernel is the singular law G = a d^(2-n) (a d^(-1) in n = 3);
+the kernel units a and the interaction constant c are model units (the
+analysis fixes neither number). F_k, its scale derivatives (the Jacobian of
+the scale-stationarity system) and the balance law (its center gradient)
+all read one batched distance matrix and the kernel matrix G built on it.
 
 Center-only potential: W_k(x) = sum_i Rmass(x_i); its critical points are
 located by a projected Newton iteration with a log-barrier on pairwise
@@ -21,14 +23,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CollisionError", "CircleDomain", "TorusDomain", "SphereDomain",
+    "CollisionError", "CircleDomain", "TorusDomain",
     "ExpressionField", "GridField", "InteractionKernel", "Configuration",
     "center_potential", "reduced_functional", "scale_jacobian", "ScaleJacobianReport",
     "critical_point_search", "CriticalPoint", "quantized_levels",
@@ -96,20 +96,6 @@ class TorusDomain:
         if np.any(d == 0.0):
             raise CollisionError("coincident centers")
         return _scalar(d), w / np.asarray(d)[..., None]
-
-
-@dataclass(frozen=True)
-class SphereDomain:
-    """Round unit sphere; points are unit 3-vectors."""
-    dim: int = 3
-
-    def distance(self, a, b) -> float:
-        u = np.asarray(a, dtype=float); v = np.asarray(b, dtype=float)
-        u = u / np.linalg.norm(u); v = v / np.linalg.norm(v)
-        return float(np.arccos(np.clip(u @ v, -1.0, 1.0)))
-
-    def dist_grad(self, a, b):
-        raise NotImplementedError("search runs on circle/torus parametrizations")
 
 
 # --------------------------------------------------------------------------
@@ -240,11 +226,11 @@ class GridField(_Field):
 
 @dataclass
 class InteractionKernel:
-    """Renormalized boundary-to-boundary kernel: positive singular part plus
-    an optional symmetric smooth part (geometry-dependent, user supplied)."""
+    """Renormalized boundary-to-boundary kernel a d^(-e): e = n - 2, and
+    e = 1 in n = 3. ``value`` and ``deriv`` take a distance or an array of
+    them; an infinite distance gives 0."""
     n: int
     a: float = 1.0                       # singular coefficient, model units
-    smooth: Optional[Callable] = None    # smooth(x, y) -> float, symmetric
 
     def __post_init__(self):
         if self.n < 3:
@@ -256,22 +242,19 @@ class InteractionKernel:
     def exponent(self) -> float:
         return 1.0 if self.n == 3 else float(self.n - 2)
 
-    def value(self, d: float, x=None, y=None) -> float:
-        if d <= 0.0:
+    def value(self, d):
+        if np.any(np.asarray(d) <= 0.0):
             raise CollisionError("kernel evaluated at zero separation")
-        out = self.a * d ** (-self.exponent)
-        if self.smooth is not None:
-            out += self.smooth(x, y)
-        return out
+        return self.a * d ** (-self.exponent)
 
-    def deriv(self, d: float) -> float:
-        if d <= 0.0:
+    def deriv(self, d):
+        if np.any(np.asarray(d) <= 0.0):
             raise CollisionError("kernel derivative at zero separation")
         return -self.exponent * self.a * d ** (-self.exponent - 1.0)
 
 
 # --------------------------------------------------------------------------
-# configurations
+# configurations and the truncated functional
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -295,40 +278,42 @@ class Configuration:
     def k(self) -> int:
         return self.centers.shape[0]
 
-    def pair_distances(self) -> dict:
-        return {(i, j): self.domain.distance(self.centers[i], self.centers[j])
-                for i, j in combinations(range(self.k), 2)}
 
-    def separation_diagnostics(self) -> dict:
-        if self.k < 2:
-            return {"min_distance": math.inf, "min_ratio": math.inf}
-        dists = self.pair_distances()
-        min_d = min(dists.values())
-        min_ratio = min(d / (self.scales[i] + self.scales[j])
-                        for (i, j), d in dists.items())
-        return {"min_distance": min_d, "min_ratio": min_ratio}
-
-    def mass_at(self, i: int) -> float:
-        return self.mass_field.value(self.centers[i]) if self.mass_field else 0.0
-
-    def h_at(self, i: int) -> float:
-        return self.h_field.value(self.centers[i]) if self.h_field else 0.0
+def _at_centers(config: Configuration, fld) -> np.ndarray:
+    """A field's values at all centers; zeros for an absent field."""
+    return np.zeros(config.k) if fld is None else fld.values(config.centers)
 
 
 def center_potential(config: Configuration) -> float:
     """W_k = sum_i Rmass(x_i)."""
-    return float(sum(config.mass_at(i) for i in range(config.k)))
+    return float(np.sum(_at_centers(config, config.mass_field)))
 
 
-def _interaction_sum(config: Configuration, kernel: InteractionKernel,
-                     alpha: float) -> float:
-    out = 0.0
-    for (i, j), d in config.pair_distances().items():
-        if d == 0.0:
-            raise CollisionError(f"centers {i} and {j} collide")
-        gij = kernel.value(d, config.centers[i], config.centers[j])
-        out += 2.0 * (config.scales[i] * config.scales[j]) ** alpha * gij
-    return out
+def _kernel_matrix(config: Configuration, kernel: InteractionKernel):
+    """Distances D (k, k) from one batched call, with an infinite diagonal,
+    and G = kernel(D), whose diagonal is 0; a zero off-diagonal distance
+    raises ``CollisionError``."""
+    X = config.centers
+    D = config.domain.distance(X[:, None], X[None, :])
+    np.fill_diagonal(D, np.inf)
+    return D, kernel.value(D)
+
+
+def _truncation(constants, eps, mass, h, G):
+    """F_k, dF/d eps (k,) and d2F/d eps2 (k, k) of the truncation at scales
+    eps, from Rmass and H at the centers and the kernel matrix G."""
+    n = constants.n
+    rho, c = constants.rho_conf, constants.c_conf
+    a = (n - 2) / 2.0
+    w1 = eps ** (a - 1.0)
+    Gw = np.einsum("ij,j->i", G, eps ** a)        # sum_{j != i} eps_j^a G_ij
+    pair = np.einsum("ij,ij->", (eps[:, None] * eps[None, :]) ** a, G)
+    F = eps.size + (n - 1) * (np.sum(rho * h * eps + eps ** 2 * mass) + c * pair)
+    dF = (n - 1) * (rho * h + 2.0 * eps * mass + 2.0 * c * a * w1 * Gw)
+    d2F = (n - 1) * 2.0 * c * a ** 2 * np.einsum("i,ij,j->ij", w1, G, w1)
+    d2F[np.diag_indices(eps.size)] = (n - 1) * (
+        2.0 * mass + 2.0 * c * a * (a - 1.0) * eps ** (a - 2.0) * Gw)
+    return float(F), dF, d2F
 
 
 # the separation ratio below which the truncated expansion is uncontrolled
@@ -338,19 +323,15 @@ _LAMBDA_MIN = 2.0
 def reduced_functional(config: Configuration, kernel: InteractionKernel,
                        constants) -> float:
     """Truncated F_k = (J_k/S*)^(n-1); warns below the separation threshold."""
-    n = constants.n
-    diag = config.separation_diagnostics()
-    if diag["min_ratio"] < _LAMBDA_MIN:
-        warnings.warn(f"separation ratio {diag['min_ratio']:.3g} below "
+    D, G = _kernel_matrix(config, kernel)
+    eps = config.scales
+    ratio = float(np.min(D / (eps[:, None] + eps[None, :])))
+    if ratio < _LAMBDA_MIN:
+        warnings.warn(f"separation ratio {ratio:.3g} below "
                       f"Lambda = {_LAMBDA_MIN}; truncation error uncontrolled",
                       stacklevel=2)
-    alpha = (n - 2) / 2.0
-    rho = constants.rho_conf
-    self_terms = sum(rho * config.h_at(i) * config.scales[i]
-                     + config.scales[i] ** 2 * config.mass_at(i)
-                     for i in range(config.k))
-    inter = constants.c_conf * _interaction_sum(config, kernel, alpha)
-    return float(config.k + (n - 1) * (self_terms + inter))
+    return _truncation(constants, eps, _at_centers(config, config.mass_field),
+                       _at_centers(config, config.h_field), G)[0]
 
 
 @dataclass
@@ -359,7 +340,6 @@ class ScaleJacobianReport:
     diagonal: np.ndarray
     gershgorin_radii: np.ndarray
     diagonally_dominant: bool
-    invertible: bool
     limit_diagonal: np.ndarray          # 2 S* k^(-2/q) Rmass(x_i)
 
 
@@ -372,55 +352,23 @@ def scale_jacobian(config: Configuration, kernel: InteractionKernel,
     2 S* k^(-2/q) Rmass(x_i).
     """
     n = constants.n
-    k = config.k
-    for i in range(k):
-        if abs(config.h_at(i)) > 1e-12:
-            warnings.warn("scale Jacobian structure assumes H = 0 at the centers",
-                          stacklevel=2)
-            break
-    alpha = (n - 2) / 2.0
+    mass = _at_centers(config, config.mass_field)
+    h = _at_centers(config, config.h_field)
+    if np.any(np.abs(h) > 1e-12):
+        warnings.warn("scale Jacobian structure assumes H = 0 at the centers",
+                      stacklevel=2)
     gamma = 1.0 / (n - 1)
     S = constants.S_star
-    rho = constants.rho_conf
-    c = constants.c_conf
-    eps = config.scales
-    G = np.zeros((k, k))
-    for (i, j), d in config.pair_distances().items():
-        if d == 0.0:
-            raise CollisionError(f"centers {i} and {j} collide")
-        G[i, j] = G[j, i] = kernel.value(d, config.centers[i], config.centers[j])
-
-    F = config.k + (n - 1) * sum(rho * config.h_at(i) * eps[i]
-                                 + eps[i] ** 2 * config.mass_at(i)
-                                 for i in range(k))
-    F += (n - 1) * c * _interaction_sum(config, kernel, alpha)
-
-    dF = np.zeros(k)
-    for i in range(k):
-        inter = sum(eps[j] ** alpha * G[i, j] for j in range(k) if j != i)
-        dF[i] = (n - 1) * (rho * config.h_at(i) + 2.0 * eps[i] * config.mass_at(i)
-                           + 2.0 * c * alpha * eps[i] ** (alpha - 1.0) * inter)
-
-    d2F = np.zeros((k, k))
-    for i in range(k):
-        inter = sum(eps[j] ** alpha * G[i, j] for j in range(k) if j != i)
-        d2F[i, i] = (n - 1) * (2.0 * config.mass_at(i)
-                               + 2.0 * c * alpha * (alpha - 1.0)
-                               * eps[i] ** (alpha - 2.0) * inter)
-        for j in range(k):
-            if j != i:
-                d2F[i, j] = (n - 1) * 2.0 * c * alpha ** 2 * (eps[i] * eps[j]) ** (alpha - 1.0) * G[i, j]
-
+    F, dF, d2F = _truncation(constants, config.scales, mass, h,
+                             _kernel_matrix(config, kernel)[1])
     # chain rule through J_k = S* F^gamma
     M = S * gamma * (F ** (gamma - 1.0) * d2F
                      + (gamma - 1.0) * F ** (gamma - 2.0) * np.outer(dF, dF))
     diag = np.diag(M)
     radii = np.sum(np.abs(M), axis=1) - np.abs(diag)
-    dominant = bool(np.all(np.abs(diag) > radii))
-    limit = np.array([2.0 * S * config.k ** (-(n - 2.0) / (n - 1.0)) * config.mass_at(i)
-                      for i in range(k)])
-    return ScaleJacobianReport(M, diag.copy(), radii, dominant,
-                               dominant and bool(np.all(np.abs(diag) > 0)), limit)
+    limit = 2.0 * S * config.k ** (-(n - 2.0) / (n - 1.0)) * mass
+    return ScaleJacobianReport(M, diag.copy(), radii, bool(np.all(np.abs(diag) > radii)),
+                               limit)
 
 
 def quantized_levels(k: int, n: int, S_star: float) -> float:
@@ -432,23 +380,20 @@ def quantized_levels(k: int, n: int, S_star: float) -> float:
 
 def balance_law_residual(config: Configuration, kernel: InteractionKernel,
                          constants) -> np.ndarray:
-    """Per-center rho grad H(x_i) + 2 c sum_j eps_i^(a-1) eps_j^a grad_1 G."""
+    """Per-center rho grad H(x_i) + 2 c sum_j eps_i^(a-1) eps_j^a G'(d_ij)
+    grad_1 d(x_i, x_j): the x_i-gradient of F_k over (n-1) eps_i when there
+    is no mass field."""
     n = constants.n
-    alpha = (n - 2) / 2.0
-    rho = constants.rho_conf
-    c = constants.c_conf
-    k = config.k
-    dim = config.centers.shape[1]
-    out = np.zeros((k, dim))
-    for i in range(k):
-        if config.h_field is not None:
-            out[i] += rho * config.h_field.grad(config.centers[i])
-        for j in range(k):
-            if j == i:
-                continue
-            d, dgrad = config.domain.dist_grad(config.centers[i], config.centers[j])
-            out[i] += (2.0 * c * config.scales[i] ** (alpha - 1.0)
-                       * config.scales[j] ** alpha * kernel.deriv(d) * dgrad)
+    a = (n - 2) / 2.0
+    k, dim = config.centers.shape
+    X, eps = config.centers, config.scales
+    I, J = np.nonzero(~np.eye(k, dtype=bool))     # ordered pairs, row by row
+    d, dgrad = config.domain.dist_grad(X[I], X[J])
+    coef = 2.0 * constants.c_conf * eps[I] ** (a - 1.0) * eps[J] ** a * kernel.deriv(d)
+    out = np.einsum("ij,ijd->id", coef.reshape(k, k - 1),
+                    np.reshape(dgrad, (k, k - 1, dim)))
+    if config.h_field is not None:
+        out += constants.rho_conf * config.h_field.derivatives(X)[0]
     return out
 
 
@@ -462,8 +407,6 @@ class CriticalPoint:
     value: float
     grad_norm: float
     inertia: tuple                       # (n_negative, n_zero, n_positive)
-    hessian: np.ndarray
-    converged: bool
     degenerate: bool = False
 
 
@@ -567,8 +510,7 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
     g, Hs = derivs(probes)
     if np.max(_row_norm(g)) < 1e-12:
         return [CriticalPoint(probes[0].reshape(k, dim) % (2 * math.pi),
-                              float(W(probes[:1])[0]), 0.0, _inertia(Hs[0]), Hs[0], True,
-                              degenerate=True)]
+                              float(W(probes[:1])[0]), 0.0, _inertia(Hs[0]), degenerate=True)]
 
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(seeds, kd))
     ok = np.ones(seeds, bool)
@@ -630,8 +572,7 @@ def critical_point_search(field, k: int, domain=None, seeds: int = 64,
             u = last_step[s] / step_norm[s, 1]
             zero_tol = max(zero_tol, 2.0 * float(_row_norm(Hm @ u)))
         cp = CriticalPoint(th[r].reshape(k, dim) % (2 * math.pi), float(vals[r]),
-                           float(gn[r]), _inertia(Hm, zero_tol), Hm, True,
-                           degenerate=degenerate)
+                           float(gn[r]), _inertia(Hm, zero_tol), degenerate)
         found.append((cp, radius))
     return _merge(found, domain)
 

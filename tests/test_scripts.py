@@ -29,3 +29,15 @@ def test_readme_script_runs(script, args, headline):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert any(re.fullmatch(headline, ln) for ln in out.stdout.splitlines()), out.stdout
+
+
+def test_escobar_sweep_on_an_h_free_geometry():
+    # ricci-only has H = 0, so the first-order reference is 0 and the
+    # deviation is reported absolute, without a divide-by-zero warning
+    out = subprocess.run([sys.executable, str(SCRIPTS / "run_escobar_sweep.py"),
+                          "--n", "5", "--geometry", "ricci-only", "--R", "15",
+                          "--levels", "3"], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert "inf" not in out.stdout
+    assert re.search(r"first-order reference = 0\.00000000  \(abs dev \S+\)", out.stdout)
