@@ -38,8 +38,9 @@ def main():
 
     print(f"{args.functional} sweep on {geo.name}, n={args.n}, R={args.R}")
     print(f"{'eps':>12} {'quotient':>16} {'deficit':>14}")
-    for r in sweep.results:
-        print(f"{r.eps:12.5g} {r.quotient:16.10f} {r.deficit:14.6e}")
+    r = sweep.result
+    for e, quotient, deficit in zip(r.eps, r.quotient, r.deficit):
+        print(f"{e:12.5g} {quotient:16.10f} {deficit:14.6e}")
     fit = fit_power_series(eps, sweep.deficits / sweep.reference, (1, 2, 3))
     print(f"fitted (c1, c2, c3)   = {fit}")
     print(f"exact jet series      = {sweep.series[:3]}")

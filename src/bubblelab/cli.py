@@ -216,8 +216,9 @@ def cmd_expand(ns) -> str:
     eps = ns.eps0 * 0.5 ** np.arange(levels)
     jet = fermi_jet(geo.data, order=2, chart_radius=max(1.0, ns.eps0 * 2.1 * ns.R))
     sweep = deficit_series(jet, U, ns.R, eps, functional=ns.functional)
-    rows = [(r.eps, r.numerator, r.denominator, r.quotient, r.deficit, r.err_estimate)
-            for r in sweep.results]
+    r = sweep.result
+    rows = [(*row, r.err_estimate)
+            for row in zip(r.eps, r.numerator, r.denominator, r.quotient, r.deficit)]
     _emit_csv(ns.out, ["eps", "numerator", "denominator", "quotient", "deficit", "err_est"],
               rows, f"{ns.functional} sweep on {geo.name}, n={n}, R={ns.R}; "
               "deficit vs the flat value at the same cutoff")

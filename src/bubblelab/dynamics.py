@@ -420,12 +420,14 @@ def capacity_blowup_bound(n: int, p: float, ds) -> dict:
     """Chain the window eigenvalue through the competitor bound over a ladder.
 
     Reports the fitted divergence exponent of the bound against d (n = 3) or
-    against |log d| (n = 2), to compare with beta/2 scaling.
+    against |log d| (n = 2), to compare with beta/2 scaling, next to the
+    ``window_ladder`` it solved (every key of that dict), so a caller that
+    prints the ladder too solves each eigenvalue once.
     """
-    ds = np.asarray(ds, dtype=float)
+    ladder = window_ladder(n, ds)
+    ds, lams = ladder["d"], ladder["lambda1"]
     beta = gn_exponents(n, p)[1]
     ball_vol = sphere_area(n - 1) / n
-    lams = window_ladder(n, ds)["lambda1"]
     bounds = np.array([eig_competitor_bound(ball_vol * (1.0 - d ** n), lam, n, p)
                        for d, lam in zip(ds, lams)])
     if n == 2:
@@ -435,5 +437,5 @@ def capacity_blowup_bound(n: int, p: float, ds) -> dict:
         x = np.log(ds)
         expected = -beta / 2.0 * (n - 2)
     slope = float(np.polyfit(x, np.log(bounds), 1)[0])
-    return {"d": ds, "lambda1": lams, "bound": bounds, "fitted_exponent": slope,
-            "expected_exponent": float(expected), "beta": beta}
+    return dict(ladder, bound=bounds, fitted_exponent=slope,
+                expected_exponent=float(expected), beta=beta)

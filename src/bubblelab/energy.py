@@ -24,7 +24,7 @@ integrated, and its depth offset ``shift`` extends the t-axis. It does not
 depend on the jet, so the engine memoizes it in a process-wide LRU of
 ``_MEMO_CAP`` entries keyed by (profile fingerprint, R, spec). The
 fingerprint covers every field that profile evaluation reads (p and shift
-among the scalars, plus a digest of the tabulated arrays, not ``meta``), so
+among the scalars, plus the content of the tabulated arrays, not ``meta``), so
 an equal profile hits whatever its ``meta`` holds: a copy with equal arrays,
 or a closed form rebuilt with the same amplitude. A build that raises is not
 stored. Cached arrays are read-only because every model with the same key
@@ -33,11 +33,18 @@ memo.
 
 The jet reductions share that LRU too, keyed by ``_jet_fingerprint``: the
 content of every field a reduction reads, never ``chart_radius``, ``label``
-or the object's ``id``, so equal jets share one read-only reduction. A model
-turns each (polynomial, matrix) pair into per-term products when it is
-built, and keeps the jet scalars it reads: it is a snapshot of its jet at
-construction, and changing the point data in place reaches only models
-built afterwards.
+or the object's ``id``, so equal jets share one read-only reduction. Array
+content enters a key as its shape and float64 bytes: exact, with no digest
+that could collide. A model contracts each (polynomial, matrix) pair into
+one coefficient array in eps when it is built, and keeps the jet scalars it
+reads: it is a snapshot of its jet at construction, and changing the point
+data in place reaches only models built afterwards.
+
+The quotient methods take an eps array (or one eps) and return results
+whose fields are arrays of that shape: a sweep is one call on its whole
+eps array, with no per-eps Python work. Values read the whole coefficient
+array, deficits the array without its constant term (cancellation-free),
+and the exact Taylor series its leading slice.
 
 Escobar numerator (covariant graph form, rescaled coordinates):
 
@@ -52,11 +59,10 @@ the three bulk norms.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -148,7 +154,9 @@ def _poly_add(poly: dict, key: tuple, val: float) -> None:
 # process-wide memo: moment matrices and jet reductions
 # --------------------------------------------------------------------------
 
-_MEMO_CAP = 64   # entries: a few kB of 5x5 arrays or polynomials, ~0.5 MB for a GN pair
+# entries: a few kB of 5x5 arrays or polynomials, ~0.5 MB for a GN pair; a
+# key holds the bytes of its arrays, about 64 kB for a GN profile
+_MEMO_CAP = 64
 _memo: OrderedDict = OrderedDict()
 
 
@@ -164,24 +172,23 @@ def _memoized(key: tuple, build: Callable):
     return value
 
 
-def _digest(*arrays) -> str:
-    """SHA-1 over the shapes and float64 bytes of ``arrays`` (None allowed)."""
-    digest = hashlib.sha1()
-    for a in arrays:
-        if a is None:
-            digest.update(b"none;")
-        else:
-            a = np.ascontiguousarray(a, dtype=float)
-            digest.update(f"{a.shape};".encode())
-            digest.update(a.tobytes())
-    return digest.hexdigest()
+def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+def _content(*arrays) -> tuple:
+    """The shape and float64 bytes of each of ``arrays`` (None allowed)."""
+    return tuple(None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
+                 for a in arrays)
 
 
 def _profile_fingerprint(profile: RadialProfile) -> tuple:
     """Hashable identity of everything ``value``/``grad`` read (not ``meta``)."""
     return (profile.kind, profile.n, profile.amplitude, profile.lam,
             tuple(profile.xi), profile.p, profile.tail_coeff, profile.tail_r0,
-            profile.shift, _digest(profile.grid, profile.values, profile.derivs,
+            profile.shift, _content(profile.grid, profile.values, profile.derivs,
                                    profile.derivs2))
 
 
@@ -194,30 +201,61 @@ def _jet_fingerprint(jet) -> tuple:
     built from its content at the time of the call, never from its ``id``.
     """
     if isinstance(jet, InteriorPointData):
-        return ("interior", jet.n, jet.scal, _digest(jet.ric))
+        return ("interior", jet.n, jet.scal, _content(jet.ric))
     d = jet.data
     return ("fermi", jet.order, d.n, d.ric_nn,
-            _digest(d.II, d.gradT_II, d.gradT_H, d.riemann_bdy, d.r_anbn))
+            _content(d.II, d.gradT_II, d.gradT_H, d.riemann_bdy, d.r_anbn))
 
 
 # --------------------------------------------------------------------------
 # reduced jet polynomials
 # --------------------------------------------------------------------------
 
+# (matrix field, jet polynomial, matrix columns) of each product the
+# quotients contract: the tangential weight with tan, the scalar weight with
+# nor and the bulk norms, the boundary density with the 5x1 traces
+_PAIRS = (("tan", "P_tan", 5), ("nor", "P_sca", 5), ("w2", "P_sca", 5), ("w1", "P_sca", 5),
+          ("pp", "P_sca", 5), ("tr2", "P_bdy", 1), ("trq", "P_bdy", 1), ("trq1", "P_bdy", 1))
+# the fields a model holds a coefficient array for: the products, then tan + nor
+_FIELDS = tuple(name for name, _, _ in _PAIRS) + ("dirichlet",)
+# eps-degrees i + j of a 5x5 moment matrix, and the positive ones
+_DEGREES = 9
+_RISING = np.arange(1, _DEGREES)
+
+
 class _JetReduction(NamedTuple):
     """A jet's angular-averaged polynomials and the scalars the quotients read.
 
     P_tan, P_sca and P_bdy weigh the tangential gradient, the scalar terms
     and the boundary traces; the boundary scalars are zero at an interior
-    point. Shared through the memo, so the polynomials are read-only.
+    point. ``terms`` lists every monomial of every ``_PAIRS`` product in
+    order: its bin (pair row * ``_DEGREES`` + degree), its index into the
+    matrix fields raveled one after another, and its coefficient. Shared
+    through the memo, so the polynomials and arrays are read-only.
     """
     P_tan: MappingProxyType
     P_sca: MappingProxyType
-    P_bdy: MappingProxyType = MappingProxyType({})
+    P_bdy: MappingProxyType
+    terms: tuple
     H: float = 0.0
     kappa_vol: float = 0.0
     grad_h_norm: float = 0.0   # |gradT H| and the top eigenvalue of Ric_bar clipped
     ric_top: float = 0.0       # at 0: the off-axis terms of _check_jet_positivity
+
+
+def _reduction(P_tan: dict, P_sca: dict, P_bdy: dict, **scalars) -> _JetReduction:
+    """The read-only reduction of these polynomials and scalars, with its ``terms``."""
+    polys = {"P_tan": P_tan, "P_sca": P_sca, "P_bdy": P_bdy}
+    bins, index, coefs = [], [], []
+    start = 0
+    for row, (_, poly, cols) in enumerate(_PAIRS):
+        for (i, j), c in polys[poly].items():
+            bins.append(row * _DEGREES + i + j)
+            index.append(start + cols * i + j)
+            coefs.append(c)
+        start += 5 * cols
+    terms = tuple(_read_only(np.array(a)) for a in (bins, index, coefs))
+    return _JetReduction(*map(MappingProxyType, polys.values()), terms, **scalars)
 
 
 def _halfspace_jet_polys(jet: FermiJetMetric) -> _JetReduction:
@@ -262,9 +300,8 @@ def _reduce_halfspace_jet(jet: FermiJetMetric) -> _JetReduction:
             _poly_add(P_tan, (gx + sx, gy + sy), sphere_average(T, m))
     P_bdy = {(0, 0): 1.0}
     _poly_add(P_bdy, (2, 0), -float(np.trace(jet.ric_bar)) / (6.0 * m))
-    return _JetReduction(
-        MappingProxyType(P_tan), MappingProxyType(P_sca), MappingProxyType(P_bdy),
-        H=jet.H, kappa_vol=jet.kappa_vol,
+    return _reduction(
+        P_tan, P_sca, P_bdy, H=jet.H, kappa_vol=jet.kappa_vol,
         grad_h_norm=float(np.sqrt(np.sum(jet.gradH ** 2))),
         ric_top=max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0))
 
@@ -289,7 +326,7 @@ def _reduce_interior_jet(data: InteriorPointData) -> _JetReduction:
     for gx, TG in g_terms:
         for sx, TS in s_terms:
             _poly_add(P_tan, (gx + sx, 0), sphere_average(np.multiply.outer(TG, TS), n))
-    return _JetReduction(MappingProxyType(P_tan), MappingProxyType(P_sca))
+    return _reduction(P_tan, P_sca, {})
 
 
 # --------------------------------------------------------------------------
@@ -302,12 +339,6 @@ _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 _MATRIX_TOL = 1e-6
 # grid points per column block of a build: a block's fields fit in L2
 _BLOCK = 32768
-
-
-def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if a is not None:
-        a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -446,12 +477,12 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
 # truncated Taylor-series helpers ------------------------------------------
 
 def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    K = len(a)
-    out = np.zeros(K)
-    for i in range(K):
-        for j in range(K - i):
-            out[i + j] += a[i] * b[j]
-    return out
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    out = [0.0] * len(a)
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += ai * b[j]
+    return np.array(out)
 
 
 def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -460,7 +491,7 @@ def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
     One O(K^2) recurrence (Knuth, TAOCP vol. 2, 4.7): b_0 = a0^alpha and
     b_k = (1/(k a0)) sum_{j=1..k} ((alpha+1) j - k) a_j b_(k-j).
     """
-    a = [float(x) for x in a]
+    a = np.asarray(a, dtype=float).tolist()
     a0 = a[0]
     b = [a0 ** alpha]
     for k in range(1, len(a)):
@@ -492,23 +523,22 @@ class BubbleParams:
 
 @dataclass
 class QuotientResult:
+    """One quotient at every eps of an eps array.
+
+    eps and the value fields (numerator to deficit, and the breakdown) have
+    the shape of the eps argument: numpy scalars for one eps. R, reference
+    and err_estimate hold for every eps of one model.
+    """
     functional: str
-    eps: float
+    eps: np.ndarray
     R: float
-    numerator: float
-    denominator: float
-    quotient: float
+    numerator: np.ndarray
+    denominator: np.ndarray
+    quotient: np.ndarray
     reference: float
-    deficit: float
+    deficit: np.ndarray
     breakdown: dict = field(default_factory=dict)
     err_estimate: float = 0.0
-
-
-# (matrix field, jet polynomial) pairs the quotients contract: the
-# tangential weight with tan, the scalar weight with nor and the bulk norms,
-# the boundary density with the traces
-_PAIRS = (("tan", "P_tan"), ("nor", "P_sca"), ("w2", "P_sca"), ("w1", "P_sca"),
-          ("pp", "P_sca"), ("tr2", "P_bdy"), ("trq", "P_bdy"), ("trq1", "P_bdy"))
 
 
 class HalfspaceEnergyModel:
@@ -530,12 +560,13 @@ class HalfspaceEnergyModel:
 
     def _setup(self, red: _JetReduction, profile: RadialProfile, R: float,
                spec: QuadratureSpec) -> None:
-        """Set-up of both models: jet reduction, moment matrix, term lists.
+        """Set-up of both models: jet reduction, moment matrix, coefficient arrays.
 
-        Each (polynomial, matrix field) pair becomes the list of
-        (c * M[i, j], i + j) in the polynomial's order. The sums below form
-        c * M[i, j] first and add in that order, so they round exactly as
-        term-by-term sums over the polynomial would.
+        Each ``_PAIRS`` product becomes one read-only array of ``_DEGREES``
+        coefficients in eps: entry d adds c * M[i, j] over the monomials
+        with i + j = d in the polynomial's order (one ``bincount`` over the
+        reduction's ``terms``), as the term-by-term series does. The
+        Dirichlet energy's array is the sum of tan's and nor's.
         """
         self.profile = profile
         self.R = float(R)
@@ -544,100 +575,84 @@ class HalfspaceEnergyModel:
         self._H, self._kappa_vol = red.H, red.kappa_vol
         self._grad_h_norm, self._ric_top = red.grad_h_norm, red.ric_top
         self.M = halfspace_moment_matrix(profile, R, spec)
-        self._terms = {}
-        for name, poly in _PAIRS:
-            matrix = getattr(self.M, name)
-            if matrix is not None:
-                self._terms[name] = [(c * matrix[key], key[0] + key[1])
-                                     for key, c in getattr(red, poly).items()]
-        # the eps-dependent parts (positive total degree): deficits are built
-        # from these so that quotient-minus-flat never loses precision to
-        # cancellation of the O(1) parts
-        self._dterms = {name: [t for t in terms if t[1] > 0]
-                        for name, terms in self._terms.items()}
+        # the matrix fields raveled one after another, zeros for an absent pp
+        moments = np.concatenate([np.zeros(25) if getattr(self.M, name) is None
+                                  else getattr(self.M, name).ravel() for name, _, _ in _PAIRS])
+        bins, index, coefs = red.terms
+        table = np.bincount(bins, coefs * moments[index], len(_FIELDS) * _DEGREES)
+        table = table.reshape(len(_FIELDS), _DEGREES)
+        table[-1] = table[0] + table[1]
+        self._coef = dict(zip(_FIELDS, _read_only(table)))
+        self._c0, self._rise = table[:, :1], table[:, 1:]
         self._J0 = self.M.tan[0, 0] + self.M.nor[0, 0]
 
-    def _eval(self, name: str, eps: float) -> float:
-        return sum(cm * eps ** d for cm, d in self._terms[name])
-
-    def _delta(self, name: str, eps: float) -> float:
-        return sum(cm * eps ** d for cm, d in self._dterms[name])
+    def _fields(self, eps):
+        """eps as a float array, then each field's eps-dependent part (the
+        polynomial without its constant term) and its value, at every eps."""
+        eps = np.asarray(eps, dtype=float)
+        parts = self._rise @ eps.reshape(1, -1) ** _RISING[:, None]     # (field, eps)
+        shape = (-1,) + eps.shape
+        return (eps, dict(zip(_FIELDS, parts.reshape(shape))),
+                dict(zip(_FIELDS, (parts + self._c0).reshape(shape))))
 
     def _series(self, name: str, order: int) -> np.ndarray:
-        out = np.zeros(order + 1)
-        for cm, d in self._terms[name]:
-            if d <= order:
-                out[d] += cm
-        return out
+        return self._coef[name][:order + 1]
 
-    # -- raw integrals -------------------------------------------------------
-    def dirichlet(self, eps: float) -> float:
-        return self._eval("tan", eps) + self._eval("nor", eps)
-
-    def bulk_mass2(self, eps: float) -> float:
-        return self._eval("w2", eps)
-
-    def bulk_pp(self, eps: float) -> float:
-        return self._eval("pp", eps)
-
-    def trace2(self, eps: float) -> float:
-        return self._eval("tr2", eps)
-
-    def traceq(self, eps: float) -> float:
-        return self._eval("trq", eps)
+    def integral(self, name: str, eps) -> np.ndarray:
+        """A raw integral at every eps: ``dirichlet``, or a moment-matrix field
+        (``w2``, ``pp``, ``tr2``, ``trq``, ...) weighed by its jet polynomial."""
+        return self._fields(eps)[2][name]
 
     # -- Escobar -------------------------------------------------------------
-    def escobar_numerator_terms(self, eps: float) -> dict:
-        n = self.n
-        return {
-            "gradient": self.dirichlet(eps),
-            "scal": (n - 2) / (4.0 * (n - 1)) * self._scal * eps ** 2 * self.bulk_mass2(eps),
-            "H_boundary": (n - 2) / 2.0 * eps * self._H * self.trace2(eps),
-        }
-
-    def _check_jet_positivity(self, eps: float) -> None:
-        """Warn when the jet's volume element may be non-positive on the support.
+    def _check_jet_positivity(self, eps: np.ndarray) -> None:
+        """Warn, once for each eps, when the jet's volume element may be
+        non-positive on the support.
 
         On |y'| <= rho = 2R eps, 0 <= t <= t_deep, the jet's
         sqrt|g| = 1 - (H + gradH.y') t + kappa_vol t^2 - Ric_bar[y', y']/6 is
         at least 1 - (H + |gradH| rho) t + kappa_vol t^2 - lam+ rho^2/6, with
         lam+ the top eigenvalue of Ric_bar clipped at 0. That quadratic in t
-        takes its minimum at an end of [0, t_deep] or at its vertex.
+        takes its minimum at an end of [0, t_deep] or at its vertex. The bound
+        does not increase with eps (the support and the slope grow with it),
+        so the eps are checked from the largest down to the first that passes.
 
         A warning, not an error: the bound covers a cylinder around the
         support and pairs the worst y' of two terms, so it can fire where the
         volume element is positive; and the quotient stays the jet model's
         polynomial in eps, which the series and the sweeps use as such.
         """
-        t_deep = eps * (2.0 * self.R + self.profile.shift)
-        rho = 2.0 * self.R * eps
-        b = self._H + self._grad_h_norm * rho
-        a = self._kappa_vol
-        vertex = min(max(b / (2.0 * a), 0.0), t_deep) if a > 0.0 else 0.0
-        low = min(1.0 - b * t + a * (t * t) for t in (0.0, t_deep, vertex))
-        if low - self._ric_top * rho ** 2 / 6.0 <= 0.0:
+        for e in np.sort(eps, axis=None)[::-1].tolist():
+            t_deep = e * (2.0 * self.R + self.profile.shift)
+            rho = 2.0 * self.R * e
+            b = self._H + self._grad_h_norm * rho
+            a = self._kappa_vol
+            vertex = min(max(b / (2.0 * a), 0.0), t_deep) if a > 0.0 else 0.0
+            low = min(1.0 - b * t + a * (t * t) for t in (0.0, t_deep, vertex))
+            if not low - self._ric_top * rho ** 2 / 6.0 <= 0.0:
+                return
             warnings.warn(
                 f"jet volume element non-positive inside the bubble support "
                 f"(|y'| <= {rho:.3g}, depth <= {t_deep:.3g}); shrink eps or the cutoff",
                 stacklevel=3)
 
-    def escobar_quotient(self, eps: float) -> QuotientResult:
+    def escobar_quotient(self, eps) -> QuotientResult:
         n = self.n
         q = 2.0 * (n - 1) / (n - 2)
+        eps, delta, value = self._fields(eps)
         self._check_jet_positivity(eps)
-        terms = self.escobar_numerator_terms(eps)
-        N = sum(terms.values())
-        Tq = self.traceq(eps)
+        terms = {
+            "gradient": value["dirichlet"],
+            "scal": (n - 2) / (4.0 * (n - 1)) * self._scal * eps ** 2 * value["w2"],
+            "H_boundary": (n - 2) / 2.0 * eps * self._H * value["tr2"],
+        }
+        Tq = value["trq"]
         flat = self.flat_escobar()
         # cancellation-free deficit: J - J_flat = (dN - N0 ((Tq/T0)^(2/q)-1)) / Tq^(2/q)
-        T0 = self.M.trq[0, 0]
-        dN = (self._delta("tan", eps) + self._delta("nor", eps)
-              + terms["scal"] + terms["H_boundary"])
-        dT_rel = self._delta("trq", eps) / T0
-        deficit = (dN - self._J0 * math.expm1((2.0 / q) * math.log1p(dT_rel))) / Tq ** (2.0 / q)
-        quot = flat + deficit
-        return QuotientResult("escobar", eps, self.R, N, Tq ** (2.0 / q), quot,
-                              flat, deficit, dict(terms, trace_mass=Tq),
+        dN = delta["dirichlet"] + terms["scal"] + terms["H_boundary"]
+        dT_rel = delta["trq"] / self.M.trq[0, 0]
+        deficit = (dN - self._J0 * np.expm1((2.0 / q) * np.log1p(dT_rel))) / Tq ** (2.0 / q)
+        return QuotientResult("escobar", eps[()], self.R, sum(terms.values()), Tq ** (2.0 / q),
+                              flat + deficit, flat, deficit, dict(terms, trace_mass=Tq),
                               self.M.err)
 
     def flat_escobar(self) -> float:
@@ -653,9 +668,9 @@ class HalfspaceEnergyModel:
         n = self.n
         q = 2.0 * (n - 1) / (n - 2)
         K = order + 1
-        N = self._series("tan", order) + self._series("nor", order)
         w2 = self._series("w2", order)
-        N += (n - 2) / (4.0 * (n - 1)) * self._scal * np.concatenate([[0.0, 0.0], w2[:-2]])
+        N = (self._series("dirichlet", order)
+             + (n - 2) / (4.0 * (n - 1)) * self._scal * np.concatenate([[0.0, 0.0], w2[:-2]]))
         t2 = self._series("tr2", order)
         N += (n - 2) / 2.0 * self._H * np.concatenate([[0.0], t2[:-1]])
         Tq = self._series("trq", order)
@@ -663,10 +678,6 @@ class HalfspaceEnergyModel:
         return rel[1:K]
 
     # -- plain trace ----------------------------------------------------------
-    def _gauge_shift(self, eps: float) -> float:
-        """Chart-volume average of the bubble (mean-zero gauge constant)."""
-        return eps ** ((self.n + 2) / 2.0) * self._eval("w1", eps) / self._chart_volume
-
     @cached_property
     def _chart_volume(self) -> float:
         """Jet volume of the chart, the half-ball |y| <= r0, t >= 0 of
@@ -681,27 +692,25 @@ class HalfspaceEnergyModel:
                     * 0.5 * beta_function((a + 1) / 2, (b + 1) / 2))
         return vol
 
-    def plain_trace_quotient(self, eps: float) -> QuotientResult:
+    def plain_trace_quotient(self, eps) -> QuotientResult:
         n = self.n
         q = 2.0 * (n - 1) / (n - 2)
         alpha = q / 2.0
-        D = self.dirichlet(eps)
-        Tq = self.traceq(eps)
-        cbar = self._gauge_shift(eps)
+        eps, delta, value = self._fields(eps)
+        D, Tq = value["dirichlet"], value["trq"]
+        # the chart-volume average of the bubble (mean-zero gauge constant)
+        cbar = eps ** ((n + 2) / 2.0) * value["w1"] / self._chart_volume
         # first-order effect of subtracting the constant cbar from the bubble:
         # u = eps^(-(n-2)/2) w(./eps), so q * cbar * int u^(q-1) dsigma pulls
         # back to q * cbar * eps^((n-2)/2) * int w^(q-1) dsigma'
-        gauge = -q * cbar * eps ** ((n - 2) / 2.0) * self._eval("trq1", eps)
-        Tq_gauged = Tq + gauge
+        gauge = -q * cbar * eps ** ((n - 2) / 2.0) * value["trq1"]
         flat = self.flat_plain_trace()
         # cancellation-free: T_M - flat = (dT - T0 ((D/D0)^alpha - 1)) / D^alpha
-        T0 = self.M.trq[0, 0]
-        dT = self._delta("trq", eps) + gauge
-        dD_rel = (self._delta("tan", eps) + self._delta("nor", eps)) / self._J0
-        deficit = (dT - T0 * math.expm1(alpha * math.log1p(dD_rel))) / D ** alpha
-        quot = flat + deficit
-        return QuotientResult("plain-trace", eps, self.R, Tq_gauged, D ** alpha,
-                              quot, flat, deficit,
+        dT = delta["trq"] + gauge
+        dD_rel = delta["dirichlet"] / self._J0
+        deficit = (dT - self.M.trq[0, 0] * np.expm1(alpha * np.log1p(dD_rel))) / D ** alpha
+        return QuotientResult("plain-trace", eps[()], self.R, Tq + gauge, D ** alpha,
+                              flat + deficit, flat, deficit,
                               {"dirichlet": D, "trace_mass": Tq, "gauge_shift": cbar,
                                "gauge_correction": gauge}, self.M.err)
 
@@ -718,36 +727,35 @@ class HalfspaceEnergyModel:
         it is O(eps^((n+2)/2) * eps^((n-2)/2)), below every fitted order)."""
         n = self.n
         alpha = (n - 1.0) / (n - 2.0)
-        D = self._series("tan", order) + self._series("nor", order)
+        D = self._series("dirichlet", order)
         Tq = self._series("trq", order)
         rel = _ser_mul(Tq / Tq[0], _ser_pow(D / D[0], -alpha))
         return rel[1:order + 1]
 
     # -- GN -------------------------------------------------------------------
-    def gn_quotient(self, eps: float) -> QuotientResult:
+    def gn_quotient(self, eps) -> QuotientResult:
         if self.profile.p is None:
             raise ValueError("model built without the L^(p+1) weight")
         al, be = gn_exponents(self.n, self.profile.p)
-        Ipp = self.bulk_pp(eps)
-        I2 = self.bulk_mass2(eps)
-        D = self.dirichlet(eps)
+        eps, delta, value = self._fields(eps)
+        Ipp, I2, D = value["pp"], value["w2"], value["dirichlet"]
         flat = self.flat_gn()
         # cancellation-free relative change of the quotient
-        dpp = self._delta("pp", eps) / self.M.pp[0, 0]
-        d2 = self._delta("w2", eps) / self.M.w2[0, 0]
-        dg = (self._delta("tan", eps) + self._delta("nor", eps)) / self._J0
-        if min(dpp, d2, dg) <= -1.0:
+        dpp = delta["pp"] / self.M.pp[0, 0]
+        d2 = delta["w2"] / self.M.w2[0, 0]
+        dg = delta["dirichlet"] / self._J0
+        bad = np.flatnonzero(np.minimum(np.minimum(dpp, d2), dg) <= -1.0)
+        if bad.size:
             # each integrand is non-negative, so a non-positive integral means
             # the jet's volume element is non-positive on the bubble support
+            e, a, b, c = (np.ravel(x)[bad[0]] for x in (eps, dpp, d2, dg))
             raise ValueError(
-                f"jet volume element non-positive on the bubble support at eps={eps:.6g} "
-                f"(I_pp, I_2 and the Dirichlet energy change by {dpp:.3g}, {d2:.3g}, "
-                f"{dg:.3g} relative); shrink eps or the cutoff")
-        rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
-                         - 0.5 * be * math.log1p(dg))
-        W = flat * (1.0 + rel)
-        return QuotientResult(self.gn_functional, eps, self.R, Ipp,
-                              I2 ** (al / 2.0) * D ** (be / 2.0), W, flat,
+                f"jet volume element non-positive on the bubble support at eps={e:.6g} "
+                f"(I_pp, I_2 and the Dirichlet energy change by {a:.3g}, {b:.3g}, "
+                f"{c:.3g} relative); shrink eps or the cutoff")
+        rel = np.expm1(np.log1p(dpp) - 0.5 * al * np.log1p(d2) - 0.5 * be * np.log1p(dg))
+        return QuotientResult(self.gn_functional, eps[()], self.R, Ipp,
+                              I2 ** (al / 2.0) * D ** (be / 2.0), flat * (1.0 + rel), flat,
                               -rel,
                               {"I_pp": Ipp, "I_2": I2, "dirichlet": D,
                                "rel_change": rel}, self.M.err)
@@ -765,7 +773,7 @@ class HalfspaceEnergyModel:
         al, be = gn_exponents(self.n, self.profile.p)
         Ipp = self._series("pp", order)
         I2 = self._series("w2", order)
-        D = self._series("tan", order) + self._series("nor", order)
+        D = self._series("dirichlet", order)
         rel = _ser_mul(Ipp / Ipp[0],
                        _ser_mul(_ser_pow(I2 / I2[0], -al / 2.0),
                                 _ser_pow(D / D[0], -be / 2.0)))
@@ -820,12 +828,16 @@ def gn_quotient(metric, bubble: BubbleParams) -> QuotientResult:
 
 @dataclass
 class DeficitSweep:
-    """Deficits over an eps-grid, with the exact jet-model series."""
+    """Deficits over an eps-grid, with the exact jet-model series.
+
+    ``result`` holds the quotient at every eps of the grid; in the diagonal
+    regime its R and reference vary with eps too.
+    """
     functional: str
     eps: np.ndarray
     deficits: np.ndarray          # E(eps): quotient - flat (escobar/plain), relative for GN
     reference: float
-    results: list = field(default_factory=list)
+    result: Optional[QuotientResult] = None
     series: Optional[np.ndarray] = None   # exact jet-model Taylor coefficients
     source: str = "geometry"
 
@@ -838,7 +850,7 @@ class DeficitSweep:
 
 def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
                    functional: str = "escobar", diagonal: bool = False) -> DeficitSweep:
-    """E(eps) over a grid, from one model of ``functional`` at cutoff R.
+    """E(eps) over a grid, from one call of one model of ``functional`` at cutoff R.
 
     ``diagonal=True`` switches from the fixed-cutoff regime to the diagonal
     one: each level gets its own cutoff R(eps) = R * sqrt(eps_max/eps), so
@@ -850,14 +862,15 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
         if functional != "escobar":
             raise ValueError("diagonal cutoff regime implemented for the "
                              "boundary-trace quotient")
-        res = []
-        for e in eps_grid:
-            Re = R * math.sqrt(float(eps_grid.max()) / e)
-            model = HalfspaceEnergyModel(jet, profile, Re)
-            res.append(model.escobar_quotient(e))
-        vals = np.array([r.deficit for r in res])
-        return DeficitSweep(functional, eps_grid, vals, res[-1].reference,
-                            results=res, source="geometry-diagonal")
+        levels = [HalfspaceEnergyModel(jet, profile, R * math.sqrt(float(eps_grid.max()) / e))
+                  .escobar_quotient(e) for e in eps_grid]
+        res = QuotientResult(
+            functional, breakdown={k: np.array([r.breakdown[k] for r in levels])
+                                   for k in levels[0].breakdown},
+            **{f.name: np.array([getattr(r, f.name) for r in levels])
+               for f in fields(QuotientResult) if f.name not in ("functional", "breakdown")})
+        return DeficitSweep(functional, eps_grid, res.deficit, levels[-1].reference,
+                            result=res, source="geometry-diagonal")
     if functional == "escobar":
         model = HalfspaceEnergyModel(jet, profile, R)
         evaluate, ref, ser = model.escobar_quotient, model.flat_escobar(), model.escobar_series()
@@ -872,9 +885,8 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
         evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
     else:
         raise KeyError(functional)
-    res = [evaluate(e) for e in eps_grid]
-    vals = np.array([r.deficit for r in res])
-    return DeficitSweep(functional, eps_grid, vals, ref, results=res, series=ser)
+    res = evaluate(eps_grid)
+    return DeficitSweep(functional, eps_grid, res.deficit, ref, result=res, series=ser)
 
 
 # --------------------------------------------------------------------------

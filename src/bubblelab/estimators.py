@@ -177,13 +177,15 @@ def gn_interior_scal(delta1: float, delta2: float, eps1: float, eps2: float,
 def _sweep(quotient, eps_grid, multiples: tuple, invert) -> list:
     """One inversion per base scale, from the deficits at its multiples.
 
-    At each base eps of the grid, ``invert(eps, *deficits)`` gets
-    quotient(k eps).deficit for each k in ``multiples`` and returns one
+    One ``quotient`` call evaluates the deficits on the whole (multiple,
+    base) eps array. At each base eps of the grid, ``invert(eps, *deficits)``
+    gets the deficit at k eps for each k in ``multiples`` and returns one
     report per target. Returns, per target, its reports, the grid, their
     errors and their empirical order, which each report also carries.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    rows = [invert(e, *(quotient(k * e).deficit for k in multiples)) for e in eps_grid]
+    E = quotient(np.multiply.outer(multiples, eps_grid)).deficit
+    rows = [invert(e, *E[:, i]) for i, e in enumerate(eps_grid)]
     out = []
     for reports in zip(*rows):
         errs = np.array([r.error for r in reports])

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -312,7 +313,23 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
     ``anisotropic-cylinder-like``, ``ricci-only`` and ``boundary-scal-only``
     isolate one curvature channel each (all with H = 0) so the second-order
     coefficients are identifiable one at a time.
+
+    Every entry but ``custom`` is a pure function of (name, n, kw), built once
+    per process. A call returns a copy of it whose arrays are its own, so
+    changing one result in place never reaches another.
     """
+    if name == "custom":
+        return ModelGeometry(name, BoundaryPointData(n=n, **kw))
+    entry = _catalog_entry(name, n, tuple(sorted(kw.items())))
+    data = object.__new__(BoundaryPointData)      # a copy: no second __post_init__
+    vars(data).update({key: value.copy() if isinstance(value, np.ndarray) else value
+                       for key, value in vars(entry.data).items()})
+    return ModelGeometry(entry.name, data, entry.exact_fermi_gab, entry.exact_boundary_density)
+
+
+@lru_cache(maxsize=128)
+def _catalog_entry(name: str, n: int, kw: tuple) -> ModelGeometry:
+    kw = dict(kw)
     m = n - 1
     if name == "euclidean-ball":
         return _ball(n, kw.get("radius", 1.0))
@@ -348,8 +365,6 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
         h = kw.get("H", 1.0)
         data = BoundaryPointData(n=n, II=(h / m) * np.eye(m), label="h-only")
         return ModelGeometry(name, data)
-    if name == "custom":
-        return ModelGeometry(name, BoundaryPointData(n=n, **kw))
     raise KeyError(f"unknown geometry '{name}'; the catalog has {', '.join(CATALOG_NAMES)}")
 
 

@@ -248,14 +248,30 @@ class TestOutputs:
         assert all(len(r) == 3 and r[1] > 0 for r in rows)
 
 
+# modules the package never loads: scipy is a test reference only, and
+# hashlib maps libcrypto, about 3.6 MB of resident memory per process (the
+# reduced search's numpy.random loads it)
+_UNLOADED = "m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')"
+
+
 class TestLazyImports:
+    def test_import_loads_no_hashlib_or_scipy(self):
+        # the CLI imports its layers lazily, so every module is imported too
+        code = ("import importlib, pkgutil, sys, bubblelab, bubblelab.cli\n"
+                "for m in pkgutil.iter_modules(bubblelab.__path__):\n"
+                "    importlib.import_module('bubblelab.' + m.name)\n"
+                f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
     def test_escobar_commands_do_not_load_scipy(self, tmp_path):
         code = ("import sys\n"
                 "from bubblelab.cli import main\n"
                 f"assert main(['coefficients', '--n', '5', '--out', {str(tmp_path / 'c.json')!r}]) == 0\n"
                 "assert main(['estimate', '--target', 'H', '--n', '5', "
                 f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"

@@ -395,6 +395,18 @@ class TestCapacityScaling:
         assert abs(cap["fitted_exponent"] - cap["expected_exponent"]) \
             <= 0.1 * abs(cap["expected_exponent"])
 
+    def test_bound_carries_the_ladder_it_solved(self, monkeypatch):
+        from bubblelab import dynamics
+        ds = [1e-2, 1e-3, 1e-4]
+        want = window_ladder(3, ds)
+        solve, calls = dynamics.small_window_lambda1, []
+        monkeypatch.setattr(dynamics, "small_window_lambda1",
+                            lambda n, d: calls.append(d) or solve(n, d))
+        cap = capacity_blowup_bound(3, 3.0, ds)
+        assert calls == ds                        # one solve per rung
+        for key, value in want.items():
+            assert np.array_equal(cap[key], value), key
+
     def test_fixed_window_bound_finite(self):
         cap = capacity_blowup_bound(2, 3.0, [1e-2, 1e-3])
         assert np.all(np.isfinite(cap["bound"])) and np.all(cap["bound"] > 0)

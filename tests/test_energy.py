@@ -589,11 +589,14 @@ class TestMatrixMemo:
 
 
 # --------------------------------------------------------------------------
-# the quotient layer: per-model term lists against term-by-term sums
+# the quotient layer: coefficient arrays against term-by-term sums
 # --------------------------------------------------------------------------
 
-# An in-test copy of the sums over the jet polynomials that the quotients
-# were built from; the models' term lists must reproduce them bit for bit.
+# An in-test copy of the per-eps sums over the jet polynomials that the
+# quotients were built from. The models evaluate one coefficient array per
+# field on a whole eps array, which adds the same terms grouped by degree:
+# values and deficits agree to rounding, the series (the same sums in the
+# same order) bit for bit.
 
 def _sum_eval(poly, matrix, eps):
     return sum(c * matrix[key] * eps ** (key[0] + key[1]) for key, c in poly.items())
@@ -667,11 +670,15 @@ def _sum_gn(P, M, eps, p):
     dpp = _sum_delta(P_sca, M.pp, eps) / M.pp[(0, 0)]
     d2 = _sum_delta(P_sca, M.w2, eps) / M.w2[(0, 0)]
     dg = (_sum_delta(P_tan, M.tan, eps) + _sum_delta(P_sca, M.nor, eps)) / D0
-    rel = math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
-                     - 0.5 * be * math.log1p(dg))
+    logs = (math.log1p(dpp), -0.5 * al * math.log1p(d2), -0.5 * be * math.log1p(dg))
+    rel = math.expm1(sum(logs))
+    # the relative change is the difference of these logs, which cancel to
+    # about 1/40 of their size: it moves by rounding on their scale
+    scale = sum(abs(x) for x in logs)
     return {"numerator": Ipp, "denominator": I2 ** (al / 2.0) * D ** (be / 2.0),
             "quotient": flat * (1.0 + rel), "reference": flat, "deficit": -rel,
-            "breakdown": {"I_pp": Ipp, "I_2": I2, "dirichlet": D, "rel_change": rel}}
+            "breakdown": {"I_pp": Ipp, "I_2": I2, "dirichlet": D, "rel_change": rel},
+            "scale": {"deficit": scale, "rel_change": scale}}
 
 
 def _sum_escobar_series(jet, P, M, order=4):
@@ -718,11 +725,28 @@ def _custom_data(n, seed=7):
         r_anbn=0.1 * (B + B.T), label="custom").data
 
 
-def _same(result, want):
-    got = {k: getattr(result, k) for k in want}
-    assert got == want
-    for key in ("numerator", "denominator", "quotient", "reference", "deficit"):
-        assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key
+# largest relative move of a value or deficit from the term-by-term sums:
+# measured 4.5e-16 (Escobar and plain-trace, n = 5-7, R = 20 and 40, nine
+# geometries, jet orders 1 and 2, 64 random eps each) and 3.6e-16 of the
+# cancelling logs' size for the GN relative changes
+_ROUNDING = 1e-15
+
+
+def _same(result, want, i=()):
+    """``result`` at its eps index ``i`` against the term-by-term sums: the
+    flat value equal, every other value within ``_ROUNDING``."""
+    scale = want.get("scale", {})
+
+    def close(key, got, expect):
+        tol = _ROUNDING * scale.get(key, abs(expect))
+        assert abs(np.asarray(got)[i] - expect) <= tol, (key, np.asarray(got)[i], expect)
+
+    assert result.reference == want["reference"]
+    for key in ("numerator", "denominator", "quotient", "deficit"):
+        close(key, getattr(result, key), want[key])
+    assert set(result.breakdown) == set(want["breakdown"])
+    for key, expect in want["breakdown"].items():
+        close(key, result.breakdown[key], expect)
 
 
 _CATALOG_JETS = [("euclidean-ball", {"radius": 2.0}), ("h-only", {"H": 0.5}),
@@ -733,6 +757,8 @@ _CATALOG_JETS = [("euclidean-ball", {"radius": 2.0}), ("h-only", {"H": 0.5}),
 
 @pytest.mark.filterwarnings("ignore:jet volume element")
 class TestQuotientLayerBitIdentity:
+    """Series bit for bit; values and deficits to rounding (``_ROUNDING``)."""
+
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("geo", _CATALOG_JETS + [("custom", None)],
@@ -743,9 +769,12 @@ class TestQuotientLayerBitIdentity:
         jet = fermi_jet(data, order=order, chart_radius=1.5)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[n], 30.0)
         P = energy._reduce_halfspace_jet(jet)[:3]        # fresh, not memoized
-        for eps in (1e-3, np.float64(3e-3), 1e-2):
-            _same(model.escobar_quotient(eps), _sum_escobar(jet, P, model.M, eps))
-            _same(model.plain_trace_quotient(eps), _sum_plain_trace(jet, P, model.M, eps))
+        grid = np.array([1e-3, 3e-3, 1e-2])
+        escobar, plain = model.escobar_quotient(grid), model.plain_trace_quotient(grid)
+        for i, eps in enumerate(grid):
+            _same(escobar, _sum_escobar(jet, P, model.M, eps), i)
+            _same(plain, _sum_plain_trace(jet, P, model.M, eps), i)
+        _same(model.escobar_quotient(3e-3), _sum_escobar(jet, P, model.M, 3e-3))
         assert model.flat_escobar() == _sum_escobar(jet, P, model.M, 0.0)["reference"]
         assert model.escobar_series().tobytes() == _sum_escobar_series(jet, P, model.M).tobytes()
         assert (model.escobar_series(order=3).tobytes()
@@ -761,8 +790,10 @@ class TestQuotientLayerBitIdentity:
         jet = fermi_jet(data, order=2, chart_radius=2.0)
         model = HalfspaceEnergyModel(jet, Qp, 20.0)
         P = energy._reduce_halfspace_jet(jet)[:3]
-        for eps in (1e-3, np.float64(2e-3), 4e-3):
-            _same(model.gn_quotient(eps), _sum_gn(P, model.M, eps, co.p))
+        grid = np.array([1e-3, 2e-3, 4e-3])
+        result = model.gn_quotient(grid)
+        for i, eps in enumerate(grid):
+            _same(result, _sum_gn(P, model.M, eps, co.p), i)
         assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
@@ -774,9 +805,27 @@ class TestQuotientLayerBitIdentity:
                      InteriorPointData(n=n, scal=float(np.trace(ric)), ric=ric)):
             model = InteriorEnergyModel(data, Q, 20.0)
             P = energy._reduce_interior_jet(data)[:3]
-            for eps in (1e-3, np.float64(5e-3), 1e-2):
-                _same(model.gn_quotient(eps), _sum_gn(P, model.M, eps, co.p))
+            grid = np.array([[1e-3, 5e-3], [1e-2, 2e-3]])       # any shape
+            result = model.gn_quotient(grid)
+            assert result.deficit.shape == grid.shape
+            for i in np.ndindex(grid.shape):
+                _same(result, _sum_gn(P, model.M, grid[i], co.p), i)
             assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
+
+    def test_one_eps_gives_numpy_scalars(self, halfspace_profiles):
+        jet = fermi_jet(geometry_catalog("h-only", 5, H=1.0).data, order=2)
+        r = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0).escobar_quotient(1e-2)
+        for value in (r.eps, r.numerator, r.denominator, r.quotient, r.deficit,
+                      *r.breakdown.values()):
+            assert np.ndim(value) == 0 and isinstance(value, float)
+
+    def test_coefficient_arrays_read_only(self, halfspace_profiles):
+        jet = fermi_jet(geometry_catalog("h-only", 5, H=1.0).data, order=2)
+        model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0)
+        with pytest.raises(ValueError):
+            model._series("trq", 3)[0] = 1.0
+        series = model.escobar_series()
+        assert model.escobar_series().tobytes() == series.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -905,7 +954,7 @@ class TestEscobarQuotient:
 
     def test_trace_mass_has_no_linear_term(self, h_model):
         t0 = h_model.M.trq[(0, 0)]
-        dev = np.array([h_model.traceq(e) - t0 for e in EPS6])
+        dev = h_model.integral("trq", EPS6) - t0
         c = fit_power_series(EPS6, dev, (1, 2))
         assert abs(c[0]) <= 1e-12 * t0
 
@@ -1124,12 +1173,12 @@ class TestDiagonalRegime:
         eps = 1e-2 * 0.5 ** np.arange(4)
         sweep = deficit_series(jet, halfspace_profiles[5], 30.0, eps,
                                functional="escobar", diagonal=True)
-        y = sweep.deficits / np.array([r.reference for r in sweep.results])
+        y = sweep.deficits / sweep.result.reference
         c1 = fit_power_series(eps, y, (1, 2))[0]
         assert c1 == pytest.approx(constants[5].rho_conf, rel=0.02)
         assert sweep.source == "geometry-diagonal"
         # cutoffs actually grow as eps shrinks
-        Rs = [r.R for r in sweep.results]
+        Rs = list(sweep.result.R)
         assert Rs == sorted(Rs)
         assert np.all(eps * 2 * np.array(Rs) <= eps[0] * 2 * Rs[0] + 1e-12)
 

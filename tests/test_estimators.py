@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblelab.estimators import (
-    EstimatorScales, hat_H_single, three_scale_debias, modulated_two_point,
+    _sweep, EstimatorScales, hat_H_single, three_scale_debias, modulated_two_point,
     ring_II_estimator, gn_boundary_H, gn_interior_scal, gauss_bonnet_recovery,
     SampledField, escobar_single_scale_sweep, escobar_three_scale_sweep,
     disk_fields_exact, annulus_fields_exact,
@@ -311,3 +311,30 @@ class TestGNSweepRates:
         flat = geometry_catalog("flat-halfspace", 2).data
         sw = gn_boundary_sweep(flat, Qp, co, 20.0, np.array([1e-2]))
         assert abs(sw["reports"][0].estimate) < 1e-9
+
+
+class TestBatchedSweep:
+    # one quotient call on the (multiple, base) eps array: each inversion
+    # gets the deficits of per-eps calls to rounding (1e-15 relative)
+    def test_inversions_get_the_per_eps_deficits(self, halfspace_profiles):
+        data = geometry_catalog("umbilic-sphere-cap", 6, curvature=0.7).data
+        model = HalfspaceEnergyModel(fermi_jet(data, order=2), halfspace_profiles[6], 30.0)
+        grid = 4e-3 * 0.5 ** np.arange(5)
+        scales, seen = EstimatorScales(S_star=1.0, rho=1.0), []
+        _sweep(model.escobar_quotient, grid, (1, 2, 3),
+               lambda e, *E: seen.append((e, E)) or (hat_H_single(E[0], e, scales),))
+        assert [e for e, _ in seen] == list(grid)
+        for e, E in seen:
+            for k, got in zip((1, 2, 3), E):
+                want = model.escobar_quotient(k * e).deficit
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_single_scale_estimates(self, halfspace_profiles):
+        data = geometry_catalog("h-only", 5, H=0.5).data
+        U = halfspace_profiles[5]
+        grid = 2e-3 * 0.5 ** np.arange(5)
+        sw = escobar_single_scale_sweep(data, U, 20.0, grid)
+        model = HalfspaceEnergyModel(fermi_jet(data, order=2), U, 20.0)
+        for e, rep in zip(grid, sw["reports"]):
+            want = hat_H_single(model.escobar_quotient(e).deficit, e, sw["scales"]).estimate
+            assert abs(rep.estimate - want) <= 1e-15 * abs(want)

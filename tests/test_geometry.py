@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bubblelab import geometry
 from bubblelab.geometry import (
     BoundaryPointData, InteriorPointData, fermi_jet, boundary_area_element,
     renormalized_mass, theta_coefficient, geometry_catalog, CATALOG_NAMES,
@@ -266,3 +267,49 @@ class TestJetDeterminism:
         y = np.array([0.13, -0.25, 0.4, 0.02, -0.17])
         assert np.array_equal(j1.g_upper(y, 0.21), j2.g_upper(y, 0.21))
         assert j1.sqrt_det(y, 0.21) == j2.sqrt_det(y, 0.21)
+
+
+_ENTRIES = [("euclidean-ball", {"radius": 2.0}), ("flat-halfspace", {}),
+            ("umbilic-sphere-cap", {"curvature": 0.7}), ("anisotropic-cylinder-like", {}),
+            ("ricci-only", {"value": 2.0}), ("boundary-scal-only", {"value": 1.0}),
+            ("h-only", {"H": 0.5})]
+
+
+class TestCatalogMemo:
+    @pytest.mark.parametrize("name, kw", _ENTRIES, ids=[e[0] for e in _ENTRIES])
+    def test_copy_matches_a_fresh_build(self, name, kw):
+        fresh = geometry._catalog_entry.__wrapped__(name, 5, tuple(sorted(kw.items())))
+        for _ in range(2):
+            geo = geometry_catalog(name, 5, **kw)
+            assert geo.name == fresh.name
+            assert vars(geo.data).keys() == vars(fresh.data).keys()
+            for key, value in vars(fresh.data).items():
+                got = getattr(geo.data, key)
+                assert type(got) is type(value)
+                assert np.array_equal(got, value), key
+
+    def test_results_are_independent(self):
+        first = geometry_catalog("umbilic-sphere-cap", 5, curvature=0.7)
+        want = {key: np.copy(value) for key, value in vars(first.data).items()}
+        for key, value in vars(first.data).items():
+            if isinstance(value, np.ndarray):
+                value += 1.0                      # in place
+        first.data.ric_nn, first.data.label = 3.0, "changed"
+        again = geometry_catalog("umbilic-sphere-cap", 5, curvature=0.7)
+        assert again.data is not first.data
+        for key, value in want.items():
+            assert np.array_equal(getattr(again.data, key), value), key
+
+    def test_built_once_per_key(self):
+        geometry._catalog_entry.cache_clear()
+        for _ in range(3):
+            geometry_catalog("h-only", 6, H=0.25)
+        geometry_catalog("h-only", 6, H=0.5)
+        info = geometry._catalog_entry.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_custom_not_memoized(self):
+        II = np.diag([1.0, 2.0, 3.0])
+        a = geometry_catalog("custom", 4, II=II)
+        b = geometry_catalog("custom", 4, II=2.0 * II)
+        assert a.data.H == 6.0 and b.data.H == 12.0

@@ -1,6 +1,7 @@
 """Smoke runs of the README experiment scripts, each in a fresh process at a
 small size: the script exits 0 and prints its headline line."""
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,14 @@ def test_escobar_sweep_on_an_h_free_geometry():
     assert out.stderr == ""
     assert "inf" not in out.stdout
     assert re.search(r"first-order reference = 0\.00000000  \(abs dev \S+\)", out.stdout)
+
+
+def test_window_ladder_solves_each_rung_once(monkeypatch, capsys):
+    from bubblelab import dynamics
+    solve, calls = dynamics.small_window_lambda1, []
+    monkeypatch.setattr(dynamics, "small_window_lambda1",
+                        lambda n, d: calls.append(d) or solve(n, d))
+    monkeypatch.setattr(sys, "argv", ["run_window_ladder.py", "--n", "3", "--p", "3"])
+    runpy.run_path(str(SCRIPTS / "run_window_ladder.py"), run_name="__main__")
+    assert len(calls) == 4                        # the default four rungs
+    assert "chained GN-supremum bound" in capsys.readouterr().out
