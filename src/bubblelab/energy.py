@@ -42,9 +42,11 @@ data in place reaches only models built afterwards.
 
 The quotient methods take an eps array (or one eps) and return results
 whose fields are arrays of that shape: a sweep is one call on its whole
-eps array, with no per-eps Python work. Values read the whole coefficient
-array, deficits the array without its constant term (cancellation-free),
-and the exact Taylor series its leading slice.
+eps array. Values read the whole coefficient array, deficits the array
+without its constant term (cancellation-free), both by Horner's rule, so an
+eps gets the same bits in any array; the exact Taylor series read its
+leading slice. The GN relative change alone sums its terms one eps at a
+time (``HalfspaceEnergyModel._gn_rel_change`` says why).
 
 Escobar numerator (covariant graph form, rescaled coordinates):
 
@@ -172,12 +174,6 @@ def _memoized(key: tuple, build: Callable):
     return value
 
 
-def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    if a is not None:
-        a.flags.writeable = False
-    return a
-
-
 def _content(*arrays) -> tuple:
     """The shape and float64 bytes of each of ``arrays`` (None allowed)."""
     return tuple(None if a is None else (np.shape(a), np.asarray(a, dtype=float).tobytes())
@@ -211,16 +207,15 @@ def _jet_fingerprint(jet) -> tuple:
 # reduced jet polynomials
 # --------------------------------------------------------------------------
 
-# (matrix field, jet polynomial, matrix columns) of each product the
-# quotients contract: the tangential weight with tan, the scalar weight with
-# nor and the bulk norms, the boundary density with the 5x1 traces
-_PAIRS = (("tan", "P_tan", 5), ("nor", "P_sca", 5), ("w2", "P_sca", 5), ("w1", "P_sca", 5),
-          ("pp", "P_sca", 5), ("tr2", "P_bdy", 1), ("trq", "P_bdy", 1), ("trq1", "P_bdy", 1))
+# (matrix field, jet polynomial) pairs the quotients contract: the
+# tangential weight with tan, the scalar weight with nor and the bulk norms,
+# the boundary density with the traces
+_PAIRS = (("tan", "P_tan"), ("nor", "P_sca"), ("w2", "P_sca"), ("w1", "P_sca"),
+          ("pp", "P_sca"), ("tr2", "P_bdy"), ("trq", "P_bdy"), ("trq1", "P_bdy"))
 # the fields a model holds a coefficient array for: the products, then tan + nor
-_FIELDS = tuple(name for name, _, _ in _PAIRS) + ("dirichlet",)
-# eps-degrees i + j of a 5x5 moment matrix, and the positive ones
+_FIELDS = tuple(name for name, _ in _PAIRS) + ("dirichlet",)
+# eps-degrees i + j of a 5x5 moment matrix
 _DEGREES = 9
-_RISING = np.arange(1, _DEGREES)
 
 
 class _JetReduction(NamedTuple):
@@ -228,34 +223,15 @@ class _JetReduction(NamedTuple):
 
     P_tan, P_sca and P_bdy weigh the tangential gradient, the scalar terms
     and the boundary traces; the boundary scalars are zero at an interior
-    point. ``terms`` lists every monomial of every ``_PAIRS`` product in
-    order: its bin (pair row * ``_DEGREES`` + degree), its index into the
-    matrix fields raveled one after another, and its coefficient. Shared
-    through the memo, so the polynomials and arrays are read-only.
+    point. Shared through the memo, so the polynomials are read-only.
     """
     P_tan: MappingProxyType
     P_sca: MappingProxyType
-    P_bdy: MappingProxyType
-    terms: tuple
+    P_bdy: MappingProxyType = MappingProxyType({})
     H: float = 0.0
     kappa_vol: float = 0.0
     grad_h_norm: float = 0.0   # |gradT H| and the top eigenvalue of Ric_bar clipped
     ric_top: float = 0.0       # at 0: the off-axis terms of _check_jet_positivity
-
-
-def _reduction(P_tan: dict, P_sca: dict, P_bdy: dict, **scalars) -> _JetReduction:
-    """The read-only reduction of these polynomials and scalars, with its ``terms``."""
-    polys = {"P_tan": P_tan, "P_sca": P_sca, "P_bdy": P_bdy}
-    bins, index, coefs = [], [], []
-    start = 0
-    for row, (_, poly, cols) in enumerate(_PAIRS):
-        for (i, j), c in polys[poly].items():
-            bins.append(row * _DEGREES + i + j)
-            index.append(start + cols * i + j)
-            coefs.append(c)
-        start += 5 * cols
-    terms = tuple(_read_only(np.array(a)) for a in (bins, index, coefs))
-    return _JetReduction(*map(MappingProxyType, polys.values()), terms, **scalars)
 
 
 def _halfspace_jet_polys(jet: FermiJetMetric) -> _JetReduction:
@@ -300,8 +276,9 @@ def _reduce_halfspace_jet(jet: FermiJetMetric) -> _JetReduction:
             _poly_add(P_tan, (gx + sx, gy + sy), sphere_average(T, m))
     P_bdy = {(0, 0): 1.0}
     _poly_add(P_bdy, (2, 0), -float(np.trace(jet.ric_bar)) / (6.0 * m))
-    return _reduction(
-        P_tan, P_sca, P_bdy, H=jet.H, kappa_vol=jet.kappa_vol,
+    return _JetReduction(
+        MappingProxyType(P_tan), MappingProxyType(P_sca), MappingProxyType(P_bdy),
+        H=jet.H, kappa_vol=jet.kappa_vol,
         grad_h_norm=float(np.sqrt(np.sum(jet.gradH ** 2))),
         ric_top=max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0))
 
@@ -326,7 +303,7 @@ def _reduce_interior_jet(data: InteriorPointData) -> _JetReduction:
     for gx, TG in g_terms:
         for sx, TS in s_terms:
             _poly_add(P_tan, (gx + sx, 0), sphere_average(np.multiply.outer(TG, TS), n))
-    return _reduction(P_tan, P_sca, {})
+    return _JetReduction(MappingProxyType(P_tan), MappingProxyType(P_sca))
 
 
 # --------------------------------------------------------------------------
@@ -339,6 +316,12 @@ _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 _MATRIX_TOL = 1e-6
 # grid points per column block of a build: a block's fields fit in L2
 _BLOCK = 32768
+
+
+def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is not None:
+        a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -477,12 +460,12 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
 # truncated Taylor-series helpers ------------------------------------------
 
 def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    out = [0.0] * len(a)
-    for i, ai in enumerate(a):
-        for j in range(len(a) - i):
-            out[i + j] += ai * b[j]
-    return np.array(out)
+    K = len(a)
+    out = np.zeros(K)
+    for i in range(K):
+        for j in range(K - i):
+            out[i + j] += a[i] * b[j]
+    return out
 
 
 def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -491,7 +474,7 @@ def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
     One O(K^2) recurrence (Knuth, TAOCP vol. 2, 4.7): b_0 = a0^alpha and
     b_k = (1/(k a0)) sum_{j=1..k} ((alpha+1) j - k) a_j b_(k-j).
     """
-    a = np.asarray(a, dtype=float).tolist()
+    a = [float(x) for x in a]
     a0 = a[0]
     b = [a0 ** alpha]
     for k in range(1, len(a)):
@@ -527,18 +510,20 @@ class QuotientResult:
 
     eps and the value fields (numerator to deficit, and the breakdown) have
     the shape of the eps argument: numpy scalars for one eps. R, reference
-    and err_estimate hold for every eps of one model.
+    and err_estimate belong to the model, so a model's result holds one of
+    each; the diagonal regime of ``deficit_series`` builds one model per
+    eps, and its result holds them as arrays over eps.
     """
     functional: str
     eps: np.ndarray
-    R: float
+    R: float | np.ndarray
     numerator: np.ndarray
     denominator: np.ndarray
     quotient: np.ndarray
-    reference: float
+    reference: float | np.ndarray
     deficit: np.ndarray
     breakdown: dict = field(default_factory=dict)
-    err_estimate: float = 0.0
+    err_estimate: float | np.ndarray = 0.0
 
 
 class HalfspaceEnergyModel:
@@ -564,9 +549,8 @@ class HalfspaceEnergyModel:
 
         Each ``_PAIRS`` product becomes one read-only array of ``_DEGREES``
         coefficients in eps: entry d adds c * M[i, j] over the monomials
-        with i + j = d in the polynomial's order (one ``bincount`` over the
-        reduction's ``terms``), as the term-by-term series does. The
-        Dirichlet energy's array is the sum of tan's and nor's.
+        with i + j = d in the polynomial's order, as the term-by-term series
+        does. The Dirichlet energy's array is the sum of tan's and nor's.
         """
         self.profile = profile
         self.R = float(R)
@@ -575,28 +559,44 @@ class HalfspaceEnergyModel:
         self._H, self._kappa_vol = red.H, red.kappa_vol
         self._grad_h_norm, self._ric_top = red.grad_h_norm, red.ric_top
         self.M = halfspace_moment_matrix(profile, R, spec)
-        # the matrix fields raveled one after another, zeros for an absent pp
-        moments = np.concatenate([np.zeros(25) if getattr(self.M, name) is None
-                                  else getattr(self.M, name).ravel() for name, _, _ in _PAIRS])
-        bins, index, coefs = red.terms
-        table = np.bincount(bins, coefs * moments[index], len(_FIELDS) * _DEGREES)
-        table = table.reshape(len(_FIELDS), _DEGREES)
+        bins, terms = [], []            # (row, degree) of each monomial, c * M[i, j]
+        for row, (name, poly) in enumerate(_PAIRS):
+            matrix = getattr(self.M, name)
+            if matrix is not None:
+                for (i, j), c in getattr(red, poly).items():
+                    bins.append(row * _DEGREES + i + j)
+                    terms.append(c * matrix[i, j])
+        table = np.bincount(bins, terms, len(_FIELDS) * _DEGREES).reshape(len(_FIELDS), _DEGREES)
         table[-1] = table[0] + table[1]
-        self._coef = dict(zip(_FIELDS, _read_only(table)))
-        self._c0, self._rise = table[:, :1], table[:, 1:]
+        self._table = _read_only(table)
+        self._coef = dict(zip(_FIELDS, table))
+        self._top = int(np.flatnonzero(table.any(axis=0))[-1])    # highest degree in use
         self._J0 = self.M.tan[0, 0] + self.M.nor[0, 0]
 
     def _fields(self, eps):
         """eps as a float array, then each field's eps-dependent part (the
-        polynomial without its constant term) and its value, at every eps."""
+        polynomial without its constant term) and its value, at every eps.
+
+        Horner's rule from the highest degree any field uses: only products
+        and sums, so an eps gets the same bits whatever array it comes in.
+        With one eps the fields are numpy scalars, whose ``**`` is libm's
+        pow, not numpy's, so the quotients take their powers with np.power.
+        """
         eps = np.asarray(eps, dtype=float)
-        parts = self._rise @ eps.reshape(1, -1) ** _RISING[:, None]     # (field, eps)
+        e = eps.reshape(1, -1)
+        part = np.zeros((len(_FIELDS), e.size))
+        for d in range(self._top, 0, -1):
+            part = (part + self._table[:, d:d + 1]) * e        # (field, eps)
         shape = (-1,) + eps.shape
-        return (eps, dict(zip(_FIELDS, parts.reshape(shape))),
-                dict(zip(_FIELDS, (parts + self._c0).reshape(shape))))
+        return (eps, dict(zip(_FIELDS, part.reshape(shape))),
+                dict(zip(_FIELDS, (part + self._table[:, :1]).reshape(shape))))
 
     def _series(self, name: str, order: int) -> np.ndarray:
-        return self._coef[name][:order + 1]
+        """A field's first order + 1 coefficients, zeros past its degree."""
+        coef = self._coef[name]
+        if order < _DEGREES:
+            return coef[:order + 1]
+        return np.concatenate([coef, np.zeros(order + 1 - _DEGREES)])
 
     def integral(self, name: str, eps) -> np.ndarray:
         """A raw integral at every eps: ``dirichlet``, or a moment-matrix field
@@ -650,8 +650,9 @@ class HalfspaceEnergyModel:
         # cancellation-free deficit: J - J_flat = (dN - N0 ((Tq/T0)^(2/q)-1)) / Tq^(2/q)
         dN = delta["dirichlet"] + terms["scal"] + terms["H_boundary"]
         dT_rel = delta["trq"] / self.M.trq[0, 0]
-        deficit = (dN - self._J0 * np.expm1((2.0 / q) * np.log1p(dT_rel))) / Tq ** (2.0 / q)
-        return QuotientResult("escobar", eps[()], self.R, sum(terms.values()), Tq ** (2.0 / q),
+        denominator = np.power(Tq, 2.0 / q)
+        deficit = (dN - self._J0 * np.expm1((2.0 / q) * np.log1p(dT_rel))) / denominator
+        return QuotientResult("escobar", eps[()], self.R, sum(terms.values()), denominator,
                               flat + deficit, flat, deficit, dict(terms, trace_mass=Tq),
                               self.M.err)
 
@@ -708,8 +709,9 @@ class HalfspaceEnergyModel:
         # cancellation-free: T_M - flat = (dT - T0 ((D/D0)^alpha - 1)) / D^alpha
         dT = delta["trq"] + gauge
         dD_rel = delta["dirichlet"] / self._J0
-        deficit = (dT - self.M.trq[0, 0] * np.expm1(alpha * np.log1p(dD_rel))) / D ** alpha
-        return QuotientResult("plain-trace", eps[()], self.R, Tq + gauge, D ** alpha,
+        denominator = np.power(D, alpha)
+        deficit = (dT - self.M.trq[0, 0] * np.expm1(alpha * np.log1p(dD_rel))) / denominator
+        return QuotientResult("plain-trace", eps[()], self.R, Tq + gauge, denominator,
                               flat + deficit, flat, deficit,
                               {"dirichlet": D, "trace_mass": Tq, "gauge_shift": cbar,
                                "gauge_correction": gauge}, self.M.err)
@@ -737,28 +739,45 @@ class HalfspaceEnergyModel:
         if self.profile.p is None:
             raise ValueError("model built without the L^(p+1) weight")
         al, be = gn_exponents(self.n, self.profile.p)
-        eps, delta, value = self._fields(eps)
+        eps, _, value = self._fields(eps)
         Ipp, I2, D = value["pp"], value["w2"], value["dirichlet"]
         flat = self.flat_gn()
-        # cancellation-free relative change of the quotient
-        dpp = delta["pp"] / self.M.pp[0, 0]
-        d2 = delta["w2"] / self.M.w2[0, 0]
-        dg = delta["dirichlet"] / self._J0
-        bad = np.flatnonzero(np.minimum(np.minimum(dpp, d2), dg) <= -1.0)
-        if bad.size:
-            # each integrand is non-negative, so a non-positive integral means
-            # the jet's volume element is non-positive on the bubble support
-            e, a, b, c = (np.ravel(x)[bad[0]] for x in (eps, dpp, d2, dg))
-            raise ValueError(
-                f"jet volume element non-positive on the bubble support at eps={e:.6g} "
-                f"(I_pp, I_2 and the Dirichlet energy change by {a:.3g}, {b:.3g}, "
-                f"{c:.3g} relative); shrink eps or the cutoff")
-        rel = np.expm1(np.log1p(dpp) - 0.5 * al * np.log1p(d2) - 0.5 * be * np.log1p(dg))
+        rel = np.reshape([self._gn_rel_change(e, al, be) for e in eps.ravel().tolist()],
+                         eps.shape)[()]
         return QuotientResult(self.gn_functional, eps[()], self.R, Ipp,
-                              I2 ** (al / 2.0) * D ** (be / 2.0), flat * (1.0 + rel), flat,
+                              np.power(I2, al / 2.0) * np.power(D, be / 2.0),
+                              flat * (1.0 + rel), flat,
                               -rel,
                               {"I_pp": Ipp, "I_2": I2, "dirichlet": D,
                                "rel_change": rel}, self.M.err)
+
+    def _gn_rel_change(self, eps: float, al: float, be: float) -> float:
+        """Cancellation-free relative change of the GN quotient at one eps.
+
+        Its three logs cancel to about 1/50 of their size (the n = 3 ball),
+        so a last-bit move in any of the changes comes out fifty-fold:
+        adding them grouped by degree, as ``_fields`` does, moves the result
+        by up to 9e-15 relative. Each change is therefore summed term by
+        term in its polynomial's order, with libm's log1p and expm1, one eps
+        at a time; GN sweeps evaluate a few eps per model.
+        """
+        def change(poly, name):
+            matrix = getattr(self.M, name)
+            return sum(c * matrix[key] * eps ** (key[0] + key[1])
+                       for key, c in poly.items() if key[0] + key[1] > 0)
+
+        dpp = change(self.P_sca, "pp") / self.M.pp[0, 0]
+        d2 = change(self.P_sca, "w2") / self.M.w2[0, 0]
+        dg = (change(self.P_tan, "tan") + change(self.P_sca, "nor")) / self._J0
+        if min(dpp, d2, dg) <= -1.0:
+            # each integrand is non-negative, so a non-positive integral means
+            # the jet's volume element is non-positive on the bubble support
+            raise ValueError(
+                f"jet volume element non-positive on the bubble support at eps={eps:.6g} "
+                f"(I_pp, I_2 and the Dirichlet energy change by {dpp:.3g}, {d2:.3g}, "
+                f"{dg:.3g} relative); shrink eps or the cutoff")
+        return math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
+                          - 0.5 * be * math.log1p(dg))
 
     def flat_gn(self) -> float:
         return self._flat_gn
@@ -831,7 +850,7 @@ class DeficitSweep:
     """Deficits over an eps-grid, with the exact jet-model series.
 
     ``result`` holds the quotient at every eps of the grid; in the diagonal
-    regime its R and reference vary with eps too.
+    regime its R, reference and err_estimate are arrays over eps too.
     """
     functional: str
     eps: np.ndarray

@@ -25,6 +25,7 @@ hypersurfaces, not a modeling choice).
 """
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -321,9 +322,10 @@ def geometry_catalog(name: str, n: int, **kw) -> ModelGeometry:
     if name == "custom":
         return ModelGeometry(name, BoundaryPointData(n=n, **kw))
     entry = _catalog_entry(name, n, tuple(sorted(kw.items())))
-    data = object.__new__(BoundaryPointData)      # a copy: no second __post_init__
-    vars(data).update({key: value.copy() if isinstance(value, np.ndarray) else value
-                       for key, value in vars(entry.data).items()})
+    data = copy.copy(entry.data)                  # shallow: no second __post_init__
+    for key, value in list(vars(data).items()):
+        if isinstance(value, np.ndarray):
+            setattr(data, key, value.copy())
     return ModelGeometry(entry.name, data, entry.exact_fermi_gab, entry.exact_boundary_density)
 
 
