@@ -314,8 +314,12 @@ _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
 # largest relative two-resolution difference a moment matrix may show
 _MATRIX_TOL = 1e-6
-# grid points per column block of a build: a block's fields fit in L2
-_BLOCK = 32768
+# grid points per column block of a build: a field is 64 kB, so a block's
+# fields fit in L2 and a build's temporaries stay near 1.5 MB. Blocks of
+# 32768 points built no faster, but their 5 MB of freed temporaries were
+# left pinned in the heap after a process's first builds in one run of four,
+# so its resident memory differed by 3-4 MB between identical runs.
+_BLOCK = 8192
 
 
 def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
