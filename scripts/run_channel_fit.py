@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Read the second-order curvature channel constants from the exact jet
 series of channel-isolating geometries, guarded by one quadrature level,
-and cross-check the traceless-II channel against its moment formula.
+and cross-check the traceless-II channel against its moment formula. Then
+print the exact constants (the same fit at R = inf) and the truncation gap
+R (kappa - kappa_exact) of each channel.
 
 Example:
     python scripts/run_channel_fit.py --n 5 --R 100
 """
 import argparse
+import math
 
 from bubblelab.profiles import escobar_halfspace_optimizer
 from bubblelab.moments import weighted_moments, escobar_constants
@@ -30,6 +33,11 @@ def main():
     print(f"  kappa3 from moments         = {fit.kappa3_moment:+.8f}   "
           f"(rel dev {fit.kappa3_rel_err:.3%})")
     print(f"  max series-guard residual   = {max(fit.fit_errors.values()):.2e}")
+    exact = channel_fit_second_order(args.n, U, C, R=math.inf)
+    print("exact constants (the fit at R = inf) and R (kappa - kappa_exact)")
+    for name in ("kappa1", "kappa2", "kappa3_fit"):
+        k, k_exact = getattr(fit, name), getattr(exact, name)
+        print(f"  {name[:6]} exact = {k_exact:+.8f}   R gap = {args.R * (k - k_exact):+.6f}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .moments import fde_exponents, FDEExponents, gn_untruncated_moments, weinstein_quotient
+from .energy import halfspace_moment_matrix
+from .moments import fde_exponents, FDEExponents, weinstein_quotient
 from .profiles import gn_exponents, sphere_area
 from .fixtures import cached_gn_ground_state
 from .quadrature import _gl_nodes
@@ -52,7 +53,7 @@ def euclidean_leading_constant(n: int, m: float) -> float:
         raise ValueError(
             f"euclidean-leading mode needs m > (n-2)/(n+2); got m={m}, n={n}")
     Q = cached_gn_ground_state(n, p)
-    return weinstein_quotient(gn_untruncated_moments(Q), p)
+    return weinstein_quotient(halfspace_moment_matrix(Q, math.inf), p)
 
 
 @dataclass

@@ -13,10 +13,9 @@ a single quadrature pass yields the entire eps-sweep, and the Taylor
 coefficients of the quotient in eps come from the same numbers, which is
 what the estimator error-rate tests use as ground truth.
 
-One engine, ``halfspace_moment_matrix``, computes every truncated moment in
-the package: the half-space and interior matrices of the models below, and
-the truncated moment tables and every GN norm of ``moments`` (the
-untruncated GN norms are a radial matrix cut off deep in the e^(-r) tail).
+One engine, ``halfspace_moment_matrix``, computes every moment in the
+package: the matrices of the models below, and the moment tables and every
+GN norm of ``moments``. R = inf is the one way to ask for untruncated ones.
 
 The matrix is a function of the profile, the cutoff and the quadrature
 spec alone: the profile's GN exponent p decides whether the L^(p+1) weight is
@@ -371,13 +370,58 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
     moments do not depend on the block width to the last bit. Raises
     QuadratureNonConvergence when the resolutions differ by more than
     ``_MATRIX_TOL`` relative. Memoized by (profile fingerprint, R, spec).
+    R = inf gives the untruncated moments: the half-space optimizer's in
+    closed form, the GN ground state's at R = tail_r0 + ``_GN_TAIL_MARGIN``;
+    other kinds raise ValueError.
     """
+    if R == math.inf:
+        if profile.kind == "gn-ground-state":
+            R = profile.tail_r0 + _GN_TAIL_MARGIN
+        elif profile.kind != "escobar-halfspace":
+            raise ValueError(f"no untruncated moment matrix for kind {profile.kind}")
     key = ("matrix", _profile_fingerprint(profile), float(R), spec)
     return _memoized(key, lambda: _build_moment_matrix(profile, R, spec))
 
 
+# Beyond tail_r0 = L (14 unless p is near 1) the GN ground state decays like e^(-r):
+# at R = L + 6, Q(R) <= 2.1e-9 Q(0) for 1.1 <= p <= 5 at n = 2, 3, and the matrix
+# holds the untruncated moments to rounding (4.4e-16 relative of a cutoff 20 further).
+_GN_TAIL_MARGIN = 6.0
+
+
+def _untruncated_escobar(profile: RadialProfile) -> _HalfspaceMatrix:
+    """The matrix of U = c (r^2 + (1+t)^2)^(-(n-2)/2) at R = inf (err, delta 0)
+    from qp = int_0^inf int_0^inf r^(m-1) t^b (r^2 + (1+t)^2)^(-s) dr dt =
+    (1/2) B(m/2, s - m/2) B(b+1, 2s - m - b - 1) (DLMF 5.12), +inf if divergent,
+    or for b None the trace (1/2) B(m/2, s - m/2) of r^(m-1) (1 + r^2)^(-s).
+    Entry [i, j] has m = n - 1 + i and b = j; U^k has s = k(n-2)/2, and U_r^2
+    and U_t^2 (its (1+t)^2 expanded) have s = n and the factor c^2 (n-2)^2."""
+    def qp(m, s, b=None):
+        args = [(m / 2.0, s - m / 2.0)] + ([] if b is None else [(b + 1.0, 2.0 * s - m - b - 1.0)])
+        if min(map(min, args)) <= 0.0:
+            return math.inf
+        return 0.5 * math.prod(beta_function(*a) for a in args)
+
+    n, c = profile.n, profile.amplitude
+    q, g = 2.0 * (n - 1) / (n - 2), c * c * (n - 2) ** 2
+    entry = {"tan": lambda m, b: g * qp(m + 2, n, b),
+             "nor": lambda m, b: g * (qp(m, n, b) + 2.0 * qp(m, n, b + 1) + qp(m, n, b + 2)),
+             "w2": lambda m, b: c * c * qp(m, n - 2, b),
+             "w1": lambda m, b: c * qp(m, (n - 2) / 2.0, b),
+             "tr2": lambda m, _: c * c * qp(m, n - 2),
+             "trq": lambda m, _: c ** q * qp(m, n - 1),
+             "trq1": lambda m, _: c ** (q - 1.0) * qp(m, n / 2.0)}
+    om = sphere_area(n - 2)
+    out = {name: _read_only(np.array([[om * f(n - 1 + i, j) for j in range(
+        1 if name.startswith("tr") else 5)] for i in range(5)])) for name, f in entry.items()}
+    delta = MappingProxyType({k: _read_only(np.zeros_like(v)) for k, v in out.items()})
+    return _HalfspaceMatrix(n=n, R=math.inf, err=0.0, delta=delta, pp=None, **out)
+
+
 def _build_moment_matrix(profile: RadialProfile, R: float,
                          spec: QuadratureSpec) -> _HalfspaceMatrix:
+    if R == math.inf:
+        return _untruncated_escobar(profile)
     n, p, t_offset = profile.n, profile.p, profile.shift
     halfspace = profile.kind in _HALFSPACE_KINDS
     dim = n - 1 if halfspace else n          # dimension of the r variable
@@ -464,12 +508,14 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
 # truncated Taylor-series helpers ------------------------------------------
 
 def _ser_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a b) truncated at len(a), on Python floats: numpy scalars' bits, faster."""
+    a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
     K = len(a)
-    out = np.zeros(K)
+    out = [0.0] * K
     for i in range(K):
         for j in range(K - i):
             out[i + j] += a[i] * b[j]
-    return out
+    return np.array(out)
 
 
 def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
@@ -586,6 +632,8 @@ class HalfspaceEnergyModel:
         With one eps the fields are numpy scalars, whose ``**`` is libm's
         pow, not numpy's, so the quotients take their powers with np.power.
         """
+        if self.R == math.inf:
+            raise ChartOverflowError("an untruncated bubble (R = inf) overflows every chart")
         eps = np.asarray(eps, dtype=float)
         e = eps.reshape(1, -1)
         part = np.zeros((len(_FIELDS), e.size))
@@ -596,11 +644,14 @@ class HalfspaceEnergyModel:
                 dict(zip(_FIELDS, (part + self._table[:, :1]).reshape(shape))))
 
     def _series(self, name: str, order: int) -> np.ndarray:
-        """A field's first order + 1 coefficients, zeros past its degree."""
+        """A field's first order + 1 coefficients, zeros past its degree;
+        ValueError if one diverges (R = inf, past the convergent degrees)."""
         coef = self._coef[name]
-        if order < _DEGREES:
-            return coef[:order + 1]
-        return np.concatenate([coef, np.zeros(order + 1 - _DEGREES)])
+        coef = (coef[:max(order + 1, 0)] if order < _DEGREES
+                else np.concatenate([coef, np.zeros(order + 1 - _DEGREES)]))
+        if self.R == math.inf and not np.isfinite(coef).all():
+            raise ValueError(f"the untruncated {name} series diverges by order {order}")
+        return coef
 
     def integral(self, name: str, eps) -> np.ndarray:
         """A raw integral at every eps: ``dirichlet``, or a moment-matrix field
@@ -673,11 +724,10 @@ class HalfspaceEnergyModel:
         n = self.n
         q = 2.0 * (n - 1) / (n - 2)
         K = order + 1
-        w2 = self._series("w2", order)
-        N = (self._series("dirichlet", order)
-             + (n - 2) / (4.0 * (n - 1)) * self._scal * np.concatenate([[0.0, 0.0], w2[:-2]]))
-        t2 = self._series("tr2", order)
-        N += (n - 2) / 2.0 * self._H * np.concatenate([[0.0], t2[:-1]])
+        # the Scal_g and H terms carry eps^2 and eps
+        w2 = np.concatenate([[0.0, 0.0], self._series("w2", order - 2)])[:K]
+        N = self._series("dirichlet", order) + (n - 2) / (4.0 * (n - 1)) * self._scal * w2
+        N += (n - 2) / 2.0 * self._H * np.concatenate([[0.0], self._series("tr2", order - 1)])
         Tq = self._series("trq", order)
         rel = _ser_mul(N / N[0], _ser_pow(Tq / Tq[0], -2.0 / q))
         return rel[1:K]
@@ -970,39 +1020,37 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
                              spec: QuadratureSpec = DEFAULT_QUAD) -> ChannelFitResult:
     """kappa_1, kappa_2 and a kappa_3 cross-check from channel-isolating jets.
 
-    Each probe geometry has H = 0 and one second-order channel, so its
-    deficit over S*(R) is c2 eps^2 + O(eps^3); c2 is read from the exact jet
-    series (``escobar_series()[1]``) of the probe's model at R and divided by
-    the channel value. One quadrature level guards each series: the deficit
-    at eps = min(4e-3, 0.25/R), which keeps the bubble support inside the
-    unit chart, must match sum_k c_k eps^k to ``_FIT_RESIDUAL_TOL``
-    (``fit_errors`` holds the residuals). The anisotropic value is compared
-    against the moment formula (4-n) g2 / (2(n-1)).
+    Each probe geometry has H = 0, Scal_g off and one second-order channel,
+    so its deficit over S*(R) is c2 eps^2 + O(eps^3); c2 is read from the
+    exact jet series (``escobar_series()[1]``) of the probe's model at R and
+    divided by the channel value. One quadrature level guards each series:
+    the deficit at eps = min(4e-3, 0.25/R), inside the unit chart, must match
+    sum_k c_k eps^k to ``_FIT_RESIDUAL_TOL`` (``fit_errors`` holds the
+    residuals). R = inf gives the exact constants: the matrix is exact, so
+    nothing is guarded (``fit_errors`` read 0), and the series stop at order
+    min(4, n - 3), the highest whose moments converge. The anisotropic value
+    is compared against the moment formula (4-n) g2 / (2(n-1)).
     """
     if n < 5:
         raise ValueError("channel fit requires n >= 5")
+    exact = R == math.inf
     eps = min(_GUARD_EPS, 0.25 / R)
-    geos = {
-        "ricci": geometry_catalog("ricci-only", n, value=1.0),
-        "scal": geometry_catalog("boundary-scal-only", n, value=1.0),
-        "aniso": geometry_catalog("anisotropic-cylinder-like", n),
-    }
+    geos = {"ricci": geometry_catalog("ricci-only", n, value=1.0),
+            "scal": geometry_catalog("boundary-scal-only", n, value=1.0),
+            "aniso": geometry_catalog("anisotropic-cylinder-like", n)}
     c2, fit_errors, details = {}, {}, {}
     for key, geo in geos.items():
         model = HalfspaceEnergyModel(fermi_jet(geo.data, order=2), profile, R, spec)
-        series = model.escobar_series()
-        y = model.escobar_quotient(eps).deficit / model.flat_escobar()
+        series = model.escobar_series(min(4, n - 3) if exact else 4)
         c2[key] = float(series[1])
-        fit_errors[key] = float(abs(y - sum(c * eps ** (k + 1)
-                                            for k, c in enumerate(series))))
+        fit_errors[key] = 0.0 if exact else float(abs(
+            model.escobar_quotient(eps).deficit / model.flat_escobar()
+            - sum(c * eps ** (k + 1) for k, c in enumerate(series))))
         details[key] = {"series": series.tolist()}
     if max(fit_errors.values()) > _FIT_RESIDUAL_TOL:
         raise RuntimeError(f"channel series residual exceeds threshold: {fit_errors}")
-    k1 = c2["ricci"] / 1.0
-    k2 = c2["scal"] / 1.0
-    aniso_val = geos["aniso"].data.II_ring_sq
-    k3_fit = c2["aniso"] / aniso_val
-    k3_mom = constants.kappa3
+    k1, k2 = c2["ricci"], c2["scal"]          # both probes have channel value 1
+    k3_fit, k3_mom = c2["aniso"] / geos["aniso"].data.II_ring_sq, constants.kappa3
     rel = abs(k3_fit - k3_mom) / abs(k3_mom)
     if rel > _KAPPA3_TOL:
         raise RuntimeError(

@@ -132,7 +132,9 @@ def modulated_two_point(delta1: float, delta2: float, eps: float, rho: float,
 def ring_II_estimator(r_hat: float, data: BoundaryPointData,
                       constants: EscobarConstants,
                       truth: Optional[float] = None) -> EstimatorReport:
-    """|II_ring|^2-hat = (R-hat - kappa1 Ric_nn - kappa2 Scal_bdy)/kappa3."""
+    """|II_ring|^2-hat = (R-hat - kappa1 Ric_nn - kappa2 Scal_bdy)/kappa3, the
+    inverse of ``geometry.renormalized_mass``: it assumes R-hat was measured
+    with Scal_g off, as the channel fit measures the kappas."""
     constants.require_channel_fit()
     if constants.kappa3 is None or constants.kappa3 == 0.0:
         raise ValueError("kappa3 vanishes: anisotropy channel not invertible")

@@ -35,7 +35,7 @@ import numpy as np
 
 __all__ = [
     "BoundaryPointData", "FermiJetMetric", "InteriorPointData", "ModelGeometry",
-    "fermi_jet", "boundary_area_element", "renormalized_mass", "theta_coefficient",
+    "fermi_jet", "renormalized_mass", "theta_coefficient",
     "geometry_catalog", "CATALOG_NAMES",
 ]
 
@@ -241,12 +241,6 @@ def fermi_jet(data: BoundaryPointData, order: int = 2,
     return FermiJetMetric(data=data, order=order, chart_radius=chart_radius)
 
 
-def boundary_area_element(data: BoundaryPointData, yprime) -> float:
-    """Truncated boundary surface density 1 - (1/6) Ricbar[y', y']."""
-    yp = np.asarray(yprime, dtype=float)
-    return 1.0 - (1.0 / 6.0) * float(yp @ data.ric_bar @ yp)
-
-
 # --------------------------------------------------------------------------
 # interior data (normal-coordinate jet for GN interior bubbles)
 # --------------------------------------------------------------------------
@@ -375,7 +369,9 @@ def _catalog_entry(name: str, n: int, kw: tuple) -> ModelGeometry:
 # --------------------------------------------------------------------------
 
 def renormalized_mass(data: BoundaryPointData, constants) -> tuple[float, dict]:
-    """kappa_3 |II_ring|^2 + kappa_1 Ric_nn + kappa_2 Scal_bdy, with breakdown."""
+    """kappa_3 |II_ring|^2 + kappa_1 Ric_nn + kappa_2 Scal_bdy, with breakdown:
+    the H = 0 eps^2 deficit coefficient with Scal_g off, as the channel fit's
+    probes have it. With the Gauss-identity Scal_g it is (kappa_3 - kappa_2)|II_ring|^2."""
     if data.n < 5:
         raise ValueError("renormalized mass is defined for n >= 5")
     constants.require_channel_fit()

@@ -5,30 +5,32 @@ Everything here is built from the model profiles:
 * truncated moments of chi_R * U at cutoff R over the half-ball, read from
   the moment matrix of ``energy.halfspace_moment_matrix`` (the cutoff
   vanishes outside |y| = 2R, so the rectangle [0, 2R]^2 is the whole domain);
-* untruncated limits in closed form, each a product of two Beta functions
-  (DLMF 5.12) in the profile's own amplitude;
+* untruncated limits read the same way from the engine's matrix at R = inf,
+  whose entries are products of two Beta functions (DLMF 5.12);
 * the first-order coefficient rho_n^conf both as the bracket combination
   (2/(n-1)) g1_tan - g1 + ((n-2)/2) Theta and in the harmonic closed form
   (n-2)^2 Theta / (2(n-1)), with an agreement assertion;
 * kappa_3 = (4-n) g2 / (2(n-1)), the sharp constant S* = J / T^(2/q), and the
   plain-trace first-order coefficient Theta/2;
 * Gagliardo-Nirenberg curvature coefficients kappa_int / kappa_bdy from the
-  (normalized) second and first vertical moments of the ground state and the
-  half-space near-optimizer, and the Weinstein quotient of a moment matrix,
+  (normalized) second and first vertical moments of the ground state (its
+  matrix at R = inf) and the half-space near-optimizer, and the Weinstein
+  quotient of a moment matrix,
   which gives the sharp constant C* and the near-optimizer's quotient;
 * fast-diffusion exponents theta_m, alpha_{n,m}, beta_{n,m}.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .energy import halfspace_moment_matrix
-from .profiles import RadialProfile, ShootingError, beta_function, sphere_area, gn_exponents
+from .profiles import RadialProfile, ShootingError, gn_exponents
 from .quadrature import QuadratureSpec, DEFAULT_QUAD
 
 __all__ = [
@@ -36,8 +38,7 @@ __all__ = [
     "LogDivergentMoment", "IdentityReport", "ConstantsMismatch",
     "weighted_moments", "verify_harmonic_identities", "second_moment_identity",
     "escobar_scales", "escobar_constants", "gn_coefficients", "fde_exponents",
-    "kappa_int_from_moments", "kappa_bdy_from_moments", "gn_untruncated_moments",
-    "weinstein_quotient",
+    "kappa_int_from_moments", "kappa_bdy_from_moments", "weinstein_quotient",
 ]
 
 
@@ -49,7 +50,7 @@ class ConstantsMismatch(RuntimeError):
     """Bracket and closed forms of rho_n^conf disagree beyond tolerance."""
 
 
-# truncated table entries as sums of moment-matrix entries (field, i, j)
+# table entries, truncated and limits, as sums of moment-matrix entries (field, i, j)
 _TRUNCATED = {
     "J": (("tan", 0, 0), ("nor", 0, 0)),
     "g1": (("tan", 0, 1), ("nor", 0, 1)),
@@ -66,7 +67,8 @@ class MomentTable:
     """Truncated moments at cutoff R plus their R->infinity extrapolants.
 
     values[name] / errors[name]: truncated moment and its two-resolution
-    quadrature error. limits: untruncated counterparts, exact up to rounding.
+    quadrature error. limits: untruncated counterparts from the matrix at
+    R = inf, exact up to rounding.
     Entries g2, g2tan exist only for n >= 5 (log-divergent in n = 4).
     """
     n: int
@@ -76,55 +78,21 @@ class MomentTable:
     limits: dict = field(default_factory=dict)
 
     def truncated(self, name: str) -> float:
-        self._check(name)
-        return self.values[name]
+        return self._read(self.values, name)
 
     def limit(self, name: str) -> float:
-        self._check(name)
-        return self.limits[name]
+        return self._read(self.limits, name)
 
-    def _check(self, name: str) -> None:
-        if name not in _TRUNCATED:
-            raise KeyError(name)
+    def _read(self, entries: dict, name: str) -> float:
         if name in ("g2", "g2tan") and self.n == 4:
             raise LogDivergentMoment(
                 "log-divergent moment: y_n^2-weighted moments diverge "
                 "logarithmically in n = 4")
+        return entries[name]
 
 
 def _table_entry(fields: dict, name: str) -> float:
     return float(sum(fields[f][i, j] for f, i, j in _TRUNCATED[name]))
-
-
-def _limit_moments(profile: RadialProfile) -> dict:
-    """Untruncated moments of U = c (r^2 + (1+t)^2)^(-(n-2)/2), in closed form.
-
-    Each is |S^(n-2)| times a power of c times a quarter-plane integral that
-    factors into two Beta functions (DLMF 5.12):
-    int_0^inf int_0^inf r^(m-1) t^b (r^2 + (1+t)^2)^(-s) dr dt
-        = (1/2) B(m/2, s - m/2) B(b+1, 2s - m - b - 1).
-    """
-    n, c = profile.n, profile.amplitude
-    om = sphere_area(n - 2)
-    q = 2.0 * (n - 1) / (n - 2)
-
-    def quarter_plane(m, s, b):
-        return (0.5 * beta_function(m / 2.0, s - m / 2.0)
-                * beta_function(b + 1.0, 2.0 * s - m - b - 1.0))
-
-    # r^(n-2) |grad U|^2 = c^2 (n-2)^2 r^(n-2) rho^(2-2n), and its r-part alone
-    # r^(n-2) U_r^2 = c^2 (n-2)^2 r^n rho^(-2n), with rho^2 = r^2 + (1+t)^2
-    grad = c * c * (n - 2) ** 2 * om
-    limits = {"J": grad * quarter_plane(n - 1, n - 1, 0),
-              "g1": grad * quarter_plane(n - 1, n - 1, 1),
-              "g1tan": grad * quarter_plane(n + 1, n, 1)}
-    if n >= 5:
-        limits["g2"] = grad * quarter_plane(n - 1, n - 1, 2)
-        limits["g2tan"] = grad * quarter_plane(n + 1, n, 2)
-    # traces on {t = 0}: U^2 = c^2 (1 + r^2)^(2-n) and |U|^q = c^q (1 + r^2)^(1-n)
-    limits["Theta"] = om * c * c * 0.5 * beta_function((n - 1) / 2.0, (n - 3) / 2.0)
-    limits["Tq"] = om * c ** q * 0.5 * beta_function((n - 1) / 2.0, (n - 1) / 2.0)
-    return limits
 
 
 def weighted_moments(profile: RadialProfile, R: float,
@@ -136,12 +104,12 @@ def weighted_moments(profile: RadialProfile, R: float,
         raise LogDivergentMoment("first moments require n >= 4")
     if R < 1.0:
         raise ValueError("cutoff radius must be >= 1")
-    M = halfspace_moment_matrix(profile, R, spec)
+    M, full = (halfspace_moment_matrix(profile, r, spec) for r in (R, math.inf))
     names = [k for k in _TRUNCATED if profile.n >= 5 or k not in ("g2", "g2tan")]
     values = {k: _table_entry(vars(M), k) for k in names}
     errors = {k: abs(_table_entry(M.delta, k)) for k in names}
     return MomentTable(n=profile.n, R=float(R), values=values, errors=errors,
-                       limits=_limit_moments(profile))
+                       limits={k: _table_entry(vars(full), k) for k in names})
 
 
 # --------------------------------------------------------------------------
@@ -188,9 +156,9 @@ def second_moment_identity(table: MomentTable, tol: float = 1e-5) -> IdentityRep
 class EscobarConstants:
     """Dimensional constants of the boundary problem at one dimension n.
 
-    kappa1/kappa2 and the third-order channel weights alpha1..alpha4 are not
-    derivable from moments; they stay None until a channel fit or user config
-    supplies them. c_conf and a_kernel are model units (default 1.0).
+    kappa1/kappa2 come from ``energy.channel_fit_second_order`` (exact at
+    R = inf) and the third-order channel weights alpha1..alpha4 from config;
+    all stay None until supplied. c_conf and a_kernel are model units (1.0).
     """
     n: int
     q: float
@@ -218,11 +186,7 @@ class EscobarConstants:
                              "(run the channel fit or set them in config)")
 
     def snapshot(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "q", "a_n", "S_star", "S_star_R", "R", "rho_conf",
-            "rho_conf_bracket", "rho_conf_R", "plain_rho", "S_trace_R",
-            "Theta", "g2", "kappa3", "kappa1", "kappa2", "c_conf", "a_kernel",
-            "alpha_channels")}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 # the moments escobar_scales reads, in its argument order
@@ -299,27 +263,11 @@ class GNCoefficients:
     errors: dict = field(default_factory=dict)
 
     def snapshot(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "p", "alpha", "beta", "C_star", "W_flat_halfspace", "kappa_int",
-            "kappa_bdy", "I_pp", "I_2", "J_grad", "M_pp", "M_2", "M_grad",
-            "m1_pp", "m1_2", "m1_grad", "m1_grad_tan")}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "errors"}
 
 
-# Beyond tail_r0 = L the GN ground state is its Bessel-K tail, which decays
-# like e^(-r); L = 14 unless p is near 1, where the profile decays slower and
-# the solve stretches L. A cutoff at R = L + 6 (R = 20 when L = 14) leaves
-# Q(R) <= 2.1e-9 Q(0) for 1.1 <= p <= 5 at n = 2 and 3, so it acts only where
-# Q^2 < 1e-17 Q(0)^2: the radial matrix at R = L + 6 holds the untruncated GN
-# moments to rounding (within 4.4e-16 relative of a cutoff 20 further out).
-_GN_TAIL_MARGIN = 6.0
 # the near-optimizer's largest accepted deficit, in absolute form W >= C* - delta0
 _GN_DELTA0 = 0.05
-
-
-def gn_untruncated_moments(Q: RadialProfile, spec: QuadratureSpec = DEFAULT_QUAD):
-    """The untruncated GN moments of the ground state Q: its radial moment
-    matrix at R = Q.tail_r0 + 6, with the L^(p+1) weight of Q.p."""
-    return halfspace_moment_matrix(Q, Q.tail_r0 + _GN_TAIL_MARGIN, spec)
 
 
 def weinstein_quotient(M, p: float) -> float:
@@ -339,8 +287,8 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
     them (ValueError otherwise). Interior second moments are normalized by
     n * I; boundary first vertical moments are normalized by the matching
     truncated integral of P_R = chi_R Q+.
-    The interior moments and C* come from ``gn_untruncated_moments``, the
-    boundary moments and W_flat_halfspace from the cutoff-R half-space matrix
+    The interior moments and C* come from the untruncated (R = inf) matrix of
+    Q, the boundary moments and W_flat_halfspace from the cutoff-R half-space matrix
     of Q+; ``errors`` holds their two-resolution differences. Raises
     ShootingError when W_flat_halfspace < C* - delta0, delta0 = 0.05.
     """
@@ -351,7 +299,7 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
         raise ValueError(f"gn_coefficients needs one (n, p): the ground state has ({n}, {p}), "
                          f"the near-optimizer ({Qplus.n}, {Qplus.p})")
     alpha, beta = gn_exponents(n, p)
-    full = gn_untruncated_moments(Q, spec)
+    full = halfspace_moment_matrix(Q, math.inf, spec)
     # radial matrix: column 0 holds the moments of r^0 and r^2
     (Ipp, Mpp), (I2, M2), (Jg, Mgr) = (a[0:3:2, 0].tolist() for a in (full.pp, full.w2, full.tan))
     d = full.delta

@@ -131,6 +131,21 @@ class TestSeriesAlgebra:
         got = _ser_pow(np.array([1.0, 1.0] + [0.0] * 6), float(alpha))
         np.testing.assert_allclose(got, [float(r) for r in ref], rtol=1e-15, atol=0.0)
 
+    def test_ser_mul_matches_the_numpy_scalar_loop(self):
+        # the same products and sums in the same order as on numpy scalars
+        def numpy_loop(a, b):
+            out = np.zeros(len(a))
+            for i in range(len(a)):
+                for j in range(len(a) - i):
+                    out[i + j] += a[i] * b[j]
+            return out
+
+        rng = np.random.default_rng(21)
+        for K in (1, 2, 3, 5, 8):
+            for _ in range(400):
+                a, b = rng.normal(size=(2, K)) * 10.0 ** rng.uniform(-3, 3, size=(2, K))
+                assert _ser_mul(a, b).tobytes() == numpy_loop(a, b).tobytes()
+
     @pytest.mark.parametrize("alpha", _ALPHAS)
     def test_ser_pow_exact_five_terms(self, alpha):
         # a0^alpha (1 + u)^alpha = a0^alpha sum_m binom(alpha, m) u^m with
@@ -586,6 +601,64 @@ class TestMatrixMemo:
         assert halfspace_moment_matrix(U, 1.0) is not first        # evicted
         last = halfspace_moment_matrix(U, 100.0)
         assert halfspace_moment_matrix(U, 100.0) is last           # still held
+
+
+class TestUntruncatedMatrix:
+    """The engine at R = inf: closed forms for the half-space optimizer, the
+    tail cut for the GN ground state, and no other kind."""
+
+    def test_entries_are_the_limits_of_the_truncated_ones(self):
+        # each finite entry's truncation gap falls like R^-k, k the power its
+        # integrand decays by; the entries with k <= 0 are exactly the +inf ones
+        n, R = 8, 100.0
+        U = escobar_halfspace_optimizer(n)
+        full, cut = halfspace_moment_matrix(U, math.inf), halfspace_moment_matrix(U, R)
+        i, j = np.indices((5, 5))
+        decay = {"tan": n - 2 - i - j, "nor": n - 2 - i - j, "w2": n - 4 - i - j,
+                 "w1": np.full((5, 5), -1), "tr2": n - 3 - i[:, :1], "trq": n - 1 - i[:, :1],
+                 "trq1": 1 - i[:, :1]}
+        for name, k in decay.items():
+            exact, trunc = getattr(full, name), getattr(cut, name)
+            assert (np.isinf(exact) == (k <= 0)).all() and (exact > 0).all(), name
+            ok = k > 0
+            gap = np.abs(trunc[ok] - exact[ok]) / exact[ok]
+            assert (gap <= 20.0 * R ** -k[ok].astype(float) + 1e-13).all(), name
+        assert full.R == math.inf and full.err == 0.0 and full.pp is None
+        assert all(not d.any() for d in full.delta.values())
+
+    def test_memoized_and_read_only(self, builds, halfspace_profiles):
+        M = halfspace_moment_matrix(halfspace_profiles[6], math.inf)
+        assert halfspace_moment_matrix(halfspace_profiles[6], math.inf) is M
+        assert len(builds) == 1
+        with pytest.raises(ValueError):
+            M.tan[0, 0] = 1.0
+
+    def test_gn_ground_state_is_the_tail_cut(self, gn23, gn33):
+        for Q, _, _ in (gn23, gn33):
+            M = halfspace_moment_matrix(Q, math.inf)
+            old = energy._build_moment_matrix(Q, Q.tail_r0 + 6.0, QuadratureSpec())
+            for name in _FIELDS:
+                assert getattr(M, name).tobytes() == getattr(old, name).tobytes(), name
+                assert M.delta[name].tobytes() == old.delta[name].tobytes(), name
+            assert (M.R, M.err) == (old.R, old.err)
+
+    def test_other_kinds_raise(self, gn23):
+        for profile in (gn23[1], aubin_talenti(4)):
+            with pytest.raises(ValueError, match="no untruncated"):
+                halfspace_moment_matrix(profile, math.inf)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_model_has_series_but_no_quotients(self, n):
+        # past order n - 3 the custom jet's series reads a divergent moment
+        # (from n = 7 on, no order-2 jet reaches one: its fields stop at degree 4)
+        model = HalfspaceEnergyModel(fermi_jet(_custom_data(n), order=2),
+                                     escobar_halfspace_optimizer(n), math.inf)
+        for quotient in (model.escobar_quotient, model.plain_trace_quotient):
+            with pytest.raises(ValueError, match="overflows every chart"):
+                quotient(1e-3)
+        assert np.isfinite(model.escobar_series(order=n - 3)).all()
+        with pytest.raises(ValueError, match="series diverges"):
+            model.escobar_series(order=n - 2)
 
 
 # --------------------------------------------------------------------------
@@ -1198,6 +1271,69 @@ class TestChannelFit:
         series = HalfspaceEnergyModel(jet, halfspace_profiles[5], 100.0).escobar_series()
         assert channel_fit_n5.details["ricci"]["series"] == series.tolist()
         assert channel_fit_n5.kappa1 == series[1]
+
+
+def _exact_kappas(n):
+    """The rational forms of the untruncated channel constants."""
+    k1 = Fraction(-(n - 2), (n - 1) * (n - 3) * (n - 4))
+    return float(k1), float(k1 / 2), float(Fraction(-1, (n - 1) * (n - 3)))
+
+
+class TestExactChannelConstants:
+    """The channel fit at R = inf: the exact kappas, and what they measure."""
+
+    @pytest.fixture(scope="class")
+    def exact_fits(self):
+        fits = {}
+        for n in range(5, 11):
+            U = escobar_halfspace_optimizer(n)
+            C = escobar_constants(n, weighted_moments(U, 20.0))
+            fits[n] = channel_fit_second_order(n, U, C, R=math.inf)
+        return fits
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_rational_forms(self, exact_fits, n):
+        fit = exact_fits[n]
+        for got, want in zip((fit.kappa1, fit.kappa2, fit.kappa3_fit), _exact_kappas(n)):
+            assert got == pytest.approx(want, rel=1e-14, abs=0)
+        values = [fit.kappa1, fit.kappa2, fit.kappa3_fit, fit.kappa3_moment,
+                  fit.kappa3_rel_err, *fit.fit_errors.values(),
+                  *(c for d in fit.details.values() for c in d["series"])]
+        assert np.isfinite(values).all()
+        assert set(fit.fit_errors.values()) == {0.0}
+        assert all(len(d["series"]) == min(4, n - 3) for d in fit.details.values())
+
+    def test_finite_fit_builds_no_untruncated_probe(self, monkeypatch, halfspace_profiles,
+                                                    constants):
+        cutoffs, build = [], energy.halfspace_moment_matrix
+        monkeypatch.setattr(energy, "halfspace_moment_matrix",
+                            lambda profile, R, *a: cutoffs.append(R) or build(profile, R, *a))
+        channel_fit_second_order(5, halfspace_profiles[5], constants[5], R=40.0)
+        assert cutoffs and math.inf not in cutoffs
+
+    @pytest.mark.parametrize("n, gauss", [(5, 1.0 / 16.0), (6, 0.0), (7, -1.0 / 144.0)])
+    def test_what_the_kappas_measure(self, n, gauss):
+        # H = 0 and three channels on at once. With Scal_g off the eps^2
+        # coefficient is the renormalized mass; with the Gauss-identity
+        # Scal_g = Scal_bdy + 2 Ric_nn + |II_ring|^2 its c_n Scal_g term
+        # adds -kappa2 Scal_g (kappa2 = -c_n w2/J and kappa1 = 2 kappa2), which
+        # leaves (kappa3 - kappa2)|II_ring|^2
+        k1, k2, k3 = _exact_kappas(n)
+        II = np.zeros((n - 1, n - 1))
+        II[0, 0], II[1, 1] = 0.7, -0.7
+        U = escobar_halfspace_optimizer(n)
+        c2 = {}
+        for label, override in (("off", 0.0), ("gauss", None)):
+            data = geometry_catalog("custom", n, II=II, ric_nn=0.4, scal_bdy=-1.1,
+                                    scal_ambient_override=override).data
+            model = HalfspaceEnergyModel(fermi_jet(data), U, math.inf)
+            c2[label] = model.escobar_series(order=2)[1]
+        ring = data.II_ring_sq
+        assert (data.H, ring) == (0.0, pytest.approx(0.98, rel=1e-15))
+        assert data.scal_ambient == pytest.approx(0.68, rel=1e-14)
+        assert c2["off"] == pytest.approx(k1 * 0.4 + k2 * -1.1 + k3 * ring, rel=0, abs=1e-14)
+        assert c2["gauss"] == pytest.approx((k3 - k2) * ring, rel=0, abs=1e-14)
+        assert (k3 - k2) == pytest.approx(gauss, rel=1e-12, abs=1e-15)
 
 
 class TestDiagonalRegime:

@@ -5,7 +5,7 @@ import pytest
 
 from bubblelab import geometry
 from bubblelab.geometry import (
-    BoundaryPointData, InteriorPointData, fermi_jet, boundary_area_element,
+    BoundaryPointData, InteriorPointData, fermi_jet,
     renormalized_mass, theta_coefficient, geometry_catalog, CATALOG_NAMES,
 )
 
@@ -140,7 +140,7 @@ class TestFermiJet:
 class TestBoundaryAreaElement:
     def test_flat(self):
         d = BoundaryPointData(n=4)
-        assert boundary_area_element(d, [0.3, -0.2, 0.1]) == 1.0
+        assert fermi_jet(d).boundary_density([0.3, -0.2, 0.1]) == 1.0
 
     def test_isotropic_ric(self):
         # Ricbar = c Id at |y'|^2 = s gives 1 - c s / 6
@@ -150,7 +150,7 @@ class TestBoundaryAreaElement:
         d = BoundaryPointData(n=n, scal_bdy=scal)
         yp = np.zeros(m); yp[0] = 0.5; yp[1] = 0.3
         s = float(yp @ yp)
-        assert boundary_area_element(d, yp) == pytest.approx(1.0 - c * s / 6.0, rel=1e-12)
+        assert fermi_jet(d).boundary_density(yp) == pytest.approx(1.0 - c * s / 6.0, rel=1e-12)
 
     def test_ball_n3_against_exact_sphere(self):
         geo = geometry_catalog("euclidean-ball", 3)

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
 from bubblelab.quadrature import QuadratureSpec, grid_1d
-from bubblelab.energy import sphere_average
+from bubblelab.energy import halfspace_moment_matrix, sphere_average
 from bubblelab.profiles import escobar_halfspace_optimizer, sphere_area
-from bubblelab.moments import gn_untruncated_moments, weighted_moments
+from bubblelab.moments import weighted_moments
 
 
 class TestPanelledGL:
@@ -42,7 +44,7 @@ class TestPanelledGL:
         # the engine's two-resolution estimate, which gn_coefficients reports,
         # bounds the error of each untruncated GN moment at a coarse spec
         Q = gn23[0]
-        M = gn_untruncated_moments(Q, QuadratureSpec(order=8, subdiv=1))
+        M = halfspace_moment_matrix(Q, math.inf, QuadratureSpec(order=8, subdiv=1))
         for name in ("pp", "w2", "tan"):
             for i in (0, 2):
                 val, err = getattr(M, name)[i, 0], abs(M.delta[name][i, 0])

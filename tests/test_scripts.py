@@ -32,6 +32,23 @@ def test_readme_script_runs(script, args, headline):
     assert any(re.fullmatch(headline, ln) for ln in out.stdout.splitlines()), out.stdout
 
 
+def test_channel_fit_prints_the_exact_constants():
+    # the fit at R = inf gives the rational forms, and each gap line is R
+    # times the printed fitted constant minus the exact one
+    R = 20.0
+    out = subprocess.run([sys.executable, str(SCRIPTS / "run_channel_fit.py"),
+                          "--n", "5", "--R", str(R)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    fitted = dict(re.findall(r"  (kappa\d) (?:\(|from the series).*?= ([+-]\d\.\d{8})",
+                             out.stdout))
+    exact = re.findall(r"  (kappa\d) exact = ([+-]\d\.\d{8})   R gap = ([+-]\d+\.\d{6})",
+                       out.stdout)
+    assert [(k, float(e)) for k, e, _ in exact] == [
+        ("kappa1", -0.375), ("kappa2", -0.1875), ("kappa3", -0.125)]
+    for k, e, gap in exact:
+        assert float(gap) == pytest.approx(R * (float(fitted[k]) - float(e)), abs=1e-6), k
+
+
 def test_escobar_sweep_on_an_h_free_geometry():
     # ricci-only has H = 0, so the first-order reference is 0 and the
     # deviation is reported absolute, without a divide-by-zero warning
