@@ -10,9 +10,11 @@ energy integrals use (tangentially radial (r, t) on the half-space, radial
 * aubin-talenti-interior: U(y) = c (lambda / (1 + lambda^2 |y-xi|^2))^((n-2)/2).
 * gn-ground-state: the positive radial decreasing solution of
   -Q'' - ((n-1)/r) Q' + Q = Q^p, from a Chebyshev collocation solve on
-  [0, L] (Petviashvili iteration polished by Newton) with the matched
-  Bessel-K tail beyond L. The dense algebra is elementwise numpy and einsum,
-  never BLAS, so its bytes do not depend on the BLAS thread count. The
+  [0, L] with the matched Bessel-K tail beyond L. A Petviashvili iteration
+  on the half grid picks L and a start; a chord Newton polish at the full
+  N reuses one factorization of the Jacobian. The dense algebra (a blocked
+  LU) is elementwise numpy and einsum, never BLAS, so its bytes do not
+  depend on the BLAS thread count. The
   tabulated profile is a quintic Hermite spline evaluated in numpy from its
   Bernstein coefficients, and K_nu (the Robin row and the tail) is evaluated
   in numpy too, so the module needs no scipy.
@@ -35,6 +37,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
+
+from .quadrature import sorted_unique
 
 __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
@@ -413,35 +417,88 @@ def _cheb(N: int):
     return x, D, D2
 
 
+_LU_BLOCK = 16
+
+
 def _lu_factor(A):
-    """Partial-pivot LU by rank-1 broadcast updates (elementwise numpy only)."""
+    """Partial-pivot LU, eliminated in panels of ``_LU_BLOCK`` columns.
+
+    Within a panel the columns are eliminated by rank-1 updates that touch
+    the panel only; the panel's rows of U to its right then follow by
+    forward substitution, and the trailing block takes one einsum Schur
+    update per panel. Returns the packed factors, the row permutation and
+    the inverses of the diagonal blocks of L and U, stacked and padded with
+    the identity to whole blocks, which ``_lu_solve`` multiplies by.
+    Elementwise numpy and einsum only, never BLAS.
+    """
     a = np.array(A, dtype=float)
-    piv = np.arange(a.shape[0])
-    for k in range(a.shape[0] - 1):
-        i = k + int(np.argmax(np.abs(a[k:, k])))
-        a[[k, i]] = a[[i, k]]
-        piv[[k, i]] = piv[[i, k]]
-        if a[k, k] == 0.0:
-            raise ShootingError("singular collocation matrix")
-        a[k + 1:, k] /= a[k, k]
-        a[k + 1:, k + 1:] -= a[k + 1:, k, None] * a[k, None, k + 1:]
-    return a, piv
+    m = a.shape[0]
+    piv = list(range(m))
+    for s in range(0, m, _LU_BLOCK):
+        e = min(s + _LU_BLOCK, m)
+        for k in range(s, e):
+            i = k + int(abs(a[k:, k]).argmax())
+            if i != k:
+                a[k], a[i] = a[i].copy(), a[k].copy()
+                piv[k], piv[i] = piv[i], piv[k]
+            if a[k, k] == 0.0:
+                raise ShootingError("singular collocation matrix")
+            a[k + 1:, k] /= a[k, k]
+            a[k + 1:, k + 1:e] -= a[k + 1:, k, None] * a[k, None, k + 1:e]
+        for k in range(s + 1, e):
+            a[k, e:] -= np.einsum("j,jc->c", a[k, s:k], a[s:k, e:])
+        a[e:, e:] -= np.einsum("ik,kc->ic", a[e:, s:e], a[s:e, e:])
+    # the diagonal blocks, inverted by substitution on all blocks at once
+    b = _LU_BLOCK
+    nb = -(-m // b)
+    padded = np.eye(nb * b)
+    padded[:m, :m] = a
+    blocks = padded.reshape(nb, b, nb, b)[np.arange(nb), :, np.arange(nb)]
+    eye = np.broadcast_to(np.eye(b), blocks.shape)
+    lower = np.tril(blocks, -1) + eye
+    upper = np.triu(blocks)
+    linv, uinv = eye.copy(), eye.copy()
+    for k in range(1, b):
+        linv[:, k] -= np.einsum("bj,bjc->bc", lower[:, k, :k], linv[:, :k])
+    for k in range(b - 1, -1, -1):
+        uinv[:, k] -= np.einsum("bj,bjc->bc", upper[:, k, k + 1:], uinv[:, k + 1:])
+        uinv[:, k] /= upper[:, k, k, None]
+    return a, np.array(piv), linv, uinv
 
 
-def _lu_solve(lu, piv, b):
-    """Solve A y = b from ``_lu_factor``; b is a vector or a matrix of columns."""
+def _lu_solve(lu, piv, linv, uinv, b):
+    """Solve A y = b from ``_lu_factor``; b is a vector or a matrix of columns.
+
+    Both substitutions run in blocks of ``_LU_BLOCK`` rows: one einsum
+    brings in the rows already solved, one more multiplies by the inverse
+    of the diagonal block.
+    """
     y = np.array(b, dtype=float)[piv]
-    for i in range(1, y.shape[0]):
-        y[i] -= np.einsum("j,j...->...", lu[i, :i], y[:i])
-    for i in range(y.shape[0] - 1, -1, -1):
-        y[i] = (y[i] - np.einsum("j,j...->...", lu[i, i + 1:], y[i + 1:])) / lu[i, i]
+    m = y.shape[0]
+    starts = range(0, m, _LU_BLOCK)
+    for k, s in enumerate(starts):
+        e = min(s + _LU_BLOCK, m)
+        rhs = y[s:e] - np.einsum("ij,j...->i...", lu[s:e, :s], y[:s])
+        y[s:e] = np.einsum("ij,j...->i...", linv[k, :e - s, :e - s], rhs)
+    for k, s in reversed(list(enumerate(starts))):
+        e = min(s + _LU_BLOCK, m)
+        rhs = y[s:e] - np.einsum("ij,j...->i...", lu[s:e, e:], y[e:])
+        y[s:e] = np.einsum("ij,j...->i...", uinv[k, :e - s, :e - s], rhs)
     return y
+
+
+def _dct1(v):
+    """sum_k w_k v_k cos(pi j k / N), j = 0..N, with w = 1 at k = 0, N and 2
+    between: the DCT-I, as the real FFT of the even extension of v."""
+    return np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real
 
 
 # Collocation on [0, L]. L = 14 leaves Q(L)^p below 1e-10 Q(0) for p >= ~1.6;
 # closer to p = 1 the profile decays slower and L is stretched. N = 200
 # resolves the Chebyshev series of the fixture cases to rounding; the
-# concentrated profiles near the critical p take 2N.
+# concentrated profiles near the critical p take 2N. The Petviashvili start
+# and the choice of L run on the half grid, N/2 nodes; at N only the chord
+# Newton polish runs, on a single factorization of the Jacobian.
 _COLL_L = 14.0
 _COLL_N = 200
 _RESOLVED_TOL = 1e-9
@@ -476,17 +533,14 @@ def _collocation_operator(n: int, N: int, L: float):
     return r, op, shift
 
 
-def _collocation_ground_state(n: int, p: float, N: int):
-    """(L, nodal values of Q, their Chebyshev coefficients, largest ODE
-    residual at the nodes).
+def _petviashvili(n: int, p: float, N: int):
+    """(L, nodal values of Q) at N nodes from the Petviashvili iteration
+    (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42 (2004) 1110).
 
-    Petviashvili iteration (Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42
-    (2004) 1110) from a Gaussian reaches the ground state's basin, reusing
-    one factorization of the linear operator. The Robin row neglects Q^p at
+    From a Gaussian it reaches the ground state's basin, reusing one
+    factorization of the linear operator. The Robin row neglects Q^p at
     r = L, so while Q(L)^p exceeds 1e-10 Q(0), L is stretched by the decay
-    Q^p ~ exp(-p r) and the iteration rerun. Newton then polishes Q.
-    Raises ShootingError unless Q is positive and decreasing and its series
-    is resolved to 1e-9 Q(0).
+    Q^p ~ exp(-p r) and the iteration rerun.
     """
     L = _COLL_L
     rows = np.ones(N + 1)                         # rows carrying Q^p
@@ -494,7 +548,7 @@ def _collocation_ground_state(n: int, p: float, N: int):
     diag = np.arange(N + 1)
     for attempt in range(4):
         r, op, shift = _collocation_operator(n, N, L)
-        A = op.copy()
+        A = op
         A[diag, diag] += shift
         Ainv = _lu_solve(*_lu_factor(A), np.eye(N + 1))
         Q = np.exp(-r ** 2)
@@ -511,12 +565,40 @@ def _collocation_ground_state(n: int, p: float, N: int):
             raise ShootingError(f"Petviashvili iteration did not converge for (n={n}, p={p})")
         excess = abs(Q[N]) ** p / (_ROBIN_TOL * Q[0])
         if excess <= 1.0:
-            break
+            return L, Q
         if attempt == 3:
             raise ShootingError(
                 f"Q(L)^p = {excess * _ROBIN_TOL:.3g} Q(0) > {_ROBIN_TOL} Q(0) at L = {L:.4g} for "
                 f"(n={n}, p={p}): the profile decays too slowly for the Robin tail row")
         L += math.log(excess) / p + 1.0
+
+
+def _collocation_ground_state(n: int, p: float, N: int):
+    """(L, nodal values of Q, their Chebyshev coefficients, largest ODE
+    residual at the nodes).
+
+    ``_petviashvili`` on the half grid (N/2 nodes, N even) picks L and a
+    start, lifted to the N nodes through its Chebyshev coefficients. A chord
+    Newton iteration (Kelley, Solving Nonlinear Equations with Newton's
+    Method, SIAM 2003, ch. 5) polishes it at N: the Jacobian is factorized
+    once and refactorized only after a step that fails to shrink the last
+    one tenfold. Raises ShootingError unless Q is positive and decreasing
+    and its series is resolved to 1e-9 Q(0).
+    """
+    half = N // 2
+    L, Q = _petviashvili(n, p, half)
+    # the half grid's Chebyshev coefficients (a DCT-I) padded with zeros to
+    # degree N, then summed at the N + 1 nodes by the DCT-I, which weighs c_0
+    # by 1 and the others by 2: so c_0 stays doubled and only the top
+    # coefficient of the half grid is halved
+    c = np.zeros(N + 1)
+    c[:half + 1] = _dct1(Q) / half
+    c[half] *= 0.5
+    Q = 0.5 * _dct1(c)
+    r, op, shift = _collocation_operator(n, N, L)
+    rows = np.ones(N + 1)
+    rows[N] = 0.0
+    diag = np.arange(N + 1)
 
     def residual(Q):
         # op Q as sum_j op_ij (Q_j - Q_i): small differences meet the large
@@ -524,20 +606,27 @@ def _collocation_ground_state(n: int, p: float, N: int):
         return (np.einsum("ij,ij->i", op, Q - Q[:, None]) + shift * Q
                 - rows * np.abs(Q) ** p)
 
+    lu, last = None, math.inf
     for _ in range(8):
-        J = A.copy()
-        J[diag, diag] -= rows * p * np.abs(Q) ** (p - 1.0)
-        dQ = _lu_solve(*_lu_factor(J), -residual(Q))
+        if lu is None:
+            J = op.copy()
+            J[diag, diag] += shift
+            J[diag, diag] -= rows * p * np.abs(Q) ** (p - 1.0)
+            lu = _lu_factor(J)
+        dQ = _lu_solve(*lu, -residual(Q))
         Q = Q + dQ
-        if np.max(np.abs(dQ)) <= _NEWTON_TOL * Q[0]:
+        size = np.max(np.abs(dQ))
+        if size <= _NEWTON_TOL * Q[0]:
             break
+        if not size <= 0.1 * last:
+            lu = None
+        last = size
     else:
         raise ShootingError(f"Newton polish did not converge for (n={n}, p={p})")
     if not (np.all(Q > 0.0) and np.all(np.diff(Q) < 0.0)):
         raise ShootingError(
             f"collocation solve for (n={n}, p={p}) left the positive decreasing ground state")
-    # Chebyshev coefficients by DCT-I (the real FFT of the even extension)
-    c = np.fft.rfft(np.concatenate([Q, Q[-2:0:-1]])).real / N
+    c = _dct1(Q) / N
     c[[0, N]] *= 0.5
     trailing = np.max(np.abs(c[-8:]))
     if trailing > _RESOLVED_TOL * Q[0]:
@@ -553,8 +642,10 @@ def gn_ground_state(n: int, p: float) -> RadialProfile:
     On [0, L] the profile is the Chebyshev series of the collocation solution;
     beyond L (``tail_r0``; 14 unless p is near 1) it is the matched decaying
     far-field branch A r^(1-n/2) K_{n/2-1}(r). ``meta`` carries Q(0) and the
-    largest ODE residual at the collocation nodes. A solve that fails at
-    N = 200 nodes is repeated at 400. Raises ShootingError when that fails
+    largest ODE residual at the collocation nodes. The start comes from the
+    half grid (100 nodes), and the polish at N = 200 factorizes the Jacobian
+    once unless a chord step stalls. A solve that fails at N = 200 nodes is
+    repeated at 400. Raises ShootingError when that fails
     too (it converges, stays positive and decreasing, and resolves the
     series to 1e-9 Q(0) up to p = 4.8 at n = 3 and p = 15 at n = 2), or when
     no L below the grid's end r = 40 makes Q(L)^p negligible against Q(0).
@@ -579,7 +670,7 @@ def gn_ground_state(n: int, p: float) -> RadialProfile:
     # keeping the quintic interpolant's h^4 term small
     head = np.linspace(0.0, 1.0, _GN_GRID_NODES // 4 + 1)[:-1]
     geo = np.geomspace(1.0, _GN_R_MAX, _GN_GRID_NODES - _GN_GRID_NODES // 4)
-    grid = np.unique(np.concatenate([head, geo]))
+    grid = sorted_unique(np.concatenate([head, geo]))
     vals = np.empty_like(grid)
     ders = np.empty_like(grid)
     inside = grid <= L
@@ -605,9 +696,9 @@ def gn_ground_state(n: int, p: float) -> RadialProfile:
 
 
 # depth of the near-optimizer's center: its relative Weinstein deficit
-# (C* - W)/C* is 0.09-5.8% at p in {1.1, 1.5, 2, 3, 5, 8, 10, 15} for n = 2
-# and {1.1, 1.5, 2, 3, 4, 4.5, 4.8} for n = 3, within the absolute bound
-# W >= C* - 0.05 that ``moments.gn_coefficients`` checks.
+# (C* - W)/C* is 0.5-6.3% at p in [1.1, 7] for n = 2 and [1.1, 4] for
+# n = 3, within the relative bound W >= 0.9 C* that
+# ``moments.gn_coefficients`` checks.
 _NEAR_OPTIMIZER_SHIFT = 2.0
 
 

@@ -250,8 +250,10 @@ class TestOutputs:
 
 # modules the package never loads: scipy is a test reference only, and
 # hashlib maps libcrypto, about 3.6 MB of resident memory per process (the
-# reduced search's numpy.random loads it)
-_UNLOADED = "m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')"
+# reduced search's numpy.random loads it); numpy.ma, which np.unique
+# imports, costs about 14 ms and 1.3 MB
+_UNLOADED = ("m.split('.')[0] in ('scipy', 'hashlib', '_hashlib') "
+             "or m == 'numpy.ma' or m.startswith('numpy.ma.')")
 
 
 class TestLazyImports:
@@ -290,6 +292,28 @@ class TestLazyImports:
                 "assert main(['reduce', '--field', 'cos(2*theta)', '--k', '2', '--seeds', '8', "
                 f"'--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_grid_commands_do_not_load_numpy_ma(self, tmp_path):
+        # the quadrature and tabulation grids dedupe without np.unique
+        commands = [
+            ["coefficients", "--n", "5"],
+            ["estimate", "--target", "H", "--n", "5", "--sweep", "2"],
+            ["estimate", "--target", "scal", "--n", "2"],
+            ["estimate", "--target", "scal", "--n", "3"],
+            ["gauss-bonnet", "--surface", "disk", "--mode", "estimated"],
+            ["fixtures", "verify"],
+            ["dynamics", "fde", "--n", "2", "--m", "0.5", "--horizon", "10"],
+            ["dynamics", "window", "--n", "3"],
+        ]
+        code = ("import sys\n"
+                "from bubblelab.cli import main\n"
+                f"for i, args in enumerate({commands!r}):\n"
+                f"    out = ['--out', f'{tmp_path}/out{{i}}'] if args[0] != 'fixtures' else []\n"
+                "    assert main(args + out) == 0, args\n"
+                f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"

@@ -18,7 +18,8 @@ from bubblelab.profiles import (
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
     RadialProfile, sphere_area, _bessel_tail, _collocation_ground_state, _Bernstein, _kv,
 )
-from bubblelab import moments
+from bubblelab import moments, profiles
+from bubblelab.fixtures import cached_gn_profiles
 from bubblelab.energy import halfspace_moment_matrix
 
 REPO = Path(__file__).resolve().parents[1]
@@ -149,20 +150,52 @@ class TestGNGroundState:
             gn_ground_state(3, 0.5)
 
 
+def _count_factorizations(monkeypatch):
+    """The sizes of the matrices ``_lu_factor`` is called on, in order."""
+    sizes = []
+    factor = profiles._lu_factor
+
+    def counted(A):
+        sizes.append(len(A))
+        return factor(A)
+
+    monkeypatch.setattr(profiles, "_lu_factor", counted)
+    return sizes
+
+
+def _assert_matches_rk(Q, n, p):
+    q0 = Q.meta["Q0"]
+    assert Q.meta["residual"] <= 1e-10 * q0 ** p
+    # against an independent RK solve from the same centre value, on a
+    # range short enough that its unstable mode stays below the tolerance
+    r0 = 1e-6
+    sol = solve_ivp(lambda r, y: [y[1], y[0] - y[0] ** p - (n - 1) / r * y[1]],
+                    (r0, 3.0), [q0 + (q0 - q0 ** p) * r0 ** 2 / (2 * n),
+                                (q0 - q0 ** p) * r0 / n],
+                    method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+    r = np.linspace(0.05, 3.0, 60)
+    assert np.max(np.abs(Q.value(r) - sol.sol(r)[0])) <= 1e-8 * q0
+    assert np.all(np.diff(Q.value(np.linspace(0.0, 40.0, 400))) < 0)
+
+
 class TestCollocationSolve:
     def test_bytes_independent_of_blas_threads(self):
         # the solve never calls BLAS, so the thread count cannot reach it
-        code = ("import hashlib; from bubblelab.profiles import gn_ground_state; "
-                "Q = gn_ground_state(2, 3.0); "
-                "print(hashlib.sha256(Q.values.tobytes() + Q.derivs.tobytes()"
-                " + Q.derivs2.tobytes()).hexdigest())")
+        code = ("import hashlib; from bubblelab.profiles import gn_ground_state\n"
+                "for n in (2, 3):\n"
+                "    Q = gn_ground_state(n, 3.0)\n"
+                "    print(hashlib.sha256(Q.values.tobytes() + Q.derivs.tobytes()"
+                " + Q.derivs2.tobytes()).hexdigest())\n")
         digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
             out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                  capture_output=True, text=True)
-            digests.append(out.stdout.strip())
-        assert len(digests[0]) == 64 and digests[0] == digests[1]
+            digests.append(out.stdout.split())
+        assert [len(d) for d in digests[0]] == [64, 64]
+        assert digests[0] == digests[1] == digests[2]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_q0_matches_pin(self, n):
@@ -170,21 +203,30 @@ class TestCollocationSolve:
         pin = pins[f"gn/n={n}/p=3.0/Q0"]["value"]
         assert gn_ground_state(n, 3.0).meta["Q0"] == pytest.approx(pin, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pinned_solve_factorizes_once_at_n(self, n, monkeypatch):
+        # the Petviashvili start on the 101-node half grid, then one
+        # Jacobian at N = 200 serves every chord Newton step
+        sizes = _count_factorizations(monkeypatch)
+        gn_ground_state(n, 3.0)
+        assert sizes == [101, 201]
+
     @pytest.mark.parametrize("n, p", [(3, 1.2), (3, 4.5), (2, 7.0), (3, 4.8)])
     def test_edge_of_range_converges(self, n, p):
-        Q = gn_ground_state(n, p)
-        q0 = Q.meta["Q0"]
-        assert Q.meta["residual"] <= 1e-10 * q0 ** p
-        # against an independent RK solve from the same centre value, on a
-        # range short enough that its unstable mode stays below the tolerance
-        r0 = 1e-6
-        sol = solve_ivp(lambda r, y: [y[1], y[0] - y[0] ** p - (n - 1) / r * y[1]],
-                        (r0, 3.0), [q0 + (q0 - q0 ** p) * r0 ** 2 / (2 * n),
-                                    (q0 - q0 ** p) * r0 / n],
-                        method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
-        r = np.linspace(0.05, 3.0, 60)
-        assert np.max(np.abs(Q.value(r) - sol.sol(r)[0])) <= 1e-8 * q0
-        assert np.all(np.diff(Q.value(np.linspace(0.0, 40.0, 400))) < 0)
+        _assert_matches_rk(gn_ground_state(n, p), n, p)
+
+    def test_jacobian_refresh_converges(self, monkeypatch):
+        # from a start 10% above the half-grid solution the chord steps
+        # stall, and the polish refactorizes the Jacobian until they shrink
+        start = profiles._petviashvili
+        monkeypatch.setattr(profiles, "_petviashvili",
+                            lambda n, p, N: (lambda L, Q: (L, 1.1 * Q))(*start(n, p, N)))
+        sizes = _count_factorizations(monkeypatch)
+        Q = gn_ground_state(3, 3.0)
+        assert sizes.count(201) >= 2
+        _assert_matches_rk(Q, 3, 3.0)
+        monkeypatch.undo()
+        assert np.max(np.abs(Q.values - gn_ground_state(3, 3.0).values)) <= 1e-13 * Q.meta["Q0"]
 
     def test_near_critical_needs_more_nodes(self):
         # N = 200 cannot resolve the (3, 4.8) profile; the 400-node retry can
@@ -337,8 +379,23 @@ class TestHalfspaceNearOptimizer:
     def test_unreachable_deficit_fails(self, gn23, monkeypatch):
         Q, Qp, _ = gn23
         monkeypatch.setattr(moments, "_GN_DELTA0", 1e-12)
-        with pytest.raises(ShootingError, match=r"at R=20.0: W = .* < C\* - delta0"):
+        with pytest.raises(ShootingError, match=r"at R=20.0: W = .* < \(1 - delta0\) C\*"):
             moments.gn_coefficients(Q, Qp)
+
+    @pytest.mark.parametrize("n, p", [(2, 1.4), (2, 7.0), (3, 1.3), (3, 4.0)])
+    def test_relative_deficit_bound_holds_on_the_range(self, n, p):
+        # the largest shift-2 deficits (near p = 1.4) and the smallest C*
+        co = moments.gn_coefficients(*cached_gn_profiles(n, p))
+        assert 0.0 < 1.0 - co.W_flat_halfspace / co.C_star < moments._GN_DELTA0
+
+    @pytest.mark.parametrize("n, p", [(2, 5.0), (3, 3.0)])
+    def test_shallow_near_optimizer_fails(self, n, p):
+        # C* < 0.05 here, so only a relative bound can fail; a center at
+        # depth 0.5 misses C* by 48% and 27%
+        import dataclasses
+        Q, Qp = cached_gn_profiles(n, p)
+        with pytest.raises(ShootingError, match="misses its deficit target"):
+            moments.gn_coefficients(Q, dataclasses.replace(Qp, shift=0.5))
 
 
 class TestCutoff:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-from bubblelab.quadrature import QuadratureSpec, grid_1d
+from bubblelab.quadrature import QuadratureSpec, grid_1d, panel_edges, sorted_unique
 from bubblelab.energy import halfspace_moment_matrix, sphere_average
+from bubblelab import profiles
 from bubblelab.profiles import escobar_halfspace_optimizer, sphere_area
 from bubblelab.moments import weighted_moments
 
@@ -39,6 +40,20 @@ class TestPanelledGL:
         w = np.concatenate([hk * w0 for hk in h])
         got = grid_1d(a, b, order, subdiv, extra=extra)
         assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == w.tobytes()
+
+    def test_grids_match_np_unique_bytes(self, gn23):
+        rng = np.random.default_rng(5)
+        nodes = profiles._GN_GRID_NODES
+        tabulation = np.concatenate([np.linspace(0.0, 1.0, nodes // 4 + 1)[:-1],
+                                     np.geomspace(1.0, profiles._GN_R_MAX, nodes - nodes // 4)])
+        cases = [tabulation, rng.integers(0, 50, 400) / 7.0, rng.normal(size=(7, 9)),
+                 np.array([3.0, -0.5, 3.0, 1e-300, 0.0, -1e300, 3.0]), np.array([2.5]),
+                 np.empty(0), [0.0, 1.0, 2.0, 4.0, 8.0, 8.0, 2.5, 7.1]]
+        for a in cases:
+            assert sorted_unique(a).tobytes() == np.unique(a).tobytes()
+        assert gn23[0].grid.tobytes() == np.unique(tabulation).tobytes()
+        edges = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 40.0, 20.0, 30.0]
+        assert panel_edges(0.0, 40.0, extra=(20.0, 30.0)).tobytes() == np.unique(edges).tobytes()
 
     def test_error_estimate_bounds_truth(self, gn23, gn_quad):
         # the engine's two-resolution estimate, which gn_coefficients reports,
