@@ -328,19 +328,26 @@ def cmd_gauss_bonnet(ns) -> str:
     return f"gauss-bonnet {ns.surface} ({ns.mode}): chi_hat={rep.estimate:.9g}"
 
 
-def cmd_reduce(ns) -> str:
-    from .reduced import ExpressionField, GridField, critical_point_search, CircleDomain
-    spec = ns.field
-    if spec and Path(spec).exists():
+def _field(spec: str):
+    """The --field option as a field: a JSON spec file, else an expression;
+    one that cannot be read or built is bad input."""
+    from .reduced import ExpressionField, GridField
+    try:
+        if not (spec and Path(spec).exists()):
+            return ExpressionField(spec)
         raw = json.loads(Path(spec).read_text())
         if "expression" in raw:
-            fld = ExpressionField(raw["expression"])
-        elif "samples" in raw:
-            fld = GridField(raw["samples"])
-        else:
-            raise ValidationFailure("field spec needs 'expression' or 'samples'")
-    else:
-        fld = ExpressionField(spec)
+            return ExpressionField(raw["expression"])
+        if "samples" in raw:
+            return GridField(raw["samples"])
+    except (SyntaxError, ValueError, TypeError, OSError) as exc:
+        raise ValidationFailure(f"--field {spec!r}: {exc}")
+    raise ValidationFailure("field spec needs 'expression' or 'samples'")
+
+
+def cmd_reduce(ns) -> str:
+    from .reduced import critical_point_search, CircleDomain
+    fld = _field(ns.field)
     k = _int_check("--k", ns.k, at_least=1)
     seeds = _int_check("--seeds", ns.seeds, at_least=1)
     pts = critical_point_search(fld, k, CircleDomain(), seeds=seeds, seed=ns.seed)
@@ -418,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", help="JSON config file (flags win)")
         sp.add_argument("--out", help="output path (stdout if omitted)")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("moments", help="weighted moment table")
     common(sp)
@@ -475,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=float)
     sp.add_argument("--n", type=float)
     sp.add_argument("--seeds", type=int)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("dynamics", help="decay envelopes and window eigenvalues")

@@ -30,9 +30,12 @@ stored. Cached arrays are read-only because every model with the same key
 shares them. The GN profiles of ``fixtures.cached_gn_profiles`` use the same
 memo.
 
-The jet reductions share that LRU too, keyed by ``_jet_fingerprint``: the
-content of every field a reduction reads, never ``chart_radius``, ``label``
-or the object's ``id``, so equal jets share one read-only reduction. Array
+A jet of either kind, a Fermi jet or an interior point, is reduced by one
+function, ``_reduce_jet``: it sphere-averages the term lists of the jet's
+``terms()``, the lists its ``evaluate`` reads pointwise. The reductions share
+that LRU too, keyed by ``_jet_fingerprint``: the content of every field a
+reduction reads, never ``chart_radius``, ``label`` or the object's ``id``,
+so equal jets share one read-only reduction. Array
 content enters a key as its shape and float64 bytes: exact, with no digest
 that could collide. A model contracts each (polynomial, matrix) pair into
 one coefficient array in eps when it is built, and keeps the jet scalars it
@@ -233,76 +236,44 @@ class _JetReduction(NamedTuple):
     ric_top: float = 0.0       # at 0: the off-axis terms of _check_jet_positivity
 
 
-def _halfspace_jet_polys(jet: FermiJetMetric) -> _JetReduction:
+def _jet_polys(jet) -> _JetReduction:
+    """``_reduce_jet`` of a Fermi jet or an interior point, memoized by
+    ``_jet_fingerprint``."""
+    return _memoized(("jet", _jet_fingerprint(jet)), lambda: _reduce_jet(jet.terms()))
+
+
+def _reduce_jet(terms: dict) -> _JetReduction:
     """Angular-averaged jet polynomials in (X, Y) = (eps r, eps t).
 
-    P_tan holds the coefficients of the tangential-gradient weight
-    <(w^T g^ab w) sqrt|g|>, P_sca those of the scalar weight <sqrt|g|> (which
-    also multiplies d_n w by g^nn = 1), P_bdy those of the boundary density.
-    Memoized by ``_jet_fingerprint``.
+    P_sca holds the coefficients of the scalar weight <sqrt|g|> (which also
+    multiplies d_n w by g^nn = 1), P_tan those of the tangential-gradient
+    weight <(w^T g^ab w) sqrt|g|>: a g^ab term's outer product with a sqrt|g|
+    term has one omega slot per y'-power and the two of the gradient. A
+    boundary jet adds P_bdy, of the boundary density, and the scalars
+    ``_check_jet_positivity`` reads.
     """
-    return _memoized(("jet", _jet_fingerprint(jet)), lambda: _reduce_halfspace_jet(jet))
-
-
-def _reduce_halfspace_jet(jet: FermiJetMetric) -> _JetReduction:
-    # Term tensors carry one omega slot per y'-contraction; the tangential
-    # gradient contributes two more.
-    m = jet.data.m
-    I = np.eye(m)
-    # sqrt|g| terms: (x-power, y-power, tensor with x-power omega slots)
-    s_terms = [
-        (0, 0, np.asarray(1.0)),
-        (0, 1, np.asarray(-jet.H)),
-        (1, 1, -jet.gradH),
-        (0, 2, np.asarray(jet.kappa_vol)),
-        (2, 0, -jet.ric_bar / 6.0),
-    ]
-    # g^ab terms: tensors listed with their position slots first, then (a, b)
-    g_terms = [
-        (0, 0, I),
-        (0, 1, 2.0 * jet.II),
-        (2, 0, np.transpose(jet.Rbar, (1, 3, 0, 2)) / 3.0),   # (c,d,a,b)
-        (1, 1, 2.0 * jet.gradII),                              # (c,a,b)
-        (0, 2, jet.A_up),
-    ]
+    s_terms, g_terms = terms["sqrt_g"], terms["g_upper"]
+    m = len(g_terms[0][2])            # the identity term: one slot per direction
     P_sca: dict = {}
     for px, py, T in s_terms:
         _poly_add(P_sca, (px, py), sphere_average(T, m))
     P_tan: dict = {}
     for gx, gy, TG in g_terms:
         for sx, sy, TS in s_terms:
-            T = np.multiply.outer(TG, TS)
-            _poly_add(P_tan, (gx + sx, gy + sy), sphere_average(T, m))
+            _poly_add(P_tan, (gx + sx, gy + sy), sphere_average(np.multiply.outer(TG, TS), m))
+    if "bdy" not in terms:
+        return _JetReduction(MappingProxyType(P_tan), MappingProxyType(P_sca))
+    s = {(px, py): T for px, py, T in s_terms}
+    # the boundary density averages to 1 - tr(Ricbar)/(6m), read off Ricbar
+    # itself: the average of its -Ricbar/6 term rounds differently
+    ric = terms["ric_bar"]
     P_bdy = {(0, 0): 1.0}
-    _poly_add(P_bdy, (2, 0), -float(np.trace(jet.ric_bar)) / (6.0 * m))
+    _poly_add(P_bdy, (2, 0), -float(np.trace(ric)) / (6.0 * m))
     return _JetReduction(
         MappingProxyType(P_tan), MappingProxyType(P_sca), MappingProxyType(P_bdy),
-        H=jet.H, kappa_vol=jet.kappa_vol,
-        grad_h_norm=float(np.sqrt(np.sum(jet.gradH ** 2))),
-        ric_top=max(float(np.linalg.eigvalsh(jet.ric_bar)[-1]), 0.0))
-
-
-def _interior_jet_polys(data: InteriorPointData) -> _JetReduction:
-    """Same reduction for the normal-coordinate jet at an interior point
-    (no boundary: P_bdy is empty). Memoized like ``_halfspace_jet_polys``."""
-    return _memoized(("jet", _jet_fingerprint(data)), lambda: _reduce_interior_jet(data))
-
-
-def _reduce_interior_jet(data: InteriorPointData) -> _JetReduction:
-    n = data.n
-    I = np.eye(n)
-    k = data.scal / (n * (n - 1)) if n >= 2 else 0.0
-    riem = k * (np.einsum("ij,kl->ikjl", I, I) - np.einsum("il,kj->ikjl", I, I))
-    s_terms = [(0, np.asarray(1.0)), (2, -data.ric / 6.0)]
-    g_terms = [(0, I), (2, np.transpose(riem, (1, 3, 0, 2)) / 3.0)]
-    P_sca: dict = {}
-    for px, T in s_terms:
-        _poly_add(P_sca, (px, 0), sphere_average(T, n))
-    P_tan: dict = {}
-    for gx, TG in g_terms:
-        for sx, TS in s_terms:
-            _poly_add(P_tan, (gx + sx, 0), sphere_average(np.multiply.outer(TG, TS), n))
-    return _JetReduction(MappingProxyType(P_tan), MappingProxyType(P_sca))
+        H=-float(s[0, 1]), kappa_vol=float(s.get((0, 2), 0.0)),
+        grad_h_norm=float(np.sqrt(np.sum(s.get((1, 1), 0.0) ** 2))),
+        ric_top=max(float(np.linalg.eigvalsh(ric)[-1]), 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -589,9 +560,9 @@ class HalfspaceEnergyModel:
     def __init__(self, jet: FermiJetMetric, profile: RadialProfile, R: float,
                  spec: QuadratureSpec = DEFAULT_QUAD):
         self.jet = jet
-        self._setup(_halfspace_jet_polys(jet), profile, R, spec)
+        self._setup(_jet_polys(jet), profile, R, spec)
         # Scal_g reads scal_bdy and its override, which the reduction does not
-        self._scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
+        self._scal = jet.scal
 
     def _setup(self, red: _JetReduction, profile: RadialProfile, R: float,
                spec: QuadratureSpec) -> None:
@@ -867,7 +838,7 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
         if profile.p is None:
             raise ValueError("interior GN model needs a GN ground-state profile")
         self.data = data
-        self._setup(_interior_jet_polys(data), profile, R, spec)
+        self._setup(_jet_polys(data), profile, R, spec)
 
 
 # --------------------------------------------------------------------------

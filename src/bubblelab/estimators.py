@@ -93,7 +93,7 @@ def three_scale_debias(E1: float, E2: float, E3: float, eps: float,
         raise ValueError("eps must be positive")
     if scale_triple is not None:
         expect = (eps, 2 * eps, 3 * eps)
-        if not np.allclose(scale_triple, expect, rtol=1e-12):
+        if not np.allclose(scale_triple, expect, rtol=1e-12, atol=0.0):
             raise ValueError(f"mismatched scale triple {scale_triple}, need {expect}")
     if n is not None and n < 7:
         warnings.warn("three-scale rates are asserted for n >= 7 with locally "

@@ -12,16 +12,20 @@ The jet of the metric at a boundary point x, in boundary-adapted coordinates
                 - (1/6) Ricbar_{cd} y_c y_d
     dsigma    = (1 - (1/6) Ricbar_{cd} y_c y_d) dy'   on y_n = 0
 
-with g_an = 0 and g_nn = 1 identically. Everything is exact polynomial
-algebra in the input data (bit-reproducible); no quadrature happens here.
+with g_an = 0 and g_nn = 1 identically. ``terms()`` writes the four once, as
+(y'-power, y_n-power, tensor) lists cut to the jet's order; ``evaluate``
+reads them pointwise and ``energy`` sphere-averages them. An interior
+point's normal-coordinate jet has the same form. Everything is exact
+polynomial algebra in the input data (bit-reproducible); no quadrature
+happens here.
 
 Tensors the data does not pin down are closed with the isotropic models that
 tangentially radial probes cannot distinguish from the general case: the
-boundary Riemann tensor is constant-curvature with k = Scal_bdy/((n-1)(n-2)),
-and the normal-tangent block R_{a n b n} is (Ric(nu,nu)/(n-1)) delta. The
-ambient scalar curvature is set by the contracted Gauss identity
-Scal_g = Scal_bdy + 2 Ric(nu,nu) - H^2 + |II|^2 (an identity for
-hypersurfaces, not a modeling choice).
+boundary Riemann tensor, like an interior point's, is ``constant_curvature``
+with k = Scal_bdy/((n-1)(n-2)), and the normal-tangent block R_{a n b n} is
+(Ric(nu,nu)/(n-1)) delta. The ambient scalar curvature is set by the
+contracted Gauss identity Scal_g = Scal_bdy + 2 Ric(nu,nu) - H^2 + |II|^2
+(an identity for hypersurfaces, not a modeling choice).
 """
 from __future__ import annotations
 
@@ -35,13 +39,21 @@ import numpy as np
 
 __all__ = [
     "BoundaryPointData", "FermiJetMetric", "InteriorPointData", "ModelGeometry",
-    "fermi_jet", "renormalized_mass", "theta_coefficient",
+    "constant_curvature", "fermi_jet", "renormalized_mass", "theta_coefficient",
     "geometry_catalog", "CATALOG_NAMES",
 ]
 
 CATALOG_NAMES = ("euclidean-ball", "flat-halfspace", "umbilic-sphere-cap",
                  "anisotropic-cylinder-like", "ricci-only", "boundary-scal-only",
                  "h-only", "custom")
+
+
+def constant_curvature(scal: float, m: int) -> np.ndarray:
+    """The Riemann tensor k (d_ab d_cd - d_ad d_cb), slots (a, c, b, d), of
+    constant curvature k = scal/(m(m-1)) in dimension m; zero for m = 1."""
+    k = scal / (m * (m - 1)) if m >= 2 else 0.0
+    I = np.eye(m)
+    return k * (np.einsum("ab,cd->acbd", I, I) - np.einsum("ad,cb->acbd", I, I))
 
 
 def _as_matrix(II, m: int) -> np.ndarray:
@@ -96,11 +108,7 @@ class BoundaryPointData:
         if self.gradT_H is None:
             self.gradT_H = np.zeros(m)
         if self.riemann_bdy is None:
-            # constant-curvature closure k (dd - dd); m = 1 has no curvature
-            k = self.scal_bdy / (m * (m - 1)) if m >= 2 else 0.0
-            I = np.eye(m)
-            self.riemann_bdy = k * (np.einsum("ab,cd->acbd", I, I)
-                                    - np.einsum("ad,cb->acbd", I, I))
+            self.riemann_bdy = constant_curvature(self.scal_bdy, m)
         if self.r_anbn is None:
             self.r_anbn = (self.ric_nn / m) * np.eye(m)
 
@@ -149,8 +157,24 @@ class BoundaryPointData:
             raise ValueError("boundary Riemann tensor inconsistent with scal_bdy")
 
 
+class _Jet:
+    """Pointwise evaluation of a jet from its term lists."""
+
+    def evaluate(self, name: str, yprime, yn: float = 0.0):
+        """The jet field ``name`` of ``terms()`` at (y', y_n): each term's
+        leading slots contracted with y', times y_n to its power. A float for
+        ``sqrt_g`` and ``bdy``, a matrix for ``g_upper`` and ``g_lower``."""
+        yp = np.asarray(yprime, dtype=float)
+        total = 0.0
+        for px, py, T in self.terms()[name]:
+            for _ in range(px):
+                T = np.tensordot(yp, T, axes=(0, 0))
+            total = total + T * yn ** py
+        return total if np.ndim(total) else float(total)
+
+
 @dataclass(frozen=True)
-class FermiJetMetric:
+class FermiJetMetric(_Jet):
     """Polynomial metric jet (order 1 or 2) generated by BoundaryPointData."""
     data: BoundaryPointData
     order: int
@@ -160,79 +184,37 @@ class FermiJetMetric:
         if self.order not in (1, 2):
             raise ValueError("jet order must be 1 or 2")
 
-    # --- coefficient tensors (zeroed below the requested order) ------------
-    @property
-    def II(self) -> np.ndarray:
-        return self.data.II
+    def terms(self) -> dict:
+        """The jet as term lists (y'-power, y_n-power, tensor), the tensor's
+        first y'-power slots contracting y', cut to the jet's order.
+
+        ``sqrt_g``, ``g_upper``, ``g_lower`` and ``bdy`` are sqrt|g|, g^ab,
+        g_ab and the boundary density of the module docstring. ``ric_bar``
+        rides along for the energy reduction, which reads Ricbar exactly, not
+        as the -Ricbar/6 the lists hold.
+        """
+        d, I = self.data, np.eye(self.data.m)
+        II, ric = d.II, np.zeros((d.m, d.m))
+        sqrt_g = [(0, 0, np.asarray(1.0)), (0, 1, np.asarray(-d.H))]
+        g_upper = [(0, 0, I), (0, 1, 2.0 * II)]
+        g_lower = [(0, 0, I), (0, 1, -2.0 * II)]
+        if self.order >= 2:
+            ric = d.ric_bar
+            rbar = np.transpose(d.riemann_bdy, (1, 3, 0, 2)) / 3.0    # (c,d,a,b)
+            sqrt_g += [(1, 1, -d.gradT_H),
+                       (0, 2, np.asarray(0.5 * (d.H ** 2 - d.II_sq - d.ric_nn))),
+                       (2, 0, -ric / 6.0)]
+            g_upper += [(2, 0, rbar), (1, 1, 2.0 * d.gradT_II),           # (c,a,b)
+                        (0, 2, 3.0 * II @ II + d.r_anbn)]
+            g_lower += [(2, 0, -rbar), (1, 1, -2.0 * d.gradT_II), (0, 2, II @ II - d.r_anbn)]
+        # g_an = 0 and g_nn = 1, so the boundary density is sqrt|g| at y_n = 0
+        return {"sqrt_g": sqrt_g, "g_upper": g_upper, "g_lower": g_lower,
+                "bdy": [term for term in sqrt_g if term[1] == 0], "ric_bar": ric}
 
     @property
-    def H(self) -> float:
-        return self.data.H
-
-    def second(self, tensor):
-        return tensor if self.order >= 2 else np.zeros_like(tensor)
-
-    @property
-    def A_up(self) -> np.ndarray:
-        """y_n^2 coefficient of g^ab: 3 (II^2) + R_anbn."""
-        return self.second(3.0 * self.II @ self.II + self.data.r_anbn)
-
-    @property
-    def A_low(self) -> np.ndarray:
-        """y_n^2 coefficient of g_ab: (II^2) - R_anbn."""
-        return self.second(self.II @ self.II - self.data.r_anbn)
-
-    @property
-    def Rbar(self) -> np.ndarray:
-        return self.second(self.data.riemann_bdy)
-
-    @property
-    def ric_bar(self) -> np.ndarray:
-        return self.second(self.data.ric_bar)
-
-    @property
-    def gradII(self) -> np.ndarray:
-        return self.second(self.data.gradT_II)
-
-    @property
-    def gradH(self) -> np.ndarray:
-        return self.second(self.data.gradT_H)
-
-    @property
-    def kappa_vol(self) -> float:
-        """y_n^2 coefficient of sqrt|g|: (H^2 - |II|^2 - Ric_nn)/2."""
-        if self.order < 2:
-            return 0.0
-        return 0.5 * (self.H ** 2 - self.data.II_sq - self.data.ric_nn)
-
-    # --- pointwise evaluation ----------------------------------------------
-    def g_lower(self, yprime, yn: float) -> np.ndarray:
-        yp = np.asarray(yprime, dtype=float)
-        I = np.eye(self.data.m)
-        g = I - 2.0 * self.II * yn
-        g = g - (1.0 / 3.0) * np.einsum("acbd,c,d->ab", self.Rbar, yp, yp)
-        g = g - 2.0 * np.einsum("cab,c->ab", self.gradII, yp) * yn
-        g = g + self.A_low * yn ** 2
-        return g
-
-    def g_upper(self, yprime, yn: float) -> np.ndarray:
-        yp = np.asarray(yprime, dtype=float)
-        I = np.eye(self.data.m)
-        g = I + 2.0 * self.II * yn
-        g = g + (1.0 / 3.0) * np.einsum("acbd,c,d->ab", self.Rbar, yp, yp)
-        g = g + 2.0 * np.einsum("cab,c->ab", self.gradII, yp) * yn
-        g = g + self.A_up * yn ** 2
-        return g
-
-    def sqrt_det(self, yprime, yn: float) -> float:
-        yp = np.asarray(yprime, dtype=float)
-        val = 1.0 - self.H * yn - float(self.gradH @ yp) * yn + self.kappa_vol * yn ** 2
-        val -= (1.0 / 6.0) * float(yp @ self.ric_bar @ yp)
-        return float(val)
-
-    def boundary_density(self, yprime) -> float:
-        yp = np.asarray(yprime, dtype=float)
-        return 1.0 - (1.0 / 6.0) * float(yp @ self.ric_bar @ yp)
+    def scal(self) -> float:
+        """Scal_g as the jet carries it: a second-order term, zero at order 1."""
+        return self.data.scal_ambient if self.order >= 2 else 0.0
 
 
 def fermi_jet(data: BoundaryPointData, order: int = 2,
@@ -246,11 +228,12 @@ def fermi_jet(data: BoundaryPointData, order: int = 2,
 # --------------------------------------------------------------------------
 
 @dataclass
-class InteriorPointData:
+class InteriorPointData(_Jet):
     """Interior point: scalar curvature plus isotropic closures.
 
     Normal-coordinate jet: g^ij = delta + (1/3) R^i_k^j_l y^k y^l,
-    sqrt|g| = 1 - (1/6) Ric_kl y^k y^l, with Ric = (scal/n) delta by default.
+    sqrt|g| = 1 - (1/6) Ric_kl y^k y^l, with Ric = (scal/n) delta by default
+    and R of constant curvature.
     """
     n: int
     scal: float = 0.0
@@ -265,6 +248,14 @@ class InteriorPointData:
     @property
     def ric_trace(self) -> float:
         return float(np.trace(self.ric))
+
+    def terms(self) -> dict:
+        """``sqrt_g`` and ``g_upper`` as ``FermiJetMetric.terms`` lists them,
+        every slot a position slot."""
+        riem = constant_curvature(self.scal, self.n)
+        return {"sqrt_g": [(0, 0, np.asarray(1.0)), (2, 0, -self.ric / 6.0)],
+                "g_upper": [(0, 0, np.eye(self.n)),
+                            (2, 0, np.transpose(riem, (1, 3, 0, 2)) / 3.0)]}
 
 
 # --------------------------------------------------------------------------

@@ -198,6 +198,8 @@ class GridField(_Field):
     def __init__(self, samples):
         from .profiles import _hermite_spline
         y = np.asarray(samples, dtype=float)
+        if y.ndim != 1 or y.size == 0:
+            raise ValueError("field samples must be a non-empty list of numbers")
         N = y.size
         rhs = 3.0 * (np.roll(y, -1) - np.roll(y, 1)) / (2.0 * math.pi / N)
         eig = 4.0 + 2.0 * np.cos(2.0 * math.pi * np.arange(N // 2 + 1) / N)

@@ -121,6 +121,25 @@ class TestValidation:
         assert main(args) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "validation"
 
+    @pytest.mark.parametrize("expression, spec", [
+        ("cos(2*", None), ("__import__", None), (None, ""),
+        (None, '{"samples": []}'), (None, '{"samples": ["a"]}'),
+    ])
+    def test_bad_field_exits_2(self, expression, spec, tmp_path, capsys):
+        # an expression that does not compile or names a disallowed symbol, and
+        # a spec file that is not JSON or holds no usable samples, are bad input
+        if spec is not None:
+            expression = tmp_path / "field.json"
+            expression.write_text(spec)
+        assert main(["reduce", "--field", str(expression), "--k", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "validation"
+
+    def test_seed_only_on_reduce(self):
+        # only the critical-point search reads a seed
+        with pytest.raises(SystemExit) as exc:
+            main(["moments", "--n", "5", "--seed", "1"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("args", _BAD_ESCOBAR_DIMENSIONS, ids=" ".join)
     def test_bad_escobar_dimension_builds_no_profile(self, args, monkeypatch, capsys):
         from bubblelab import profiles
@@ -376,8 +395,7 @@ class TestDeterminism:
     def test_estimate_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["estimate", "--target", "H", "--geometry", "euclidean-ball",
-                "--n", "5", "--eps", "1e-3", "--sweep", "2", "--R", "15",
-                "--seed", "7"]
+                "--n", "5", "--eps", "1e-3", "--sweep", "2", "--R", "15"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()

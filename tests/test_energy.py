@@ -695,7 +695,7 @@ def _sum_escobar(jet, P, M, eps):
     scal = jet.data.scal_ambient if jet.order >= 2 else 0.0
     terms = {"gradient": _sum_eval(P_tan, M.tan, eps) + _sum_eval(P_sca, M.nor, eps),
              "scal": (n - 2) / (4.0 * (n - 1)) * scal * eps ** 2 * _sum_eval(P_sca, M.w2, eps),
-             "H_boundary": (n - 2) / 2.0 * eps * jet.H * _sum_eval(P_bdy, M.tr2, eps)}
+             "H_boundary": (n - 2) / 2.0 * eps * jet.data.H * _sum_eval(P_bdy, M.tr2, eps)}
     Tq = _sum_eval(P_bdy, M.trq, eps)
     N0, T0 = M.tan[(0, 0)] + M.nor[(0, 0)], M.trq[(0, 0)]
     flat = N0 / T0 ** (2.0 / q)
@@ -759,7 +759,7 @@ def _sum_escobar_series(jet, P, M, order=4):
     w2 = _sum_series(P_sca, M.w2, order)
     N += (n - 2) / (4.0 * (n - 1)) * scal * np.concatenate([[0.0, 0.0], w2[:-2]])
     t2 = _sum_series(P_bdy, M.tr2, order)
-    N += (n - 2) / 2.0 * jet.H * np.concatenate([[0.0], t2[:-1]])
+    N += (n - 2) / 2.0 * jet.data.H * np.concatenate([[0.0], t2[:-1]])
     Tq = _sum_series(P_bdy, M.trq, order)
     return _ser_mul(N / N[0], _ser_pow(Tq / Tq[0], -2.0 / q))[1:order + 1]
 
@@ -844,7 +844,7 @@ class TestQuotientLayerBitIdentity:
         data = _custom_data(n) if name == "custom" else geometry_catalog(name, n, **kw).data
         jet = fermi_jet(data, order=order, chart_radius=1.5)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[n], 30.0)
-        P = energy._reduce_halfspace_jet(jet)[:3]        # fresh, not memoized
+        P = energy._reduce_jet(jet.terms())[:3]        # fresh, not memoized
         grid = np.array([1e-3, 3e-3, 1e-2])
         escobar, plain = model.escobar_quotient(grid), model.plain_trace_quotient(grid)
         for i, eps in enumerate(grid):
@@ -865,7 +865,7 @@ class TestQuotientLayerBitIdentity:
         data = _custom_data(co.n) if geo == "custom" else geometry_catalog(geo, co.n).data
         jet = fermi_jet(data, order=2, chart_radius=2.0)
         model = HalfspaceEnergyModel(jet, Qp, 20.0)
-        P = energy._reduce_halfspace_jet(jet)[:3]
+        P = energy._reduce_jet(jet.terms())[:3]
         grid = np.array([1e-3, 2e-3, 4e-3])
         result = model.gn_quotient(grid)
         for i, eps in enumerate(grid):
@@ -880,7 +880,7 @@ class TestQuotientLayerBitIdentity:
         for data in (InteriorPointData(n=n, scal=0.0), InteriorPointData(n=n, scal=2.0),
                      InteriorPointData(n=n, scal=float(np.trace(ric)), ric=ric)):
             model = InteriorEnergyModel(data, Q, 20.0)
-            P = energy._reduce_interior_jet(data)[:3]
+            P = energy._reduce_jet(data.terms())[:3]
             grid = np.array([[1e-3, 5e-3], [1e-2, 2e-3]])       # any shape
             result = model.gn_quotient(grid)
             assert result.deficit.shape == grid.shape
@@ -910,14 +910,14 @@ class TestQuotientLayerBitIdentity:
         # the fields have degree 8 at most: higher coefficients are zeros
         jet = fermi_jet(_custom_data(5), order=2, chart_radius=1.5)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 30.0)
-        P = energy._reduce_halfspace_jet(jet)[:3]
+        P = energy._reduce_jet(jet.terms())[:3]
         series = model.escobar_series(order=10)
         assert series.tobytes() == _sum_escobar_series(jet, P, model.M, order=10).tobytes()
         assert len(series) == 10
         assert (model.plain_trace_series(order=9).tobytes()
                 == _sum_plain_trace_series(P, model.M, order=9).tobytes())
         model = HalfspaceEnergyModel(fermi_jet(_custom_data(2), order=2), gn23[1], 20.0)
-        P = energy._reduce_halfspace_jet(model.jet)[:3]
+        P = energy._reduce_jet(model.jet.terms())[:3]
         assert (model.gn_series(order=9).tobytes()
                 == _sum_gn_series(P, model.M, gn23[1].p, order=9).tobytes())
 
@@ -943,14 +943,14 @@ class TestQuotientLayerBitIdentity:
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """An empty memo for the test, and the argument of every real jet reduction."""
+    """An empty memo for the test, and the terms of every real jet reduction."""
     monkeypatch.setattr(energy, "_memo", OrderedDict())
     calls = []
-    for name in ("_reduce_halfspace_jet", "_reduce_interior_jet"):
-        def counting(jet, reduce=getattr(energy, name)):
-            calls.append(jet)
-            return reduce(jet)
-        monkeypatch.setattr(energy, name, counting)
+
+    def counting(terms, reduce=energy._reduce_jet):
+        calls.append(terms)
+        return reduce(terms)
+    monkeypatch.setattr(energy, "_reduce_jet", counting)
     return calls
 
 
@@ -967,27 +967,27 @@ class TestJetMemo:
         assert again.P_tan is first.P_tan and again.P_sca is first.P_sca
         assert again.P_bdy is first.P_bdy
         inner = [InteriorPointData(n=3, scal=6.0, label=label) for label in ("a", "b")]
-        assert energy._interior_jet_polys(inner[0]) is energy._interior_jet_polys(inner[1])
+        assert energy._jet_polys(inner[0]) is energy._jet_polys(inner[1])
         assert len(reductions) == 2
 
     def test_each_key_field_gives_a_miss(self, reductions):
         data = _custom_data(5)
-        base = energy._halfspace_jet_polys(fermi_jet(data, order=2))
+        base = energy._jet_polys(fermi_jet(data, order=2))
         variants = [dataclasses.replace(data, ric_nn=0.5)]
         for name, index in (("II", (0, 0)), ("gradT_II", (0, 1, 1)), ("gradT_H", (2,)),
                             ("riemann_bdy", (0, 1, 2, 3)), ("r_anbn", (3, 3))):
             a = getattr(data, name).copy()
             a[index] += 0.25
             variants.append(dataclasses.replace(data, **{name: a}))
-        reds = [energy._halfspace_jet_polys(fermi_jet(v, order=2)) for v in variants]
-        reds.append(energy._halfspace_jet_polys(fermi_jet(data, order=1)))
+        reds = [energy._jet_polys(fermi_jet(v, order=2)) for v in variants]
+        reds.append(energy._jet_polys(fermi_jet(data, order=1)))
         assert len(reductions) == 1 + len(reds) == len(energy._memo)
         assert len({id(r) for r in [base] + reds}) == len(reductions)
         ric = np.diag([1.0, 2.0, 3.0])
         for point in (InteriorPointData(n=3, scal=6.0), InteriorPointData(n=4, scal=6.0),
                       InteriorPointData(n=3, scal=3.0), InteriorPointData(n=3, scal=6.0, ric=ric),
                       InteriorPointData(n=3, scal=3.0, ric=ric)):   # scal alone, too
-            energy._interior_jet_polys(point)
+            energy._jet_polys(point)
         assert len(reductions) == 1 + len(reds) + 5
 
     def test_in_place_mutation_reduces_the_new_content(self, reductions, halfspace_profiles):
@@ -1009,8 +1009,8 @@ class TestJetMemo:
         assert vars(after.escobar_quotient(1e-2)) != q
 
     def test_cached_reductions_read_only(self, reductions):
-        red = energy._halfspace_jet_polys(fermi_jet(_custom_data(5), order=2))
-        inner = energy._interior_jet_polys(InteriorPointData(n=3, scal=6.0))
+        red = energy._jet_polys(fermi_jet(_custom_data(5), order=2))
+        inner = energy._jet_polys(InteriorPointData(n=3, scal=6.0))
         for r in (red, inner):
             for poly in r[:3]:
                 with pytest.raises(TypeError):
@@ -1112,16 +1112,16 @@ class TestEscobarQuotient:
             m.escobar_quotient(1e-2)   # depth 0.8
         # the check reads the same axis values as the jet's own volume element
         t = np.linspace(0.0, 0.8, 9)
-        axis = [jet.sqrt_det(np.zeros(4), s) for s in t]
-        assert np.array_equal(1.0 - jet.H * t + jet.kappa_vol * t ** 2, axis)
+        axis = [jet.evaluate("sqrt_g", np.zeros(4), s) for s in t]
+        assert np.array_equal(1.0 - m._H * t + m._kappa_vol * t ** 2, axis)
 
     def test_jet_positivity_warning_off_axis(self, halfspace_profiles):
         # boundary-scal-only: sqrt|g| = 1 on the axis, but the -Ric_bar/6 term
         # makes it negative at |y'| = 0.8 inside the support at eps = 1e-2
         data = geometry_catalog("boundary-scal-only", 5, value=100.0).data
         jet = fermi_jet(data, order=2, chart_radius=10.0)
-        assert all(jet.sqrt_det(np.zeros(4), s) > 0 for s in np.linspace(0.0, 0.8, 9))
-        assert jet.sqrt_det((0.8, 0.0, 0.0, 0.0), 0.0) < 0
+        assert all(jet.evaluate("sqrt_g", np.zeros(4), s) > 0 for s in np.linspace(0.0, 0.8, 9))
+        assert jet.evaluate("sqrt_g", (0.8, 0.0, 0.0, 0.0), 0.0) < 0
         m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
         with pytest.warns(UserWarning, match="non-positive"):
             m.escobar_quotient(1e-2)

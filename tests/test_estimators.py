@@ -83,6 +83,12 @@ class TestThreeScale:
         with pytest.raises(ValueError, match="mismatched"):
             three_scale_debias(1.0, 1.0, 1.0, 1e-3, EstimatorScales(1.0, 1.0),
                                scale_triple=(1e-3, 2e-3, 4e-3))
+        # a relative check at any eps: no absolute floor lets a triple this far off pass
+        with pytest.raises(ValueError, match="mismatched"):
+            three_scale_debias(1.0, 1.0, 1.0, 1e-9, EstimatorScales(1.0, 1.0),
+                               scale_triple=(1e-9, 5e-9, 9e-9))
+        three_scale_debias(1.0, 1.0, 1.0, 1e-9, EstimatorScales(1.0, 1.0),
+                           scale_triple=(1e-9, 2 * 1e-9, 3 * 1e-9))
 
     def test_low_dimension_warns(self):
         with pytest.warns(UserWarning, match="n >= 7"):

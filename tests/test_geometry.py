@@ -84,8 +84,8 @@ class TestFermiJet:
     def test_flat_jet_is_identity(self):
         jet = fermi_jet(BoundaryPointData(n=5), order=2)
         y = np.array([0.2, -0.1, 0.05, 0.3])
-        assert np.allclose(jet.g_lower(y[:4], 0.23), np.eye(4))
-        assert jet.sqrt_det(y[:4], 0.23) == 1.0
+        assert np.allclose(jet.evaluate("g_lower", y[:4], 0.23), np.eye(4))
+        assert jet.evaluate("sqrt_g", y[:4], 0.23) == 1.0
 
     def test_first_order_consistency(self):
         d = rng_data(5)
@@ -93,12 +93,12 @@ class TestFermiJet:
         h = 1e-7
         m = d.m
         z = np.zeros(m)
-        dg = (jet.g_lower(z, h) - jet.g_lower(z, -h)) / (2 * h)
+        dg = (jet.evaluate("g_lower", z, h) - jet.evaluate("g_lower", z, -h)) / (2 * h)
         assert np.allclose(dg, -2.0 * d.II, atol=1e-6)
-        ds = (jet.sqrt_det(z, h) - jet.sqrt_det(z, -h)) / (2 * h)
+        ds = (jet.evaluate("sqrt_g", z, h) - jet.evaluate("sqrt_g", z, -h)) / (2 * h)
         assert ds == pytest.approx(-d.H, abs=1e-6)
-        assert np.allclose(jet.g_lower(z, 0.0), np.eye(m))
-        assert jet.sqrt_det(z, 0.0) == 1.0
+        assert np.allclose(jet.evaluate("g_lower", z, 0.0), np.eye(m))
+        assert jet.evaluate("sqrt_g", z, 0.0) == 1.0
 
     def test_ball_volume_jet_matches_power_expansion(self):
         # sqrt|g| along the normal must Taylor-match (1-t)^(n-1) through t^2
@@ -106,12 +106,12 @@ class TestFermiJet:
             ball = geometry_catalog("euclidean-ball", n).data
             jet = fermi_jet(ball, order=2)
             m = n - 1
-            coeff = jet.kappa_vol
+            coeff = {(px, py): T for px, py, T in jet.terms()["sqrt_g"]}[0, 2]
             assert coeff == pytest.approx(m * (m - 1) / 2.0, abs=1e-12)
             t = 0.05
             exact = (1 - t) ** m
             cubic = math.comb(m, 3) if m >= 3 else 0
-            assert jet.sqrt_det(np.zeros(m), t) == pytest.approx(
+            assert jet.evaluate("sqrt_g", np.zeros(m), t) == pytest.approx(
                 exact, abs=(cubic + 1) * t ** 3)
 
     def test_inverse_jet_residual_cubic(self):
@@ -122,7 +122,8 @@ class TestFermiJet:
         yp0 = rng.normal(size=d.m)
         res = []
         for s in (1e-1, 5e-2, 2.5e-2):
-            prod = jet.g_upper(s * yp0, s * 0.7) @ jet.g_lower(s * yp0, s * 0.7)
+            prod = (jet.evaluate("g_upper", s * yp0, s * 0.7)
+                    @ jet.evaluate("g_lower", s * yp0, s * 0.7))
             res.append(np.max(np.abs(prod - np.eye(d.m))))
         # second-order cancellation is exact: residual scales like s^3
         slope = np.polyfit(np.log([1e-1, 5e-2, 2.5e-2]), np.log(res), 1)[0]
@@ -132,15 +133,23 @@ class TestFermiJet:
         d = rng_data(5)
         with pytest.raises(ValueError):
             fermi_jet(d, order=3)
-        j1 = fermi_jet(d, order=1)
-        assert np.all(j1.A_up == 0.0)
-        assert j1.kappa_vol == 0.0
+        # order 1 keeps the constant and y_n terms of each list, no Ricbar or Scal_g
+        terms = fermi_jet(d, order=1).terms()
+        for name in ("sqrt_g", "g_upper", "g_lower"):
+            assert [(px, py) for px, py, _ in terms[name]] == [(0, 0), (0, 1)]
+        assert [(px, py) for px, py, _ in terms["bdy"]] == [(0, 0)]
+        assert not terms["ric_bar"].any()
+        assert fermi_jet(d, order=1).scal == 0.0 and fermi_jet(d).scal == d.scal_ambient
+        full = fermi_jet(d, order=2).terms()
+        for name in ("sqrt_g", "g_upper", "g_lower", "bdy"):
+            for low, high in zip(terms[name], full[name]):
+                assert low[:2] == high[:2] and np.array_equal(low[2], high[2])
 
 
 class TestBoundaryAreaElement:
     def test_flat(self):
         d = BoundaryPointData(n=4)
-        assert fermi_jet(d).boundary_density([0.3, -0.2, 0.1]) == 1.0
+        assert fermi_jet(d).evaluate("bdy", [0.3, -0.2, 0.1]) == 1.0
 
     def test_isotropic_ric(self):
         # Ricbar = c Id at |y'|^2 = s gives 1 - c s / 6
@@ -150,14 +159,14 @@ class TestBoundaryAreaElement:
         d = BoundaryPointData(n=n, scal_bdy=scal)
         yp = np.zeros(m); yp[0] = 0.5; yp[1] = 0.3
         s = float(yp @ yp)
-        assert fermi_jet(d).boundary_density(yp) == pytest.approx(1.0 - c * s / 6.0, rel=1e-12)
+        assert fermi_jet(d).evaluate("bdy", yp) == pytest.approx(1.0 - c * s / 6.0, rel=1e-12)
 
     def test_ball_n3_against_exact_sphere(self):
         geo = geometry_catalog("euclidean-ball", 3)
         jet = fermi_jet(geo.data, order=2)
         r = 0.1
         exact = geo.exact_boundary_density(r)
-        approx = jet.boundary_density(np.array([r, 0.0]))
+        approx = jet.evaluate("bdy", np.array([r, 0.0]))
         assert abs(approx - exact) < 1e-3
 
 
@@ -265,8 +274,53 @@ class TestJetDeterminism:
         d2 = rng_data(6, seed=11)
         j1, j2 = fermi_jet(d1, order=2), fermi_jet(d2, order=2)
         y = np.array([0.13, -0.25, 0.4, 0.02, -0.17])
-        assert np.array_equal(j1.g_upper(y, 0.21), j2.g_upper(y, 0.21))
-        assert j1.sqrt_det(y, 0.21) == j2.sqrt_det(y, 0.21)
+        assert np.array_equal(j1.evaluate("g_upper", y, 0.21), j2.evaluate("g_upper", y, 0.21))
+        assert j1.evaluate("sqrt_g", y, 0.21) == j2.evaluate("sqrt_g", y, 0.21)
+
+
+# 16 equally spaced directions of S^1 average every trigonometric polynomial
+# of degree < 16 exactly; the jet fields here have degree <= 6 in omega
+_CIRCLE = [np.array([math.cos(a), math.sin(a)]) for a in 2 * math.pi * np.arange(16) / 16]
+_POINTS = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.25), (0.4, 0.7), (1.1, 0.35)]
+
+
+def _poly(P, r, t):
+    return sum(c * r ** i * t ** j for (i, j), c in P.items())
+
+
+def _assert_reduction_matches(jet, P_tan, P_sca, P_bdy=None):
+    for r, t in _POINTS:
+        sca = np.mean([jet.evaluate("sqrt_g", r * w, t) for w in _CIRCLE])
+        tan = np.mean([w @ jet.evaluate("g_upper", r * w, t) @ w
+                       * jet.evaluate("sqrt_g", r * w, t) for w in _CIRCLE])
+        assert sca == pytest.approx(_poly(P_sca, r, t), rel=1e-14, abs=1e-14)
+        assert tan == pytest.approx(_poly(P_tan, r, t), rel=1e-14, abs=1e-14)
+        if P_bdy is not None:
+            bdy = np.mean([jet.evaluate("bdy", r * w) for w in _CIRCLE])
+            assert bdy == pytest.approx(_poly(P_bdy, r, 0.0), rel=1e-14, abs=1e-14)
+
+
+class TestPointwiseJetMatchesReduction:
+    """The circle average of ``evaluate`` is the polynomial the energy
+    reduction integrates: P_sca, P_tan and P_bdy of ``energy._reduce_jet``."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", [c for c in CATALOG_NAMES if c != "custom"] + ["random"])
+    def test_boundary_jet(self, name, order):
+        from bubblelab.energy import _reduce_jet
+        data = rng_data(3, seed=5) if name == "random" else geometry_catalog(name, 3).data
+        jet = fermi_jet(data, order=order)
+        _assert_reduction_matches(jet, *_reduce_jet(jet.terms())[:3])
+
+    @pytest.mark.parametrize("ric", [None, np.array([[0.7, -0.4], [-0.4, -1.3]])],
+                             ids=["isotropic", "anisotropic"])
+    def test_interior_point(self, ric):
+        from bubblelab.energy import _reduce_jet
+        scal = 1.9 if ric is None else float(np.trace(ric))
+        point = InteriorPointData(n=2, scal=scal, ric=ric)
+        P_tan, P_sca, P_bdy = _reduce_jet(point.terms())[:3]
+        assert not P_bdy
+        _assert_reduction_matches(point, P_tan, P_sca)
 
 
 _ENTRIES = [("euclidean-ball", {"radius": 2.0}), ("flat-halfspace", {}),
