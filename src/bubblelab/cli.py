@@ -1,13 +1,15 @@
 """Command-line front door.
 
 Subcommands: moments, coefficients, expand, estimate, gauss-bonnet, reduce,
-dynamics, fixtures. A config file (--config file.json) pre-fills options;
-explicit flags win. Outputs are written atomically (temp file + rename) and
-deterministically (sorted keys, shortest round-trip float formatting); every
-JSON document carries schema_version and the constants snapshot it used.
+dynamics, fixtures, each with its options declared once in ``_OPTIONS``. A
+config file (--config file.json) pre-fills options, each value read through
+its flag's type and choices; explicit flags win. Outputs are written
+atomically (temp file + rename) and deterministically (sorted keys, shortest
+round-trip float formatting); every JSON document carries schema_version and
+the constants snapshot it used.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure (with a
-diagnostic JSON on stderr).
+diagnostic JSON on stderr). Warnings go to stderr as JSON lines too.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,49 +73,44 @@ def _emit_csv(path: str | None, header: list, rows: list, comment: str) -> None:
         sys.stdout.write(text)
 
 
-_REQUIRED = {
-    "moments": ("n",), "coefficients": ("n",), "expand": ("geometry", "n"),
-    "estimate": ("target", "n"), "gauss-bonnet": ("surface",),
-    "reduce": ("field", "k"), "dynamics": ("mode",), "fixtures": ("action",),
-}
-
-_DEFAULTS = {
-    "moments": {"R": 60.0, "format": "json"},
-    "coefficients": {"R": 60.0},
-    "expand": {"eps_levels": 6, "eps0": 1e-2, "R": 40.0, "functional": "escobar",
-               "radius": 1.0, "value": 1.0, "H": 1.0},
-    "estimate": {"geometry": "euclidean-ball", "eps": 1e-3, "sweep": 5, "R": 30.0,
-                 "radius": 1.0, "value": 1.0, "H": 1.0, "p": 3.0},
-    "gauss-bonnet": {"mode": "exact", "inner_radius": 0.5, "eps": 1e-2},
-    "reduce": {"n": 6, "seeds": 64},
-    "dynamics": {"n": 2, "m": 0.5, "E0": 1.0, "M0": 1.0, "C": None,
-                 "horizon": 100.0, "ladder": "1e-2:1e-5", "rungs": 4},
-    "fixtures": {"path": None},
-}
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
 
 
 def _merge_config(ns: argparse.Namespace) -> argparse.Namespace:
-    """Config fills unset options; explicit flags win; defaults fill the rest."""
+    """Config fills unset options, each value read as the flag reads it (its
+    type applied to str(value), then its choices); explicit flags win; the
+    table's defaults fill the rest."""
+    options = {_dest(flag): opt for flag, opt in _OPTIONS[ns.command][1].items()}
     raw = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         try:
             raw = json.loads(Path(ns.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationFailure(f"cannot read config: {exc}")
         if not isinstance(raw, dict):
             raise ValidationFailure("config must be a JSON object")
-        known = set(vars(ns))
-        unknown = [k for k in raw if k.replace("-", "_") not in known]
+        unknown = [k for k in raw if k.replace("-", "_") not in {*options, "out"}]
         if unknown:
             raise ValidationFailure(f"unknown config keys: {unknown}")
-    for k, v in raw.items():
-        attr = k.replace("-", "_")
-        if getattr(ns, attr, None) is None:
-            setattr(ns, attr, v)
-    for attr, v in _DEFAULTS.get(ns.command, {}).items():
-        if getattr(ns, attr, None) is None:
-            setattr(ns, attr, v)
-    missing = [a for a in _REQUIRED[ns.command] if getattr(ns, a, None) is None]
+    for key, value in raw.items():
+        attr = key.replace("-", "_")
+        if value is None or getattr(ns, attr) is not None:
+            continue
+        kw = options.get(attr, (None, {}))[1]
+        try:
+            value = kw.get("type", str)(str(value))
+        except ValueError:
+            raise ValidationFailure(f"config {key!r}: invalid {kw['type'].__name__} "
+                                    f"value {value!r}")
+        if value not in kw.get("choices", (value,)):
+            raise ValidationFailure(f"config {key!r}: invalid choice {value!r} "
+                                    f"(choose from {', '.join(kw['choices'])})")
+        setattr(ns, attr, value)
+    for attr, (default, _) in options.items():
+        if getattr(ns, attr) is None:
+            setattr(ns, attr, default)
+    missing = [attr for attr in options if getattr(ns, attr) is _REQUIRED]
     if missing:
         raise ValidationFailure(f"missing required option(s): {missing}")
     return ns
@@ -328,21 +326,32 @@ def cmd_gauss_bonnet(ns) -> str:
     return f"gauss-bonnet {ns.surface} ({ns.mode}): chi_hat={rep.estimate:.9g}"
 
 
+_FIELD_PROBE = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)[:, None]
+
+
 def _field(spec: str):
     """The --field option as a field: a JSON spec file, else an expression;
-    one that cannot be read or built is bad input."""
+    one that cannot be read, built or evaluated on a probe batch of angles
+    is bad input."""
     from .reduced import ExpressionField, GridField
+    fld = None
     try:
         if not (spec and Path(spec).exists()):
-            return ExpressionField(spec)
-        raw = json.loads(Path(spec).read_text())
-        if "expression" in raw:
-            return ExpressionField(raw["expression"])
-        if "samples" in raw:
-            return GridField(raw["samples"])
-    except (SyntaxError, ValueError, TypeError, OSError) as exc:
+            fld = ExpressionField(spec)
+        else:
+            raw = json.loads(Path(spec).read_text())
+            if "expression" in raw:
+                fld = ExpressionField(raw["expression"])
+            elif "samples" in raw:
+                fld = GridField(raw["samples"])
+        if fld is not None:
+            with np.errstate(all="ignore"):
+                fld.values(_FIELD_PROBE)
+    except Exception as exc:
         raise ValidationFailure(f"--field {spec!r}: {exc}")
-    raise ValidationFailure("field spec needs 'expression' or 'samples'")
+    if fld is None:
+        raise ValidationFailure("field spec needs 'expression' or 'samples'")
+    return fld
 
 
 def cmd_reduce(ns) -> str:
@@ -417,109 +426,86 @@ def cmd_fixtures(ns) -> str:
 # parser
 # --------------------------------------------------------------------------
 
+_REQUIRED = object()   # the default of an option that has none
+_FLOAT, _INT, _STR = {"type": float}, {"type": int}, {}
+
+# subcommand: (help, {flag: (default, argparse keywords)}), in --help order;
+# every subcommand also takes --config and --out, and runs cmd_<subcommand>
+_OPTIONS = {
+    "moments": ("weighted moment table", {
+        "--n": (_REQUIRED, _FLOAT), "--R": (60.0, _FLOAT),
+        "--format": ("json", {"choices": ("json", "csv")})}),
+    "coefficients": ("Escobar constants", {
+        "--n": (_REQUIRED, _FLOAT), "--R": (60.0, _FLOAT)}),
+    "expand": ("eps-sweep of an energy quotient", {
+        "--geometry": (_REQUIRED, _STR), "--n": (_REQUIRED, _FLOAT),
+        "--eps-levels": (6, _INT), "--eps0": (1e-2, _FLOAT), "--R": (40.0, _FLOAT),
+        "--functional": ("escobar", {"choices": ("escobar", "plain-trace")}),
+        "--radius": (1.0, _FLOAT), "--value": (1.0, _FLOAT), "--H": (1.0, _FLOAT)}),
+    "estimate": ("energy-only estimator sweeps", {
+        "--target": (_REQUIRED, {"choices": ("H", "mass", "theta", "ringII", "scal")}),
+        "--geometry": ("euclidean-ball", _STR), "--n": (_REQUIRED, _FLOAT),
+        "--eps": (1e-3, _FLOAT), "--sweep": (5, _INT), "--R": (30.0, _FLOAT),
+        "--radius": (1.0, _FLOAT), "--value": (1.0, _FLOAT), "--H": (1.0, _FLOAT),
+        "--p": (3.0, _FLOAT)}),
+    "gauss-bonnet": ("Euler characteristic recovery", {
+        "--surface": (_REQUIRED, {"choices": ("disk", "annulus")}),
+        "--mode": ("exact", {"choices": ("exact", "estimated")}),
+        "--inner-radius": (0.5, _FLOAT),
+        "--eps": (1e-2, {"type": float, "help": "estimated mode's boundary scale, "
+                         f"in (0, 1/42 = {_GB_EPS_MAX:.4f})"})}),
+    "reduce": ("critical points of the center potential", {
+        "--field": (_REQUIRED, {"help": "expression in theta, or JSON field spec path"}),
+        "--k": (_REQUIRED, _FLOAT), "--n": (6, _FLOAT), "--seeds": (64, _INT),
+        "--seed": (0, _INT)}),
+    "dynamics": ("decay envelopes and window eigenvalues", {
+        "mode": (_REQUIRED, {"choices": ("fde", "window")}),
+        "--n": (2, _FLOAT), "--m": (0.5, _FLOAT), "--E0": (1.0, _FLOAT),
+        "--M0": (1.0, _FLOAT), "--C": (None, _FLOAT), "--horizon": (100.0, _FLOAT),
+        "--ladder": ("1e-2:1e-5", _STR), "--rungs": (4, _INT)}),
+    "fixtures": ("derived-value fixture management", {
+        "action": (_REQUIRED, {"choices": ("regenerate", "verify")}),
+        "--path": (None, _STR)}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="bubblelab",
                                 description="boundary-bubble energy laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for command, (help_, options) in _OPTIONS.items():
+        sp = sub.add_parser(command, help=help_)
         sp.add_argument("--config", help="JSON config file (flags win)")
         sp.add_argument("--out", help="output path (stdout if omitted)")
-
-    sp = sub.add_parser("moments", help="weighted moment table")
-    common(sp)
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--R", type=float)
-    sp.add_argument("--format", choices=("json", "csv"))
-    sp.set_defaults(func=cmd_moments)
-
-    sp = sub.add_parser("coefficients", help="Escobar constants")
-    common(sp)
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--R", type=float)
-    sp.set_defaults(func=cmd_coefficients)
-
-    sp = sub.add_parser("expand", help="eps-sweep of an energy quotient")
-    common(sp)
-    sp.add_argument("--geometry")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--eps-levels", dest="eps_levels", type=int)
-    sp.add_argument("--eps0", type=float)
-    sp.add_argument("--R", type=float)
-    sp.add_argument("--functional", choices=("escobar", "plain-trace"))
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--value", type=float)
-    sp.add_argument("--H", type=float)
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("estimate", help="energy-only estimator sweeps")
-    common(sp)
-    sp.add_argument("--target", choices=("H", "mass", "theta", "ringII", "scal"))
-    sp.add_argument("--geometry")
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--sweep", type=int)
-    sp.add_argument("--R", type=float)
-    sp.add_argument("--radius", type=float)
-    sp.add_argument("--value", type=float)
-    sp.add_argument("--H", type=float)
-    sp.add_argument("--p", type=float)
-    sp.set_defaults(func=cmd_estimate)
-
-    sp = sub.add_parser("gauss-bonnet", help="Euler characteristic recovery")
-    common(sp)
-    sp.add_argument("--surface", choices=("disk", "annulus"))
-    sp.add_argument("--mode", choices=("exact", "estimated"))
-    sp.add_argument("--inner-radius", dest="inner_radius", type=float)
-    sp.add_argument("--eps", type=float,
-                    help=f"estimated mode's boundary scale, in (0, 1/42 = {_GB_EPS_MAX:.4f})")
-    sp.set_defaults(func=cmd_gauss_bonnet)
-
-    sp = sub.add_parser("reduce", help="critical points of the center potential")
-    common(sp)
-    sp.add_argument("--field", help="expression in theta, or JSON field spec path")
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--seeds", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_reduce)
-
-    sp = sub.add_parser("dynamics", help="decay envelopes and window eigenvalues")
-    common(sp)
-    sp.add_argument("mode", choices=("fde", "window"))
-    sp.add_argument("--n", type=float)
-    sp.add_argument("--m", type=float)
-    sp.add_argument("--E0", type=float)
-    sp.add_argument("--M0", type=float)
-    sp.add_argument("--C", type=float)
-    sp.add_argument("--horizon", type=float)
-    sp.add_argument("--ladder")
-    sp.add_argument("--rungs", type=int)
-    sp.set_defaults(func=cmd_dynamics)
-
-    sp = sub.add_parser("fixtures", help="derived-value fixture management")
-    common(sp)
-    sp.add_argument("action", choices=("regenerate", "verify"))
-    sp.add_argument("--path")
-    sp.set_defaults(func=cmd_fixtures)
+        for flag, (_, kw) in options.items():
+            sp.add_argument(flag, **kw)
+        # looked up now, so a handler rebound on the module is the one that runs
+        sp.set_defaults(func=globals()["cmd_" + _dest(command)])
     return p
+
+
+def _show_warning(message, category, *_) -> None:
+    print(json.dumps({"warning": category.__name__, "detail": str(message)}),
+          file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    try:
-        ns = _merge_config(ns)
-        summary = ns.func(ns)
-        print(summary)
-        return 0
-    except ValidationFailure as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except (NumericalFailure, RuntimeError, FileNotFoundError, ValueError,
-            OverflowError) as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            ns = _merge_config(ns)
+            summary = ns.func(ns)
+            print(summary)
+            return 0
+        except ValidationFailure as exc:
+            print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
+            return 2
+        except (NumericalFailure, RuntimeError, FileNotFoundError, ValueError,
+                OverflowError) as exc:
+            print(json.dumps({"error": "numerical", "detail": str(exc)}), file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -81,9 +81,8 @@ if TYPE_CHECKING:
     from .moments import EscobarConstants
 
 __all__ = [
-    "BubbleParams", "QuotientResult", "DeficitSweep", "ChartOverflowError",
-    "QuadratureNonConvergence", "escobar_quotient", "plain_trace_quotient",
-    "gn_quotient", "deficit_series", "channel_fit_second_order",
+    "QuotientResult", "DeficitSweep", "ChartOverflowError",
+    "QuadratureNonConvergence", "deficit_series", "channel_fit_second_order",
     "ChannelFitResult", "HalfspaceEnergyModel", "InteriorEnergyModel",
     "fit_power_series", "empirical_slope", "halfspace_moment_matrix", "sphere_average",
 ]
@@ -508,23 +507,6 @@ def _ser_pow(a: np.ndarray, alpha: float) -> np.ndarray:
 # energy models
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BubbleParams:
-    """One concentrating bubble: profile, scale, cutoff."""
-    profile: RadialProfile
-    eps: float
-    R: float
-    chart_radius: float = 1.0
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("scale eps must be positive")
-        if self.eps * 2.0 * self.R > self.chart_radius + 1e-12:
-            raise ChartOverflowError(
-                f"bubble support eps*2R = {self.eps * 2 * self.R} exceeds "
-                f"chart radius {self.chart_radius}")
-
-
 @dataclass
 class QuotientResult:
     """One quotient at every eps of an eps array.
@@ -839,35 +821,6 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
             raise ValueError("interior GN model needs a GN ground-state profile")
         self.data = data
         self._setup(_jet_polys(data), profile, R, spec)
-
-
-# --------------------------------------------------------------------------
-# public operations
-# --------------------------------------------------------------------------
-
-def _check_chart(jet, bubble: BubbleParams) -> None:
-    if bubble.eps * 2.0 * bubble.R > getattr(jet, "chart_radius", bubble.chart_radius) + 1e-12:
-        raise ChartOverflowError(
-            f"eps*2R = {bubble.eps * 2 * bubble.R} exceeds chart radius")
-
-
-def escobar_quotient(jet: FermiJetMetric, bubble: BubbleParams) -> QuotientResult:
-    _check_chart(jet, bubble)
-    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R)
-    return model.escobar_quotient(bubble.eps)
-
-
-def plain_trace_quotient(jet: FermiJetMetric, bubble: BubbleParams) -> QuotientResult:
-    _check_chart(jet, bubble)
-    model = HalfspaceEnergyModel(jet, bubble.profile, bubble.R)
-    return model.plain_trace_quotient(bubble.eps)
-
-
-def gn_quotient(metric, bubble: BubbleParams) -> QuotientResult:
-    _check_chart(metric, bubble)
-    if isinstance(metric, InteriorPointData):
-        return InteriorEnergyModel(metric, bubble.profile, bubble.R).gn_quotient(bubble.eps)
-    return HalfspaceEnergyModel(metric, bubble.profile, bubble.R).gn_quotient(bubble.eps)
 
 
 @dataclass

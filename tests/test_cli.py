@@ -72,6 +72,44 @@ class TestValidation:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["constants"]["R"] == 25.0
 
+    def test_config_seed_reads_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        base = ["reduce", "--field", "cos(2*theta)", "--k", "2", "--seeds", "4"]
+        runs = {"flag": ["--seed", "7"], "config": ["--config", str(cfg)],
+                "default": [], "flag wins": ["--config", str(cfg), "--seed", "0"]}
+        out = {}
+        for name, extra in runs.items():
+            path = tmp_path / f"{name}.json"
+            assert main(base + extra + ["--out", str(path)]) == 0
+            out[name] = path.read_bytes()
+        assert out["config"] == out["flag"] != out["default"] == out["flag wins"]
+
+    def test_config_value_takes_the_flag_type(self, tmp_path):
+        # {"R": 30} reads as --R 30 does: the float 30.0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 5, "R": 30}))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["coefficients", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["coefficients", "--n", "5", "--R", "30", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("config, args", [
+        ({"n": "five"}, ["moments"]), ({"R": "abc"}, ["moments", "--n", "5"]),
+        ({"format": "xml"}, ["moments", "--n", "5"]),
+        ({"func": 1}, ["moments", "--n", "5"]),
+        ({"sweep": 2.5}, ["estimate", "--target", "H", "--n", "5"]),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else " ".join(v))
+    def test_bad_config_value_exits_2(self, config, args, tmp_path, capsys):
+        # a config value goes through its flag's type and choices, and only
+        # option names and "out" are keys
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*args, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "validation"
+
     @pytest.mark.parametrize("flags", [["--ladder", "1e-2"], ["--ladder", "a:b"],
                                        ["--rungs", "0"], ["--rungs", "1"],
                                        ["--ladder", "0:1e-3"], ["--ladder", "1e-2:2"],
@@ -124,10 +162,12 @@ class TestValidation:
     @pytest.mark.parametrize("expression, spec", [
         ("cos(2*", None), ("__import__", None), (None, ""),
         (None, '{"samples": []}'), (None, '{"samples": ["a"]}'),
+        ("theta[100]", None), ("1/0", None),
     ])
     def test_bad_field_exits_2(self, expression, spec, tmp_path, capsys):
-        # an expression that does not compile or names a disallowed symbol, and
-        # a spec file that is not JSON or holds no usable samples, are bad input
+        # an expression that does not compile, names a disallowed symbol or
+        # fails when evaluated, and a spec file that is not JSON or holds no
+        # usable samples, are bad input
         if spec is not None:
             expression = tmp_path / "field.json"
             expression.write_text(spec)
@@ -173,6 +213,33 @@ class TestValidation:
         # default spec; at R = 1 the cut-off near-optimizer has W < C* - 0.05
         assert main(args) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+
+class TestWarnings:
+    def test_warning_is_one_json_line(self, tmp_path):
+        # in a subprocess: pytest records warnings itself
+        proc = run_cli(["expand", "--geometry", "umbilic-sphere-cap", "--n", "6",
+                        "--out", str(tmp_path / "o.csv")])
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        assert lines
+        for line in lines:
+            doc = json.loads(line)
+            assert sorted(doc) == ["detail", "warning"]
+            assert doc["warning"] == "UserWarning"
+            assert doc["detail"].startswith("jet volume element non-positive")
+
+    def test_three_scale_targets_warn(self, capsys):
+        args = ["--n", "6", "--eps", "1.5e-2", "--sweep", "2"]
+        for target in ("mass", "H"):
+            assert main(["estimate", "--target", target, *args]) == 0
+            err = capsys.readouterr().err.splitlines()
+            assert err and all(json.loads(ln)["warning"] == "UserWarning" for ln in err)
+
+    @pytest.mark.parametrize("target", ["mass", "theta", "ringII"])
+    def test_three_scale_targets_quiet_at_defaults(self, target, capsys):
+        assert main(["estimate", "--target", target, "--n", "6"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestOutputs:

@@ -12,8 +12,7 @@ from bubblelab import energy
 from bubblelab.geometry import (BoundaryPointData, InteriorPointData, fermi_jet,
                                 geometry_catalog)
 from bubblelab.energy import (
-    BubbleParams, ChartOverflowError, HalfspaceEnergyModel, InteriorEnergyModel,
-    QuadratureNonConvergence, escobar_quotient, plain_trace_quotient, gn_quotient,
+    HalfspaceEnergyModel, InteriorEnergyModel, QuadratureNonConvergence,
     deficit_series, channel_fit_second_order, empirical_slope, fit_power_series,
     sphere_average, halfspace_moment_matrix, _ser_mul, _ser_pow,
 )
@@ -1075,16 +1074,6 @@ class TestEscobarQuotient:
         y = np.array([m.escobar_quotient(e).deficit for e in EPS6])
         c = fit_power_series(EPS6, y / m.flat_escobar(), (1, 2))
         assert abs(c[0]) < 1e-10
-
-    def test_chart_overflow(self, halfspace_profiles):
-        with pytest.raises(ChartOverflowError):
-            BubbleParams(halfspace_profiles[5], eps=1e-2, R=40.0,
-                         chart_radius=0.5)
-        jet = fermi_jet(BoundaryPointData(n=5), order=2, chart_radius=0.15)
-        ok = BubbleParams(halfspace_profiles[5], eps=1e-2, R=10.0,
-                          chart_radius=1.0)
-        with pytest.raises(ChartOverflowError):
-            escobar_quotient(jet, ok)  # jet chart tighter than the bubble
 
     def test_breakdown_terms(self, h_model):
         r = h_model.escobar_quotient(1e-2)

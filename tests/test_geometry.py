@@ -129,6 +129,20 @@ class TestFermiJet:
         slope = np.polyfit(np.log([1e-1, 5e-2, 2.5e-2]), np.log(res), 1)[0]
         assert slope > 2.9
 
+    def test_gradT_II_meets_yprime_in_its_first_slot(self):
+        # (gradT II)_{c,ab} y_c y_n: with II = 0 and only (gradT II)_{0,11} = 1
+        # the jet's y' y_n terms are -+2 y'_0 y_n E_11, whatever y'_1 and y'_2
+        G = np.zeros((3, 3, 3))
+        G[0, 1, 1] = 1.0
+        jet = fermi_jet(BoundaryPointData(n=4, gradT_II=G), order=2)
+        yp, yn = np.array([0.3, -0.7, 0.5]), 0.2
+        E11 = np.zeros((3, 3))
+        E11[1, 1] = 1.0
+        np.testing.assert_array_equal(jet.evaluate("g_lower", yp, yn),
+                                      np.eye(3) - 2.0 * yp[0] * yn * E11)
+        np.testing.assert_array_equal(jet.evaluate("g_upper", yp, yn),
+                                      np.eye(3) + 2.0 * yp[0] * yn * E11)
+
     def test_order_flag(self):
         d = rng_data(5)
         with pytest.raises(ValueError):
