@@ -42,13 +42,13 @@ one coefficient array in eps when it is built, and keeps the jet scalars it
 reads: it is a snapshot of its jet at construction, and changing the point
 data in place reaches only models built afterwards.
 
-The quotient methods take an eps array (or one eps) and return results
-whose fields are arrays of that shape: a sweep is one call on its whole
-eps array. Values read the whole coefficient array, deficits the array
-without its constant term (cancellation-free), both by Horner's rule, so an
-eps gets the same bits in any array; the exact Taylor series read its
-leading slice. The GN relative change alone sums its terms one eps at a
-time (``HalfspaceEnergyModel._gn_rel_change`` says why).
+Each functional is a table of factors in ``_FORMS``, read by one evaluator
+at a whole eps array (a sweep is one call): values from the coefficient
+arrays, each factor's change from its array without the constant term (so
+deficits never cancel), both by Horner's rule, so an eps gets the same bits
+in any array. ``flat`` reads the constant terms and ``series`` the leading
+slices. GN alone sums each change term by term, one eps at a time
+(``HalfspaceEnergyModel._term_sums`` says why).
 
 Escobar numerator (covariant graph form, rescaled coordinates):
 
@@ -56,18 +56,17 @@ Escobar numerator (covariant graph form, rescaled coordinates):
              + c_n_scal * Scal_g * eps^2 int w^2 sqrt|g| dy
              + ((n-2)/2) * eps * H * int_{y_n=0} w^2 dsigma(eps y')
 
-with c_n_scal = (n-2)/(4(n-1)), w = chi_R * U, and the quotient divides by
-the boundary L^q mass to the power 2/q. The plain-trace functional uses the
-pure Dirichlet denominator and the mean-zero gauge; the GN functional uses
-the three bulk norms.
+with c_n_scal = (n-2)/(4(n-1)) and w = chi_R * U; ``_FORMS`` lists the
+denominators of the three functionals.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -215,6 +214,7 @@ _PAIRS = (("tan", "P_tan"), ("nor", "P_sca"), ("w2", "P_sca"), ("w1", "P_sca"),
           ("pp", "P_sca"), ("tr2", "P_bdy"), ("trq", "P_bdy"), ("trq1", "P_bdy"))
 # the fields a model holds a coefficient array for: the products, then tan + nor
 _FIELDS = tuple(name for name, _ in _PAIRS) + ("dirichlet",)
+_ROW = {name: row for row, name in enumerate(_FIELDS)}
 # eps-degrees i + j of a 5x5 moment matrix
 _DEGREES = 9
 
@@ -537,7 +537,6 @@ class HalfspaceEnergyModel:
     to quadrature precision. A model is a snapshot of its jet at
     construction: changing the point data afterwards does not reach it.
     """
-    gn_functional = "gn-boundary"
 
     def __init__(self, jet: FermiJetMetric, profile: RadialProfile, R: float,
                  spec: QuadratureSpec = DEFAULT_QUAD):
@@ -574,11 +573,12 @@ class HalfspaceEnergyModel:
         self._table = _read_only(table)
         self._coef = dict(zip(_FIELDS, table))
         self._top = int(np.flatnonzero(table.any(axis=0))[-1])    # highest degree in use
-        self._J0 = self.M.tan[0, 0] + self.M.nor[0, 0]
+        self._forms = {}
 
     def _fields(self, eps):
         """eps as a float array, then each field's eps-dependent part (the
-        polynomial without its constant term) and its value, at every eps.
+        polynomial without its constant term) and its value, at every eps:
+        arrays of shape (field, *eps.shape), a field's row at ``_ROW[name]``.
 
         Horner's rule from the highest degree any field uses: only products
         and sums, so an eps gets the same bits whatever array it comes in.
@@ -589,12 +589,13 @@ class HalfspaceEnergyModel:
             raise ChartOverflowError("an untruncated bubble (R = inf) overflows every chart")
         eps = np.asarray(eps, dtype=float)
         e = eps.reshape(1, -1)
-        part = np.zeros((len(_FIELDS), e.size))
-        for d in range(self._top, 0, -1):
-            part = (part + self._table[:, d:d + 1]) * e        # (field, eps)
+        top = self._top          # the first step, (0 + c_top) e, is c_top e exactly
+        part = self._table[:, top:top + 1] * e if top else np.zeros((len(_FIELDS), e.size))
+        for d in range(top - 1, 0, -1):     # (field, eps)
+            part += self._table[:, d:d + 1]
+            part *= e
         shape = (-1,) + eps.shape
-        return (eps, dict(zip(_FIELDS, part.reshape(shape))),
-                dict(zip(_FIELDS, (part + self._table[:, :1]).reshape(shape))))
+        return eps, part.reshape(shape), (part + self._table[:, :1]).reshape(shape)
 
     def _series(self, name: str, order: int) -> np.ndarray:
         """A field's first order + 1 coefficients, zeros past its degree;
@@ -609,9 +610,8 @@ class HalfspaceEnergyModel:
     def integral(self, name: str, eps) -> np.ndarray:
         """A raw integral at every eps: ``dirichlet``, or a moment-matrix field
         (``w2``, ``pp``, ``tr2``, ``trq``, ...) weighed by its jet polynomial."""
-        return self._fields(eps)[2][name]
+        return self._fields(eps)[2][_ROW[name]]
 
-    # -- Escobar -------------------------------------------------------------
     def _check_jet_positivity(self, eps: np.ndarray) -> None:
         """Warn, once for each eps, when the jet's volume element may be
         non-positive on the support.
@@ -626,8 +626,7 @@ class HalfspaceEnergyModel:
 
         A warning, not an error: the bound covers a cylinder around the
         support and pairs the worst y' of two terms, so it can fire where the
-        volume element is positive; and the quotient stays the jet model's
-        polynomial in eps, which the series and the sweeps use as such.
+        volume element is positive. A factor that turns non-positive raises.
         """
         for e in np.sort(eps, axis=None)[::-1].tolist():
             t_deep = e * (2.0 * self.R + self.profile.shift)
@@ -641,51 +640,8 @@ class HalfspaceEnergyModel:
             warnings.warn(
                 f"jet volume element non-positive inside the bubble support "
                 f"(|y'| <= {rho:.3g}, depth <= {t_deep:.3g}); shrink eps or the cutoff",
-                stacklevel=3)
+                stacklevel=4)
 
-    def escobar_quotient(self, eps) -> QuotientResult:
-        n = self.n
-        q = 2.0 * (n - 1) / (n - 2)
-        eps, delta, value = self._fields(eps)
-        self._check_jet_positivity(eps)
-        terms = {
-            "gradient": value["dirichlet"],
-            "scal": (n - 2) / (4.0 * (n - 1)) * self._scal * eps ** 2 * value["w2"],
-            "H_boundary": (n - 2) / 2.0 * eps * self._H * value["tr2"],
-        }
-        Tq = value["trq"]
-        flat = self.flat_escobar()
-        # cancellation-free deficit: J - J_flat = (dN - N0 ((Tq/T0)^(2/q)-1)) / Tq^(2/q)
-        dN = delta["dirichlet"] + terms["scal"] + terms["H_boundary"]
-        dT_rel = delta["trq"] / self.M.trq[0, 0]
-        denominator = np.power(Tq, 2.0 / q)
-        deficit = (dN - self._J0 * np.expm1((2.0 / q) * np.log1p(dT_rel))) / denominator
-        return QuotientResult("escobar", eps[()], self.R, sum(terms.values()), denominator,
-                              flat + deficit, flat, deficit, dict(terms, trace_mass=Tq),
-                              self.M.err)
-
-    def flat_escobar(self) -> float:
-        return self._flat_escobar
-
-    @cached_property
-    def _flat_escobar(self) -> float:
-        q = 2.0 * (self.n - 1) / (self.n - 2)
-        return self._J0 / self.M.trq[0, 0] ** (2.0 / q)
-
-    def escobar_series(self, order: int = 4) -> np.ndarray:
-        """Taylor coefficients c_1..c_order of J(eps)/J(0) - 1 (exact jet model)."""
-        n = self.n
-        q = 2.0 * (n - 1) / (n - 2)
-        K = order + 1
-        # the Scal_g and H terms carry eps^2 and eps
-        w2 = np.concatenate([[0.0, 0.0], self._series("w2", order - 2)])[:K]
-        N = self._series("dirichlet", order) + (n - 2) / (4.0 * (n - 1)) * self._scal * w2
-        N += (n - 2) / 2.0 * self._H * np.concatenate([[0.0], self._series("tr2", order - 1)])
-        Tq = self._series("trq", order)
-        rel = _ser_mul(N / N[0], _ser_pow(Tq / Tq[0], -2.0 / q))
-        return rel[1:K]
-
-    # -- plain trace ----------------------------------------------------------
     @cached_property
     def _chart_volume(self) -> float:
         """Jet volume of the chart, the half-ball |y| <= r0, t >= 0 of
@@ -700,120 +656,102 @@ class HalfspaceEnergyModel:
                     * 0.5 * beta_function((a + 1) / 2, (b + 1) / 2))
         return vol
 
-    def plain_trace_quotient(self, eps) -> QuotientResult:
-        n = self.n
-        q = 2.0 * (n - 1) / (n - 2)
-        alpha = q / 2.0
+    def _term_sums(self, name: str, eps: np.ndarray) -> np.ndarray:
+        """A field's change at each eps, summed term by term in its polynomial's
+        order (tan's, then nor's for the Dirichlet energy): GN's logs cancel
+        fifty-fold, so ``_fields``' grouping by degree would move it 9e-15."""
+        parts = [(getattr(self, dict(_PAIRS)[f]), getattr(self.M, f))
+                 for f in (("tan", "nor") if name == "dirichlet" else (name,))]
+        return np.reshape([sum(sum(c * matrix[key] * e ** (key[0] + key[1])
+                                   for key, c in poly.items() if key[0] + key[1] > 0)
+                               for poly, matrix in parts)
+                           for e in eps.ravel().tolist()], eps.shape)
+
+    def _form(self, functional: str) -> tuple:
+        """``_FORMS[functional]``, its powers, F_k(0) and flat value, memoized."""
+        if functional not in self._forms:
+            form = _FORMS[functional]
+            if form.factors[0].field == "pp" and self.M.pp is None:
+                raise ValueError("model built without the L^(p+1) weight")
+            powers = form.powers(self.n, self.profile.p)
+            F0 = [self._coef[f.field][0] for f in form.factors]
+            flat = F0[0] / reduce(operator.mul, [F ** b for F, b in zip(F0[1:], powers)])
+            self._forms[functional] = form, powers, F0, flat
+        return self._forms[functional]
+
+    def _quotient(self, functional: str, eps) -> QuotientResult:
+        """``functional`` at every eps. The relative change never cancels; a
+        factor changed by dF <= -F(0) means that the jet's volume element is
+        non-positive on the support."""
+        form, powers, F0, flat = self._form(functional)
         eps, delta, value = self._fields(eps)
-        D, Tq = value["dirichlet"], value["trq"]
-        # the chart-volume average of the bubble (mean-zero gauge constant)
-        cbar = eps ** ((n + 2) / 2.0) * value["w1"] / self._chart_volume
-        # first-order effect of subtracting the constant cbar from the bubble:
-        # u = eps^(-(n-2)/2) w(./eps), so q * cbar * int u^(q-1) dsigma pulls
-        # back to q * cbar * eps^((n-2)/2) * int w^(q-1) dsigma'
-        gauge = -q * cbar * eps ** ((n - 2) / 2.0) * value["trq1"]
-        flat = self.flat_plain_trace()
-        # cancellation-free: T_M - flat = (dT - T0 ((D/D0)^alpha - 1)) / D^alpha
-        dT = delta["trq"] + gauge
-        dD_rel = delta["dirichlet"] / self._J0
-        denominator = np.power(D, alpha)
-        deficit = (dT - self.M.trq[0, 0] * np.expm1(alpha * np.log1p(dD_rel))) / denominator
-        return QuotientResult("plain-trace", eps[()], self.R, Tq + gauge, denominator,
-                              flat + deficit, flat, deficit,
-                              {"dirichlet": D, "trace_mass": Tq, "gauge_shift": cbar,
-                               "gauge_correction": gauge}, self.M.err)
+        if form.warn:
+            self._check_jet_positivity(eps)
+        breakdown, values, ratios = {}, [], []
+        for f, f0 in zip(form.factors, F0):
+            F = breakdown[f.key] = value[_ROW[f.field]]
+            dF = self._term_sums(f.field, eps) if form.term_sums else delta[_ROW[f.field]]
+            for key, name, _, coef in f.terms:
+                x = breakdown[key] = coef(self, eps) * value[_ROW[name]]
+                F, dF = F + x, dF + x
+            if f.gauge:   # q cbar int u^(q-1) dsigma, u = eps^(-(n-2)/2) w(./eps)
+                n = self.n
+                cbar = eps ** ((n + 2) / 2.0) * value[_ROW["w1"]] / self._chart_volume
+                x = -2.0 * (n - 1) / (n - 2) * cbar * eps ** ((n - 2) / 2.0) * value[_ROW["trq1"]]
+                breakdown.update(gauge_shift=cbar, gauge_correction=x)
+                F, dF = F + x, dF + x
+            values.append(F)
+            ratios.append(dF / f0)
+        if np.minimum.reduce(ratios, axis=None) <= -1.0:
+            bad = reduce(np.minimum, ratios) <= -1.0
+            raise ValueError(f"jet volume element non-positive on the bubble support at eps="
+                             f"{eps.flat[np.argmax(bad)]:.6g}; shrink eps or the cutoff")
+        if form.term_sums:   # libm's log1p and expm1, one eps at a time
+            rel = np.reshape([_rel_change(powers, r, math) for r in
+                              zip(*(np.ravel(r).tolist() for r in ratios))], eps.shape)[()]
+        else:
+            rel = _rel_change(powers, ratios, np)
+        if form.relative:   # GN reports the relative change itself
+            breakdown["rel_change"] = rel
+        deficit = -rel if form.relative else flat * rel
+        quotient = flat * (1.0 + rel) if form.relative else flat + deficit
+        denominator = reduce(operator.mul, [np.power(F, b) for F, b in zip(values[1:], powers)])
+        return QuotientResult(functional, eps[()], self.R, values[0], denominator,
+                              quotient, flat, deficit, breakdown, self.M.err)
 
-    def flat_plain_trace(self) -> float:
-        return self._flat_plain_trace
+    def escobar_quotient(self, eps) -> QuotientResult:
+        return self._quotient("escobar", eps)
 
-    @cached_property
-    def _flat_plain_trace(self) -> float:
-        alpha = (self.n - 1.0) / (self.n - 2.0)
-        return self.M.trq[0, 0] / self._J0 ** alpha
+    def plain_trace_quotient(self, eps) -> QuotientResult:
+        return self._quotient("plain-trace", eps)
 
-    def plain_trace_series(self, order: int = 3) -> np.ndarray:
-        """Relative Taylor coefficients of T_M(eps)/T_M(0) - 1 (gauge term omitted:
-        it is O(eps^((n+2)/2) * eps^((n-2)/2)), below every fitted order)."""
-        n = self.n
-        alpha = (n - 1.0) / (n - 2.0)
-        D = self._series("dirichlet", order)
-        Tq = self._series("trq", order)
-        rel = _ser_mul(Tq / Tq[0], _ser_pow(D / D[0], -alpha))
-        return rel[1:order + 1]
-
-    # -- GN -------------------------------------------------------------------
     def gn_quotient(self, eps) -> QuotientResult:
-        if self.profile.p is None:
-            raise ValueError("model built without the L^(p+1) weight")
-        al, be = gn_exponents(self.n, self.profile.p)
-        eps, _, value = self._fields(eps)
-        Ipp, I2, D = value["pp"], value["w2"], value["dirichlet"]
-        flat = self.flat_gn()
-        rel = np.reshape([self._gn_rel_change(e, al, be) for e in eps.ravel().tolist()],
-                         eps.shape)[()]
-        return QuotientResult(self.gn_functional, eps[()], self.R, Ipp,
-                              np.power(I2, al / 2.0) * np.power(D, be / 2.0),
-                              flat * (1.0 + rel), flat,
-                              -rel,
-                              {"I_pp": Ipp, "I_2": I2, "dirichlet": D,
-                               "rel_change": rel}, self.M.err)
+        return self._quotient("gn-boundary", eps)
 
-    def _gn_rel_change(self, eps: float, al: float, be: float) -> float:
-        """Cancellation-free relative change of the GN quotient at one eps.
+    def flat(self, functional: str) -> float:
+        """``functional`` at eps = 0, on the flat half-space (or space)."""
+        return self._form(functional)[3]
 
-        Its three logs cancel to about 1/50 of their size (the n = 3 ball),
-        so a last-bit move in any of the changes comes out fifty-fold:
-        adding them grouped by degree, as ``_fields`` does, moves the result
-        by up to 9e-15 relative. Each change is therefore summed term by
-        term in its polynomial's order, with libm's log1p and expm1, one eps
-        at a time; GN sweeps evaluate a few eps per model.
-        """
-        def change(poly, name):
-            matrix = getattr(self.M, name)
-            return sum(c * matrix[key] * eps ** (key[0] + key[1])
-                       for key, c in poly.items() if key[0] + key[1] > 0)
-
-        dpp = change(self.P_sca, "pp") / self.M.pp[0, 0]
-        d2 = change(self.P_sca, "w2") / self.M.w2[0, 0]
-        dg = (change(self.P_tan, "tan") + change(self.P_sca, "nor")) / self._J0
-        if min(dpp, d2, dg) <= -1.0:
-            # each integrand is non-negative, so a non-positive integral means
-            # the jet's volume element is non-positive on the bubble support
-            raise ValueError(
-                f"jet volume element non-positive on the bubble support at eps={eps:.6g} "
-                f"(I_pp, I_2 and the Dirichlet energy change by {dpp:.3g}, {d2:.3g}, "
-                f"{dg:.3g} relative); shrink eps or the cutoff")
-        return math.expm1(math.log1p(dpp) - 0.5 * al * math.log1p(d2)
-                          - 0.5 * be * math.log1p(dg))
-
-    def flat_gn(self) -> float:
-        return self._flat_gn
-
-    @cached_property
-    def _flat_gn(self) -> float:
-        from .moments import weinstein_quotient   # moments imports this module
-        return weinstein_quotient(self.M, self.profile.p)
-
-    def gn_series(self, order: int = 3) -> np.ndarray:
-        """Relative Taylor coefficients of W(eps)/W(0) - 1."""
-        al, be = gn_exponents(self.n, self.profile.p)
-        Ipp = self._series("pp", order)
-        I2 = self._series("w2", order)
-        D = self._series("dirichlet", order)
-        rel = _ser_mul(Ipp / Ipp[0],
-                       _ser_mul(_ser_pow(I2 / I2[0], -al / 2.0),
-                                _ser_pow(D / D[0], -be / 2.0)))
+    def series(self, functional: str, order: Optional[int] = None) -> np.ndarray:
+        """c_1..c_order of Q(eps)/Q(0) - 1 of the jet model (``order`` by default
+        the form's); the plain trace's gauge, O(eps^n), is left out."""
+        form, powers, _, _ = self._form(functional)
+        order = form.order if order is None else order
+        rel = None
+        for f, b in zip(form.factors[::-1], powers[::-1] + (None,)):   # from the right
+            s = self._series(f.field, order)
+            s = s.copy() if f.terms else s      # the terms add in place
+            for _, name, power, coef in f.terms:
+                s[power:] += coef(self, 1.0) * self._series(name, order - power)
+            s = s / s[0] if b is None else _ser_pow(s / s[0], -b)
+            rel = s if rel is None else _ser_mul(s, rel)
         return rel[1:order + 1]
 
 
 class InteriorEnergyModel(HalfspaceEnergyModel):
-    """GN quotient of an interior bubble over the normal-coordinate jet.
-
-    The 1-D case of the half-space model: the moment matrix of a radial
-    profile has nor = 0 and only t-power 0, and the boundary density is
-    empty, so the GN formulas and the set-up are shared.
-    """
-    gn_functional = "gn-interior"
+    """GN quotient of an interior bubble over the normal-coordinate jet: the
+    1-D case of the half-space model (a radial profile's matrix has nor = 0 and
+    only t-power 0, its boundary density is empty), sharing its set-up."""
 
     def __init__(self, data: InteriorPointData, profile: RadialProfile, R: float,
                  spec: QuadratureSpec = DEFAULT_QUAD):
@@ -821,6 +759,45 @@ class InteriorEnergyModel(HalfspaceEnergyModel):
             raise ValueError("interior GN model needs a GN ground-state profile")
         self.data = data
         self._setup(_jet_polys(data), profile, R, spec)
+
+    def gn_quotient(self, eps) -> QuotientResult:
+        return self._quotient("gn-interior", eps)
+
+
+# A factor: a field, its breakdown key, eps-shifted terms (key, field, eps power,
+# coef(model, eps)) and the plain trace's gauge, which the series leave out.
+_Factor = namedtuple("_Factor", "field key terms gauge", defaults=((), False))
+# A functional F_0 / prod_k F_k^b_k: model class, entry point, factors, the
+# divisors' powers b_k(n, p) and the default series order. GN sums changes term
+# by term and its deficit is -rel; Escobar checks the jet's volume element.
+_Form = namedtuple("_Form", "model quotient factors powers order term_sums relative warn",
+                   defaults=(False, False, False))
+
+
+def _rel_change(powers: tuple, ratios, lib):
+    """expm1(log1p(r_0) - sum_k b_k log1p(r_k)) in factor order, by ``lib``."""
+    logs = [-b * lib.log1p(r) for b, r in zip(powers, ratios[1:])]
+    return lib.expm1(sum(logs, lib.log1p(ratios[0])))
+
+
+# Escobar N Tq^(-2/q), N = D + c_n Scal_g eps^2 I_2 + ((n-2)/2) eps H tr2;
+# plain trace (Tq + gauge) D^(-(n-1)/(n-2)); GN I_pp I_2^(-alpha/2) D^(-beta/2)
+_GN = {"factors": (_Factor("pp", "I_pp"), _Factor("w2", "I_2"), _Factor("dirichlet", "dirichlet")),
+       "powers": lambda n, p: tuple(x / 2.0 for x in gn_exponents(n, p)),
+       "order": 3, "term_sums": True, "relative": True}
+_FORMS = {
+    "escobar": _Form(HalfspaceEnergyModel, "escobar_quotient", (
+        _Factor("dirichlet", "gradient", (
+            ("scal", "w2", 2, lambda m, e: (m.n - 2) / (4.0 * (m.n - 1)) * m._scal * e ** 2),
+            ("H_boundary", "tr2", 1, lambda m, e: (m.n - 2) / 2.0 * e * m._H))),
+        _Factor("trq", "trace_mass")),
+        lambda n, p: (2.0 / (2.0 * (n - 1) / (n - 2)),), 4, warn=True),
+    "plain-trace": _Form(HalfspaceEnergyModel, "plain_trace_quotient", (
+        _Factor("trq", "trace_mass", gauge=True), _Factor("dirichlet", "dirichlet")),
+        lambda n, p: ((n - 1.0) / (n - 2.0),), 3),
+    "gn-boundary": _Form(HalfspaceEnergyModel, "gn_quotient", **_GN),
+    "gn-interior": _Form(InteriorEnergyModel, "gn_quotient", **_GN),
+}
 
 
 @dataclass
@@ -837,12 +814,6 @@ class DeficitSweep:
     result: Optional[QuotientResult] = None
     series: Optional[np.ndarray] = None   # exact jet-model Taylor coefficients
     source: str = "geometry"
-
-    def deficit_at(self, eps: float) -> float:
-        i = int(np.argmin(np.abs(self.eps - eps)))
-        if abs(self.eps[i] - eps) > 1e-12 * max(eps, 1e-300):
-            raise KeyError(f"eps {eps} not in sweep grid")
-        return float(self.deficits[i])
 
 
 def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
@@ -868,22 +839,11 @@ def deficit_series(jet, profile: RadialProfile, R: float, eps_grid,
                for f in fields(QuotientResult) if f.name not in ("functional", "breakdown")})
         return DeficitSweep(functional, eps_grid, res.deficit, levels[-1].reference,
                             result=res, source="geometry-diagonal")
-    if functional == "escobar":
-        model = HalfspaceEnergyModel(jet, profile, R)
-        evaluate, ref, ser = model.escobar_quotient, model.flat_escobar(), model.escobar_series()
-    elif functional == "plain-trace":
-        model = HalfspaceEnergyModel(jet, profile, R)
-        evaluate, ref, ser = model.plain_trace_quotient, model.flat_plain_trace(), model.plain_trace_series()
-    elif functional == "gn-boundary":
-        model = HalfspaceEnergyModel(jet, profile, R)
-        evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
-    elif functional == "gn-interior":
-        model = InteriorEnergyModel(jet, profile, R)
-        evaluate, ref, ser = model.gn_quotient, model.flat_gn(), model.gn_series()
-    else:
-        raise KeyError(functional)
-    res = evaluate(eps_grid)
-    return DeficitSweep(functional, eps_grid, res.deficit, ref, result=res, series=ser)
+    form = _FORMS[functional]
+    model = form.model(jet, profile, R)
+    res = getattr(model, form.quotient)(eps_grid)
+    return DeficitSweep(functional, eps_grid, res.deficit, res.reference, result=res,
+                        series=model.series(functional))
 
 
 # --------------------------------------------------------------------------
@@ -946,7 +906,7 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
 
     Each probe geometry has H = 0, Scal_g off and one second-order channel,
     so its deficit over S*(R) is c2 eps^2 + O(eps^3); c2 is read from the
-    exact jet series (``escobar_series()[1]``) of the probe's model at R and
+    exact jet series (``series("escobar")[1]``) of the probe's model at R and
     divided by the channel value. One quadrature level guards each series:
     the deficit at eps = min(4e-3, 0.25/R), inside the unit chart, must match
     sum_k c_k eps^k to ``_FIT_RESIDUAL_TOL`` (``fit_errors`` holds the
@@ -965,10 +925,10 @@ def channel_fit_second_order(n: int, profile: RadialProfile, constants: EscobarC
     c2, fit_errors, details = {}, {}, {}
     for key, geo in geos.items():
         model = HalfspaceEnergyModel(fermi_jet(geo.data, order=2), profile, R, spec)
-        series = model.escobar_series(min(4, n - 3) if exact else 4)
+        series = model.series("escobar", min(4, n - 3) if exact else 4)
         c2[key] = float(series[1])
         fit_errors[key] = 0.0 if exact else float(abs(
-            model.escobar_quotient(eps).deficit / model.flat_escobar()
+            model.escobar_quotient(eps).deficit / model.flat("escobar")
             - sum(c * eps ** (k + 1) for k, c in enumerate(series))))
         details[key] = {"series": series.tolist()}
     if max(fit_errors.values()) > _FIT_RESIDUAL_TOL:

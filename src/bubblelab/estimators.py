@@ -11,7 +11,7 @@ values: the sweeps feed them the deficits of the jet-energy models, and the
 inversions take any deficit values a caller passes.
 
 Truth values for jet sweeps are the exact Taylor coefficients of the jet
-quotient (energy.HalfspaceEnergyModel.escobar_series), computed from the same
+quotient (energy.HalfspaceEnergyModel.series("escobar")), computed from the same
 quadrature data as the deficits, so measured error rates are clean.
 """
 from __future__ import annotations
@@ -207,7 +207,7 @@ def escobar_single_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
     truth = data.H
     sw, = _sweep(model.escobar_quotient, eps_grid, (1,),
                  lambda e, E: (hat_H_single(E, e, scales, truth=truth),))
-    return dict(sw, truth=truth, scales=scales, series=model.escobar_series())
+    return dict(sw, truth=truth, scales=scales, series=model.series("escobar"))
 
 
 def escobar_three_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
@@ -215,7 +215,7 @@ def escobar_three_scale_sweep(data: BoundaryPointData, profile: RadialProfile,
     """(H, R, T)-estimates over base scales; truths from the exact jet series."""
     model = HalfspaceEnergyModel(fermi_jet(data, order=2), profile, R)
     scales = EstimatorScales.from_model(model)
-    c = model.escobar_series(order=3)
+    c = model.series("escobar", order=3)
     truths = (data.H, c[1], c[2])  # H; mass = c2; theta = c3 of the jet quotient
     # no n: the sweep measures its own orders, so it skips the debias's
     # n >= 7 rate caveat; the quotients' jet-positivity warnings pass through
@@ -234,7 +234,7 @@ def gn_boundary_sweep(data: BoundaryPointData, Qplus: RadialProfile,
     truth = data.H
     sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
                  lambda e, d1, d2: (gn_boundary_H(d1, d2, e, 2 * e, coeffs, truth=truth),))
-    return dict(sw, truth=truth, series=model.gn_series())
+    return dict(sw, truth=truth, series=model.series("gn-boundary"))
 
 
 def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile,
@@ -244,7 +244,7 @@ def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile,
     truth = data.scal
     sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
                  lambda e, d1, d2: (gn_interior_scal(d1, d2, e, 2 * e, coeffs, truth=truth),))
-    return dict(sw, truth=truth, series=model.gn_series())
+    return dict(sw, truth=truth, series=model.series("gn-interior"))
 
 
 # --------------------------------------------------------------------------

@@ -245,10 +245,6 @@ class InteriorPointData(_Jet):
         if self.ric is None:
             self.ric = (self.scal / self.n) * np.eye(self.n)
 
-    @property
-    def ric_trace(self) -> float:
-        return float(np.trace(self.ric))
-
     def terms(self) -> dict:
         """``sqrt_g`` and ``g_upper`` as ``FermiJetMetric.terms`` lists them,
         every slot a position slot."""

@@ -79,7 +79,7 @@ def test_criterion_03_first_order_escobar_law(halfspace_profiles, constants):
     jet = fermi_jet(data, order=2, chart_radius=2.0)
     model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
     eps = 1e-2 * 0.5 ** np.arange(6)
-    y = np.array([model.escobar_quotient(e).deficit for e in eps]) / model.flat_escobar()
+    y = np.array([model.escobar_quotient(e).deficit for e in eps]) / model.flat("escobar")
     slope = fit_power_series(eps, y, (1, 2, 3))[0]
     rel = abs(slope - constants[5].rho_conf) / constants[5].rho_conf
     report("3", rel <= 0.02,
@@ -159,7 +159,7 @@ def test_criterion_07_plain_trace_coefficient(halfspace_profiles, constants):
     model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
     eps = 1e-2 * 0.5 ** np.arange(6)
     y = np.array([model.plain_trace_quotient(e).deficit for e in eps])
-    y /= model.flat_plain_trace()
+    y /= model.flat("plain-trace")
     slope = fit_power_series(eps, y, (1, 2, 3))[0]
     target = constants[5].plain_rho
     rel = abs(slope - target) / target

@@ -187,17 +187,16 @@ class TestSeriesAlgebra:
                          "boundary-scal-only", "anisotropic-cylinder-like"):
                 jet = fermi_jet(geometry_catalog(name, n).data, order=2)
                 models.append(HalfspaceEnergyModel(jet, halfspace_profiles[n], 20.0))
-        series = ([m.escobar_series for m in models]
-                  + [m.plain_trace_series for m in models])
+        series = [(m, f) for f in ("escobar", "plain-trace") for m in models]
         for Q, Qp, co in (gn23, gn33):
             jet = fermi_jet(geometry_catalog("euclidean-ball", co.n).data, order=2)
-            series.append(HalfspaceEnergyModel(jet, Qp, 20.0).gn_series)
-            series.append(InteriorEnergyModel(InteriorPointData(n=co.n, scal=1.3), Q,
-                                              20.0).gn_series)
-        now = [f() for f in series]
+            series.append((HalfspaceEnergyModel(jet, Qp, 20.0), "gn-boundary"))
+            series.append((InteriorEnergyModel(InteriorPointData(n=co.n, scal=1.3), Q, 20.0),
+                           "gn-interior"))
+        now = [m.series(f) for m, f in series]
         monkeypatch.setattr(energy, "_ser_pow", log_exp_pow)
-        for f, got in zip(series, now):
-            want = f()
+        for (m, f), got in zip(series, now):
+            want = m.series(f)
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (got, want)
 
 
@@ -655,9 +654,9 @@ class TestUntruncatedMatrix:
         for quotient in (model.escobar_quotient, model.plain_trace_quotient):
             with pytest.raises(ValueError, match="overflows every chart"):
                 quotient(1e-3)
-        assert np.isfinite(model.escobar_series(order=n - 3)).all()
+        assert np.isfinite(model.series("escobar", order=n - 3)).all()
         with pytest.raises(ValueError, match="series diverges"):
-            model.escobar_series(order=n - 2)
+            model.series("escobar", order=n - 2)
 
 
 # --------------------------------------------------------------------------
@@ -834,7 +833,7 @@ _CATALOG_JETS = [("euclidean-ball", {"radius": 2.0}), ("h-only", {"H": 0.5}),
 class TestQuotientLayerBitIdentity:
     """Series bit for bit; values and deficits to rounding (``_ROUNDING``)."""
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("geo", _CATALOG_JETS + [("custom", None)],
                              ids=lambda g: g[0])
@@ -850,11 +849,11 @@ class TestQuotientLayerBitIdentity:
             _same(escobar, _sum_escobar(jet, P, model.M, eps), i)
             _same(plain, _sum_plain_trace(jet, P, model.M, eps), i)
         _same(model.escobar_quotient(3e-3), _sum_escobar(jet, P, model.M, 3e-3))
-        assert model.flat_escobar() == _sum_escobar(jet, P, model.M, 0.0)["reference"]
-        assert model.escobar_series().tobytes() == _sum_escobar_series(jet, P, model.M).tobytes()
-        assert (model.escobar_series(order=3).tobytes()
+        assert model.flat("escobar") == _sum_escobar(jet, P, model.M, 0.0)["reference"]
+        assert model.series("escobar").tobytes() == _sum_escobar_series(jet, P, model.M).tobytes()
+        assert (model.series("escobar", order=3).tobytes()
                 == _sum_escobar_series(jet, P, model.M, order=3).tobytes())
-        assert (model.plain_trace_series().tobytes()
+        assert (model.series("plain-trace").tobytes()
                 == _sum_plain_trace_series(P, model.M).tobytes())
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
@@ -869,7 +868,8 @@ class TestQuotientLayerBitIdentity:
         result = model.gn_quotient(grid)
         for i, eps in enumerate(grid):
             _same(result, _sum_gn(P, model.M, eps, co.p), i, exact=_GN_EXACT)
-        assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
+        assert (model.series("gn-boundary").tobytes()
+                == _sum_gn_series(P, model.M, co.p).tobytes())
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
     def test_gn_interior(self, case, request):
@@ -885,7 +885,8 @@ class TestQuotientLayerBitIdentity:
             assert result.deficit.shape == grid.shape
             for i in np.ndindex(grid.shape):
                 _same(result, _sum_gn(P, model.M, grid[i], co.p), i, exact=_GN_EXACT)
-            assert model.gn_series().tobytes() == _sum_gn_series(P, model.M, co.p).tobytes()
+            assert (model.series("gn-interior").tobytes()
+                    == _sum_gn_series(P, model.M, co.p).tobytes())
 
     @pytest.mark.parametrize("quotient", ["escobar_quotient", "plain_trace_quotient",
                                           "gn_quotient"])
@@ -910,14 +911,14 @@ class TestQuotientLayerBitIdentity:
         jet = fermi_jet(_custom_data(5), order=2, chart_radius=1.5)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 30.0)
         P = energy._reduce_jet(jet.terms())[:3]
-        series = model.escobar_series(order=10)
+        series = model.series("escobar", order=10)
         assert series.tobytes() == _sum_escobar_series(jet, P, model.M, order=10).tobytes()
         assert len(series) == 10
-        assert (model.plain_trace_series(order=9).tobytes()
+        assert (model.series("plain-trace", order=9).tobytes()
                 == _sum_plain_trace_series(P, model.M, order=9).tobytes())
         model = HalfspaceEnergyModel(fermi_jet(_custom_data(2), order=2), gn23[1], 20.0)
         P = energy._reduce_jet(model.jet.terms())[:3]
-        assert (model.gn_series(order=9).tobytes()
+        assert (model.series("gn-boundary", order=9).tobytes()
                 == _sum_gn_series(P, model.M, gn23[1].p, order=9).tobytes())
 
     def test_one_eps_gives_numpy_scalars(self, halfspace_profiles):
@@ -932,8 +933,8 @@ class TestQuotientLayerBitIdentity:
         model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0)
         with pytest.raises(ValueError):
             model._series("trq", 3)[0] = 1.0
-        series = model.escobar_series()
-        assert model.escobar_series().tobytes() == series.tobytes()
+        series = model.series("escobar")
+        assert model.series("escobar").tobytes() == series.tobytes()
 
 
 # --------------------------------------------------------------------------
@@ -1041,7 +1042,7 @@ class TestEscobarQuotient:
 
     def test_flat_matches_moment_S_star(self, flat_model, constants):
         # independent code path: rectangle-matrix quotient vs moment-table S*(R)
-        assert flat_model.flat_escobar() == pytest.approx(constants[5].S_star_R, rel=1e-10)
+        assert flat_model.flat("escobar") == pytest.approx(constants[5].S_star_R, rel=1e-10)
 
     def test_amplitude_invariance(self, h_model, halfspace_profiles):
         U = halfspace_profiles[5]
@@ -1054,11 +1055,11 @@ class TestEscobarQuotient:
 
     def test_h_only_slope_matches_rho(self, h_model, constants):
         y = np.array([h_model.escobar_quotient(e).deficit for e in EPS6])
-        y /= h_model.flat_escobar()
+        y /= h_model.flat("escobar")
         c1 = fit_power_series(EPS6, y, (1, 2, 3))[0]
         assert c1 == pytest.approx(constants[5].rho_conf, rel=0.02)
         # and the fit agrees with the exact jet series at much tighter tolerance
-        assert c1 == pytest.approx(h_model.escobar_series()[0], rel=1e-5)
+        assert c1 == pytest.approx(h_model.series("escobar")[0], rel=1e-5)
 
     def test_trace_mass_has_no_linear_term(self, h_model):
         t0 = h_model.M.trq[(0, 0)]
@@ -1072,7 +1073,7 @@ class TestEscobarQuotient:
         jet = fermi_jet(data, order=1, chart_radius=2.0)
         m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 40.0)
         y = np.array([m.escobar_quotient(e).deficit for e in EPS6])
-        c = fit_power_series(EPS6, y / m.flat_escobar(), (1, 2))
+        c = fit_power_series(EPS6, y / m.flat("escobar"), (1, 2))
         assert abs(c[0]) < 1e-10
 
     def test_breakdown_terms(self, h_model):
@@ -1129,7 +1130,7 @@ class TestPlainTrace:
 
     def test_slope_is_half_theta(self, h_model, constants):
         y = np.array([h_model.plain_trace_quotient(e).deficit for e in EPS6])
-        y /= h_model.flat_plain_trace()
+        y /= h_model.flat("plain-trace")
         c1 = fit_power_series(EPS6, y, (1, 2, 3))[0]
         assert c1 == pytest.approx(constants[5].plain_rho, rel=0.02)
         assert c1 > 0  # the quotient increases with positive mean curvature
@@ -1145,10 +1146,10 @@ class TestGNQuotients:
         Q, Qp, co = gn23
         jet = fermi_jet(BoundaryPointData(n=2), order=2, chart_radius=2.0)
         m = HalfspaceEnergyModel(jet, Qp, 20.0)
-        assert m.flat_gn() == co.W_flat_halfspace
+        assert m.flat("gn-boundary") == co.W_flat_halfspace
         # cutoff barely moves the quotient for exponentially decaying profiles
         deep = halfspace_moment_matrix(Qp, 40.0)
-        assert m.flat_gn() == pytest.approx(weinstein_quotient(deep, 3.0), rel=1e-6)
+        assert m.flat("gn-boundary") == pytest.approx(weinstein_quotient(deep, 3.0), rel=1e-6)
 
     @pytest.mark.parametrize("case", ["gn23", "gn33"])
     def test_boundary_slope(self, case, request):
@@ -1197,14 +1198,6 @@ class TestDeficitSeries:
         # deficits reproduced by the series to high relative accuracy
         model_vals = sum(c * EPS6[:3] ** (k + 1) for k, c in enumerate(sweep.series))
         assert np.allclose(model_vals * sweep.reference, sweep.deficits, rtol=1e-4)
-
-    def test_deficit_at_lookup(self, halfspace_profiles):
-        jet = fermi_jet(geometry_catalog("h-only", 5, H=0.5).data, order=2, chart_radius=2.0)
-        sweep = deficit_series(jet, halfspace_profiles[5], 30.0, EPS6)
-        assert sweep.deficit_at(EPS6[2]) == sweep.deficits[2]
-        assert sweep.deficit_at(EPS6[2] * (1.0 + 1e-13)) == sweep.deficits[2]
-        with pytest.raises(KeyError):
-            sweep.deficit_at(1.7e-5)
 
 
 class TestChannelFit:
@@ -1257,7 +1250,7 @@ class TestChannelFit:
 
     def test_details_hold_the_series(self, channel_fit_n5, halfspace_profiles):
         jet = fermi_jet(geometry_catalog("ricci-only", 5, value=1.0).data, order=2)
-        series = HalfspaceEnergyModel(jet, halfspace_profiles[5], 100.0).escobar_series()
+        series = HalfspaceEnergyModel(jet, halfspace_profiles[5], 100.0).series("escobar")
         assert channel_fit_n5.details["ricci"]["series"] == series.tolist()
         assert channel_fit_n5.kappa1 == series[1]
 
@@ -1316,7 +1309,7 @@ class TestExactChannelConstants:
             data = geometry_catalog("custom", n, II=II, ric_nn=0.4, scal_bdy=-1.1,
                                     scal_ambient_override=override).data
             model = HalfspaceEnergyModel(fermi_jet(data), U, math.inf)
-            c2[label] = model.escobar_series(order=2)[1]
+            c2[label] = model.series("escobar", order=2)[1]
         ring = data.II_ring_sq
         assert (data.H, ring) == (0.0, pytest.approx(0.98, rel=1e-15))
         assert data.scal_ambient == pytest.approx(0.68, rel=1e-14)

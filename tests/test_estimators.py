@@ -120,8 +120,8 @@ class TestModulatedTwoPoint:
         data = geometry_catalog("h-only", 7, H=0.5).data
         jet = fermi_jet(data, order=2, chart_radius=2.0)
         model = HalfspaceEnergyModel(jet, halfspace_profiles[7], 30.0)
-        c = model.escobar_series(order=3)
-        S = model.flat_escobar()
+        c = model.series("escobar", order=3)
+        S = model.flat("escobar")
         scales = EstimatorScales.from_model(model)
         eps = 4e-3 * 0.5 ** np.arange(4)
         e1, e2 = [], []
@@ -267,6 +267,20 @@ class TestGaussBonnet:
         model = HalfspaceEnergyModel(jet, Qp, 20.0)
         with pytest.raises(ValueError, match="volume element non-positive"):
             model.gn_quotient(0.5)
+
+    @pytest.mark.filterwarnings("ignore:jet volume element")
+    @pytest.mark.parametrize("order, eps, quotient", [
+        (2, 1.5, "escobar_quotient"), (2, 1.5, "plain_trace_quotient"),   # trace mass < 0
+        (1, 0.6, "plain_trace_quotient")])                               # Dirichlet energy < 0
+    def test_non_positive_factor_named_for_every_quotient(self, order, eps, quotient,
+                                                          halfspace_profiles):
+        jet = fermi_jet(geometry_catalog("euclidean-ball", 5).data, order=order,
+                        chart_radius=100.0)
+        model = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0)
+        field = "trq" if order == 2 else "dirichlet"
+        assert model.integral(field, eps) <= 0.0
+        with pytest.raises(ValueError, match="volume element non-positive"):
+            getattr(model, quotient)(np.array([1e-3, eps]))
 
 
 class TestSweepsOnJets:

@@ -279,7 +279,7 @@ class TestCatalog:
 
     def test_interior_point(self):
         d = InteriorPointData(n=3, scal=6.0)
-        assert d.ric_trace == pytest.approx(6.0)
+        assert np.trace(d.ric) == pytest.approx(6.0)
 
 
 class TestJetDeterminism:
