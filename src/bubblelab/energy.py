@@ -19,16 +19,16 @@ GN norm of ``moments``. R = inf is the one way to ask for untruncated ones.
 
 The matrix is a function of the profile, the cutoff and the quadrature
 spec alone: the profile's GN exponent p decides whether the L^(p+1) weight is
-integrated, and its depth offset ``shift`` extends the t-axis. It does not
-depend on the jet, so the engine memoizes it in a process-wide LRU of
-``_MEMO_CAP`` entries keyed by (profile fingerprint, R, spec). The
-fingerprint covers every field that profile evaluation reads (p and shift
-among the scalars, plus the content of the tabulated arrays, not ``meta``), so
-an equal profile hits whatever its ``meta`` holds: a copy with equal arrays,
-or a closed form rebuilt with the same amplitude. A build that raises is not
-stored. Cached arrays are read-only because every model with the same key
-shares them. The GN profiles of ``fixtures.cached_gn_profiles`` use the same
-memo.
+integrated, and p and the depth offset ``shift`` decide the graded panels
+(``_polar_grid``). It does not depend on the jet, so the engine memoizes it
+in a process-wide LRU of ``_MEMO_CAP`` entries keyed by (profile
+fingerprint, R, spec). The fingerprint covers every field that profile
+evaluation reads (p and shift among the scalars, plus the content of the
+tabulated arrays, not ``meta``), so an equal profile hits whatever its
+``meta`` holds: a copy with equal arrays, or a closed form rebuilt with the
+same amplitude. A build that raises is not stored. Cached arrays are
+read-only because every model with the same key shares them. The GN profiles
+of ``fixtures.cached_gn_profiles`` use the same memo.
 
 A jet of either kind, a Fermi jet or an interior point, is reduced by one
 function, ``_reduce_jet``: it sphere-averages the term lists of the jet's
@@ -281,6 +281,7 @@ def _reduce_jet(terms: dict) -> _JetReduction:
 
 _HALFSPACE_KINDS = ("escobar-halfspace", "gn-halfspace-near-optimizer")
 _POWERS = np.arange(5)[:, None]   # monomial exponents 0..4 on each axis
+_RHO_POWERS = np.arange(_DEGREES)[:, None]   # the powers i + j of rho they make
 # largest relative two-resolution difference a moment matrix may show
 _MATRIX_TOL = 1e-6
 # grid points per column block of a build: a field is 64 kB, so a block's
@@ -326,20 +327,26 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
                             spec: QuadratureSpec = DEFAULT_QUAD) -> _HalfspaceMatrix:
     """Every truncated moment of chi_R * profile, from two resolutions.
 
-    Half-space kinds integrate over [0, 2R] x [0, 2R + profile.shift] with
-    measure |S^(n-2)| r^(n-2); radial kinds over [0, 2R] with
-    |S^(n-1)| r^(n-1). The |w|^(p+1) moments ``pp`` are built exactly when
-    the profile carries a GN exponent p. Each resolution walks the (r, t)
-    grid in blocks of whole t columns, about ``_BLOCK`` points each, so no
-    full-grid array is formed and a block's fields stay in cache. Every grid
-    point is evaluated once: the profile yields (u, u_r, u_t) from one call
-    on the block's broadcast axes, the cutoff yields chi_R and, on the band
-    R < rho < 2R only, chi_R'. Each block's fields are summed over r with the
-    weighted Vandermonde rows of r, then the t sums run once on all columns.
-    A column is summed over r in the order the full grid would use, so the
-    moments do not depend on the block width to the last bit. Raises
-    QuadratureNonConvergence when the resolutions differ by more than
-    ``_MATRIX_TOL`` relative. Memoized by (profile fingerprint, R, spec).
+    Half-space kinds integrate over the quarter disc rho <= 2R in polar
+    coordinates, r = rho cos phi and t = rho sin phi, with measure
+    |S^(n-2)| r^(n-2) dr dt = |S^(n-2)| rho^(n-1) cos^(n-2) phi drho dphi;
+    chi_R vanishes for rho >= 2R, so no grid point lies beyond. Radial kinds
+    integrate over [0, 2R] with |S^(n-1)| r^(n-1), the ray phi = 0. The
+    panels are ``_polar_grid``'s; the finer resolution splits every panel of
+    both variables in two. The |w|^(p+1) moments ``pp`` are built exactly
+    when the profile carries a GN exponent p. chi_R and chi_R' are 1-D
+    arrays over the rho nodes, and
+    grad(chi_R u) = chi_R grad u + u chi_R' (cos phi, sin phi). Each
+    resolution walks the grid in blocks of whole phi columns, about
+    ``_BLOCK`` points each, so no full-grid array is formed and a block's
+    fields stay in cache; the profile yields (u, u_r, u_t) from one call on
+    the block's broadcast axes. Each column is summed over rho in one piece
+    into the nine powers rho^(i+j), so the moments do not depend on the
+    block width to the last bit; then entry [i, j] sums those over phi with
+    cos^(n-2+i) phi sin^j phi. The boundary traces run on the phi = 0 ray,
+    on the same rho nodes. Raises QuadratureNonConvergence when the
+    resolutions differ by more than ``_MATRIX_TOL`` relative. Memoized by
+    (profile fingerprint, R, spec).
     R = inf gives the untruncated moments: the half-space optimizer's in
     closed form, the GN ground state's at R = tail_r0 + ``_GN_TAIL_MARGIN``;
     other kinds raise ValueError.
@@ -388,70 +395,84 @@ def _untruncated_escobar(profile: RadialProfile) -> _HalfspaceMatrix:
     return _HalfspaceMatrix(n=n, R=math.inf, err=0.0, delta=delta, pp=None, **out)
 
 
+def _polar_grid(profile: RadialProfile, R: float, sp: QuadratureSpec) -> tuple:
+    """(rho, w_rho, phi, w_phi) of one resolution: GL on panels of rho in
+    [0, 2R] and phi in [0, pi/2], or the one node phi = 0 for a radial kind.
+
+    rho runs on dyadic panels with edges at R and 1.5R, where chi_R turns;
+    phi on two panels. A profile centered at depth ``shift`` > 0 adds the
+    edges shift/2 and 3 shift/2 in rho and 3pi/8 in phi around its core, and
+    a profile with a GN exponent p the edges (pi/4) 2^-k, k = 1..3, toward
+    phi = 0: it vanishes on {t = 0}, so |w|^(p+1) ~ t^(p+1) is not smooth
+    there. With them the GN near-optimizers' moments lie within 2e-12 of a
+    high-order tensor-grid reference at p = 1.1, 1.5, 3, 5, 7 (n = 2) and
+    p = 1.3, 3, 4 (n = 3); without them (2, 1.1) is 1.2e-9 off, and (2, 7)
+    and (3, 4) fail the two-resolution guard.
+    """
+    s = profile.shift
+    core = (0.5 * s, 1.5 * s) if s > 0.0 else ()
+    rho, w_rho = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R) + core)
+    if profile.kind not in _HALFSPACE_KINDS:
+        return rho, w_rho, np.zeros(1), np.ones(1)
+    quarter = 0.25 * math.pi
+    grade = (((0.5 * quarter, 0.25 * quarter, 0.125 * quarter) if profile.p is not None else ())
+             + ((1.5 * quarter,) if core else ()))
+    return (rho, w_rho) + grid_1d(0.0, 2.0 * quarter, sp.order, sp.subdiv, base=quarter,
+                                  extra=grade)
+
+
 def _build_moment_matrix(profile: RadialProfile, R: float,
                          spec: QuadratureSpec) -> _HalfspaceMatrix:
     if R == math.inf:
         return _untruncated_escobar(profile)
-    n, p, t_offset = profile.n, profile.p, profile.shift
+    n, p = profile.n, profile.p
     halfspace = profile.kind in _HALFSPACE_KINDS
-    dim = n - 1 if halfspace else n          # dimension of the r variable
-    om = sphere_area(dim - 1)
+    # r^(n-2) dr dt = rho^(n-1) cos^(n-2) phi drho dphi on the half-space, and
+    # r^(n-1) dr on one ray for the radial kinds
+    om = sphere_area(n - 2 if halfspace else n - 1)
     chi = cutoff(R)
-    cut_edges = (R, 1.5 * R)  # conform panels to the cutoff transition zone
+    names = ("tan", "nor", "w2", "w1") + (() if p is None else ("pp",))
 
     def run(sp: QuadratureSpec):
-        r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=cut_edges)
-        if not halfspace:
-            t, wt = np.zeros(1), np.ones(1)
-        elif t_offset == 0.0:
-            t, wt = r, wr
-        else:
-            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=cut_edges)
-        # two einsum steps: no (grid x grid x monomial) temporary, and no
-        # multithreaded BLAS call, which is far slower on these small shapes
-        Vr = r ** _POWERS * (wr * om * r ** (dim - 1))
-        Vt = t ** _POWERS * wt
-        names = ("tan", "nor", "w2", "w1") + (() if p is None else ("pp",))
-        rsum = {name: np.empty((5, t.size)) for name in names}
-        rg = r[:, None]
-        # one block of whole t columns at a time, so a block's fields stay in
-        # cache: each column is summed over r in the order the full grid
-        # uses, which keeps every bit. A block holds two columns or more
-        # unless the grid has one: einsum sums a lone contiguous column with
-        # its reduction kernel, in another order.
-        width = max(2, _BLOCK // r.size)
-        starts = range(0, max(t.size - 1, 1), width)
-        for j0, j1 in zip(starts, [*starts[1:], t.size]):
-            tb = t[j0:j1]
-            tg = tb[None, :]
-            u, ur, ut = profile._fields(rg, tg)
-            rho = np.sqrt(rg ** 2 + tg ** 2)
-            c, band, dc = chi._glue(rho)
-            # chi' vanishes off the band R < rho < 2R, where its terms add
-            # only a signed zero that squaring removes; rho > R on the band
-            ib, jb = np.divmod(band, tb.size)
-            udc = np.take(u, band) * dc
-            rho_b = np.take(rho, band)
-            tan = c * ur
-            tan.reshape(-1)[band] += udc * (r[ib] / rho_b)
-            if ut is None:
-                nor = np.zeros_like(tan)
-            else:
-                nor = c * ut
-                nor.reshape(-1)[band] += udc * (tb[jb] / rho_b)
-            w = c * u
+        rho, wrho, phi, wphi = _polar_grid(profile, R, sp)
+        cos, sin = np.cos(phi), np.sin(phi)
+        c, dc = chi._glue(rho)
+        # each field is first summed over rho into its nine powers rho^(i+j),
+        # then over phi with cos^(n-2+i) sin^j: einsum only, no BLAS call,
+        # which is far slower on these small shapes
+        Vrho = rho ** _RHO_POWERS * (wrho * om * rho ** (n - 1))
+        rsum = {name: np.empty((_DEGREES, phi.size)) for name in names}
+        rg, cg, dcg = rho[:, None], c[:, None], dc[:, None]
+        # one block of whole phi columns at a time, so a block's fields stay
+        # in cache: each column is summed over rho in one piece, which keeps
+        # every bit whatever the block width. A block holds two columns or
+        # more unless the grid has one: einsum sums a lone contiguous column
+        # with its reduction kernel, in another order.
+        width = max(2, _BLOCK // rho.size)
+        starts = range(0, max(phi.size - 1, 1), width)
+        for j0, j1 in zip(starts, [*starts[1:], phi.size]):
+            cb, sb = cos[None, j0:j1], sin[None, j0:j1]
+            u, ur, ut = profile._fields(rg * cb, rg * sb)
+            # grad(chi u) = chi grad u + u chi' (cos phi, sin phi)
+            udc = u * dcg
+            tan = cg * ur + udc * cb
+            nor = np.zeros_like(tan) if ut is None else cg * ut + udc * sb
+            w = cg * u
             fields = {"tan": np.square(tan, out=tan), "nor": np.square(nor, out=nor),
                       "w2": w ** 2, "w1": w}
             if p is not None:
                 fields["pp"] = np.abs(w) ** (p + 1.0)
             for name, F in fields.items():
-                rsum[name][:, j0:j1] = np.einsum("ia,ab->ib", Vr, F)
-        out = {name: np.einsum("jb,ib->ij", Vt, S) for name, S in rsum.items()}
-        # boundary traces (critical exponent defined for n >= 3; the GN
-        # half-space profiles are Dirichlet and never use these)
+                rsum[name][:, j0:j1] = np.einsum("ka,ab->kb", Vrho, F)
+        table = cos ** (n - 2 + _POWERS[:, :, None]) * sin ** _POWERS.T[:, :, None] * wphi
+        out = {name: np.einsum("ijb,ijb->ij", table, S[_POWERS + _POWERS.T])
+               for name, S in rsum.items()}
+        # boundary traces on the phi = 0 ray (critical exponent defined for
+        # n >= 3; the GN half-space profiles are Dirichlet and never use these)
         if halfspace and n >= 3:
             q = 2.0 * (n - 1) / (n - 2)
-            ub = chi(r) * profile.value(r, 0.0)
+            ub = c * profile.value(rho, 0.0)
+            Vr = rho ** _POWERS * (wrho * om * rho ** (n - 2))
             traces = {"tr2": ub ** 2, "trq": np.abs(ub) ** q, "trq1": np.abs(ub) ** (q - 1.0)}
             out.update((name, np.einsum("ia,a->i", Vr, dens)[:, None])
                        for name, dens in traces.items())
@@ -682,15 +703,19 @@ class HalfspaceEnergyModel:
     def _quotient(self, functional: str, eps) -> QuotientResult:
         """``functional`` at every eps. The relative change never cancels; a
         factor changed by dF <= -F(0) means that the jet's volume element is
-        non-positive on the support."""
+        non-positive on the support. So does a factor's own field changed so,
+        whatever its terms add: Escobar's N can stay positive through its H
+        term while the Dirichlet energy D in it does not."""
         form, powers, F0, flat = self._form(functional)
         eps, delta, value = self._fields(eps)
         if form.warn:
             self._check_jet_positivity(eps)
-        breakdown, values, ratios = {}, [], []
+        breakdown, values, ratios, own = {}, [], [], []
         for f, f0 in zip(form.factors, F0):
             F = breakdown[f.key] = value[_ROW[f.field]]
             dF = self._term_sums(f.field, eps) if form.term_sums else delta[_ROW[f.field]]
+            if f.terms:   # F0 is the field's own constant term: its terms carry eps
+                own.append(dF / f0)
             for key, name, _, coef in f.terms:
                 x = breakdown[key] = coef(self, eps) * value[_ROW[name]]
                 F, dF = F + x, dF + x
@@ -702,8 +727,8 @@ class HalfspaceEnergyModel:
                 F, dF = F + x, dF + x
             values.append(F)
             ratios.append(dF / f0)
-        if np.minimum.reduce(ratios, axis=None) <= -1.0:
-            bad = reduce(np.minimum, ratios) <= -1.0
+        if np.minimum.reduce(ratios + own, axis=None) <= -1.0:
+            bad = reduce(np.minimum, ratios + own) <= -1.0
             raise ValueError(f"jet volume element non-positive on the bubble support at eps="
                              f"{eps.flat[np.argmax(bad)]:.6g}; shrink eps or the cutoff")
         if form.term_sums:   # libm's log1p and expm1, one eps at a time

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebval
 
 from .quadrature import sorted_unique
 
@@ -76,7 +75,8 @@ class Cutoff:
     """chi_R(y) = chi(|y|/R): 1 on B_R, 0 outside B_2R, |grad| <= C/R.
 
     chi(1 + s) is the C^infinity exp(-1/s) glue b/(a+b), a = exp(-1/s),
-    b = exp(-1/(1-s)), on the band 0 < s < 1.
+    b = exp(-1/(1-s)), on the band 0 < s < 1. The moment engine reads chi_R
+    and chi_R' on its 1-D rho nodes, so both are elementwise in rho.
     """
     R: float
 
@@ -85,28 +85,26 @@ class Cutoff:
             raise ValueError("cutoff radius must be >= 1")
 
     def _glue(self, rho):
-        """(chi_R, band, chi_R' on the band) from one pass: band holds the
-        flat indices of the glue zone R < rho < 2R, where chi_R' =
-        -ab (1/s^2 + 1/(1-s)^2) / ((a+b)^2 R); chi_R' is 0 everywhere else."""
+        """(chi_R, chi_R') from one pass: on the glue zone R < rho < 2R,
+        chi_R' = -ab (1/s^2 + 1/(1-s)^2) / ((a+b)^2 R); off it chi_R' is 0.
+        Off the zone the glue runs at s = 1/2, where it is finite, and is
+        discarded."""
         s = np.asarray(rho, dtype=float) / self.R - 1.0
-        band = np.flatnonzero((s > 0.0) & (s < 1.0))
-        sb = np.take(s, band)
+        band = (s > 0.0) & (s < 1.0)
+        sb = np.where(band, s, 0.5)
         sc = 1.0 - sb
         a, b = np.exp(-1.0 / sb), np.exp(-1.0 / sc)
         ab = a + b
-        chi = np.where(s <= 0.0, 1.0, 0.0)
-        chi.reshape(-1)[band] = b / ab
-        return chi, band, -a * b * (1.0 / sb ** 2 + 1.0 / sc ** 2) / (ab ** 2 * self.R)
+        chi = np.where(band, b / ab, np.where(s <= 0.0, 1.0, 0.0))
+        dchi = np.where(band, -a * b * (1.0 / sb ** 2 + 1.0 / sc ** 2) / (ab ** 2 * self.R), 0.0)
+        return chi, dchi
 
     def __call__(self, rho):
         return self._glue(rho)[0]
 
     def deriv(self, rho):
         """d chi_R / d rho."""
-        chi, band, dband = self._glue(rho)
-        out = np.zeros_like(chi)
-        out.reshape(-1)[band] = dband
-        return out
+        return self._glue(rho)[1]
 
 
 def cutoff(R: float) -> Cutoff:
@@ -674,6 +672,8 @@ def gn_ground_state(n: int, p: float) -> RadialProfile:
     vals = np.empty_like(grid)
     ders = np.empty_like(grid)
     inside = grid <= L
+    # numpy.polynomial loads here, so a process that builds no GN profile never does
+    from numpy.polynomial.chebyshev import chebder, chebval
     x = 1.0 - 2.0 * grid[inside] / L
     vals[inside] = chebval(x, c)
     ders[inside] = (-2.0 / L) * chebval(x, chebder(c))

@@ -2,8 +2,10 @@
 
 All bulk integrals reduce to 1D or 2D weighted integrals after the angular
 variables are averaged out analytically (profiles are tangentially radial),
-so the only machinery needed is tensor Gauss-Legendre on dyadic panels. Every
-integrand is cut off at a finite radius, so no rule covers [0, inf).
+so the only machinery needed is Gauss-Legendre on panels: a product rule in
+polar coordinates (rho on dyadic panels, phi on panels of [0, pi/2]) on the
+half-space, one rho rule on a ray for radial profiles. Every integrand is
+cut off at a finite radius, so no rule covers [0, inf).
 
 Error estimates are two-resolution differences (panel count doubled), per
 the convergence convention used throughout: the moment engine

@@ -214,6 +214,26 @@ class TestValidation:
         assert main(args) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
 
+    @pytest.mark.parametrize("R", ["1.3", "2.7"])
+    def test_near_optimizer_cut_in_its_core_reaches_the_deficit_check(self, R, tmp_path,
+                                                                       capsys):
+        # the glue band R < rho < 2R crosses the near-optimizer's core at
+        # depth 2, where the tensor grid's two resolutions disagreed (exit 3
+        # with a quadrature message). Now both agree: at R = 2.7 the deficit
+        # check passes; at R = 1.3 the cut-off profile really misses it
+        # (W = 0.1204 < 0.9 C*, on a 40-point grid too)
+        out = tmp_path / "s.json"
+        code = main(["estimate", "--target", "scal", "--n", "2", "--R", R, "--out", str(out)])
+        if R == "2.7":
+            assert code == 0
+            co = json.loads(out.read_text())["constants"]
+            assert co["W_flat_halfspace"] >= 0.9 * co["C_star"]
+        else:
+            assert code == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "numerical"
+            assert err["detail"].startswith("half-space near-optimizer misses its deficit target")
+
 
 class TestWarnings:
     def test_warning_is_one_json_line(self, tmp_path):
@@ -349,6 +369,20 @@ class TestLazyImports:
                 "for m in pkgutil.iter_modules(bubblelab.__path__):\n"
                 "    importlib.import_module('bubblelab.' + m.name)\n"
                 f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_session_setup_loads_no_polynomial_or_engine(self):
+        # the set-up of the benchmark's in-process workloads builds the
+        # closed-form optimizers only: no numpy.polynomial, no engine layers
+        code = ("import sys\n"
+                f"sys.path.insert(0, {str(REPO / 'perfbench')!r})\n"
+                "from pathlib import Path\n"
+                "import jobs\n"
+                f"jobs.Session(Path({str(REPO)!r}))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m in "
+                "('bubblelab.energy', 'bubblelab.geometry', 'bubblelab.moments')))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"

@@ -217,7 +217,7 @@ _ENGINE_CASES = (
 
 
 def _engine_case(case, request):
-    """(id, profile, R, spec, p, t_offset), p and t_offset read off the profile."""
+    """(id, profile, R, spec)."""
     name, which, R, spec, slot = case
     if which == "at":
         prof = dataclasses.replace(aubin_talenti(4, lam=0.7), p=2.0)
@@ -225,49 +225,49 @@ def _engine_case(case, request):
         prof = request.getfixturevalue("halfspace_profiles")[which]
     else:
         prof = request.getfixturevalue(which)[slot]
-    return name, prof, R, spec, prof.p, prof.shift
+    return name, prof, R, spec
 
 
-def _two_call_matrix(profile, R, spec, p_exponent, t_offset):
-    """The moment matrix as first written: meshgrid coordinates, separate
-    value/grad and chi/chi' calls, every field on the whole square."""
-    n = profile.n
+def _traces(profile, R, r, Vr):
+    """The boundary-trace moments on the ray t = 0 with r-weights Vr."""
+    if profile.kind not in energy._HALFSPACE_KINDS or profile.n < 3:
+        return {k: np.zeros((5, 1)) for k in ("tr2", "trq", "trq1")}
+    q = 2.0 * (profile.n - 1) / (profile.n - 2)
+    ub = cutoff(R)(r) * profile.value(r, 0.0)
+    traces = {"tr2": ub ** 2, "trq": np.abs(ub) ** q, "trq1": np.abs(ub) ** (q - 1.0)}
+    return {k: np.einsum("ia,a->i", Vr, d)[:, None] for k, d in traces.items()}
+
+
+def _two_call_matrix(profile, R, spec):
+    """The polar moment matrix as first written: meshgrid (rho, phi)
+    coordinates, separate value/grad and chi/chi' calls, every field on the
+    whole quarter disc (the ray phi = 0 for a radial profile)."""
+    n, p = profile.n, profile.p
     halfspace = profile.kind in energy._HALFSPACE_KINDS
-    dim = n - 1 if halfspace else n
-    om = sphere_area(dim - 1)
+    om = sphere_area(n - 2 if halfspace else n - 1)
     chi = cutoff(R)
 
     def run(sp):
-        r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))
+        rho, wrho, phi, wphi = energy._polar_grid(profile, R, sp)
+        P, A = np.meshgrid(rho, phi, indexing="ij")
+        C, S = np.cos(A), np.sin(A)
         if halfspace:
-            t, wt = grid_1d(0.0, 2.0 * R + t_offset, sp.order, sp.subdiv, extra=(R, 1.5 * R))
-            Rg, Tg = np.meshgrid(r, t, indexing="ij")
-            u = profile.value(Rg, Tg)
-            ur, ut = profile.grad(Rg, Tg)
+            u = profile.value(P * C, P * S)
+            ur, ut = profile.grad(P * C, P * S)
         else:
-            t, wt = np.zeros(1), np.ones(1)
-            Rg, Tg = r[:, None], np.zeros((r.size, 1))
-            u, ur, ut = profile.value(Rg), profile.grad(Rg), 0.0
-        rho = np.sqrt(Rg ** 2 + Tg ** 2)
-        c, dc = chi(rho), chi.deriv(rho)
-        safe = np.where(rho > 0, rho, 1.0)
+            u, ur, ut = profile.value(P), profile.grad(P), 0.0
+        c, dc = chi(P), chi.deriv(P)
         w = c * u
-        fields = {"tan": (c * ur + u * dc * (Rg / safe)) ** 2,
-                  "nor": (c * ut + u * dc * (Tg / safe)) ** 2,
+        fields = {"tan": (c * ur + u * dc * C) ** 2, "nor": (c * ut + u * dc * S) ** 2,
                   "w2": w ** 2, "w1": w}
-        if p_exponent is not None:
-            fields["pp"] = np.abs(w) ** (p_exponent + 1.0)
-        Vr = r ** energy._POWERS * (wr * om * r ** (dim - 1))
-        Vt = t ** energy._POWERS * wt
-        out = {k: np.einsum("jb,ib->ij", Vt, np.einsum("ia,ab->ib", Vr, F))
+        if p is not None:
+            fields["pp"] = np.abs(w) ** (p + 1.0)
+        Vrho = rho ** np.arange(9)[:, None] * (wrho * om * rho ** (n - 1))
+        i, j = np.arange(5)[:, None], np.arange(5)[None, :]
+        table = np.cos(phi) ** (n - 2 + i[:, :, None]) * np.sin(phi) ** j[:, :, None] * wphi
+        out = {k: np.einsum("ijb,ijb->ij", table, np.einsum("ka,ab->kb", Vrho, F)[i + j])
                for k, F in fields.items()}
-        if halfspace and n >= 3:
-            q = 2.0 * (n - 1) / (n - 2)
-            ub = chi(r) * profile.value(r, 0.0)
-            traces = {"tr2": ub ** 2, "trq": np.abs(ub) ** q, "trq1": np.abs(ub) ** (q - 1.0)}
-            out.update((k, np.einsum("ia,a->i", Vr, d)[:, None]) for k, d in traces.items())
-        else:
-            out.update((k, np.zeros((5, 1))) for k in ("tr2", "trq", "trq1"))
+        out.update(_traces(profile, R, rho, rho ** energy._POWERS * (wrho * om * rho ** (n - 2))))
         return out
 
     coarse, fine = run(spec), run(spec.refined())
@@ -277,29 +277,84 @@ def _two_call_matrix(profile, R, spec, p_exponent, t_offset):
     return fine, delta, err
 
 
+def _tensor_matrix(profile, R, sp):
+    """An independent oracle: the moments at one resolution on the tensor
+    (r, t) grid [0, 2R] x [0, 2R + shift], the engine's algorithm before its
+    grid turned polar."""
+    n, p = profile.n, profile.p
+    halfspace = profile.kind in energy._HALFSPACE_KINDS
+    dim = n - 1 if halfspace else n
+    om = sphere_area(dim - 1)
+    r, wr = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))
+    if halfspace:
+        t, wt = grid_1d(0.0, 2.0 * R + profile.shift, sp.order, sp.subdiv, extra=(R, 1.5 * R))
+        Rg, Tg = np.meshgrid(r, t, indexing="ij")
+        u = profile.value(Rg, Tg)
+        ur, ut = profile.grad(Rg, Tg)
+    else:
+        t, wt = np.zeros(1), np.ones(1)
+        Rg, Tg = r[:, None], np.zeros((r.size, 1))
+        u, ur, ut = profile.value(Rg), profile.grad(Rg), 0.0
+    chi = cutoff(R)
+    rho = np.sqrt(Rg ** 2 + Tg ** 2)
+    c, dc = chi(rho), chi.deriv(rho)
+    w = c * u
+    fields = {"tan": (c * ur + u * dc * (Rg / rho)) ** 2,
+              "nor": (c * ut + u * dc * (Tg / rho)) ** 2, "w2": w ** 2, "w1": w}
+    if p is not None:
+        fields["pp"] = np.abs(w) ** (p + 1.0)
+    Vr = r ** energy._POWERS * (wr * om * r ** (dim - 1))
+    Vt = t ** energy._POWERS * wt
+    out = {k: np.einsum("jb,ib->ij", Vt, np.einsum("ia,ab->ib", Vr, F)) for k, F in fields.items()}
+    out.update(_traces(profile, R, r, Vr))
+    return out
+
+
 class TestMomentEngine:
     def test_matches_per_monomial_quadrature(self, halfspace_profiles, gn23):
-        # reference: each monomial integrated on its own, on the fine grid
+        # reference: each monomial integrated on its own, on the fine polar
+        # grid, where dr dt = rho drho dphi
         R, spec = 20.0, QuadratureSpec(order=12)
         fine = spec.refined()
-        edges = (R, 1.5 * R)
-        r, wr = grid_1d(0.0, 2 * R, fine.order, fine.subdiv, extra=edges)
         U = halfspace_profiles[5]
-        Rg, Tg = np.meshgrid(r, r, indexing="ij")
-        w = cutoff(R)(np.sqrt(Rg ** 2 + Tg ** 2)) * U.value(Rg, Tg)
-        base = np.outer(wr, wr) * w * sphere_area(3) * Rg ** 3
+        rho, wrho, phi, wphi = energy._polar_grid(U, R, fine)
+        P, A = np.meshgrid(rho, phi, indexing="ij")
+        Rg, Tg = P * np.cos(A), P * np.sin(A)
+        w = cutoff(R)(P) * U.value(Rg, Tg)
+        base = np.outer(wrho, wphi) * w * sphere_area(3) * Rg ** 3 * P
         M = halfspace_moment_matrix(U, R, spec)
         for i in range(5):
             for j in range(5):
                 ref = np.sum(base * Rg ** i * Tg ** j)
                 assert M.w1[i, j] == pytest.approx(ref, rel=1e-12)
         Q = gn23[0]
+        r, wr = grid_1d(0.0, 2 * R, fine.order, fine.subdiv, extra=(R, 1.5 * R))
         wq = cutoff(R)(r) * Q.value(r)
         Mq = halfspace_moment_matrix(Q, R, spec)
         for i in range(5):
             ref = np.sum(wr * wq ** 2 * sphere_area(1) * r * r ** i)
             assert Mq.w2[i, 0] == pytest.approx(ref, rel=1e-12)
         assert not Mq.nor.any() and not Mq.w2[:, 1:].any()
+
+    def test_grid_is_the_quarter_disc(self, halfspace_profiles, gn23):
+        # rho on today's dyadic panels up to 2R, beyond which chi_R vanishes;
+        # phi on two panels, graded toward phi = 0 and the core for the
+        # near-optimizer; the finer resolution doubles every panel
+        R, spec = 20.0, QuadratureSpec()
+        quarter = 0.25 * math.pi
+        for prof, rho_extra, phi_extra in (
+                (halfspace_profiles[5], (), ()),
+                (gn23[1], (1.0, 3.0), (quarter / 2, quarter / 4, quarter / 8, 1.5 * quarter))):
+            for sp in (spec, spec.refined()):
+                rho, wrho, phi, wphi = energy._polar_grid(prof, R, sp)
+                want = grid_1d(0.0, 2 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R) + rho_extra)
+                assert rho.tobytes() == want[0].tobytes() and wrho.tobytes() == want[1].tobytes()
+                want = grid_1d(0.0, 2 * quarter, sp.order, sp.subdiv, base=quarter, extra=phi_extra)
+                assert phi.tobytes() == want[0].tobytes() and wphi.tobytes() == want[1].tobytes()
+            assert phi.size == 2 * sp.order * (2 + len(phi_extra))
+        rho, _, phi, wphi = energy._polar_grid(gn23[0], R, spec)
+        assert (phi.tolist(), wphi.tolist()) == ([0.0], [1.0])
+        assert rho.max() < 2 * R
 
     def test_underresolved_spec_raises(self, halfspace_profiles, gn23):
         spec = QuadratureSpec(order=4)
@@ -321,9 +376,9 @@ class TestMomentEngine:
 
     @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
     def test_bit_identical_to_two_call_formula(self, case, request):
-        _, prof, R, spec, p, t_offset = _engine_case(case, request)
+        _, prof, R, spec = _engine_case(case, request)
         M = energy._build_moment_matrix(prof, R, spec)
-        fine, delta, err = _two_call_matrix(prof, R, spec, p, t_offset)
+        fine, delta, err = _two_call_matrix(prof, R, spec)
         for name in _FIELDS:
             got, want = getattr(M, name), fine.get(name)
             assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
@@ -335,8 +390,8 @@ class TestMomentEngine:
     @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
     def test_fused_evaluations_match_public_ones(self, case, request):
         # broadcast (r, t) axes against the full meshgrid, bit for bit
-        _, prof, R, _, _, t_offset = _engine_case(case, request)
-        x = np.linspace(0.0, 2.0 * R + t_offset, 97)
+        _, prof, R, spec = _engine_case(case, request)
+        x = np.linspace(0.0, 2.0 * R + prof.shift, 97)
         halfspace = prof.kind in energy._HALFSPACE_KINDS
         t = x if halfspace else np.zeros(1)
         Rg, Tg = np.meshgrid(x, t, indexing="ij")
@@ -349,40 +404,42 @@ class TestMomentEngine:
             pairs = [(u, prof.value(Rg)), (ur, prof.grad(Rg))]
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # chi_R and chi_R' on the engine's 1-D rho nodes, from one pass
         chi = cutoff(R)
-        rho = np.sqrt(Rg ** 2 + Tg ** 2)
-        c, band, dc = chi._glue(rho)
-        assert c.tobytes() == chi(rho).tobytes()
-        d = np.zeros_like(rho)
-        d.reshape(-1)[band] = dc
-        assert d.tobytes() == chi.deriv(rho).tobytes()
-        inside = (rho > R) & (rho < 2.0 * R)
-        assert band.tolist() == np.flatnonzero(inside).tolist()
+        rho = energy._polar_grid(prof, R, spec)[0]
+        c, dc = chi._glue(rho)
+        assert c.tobytes() == chi(rho).tobytes() and dc.tobytes() == chi.deriv(rho).tobytes()
+        band = (rho > R) & (rho < 2.0 * R)
+        assert band.any() and not dc[~band].any() and (dc[band] <= 0.0).all()
+        assert (c[rho <= R] == 1.0).all() and (c[rho >= 2.0 * R] == 0.0).all()
+        s = rho[band] / R - 1.0
+        a, b = np.exp(-1.0 / s), np.exp(-1.0 / (1.0 - s))
+        assert c[band].tobytes() == (b / (a + b)).tobytes()
 
     @pytest.mark.parametrize("which", ["escobar", "gn-halfspace", "gn-ground-state"])
     def test_each_grid_point_once_per_resolution(self, which, monkeypatch,
                                                  halfspace_profiles, gn23):
-        # each resolution's bulk calls tile its (r, t) grid by t columns, and
-        # the profile, the cutoff and the spline location see each point once
+        # each resolution's bulk calls tile its (rho, phi) grid by phi columns,
+        # the cutoff runs once on its rho nodes, and the spline locates each
+        # point once
         from bubblelab import profiles
         prof = {"escobar": halfspace_profiles[5], "gn-halfspace": gn23[1],
                 "gn-ground-state": gn23[0]}[which]
         fields, glue, locate = (profiles.RadialProfile._fields, profiles.Cutoff._glue,
                                 profiles._Bernstein.locate)
-        blocks, located = [], []
+        blocks, glued, located = [], [], []
 
         def counting_fields(self, r, t=None, derivs=True):
             if np.ndim(r) != 2:
                 return fields(self, r, t, derivs)
-            blocks.append({"r": np.ravel(r), "t": np.ravel(t), "glue": 0, "located": 0})
+            blocks.append({"r": np.copy(r), "t": np.copy(t), "located": 0})
             located.clear()
             out = fields(self, r, t, derivs)
             blocks[-1]["located"] = sum(located)
             return out
 
         def counting_glue(self, rho):
-            if np.ndim(rho) == 2:
-                blocks[-1]["glue"] += np.size(rho)
+            glued.append(np.copy(rho))
             return glue(self, rho)
 
         def counting_locate(self, x):
@@ -396,21 +453,21 @@ class TestMomentEngine:
         energy._build_moment_matrix(prof, R, spec)
         halfspace = prof.kind in energy._HALFSPACE_KINDS
         for sp in (spec, spec.refined()):
-            r = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
-            t = (grid_1d(0.0, 2.0 * R + prof.shift, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
-                 if halfspace else np.zeros(1))
-            mine = [b for b in blocks if b["r"].size == r.size]
-            assert all(b["r"].tobytes() == r.tobytes() for b in mine)
-            assert np.concatenate([b["t"] for b in mine]).tobytes() == t.tobytes()
-            assert sum(b["glue"] for b in mine) == r.size * t.size
+            rho, _, phi, _ = energy._polar_grid(prof, R, sp)
+            mine = [b for b in blocks if b["r"].shape[0] == rho.size]
+            r, t = np.hstack([b["r"] for b in mine]), np.hstack([b["t"] for b in mine])
+            assert r.tobytes() == (rho[:, None] * np.cos(phi)).tobytes()
+            assert t.tobytes() == (rho[:, None] * np.sin(phi)).tobytes()
+            assert [g.tobytes() for g in glued].count(rho.tobytes()) == 1
             if which == "escobar":
                 want = 0
             else:   # the spline covers the points within its grid; the tail the rest
-                rad = np.sqrt(r[:, None] ** 2 + (t[None, :] - prof.shift) ** 2)
+                rad = np.sqrt(r ** 2 + (t - prof.shift) ** 2)
                 want = np.count_nonzero(rad <= prof.grid[-1])
                 assert 0 < want
             assert sum(b["located"] for b in mine) == want
-        # the fine grid (R = 20: 360 x 360 points) is split into several blocks
+        assert len(glued) == 2
+        # the fine grid (R = 20: 360 x 80 points) is split into several blocks
         assert len(blocks) > 2 or not halfspace
 
     @pytest.mark.parametrize("budget", ["two", "merge", "partial", "whole"])
@@ -423,12 +480,11 @@ class TestMomentEngine:
         # the block width changes no bit: two columns a block (the narrowest
         # the engine forms), a last column that joins the block before it, a
         # partial last block, and one block for the whole grid
-        _, prof, R, spec, p, t_offset = _engine_case(case, request)
-        n_r = grid_1d(0.0, 2.0 * R, spec.order, spec.subdiv, extra=(R, 1.5 * R))[0].size
-        n_t = grid_1d(0.0, 2.0 * R + t_offset, spec.order, spec.subdiv,
-                      extra=(R, 1.5 * R))[0].size
-        monkeypatch.setattr(energy, "_BLOCK", {"two": 1, "merge": (n_t - 1) * n_r,
-                                               "partial": 7 * n_r, "whole": 10 ** 9}[budget])
+        _, prof, R, spec = _engine_case(case, request)
+        rho, _, phi, _ = energy._polar_grid(prof, R, spec)
+        monkeypatch.setattr(energy, "_BLOCK", {"two": 1, "merge": (phi.size - 1) * rho.size,
+                                               "partial": 7 * rho.size,
+                                               "whole": 10 ** 9}[budget])
         widths, fields = [], RadialProfile._fields
 
         def spying(self, r, t=None, derivs=True):
@@ -442,7 +498,7 @@ class TestMomentEngine:
         # einsum sums a lone contiguous column in another order, so a block
         # holds two columns or more unless the grid has one
         assert min(widths) >= 2 or widths == [1, 1]
-        fine, delta, err = _two_call_matrix(prof, R, spec, p, t_offset)
+        fine, delta, err = _two_call_matrix(prof, R, spec)
         for name in _FIELDS:
             got, want = getattr(M, name), fine.get(name)
             assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
@@ -456,28 +512,30 @@ class TestMomentEngine:
         # reaches the two-resolution guard
         R, spec = 20.0, QuadratureSpec()
         sp = spec if resolution == "coarse" else spec.refined()
-        r = grid_1d(0.0, 2.0 * R, sp.order, sp.subdiv, extra=(R, 1.5 * R))[0]
+        rho, _, phi, _ = energy._polar_grid(RadialProfile(kind="escobar-halfspace", n=5,
+                                                          amplitude=0.5), R, sp)
+        last = (rho * np.sin(phi[-1])).tobytes()
         width = 7
-        assert r.size % width > 1       # a partial last block
-        monkeypatch.setattr(energy, "_BLOCK", width * r.size)
+        assert phi.size % width > 1       # a partial last block
+        monkeypatch.setattr(energy, "_BLOCK", width * rho.size)
         poisoned = []
 
         class Poisoned(RadialProfile):
             def _fields(self, r_, t=None, derivs=True):
                 u, ur, ut = super()._fields(r_, t, derivs)
-                if np.ndim(r_) == 2 and r_.size == r.size and t[0, -1] == r[-1]:
-                    poisoned.append(t.size)
+                if np.ndim(r_) == 2 and r_.shape[0] == rho.size and t[:, -1].tobytes() == last:
+                    poisoned.append(t.shape[1])
                     u = u * np.nan
                 return u, ur, ut
 
         with pytest.raises(QuadratureNonConvergence):
             energy._build_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5),
                                         R, spec)
-        assert poisoned == [r.size % width]
+        assert poisoned == [phi.size % width]
 
     def test_build_peak_memory_is_a_few_blocks(self, halfspace_profiles):
         # numpy reports its buffers to tracemalloc; at R = 500 one fine-grid
-        # field is 520 x 520 float64 = 2.2 MB, and the build holds a few
+        # field is 520 x 160 float64 = 0.7 MB, and the build holds a few
         # column blocks of fields, never a dozen full-grid arrays
         import tracemalloc
         U = halfspace_profiles[5]
@@ -488,6 +546,39 @@ class TestMomentEngine:
         finally:
             tracemalloc.stop()
         assert peak < 10e6, peak
+
+
+# the accuracy oracle's cases: Escobar n = 4..8 at four cutoffs, and the GN
+# ground states and near-optimizers of the fixtures
+_ACCURACY_CASES = (
+    [(f"escobar-n{n}-R{R:g}", n, R, _STD_SPEC, None)
+     for n in (4, 5, 6, 7, 8) for R in (1.5, 20.0, 100.0, 500.0)]
+    + [(f"{gn}-{kind}", gn, 20.0, _STD_SPEC, slot)
+       for gn in ("gn23", "gn33") for kind, slot in (("ground", 0), ("halfspace", 1))])
+
+
+class TestPolarAccuracy:
+    @pytest.mark.parametrize("case", _ACCURACY_CASES, ids=lambda c: c[0])
+    def test_fine_pass_matches_the_tensor_grid(self, case, request):
+        # the polar fine pass against the tensor (r, t) grid's fine pass, an
+        # algorithm of its own: every entry within 1e-11 of max(1, |v|)
+        _, prof, R, spec = _engine_case(case, request)
+        M = halfspace_moment_matrix(prof, R, spec)
+        ref = _tensor_matrix(prof, R, spec.refined())
+        for name in _FIELDS:
+            got, want = getattr(M, name), ref.get(name)
+            if want is None:
+                assert got is None
+                continue
+            assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11, name
+
+    @pytest.mark.parametrize("R", [1.3, 2.7])
+    def test_near_optimizer_converges_with_its_core_in_the_glue_band(self, R, gn23):
+        # the (2, 3) near-optimizer's core, at depth 2, lies in the band
+        # R < rho < 2R where chi_R turns: the tensor grid's resolutions
+        # differed by 1.7e-4 (R = 1.3) and 1.3e-6 (R = 2.7) here
+        M = halfspace_moment_matrix(gn23[1], R)
+        assert M.err < 1e-8
 
 
 @pytest.fixture
@@ -1118,6 +1209,21 @@ class TestEscobarQuotient:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             m.escobar_quotient(1e-3)   # |y'| <= 0.08: 1 - 25 * 0.08^2 / 6 > 0
+
+    def test_non_positive_dirichlet_energy_raises(self, halfspace_profiles):
+        # on the order-1 unit ball at eps = 0.6 the Dirichlet energy D is
+        # negative while the H term keeps N = D + ((n-2)/2) eps H tr2
+        # positive: the check reads D itself, as plain trace does
+        jet = fermi_jet(geometry_catalog("euclidean-ball", 5).data, order=1, chart_radius=100.0)
+        m = HalfspaceEnergyModel(jet, halfspace_profiles[5], 20.0)
+        _, _, value = m._fields(0.6)
+        D, tr2 = value[energy._ROW["dirichlet"]], value[energy._ROW["tr2"]]
+        assert D < 0.0 < D + 1.5 * 0.6 * m._H * tr2
+        with pytest.warns(UserWarning, match="non-positive"):
+            for quotient in (m.escobar_quotient, m.plain_trace_quotient):
+                with pytest.raises(ValueError, match="non-positive on the bubble support at eps=0.6"):
+                    quotient(np.array([1e-3, 0.6]))
+        assert m.escobar_quotient(1e-3).deficit > 0.0
 
 
 class TestPlainTrace:

@@ -45,3 +45,17 @@ def test_traced_quotient_methods_exist():
         assert inspect.isfunction(getattr(owner, method, None)), f"{layer}.{cls}.{method}"
     # the module-level names (energy.escobar_quotient, ...) are skipped: the
     # package dropped those wrappers, and the tracer still lists them
+
+
+def test_traced_matrix_key_binds_the_engine_parameters():
+    # perfbench/tracer.py binds halfspace_moment_matrix's positional
+    # arguments by the names in _matrix_key; its first three must be the
+    # engine's parameters, or traced runs count repeats under a wrong key
+    from bubblelab.energy import halfspace_moment_matrix
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    key = next(node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_matrix_key")
+    names = next(ast.literal_eval(node.value) for node in ast.walk(key)
+                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "names")
+    params = list(inspect.signature(halfspace_moment_matrix).parameters)
+    assert list(names[:3]) == params[:3] == ["profile", "R", "spec"]
