@@ -28,7 +28,11 @@ tabulated arrays, not ``meta``), so an equal profile hits whatever its
 ``meta`` holds: a copy with equal arrays, or a closed form rebuilt with the
 same amplitude. A build that raises is not stored. Cached arrays are
 read-only because every model with the same key shares them. The GN profiles
-of ``fixtures.cached_gn_profiles`` use the same memo.
+of ``fixtures.cached_gn_profiles`` use the same memo, and so do the rho sums
+of a half-space build: chi_R is 1 up to D = 2^floor(log2 R), so one entry
+per (profile fingerprint, resolution) holds the sums at each D a build asked
+for, and a later build sums only the nodes past its D onto them, to the same
+bits (``_build_moment_matrix``).
 
 A jet of either kind, a Fermi jet or an interior point, is reduced by one
 function, ``_reduce_jet``: it sphere-averages the term lists of the jet's
@@ -156,8 +160,10 @@ def _poly_add(poly: dict, key: tuple, val: float) -> None:
 # process-wide memo: moment matrices and jet reductions
 # --------------------------------------------------------------------------
 
-# entries: a few kB of 5x5 arrays or polynomials, ~0.5 MB for a GN pair; a
-# key holds the bytes of its arrays, about 64 kB for a GN profile
+# entries: a few kB of 5x5 arrays or polynomials, ~0.5 MB for a GN pair, and
+# the rho sums of one resolution at each cached D (per D, 12 kB coarse and
+# 23 kB fine for an Escobar profile, 43 and 86 kB for a GN near-optimizer);
+# a key holds the bytes of its arrays, about 64 kB for a GN profile
 _MEMO_CAP = 64
 _memo: OrderedDict = OrderedDict()
 
@@ -167,8 +173,13 @@ def _memoized(key: tuple, build: Callable):
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key]
-    value = build()
+    return _remember(key, build())
+
+
+def _remember(key: tuple, value):
+    """Store ``value`` as the newest LRU entry, evicting the oldest past the cap."""
     _memo[key] = value
+    _memo.move_to_end(key)
     while len(_memo) > _MEMO_CAP:
         _memo.popitem(last=False)
     return value
@@ -340,11 +351,14 @@ def halfspace_moment_matrix(profile: RadialProfile, R: float,
     resolution walks the grid in blocks of whole phi columns, about
     ``_BLOCK`` points each, so no full-grid array is formed and a block's
     fields stay in cache; the profile yields (u, u_r, u_t) from one call on
-    the block's broadcast axes. Each column is summed over rho in one piece
+    the block's broadcast axes. Each column is summed over rho in order
     into the nine powers rho^(i+j), so the moments do not depend on the
     block width to the last bit; then entry [i, j] sums those over phi with
-    cos^(n-2+i) phi sin^j phi. The boundary traces run on the phi = 0 ray,
-    on the same rho nodes. Raises QuadratureNonConvergence when the
+    cos^(n-2+i) phi sin^j phi. A half-space build continues the rho sums
+    cached at D = 2^floor(log2 R) by an earlier build with the same profile
+    and resolution, to the same bits. The boundary traces run on the phi = 0
+    ray, on the same rho nodes. Raises OverflowError when the rho weights
+    are not finite in float64, and QuadratureNonConvergence when the
     resolutions differ by more than ``_MATRIX_TOL`` relative. Memoized by
     (profile fingerprint, R, spec).
     R = inf gives the untruncated moments: the half-space optimizer's in
@@ -432,23 +446,54 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
     om = sphere_area(n - 2 if halfspace else n - 1)
     chi = cutoff(R)
     names = ("tan", "nor", "w2", "w1") + (() if p is None else ("pp",))
+    # chi_R = 1 on the dyadic rho panels [0, 1], ..., [D/2, D], D = 2^floor(log2 R),
+    # so their nodes and rho sums are the same at every cutoff with this D
+    D = math.ldexp(0.5, math.frexp(R)[1])
+    fingerprint = _profile_fingerprint(profile) if halfspace else None
+    fresh = []   # (key, rho sums at D) per resolution, stored once the guard passes
 
     def run(sp: QuadratureSpec):
         rho, wrho, phi, wphi = _polar_grid(profile, R, sp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            Vrho = rho ** _RHO_POWERS * (wrho * om * rho ** (n - 1))
+        if not np.isfinite(Vrho).all():
+            raise OverflowError(f"moment weights rho^(n-1) overflow float64 at n={n}, R={R}")
         cos, sin = np.cos(phi), np.sin(phi)
         c, dc = chi._glue(rho)
+        # a half-space build's rho sums start at node lo, from the sums cached
+        # at the largest edge <= D (or from zero), are kept at node cut, the
+        # first past D, unless D is cached already, and go on to the last
+        # node. A radial kind, with one phi column, sums all nodes in one piece.
+        lo, cut, prior = 0, rho.size, None
+        if halfspace:
+            key = ("rho-sums", fingerprint, sp)
+            cached = _memo.get(key, {})
+            if cached:
+                _memo.move_to_end(key)
+            start = max((d for d in cached if d <= D), default=None)
+            if start is not None:
+                lo, prior = int(np.searchsorted(rho, start)), cached[start]
+            cut = int(np.searchsorted(rho, D))
+        bounds = sorted({lo, cut, rho.size})
         # each field is first summed over rho into its nine powers rho^(i+j),
         # then over phi with cos^(n-2+i) sin^j: einsum only, no BLAS call,
-        # which is far slower on these small shapes
-        Vrho = rho ** _RHO_POWERS * (wrho * om * rho ** (n - 1))
+        # which is far slower on these small shapes. A piece that continues a
+        # sum puts the identity in front of its weights and the sum in front
+        # of its field rows, so einsum adds on where the sum stopped.
+        eye = np.eye(_DEGREES)
+        pieces = [(a, b, Vrho[:, a:b] if a == 0 else np.concatenate((eye, Vrho[:, a:b]), axis=1))
+                  for a, b in zip(bounds, bounds[1:])]
         rsum = {name: np.empty((_DEGREES, phi.size)) for name in names}
-        rg, cg, dcg = rho[:, None], c[:, None], dc[:, None]
+        at_D = ({name: np.empty((_DEGREES, phi.size)) for name in names}
+                if halfspace and lo < cut else None)
+        rg, cg, dcg = rho[lo:, None], c[lo:, None], dc[lo:, None]
         # one block of whole phi columns at a time, so a block's fields stay
-        # in cache: each column is summed over rho in one piece, which keeps
-        # every bit whatever the block width. A block holds two columns or
-        # more unless the grid has one: einsum sums a lone contiguous column
-        # with its reduction kernel, in another order.
-        width = max(2, _BLOCK // rho.size)
+        # in cache. einsum adds over rho strictly in order when a block holds
+        # two columns or more, which keeps every bit whatever the block width
+        # or the piece a sum continues from; a block holds two columns or
+        # more unless the grid has one (einsum sums a lone contiguous column
+        # with its reduction kernel, in another order).
+        width = max(2, _BLOCK // rg.size)
         starts = range(0, max(phi.size - 1, 1), width)
         for j0, j1 in zip(starts, [*starts[1:], phi.size]):
             cb, sb = cos[None, j0:j1], sin[None, j0:j1]
@@ -463,7 +508,15 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
             if p is not None:
                 fields["pp"] = np.abs(w) ** (p + 1.0)
             for name, F in fields.items():
-                rsum[name][:, j0:j1] = np.einsum("ka,ab->kb", Vrho, F)
+                acc = None if prior is None else prior[name][:, j0:j1]
+                for a, b, V in pieces:
+                    rows = F[a - lo:b - lo]
+                    acc = np.einsum("ka,ab->kb", V, rows if a == 0 else np.concatenate((acc, rows)))
+                    if b == cut and at_D is not None:
+                        at_D[name][:, j0:j1] = acc
+                rsum[name][:, j0:j1] = acc
+        if at_D is not None:
+            fresh.append((key, {name: _read_only(S) for name, S in at_D.items()}))
         table = cos ** (n - 2 + _POWERS[:, :, None]) * sin ** _POWERS.T[:, :, None] * wphi
         out = {name: np.einsum("ijb,ijb->ij", table, S[_POWERS + _POWERS.T])
                for name, S in rsum.items()}
@@ -489,6 +542,8 @@ def _build_moment_matrix(profile: RadialProfile, R: float,
     if not err <= _MATRIX_TOL:   # a nan difference fails too
         raise QuadratureNonConvergence(
             f"moment matrix two-resolution difference {err:.2e} at R={R}")
+    for key, sums in fresh:
+        _remember(key, {**_memo.get(key, {}), D: sums})
     fine.setdefault("pp", None)
     return _HalfspaceMatrix(
         n=n, R=float(R), err=err,

@@ -57,8 +57,15 @@ class ShootingError(RuntimeError):
 
 
 def sphere_area(k: int) -> float:
-    """Surface measure of the unit sphere S^k in R^(k+1)."""
-    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+    """Surface measure of the unit sphere S^k in R^(k+1).
+
+    Gamma((k+1)/2) overflows from k = 343 on; there the quotient is taken
+    through lgamma instead."""
+    h = (k + 1) / 2.0
+    try:
+        return 2.0 * math.pi ** h / math.gamma(h)
+    except OverflowError:
+        return 2.0 * math.exp(h * math.log(math.pi) - math.lgamma(h))
 
 
 def beta_function(a: float, b: float) -> float:
@@ -317,6 +324,9 @@ def escobar_halfspace_optimizer(n: int) -> RadialProfile:
             "are finite only for n >= 4")
     n = int(n)
     norm_sq = RadialProfile(kind="escobar-halfspace", n=n, amplitude=1.0).dirichlet_norm_sq()
+    if norm_sq == 0.0:
+        raise OverflowError(f"the Dirichlet energy of the n={n} half-space optimizer "
+                            "underflows float64, so it cannot be normalized")
     return RadialProfile(kind="escobar-halfspace", n=n, amplitude=1.0 / math.sqrt(norm_sq))
 
 

@@ -208,11 +208,26 @@ class TestValidation:
                                       ["estimate", "--target", "scal", "--n", "2", "--R", "1"]],
                              ids=" ".join)
     def test_large_dimension_exits_3(self, args, capsys):
-        # the moment matrix turns nan at n = 200; |S^(n-2)| overflows at n = 400;
-        # C* of the concentrated (2, 15) ground state is under-resolved at the
-        # default spec; at R = 1 the cut-off near-optimizer has W < C* - 0.05
+        # the moment weights rho^(n-1) overflow at n = 200; the optimizer's
+        # Dirichlet energy underflows at n = 400; C* of the concentrated
+        # (2, 15) ground state is under-resolved at the default spec; at R = 1
+        # the cut-off near-optimizer has W < C* - 0.05
         assert main(args) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, detail", [
+        ("200", "moment weights rho^(n-1) overflow float64 at n=200, R=20.0"),
+        ("400", "the Dirichlet energy of the n=400 half-space optimizer underflows float64"),
+    ])
+    def test_large_dimension_names_the_overflow(self, n, detail, capsys):
+        # checked before any field work, so numpy warns of nothing (a warning
+        # is an error here) and stderr holds the one error line
+        assert main(["moments", "--n", n, "--R", "20"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "numerical" and err["detail"].startswith(detail)
 
     @pytest.mark.parametrize("R", ["1.3", "2.7"])
     def test_near_optimizer_cut_in_its_core_reaches_the_deficit_check(self, R, tmp_path,

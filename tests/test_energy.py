@@ -310,6 +310,29 @@ def _tensor_matrix(profile, R, sp):
     return out
 
 
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty process memo for the test: no cached matrices or rho sums."""
+    monkeypatch.setattr(energy, "_memo", OrderedDict())
+
+
+def _cold_build(profile, R, spec, monkeypatch):
+    """A build on a memo of its own, with no rho sums to continue."""
+    with monkeypatch.context() as m:
+        m.setattr(energy, "_memo", OrderedDict())
+        return energy._build_moment_matrix(profile, R, spec)
+
+
+def _assert_same_bits(got, want):
+    for name in _FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    assert set(got.delta) == set(want.delta)
+    for name in want.delta:
+        assert got.delta[name].tobytes() == want.delta[name].tobytes(), name
+    assert got.err == want.err
+
+
 class TestMomentEngine:
     def test_matches_per_monomial_quadrature(self, halfspace_profiles, gn23):
         # reference: each monomial integrated on its own, on the fine polar
@@ -364,8 +387,10 @@ class TestMomentEngine:
             InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), gn23[0], 20.0, spec)
 
     @pytest.mark.parametrize("poisoned", ["bulk", "trace"])
-    def test_nan_in_any_field_raises(self, poisoned):
-        # the bulk fields come from one 2-D evaluation, the traces from a 1-D one
+    def test_nan_in_any_field_raises(self, poisoned, empty_memo):
+        # the bulk fields come from one 2-D evaluation, the traces from a 1-D
+        # one. A subclass has its parent's fingerprint, so it runs on an empty
+        # memo: cached rho sums would skip its bulk evaluation.
         class Poisoned(RadialProfile):
             def _fields(self, r, t=None, derivs=True):
                 u, ur, ut = super()._fields(r, t, derivs)
@@ -373,19 +398,22 @@ class TestMomentEngine:
 
         with pytest.raises(QuadratureNonConvergence):
             halfspace_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5), 20.0)
+        assert not energy._memo
 
     @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
-    def test_bit_identical_to_two_call_formula(self, case, request):
+    def test_bit_identical_to_two_call_formula(self, case, request, empty_memo):
+        # cold, then warm from the rho sums the cold build cached
         _, prof, R, spec = _engine_case(case, request)
-        M = energy._build_moment_matrix(prof, R, spec)
         fine, delta, err = _two_call_matrix(prof, R, spec)
-        for name in _FIELDS:
-            got, want = getattr(M, name), fine.get(name)
-            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
-        assert set(M.delta) == set(delta)
-        for name in delta:
-            assert M.delta[name].tobytes() == delta[name].tobytes(), name
-        assert M.err == err
+        for _ in range(2):
+            M = energy._build_moment_matrix(prof, R, spec)
+            for name in _FIELDS:
+                got, want = getattr(M, name), fine.get(name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+            assert set(M.delta) == set(delta)
+            for name in delta:
+                assert M.delta[name].tobytes() == delta[name].tobytes(), name
+            assert M.err == err
 
     @pytest.mark.parametrize("case", _ENGINE_CASES, ids=lambda c: c[0])
     def test_fused_evaluations_match_public_ones(self, case, request):
@@ -417,11 +445,13 @@ class TestMomentEngine:
         assert c[band].tobytes() == (b / (a + b)).tobytes()
 
     @pytest.mark.parametrize("which", ["escobar", "gn-halfspace", "gn-ground-state"])
-    def test_each_grid_point_once_per_resolution(self, which, monkeypatch,
+    def test_each_grid_point_once_per_resolution(self, which, monkeypatch, empty_memo,
                                                  halfspace_profiles, gn23):
-        # each resolution's bulk calls tile its (rho, phi) grid by phi columns,
-        # the cutoff runs once on its rho nodes, and the spline locates each
-        # point once
+        # a cold build's bulk calls tile each resolution's (rho, phi) grid by
+        # phi columns; a warm build with the same D = 16 evaluates exactly the
+        # nodes rho > D (a radial kind's builds stay cold). The cutoff runs
+        # once on each resolution's rho nodes, and the spline locates each
+        # evaluated point once.
         from bubblelab import profiles
         prof = {"escobar": halfspace_profiles[5], "gn-halfspace": gn23[1],
                 "gn-ground-state": gn23[0]}[which]
@@ -449,26 +479,32 @@ class TestMomentEngine:
         monkeypatch.setattr(profiles.RadialProfile, "_fields", counting_fields)
         monkeypatch.setattr(profiles.Cutoff, "_glue", counting_glue)
         monkeypatch.setattr(profiles._Bernstein, "locate", counting_locate)
-        R, spec = 20.0, QuadratureSpec()
-        energy._build_moment_matrix(prof, R, spec)
+        spec, D = QuadratureSpec(), 16.0
         halfspace = prof.kind in energy._HALFSPACE_KINDS
-        for sp in (spec, spec.refined()):
-            rho, _, phi, _ = energy._polar_grid(prof, R, sp)
-            mine = [b for b in blocks if b["r"].shape[0] == rho.size]
-            r, t = np.hstack([b["r"] for b in mine]), np.hstack([b["t"] for b in mine])
-            assert r.tobytes() == (rho[:, None] * np.cos(phi)).tobytes()
-            assert t.tobytes() == (rho[:, None] * np.sin(phi)).tobytes()
-            assert [g.tobytes() for g in glued].count(rho.tobytes()) == 1
-            if which == "escobar":
-                want = 0
-            else:   # the spline covers the points within its grid; the tail the rest
-                rad = np.sqrt(r ** 2 + (t - prof.shift) ** 2)
-                want = np.count_nonzero(rad <= prof.grid[-1])
-                assert 0 < want
-            assert sum(b["located"] for b in mine) == want
-        assert len(glued) == 2
-        # the fine grid (R = 20: 360 x 80 points) is split into several blocks
-        assert len(blocks) > 2 or not halfspace
+        for R, warm in ((20.0, False), (24.0, halfspace)):
+            blocks.clear()
+            glued.clear()
+            energy._build_moment_matrix(prof, R, spec)
+            evaluated = 0
+            for sp in (spec, spec.refined()):
+                rho, _, phi, _ = energy._polar_grid(prof, R, sp)
+                fresh = rho[rho > D] if warm else rho
+                mine = [b for b in blocks if b["r"].shape[0] == fresh.size]
+                r, t = np.hstack([b["r"] for b in mine]), np.hstack([b["t"] for b in mine])
+                assert r.tobytes() == (fresh[:, None] * np.cos(phi)).tobytes()
+                assert t.tobytes() == (fresh[:, None] * np.sin(phi)).tobytes()
+                assert [g.tobytes() for g in glued].count(rho.tobytes()) == 1
+                if which == "escobar":
+                    want = 0
+                else:   # the spline covers the points within its grid; the tail the rest
+                    rad = np.sqrt(r ** 2 + (t - prof.shift) ** 2)
+                    want = np.count_nonzero(rad <= prof.grid[-1])
+                    assert 0 < want
+                assert sum(b["located"] for b in mine) == want
+                evaluated += r.size
+            assert len(glued) == 2 and sum(b["r"].size for b in blocks) == evaluated
+            # the fine grid (R = 20: 360 x 80 points) is split into several blocks
+            assert len(blocks) > 2 or not halfspace
 
     @pytest.mark.parametrize("budget", ["two", "merge", "partial", "whole"])
     @pytest.mark.parametrize("case", [c for c in _ENGINE_CASES
@@ -476,15 +512,17 @@ class TestMomentEngine:
                                                   "escobar-n5-R20-high", "gn23-halfspace",
                                                   "aubin-talenti-n4")],
                              ids=lambda c: c[0])
-    def test_bit_identical_at_block_edges(self, case, budget, request, monkeypatch):
+    def test_bit_identical_at_block_edges(self, case, budget, request, monkeypatch, empty_memo):
         # the block width changes no bit: two columns a block (the narrowest
         # the engine forms), a last column that joins the block before it, a
-        # partial last block, and one block for the whole grid
+        # partial last block, and one block for the whole grid; cold, and
+        # warm, where the same budget spans fewer rho nodes
         _, prof, R, spec = _engine_case(case, request)
         rho, _, phi, _ = energy._polar_grid(prof, R, spec)
         monkeypatch.setattr(energy, "_BLOCK", {"two": 1, "merge": (phi.size - 1) * rho.size,
                                                "partial": 7 * rho.size,
                                                "whole": 10 ** 9}[budget])
+        fine, delta, err = _two_call_matrix(prof, R, spec)
         widths, fields = [], RadialProfile._fields
 
         def spying(self, r, t=None, derivs=True):
@@ -493,27 +531,29 @@ class TestMomentEngine:
             return fields(self, r, t, derivs)
 
         monkeypatch.setattr(RadialProfile, "_fields", spying)
-        M = energy._build_moment_matrix(prof, R, spec)
-        monkeypatch.setattr(RadialProfile, "_fields", fields)
-        # einsum sums a lone contiguous column in another order, so a block
-        # holds two columns or more unless the grid has one
-        assert min(widths) >= 2 or widths == [1, 1]
-        fine, delta, err = _two_call_matrix(prof, R, spec)
-        for name in _FIELDS:
-            got, want = getattr(M, name), fine.get(name)
-            assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
-        for name in delta:
-            assert M.delta[name].tobytes() == delta[name].tobytes(), name
-        assert M.err == err
+        for _ in range(2):
+            widths.clear()
+            M = energy._build_moment_matrix(prof, R, spec)
+            # einsum sums a lone contiguous column in another order, so a
+            # block holds two columns or more unless the grid has one
+            assert min(widths) >= 2 or widths == [1, 1]
+            for name in _FIELDS:
+                got, want = getattr(M, name), fine.get(name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+            for name in delta:
+                assert M.delta[name].tobytes() == delta[name].tobytes(), name
+            assert M.err == err
 
-    @pytest.mark.parametrize("resolution", ["coarse", "fine"])
-    def test_nan_in_last_partial_block_raises(self, resolution, monkeypatch):
-        # a nan in the last, partial column block of one resolution still
-        # reaches the two-resolution guard
+    @staticmethod
+    def _poison_last_partial_block(resolution, part, monkeypatch):
+        # a cold build whose last, partial column block of one resolution has
+        # nan values on the nodes past D = 16 (the part every build computes
+        # afresh) or below it (the part a warm build reuses)
         R, spec = 20.0, QuadratureSpec()
         sp = spec if resolution == "coarse" else spec.refined()
         rho, _, phi, _ = energy._polar_grid(RadialProfile(kind="escobar-halfspace", n=5,
                                                           amplitude=0.5), R, sp)
+        rows = (rho > 16.0) if part == "fresh" else (rho < 16.0)
         last = (rho * np.sin(phi[-1])).tobytes()
         width = 7
         assert phi.size % width > 1       # a partial last block
@@ -525,13 +565,26 @@ class TestMomentEngine:
                 u, ur, ut = super()._fields(r_, t, derivs)
                 if np.ndim(r_) == 2 and r_.shape[0] == rho.size and t[:, -1].tobytes() == last:
                     poisoned.append(t.shape[1])
-                    u = u * np.nan
+                    u = np.where(rows[:, None], np.nan, u)
                 return u, ur, ut
 
         with pytest.raises(QuadratureNonConvergence):
             energy._build_moment_matrix(Poisoned(kind="escobar-halfspace", n=5, amplitude=0.5),
                                         R, spec)
         assert poisoned == [phi.size % width]
+        assert not energy._memo
+
+    @pytest.mark.parametrize("resolution", ["coarse", "fine"])
+    def test_nan_in_last_partial_block_raises(self, resolution, monkeypatch, empty_memo):
+        # the nan reaches the two-resolution guard, and the failed build
+        # caches nothing
+        self._poison_last_partial_block(resolution, "fresh", monkeypatch)
+
+    @pytest.mark.parametrize("resolution", ["coarse", "fine"])
+    def test_nan_in_the_reused_part_raises(self, resolution, monkeypatch, empty_memo):
+        # a nan below D spoils the cached-to-be rho sums, and through them
+        # every continued sum, so it reaches the guard too
+        self._poison_last_partial_block(resolution, "reused", monkeypatch)
 
     def test_build_peak_memory_is_a_few_blocks(self, halfspace_profiles):
         # numpy reports its buffers to tracemalloc; at R = 500 one fine-grid
@@ -546,6 +599,107 @@ class TestMomentEngine:
         finally:
             tracemalloc.stop()
         assert peak < 10e6, peak
+
+
+def _in_order(V, F):
+    """sum_a V[k, a] F[a, b], added over a strictly in order, one product at a time."""
+    acc = np.zeros((V.shape[0], F.shape[1]))
+    for a in range(V.shape[1]):
+        acc = acc + V[:, a:a + 1] * F[a:a + 1]
+    return acc
+
+
+class TestRhoSumCache:
+    """Each half-space build caches its rho sums at D = 2^floor(log2 R), where
+    chi_R is still 1, and a later build continues them over the nodes past D."""
+
+    @pytest.fixture(scope="class")
+    def weights(self, halfspace_profiles):
+        # the engine's rho weights on the fine R = 500 grid, cut at D = 256
+        rho, wrho, _, _ = energy._polar_grid(halfspace_profiles[5], 500.0, QuadratureSpec(subdiv=2))
+        return rho ** energy._RHO_POWERS * (wrho * rho ** 4), int(np.searchsorted(rho, 256.0))
+
+    @staticmethod
+    def _field(rows, width, seed=0):
+        # signs and magnitudes mixed over 25 decades, so any change of order shows
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((rows, width)) * np.exp(rng.uniform(-50.0, 8.0, (rows, 1)))
+
+    @pytest.mark.parametrize("width", [2, 3, 7, 40, 240])
+    def test_einsum_adds_over_rho_in_order(self, weights, width):
+        V, cut = weights
+        F = self._field(V.shape[1], width)
+        one_shot = np.einsum("ka,ab->kb", V, F)
+        assert one_shot.tobytes() == _in_order(V, F).tobytes(), (
+            f"einsum no longer adds over rho in order at block width {width}: "
+            "cached rho sums would not continue the one-shot sum bit for bit")
+        # the identity block in front of the weights and the partial sums in
+        # front of the field rows continue the sum where it stopped
+        head = np.einsum("ka,ab->kb", V[:, :cut], F[:cut])
+        cont = np.einsum("ka,ab->kb", np.hstack((np.eye(energy._DEGREES), V[:, cut:])),
+                         np.vstack((head, F[cut:])))
+        assert cont.tobytes() == one_shot.tobytes(), (
+            f"the identity-row continuation differs from the one-shot sum at width {width}")
+
+    def test_single_column_is_not_summed_in_order(self, weights):
+        # why a block holds two columns or more, and why the radial kinds (one
+        # phi column) are built cold: einsum's reduction kernel sums a lone
+        # column in another order
+        V, _ = weights
+        F = self._field(V.shape[1], 1)
+        assert np.einsum("ka,ab->kb", V, F).tobytes() != _in_order(V, F).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_warm_builds_match_cold_ones(self, n, monkeypatch, empty_memo, halfspace_profiles):
+        # same D (300, 260), a smaller D with no cached edge below it (130),
+        # R = 1, an exact power of two, R in [1, 2), and a D that continues
+        # from the largest cached edge below it (700 from 256)
+        U, spec = halfspace_profiles[n], QuadratureSpec()
+        sequence = (300.0, 260.0, 130.0, 1.0, 32.0, 1.5, 700.0)
+        for R in sequence:
+            _assert_same_bits(energy._build_moment_matrix(U, R, spec),
+                              _cold_build(U, R, spec, monkeypatch))
+        # one entry per resolution, holding the requested edges only
+        entries = {k[2]: v for k, v in energy._memo.items() if k[0] == "rho-sums"}
+        assert set(entries) == {spec, spec.refined()}
+        for sp, sums in entries.items():
+            assert sorted(sums) == [1.0, 32.0, 128.0, 256.0, 512.0]
+            phi = energy._polar_grid(U, 20.0, sp)[2]
+            for by_name in sums.values():
+                assert set(by_name) == {"tan", "nor", "w2", "w1"}
+                assert all(S.shape == (energy._DEGREES, phi.size) and not S.flags.writeable
+                           for S in by_name.values())
+
+    def test_near_optimizer_warm_matches_cold(self, monkeypatch, empty_memo, gn23):
+        # the (2, 3) near-optimizer's core edges (1 and 3) fall inside the
+        # dyadic panels; its core lies in the glue band at R = 1.3 and 2.7
+        Qp, spec = gn23[1], QuadratureSpec()
+        for R in (30.0, 20.0, 2.7, 3.5, 1.3, 8.0, 40.0):
+            _assert_same_bits(energy._build_moment_matrix(Qp, R, spec),
+                              _cold_build(Qp, R, spec, monkeypatch))
+        sums = [v for k, v in energy._memo.items() if k[0] == "rho-sums"]
+        assert len(sums) == 2 and all(sorted(d) == [1.0, 2.0, 8.0, 16.0, 32.0] for d in sums)
+
+    def test_used_entries_outlive_matrix_churn(self, monkeypatch, empty_memo,
+                                              halfspace_profiles):
+        # each build touches its rho sums, so a stream of new matrix keys
+        # evicts old matrices, not the sums it keeps reusing
+        monkeypatch.setattr(energy, "_MEMO_CAP", 4)
+        U = halfspace_profiles[5]
+        for R in np.linspace(17.0, 31.0, 8):
+            halfspace_moment_matrix(U, R)
+            assert [k[0] for k in energy._memo].count("rho-sums") == 2
+        sums = [v for k, v in energy._memo.items() if k[0] == "rho-sums"]
+        assert all(list(d) == [16.0] for d in sums)
+
+    def test_radial_kinds_cache_no_rho_sums(self, empty_memo, gn23):
+        energy._build_moment_matrix(gn23[0], 20.0, QuadratureSpec())
+        assert not energy._memo
+
+    def test_failed_build_caches_nothing(self, empty_memo, halfspace_profiles):
+        with pytest.raises(QuadratureNonConvergence):
+            energy._build_moment_matrix(halfspace_profiles[5], 40.0, QuadratureSpec(order=4))
+        assert not energy._memo
 
 
 # the accuracy oracle's cases: Escobar n = 4..8 at four cutoffs, and the GN
@@ -582,9 +736,8 @@ class TestPolarAccuracy:
 
 
 @pytest.fixture
-def builds(monkeypatch):
+def builds(monkeypatch, empty_memo):
     """An empty memo for the test, and the arguments of every real build."""
-    monkeypatch.setattr(energy, "_memo", OrderedDict())
     calls = []
     build = energy._build_moment_matrix
 
@@ -630,7 +783,8 @@ class TestMatrixMemo:
                     (dataclasses.replace(U, amplitude=2.0 * U.amplitude), 20.0,
                      QuadratureSpec())]
         mats = [halfspace_moment_matrix(*v) for v in variants]
-        assert len(builds) == len(variants) == len(energy._memo)
+        matrix_keys = [k for k in energy._memo if k[0] == "matrix"]
+        assert len(builds) == len(variants) == len(matrix_keys)
         assert len({id(M) for M in mats}) == len(variants)
         assert mats[5].w2[0, 0] == pytest.approx(4.0 * mats[0].w2[0, 0], rel=1e-14)
 

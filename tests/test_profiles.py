@@ -72,6 +72,27 @@ class TestEscobarOptimizer:
             assert np.all(np.diff(vals) < 0)
 
 
+class TestSphereArea:
+    def test_gamma_form_below_the_overflow(self):
+        # every k whose Gamma((k+1)/2) is finite keeps its bits
+        for k in range(343):
+            h = (k + 1) / 2.0
+            assert sphere_area(k) == 2.0 * math.pi ** h / math.gamma(h)
+
+    @pytest.mark.parametrize("k", [343, 400, 1000])
+    def test_lgamma_form_past_the_overflow(self, k):
+        import mpmath
+        with mpmath.workdps(40):
+            h = mpmath.mpf(k + 1) / 2
+            want = float(2 * mpmath.pi ** h / mpmath.gamma(h))
+        assert sphere_area(k) == pytest.approx(want, rel=1e-12)
+
+    def test_optimizer_that_cannot_be_normalized_raises(self):
+        # its Dirichlet energy is below the smallest float64 from n = 344 on
+        with pytest.raises(OverflowError, match="n=400"):
+            escobar_halfspace_optimizer(400)
+
+
 class TestAubinTalenti:
     def test_center_values(self):
         U1 = aubin_talenti(4, lam=1.0)
