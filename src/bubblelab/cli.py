@@ -225,75 +225,39 @@ def cmd_expand(ns) -> str:
 
 
 def cmd_estimate(ns) -> str:
-    from .profiles import escobar_halfspace_optimizer
-    from .moments import weighted_moments, escobar_constants, gn_coefficients
-    from .estimators import (escobar_single_scale_sweep, escobar_three_scale_sweep,
-                             ring_II_estimator, gn_interior_sweep)
-    from .geometry import InteriorPointData
+    from .estimators import estimate
     n = ns.n = _int_check("--n", ns.n)
-    escobar = ns.target in ("H", "mass", "theta", "ringII")
-    if escobar:
-        _escobar_dimension_check(n, ns.target)
     _cutoff_check(ns.R)
     _positive_check("--eps", ns.eps)
     eps = ns.eps * 0.5 ** np.arange(_int_check("--sweep", ns.sweep, at_least=1))
-    if escobar:
-        geo = _geometry(ns)
-        U = escobar_halfspace_optimizer(n)
-        if ns.target == "H":
-            sw = escobar_single_scale_sweep(geo.data, U, ns.R, eps)
-            reports = sw["reports"]
-            order = sw["order"]
-        else:
-            sw = escobar_three_scale_sweep(geo.data, U, ns.R, eps)
-            key = {"mass": "mass", "theta": "theta", "ringII": "mass"}[ns.target]
-            reports = sw["reports"][key]
-            order = sw["orders"][key]
-        if ns.target == "ringII":
-            from .energy import channel_fit_second_order
-            C = escobar_constants(n, weighted_moments(U, ns.R))
-            # fit the channel constants at the sweep's own cutoff so the
-            # inversion and the deficits share one truncation
-            fit = channel_fit_second_order(n, U, C, R=ns.R)
-            C.kappa1, C.kappa2 = fit.kappa1, fit.kappa2
-            C.kappa3 = fit.kappa3_fit
-            reports = [ring_II_estimator(r.estimate, geo.data, C) for r in reports]
-            errs = [r.error for r in reports]
-            from .energy import empirical_slope
-            order = empirical_slope(eps, errs)
-        scales = sw["scales"]
-        doc = {"kind": "estimator-report", "target": ns.target,
-               "geometry": geo.name, "n": n, "empirical_order": order,
-               "constants": {"S_star_R": scales.S_star, "rho_conf_R": scales.rho,
-                             "R": ns.R},
-               "rows": [{"eps": float(e), "estimate": r.estimate,
-                         "truth": r.truth, "error": r.error}
-                        for e, r in zip(eps, reports)]}
-        _emit_json(ns.out, doc)
-        return (f"estimate {ns.target} on {geo.name}: finest={reports[-1].estimate:.6g} "
-                f"order={order:.3f}")
     if ns.target == "scal":
         from .profiles import _admissible_gn
+        from .geometry import InteriorPointData
         if n < 2 or not _admissible_gn(n, ns.p):
             raise ValidationFailure(
                 f"--p {ns.p} at --n {n}: need n >= 2 and 1 < p < (n+2)/(n-2) (any p > 1 at n = 2)")
-        from .fixtures import cached_gn_profiles
-        Q, Qp = cached_gn_profiles(n, ns.p)
-        co = gn_coefficients(Q, Qp, R=ns.R)
-        data = InteriorPointData(n=n, scal=ns.value)
-        sw = gn_interior_sweep(data, Q, co, ns.R, eps)
-        doc = {"kind": "estimator-report", "target": "scal", "n": n,
-               "empirical_order": sw["order"], "constants": co.snapshot(),
-               "rows": [{"eps": float(e), "estimate": r.estimate, "truth": r.truth,
-                         "error": r.error} for e, r in zip(eps, sw["reports"])]}
-        _emit_json(ns.out, doc)
-        return f"estimate scal: finest={sw['reports'][-1].estimate:.6g} order={sw['order']:.3f}"
-    raise ValidationFailure(f"unknown target {ns.target}")
+        data, where = InteriorPointData(n=n, scal=ns.value), {}
+    else:
+        _escobar_dimension_check(n, ns.target)
+        geo = _geometry(ns)
+        if ns.target == "ringII" and geo.data.H != 0.0:
+            raise ValidationFailure(f"--target ringII holds on the H = 0 stratum only, where its "
+                                    f"channel is fitted; {geo.name} has H = {geo.data.H:g}")
+        data, where = geo.data, {"geometry": geo.name}
+    est = estimate(ns.target, data, ns.R, eps, p=ns.p)
+    reports, order = est["reports"], est["order"]
+    _emit_json(ns.out, {"kind": "estimator-report", "target": ns.target, "n": n, **where,
+                        "empirical_order": order, "constants": est["constants"],
+                        "rows": [{"eps": float(e), "estimate": r.estimate, "truth": r.truth,
+                                  "error": r.error} for e, r in zip(eps, reports)]})
+    on = f" on {where['geometry']}" if where else ""
+    return f"estimate {ns.target}{on}: finest={reports[-1].estimate:.6g} order={order:.3f}"
 
 
-# The bound of ``_check_jet_positivity`` on the volume element of the disk's
-# H = 1 Fermi jet is 1 - t, and the (2, 3) near-optimizer (shift 2) cut off at
-# R = 20 reaches depth t = eps (2R + 2): the estimated mode needs eps < 1/42.
+# The estimated mode's one cutoff. The bound of ``_check_jet_positivity`` on the
+# volume element of the disk's H = 1 Fermi jet is 1 - t, and the (2, 3) near-optimizer
+# (shift 2) cut off at R = 20 reaches depth t = eps (2R + 2): so eps < 1/42.
+_GB_R = 20.0
 _GB_EPS_MAX = 1.0 / 42.0
 
 
@@ -317,8 +281,8 @@ def cmd_gauss_bonnet(ns) -> str:
         from .moments import gn_coefficients
         from .fixtures import cached_gn_profiles
         Q, Qp = cached_gn_profiles(2, 3.0)
-        co = gn_coefficients(Q, Qp, R=20.0)
-        interior, boundary = disk_fields_estimated(Q, Qp, co, eps=ns.eps)
+        co = gn_coefficients(Q, Qp, R=_GB_R)
+        interior, boundary = disk_fields_estimated(Q, Qp, co, eps=ns.eps, R=_GB_R)
     rep = gauss_bonnet_recovery(2, interior, boundary)
     _emit_json(ns.out, {"kind": "gauss-bonnet", "surface": ns.surface,
                         "mode": ns.mode, "chi_hat": rep.estimate,

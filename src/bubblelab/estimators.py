@@ -8,7 +8,8 @@ the boundary-bubble expansion
 the isotropic recovery of |II_ring|^2, the GN boundary/interior estimators,
 and the 2D Gauss-Bonnet assembly. Estimators are pure arithmetic on deficit
 values: the sweeps feed them the deficits of the jet-energy models, and the
-inversions take any deficit values a caller passes.
+inversions take any deficit values a caller passes. Each sweep divides by
+constants of its own model's matrix at its cutoff; ``estimate`` runs them all.
 
 Truth values for jet sweeps are the exact Taylor coefficients of the jet
 quotient (energy.HalfspaceEnergyModel.series("escobar")), computed from the same
@@ -23,18 +24,20 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import HalfspaceEnergyModel, InteriorEnergyModel, empirical_slope
+from .energy import (HalfspaceEnergyModel, InteriorEnergyModel, channel_fit_second_order,
+                     empirical_slope)
 from .geometry import BoundaryPointData, InteriorPointData, fermi_jet, geometry_catalog
 from .moments import (_SCALE_MOMENTS, EscobarConstants, GNCoefficients, _table_entry,
-                      escobar_scales)
-from .profiles import RadialProfile
+                      escobar_constants, escobar_scales, gn_coefficients, interior_kappa,
+                      weighted_moments)
+from .profiles import RadialProfile, escobar_halfspace_optimizer
 
 __all__ = [
     "EstimatorReport", "EstimatorScales", "hat_H_single", "three_scale_debias",
     "modulated_two_point", "ring_II_estimator", "gn_boundary_H", "gn_interior_scal",
     "gauss_bonnet_recovery", "SampledField", "escobar_three_scale_sweep",
     "escobar_single_scale_sweep", "gn_boundary_sweep", "gn_interior_sweep",
-    "disk_fields_exact", "annulus_fields_exact", "disk_fields_estimated",
+    "disk_fields_exact", "annulus_fields_exact", "disk_fields_estimated", "estimate",
 ]
 
 
@@ -162,13 +165,13 @@ def gn_boundary_H(delta1: float, delta2: float, eps1: float, eps2: float,
 
 
 def gn_interior_scal(delta1: float, delta2: float, eps1: float, eps2: float,
-                     coeffs: GNCoefficients, truth: Optional[float] = None) -> EstimatorReport:
+                     kappa_int: float, truth: Optional[float] = None) -> EstimatorReport:
     """Scal-hat = (delta1 - delta2)/(kappa_int (eps1^2 - eps2^2)) from relative deficits."""
     if eps1 == eps2:
         raise ValueError("needs two distinct scales")
-    if coeffs.kappa_int == 0.0:
+    if kappa_int == 0.0:
         raise ValueError("kappa_int vanishes")
-    est = (delta1 - delta2) / (coeffs.kappa_int * (eps1 ** 2 - eps2 ** 2))
+    est = (delta1 - delta2) / (kappa_int * (eps1 ** 2 - eps2 ** 2))
     return EstimatorReport("scal", est, (eps1, eps2), truth)
 
 
@@ -237,14 +240,43 @@ def gn_boundary_sweep(data: BoundaryPointData, Qplus: RadialProfile,
     return dict(sw, truth=truth, series=model.series("gn-boundary"))
 
 
-def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile,
-                      coeffs: GNCoefficients, R: float, eps_grid) -> dict:
-    """GN Scal-hat from deficit pairs (eps, 2 eps) on an interior jet."""
+def gn_interior_sweep(data: InteriorPointData, Q: RadialProfile, R: float, eps_grid) -> dict:
+    """GN Scal-hat from deficit pairs (eps, 2 eps) on an interior jet, by kappa_int(R)."""
     model = InteriorEnergyModel(data, Q, R)
+    kappa_int = interior_kappa(model.M, Q.p)[0]
     truth = data.scal
     sw, = _sweep(model.gn_quotient, eps_grid, (1, 2),
-                 lambda e, d1, d2: (gn_interior_scal(d1, d2, e, 2 * e, coeffs, truth=truth),))
-    return dict(sw, truth=truth, series=model.series("gn-interior"))
+                 lambda e, d1, d2: (gn_interior_scal(d1, d2, e, 2 * e, kappa_int, truth=truth),))
+    return dict(sw, truth=truth, kappa_int=kappa_int, series=model.series("gn-interior"))
+
+
+def estimate(target: str, data, R: float, eps_grid, p: float = 3.0) -> dict:
+    """The reports, order and constants of ``bubblelab estimate``: Escobar
+    targets divide by S*(R) and rho(R), ringII (H = 0 only) by its channel fit
+    at R, scal by kappa_int(R) with the ``gn_coefficients`` snapshot at R."""
+    if target == "scal":
+        from .fixtures import cached_gn_profiles
+        Q, Qplus = cached_gn_profiles(data.n, p)
+        constants = gn_coefficients(Q, Qplus, R=R).snapshot()
+        sw = gn_interior_sweep(data, Q, R, eps_grid)
+        return {"reports": sw["reports"], "order": sw["order"], "constants": constants}
+    U = escobar_halfspace_optimizer(data.n)
+    if target == "ringII":
+        model = HalfspaceEnergyModel(fermi_jet(data, order=2), U, R)
+        scales = EstimatorScales.from_model(model)
+        C = escobar_constants(data.n, weighted_moments(U, R))
+        fit = channel_fit_second_order(data.n, U, C, R=R)
+        C.kappa1, C.kappa2, C.kappa3 = fit.kappa1, fit.kappa2, fit.kappa3_fit
+        sw, = _sweep(model.escobar_quotient, eps_grid, (1, 2, 3), lambda e, *E: (
+            ring_II_estimator(three_scale_debias(*E, e, scales)[1].estimate, data, C),))
+    else:
+        sw = {"H": escobar_single_scale_sweep, "mass": escobar_three_scale_sweep,
+              "theta": escobar_three_scale_sweep}[target](data, U, R, eps_grid)
+        scales = sw["scales"]
+        if target != "H":   # mass or theta
+            sw = {"reports": sw["reports"][target], "order": sw["orders"][target]}
+    return {"reports": sw["reports"], "order": sw["order"],
+            "constants": {"S_star_R": scales.S_star, "rho_conf_R": scales.rho, "R": R}}
 
 
 # --------------------------------------------------------------------------
@@ -303,15 +335,15 @@ def annulus_fields_exact(r_inner: float) -> tuple:
 def disk_fields_estimated(Q: RadialProfile, Qplus: RadialProfile,
                           coeffs: GNCoefficients, eps: float = 1e-2,
                           R: float = 20.0) -> tuple:
-    """Estimator-produced fields on the unit disk via the GN sweeps.
+    """Estimator-produced fields on the unit disk via the GN sweeps at cutoff R.
 
     Every interior point of the flat disk carries the flat jet and every
     boundary point the H = 1 Fermi jet, so one sweep of each kind serves the
     whole grid. The boundary sweep at (eps/2, eps/4) gives two applications
     of the two-scale estimator, Richardson-combined to cancel its leading
-    O(eps1 + eps2) bias.
+    O(eps1 + eps2) bias. ``coeffs`` gives the boundary's kappa_bdy: take it at R.
     """
-    inner = gn_interior_sweep(InteriorPointData(n=2, scal=0.0), Q, coeffs, R, [eps])
+    inner = gn_interior_sweep(InteriorPointData(n=2, scal=0.0), Q, R, [eps])
     ni, nb = _ESTIMATED_INTERIOR, _ESTIMATED_BOUNDARY
     interior = SampledField(np.full(ni, inner["reports"][0].estimate), np.full(ni, math.pi / ni))
     ball = geometry_catalog("euclidean-ball", 2, radius=1.0).data

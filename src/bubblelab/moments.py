@@ -2,9 +2,8 @@
 
 Everything here is built from the model profiles:
 
-* truncated moments of chi_R * U at cutoff R over the half-ball, read from
-  the moment matrix of ``energy.halfspace_moment_matrix`` (the cutoff
-  vanishes outside |y| = 2R, so the rectangle [0, 2R]^2 is the whole domain);
+* truncated moments of chi_R * U at cutoff R over the half-ball |y| <= 2R,
+  read from the moment matrix of ``energy.halfspace_moment_matrix``;
 * untruncated limits read the same way from the engine's matrix at R = inf,
   whose entries are products of two Beta functions (DLMF 5.12);
 * the first-order coefficient rho_n^conf both as the bracket combination
@@ -12,11 +11,10 @@ Everything here is built from the model profiles:
   (n-2)^2 Theta / (2(n-1)), with an agreement assertion;
 * kappa_3 = (4-n) g2 / (2(n-1)), the sharp constant S* = J / T^(2/q), and the
   plain-trace first-order coefficient Theta/2;
-* Gagliardo-Nirenberg curvature coefficients kappa_int / kappa_bdy from the
-  (normalized) second and first vertical moments of the ground state (its
-  matrix at R = inf) and the half-space near-optimizer, and the Weinstein
-  quotient of a moment matrix,
-  which gives the sharp constant C* and the near-optimizer's quotient;
+* Gagliardo-Nirenberg coefficients: kappa_int of record from the ground
+  state's matrix at R = inf (the sweeps divide by kappa_int(R) of their own
+  matrix, both by ``interior_kappa``), kappa_bdy from the near-optimizer's at
+  R, and the Weinstein quotient, which gives C* and the near-optimizer's W;
 * fast-diffusion exponents theta_m, alpha_{n,m}, beta_{n,m}.
 """
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .quadrature import QuadratureSpec, DEFAULT_QUAD
 
 __all__ = [
     "MomentTable", "EscobarConstants", "GNCoefficients", "FDEExponents",
-    "LogDivergentMoment", "IdentityReport", "ConstantsMismatch",
+    "LogDivergentMoment", "IdentityReport", "ConstantsMismatch", "interior_kappa",
     "weighted_moments", "verify_harmonic_identities", "second_moment_identity",
     "escobar_scales", "escobar_constants", "gn_coefficients", "fde_exponents",
     "kappa_int_from_moments", "kappa_bdy_from_moments", "weinstein_quotient",
@@ -235,6 +233,15 @@ def kappa_int_from_moments(Mpp: float, M2: float, Mgr: float,
     return (Mpp - 0.5 * alpha * M2 - 0.5 * beta * Mgr) / 6.0
 
 
+def interior_kappa(M, p: float) -> tuple:
+    """(kappa_int, (I_pp, I_2, J_grad), (M_pp, M_2, M_grad)) of a ground state's
+    radial matrix M at its cutoff: M_x is the r^2 moment (column 0) over n I_x."""
+    n = M.n
+    (Ipp, Mpp), (I2, M2), (Jg, Mgr) = (a[0:3:2, 0].tolist() for a in (M.pp, M.w2, M.tan))
+    second = (Mpp / (n * Ipp), M2 / (n * I2), Mgr / (n * Jg))
+    return kappa_int_from_moments(*second, *gn_exponents(n, p)), (Ipp, I2, Jg), second
+
+
 def kappa_bdy_from_moments(mpp: float, m2: float, mgr_tan: float, mgr: float,
                            alpha: float, beta: float, n: int) -> float:
     return -mpp + 0.5 * alpha * m2 - 0.5 * beta * ((2.0 / (n - 1)) * mgr_tan - mgr)
@@ -287,13 +294,13 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
     """Curvature coefficients kappa_int / kappa_bdy and the sharp constant.
 
     n and p are those of the ground state Q; the near-optimizer Q+ must share
-    them (ValueError otherwise). Interior second moments are normalized by
-    n * I; boundary first vertical moments are normalized by the matching
-    truncated integral of P_R = chi_R Q+.
-    The interior moments and C* come from the untruncated (R = inf) matrix of
-    Q, the boundary moments and W_flat_halfspace from the cutoff-R half-space matrix
-    of Q+; ``errors`` holds their two-resolution differences. Raises
-    ShootingError when W_flat_halfspace < (1 - delta0) C*, delta0 = 0.1.
+    them (ValueError otherwise). kappa_int and C* are the values of record,
+    from the untruncated (R = inf) matrix of Q; a sweep at cutoff R divides by
+    kappa_int(R) of its own matrix instead. kappa_bdy and W_flat_halfspace come
+    from the cutoff-R matrix of Q+, its first vertical moments normalized by
+    the matching truncated integral of P_R = chi_R Q+; ``errors`` holds the
+    two-resolution differences. Raises ShootingError when
+    W_flat_halfspace < (1 - delta0) C*, delta0 = 0.1.
     """
     if Q.kind != "gn-ground-state" or Qplus.kind != "gn-halfspace-near-optimizer":
         raise ValueError("gn_coefficients expects (ground state, half-space near-optimizer)")
@@ -303,13 +310,10 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
                          f"the near-optimizer ({Qplus.n}, {Qplus.p})")
     alpha, beta = gn_exponents(n, p)
     full = halfspace_moment_matrix(Q, math.inf, spec)
-    # radial matrix: column 0 holds the moments of r^0 and r^2
-    (Ipp, Mpp), (I2, M2), (Jg, Mgr) = (a[0:3:2, 0].tolist() for a in (full.pp, full.w2, full.tan))
-    d = full.delta
-    errs = {label: abs(float(d[name][i, 0])) for label, name, i in (
+    kint, (Ipp, I2, Jg), (Mpp, M2, Mgr) = interior_kappa(full, p)
+    errs = {label: abs(float(full.delta[name][i, 0])) for label, name, i in (
         ("I_pp", "pp", 0), ("I_2", "w2", 0), ("J_grad", "tan", 0),
         ("M_pp", "pp", 2), ("M_2", "w2", 2), ("M_grad", "tan", 2))}
-    Mpp, M2, Mgr = Mpp / (n * Ipp), M2 / (n * I2), Mgr / (n * Jg)
 
     bdy = halfspace_moment_matrix(Qplus, R, spec)
     (ippR, y_ipp), (i2R, y_i2), (jgR, y_jg), (_, y_jgtan) = (
@@ -326,7 +330,6 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
         raise ShootingError(
             f"half-space near-optimizer misses its deficit target at R={R}: "
             f"W = {wflat:.6g} < (1 - delta0) C* = (1 - {_GN_DELTA0}) {cstar:.6g}")
-    kint = kappa_int_from_moments(Mpp, M2, Mgr, alpha, beta)
     kbdy = kappa_bdy_from_moments(m1_pp, m1_2, m1_gt, m1_g, alpha, beta, n)
     return GNCoefficients(n=n, p=p, alpha=alpha, beta=beta, C_star=cstar,
                           W_flat_halfspace=wflat, I_pp=Ipp, I_2=I2, J_grad=Jg,

@@ -152,6 +152,8 @@ class TestValidation:
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.5"],
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "2"],
         ["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.024"],
+        ["estimate", "--target", "ringII", "--n", "5"],
+        ["estimate", "--target", "ringII", "--n", "5", "--geometry", "h-only", "--H", "0.5"],
         *_BAD_ESCOBAR_DIMENSIONS,
     ], ids=" ".join)
     def test_out_of_range_exits_2(self, args, capsys):
@@ -182,14 +184,27 @@ class TestValidation:
 
     @pytest.mark.parametrize("args", _BAD_ESCOBAR_DIMENSIONS, ids=" ".join)
     def test_bad_escobar_dimension_builds_no_profile(self, args, monkeypatch, capsys):
-        from bubblelab import profiles
+        from bubblelab import estimators, profiles
 
         def forbidden(n):
             raise AssertionError(f"half-space optimizer built for n = {n}")
 
-        monkeypatch.setattr(profiles, "escobar_halfspace_optimizer", forbidden)
+        for module in (profiles, estimators):
+            monkeypatch.setattr(module, "escobar_halfspace_optimizer", forbidden)
         assert main(args) == 2
         assert "n >= " in json.loads(capsys.readouterr().err)["detail"]
+
+    @pytest.mark.parametrize("geometry, H", [([], "4"), (["--geometry", "h-only", "--H", "0.5"],
+                                                         "0.5")], ids=["ball", "h-only"])
+    def test_ring_II_off_its_stratum_builds_no_profile(self, geometry, H, monkeypatch, capsys):
+        # the ringII inversion holds on H = 0 only: the ball read -27.62 for a
+        # truth of 0 and h-only (H = 0.5) -0.16, each at exit 0
+        from bubblelab import estimators, profiles
+        for module in (profiles, estimators):
+            monkeypatch.setattr(module, "escobar_halfspace_optimizer", None)
+        assert main(["estimate", "--target", "ringII", "--n", "5", *geometry]) == 2
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert "H = 0 stratum" in detail and detail.endswith(f"has H = {H}")
 
     @pytest.mark.parametrize("args", [
         ["expand", "--geometry", "nosuch", "--n", "5"],
@@ -229,21 +244,28 @@ class TestValidation:
         err = json.loads(lines[0])
         assert err["error"] == "numerical" and err["detail"].startswith(detail)
 
-    @pytest.mark.parametrize("R", ["1.3", "2.7"])
+    @pytest.mark.parametrize("R", ["1.3", "2.7", "5"])
     def test_near_optimizer_cut_in_its_core_reaches_the_deficit_check(self, R, tmp_path,
                                                                        capsys):
         # the glue band R < rho < 2R crosses the near-optimizer's core at
         # depth 2, where the tensor grid's two resolutions disagreed (exit 3
-        # with a quadrature message). Now both agree: at R = 2.7 the deficit
-        # check passes; at R = 1.3 the cut-off profile really misses it
-        # (W = 0.1204 < 0.9 C*, on a 40-point grid too)
+        # with a quadrature message). Now both agree: at R = 2.7 and 5 the
+        # deficit check passes; at R = 1.3 the cut-off profile really misses
+        # it (W = 0.1204 < 0.9 C*, on a 40-point grid too). Past the check,
+        # the deficits are divided by kappa_int at the same cutoff: with the
+        # R = inf value the order read 0.001 and the errors 3e-6 to 6e-5
         out = tmp_path / "s.json"
-        code = main(["estimate", "--target", "scal", "--n", "2", "--R", R, "--out", str(out)])
-        if R == "2.7":
-            assert code == 0
-            co = json.loads(out.read_text())["constants"]
-            assert co["W_flat_halfspace"] >= 0.9 * co["C_star"]
+        if R != "1.3":
+            for n in ("2", "3"):
+                assert main(["estimate", "--target", "scal", "--n", n, "--R", R,
+                             "--out", str(out)]) == 0
+                doc = json.loads(out.read_text())
+                co, fin = doc["constants"], doc["rows"][-1]
+                assert co["W_flat_halfspace"] >= 0.9 * co["C_star"]
+                assert doc["empirical_order"] >= 1.9
+                assert fin["error"] <= 1e-7 * abs(fin["truth"])
         else:
+            code = main(["estimate", "--target", "scal", "--n", "2", "--R", R])
             assert code == 3
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "numerical"
@@ -273,7 +295,9 @@ class TestWarnings:
 
     @pytest.mark.parametrize("target", ["mass", "theta", "ringII"])
     def test_three_scale_targets_quiet_at_defaults(self, target, capsys):
-        assert main(["estimate", "--target", target, "--n", "6"]) == 0
+        # ringII holds on H = 0 only, so it runs on a channel geometry
+        geometry = ["--geometry", "anisotropic-cylinder-like"] if target == "ringII" else []
+        assert main(["estimate", "--target", target, "--n", "6", *geometry]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -409,6 +433,19 @@ class TestLazyImports:
                 "assert main(['estimate', '--target', 'H', '--n', '5', "
                 f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
                 f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_escobar_estimates_load_no_fixtures(self, tmp_path):
+        # only scal reads the cached GN profiles
+        code = ("import sys\n"
+                "from bubblelab.cli import main\n"
+                "assert main(['estimate', '--target', 'H', '--n', '5', "
+                f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
+                "assert main(['estimate', '--target', 'ringII', '--n', '5', '--geometry', "
+                f"'ricci-only', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m == 'bubblelab.fixtures'))\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"

@@ -1,17 +1,19 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bubblelab.estimators import (
-    _sweep, EstimatorScales, hat_H_single, three_scale_debias, modulated_two_point,
+    _sweep, estimate, EstimatorScales, hat_H_single, three_scale_debias, modulated_two_point,
     ring_II_estimator, gn_boundary_H, gn_interior_scal, gauss_bonnet_recovery,
     SampledField, escobar_single_scale_sweep, escobar_three_scale_sweep,
     disk_fields_exact, annulus_fields_exact,
 )
-from bubblelab.geometry import BoundaryPointData, geometry_catalog, fermi_jet
+from bubblelab.geometry import BoundaryPointData, InteriorPointData, geometry_catalog, fermi_jet
 from bubblelab.energy import HalfspaceEnergyModel, channel_fit_second_order, empirical_slope
 from bubblelab.moments import weighted_moments, escobar_constants
 
@@ -191,13 +193,13 @@ class TestGNEstimators:
         _, _, co = gn23
         scal = -1.3
         delta = lambda e: co.kappa_int * scal * e ** 2
-        rep = gn_interior_scal(delta(1e-3), delta(2e-3), 1e-3, 2e-3, co)
+        rep = gn_interior_scal(delta(1e-3), delta(2e-3), 1e-3, 2e-3, co.kappa_int)
         assert rep.estimate == pytest.approx(scal, rel=1e-12)
 
     def test_flat_gives_zero(self, gn23):
         _, _, co = gn23
         assert gn_boundary_H(0.0, 0.0, 1e-3, 2e-3, co).estimate == 0.0
-        assert gn_interior_scal(0.0, 0.0, 1e-3, 2e-3, co).estimate == 0.0
+        assert gn_interior_scal(0.0, 0.0, 1e-3, 2e-3, co.kappa_int).estimate == 0.0
 
     def test_validation(self, gn23):
         _, _, co = gn23
@@ -225,16 +227,18 @@ class TestGaussBonnet:
 
     def test_estimated_disk_fields_from_the_model_deficits(self, gn23):
         # the interior sweep at eps and the boundary sweep at (eps/2, eps/4)
-        # evaluate the models at eps, eps/2 and eps/4 and their doubles
+        # evaluate the models at eps, eps/2 and eps/4 and their doubles; the
+        # interior divides by kappa_int of its own matrix at R = 20
         from bubblelab.energy import InteriorEnergyModel
         from bubblelab.estimators import disk_fields_estimated
         from bubblelab.geometry import InteriorPointData
+        from bubblelab.moments import interior_kappa
         Q, Qp, co = gn23
         eps = 1e-2
         interior, boundary = disk_fields_estimated(Q, Qp, co, eps=eps)
         inner = InteriorEnergyModel(InteriorPointData(n=2, scal=0.0), Q, 20.0)
-        scal = gn_interior_scal(inner.gn_quotient(eps).deficit,
-                                inner.gn_quotient(2 * eps).deficit, eps, 2 * eps, co)
+        scal = gn_interior_scal(inner.gn_quotient(eps).deficit, inner.gn_quotient(2 * eps).deficit,
+                                eps, 2 * eps, interior_kappa(inner.M, Q.p)[0])
         jet = fermi_jet(geometry_catalog("euclidean-ball", 2, radius=1.0).data, order=2)
         model = HalfspaceEnergyModel(jet, Qp, 20.0)
         d = {e: model.gn_quotient(e).deficit for e in (eps, eps / 2, eps / 4)}
@@ -319,9 +323,9 @@ class TestGNSweepRates:
         # round-sphere jet in n = 3: Scal = n(n-1) = 6 recovered
         from bubblelab.estimators import gn_interior_sweep
         from bubblelab.geometry import InteriorPointData
-        Q, Qp, co = gn33
+        Q, _, _ = gn33
         data = InteriorPointData(n=3, scal=6.0)
-        sw = gn_interior_sweep(data, Q, co, 20.0, 1e-2 * 0.5 ** np.arange(5))
+        sw = gn_interior_sweep(data, Q, 20.0, 1e-2 * 0.5 ** np.arange(5))
         assert sw["reports"][-1].estimate == pytest.approx(6.0, rel=0.05)
         assert sw["order"] >= 0.7
 
@@ -358,3 +362,63 @@ class TestBatchedSweep:
         for e, rep in zip(grid, sw["reports"]):
             want = hat_H_single(model.escobar_quotient(e).deficit, e, sw["scales"]).estimate
             assert rep.estimate == want
+
+
+class TestEstimatePipeline:
+    # every divisor is read at the sweep's own cutoff, and equals the series
+    # coefficient of its unit probe there
+    @pytest.mark.parametrize("R", [1.5, 20.0, 137.0])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_escobar_divisors_are_the_unit_probe_series(self, n, R, halfspace_profiles):
+        data = geometry_catalog("h-only", n, H=1.0).data
+        const = estimate("H", data, R, [1e-3])["constants"]
+        model = HalfspaceEnergyModel(fermi_jet(data, order=2), halfspace_profiles[n], R)
+        assert const["R"] == R
+        assert const["S_star_R"] == pytest.approx(model.flat("escobar"), rel=1e-13, abs=0)
+        assert const["rho_conf_R"] == pytest.approx(model.series("escobar")[0], rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("R", [2.7, 5.0, 20.0, 30.0])
+    @pytest.mark.parametrize("case", ["gn23", "gn33"])
+    def test_kappa_int_is_the_unit_probe_series(self, case, R, request):
+        from bubblelab.estimators import gn_interior_sweep
+        Q, _, co = request.getfixturevalue(case)
+        sw = gn_interior_sweep(InteriorPointData(n=co.n, scal=1.0), Q, R, [1e-3])
+        assert sw["kappa_int"] == pytest.approx(-sw["series"][1], rel=1e-13, abs=0)
+        if R == 20.0:   # gauss-bonnet's cutoff: kappa_int(20) is the value of record
+            assert sw["kappa_int"] == co.kappa_int
+
+    def test_kappa_int_of_record_is_the_untruncated_matrix(self, gn23):
+        from bubblelab.energy import halfspace_moment_matrix
+        from bubblelab.moments import interior_kappa
+        Q, _, co = gn23
+        kint, norms, second = interior_kappa(halfspace_moment_matrix(Q, math.inf), Q.p)
+        assert kint == co.kappa_int
+        assert norms == (co.I_pp, co.I_2, co.J_grad)
+        assert second == (co.M_pp, co.M_2, co.M_grad)
+
+    def test_ring_II_order_is_measured_once_in_the_sweep(self):
+        geo = geometry_catalog("anisotropic-cylinder-like", 5)
+        eps = 1e-3 * 0.5 ** np.arange(5)
+        est = estimate("ringII", geo.data, 20.0, eps)
+        errs = [r.error for r in est["reports"]]
+        assert est["order"] == empirical_slope(eps, errs)
+        assert all(r.order == est["order"] and r.truth == geo.data.II_ring_sq
+                   for r in est["reports"])
+
+    # the benchmark's ringII job still spells the pipeline out; it must give
+    # the pipeline's bits until it calls ``estimate`` itself
+    @pytest.mark.parametrize("geometry, kw", [("anisotropic-cylinder-like", {}),
+                                              ("ricci-only", {"value": 1.0}),
+                                              ("boundary-scal-only", {"value": 1.0})])
+    def test_benchmark_ring_II_job_is_the_pipeline(self, geometry, kw):
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("perfbench_jobs",
+                                                      root / "perfbench" / "jobs.py")
+        jobs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(jobs)
+        assert (geometry, kw) in jobs.CHANNEL_GEOMETRIES
+        job = {"kind": "ringII", "geometry": geometry, "kw": kw, "n": 5, "R": 20.0}
+        got = jobs.Session(root).run(job)["estimate"]
+        data = geometry_catalog(geometry, 5, **kw).data
+        want = estimate("ringII", data, 20.0, 1e-3 * 0.5 ** np.arange(5))["reports"][-1].estimate
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
