@@ -54,7 +54,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit_json(path: str | None, doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    # strict JSON: a non-finite float raises (exit 3) instead of writing NaN
+    text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
     if path:
         _atomic_write(path, text)
     else:
@@ -246,12 +247,15 @@ def cmd_estimate(ns) -> str:
         data, where = geo.data, {"geometry": geo.name}
     est = estimate(ns.target, data, ns.R, eps, p=ns.p)
     reports, order = est["reports"], est["order"]
+    if math.isnan(order):   # fewer than two non-zero errors: no slope
+        order = None
     _emit_json(ns.out, {"kind": "estimator-report", "target": ns.target, "n": n, **where,
                         "empirical_order": order, "constants": est["constants"],
                         "rows": [{"eps": float(e), "estimate": r.estimate, "truth": r.truth,
                                   "error": r.error} for e, r in zip(eps, reports)]})
     on = f" on {where['geometry']}" if where else ""
-    return f"estimate {ns.target}{on}: finest={reports[-1].estimate:.6g} order={order:.3f}"
+    shown = "n/a" if order is None else f"{order:.3f}"
+    return f"estimate {ns.target}{on}: finest={reports[-1].estimate:.6g} order={shown}"
 
 
 # The estimated mode's one cutoff. The bound of ``_check_jet_positivity`` on the

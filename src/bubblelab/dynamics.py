@@ -29,15 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .energy import halfspace_moment_matrix
-from .moments import fde_exponents, FDEExponents, weinstein_quotient
-from .profiles import gn_exponents, sphere_area
-from .fixtures import cached_gn_ground_state
-from .quadrature import _gl_nodes
+from .quadrature import grid_1d, hankel_factors
+
+if TYPE_CHECKING:
+    from .moments import FDEExponents
 
 __all__ = [
     "DecayParams", "decay_envelope", "ode_decay_check", "extinction_time_lower",
@@ -48,6 +47,9 @@ __all__ = [
 
 def euclidean_leading_constant(n: int, m: float) -> float:
     """EEP constant in euclidean-leading mode: C*(n, p = 1/m)."""
+    from .energy import halfspace_moment_matrix
+    from .fixtures import cached_gn_ground_state
+    from .moments import weinstein_quotient
     p = 1.0 / m
     if n >= 3 and p >= (n + 2.0) / (n - 2.0):
         raise ValueError(
@@ -68,6 +70,7 @@ class DecayParams:
     kappa: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        from .moments import fde_exponents
         if self.E0 <= 0 or self.M0 <= 0:
             raise ValueError("initial entropy and mass must be positive")
         self.exponents = fde_exponents(self.n, self.m)
@@ -222,6 +225,7 @@ def extinction_time_lower(y0: float, m: float, lam1: float) -> float:
 
 def eig_competitor_bound(vol: float, lam1: float, n: int, p: float) -> float:
     """Lower bound Vol^(1-(p+1)/2) lambda_1^(-beta/2) on the GN supremum."""
+    from .profiles import gn_exponents
     if vol <= 0 or lam1 <= 0:
         raise ValueError("volume and lambda_1 must be positive")
     beta = gn_exponents(n, p)[1]
@@ -239,9 +243,9 @@ def _bessel_tables():
     Row m of ``series`` holds the coefficients of q^m, q = -x^2/4, in J0,
     J1/h and the psi-weighted sums S0, S1 of Y0, Y1 (h = x/2; psi(m + 1) is
     the digamma function). Row k of ``hankel`` holds those of x^(-k) in
-    P0, Q0, P1, Q1: +-a_k(nu) = prod_{i<=k} (4 nu^2 - (2i - 1)^2) / (8i),
-    with the sign (-1)^floor(k/2). Then the 16-point Gauss-Legendre rule on
-    10 panels of [0, pi] and on 3 panels of [0, 1].
+    P0, Q0, P1, Q1: +-a_k(nu), the running product of ``hankel_factors``,
+    with the sign (-1)^floor(k/2). Then ``grid_1d``'s 16-point rules on 10
+    panels of [0, pi] and on 3 panels of [0, 1], which ``profiles._kv`` shares.
     """
     m = np.arange(20)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
@@ -251,18 +255,13 @@ def _bessel_tables():
     series = np.stack([t0, t1, 2.0 * psi * t0, (2.0 * psi + 1.0 / (m + 1)) * t1], axis=1)
     hankel = np.zeros((20, 4))
     odd = m % 2 == 1
-    for col, mu in ((0, 0.0), (2, 4.0)):       # mu = 4 nu^2
-        a = np.cumprod(np.concatenate([[1.0], (mu - (2.0 * m[1:] - 1.0) ** 2) / (8.0 * m[1:])]))
+    for col, nu in ((0, 0.0), (2, 1.0)):
+        a = np.cumprod(np.concatenate([[1.0], hankel_factors(nu, 20)]))
         a *= np.where(m % 4 < 2, 1.0, -1.0)
         hankel[:, col] = np.where(odd, 0.0, a)
         hankel[:, col + 1] = np.where(odd, a, 0.0)
-    x0, w0 = _gl_nodes(16)
-
-    def panels(b, count):
-        h = 0.5 * b / count
-        return ((h * (2.0 * np.arange(count) + 1.0))[:, None] + h * x0).ravel(), np.tile(h * w0, count)
-
-    return (series, hankel) + panels(math.pi, 10) + panels(1.0, 3)
+    return ((series, hankel) + grid_1d(0.0, math.pi, 16, subdiv=10, base=math.pi)
+            + grid_1d(0.0, 1.0, 16, subdiv=3))
 
 
 def _bessel01(x) -> np.ndarray:
@@ -425,6 +424,7 @@ def capacity_blowup_bound(n: int, p: float, ds) -> dict:
     ``window_ladder`` it solved (every key of that dict), so a caller that
     prints the ladder too solves each eigenvalue once.
     """
+    from .profiles import gn_exponents, sphere_area
     ladder = window_ladder(n, ds)
     ds, lams = ladder["d"], ladder["lambda1"]
     beta = gn_exponents(n, p)[1]

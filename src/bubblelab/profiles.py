@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import sorted_unique
+from .quadrature import grid_1d, hankel_factors, sorted_unique
 
 __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
@@ -344,10 +344,6 @@ def aubin_talenti(n: int, lam: float = 1.0, xi: tuple = ()) -> RadialProfile:
                          xi=tuple(xi))
 
 
-# K_nu below _KV_SERIES_R by the trapezoid rule in u = t sqrt(r), nodes
-# u = 0, 0.2, ..., 10: the integrand is near exp(-u^2/2), below 1e-20 at u = 10
-_KV_H = 0.2
-_KV_U = _KV_H * np.arange(51)
 _KV_SERIES_R = 20.0
 _KV_TERMS = 20
 
@@ -356,14 +352,14 @@ def _kv(nu: float, r):
     """Modified Bessel function K_nu(r) for r >= 0.5, in numpy.
 
     For r >= 20, Hankel's expansion sqrt(pi/2r) e^(-r) sum_{k<20} a_k(nu) r^(-k)
-    (DLMF 10.40.2). For half-integer nu it terminates and is the closed form,
-    used at every r. Otherwise, below r = 20, the trapezoid rule on
-    K_nu(r) = int_0^inf exp(-r cosh t) cosh(nu t) dt (DLMF 10.32.9) in
-    u = t sqrt(r), which keeps the integrand's width O(1), with
-    exp(-r cosh t) = exp(-2r sinh^2(t/2)) e^(-r). The rule converges
-    geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385). For
-    0 <= nu <= 2 the relative error against scipy is below 2e-13 on [0.5, 20)
-    and 4e-15 beyond. A result below the float range is 0, without a warning.
+    (DLMF 10.40.2, factors ``quadrature.hankel_factors``). For half-integer nu
+    it terminates and is the closed form, used at every r. Otherwise, below
+    r = 20, K_nu(r) = e^(-r) int_0^T exp(-2r sinh^2(t/2)) cosh(nu t) dt (DLMF
+    10.32.9), cut at T = acosh(1 + 40/r), where the exponent is -40, by the
+    16-point rule on 3 panels of [0, 1] that Y's Schlaefli integral uses
+    (``dynamics._bessel01``), scaled to [0, T]. For 0 <= nu <= 3 the relative
+    error is below 4e-15: against 30-digit mpmath on [0.5, 20), scipy beyond.
+    A result below the float range is 0, without a warning.
     """
     r = np.asarray(r, dtype=float)
     flat = r.reshape(-1)
@@ -372,14 +368,15 @@ def _kv(nu: float, r):
     rs, rq = flat[series], flat[~series, None]
     x = 1.0 / rs
     term = total = np.ones_like(x)
-    for k in range(1, _KV_TERMS):
-        term = term * ((4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)) * x
+    for factor in hankel_factors(nu, _KV_TERMS):
+        term = term * factor * x
         total = total + term
-    t = _KV_U / np.sqrt(rq)
+    u, w = grid_1d(0.0, 1.0, 16, subdiv=3)
+    T = np.arccosh(1.0 + 40.0 / rq)
+    t = T * u
     with np.errstate(under="ignore"):
         f = np.exp(-2.0 * rq * np.sinh(0.5 * t) ** 2) * np.cosh(nu * t)
-        # f = 1 at u = 0, which the rule weighs by one half
-        out[~series] = _KV_H * (f.sum(axis=1) - 0.5) / np.sqrt(rq[:, 0]) * np.exp(-rq[:, 0])
+        out[~series] = (f @ w) * T[:, 0] * np.exp(-rq[:, 0])
         out[series] = np.sqrt(np.pi / (2.0 * rs)) * np.exp(-rs) * total
     return out.reshape(r.shape)
 

@@ -4,8 +4,9 @@ All bulk integrals reduce to 1D or 2D weighted integrals after the angular
 variables are averaged out analytically (profiles are tangentially radial),
 so the only machinery needed is Gauss-Legendre on panels: a product rule in
 polar coordinates (rho on dyadic panels, phi on panels of [0, pi/2]) on the
-half-space, one rho rule on a ray for radial profiles. Every integrand is
-cut off at a finite radius, so no rule covers [0, inf).
+half-space, one rho rule on a ray for radial profiles, and the rules of the
+Bessel integrals, whose Hankel expansions read ``hankel_factors``. Every
+integrand is cut off at a finite range, so no rule covers [0, inf).
 
 Error estimates are two-resolution differences (panel count doubled), per
 the convergence convention used throughout: the moment engine
@@ -66,6 +67,13 @@ def grid_1d(a: float, b: float, order: int, subdiv: int = 1,
     x0, w0 = _gl_nodes(order)
     lo, h = cuts[:-1, None], 0.5 * np.diff(cuts)[:, None]
     return (lo + h * (x0 + 1.0)).ravel(), (h * w0).ravel()
+
+
+def hankel_factors(nu: float, terms: int) -> np.ndarray:
+    """Ratios a_k(nu) / a_(k-1)(nu) = (4 nu^2 - (2k - 1)^2) / (8k), 0 < k < terms, of
+    the coefficients of Hankel's expansions (DLMF 10.17.1, 10.40.2); a_0 = 1."""
+    k = np.arange(1.0, terms)
+    return (4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bubblelab.cli import main
+from bubblelab.cli import main, _emit_json
 from bubblelab import fixtures as fx
 
 REPO = Path(__file__).resolve().parents[1]
@@ -343,6 +343,24 @@ class TestOutputs:
         C = json.loads(out.read_text())["constants"]
         assert all(math.isfinite(C[k]) for k in ("S_star", "rho_conf", "kappa3"))
 
+    @pytest.mark.parametrize("target", ["H", "ringII"])
+    def test_order_without_a_slope_is_strict_json_null(self, target, tmp_path, capsys):
+        # every error on the flat half-space is 0, so no slope can be fitted
+        out = tmp_path / "e.json"
+        assert main(["estimate", "--target", target, "--n", "5", "--geometry",
+                     "flat-halfspace", "--out", str(out)]) == 0
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+        assert json.loads(out.read_text(), parse_constant=reject)["empirical_order"] is None
+        assert capsys.readouterr().out.rstrip().endswith("order=n/a")
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        out = tmp_path / "x.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _emit_json(str(out), {"value": math.inf})
+        assert not out.exists()
+
     def test_gauss_bonnet_exact(self, tmp_path):
         out = tmp_path / "gb.json"
         assert main(["gauss-bonnet", "--surface", "annulus", "--inner-radius",
@@ -534,6 +552,30 @@ class TestLazyImports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "ok"
+
+    # the package modules a command may load besides cli: those it runs
+    @pytest.mark.parametrize("args, allowed", [
+        (["dynamics", "window", "--n", "2"], ["dynamics", "quadrature"]),
+        (["dynamics", "window", "--n", "3"], ["dynamics", "quadrature"]),
+    ], ids=" ".join)
+    def test_command_loads_only_what_it_runs(self, args, allowed, tmp_path):
+        code = ("import sys\n"
+                "from bubblelab.cli import main\n"
+                f"assert main({args!r} + ['--out', {str(tmp_path / 'o')!r}]) == 0\n"
+                "print(sorted(m.split('.')[1] for m in sys.modules\n"
+                "             if m.startswith('bubblelab.') and m != 'bubblelab.cli'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == repr(allowed)
+
+    def test_bessel_modules_import_without_polynomial(self):
+        # the Gauss-Legendre rules of K, J and Y are built on first use
+        code = ("import sys\n"
+                "import bubblelab.profiles, bubblelab.dynamics\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[]"
 
     def test_dynamics_and_fixtures_import_without_scipy(self):
         code = ("import sys\n"

@@ -59,3 +59,19 @@ def test_traced_matrix_key_binds_the_engine_parameters():
                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "names")
     params = list(inspect.signature(halfspace_moment_matrix).parameters)
     assert list(names[:3]) == params[:3] == ["profile", "R", "spec"]
+
+
+# private names one module imports from another, each a reviewed decision
+_PRIVATE_IMPORTS = {"_admissible_gn", "_SCALE_MOMENTS", "_table_entry", "_memoized",
+                    "_hermite_spline"}
+
+
+def test_private_imports_are_listed():
+    # every ``from .x import _name``, at top level or inside a function
+    src = Path(bubblelab.__file__).parent
+    found = {(path.name, alias.name) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")}
+    assert sorted(f for f in found if f[1] not in _PRIVATE_IMPORTS) == []
+    assert {name for _, name in found} == _PRIVATE_IMPORTS, "stale allowlist entry"

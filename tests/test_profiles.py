@@ -329,7 +329,16 @@ class TestBesselK:
     @pytest.mark.parametrize("nu", NUS)
     def test_near_range_matches_scipy(self, nu):
         r = np.geomspace(0.5, 14.0, 400, endpoint=False)
-        assert np.max(np.abs(_kv(nu, r) / kv(nu, r) - 1.0)) <= 1e-12
+        assert np.max(np.abs(_kv(nu, r) / kv(nu, r) - 1.0)) <= 4e-15
+
+    @pytest.mark.parametrize("nu", (0, 1, 2, 3))
+    def test_integral_range_matches_mpmath(self, nu):
+        # the Gauss-Legendre range [0.5, 20) against 30-digit values
+        import mpmath
+        r = np.geomspace(0.5, 20.0, 80, endpoint=False)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselk(nu, mpmath.mpf(float(x)))) for x in r])
+        assert np.max(np.abs(_kv(float(nu), r) / ref - 1.0)) <= 4e-15
 
     def test_half_integer_orders_are_closed_forms(self):
         r = np.geomspace(0.5, 700.0, 500)
@@ -339,7 +348,7 @@ class TestBesselK:
 
     @pytest.mark.parametrize("nu", (0.0, 1.0, 2.0))
     def test_continuous_across_the_series_switch(self, nu):
-        # the trapezoid rule one ulp below r = 20, the series at 20; K_nu
+        # the integral one ulp below r = 20, the series at 20; K_nu
         # itself changes by ~4e-15 over that ulp
         r = np.array([np.nextafter(20.0, 0.0), 20.0])
         below, at = _kv(nu, r)

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
-from bubblelab.quadrature import QuadratureSpec, grid_1d, panel_edges, sorted_unique
+from bubblelab.quadrature import (QuadratureSpec, grid_1d, hankel_factors, panel_edges,
+                                  sorted_unique)
 from bubblelab.energy import halfspace_moment_matrix, sphere_average
 from bubblelab import profiles
 from bubblelab.profiles import escobar_halfspace_optimizer, sphere_area
@@ -65,6 +67,22 @@ class TestPanelledGL:
                 val, err = getattr(M, name)[i, 0], abs(M.delta[name][i, 0])
                 truth = gn_quad(Q, name, i)
                 assert 0.0 < abs(val - truth) <= 10 * err + 1e-14 * truth, (name, i)
+
+
+class TestHankelFactors:
+    @pytest.mark.parametrize("nu", [Fraction(k, 2) for k in range(7)])
+    def test_product_formula(self, nu):
+        # a_k(nu) = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k),
+        # DLMF 10.17.1, in exact rationals; nu = n/2 - 1 is a half-integer
+        got = hankel_factors(float(nu), 20)
+        assert got.shape == (19,)
+        a = Fraction(1)
+        for k, (ratio, running) in enumerate(zip(got, np.cumprod(got)), start=1):
+            step = (4 * nu * nu - (2 * k - 1) ** 2) / (8 * k)
+            a *= step
+            # each ratio rounded once; up to 19 of them in the running product
+            assert ratio == float(step)
+            assert running == pytest.approx(float(a), rel=4e-15, abs=0.0)
 
 
 class TestSphereMoments:
