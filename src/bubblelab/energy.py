@@ -309,8 +309,7 @@ def _read_only(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return a
 
 
-@dataclass(frozen=True)
-class _HalfspaceMatrix:
+class _HalfspaceMatrix(NamedTuple):
     """Monomial-weighted integrals of the truncated profile.
 
     tan/nor/w2/w1/pp are 5x5 arrays, [i, j] = int weight * r^i t^j measure,

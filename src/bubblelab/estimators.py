@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class EstimatorReport:
             self.error = abs(self.estimate - self.truth)
 
 
-@dataclass(frozen=True)
-class EstimatorScales:
+class EstimatorScales(NamedTuple):
     """The two constants every Escobar estimator divides by."""
     S_star: float
     rho: float
@@ -67,7 +66,7 @@ class EstimatorScales:
         """S*(R) and rho_n^conf(R) from the model's own moment matrix: the
         S_star_R and rho_conf_R of escobar_constants for the same profile,
         cutoff and spec, without computing the limits."""
-        fields = vars(model.M)
+        fields = model.M._asdict()
         return cls(*escobar_scales(model.n, *(_table_entry(fields, name)
                                               for name in _SCALE_MOMENTS)))
 

@@ -33,7 +33,7 @@ import copy
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -258,8 +258,7 @@ class InteriorPointData(_Jet):
 # model geometry catalog
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModelGeometry:
+class ModelGeometry(NamedTuple):
     """Catalog entry: boundary data plus exact reference metrics when known."""
     name: str
     data: BoundaryPointData

@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,20 +101,19 @@ def weighted_moments(profile: RadialProfile, R: float,
         raise LogDivergentMoment("first moments require n >= 4")
     if R < 1.0:
         raise ValueError("cutoff radius must be >= 1")
-    M, full = (halfspace_moment_matrix(profile, r, spec) for r in (R, math.inf))
+    M, full = (halfspace_moment_matrix(profile, r, spec)._asdict() for r in (R, math.inf))
     names = [k for k in _TRUNCATED if profile.n >= 5 or k not in ("g2", "g2tan")]
-    values = {k: _table_entry(vars(M), k) for k in names}
-    errors = {k: abs(_table_entry(M.delta, k)) for k in names}
+    values = {k: _table_entry(M, k) for k in names}
+    errors = {k: abs(_table_entry(M["delta"], k)) for k in names}
     return MomentTable(n=profile.n, R=float(R), values=values, errors=errors,
-                       limits={k: _table_entry(vars(full), k) for k in names})
+                       limits={k: _table_entry(full, k) for k in names})
 
 
 # --------------------------------------------------------------------------
 # identity checks
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     ok: bool
     residuals: dict
@@ -342,8 +340,7 @@ def gn_coefficients(Q: RadialProfile, Qplus: RadialProfile, R: float = 20.0,
 # fast-diffusion exponents
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FDEExponents:
+class FDEExponents(NamedTuple):
     n: int
     m: float
     theta: float
@@ -363,6 +360,7 @@ def fde_exponents(n: int, m) -> FDEExponents:
         raise ValueError("fast-diffusion exponent requires 0 < m < 1")
     if int(n) != n or n < 2:
         raise ValueError("n must be an integer >= 2")
+    from fractions import Fraction   # only here: it imports decimal
     n = int(n)
     exact = isinstance(m, Fraction)
     sob_ok = True

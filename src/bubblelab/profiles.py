@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -348,6 +349,13 @@ _KV_SERIES_R = 20.0
 _KV_TERMS = 20
 
 
+@lru_cache(maxsize=1)
+def _kv_rule() -> tuple:
+    """The [0, 1] rule of ``_kv``, built on its first call: at import it would
+    load ``numpy.polynomial``."""
+    return grid_1d(0.0, 1.0, 16, subdiv=3)
+
+
 def _kv(nu: float, r):
     """Modified Bessel function K_nu(r) for r >= 0.5, in numpy.
 
@@ -371,7 +379,7 @@ def _kv(nu: float, r):
     for factor in hankel_factors(nu, _KV_TERMS):
         term = term * factor * x
         total = total + term
-    u, w = grid_1d(0.0, 1.0, 16, subdiv=3)
+    u, w = _kv_rule()
     T = np.arccosh(1.0 + 40.0 / rq)
     t = T * u
     with np.errstate(under="ignore"):

@@ -16,8 +16,8 @@ changes every moment by at most ``energy._MATRIX_TOL`` = 1e-6 relative
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def hankel_factors(nu: float, terms: int) -> np.ndarray:
     return (4.0 * nu * nu - (2.0 * k - 1.0) ** 2) / (8.0 * k)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(NamedTuple):
     """Resolution knobs for all panelled rules.
 
     order: GL points per panel and direction.

@@ -419,6 +419,13 @@ _UNLOADED = ("m.split('.')[0] in ('scipy', 'hashlib', '_hashlib') "
              "or m == 'numpy.ma' or m.startswith('numpy.ma.')")
 
 
+# modules a command loads only if it runs them: about 3.6 MB of libcrypto
+# (hashlib), and decimal's C module (fractions)
+_WATCHED = {"decimal", "fractions", "hashlib", "numpy.random"}
+# the energy-only GN estimators: the cached GN profiles and the whole engine
+_GN_STACK = ["energy", "estimators", "fixtures", "geometry", "moments", "profiles", "quadrature"]
+
+
 class TestLazyImports:
     def test_import_loads_no_hashlib_or_scipy(self):
         # the CLI imports its layers lazily, so every module is imported too
@@ -553,20 +560,41 @@ class TestLazyImports:
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "ok"
 
-    # the package modules a command may load besides cli: those it runs
+    # every command of the benchmark's cli-session and the modules it loads,
+    # each command in a fresh ``python -m bubblelab.cli``: the package's
+    # modules besides cli, and of _WATCHED those the command runs (fractions
+    # and decimal for the fde exponents' exact mode, hashlib and numpy.random
+    # for the reduced search's seeds)
     @pytest.mark.parametrize("args, allowed", [
+        (["estimate", "--target", "scal", "--n", "2", "--value", "1.0"], _GN_STACK),
+        (["estimate", "--target", "scal", "--n", "3", "--value", "2.0"], _GN_STACK),
+        (["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.01"],
+         _GN_STACK),
+        (["reduce", "--field", "cos(2*theta)", "--k", "2", "--seeds", "32", "--seed", "7"],
+         ["hashlib", "numpy.random", "reduced"]),
+        (["dynamics", "fde", "--n", "2", "--m", "0.5", "--E0", "1.0", "--M0", "1.0",
+          "--horizon", "50.0"],
+         ["decimal", "dynamics", "energy", "fixtures", "fractions", "geometry", "moments",
+          "profiles", "quadrature"]),
         (["dynamics", "window", "--n", "2"], ["dynamics", "quadrature"]),
         (["dynamics", "window", "--n", "3"], ["dynamics", "quadrature"]),
+        (["fixtures", "verify"],
+         ["dynamics", "energy", "fixtures", "geometry", "moments", "profiles", "quadrature"]),
     ], ids=" ".join)
     def test_command_loads_only_what_it_runs(self, args, allowed, tmp_path):
-        code = ("import sys\n"
-                "from bubblelab.cli import main\n"
-                f"assert main({args!r} + ['--out', {str(tmp_path / 'o')!r}]) == 0\n"
-                "print(sorted(m.split('.')[1] for m in sys.modules\n"
-                "             if m.startswith('bubblelab.') and m != 'bubblelab.cli'))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == repr(allowed)
+        def imported(*argv):
+            out = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                                 capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            return {ln.rsplit("|", 1)[1].strip() for ln in out.stderr.splitlines()
+                    if ln.startswith("import time:")}
+
+        # less what the interpreter's own start-up (site, .pth files) imports
+        names = (imported("-m", "bubblelab.cli", *args, "--out", str(tmp_path / "o"))
+                 - imported("-c", "pass"))
+        package = {m.split(".")[1] for m in names
+                   if m.startswith("bubblelab.") and m != "bubblelab.cli"}
+        assert sorted(package | (names & _WATCHED)) == allowed
 
     def test_bessel_modules_import_without_polynomial(self):
         # the Gauss-Legendre rules of K, J and Y are built on first use
@@ -584,6 +612,59 @@ class TestLazyImports:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "[]"
+
+
+# the two process entries: ``python -m bubblelab.cli`` and what the installed
+# ``bubblelab`` console script runs
+_ENTRIES = {"module": ["-m", "bubblelab.cli"],
+            "script": ["-c", "import sys; from bubblelab.cli import entry; sys.exit(entry())"]}
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("args, code", [
+        (["estimate", "--target", "scal", "--n", "2", "--sweep", "3"], 0),
+        (["estimate", "--target", "scal", "--n", "3", "--p", "9"], 2),
+        (["estimate", "--target", "scal", "--n", "3", "--p", "4.9"], 3),
+    ], ids=lambda v: str(v) if isinstance(v, int) else " ".join(v))
+    def test_process_matches_main(self, entry, args, code, tmp_path, capsys):
+        # stdout goes to a file, as a shell redirect sends it
+        (tmp_path / "proc").mkdir()
+        with open(tmp_path / "proc" / "stdout", "wb") as so:
+            proc = subprocess.run([sys.executable, *_ENTRIES[entry], *args,
+                                   "--out", str(tmp_path / "proc" / "out.json")],
+                                  stdout=so, stderr=subprocess.PIPE)
+        assert main(args + ["--out", str(tmp_path / "out.json")]) == proc.returncode == code
+        seen = capsys.readouterr()
+        assert (tmp_path / "proc" / "stdout").read_bytes() == seen.out.encode()
+        assert proc.stderr == seen.err.encode()
+        written = [tmp_path / "out.json", tmp_path / "proc" / "out.json"]
+        if code == 0:
+            assert written[0].read_bytes() == written[1].read_bytes()
+        else:
+            assert not any(p.exists() for p in written)
+
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path):
+        import gc
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["dynamics", "window", "--n", "2", "--out", str(tmp_path / "w.csv")]) == 0
+        assert main(["estimate", "--target", "scal", "--n", "3", "--p", "9"]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_entry_freezes_the_heap(self, tmp_path):
+        code = ("import gc, sys\n"
+                "from bubblelab.cli import entry\n"
+                f"sys.argv[1:] = ['dynamics', 'window', '--n', '2', '--out', {str(tmp_path / 'w')!r}]\n"
+                "assert entry() == 0\n"
+                "print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False True"
+
+    def test_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
+        assert project["scripts"] == {"bubblelab": "bubblelab.cli:entry"}
 
 
 class TestDeterminism:

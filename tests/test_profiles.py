@@ -354,6 +354,40 @@ class TestBesselK:
         below, at = _kv(nu, r)
         assert abs((below / at) / (kv(nu, r[0]) / kv(nu, r[1])) - 1.0) <= 2e-15
 
+    # K_nu at r = 0.5, 3, 19.9 (the integral) and 20, 20.1, 60 (the series),
+    # as computed when _kv built its [0, 1] rule on every call
+    BITS = {0.0: (0.9244190712276655, 0.034739504386279256, 6.360780949642313e-10,
+                  5.741237815336524e-10, 5.182101748797713e-10, 1.413897840559108e-27),
+            0.5: (1.0750476034999201, 0.03602598513176459, 6.399900329443871e-10,
+                  5.776373974707445e-10, 5.213661411442806e-10, 1.4168223500353693e-27),
+            1.0: (1.656441120003301, 0.04015643112819419, 6.518685500851475e-10,
+                  5.883057969557037e-10, 5.309480556151319e-10, 1.425632026517104e-27),
+            2.0: (7.550183551240868, 0.06151045847174203, 7.015925221084672e-10,
+                  6.329543612292222e-10, 5.710408271797845e-10, 1.4614189081096777e-27),
+            3.0: (62.05790952993011, 0.12217037575718348, 7.928921726195129e-10,
+                  7.148966692015486e-10, 6.445880212230492e-10, 1.523059953724416e-27)}
+
+    @pytest.mark.parametrize("nu", sorted(BITS))
+    def test_values_keep_their_bits(self, nu):
+        r = np.array([0.5, 3.0, 19.9, 20.0, 20.1, 60.0])
+        assert _kv(nu, r).tolist() == list(self.BITS[nu])
+
+    def test_rule_built_once(self, monkeypatch):
+        calls, real = [], profiles.grid_1d
+
+        def grid_1d(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(profiles, "grid_1d", grid_1d)
+        profiles._kv_rule.cache_clear()
+        try:
+            for nu in (0.0, 1.0, 3.0):
+                _kv(nu, np.geomspace(0.5, 19.0, 7))
+            assert calls == [(0.0, 1.0, 16)]
+        finally:
+            profiles._kv_rule.cache_clear()
+
     def test_empty_and_scalar_inputs(self):
         assert _kv(0.0, np.array([])).shape == (0,)
         assert _bessel_tail(2, 1.0, np.array([]), deriv=True).shape == (0,)
