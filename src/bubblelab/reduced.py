@@ -13,11 +13,12 @@ analysis fixes neither number). F_k, its scale derivatives (the Jacobian of
 the scale-stationarity system) and the balance law (its center gradient)
 all read one batched distance matrix and the kernel matrix G built on it.
 
-Center-only potential: W_k(x) = sum_i Rmass(x_i); its critical points are
-located by a projected Newton iteration with a log-barrier on pairwise
-distances (the kernel's collision barrier), with barrier continuation to
-zero and a final polish on the bare potential. The seeds of the search
-advance together, so fields and domains evaluate batches of points.
+Center-only potential: W_k(x) = sum_i Rmass(x_i) is a sum of one-center
+terms, so a configuration of distinct centers is critical exactly when each
+center is a critical point of Rmass. The search runs Newton on the field
+alone from the k starts of every seed at once (fields evaluate batches of
+points), merges the limits into points, and turns each seed whose starts
+reach k distinct points into that configuration.
 """
 from __future__ import annotations
 
@@ -412,43 +413,6 @@ class CriticalPoint:
     degenerate: bool = False
 
 
-def _potential_parts(field, k: int, dim: int):
-    """W_k and (gradient, block-diagonal Hessian) of W_k on (m, k*dim) rows."""
-    def W(theta):
-        v = field.values(theta.reshape(-1, dim)).reshape(-1, k)
-        return sum(v[:, i] for i in range(k))
-
-    def derivs(theta):
-        g, blocks = field.derivatives(theta.reshape(-1, dim))
-        blocks = blocks.reshape(-1, k, dim, dim)
-        H = np.zeros((blocks.shape[0], k * dim, k * dim))
-        for i in range(k):
-            H[:, i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = blocks[:, i]
-        return g.reshape(-1, k * dim), H
-
-    return W, derivs
-
-
-def _barrier(domain, theta, pairs, dim: int, mu: float, h: float = 1e-6):
-    """Gradient of -mu sum_{i<j} log d(x_i, x_j) on (m, k*dim) rows and its
-    curvature by central differences of that gradient, with one distance
-    evaluation for every stencil point. ``pairs`` is ``np.triu_indices(k, 1)``,
-    the order of ``combinations(range(k), 2)``."""
-    m, kd = theta.shape
-    E = (np.eye(kd) * h)[:, None, :]
-    pts = np.concatenate([theta[None], theta + E, theta - E]).reshape(-1, kd // dim, dim)
-    I, J = pairs
-    d, dg = domain.dist_grad(pts[:, I], pts[:, J])
-    push = mu * dg / d[..., None]
-    g = np.zeros_like(pts)
-    for p, (i, j) in enumerate(zip(I, J)):
-        g[:, i] -= push[:, p]
-        g[:, j] += push[:, p]
-    g = g.reshape(-1, kd)
-    shifted = g[m:].reshape(2, kd, m, kd)
-    return g[:m], np.transpose((shifted[0] - shifted[1]) / (2 * h), (1, 2, 0))
-
-
 def _newton_steps(A, b):
     """Solve every row's A x = b at once; if that raises, row by row, and a
     singular row gives ``ok = False``."""
@@ -471,144 +435,122 @@ def _newton_steps(A, b):
 # along some direction) it converges linearly, with ratio (m-1)/m at a zero
 # of multiplicity m of the gradient.
 _LINEAR_RATIO = 0.25
-# critical points closer than this (up to relabeling) are one point
+# limits closer than this are one point
 _MERGE_TOL = 1e-6
-# the barrier-free convergence test, the Newton steps per barrier stage, the
-# barrier weights of the stages (the last one polishes on the bare
-# potential), and the center separation below which a seed is dropped
+# the bound on a configuration's gradient norm, and the Newton steps per start
 _GRAD_TOL = 1e-8
-_MAX_ITER = 200
-_BARRIER_MU = (1e-2, 1e-4, 0.0)
-_MIN_SEPARATION = 1e-3
+_MAX_ITER = 600
 
 
 def critical_point_search(field, k: int, domain=None, seeds: int = 64,
                           seed: int = 0) -> list:
-    """Multi-seed projected Newton search for critical points of W_k.
+    """Multi-seed Newton search for critical points of W_k.
 
-    All seeds advance together: each Newton step evaluates the field once on
-    every active seed and makes one batched solve, and per-seed masks apply
-    the stopping, separation and singular-Hessian rules. The log-barrier
-    keeps iterates off the collision set while mu > 0; the final mu = 0
-    stage polishes on the bare potential and the convergence check
-    ||grad W_k|| <= _GRAD_TOL is barrier-free.
+    Each seed draws k starts, and every start runs Newton on the field
+    alone: each step evaluates the field once on every active start and makes
+    one batched solve, and per-start masks apply the stopping and
+    singular-Hessian rules. A start converges at gradient norm
+    _GRAD_TOL / sqrt(k), so the joined gradient of k converged centers is at
+    most _GRAD_TOL.
 
-    A point is flagged ``degenerate`` (not Morse) when its last two Newton
-    steps (both in the final stage when k > 1) shrink by a ratio in
-    [1/4, 1], i.e. converge linearly; its inertia then counts as zero every
-    Hessian eigenvalue of magnitude at most 2 |H u|, u the unit last step.
-    Results are merged up to relabeling of the centers (permutation +
-    distance _MERGE_TOL, widened for degenerate points to cover the spread
-    of their linear convergence).
+    A limit is flagged ``degenerate`` (not Morse) when its last two Newton
+    steps shrink by a ratio in [1/4, 1], i.e. converge linearly; its inertia
+    then counts as zero every Hessian eigenvalue of magnitude at most
+    2 |H u|, u the unit last step. The converged limits are merged into
+    points closer than max(_MERGE_TOL, 2 (r_a + r_b)), r the distance to the
+    limit of a degenerate start's geometric steps (0 when Morse); a point is
+    represented by its first degenerate limit if it has one, else by its
+    first limit. A seed whose k starts reach k distinct points gives that
+    configuration, with the merged points as its centers: its value and
+    inertia are sums over the centers, its gradient norm is that of the
+    joined gradients, and it is degenerate when any center is.
     """
     domain = domain or CircleDomain()
     dim = domain.dim
-    kd = k * dim
-    W, derivs = _potential_parts(field, k, dim)
+    rng = np.random.default_rng(seed)
 
     # constant-field degeneracy: the gradient vanishes identically
-    rng = np.random.default_rng(seed)
-    probes = rng.uniform(0.0, 2.0 * math.pi, size=(8, kd))
-    g, Hs = derivs(probes)
-    if np.max(_row_norm(g)) < 1e-12:
-        return [CriticalPoint(probes[0].reshape(k, dim) % (2 * math.pi),
-                              float(W(probes[:1])[0]), 0.0, _inertia(Hs[0]), degenerate=True)]
+    probes = rng.uniform(0.0, 2.0 * math.pi, size=(8, k * dim)).reshape(-1, dim)
+    g, Hs = field.derivatives(probes)
+    if np.max(_row_norm(g.reshape(8, -1))) < 1e-12:
+        return [CriticalPoint(probes[:k] % (2 * math.pi), float(sum(field.values(probes[:k]))),
+                              0.0, _inertia(Hs[:k]), degenerate=True)]
 
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(seeds, kd))
-    ok = np.ones(seeds, bool)
-    step_norm = np.full((seeds, 2), np.nan)   # the previous and the last step
-    last_step = np.zeros((seeds, kd))
-    eye = 1e-12 * np.eye(kd)
-    pairs = I, J = np.triu_indices(k, 1)
-    for mu in _BARRIER_MU:
-        barrier = mu > 0 and k > 1
-        if k > 1:
-            step_norm[:] = np.nan         # each stage moves the target point
-        tol = _GRAD_TOL if mu == 0 else 1e-6
-        active = ok.copy()
-        for _ in range(_MAX_ITER):
-            idx = np.flatnonzero(active)
-            if not idx.size:
-                break
-            th = theta[idx]
-            g, Hm = derivs(th)
-            if barrier:
-                gb, Hb = _barrier(domain, th, pairs, dim, mu)
-                g, Hm = g + gb, Hm + Hb
-            moving = ~(_row_norm(g) <= tol)
-            active[idx[~moving]] = False
-            if not moving.any():
-                break
-            idx, th = idx[moving], th[moving]
-            step, solved = _newton_steps(Hm[moving] + eye, -g[moving])
-            ok[idx[~solved]] = active[idx[~solved]] = False
-            idx, th, step = idx[solved], th[solved], step[solved]
-            nrm = _row_norm(step)
-            big = nrm > 1.0
-            step[big] *= (1.0 / nrm[big])[:, None]
-            theta[idx] = th + step
-            step_norm[idx, 0] = step_norm[idx, 1]
-            step_norm[idx, 1] = np.minimum(nrm, 1.0)
-            last_step[idx] = step
-            if k > 1:
-                th = theta[idx].reshape(-1, k, dim)
-                close = np.min(domain.distance(th[:, I], th[:, J]), axis=1) < _MIN_SEPARATION
-                ok[idx[close]] = active[idx[close]] = False
+    # start s k + i is center i of seed s
+    X = rng.uniform(0.0, 2.0 * math.pi, size=(seeds, k * dim)).reshape(-1, dim)
+    tol = _GRAD_TOL / math.sqrt(k)
+    ok = np.ones(len(X), bool)
+    active = ok.copy()
+    step_norm = np.full((len(X), 2), np.nan)   # the previous and the last step
+    last_step = np.zeros_like(X)
+    eye = 1e-12 * np.eye(dim)
+    for _ in range(_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        g, Hm = field.derivatives(X[idx])
+        moving = ~(_row_norm(g) <= tol)
+        active[idx[~moving]] = False
+        if not moving.any():
+            break
+        idx = idx[moving]
+        step, solved = _newton_steps(Hm[moving] + eye, -g[moving])
+        ok[idx[~solved]] = active[idx[~solved]] = False
+        idx, step = idx[solved], step[solved]
+        nrm = _row_norm(step)
+        big = nrm > 1.0
+        step[big] *= (1.0 / nrm[big])[:, None]
+        X[idx] = X[idx] + step
+        step_norm[idx, 0] = step_norm[idx, 1]
+        step_norm[idx, 1] = np.minimum(nrm, 1.0)
+        last_step[idx] = step
 
     idx = np.flatnonzero(ok)
-    th = theta[idx]
-    g, Hs = derivs(th)
-    gn = _row_norm(g)
-    conv = gn <= _GRAD_TOL
-    idx, th, gn, Hs = idx[conv], th[conv], gn[conv], Hs[conv]
-    vals = W(th)
+    g, Hs = field.derivatives(X[idx])
+    conv = _row_norm(g) <= tol
+    idx, g, Hs = idx[conv], g[conv], Hs[conv]
+    vals = field.values(X[idx])
+    centers = X[idx] % (2 * math.pi)
     ratio = step_norm[idx, 1] / step_norm[idx, 0]
-    found = []
-    for r, s in enumerate(idx):
-        Hm = Hs[r]
-        degenerate = bool(_LINEAR_RATIO <= ratio[r] <= 1.0)
-        radius, zero_tol = 0.0, 1e-7
-        if degenerate:
-            # distance to the limit of a geometric sequence of steps
-            radius = step_norm[s, 1] * min(ratio[r], 0.9) / (1.0 - min(ratio[r], 0.9))
-            u = last_step[s] / step_norm[s, 1]
-            zero_tol = max(zero_tol, 2.0 * float(_row_norm(Hm @ u)))
-        cp = CriticalPoint(th[r].reshape(k, dim) % (2 * math.pi), float(vals[r]),
-                           float(gn[r]), _inertia(Hm, zero_tol), degenerate)
-        found.append((cp, radius))
-    return _merge(found, domain)
+    degenerate = (_LINEAR_RATIO <= ratio) & (ratio <= 1.0)
+    r = np.minimum(ratio, 0.9)
+    radius = np.where(degenerate, step_norm[idx, 1] * r / (1.0 - r), 0.0)
+    zero_tol = np.full(len(idx), 1e-7)
+    for j in np.flatnonzero(degenerate):
+        u = last_step[idx[j]] / step_norm[idx[j], 1]
+        zero_tol[j] = max(zero_tol[j], 2.0 * float(_row_norm(Hs[j] @ u)))
+
+    reps, label = [], np.full(len(X), -1)
+    for j in range(len(idx)):
+        q = np.asarray(reps, int)
+        merge_tol = np.maximum(_MERGE_TOL, 2.0 * (radius[j] + radius[q]))
+        near = np.flatnonzero(domain.distance(centers[j], centers[q]) <= merge_tol)
+        if near.size:
+            if degenerate[j] and not degenerate[reps[near[0]]]:
+                reps[near[0]] = j
+            label[idx[j]] = near[0]
+        else:
+            label[idx[j]] = len(reps)
+            reps.append(j)
+
+    configs = {}
+    for row in label.reshape(seeds, k):
+        key = tuple(sorted(set(row.tolist())))
+        if len(key) == k and key[0] >= 0:
+            configs.setdefault(key, [reps[q] for q in key])
+    js = np.array(list(configs.values()), int).reshape(-1, k)
+    grad_norms = _row_norm(g[js].reshape(len(js), k * dim))
+    found = [CriticalPoint(centers[row], float(sum(vals[row])), float(gn),
+                           _inertia(Hs[row], zero_tol[row]), bool(degenerate[row].any()))
+             for row, gn in zip(js, grad_norms)]
+    found.sort(key=lambda c: c.value)
+    return found
 
 
-def _inertia(H: np.ndarray, tol: float = 1e-7) -> tuple:
-    ev = np.linalg.eigvalsh(0.5 * (H + H.T))
+def _inertia(H: np.ndarray, tol=1e-7) -> tuple:
+    """(negative, zero, positive) eigenvalue counts of a stack of symmetric
+    matrices, summed; |eigenvalue| <= tol (one per matrix) counts as zero."""
+    ev = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    tol = np.asarray(tol)[..., None]
     return (int(np.sum(ev < -tol)), int(np.sum(np.abs(ev) <= tol)),
             int(np.sum(ev > tol)))
-
-
-def _canonical(centers: np.ndarray, tol: float) -> np.ndarray:
-    c = centers % (2.0 * math.pi)
-    c[np.abs(c - 2.0 * math.pi) <= 100.0 * tol] -= 2.0 * math.pi  # wrap ~2pi to ~0
-    return c[np.lexsort(c.T[::-1])]
-
-
-def _merge(points: list, domain) -> list:
-    """Merge (point, radius) pairs closer than max(_MERGE_TOL, 2 (r_a + r_b)).
-
-    A group is represented by its first degenerate member if it has one,
-    else by its first member."""
-    out = []
-    for cp, radius in points:
-        for q, (other, oradius) in enumerate(out):
-            tol = max(_MERGE_TOL, 2.0 * (radius + oradius))
-            canon = _canonical(cp.centers, tol)
-            oc = _canonical(other.centers, tol)
-            if canon.shape == oc.shape and all(
-                    domain.distance(a, b) <= tol for a, b in zip(canon, oc)):
-                if cp.degenerate and not other.degenerate:
-                    out[q] = (cp, radius)
-                break
-        else:
-            out.append((cp, radius))
-    pts = [cp for cp, _ in out]
-    pts.sort(key=lambda c: c.value)
-    return pts

@@ -677,12 +677,15 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
     def test_reduce_byte_identical(self, tmp_path):
+        spec = tmp_path / "field.json"
+        theta = np.linspace(0, 2 * math.pi, 64, endpoint=False)
+        spec.write_text(json.dumps({"samples": list(np.sin(theta) + 0.3 * np.cos(3 * theta))}))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["reduce", "--field", "cos(theta)", "--k", "1", "--seeds", "8",
-                "--seed", "3"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        for field, k in (("cos(theta)", "1"), ("cos(2*theta)", "2"), (str(spec), "2")):
+            args = ["reduce", "--field", field, "--k", k, "--seeds", "8", "--seed", "3"]
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestFixtures:

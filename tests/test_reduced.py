@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
 from bubblelab.reduced import (
-    CircleDomain, TorusDomain, ExpressionField, GridField,
+    _GRAD_TOL, CircleDomain, TorusDomain, ExpressionField, GridField,
     InteractionKernel, Configuration, CollisionError, center_potential,
     reduced_functional, scale_jacobian, critical_point_search, quantized_levels,
     balance_law_residual,
@@ -245,63 +245,33 @@ class TestScaleJacobian:
         assert np.max(np.abs(fd - rep.matrix)) <= 2e-6 * np.max(np.abs(rep.matrix))
 
 
-def per_seed_search(field, k, domain, seeds, seed, grad_tol=1e-8, max_iter=200,
-                    barrier_mu=(1e-2, 1e-4, 0.0), min_separation=1e-3):
-    """Reference: the search one seed at a time with scalar field calls, as it
-    was written before the seeds were batched; unmerged converged centers."""
+def per_seed_search(field, k, domain, seeds, seed, grad_tol=1e-8, max_iter=600):
+    """Reference: Newton from one start at a time with scalar field calls, on
+    the search's draws; per seed, the limits of its k starts (None where a
+    start does not reach grad_tol / sqrt(k) or meets a singular Hessian)."""
     dim = domain.dim
-    kd = k * dim
-
-    def grad(t):
-        return np.concatenate([field.grad(c) for c in t.reshape(k, dim)])
-
-    def hess(t):
-        H = np.zeros((kd, kd))
-        for i, c in enumerate(t.reshape(k, dim)):
-            H[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = field.hess(c)
-        return H
-
-    def bgrad(t, mu):
-        th, g = t.reshape(k, dim), np.zeros((k, dim))
-        for i, j in itertools.combinations(range(k), 2):
-            d, dg = domain.dist_grad(th[i], th[j])
-            g[i] -= mu * dg / d
-            g[j] += mu * dg / d
-        return g.ravel()
-
+    tol = grad_tol / math.sqrt(k)
     rng = np.random.default_rng(seed)
-    rng.uniform(0.0, 2 * math.pi, size=(8, kd))          # the constant-field probes
+    rng.uniform(0.0, 2 * math.pi, size=(8, k * dim))      # the constant-field probes
     found = []
     for _ in range(seeds):
-        t = rng.uniform(0.0, 2 * math.pi, size=kd)
-        ok = True
-        for mu in barrier_mu:
-            barrier = mu > 0 and k > 1
+        limits = []
+        for x in rng.uniform(0.0, 2 * math.pi, size=k * dim).reshape(k, dim):
             for _ in range(max_iter):
-                g = grad(t) + (bgrad(t, mu) if barrier else 0.0)
-                if np.linalg.norm(g) <= (grad_tol if mu == 0 else 1e-6):
+                g = field.grad(x)
+                if np.linalg.norm(g) <= tol:
                     break
-                H = hess(t)
-                if barrier:
-                    H = H + np.column_stack([(bgrad(t + e, mu) - bgrad(t - e, mu)) / (2 * 1e-6)
-                                             for e in np.eye(kd) * 1e-6])
                 try:
-                    step = np.linalg.solve(H + 1e-12 * np.eye(kd), -g)
+                    step = np.linalg.solve(field.hess(x) + 1e-12 * np.eye(dim), -g)
                 except np.linalg.LinAlgError:
-                    ok = False
+                    x = None
                     break
                 if np.linalg.norm(step) > 1.0:
                     step *= 1.0 / np.linalg.norm(step)
-                t = t + step
-                th = t.reshape(k, dim)
-                if k > 1 and min(domain.distance(th[i], th[j]) for i, j in
-                                 itertools.combinations(range(k), 2)) < min_separation:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and np.linalg.norm(grad(t)) <= grad_tol:
-            found.append(t.reshape(k, dim) % (2 * math.pi))
+                x = x + step
+            converged = x is not None and np.linalg.norm(field.grad(x)) <= tol
+            limits.append(x % (2 * math.pi) if converged else None)
+        found.append(limits)
     return found
 
 
@@ -322,10 +292,16 @@ class TestCriticalPointSearch:
         field = ExpressionField(expr, dim=dim)
         pts = critical_point_search(field, k, domain, seeds=8, seed=seed)
         ref = per_seed_search(field, k, domain, seeds=8, seed=seed)
-        assert pts and ref
+        limits = [x for row in ref for x in row if x is not None]
+        configs = [np.array(row) for row in ref if all(x is not None for x in row)
+                   and all(domain.distance(row[i], row[j]) > 1e-6
+                           for i, j in itertools.combinations(range(k), 2))]
+        assert pts and configs
         for p in pts:
-            assert any(same_configuration(p.centers, r, 1e-10) for r in ref)
-        for r in ref:
+            # every center is the limit of some start
+            assert all(any(domain.distance(c, x) <= 1e-10 for x in limits) for c in p.centers)
+            assert any(same_configuration(p.centers, r, 1e-6) for r in configs)
+        for r in configs:
             assert any(same_configuration(p.centers, r, 1e-6) for p in pts)
 
     def test_cos_single_center(self):
@@ -355,6 +331,33 @@ class TestCriticalPointSearch:
     def test_gradient_tolerance(self):
         pts = critical_point_search(ExpressionField("cos(theta)"), 1, seeds=8)
         assert all(p.grad_norm <= 1e-8 for p in pts)
+        # each center stops at _GRAD_TOL / sqrt(k), so the joined gradient of
+        # a configuration stays within _GRAD_TOL (a stop at _GRAD_TOL per
+        # center breaks it at seeds 104 and 163 here, and in the k = 3 case)
+        f = ExpressionField("cos(2*theta)")
+        for s in range(200):
+            pts = critical_point_search(f, 2, seeds=32, seed=s)
+            assert pts and all(p.grad_norm <= _GRAD_TOL for p in pts)
+        pts = critical_point_search(ExpressionField("sin(theta) + 0.3*cos(3*theta)"), 3,
+                                    seeds=32, seed=4)
+        assert pts and all(p.grad_norm <= _GRAD_TOL for p in pts)
+
+    @pytest.mark.parametrize("N", [64, 501])
+    def test_one_ulp_moves_no_configuration(self, N):
+        # sin theta + 0.3 cos 3 theta has two close pairs of critical points,
+        # near (0.47, 0.72) and (3.62, 3.86); moving every sample by one ulp
+        # either way leaves the configurations as they are
+        theta = np.linspace(0, 2 * math.pi, N, endpoint=False)
+        y = np.sin(theta) + 0.3 * np.cos(3 * theta)
+        base = critical_point_search(GridField(y), 2, seeds=32, seed=0)
+        assert base
+        for moved in (np.nextafter(y, np.inf), np.nextafter(y, -np.inf)):
+            pts = critical_point_search(GridField(moved), 2, seeds=32, seed=0)
+            assert len(pts) == len(base)
+            for p in pts:
+                match = [q for q in base if same_configuration(p.centers, q.centers, 1e-9)]
+                assert len(match) == 1
+                assert (p.inertia, p.degenerate) == (match[0].inertia, match[0].degenerate)
 
     def test_constant_field_degenerate(self):
         pts = critical_point_search(ExpressionField("1.0 + 0*theta"), 1, seeds=4)
