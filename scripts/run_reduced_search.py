@@ -15,6 +15,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--field", default="cos(2*theta)")
     ap.add_argument("--k", type=int, default=2)
+    # accepted for compatibility; the search draws no random numbers
     ap.add_argument("--seeds", type=int, default=64)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -22,8 +23,7 @@ def main():
     field = ExpressionField(args.field)
     pts = critical_point_search(field, args.k, CircleDomain(),
                                 seeds=args.seeds, seed=args.seed)
-    print(f"{len(pts)} critical configuration(s) of W_{args.k} for field "
-          f"'{args.field}' (merged up to relabeling)")
+    print(f"{len(pts)} critical configuration(s) of W_{args.k} for field '{args.field}'")
     for p in pts:
         if p.degenerate or p.inertia[1]:
             kind = "degenerate"

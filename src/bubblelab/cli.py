@@ -303,8 +303,8 @@ _FIELD_PROBE = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)[:, None]
 
 def _field(spec: str):
     """The --field option as a field: a JSON spec file, else an expression;
-    one that cannot be read, built or evaluated on a probe batch of angles
-    is bad input."""
+    one that cannot be read, built, or evaluated with its derivatives on a
+    probe batch of angles is bad input."""
     from .reduced import ExpressionField, GridField
     fld = None
     try:
@@ -319,6 +319,7 @@ def _field(spec: str):
         if fld is not None:
             with np.errstate(all="ignore"):
                 fld.values(_FIELD_PROBE)
+                fld.derivatives(_FIELD_PROBE)
     except Exception as exc:
         raise ValidationFailure(f"--field {spec!r}: {exc}")
     if fld is None:
@@ -327,12 +328,16 @@ def _field(spec: str):
 
 
 def cmd_reduce(ns) -> str:
-    from .reduced import critical_point_search, CircleDomain
+    from .reduced import critical_point_search, CircleDomain, TooManyConfigurations
     fld = _field(ns.field)
     k = _int_check("--k", ns.k, at_least=1)
     seeds = _int_check("--seeds", ns.seeds, at_least=1)
-    pts = critical_point_search(fld, k, CircleDomain(), seeds=seeds, seed=ns.seed)
+    try:
+        pts = critical_point_search(fld, k, CircleDomain(), seeds=seeds, seed=ns.seed)
+    except TooManyConfigurations as exc:
+        raise ValidationFailure(f"--k {k}: {exc}")
     doc = {"kind": "critical-points", "k": k, "n": ns.n, "seeds": seeds,
+           "index_sum": pts.index_sum,
            "points": [{"centers": p.centers.ravel().tolist(), "value": p.value,
                        "grad_norm": p.grad_norm, "inertia": list(p.inertia),
                        "degenerate": p.degenerate} for p in pts]}
@@ -400,6 +405,7 @@ def cmd_fixtures(ns) -> str:
 
 _REQUIRED = object()   # the default of an option that has none
 _FLOAT, _INT, _STR = {"type": float}, {"type": int}, {}
+_UNUSED_INT = {"type": int, "help": "accepted for compatibility; changes nothing"}
 
 # subcommand: (help, {flag: (default, argparse keywords)}), in --help order;
 # every subcommand also takes --config and --out, and runs cmd_<subcommand>
@@ -428,8 +434,8 @@ _OPTIONS = {
                          f"in (0, 1/42 = {_GB_EPS_MAX:.4f})"})}),
     "reduce": ("critical points of the center potential", {
         "--field": (_REQUIRED, {"help": "expression in theta, or JSON field spec path"}),
-        "--k": (_REQUIRED, _FLOAT), "--n": (6, _FLOAT), "--seeds": (64, _INT),
-        "--seed": (0, _INT)}),
+        "--k": (_REQUIRED, _FLOAT), "--n": (6, _FLOAT),
+        "--seeds": (64, _UNUSED_INT), "--seed": (0, _UNUSED_INT)}),
     "dynamics": ("decay envelopes and window eigenvalues", {
         "mode": (_REQUIRED, {"choices": ("fde", "window")}),
         "--n": (2, _FLOAT), "--m": (0.5, _FLOAT), "--E0": (1.0, _FLOAT),
@@ -441,18 +447,22 @@ _OPTIONS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; with ``command``, only that
+    subcommand gets its options (the others are listed by name and help)."""
     p = argparse.ArgumentParser(prog="bubblelab",
                                 description="boundary-bubble energy laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-    for command, (help_, options) in _OPTIONS.items():
-        sp = sub.add_parser(command, help=help_)
+    for name, (help_, options) in _OPTIONS.items():
+        sp = sub.add_parser(name, help=help_)
+        if command not in (None, name):
+            continue
         sp.add_argument("--config", help="JSON config file (flags win)")
         sp.add_argument("--out", help="output path (stdout if omitted)")
         for flag, (_, kw) in options.items():
             sp.add_argument(flag, **kw)
         # looked up now, so a handler rebound on the module is the one that runs
-        sp.set_defaults(func=globals()["cmd_" + _dest(command)])
+        sp.set_defaults(func=globals()["cmd_" + _dest(name)])
     return p
 
 
@@ -462,8 +472,10 @@ def _show_warning(message, category, *_) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so the first
+    # argument without a dash names the command
+    ns = build_parser(next((a for a in argv if not a.startswith("-")), "")).parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

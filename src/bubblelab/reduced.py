@@ -15,16 +15,18 @@ all read one batched distance matrix and the kernel matrix G built on it.
 
 Center-only potential: W_k(x) = sum_i Rmass(x_i) is a sum of one-center
 terms, so a configuration of distinct centers is critical exactly when each
-center is a critical point of Rmass. The search runs Newton on the field
-alone from the k starts of every seed at once (fields evaluate batches of
-points), merges the limits into points, and turns each seed whose starts
-reach k distinct points into that configuration.
+center is a critical point of Rmass. The search finds Rmass's critical set
+once, by Newton's method on exact (jet) derivatives from a grid of starts
+sized from the field, and lists each k-subset of it as one configuration.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +34,8 @@ __all__ = [
     "CollisionError", "CircleDomain", "TorusDomain",
     "ExpressionField", "GridField", "InteractionKernel", "Configuration",
     "center_potential", "reduced_functional", "scale_jacobian", "ScaleJacobianReport",
-    "critical_point_search", "CriticalPoint", "quantized_levels",
-    "balance_law_residual",
+    "critical_point_search", "CriticalPoint", "CriticalConfigurations",
+    "TooManyConfigurations", "quantized_levels", "balance_law_residual",
 ]
 
 
@@ -44,10 +46,6 @@ class CollisionError(ValueError):
 # --------------------------------------------------------------------------
 # parameter domains
 # --------------------------------------------------------------------------
-
-def _wrap(delta):
-    return (np.asarray(delta) + math.pi) % (2.0 * math.pi) - math.pi
-
 
 def _row_norm(v):
     """Euclidean norm over the last axis; the same bits as ``np.linalg.norm``
@@ -60,32 +58,17 @@ def _scalar(x):
 
 
 def _diff(a, b):
-    """Wrapped coordinate differences of points; the last axis holds the
-    coordinates."""
-    return np.atleast_1d(_wrap(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    """Coordinate differences of points wrapped to [-pi, pi); the last axis
+    holds the coordinates."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return np.atleast_1d((d + math.pi) % (2.0 * math.pi) - math.pi)
 
 
 # Distances and their gradients act on (..., dim) arrays of points and reduce
 # the last axis; one pair of points gives a float.
 
-@dataclass(frozen=True)
-class CircleDomain:
-    """Unit circle parametrized by an angle; geodesic distance on radius 1."""
-    dim: int = 1
-
-    def distance(self, a, b):
-        return _scalar(np.abs(_diff(a, b)[..., 0]))
-
-    def dist_grad(self, a, b):
-        w = _diff(a, b)
-        if np.any(w == 0.0):
-            raise CollisionError("coincident centers")
-        return _scalar(np.abs(w[..., 0])), np.sign(w)
-
-
-@dataclass(frozen=True)
-class TorusDomain:
-    """Flat torus (product of unit circles)."""
+class TorusDomain(NamedTuple):
+    """Flat torus (product of unit circles); ``dim`` = 1 is the circle."""
     dim: int = 2
 
     def distance(self, a, b):
@@ -99,43 +82,97 @@ class TorusDomain:
         return _scalar(d), w / np.asarray(d)[..., None]
 
 
+class CircleDomain(NamedTuple):
+    """Unit circle parametrized by an angle; geodesic distance on radius 1."""
+    dim: int = 1
+    distance, dist_grad = TorusDomain.distance, TorusDomain.dist_grad
+
+
 # --------------------------------------------------------------------------
 # fields on parameter domains
 # --------------------------------------------------------------------------
 
-_EVAL_NS = {name: getattr(np, name) for name in
-            ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh",
-             "arctan", "arcsin", "arccos")}
-_EVAL_NS["pi"] = math.pi
-_FD_STEP = 1e-5   # central-difference step of ExpressionField
+class _Jet:
+    """Second-order forward-mode jet (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13): values v (m,), gradients g (m, dim) and Hessians
+    H (m, dim, dim) in theta_i, exact to rounding through every operator and
+    every name of ``_EVAL_NS``."""
+    __array_ufunc__ = None               # numpy scalars defer to the reflected operators
+
+    def __init__(self, v, g, H):
+        self.v, self.g, self.H = v, g, H
+
+    def chain(self, f, derivs):
+        """f(self), where f'(u), f''(u) = derivs(u, f(u))."""
+        v = f(self.v)
+        d1, d2 = derivs(self.v, v)
+        gg = self.g[:, :, None] * self.g[:, None, :]
+        return _Jet(v, d1[:, None] * self.g, d1[:, None, None] * self.H + d2[:, None, None] * gg)
+
+    def _lift(self, c):
+        return c if isinstance(c, _Jet) else _Jet(c + 0.0 * self.v, 0.0 * self.g, 0.0 * self.H)
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return _Jet(self.v + o.v, self.g + o.g, self.H + o.H)
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        cross = self.g[:, :, None] * o.g[:, None, :]
+        return _Jet(self.v * o.v, self.v[:, None] * o.g + o.v[:, None] * self.g,
+                    self.v[:, None, None] * o.H + o.v[:, None, None] * self.H
+                    + cross + np.swapaxes(cross, 1, 2))
+
+    def __pow__(self, o):
+        if isinstance(o, _Jet):                             # u^w = exp(w log u)
+            return _EVAL_NS["exp"](o * _EVAL_NS["log"](self))
+        return self.chain(lambda u: u ** o, lambda u, v: (   # no 0 u^-1 for o = 0 or 1
+            o * u ** (o - 1 if o else 0), o * (o - 1) * u ** (o - 2 if o * (o - 1) else 0)))
+
+    __radd__, __rmul__ = __add__, __mul__
+    __pos__ = lambda self: self
+    __neg__ = lambda self: self * -1.0
+    __sub__ = lambda self, o: self + -o
+    __rsub__ = lambda self, o: -self + o
+    __truediv__ = lambda self, o: self * o ** -1.0
+    __rtruediv__ = lambda self, o: self ** -1.0 * o
+    __rpow__ = lambda self, c: _EVAL_NS["exp"](self * np.log(c))    # c^u = exp(u log c)
 
 
-class _Field:
-    """Batched evaluation: ``values`` and ``derivatives`` take an (m, dim)
-    array of points; ``value``, ``grad`` and ``hess`` are the one-point case."""
-    dim: int
-
-    def _row(self, x):
-        return np.asarray(x, dtype=float).reshape(1, self.dim)
-
-    def value(self, x) -> float:
-        return float(self.values(self._row(x))[0])
-
-    def grad(self, x) -> np.ndarray:
-        return self.derivatives(self._row(x))[0][0]
-
-    def hess(self, x) -> np.ndarray:
-        return self.derivatives(self._row(x))[1][0]
+def _apply(f, derivs, x):
+    return x.chain(f, derivs) if isinstance(x, _Jet) else f(x)
 
 
-class ExpressionField(_Field):
-    """Scalar field from a numpy expression in theta (or theta1..thetad).
+# the names an expression may use: f, and (u, f(u)) -> (f'(u), f''(u))
+_EVAL_NS = {"pi": math.pi, **{name: partial(_apply, *fd) for name, fd in {
+    "sin": (np.sin, lambda u, v: (np.cos(u), -v)),
+    "cos": (np.cos, lambda u, v: (-np.sin(u), -v)),
+    "tan": (np.tan, lambda u, v: (1.0 + v * v, 2.0 * v * (1.0 + v * v))),
+    "exp": (np.exp, lambda u, v: (v, v)),
+    "log": (np.log, lambda u, v: (1.0 / u, -1.0 / (u * u))),
+    "sqrt": (np.sqrt, lambda u, v: (0.5 / v, -0.25 / (v * u))),
+    "abs": (np.abs, lambda u, v: (np.sign(u), 0.0 * u)),
+    "tanh": (np.tanh, lambda u, v: (1.0 - v * v, -2.0 * v * (1.0 - v * v))),
+    "arctan": (np.arctan, lambda u, v: (1.0 / (1.0 + u * u), -2.0 * u / (1.0 + u * u) ** 2)),
+    "arcsin": (np.arcsin, lambda u, v: (1.0 / np.sqrt(1.0 - u * u), u / (1.0 - u * u) ** 1.5)),
+    "arccos": (np.arccos, lambda u, v: (-1.0 / np.sqrt(1.0 - u * u), -u / (1.0 - u * u) ** 1.5)),
+}.items()}}
 
-    Derivatives by central differences of step ``_FD_STEP`` (the search
-    declares convergence on the same finite-difference gradient it iterates
-    with). All stencil points of a batch go through one evaluation of the
-    expression; an expression without theta is broadcast.
-    """
+# the search's start grid: >= _GRID_MIN points per axis, <= _GRID_MAX in all
+_GRID_MIN = 64
+_GRID_MAX = 2 ** 14
+_CHOP_TOL = 1e-13
+
+
+def _grid(n: int, dim: int) -> np.ndarray:
+    """The n^dim points 2 pi j / n of the uniform tensor grid, (n^dim, dim)."""
+    return np.indices((n,) * dim).reshape(dim, -1).T * (2.0 * math.pi / n)
+
+
+class ExpressionField:
+    """Scalar field from a numpy expression in theta (or theta1..thetad); as
+    for ``GridField``, ``values`` and ``derivatives`` take (m, dim) points.
+    Derivatives come from one evaluation on jets; a constant is broadcast."""
 
     def __init__(self, expr: str, dim: int = 1):
         self.expr = expr
@@ -145,48 +182,39 @@ class ExpressionField(_Field):
             if name not in _EVAL_NS and not name.startswith("theta"):
                 raise ValueError(f"disallowed name in field expression: {name}")
         self._code = code
-        # stencil point = (x + first) + second: +-h e_i for the gradient
-        # (second = -0.0 adds nothing), then (+-hh e_i) +- hh e_j, i <= j,
-        # for the Hessian
-        h = _FD_STEP
-        self._hh = h ** 0.5 * 1e-2 + h
-        self._pairs = np.triu_indices(dim)
-        e, f = np.eye(dim) * h, np.eye(dim) * self._hh
-        first = [s * e[i] for i in range(dim) for s in (1.0, -1.0)]
-        second = [np.full(dim, -0.0)] * (2 * dim)
-        for i, j in zip(*self._pairs):
-            for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                first.append(si * f[i])
-                second.append(sj * f[j])
-        self._first = np.array(first)[:, None, :]
-        self._second = np.array(second)[:, None, :]
+
+    def grid_size(self) -> int:
+        """Points per axis of a grid that resolves the field: n doubles until
+        the trigonometric interpolant's coefficients above n/8 are at most
+        _CHOP_TOL of the largest (a chop as in Chebfun's trigfun, SIAM J. Sci.
+        Comput. 37 (2015) C554)."""
+        n = _GRID_MIN
+        while n ** self.dim < _GRID_MAX:
+            c = np.abs(np.fft.fftn(self.values(_grid(n, self.dim)).reshape((n,) * self.dim)))
+            freq = np.abs(np.meshgrid(*[np.fft.fftfreq(n, 1.0 / n)] * self.dim, indexing="ij"))
+            if np.all(c[freq.max(axis=0) > n // 8] <= _CHOP_TOL * np.max(c)):
+                break
+            n *= 2
+        return n
+
+    def _eval(self, thetas):
+        ns = {**_EVAL_NS, "theta": thetas[0], **{f"theta{i + 1}": t for i, t in enumerate(thetas)}}
+        return eval(self._code, {"__builtins__": {}}, ns)
 
     def values(self, X) -> np.ndarray:
         cols = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-        ns = dict(_EVAL_NS)
-        ns["theta"] = cols[0]
-        for i in range(self.dim):
-            ns[f"theta{i + 1}"] = cols[i]
-        out = eval(self._code, {"__builtins__": {}}, ns)
-        return np.broadcast_to(np.asarray(out, dtype=float), cols.shape[1:])
+        return np.broadcast_to(np.asarray(self._eval(cols), dtype=float), cols.shape[1:])
 
     def derivatives(self, X) -> tuple:
         """(gradients (m, dim), Hessians (m, dim, dim)) from one evaluation."""
         X = np.asarray(X, dtype=float)
-        m, dim = X.shape
-        v = self.values(((X + self._first) + self._second).reshape(-1, dim))
-        v = v.reshape(len(self._first), m)
-        g = ((v[0:2 * dim:2] - v[1:2 * dim:2]) / (2.0 * _FD_STEP)).T
-        q = v[2 * dim:].reshape(len(self._pairs[0]), 4, m)
-        hij = ((q[:, 0] - q[:, 1] - q[:, 2] + q[:, 3]) / (4.0 * self._hh * self._hh)).T
-        H = np.empty((m, dim, dim))
-        I, J = self._pairs
-        H[:, I, J] = hij
-        H[:, J, I] = hij
-        return g, H
+        zero = np.zeros(X.shape + X.shape[-1:])
+        out = self._eval([_Jet(x, e + zero[:, 0], zero) for x, e in zip(X.T, np.eye(X.shape[1]))])
+        out = out if isinstance(out, _Jet) else _Jet(out, zero[:, 0], zero)   # no theta
+        return out.g + zero[:, 0], out.H + zero
 
 
-class GridField(_Field):
+class GridField:
     """Periodic field from samples on a uniform angle grid (cubic spline).
 
     The periodic spline's knot slopes s_i solve the circulant system
@@ -210,6 +238,11 @@ class GridField(_Field):
         self._dsp = self._sp.derivative()
         self._d2sp = self._dsp.derivative()
         self.dim = 1
+        self.knots = N
+
+    def grid_size(self) -> int:
+        """The knots, within the search grid's floor and cap."""
+        return min(max(self.knots, _GRID_MIN), _GRID_MAX)
 
     @staticmethod
     def _angles(X):
@@ -401,7 +434,7 @@ def balance_law_residual(config: Configuration, kernel: InteractionKernel,
 
 
 # --------------------------------------------------------------------------
-# critical-point search for the center-only potential
+# critical points of the center-only potential
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -413,144 +446,110 @@ class CriticalPoint:
     degenerate: bool = False
 
 
-def _newton_steps(A, b):
-    """Solve every row's A x = b at once; if that raises, row by row, and a
-    singular row gives ``ok = False``."""
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0], np.ones(len(b), bool)
-    except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        ok = np.zeros(len(b), bool)
-        for r in range(len(b)):
-            try:
-                x[r] = np.linalg.solve(A[r], b[r])
-                ok[r] = True
-            except np.linalg.LinAlgError:
-                pass
-        return x, ok
+class CriticalConfigurations(list):
+    """By value; ``index_sum``: sum (-1)^index over R's points, None if degenerate."""
+    index_sum = None
 
 
-# Newton converges quadratically at a Morse critical point, so successive
-# steps shrink by far more than this ratio; at a degenerate one (W'' = 0
-# along some direction) it converges linearly, with ratio (m-1)/m at a zero
-# of multiplicity m of the gradient.
-_LINEAR_RATIO = 0.25
-# limits closer than this are one point
-_MERGE_TOL = 1e-6
-# the bound on a configuration's gradient norm, and the Newton steps per start
-_GRAD_TOL = 1e-8
-_MAX_ITER = 600
+class TooManyConfigurations(ValueError):
+    """C(m, k) exceeds ``_MAX_CONFIGURATIONS``."""
+
+
+# Newton stops at a step <= _STEP_TOL, which finds a simple root to rounding. A
+# limit is critical at gradient norm <= _GRAD_TOL max(1, h), h the largest
+# Hessian entry on the grid: exact derivatives reach the rounding of R' (1e-15
+# on test fields; difference stencils stalled near 1e-9), and one ulp of angle
+# near 2 pi moves R' by 8.9e-16 h. Eigenvalues <= _DEGENERATE_TOL h are zero.
+_STEP_TOL = 1e-14
+_MAX_ITER = 100
+_GRAD_TOL = 1e-12
+_DEGENERATE_TOL = 1e-6
+_MERGE_TOL = 1e-6                        # limits closer than this are one point
+_MAX_CONFIGURATIONS = 10_000
+
+
+def _newton(field, X, h):
+    """Newton on R' from each row of X, steps clipped to length h (least-norm if singular)."""
+    X, active = X.copy(), np.arange(len(X))
+    for _ in range(_MAX_ITER):
+        g, H = field.derivatives(X[active])
+        try:
+            step = np.linalg.solve(H, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = -(np.linalg.pinv(H) @ g[..., None])[..., 0]
+        nrm = _row_norm(step)
+        X[active] += step * (h / np.maximum(nrm, h))[:, None]
+        active = active[nrm > _STEP_TOL]
+        if not active.size:
+            break
+    return X
+
+
+def _polish(field, x):
+    """Secant on R'' from angles x (m, 1): a degenerate point is a simple root of R''."""
+    a, b = x + 1e-7, x
+    fa, fb = (field.derivatives(p)[1][:, :, 0] for p in (a, b))
+    for _ in range(_MAX_ITER):
+        a, b, fa = b, b - fb * (b - a) / np.where(fb != fa, fb - fa, np.inf), fb
+        fb = field.derivatives(b)[1][:, :, 0]
+        if not np.any(np.abs(b - a) > _STEP_TOL):
+            break
+    return b
 
 
 def critical_point_search(field, k: int, domain=None, seeds: int = 64,
-                          seed: int = 0) -> list:
-    """Multi-seed Newton search for critical points of W_k.
-
-    Each seed draws k starts, and every start runs Newton on the field
-    alone: each step evaluates the field once on every active start and makes
-    one batched solve, and per-start masks apply the stopping and
-    singular-Hessian rules. A start converges at gradient norm
-    _GRAD_TOL / sqrt(k), so the joined gradient of k converged centers is at
-    most _GRAD_TOL.
-
-    A limit is flagged ``degenerate`` (not Morse) when its last two Newton
-    steps shrink by a ratio in [1/4, 1], i.e. converge linearly; its inertia
-    then counts as zero every Hessian eigenvalue of magnitude at most
-    2 |H u|, u the unit last step. The converged limits are merged into
-    points closer than max(_MERGE_TOL, 2 (r_a + r_b)), r the distance to the
-    limit of a degenerate start's geometric steps (0 when Morse); a point is
-    represented by its first degenerate limit if it has one, else by its
-    first limit. A seed whose k starts reach k distinct points gives that
-    configuration, with the merged points as its centers: its value and
-    inertia are sums over the centers, its gradient norm is that of the
-    joined gradients, and it is degenerate when any center is.
+                          seed: int = 0) -> CriticalConfigurations:
+    """Every critical configuration of W_k, once: the k-subsets of R's
+    critical set. Newton's method with exact derivatives runs from each point
+    of a uniform grid of ``field.grid_size()`` points per axis, steps clipped
+    to the grid spacing, and the critical limits are merged into points; on
+    the circle a degenerate point is polished as the simple root of R'' that
+    it is. A configuration's value and inertia are sums over its centers, its
+    gradient norm is that of the joined gradients, and it is degenerate when
+    any center is. Centers lie in [0, 2 pi) (within _STEP_TOL of 2 pi is 0).
+    A Morse set must have sum (-1)^index = chi = 0 of the circle and the
+    torus (Poincare-Hopf; Milnor, *Morse Theory*): a set that breaks it, or an
+    empty one, raises RuntimeError. A constant field gives k grid points.
+    ``seeds`` and ``seed`` are accepted for compatibility and change nothing.
     """
     domain = domain or CircleDomain()
     dim = domain.dim
-    rng = np.random.default_rng(seed)
-
-    # constant-field degeneracy: the gradient vanishes identically
-    probes = rng.uniform(0.0, 2.0 * math.pi, size=(8, k * dim)).reshape(-1, dim)
-    g, Hs = field.derivatives(probes)
-    if np.max(_row_norm(g.reshape(8, -1))) < 1e-12:
-        return [CriticalPoint(probes[:k] % (2 * math.pi), float(sum(field.values(probes[:k]))),
-                              0.0, _inertia(Hs[:k]), degenerate=True)]
-
-    # start s k + i is center i of seed s
-    X = rng.uniform(0.0, 2.0 * math.pi, size=(seeds, k * dim)).reshape(-1, dim)
-    tol = _GRAD_TOL / math.sqrt(k)
-    ok = np.ones(len(X), bool)
-    active = ok.copy()
-    step_norm = np.full((len(X), 2), np.nan)   # the previous and the last step
-    last_step = np.zeros_like(X)
-    eye = 1e-12 * np.eye(dim)
-    for _ in range(_MAX_ITER):
-        idx = np.flatnonzero(active)
-        if not idx.size:
-            break
-        g, Hm = field.derivatives(X[idx])
-        moving = ~(_row_norm(g) <= tol)
-        active[idx[~moving]] = False
-        if not moving.any():
-            break
-        idx = idx[moving]
-        step, solved = _newton_steps(Hm[moving] + eye, -g[moving])
-        ok[idx[~solved]] = active[idx[~solved]] = False
-        idx, step = idx[solved], step[solved]
-        nrm = _row_norm(step)
-        big = nrm > 1.0
-        step[big] *= (1.0 / nrm[big])[:, None]
-        X[idx] = X[idx] + step
-        step_norm[idx, 0] = step_norm[idx, 1]
-        step_norm[idx, 1] = np.minimum(nrm, 1.0)
-        last_step[idx] = step
-
-    idx = np.flatnonzero(ok)
-    g, Hs = field.derivatives(X[idx])
-    conv = _row_norm(g) <= tol
-    idx, g, Hs = idx[conv], g[conv], Hs[conv]
-    vals = field.values(X[idx])
-    centers = X[idx] % (2 * math.pi)
-    ratio = step_norm[idx, 1] / step_norm[idx, 0]
-    degenerate = (_LINEAR_RATIO <= ratio) & (ratio <= 1.0)
-    r = np.minimum(ratio, 0.9)
-    radius = np.where(degenerate, step_norm[idx, 1] * r / (1.0 - r), 0.0)
-    zero_tol = np.full(len(idx), 1e-7)
-    for j in np.flatnonzero(degenerate):
-        u = last_step[idx[j]] / step_norm[idx[j], 1]
-        zero_tol[j] = max(zero_tol[j], 2.0 * float(_row_norm(Hs[j] @ u)))
-
-    reps, label = [], np.full(len(X), -1)
-    for j in range(len(idx)):
-        q = np.asarray(reps, int)
-        merge_tol = np.maximum(_MERGE_TOL, 2.0 * (radius[j] + radius[q]))
-        near = np.flatnonzero(domain.distance(centers[j], centers[q]) <= merge_tol)
-        if near.size:
-            if degenerate[j] and not degenerate[reps[near[0]]]:
-                reps[near[0]] = j
-            label[idx[j]] = near[0]
+    with np.errstate(all="ignore"):       # a start at a singularity of R does not converge
+        n = field.grid_size()
+        g, H = field.derivatives(_grid(n, dim))
+        hscale = np.max(np.abs(H))
+        zero_tol, grad_tol = _DEGENERATE_TOL * hscale, _GRAD_TOL * max(1.0, hscale)
+        if np.max(_row_norm(g)) <= _GRAD_TOL:
+            X, zero_tol = _grid(k, dim)[:k], np.inf
         else:
-            label[idx[j]] = len(reps)
-            reps.append(j)
-
-    configs = {}
-    for row in label.reshape(seeds, k):
-        key = tuple(sorted(set(row.tolist())))
-        if len(key) == k and key[0] >= 0:
-            configs.setdefault(key, [reps[q] for q in key])
-    js = np.array(list(configs.values()), int).reshape(-1, k)
-    grad_norms = _row_norm(g[js].reshape(len(js), k * dim))
-    found = [CriticalPoint(centers[row], float(sum(vals[row])), float(gn),
-                           _inertia(Hs[row], zero_tol[row]), bool(degenerate[row].any()))
-             for row, gn in zip(js, grad_norms)]
-    found.sort(key=lambda c: c.value)
-    return found
-
-
-def _inertia(H: np.ndarray, tol=1e-7) -> tuple:
-    """(negative, zero, positive) eigenvalue counts of a stack of symmetric
-    matrices, summed; |eigenvalue| <= tol (one per matrix) counts as zero."""
-    ev = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    tol = np.asarray(tol)[..., None]
-    return (int(np.sum(ev < -tol)), int(np.sum(np.abs(ev) <= tol)),
-            int(np.sum(ev > tol)))
+            X = _newton(field, _grid(n, dim), 2.0 * math.pi / n)
+        flat = np.flatnonzero((np.abs(field.derivatives(X)[1][:, 0, 0]) <= zero_tol) & (dim == 1))
+        x = _polish(field, X[flat])
+        ok = _row_norm(field.derivatives(x)[0]) <= grad_tol
+        X[flat[ok]] = x[ok]
+        g, H = field.derivatives(X)
+    free, reps = np.flatnonzero(_row_norm(g) <= grad_tol), []
+    while free.size:
+        reps.append(free[0])
+        free = free[domain.distance(X[free], X[free[0]]) > _MERGE_TOL]
+    P = X[reps] % (2.0 * math.pi)
+    P[P > 2.0 * math.pi - _STEP_TOL] = 0.0
+    order = np.lexsort(P.T[::-1])
+    P, g, ev = P[order], g[reps][order], np.linalg.eigvalsh(H[reps][order])
+    counts = np.stack([ev < -zero_tol, np.abs(ev) <= zero_tol, ev > zero_tol], -1).sum(1)
+    degenerate, out = counts[:, 1] > 0, CriticalConfigurations()
+    if not degenerate.any():
+        out.index_sum = int(np.sum((-1) ** counts[:, 0]))
+        if out.index_sum or not len(P):
+            raise RuntimeError(f"the critical set breaks the Poincare-Hopf count: {len(P)} Morse "
+                               f"points with sum (-1)^index = {out.index_sum}, where chi = 0")
+    if math.comb(len(P), k) > _MAX_CONFIGURATIONS:
+        raise TooManyConfigurations(f"{len(P)} critical points give C({len(P)}, {k}) = "
+                                    f"{math.comb(len(P), k)} configurations, over {_MAX_CONFIGURATIONS}")
+    vals = field.values(P)
+    out.extend(sorted((CriticalPoint(P[r], float(sum(vals[r])), float(_row_norm(g[r].ravel())),
+                                     tuple(int(c) for c in counts[r].sum(0)),
+                                     bool(degenerate[r].any()))
+                       for r in map(list, itertools.combinations(range(len(P)), k))),
+                      key=lambda c: c.value))
+    return out

@@ -72,18 +72,28 @@ class TestValidation:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["constants"]["R"] == 25.0
 
-    def test_config_seed_reads_like_the_flag(self, tmp_path):
+    def test_config_seed_reads_like_the_flag(self, tmp_path, monkeypatch):
+        # the search ignores its seed, so the one it is passed is recorded
+        from bubblelab import reduced
+        search, seen = reduced.critical_point_search, {}
+
+        def recording(*args, **kw):
+            seen["seed"] = kw["seed"]
+            return search(*args, **kw)
+
+        monkeypatch.setattr(reduced, "critical_point_search", recording)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"seed": 7}))
         base = ["reduce", "--field", "cos(2*theta)", "--k", "2", "--seeds", "4"]
         runs = {"flag": ["--seed", "7"], "config": ["--config", str(cfg)],
                 "default": [], "flag wins": ["--config", str(cfg), "--seed", "0"]}
-        out = {}
+        out, seeds = {}, {}
         for name, extra in runs.items():
             path = tmp_path / f"{name}.json"
             assert main(base + extra + ["--out", str(path)]) == 0
-            out[name] = path.read_bytes()
-        assert out["config"] == out["flag"] != out["default"] == out["flag wins"]
+            out[name], seeds[name] = path.read_bytes(), seen["seed"]
+        assert seeds == {"flag": 7, "config": 7, "default": 0, "flag wins": 0}
+        assert len(set(out.values())) == 1
 
     def test_config_value_takes_the_flag_type(self, tmp_path):
         # {"R": 30} reads as --R 30 does: the float 30.0
@@ -164,12 +174,12 @@ class TestValidation:
     @pytest.mark.parametrize("expression, spec", [
         ("cos(2*", None), ("__import__", None), (None, ""),
         (None, '{"samples": []}'), (None, '{"samples": ["a"]}'),
-        ("theta[100]", None), ("1/0", None),
+        ("theta[100]", None), ("1/0", None), ("theta % 1", None),
     ])
     def test_bad_field_exits_2(self, expression, spec, tmp_path, capsys):
         # an expression that does not compile, names a disallowed symbol or
-        # fails when evaluated, and a spec file that is not JSON or holds no
-        # usable samples, are bad input
+        # fails when evaluated or differentiated (jets have no %), and a spec
+        # file that is not JSON or holds no usable samples, are bad input
         if spec is not None:
             expression = tmp_path / "field.json"
             expression.write_text(spec)
@@ -270,6 +280,45 @@ class TestValidation:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "numerical"
             assert err["detail"].startswith("half-space near-optimizer misses its deficit target")
+
+
+class TestParser:
+    # one argv per command, every option given
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--n", "5", "--R", "30", "--format", "csv", "--out", "o"],
+        ["coefficients", "--n", "5", "--R", "30", "--config", "c.json"],
+        ["expand", "--geometry", "h-only", "--n", "5", "--eps-levels", "3", "--eps0", "0.02",
+         "--R", "20", "--functional", "plain-trace", "--radius", "2", "--value", "0.5",
+         "--H", "0.3"],
+        ["estimate", "--target", "scal", "--geometry", "ricci-only", "--n", "3", "--eps",
+         "1e-2", "--sweep", "4", "--R", "25", "--radius", "2", "--value", "2", "--H", "0",
+         "--p", "2.5"],
+        ["gauss-bonnet", "--surface", "annulus", "--mode", "exact", "--inner-radius", "0.3",
+         "--eps", "0.01"],
+        ["reduce", "--field", "cos(theta)", "--k", "2", "--n", "5", "--seeds", "3",
+         "--seed", "4"],
+        ["dynamics", "fde", "--n", "3", "--m", "0.6", "--E0", "2", "--M0", "3", "--C", "1",
+         "--horizon", "10", "--ladder", "1e-2:1e-3", "--rungs", "3"],
+        ["fixtures", "verify", "--path", "f.json"],
+    ], ids=lambda a: a[0])
+    def test_per_command_parser_matches_the_full_parser(self, argv):
+        from bubblelab.cli import build_parser
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    def test_help_lists_every_command(self, capsys):
+        from bubblelab.cli import _OPTIONS
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command, (help_, _) in _OPTIONS.items():
+            assert any(ln.split() == [command, *help_.split()] for ln in out.splitlines())
+
+    @pytest.mark.parametrize("argv", [[], ["nonsense"], ["--n", "5"]], ids=repr)
+    def test_missing_or_unknown_command_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestWarnings:
@@ -383,6 +432,43 @@ class TestOutputs:
         assert len(pts) == 4
         assert sorted(p["degenerate"] for p in pts) == [False, False, True, True]
 
+    def test_reduce_lists_each_configuration_once(self, tmp_path):
+        # cos^3 theta has four critical points, two of them degenerate: six
+        # pairs, none of a point with itself, every center in [0, 2 pi)
+        out = tmp_path / "crit.json"
+        assert main(["reduce", "--field", "cos(theta)**3", "--k", "2", "--seeds", "32",
+                     "--seed", "0", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["points"]) == 6 and doc["index_sum"] is None
+        for p in doc["points"]:
+            a, b = p["centers"]
+            assert min(abs(a - b), 2 * math.pi - abs(a - b)) > 1e-3
+            assert 0.0 <= a < 2 * math.pi and 0.0 <= b < 2 * math.pi
+
+    def test_reduce_reports_the_index_count(self, tmp_path):
+        out = tmp_path / "crit.json"
+        assert main(["reduce", "--field", "sin(theta) + 0.3*cos(3*theta)", "--k", "3",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["points"]) == 20 and doc["index_sum"] == 0
+
+    def test_reduce_broken_index_count_exits_3(self, monkeypatch, capsys):
+        # a one-point start grid finds one of the four Morse points
+        from bubblelab import reduced
+        monkeypatch.setattr(reduced, "_GRID_MIN", 1)
+        monkeypatch.setattr(reduced, "_GRID_MAX", 1)
+        assert main(["reduce", "--field", "cos(2*theta) + 0.3*sin(3*theta)", "--k", "1"]) == 3
+        seen = capsys.readouterr()
+        assert seen.out == ""
+        err = json.loads(seen.err)
+        assert err["error"] == "numerical" and "Poincare-Hopf" in err["detail"]
+
+    def test_reduce_configuration_cap_exits_2(self, capsys):
+        # cos 40 theta has 80 critical points, and C(80, 3) = 82160
+        assert main(["reduce", "--field", "cos(40*theta)", "--k", "3"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "validation" and "82160" in err["detail"]
+
     def test_reduce_field_spec_file(self, tmp_path):
         spec = tmp_path / "field.json"
         theta = np.linspace(0, 2 * math.pi, 128, endpoint=False)
@@ -412,15 +498,16 @@ class TestOutputs:
 
 
 # modules the package never loads: scipy is a test reference only, and
-# hashlib maps libcrypto, about 3.6 MB of resident memory per process (the
-# reduced search's numpy.random loads it); numpy.ma, which np.unique
-# imports, costs about 14 ms and 1.3 MB
+# hashlib maps libcrypto, about 3.6 MB of resident memory per process
+# (numpy.random loads it, and no command draws random numbers); numpy.ma,
+# which np.unique imports, costs about 14 ms and 1.3 MB
 _UNLOADED = ("m.split('.')[0] in ('scipy', 'hashlib', '_hashlib') "
              "or m == 'numpy.ma' or m.startswith('numpy.ma.')")
 
 
-# modules a command loads only if it runs them: about 3.6 MB of libcrypto
-# (hashlib), and decimal's C module (fractions)
+# modules a command loads only if it runs them: decimal's C module
+# (fractions), and about 3.6 MB of libcrypto (hashlib, which numpy.random
+# loads)
 _WATCHED = {"decimal", "fractions", "hashlib", "numpy.random"}
 # the energy-only GN estimators: the cached GN profiles and the whole engine
 _GN_STACK = ["energy", "estimators", "fixtures", "geometry", "moments", "profiles", "quadrature"]
@@ -563,15 +650,17 @@ class TestLazyImports:
     # every command of the benchmark's cli-session and the modules it loads,
     # each command in a fresh ``python -m bubblelab.cli``: the package's
     # modules besides cli, and of _WATCHED those the command runs (fractions
-    # and decimal for the fde exponents' exact mode, hashlib and numpy.random
-    # for the reduced search's seeds)
+    # and decimal for the fde exponents' exact mode); ``reduce`` on a samples
+    # file ("SAMPLES") also loads the spline evaluator of ``profiles``
     @pytest.mark.parametrize("args, allowed", [
         (["estimate", "--target", "scal", "--n", "2", "--value", "1.0"], _GN_STACK),
         (["estimate", "--target", "scal", "--n", "3", "--value", "2.0"], _GN_STACK),
         (["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.01"],
          _GN_STACK),
         (["reduce", "--field", "cos(2*theta)", "--k", "2", "--seeds", "32", "--seed", "7"],
-         ["hashlib", "numpy.random", "reduced"]),
+         ["reduced"]),
+        (["reduce", "--field", "SAMPLES", "--k", "2", "--seeds", "32", "--seed", "7"],
+         ["profiles", "quadrature", "reduced"]),
         (["dynamics", "fde", "--n", "2", "--m", "0.5", "--E0", "1.0", "--M0", "1.0",
           "--horizon", "50.0"],
          ["decimal", "dynamics", "energy", "fixtures", "fractions", "geometry", "moments",
@@ -589,6 +678,9 @@ class TestLazyImports:
             return {ln.rsplit("|", 1)[1].strip() for ln in out.stderr.splitlines()
                     if ln.startswith("import time:")}
 
+        samples = tmp_path / "field.json"
+        samples.write_text(json.dumps({"samples": list(np.cos(np.arange(64) * math.pi / 32))}))
+        args = [str(samples) if a == "SAMPLES" else a for a in args]
         # less what the interpreter's own start-up (site, .pth files) imports
         names = (imported("-m", "bubblelab.cli", *args, "--out", str(tmp_path / "o"))
                  - imported("-c", "pass"))

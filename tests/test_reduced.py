@@ -1,15 +1,18 @@
 import itertools
 import math
+import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
+from bubblelab import reduced
 from bubblelab.reduced import (
-    _GRAD_TOL, CircleDomain, TorusDomain, ExpressionField, GridField,
-    InteractionKernel, Configuration, CollisionError, center_potential,
+    _EVAL_NS, _GRAD_TOL, _grid, TooManyConfigurations, CircleDomain, TorusDomain,
+    ExpressionField, GridField, InteractionKernel, Configuration, CollisionError, center_potential,
     reduced_functional, scale_jacobian, critical_point_search, quantized_levels,
     balance_law_residual,
 )
@@ -20,9 +23,9 @@ class CubicSplineField(GridField):
 
     def __init__(self, samples):
         samples = np.asarray(samples, dtype=float)
+        super().__init__(samples)
         theta = np.linspace(0.0, 2.0 * math.pi, samples.size + 1)
         self._cs = CubicSpline(theta, np.append(samples, samples[0]), bc_type="periodic")
-        self.dim = 1
 
     def values(self, X):
         return self._cs(np.asarray(X, dtype=float)[:, 0] % (2.0 * math.pi))
@@ -245,40 +248,34 @@ class TestScaleJacobian:
         assert np.max(np.abs(fd - rep.matrix)) <= 2e-6 * np.max(np.abs(rep.matrix))
 
 
-def per_seed_search(field, k, domain, seeds, seed, grad_tol=1e-8, max_iter=600):
-    """Reference: Newton from one start at a time with scalar field calls, on
-    the search's draws; per seed, the limits of its k starts (None where a
-    start does not reach grad_tol / sqrt(k) or meets a singular Hessian)."""
-    dim = domain.dim
-    tol = grad_tol / math.sqrt(k)
-    rng = np.random.default_rng(seed)
-    rng.uniform(0.0, 2 * math.pi, size=(8, k * dim))      # the constant-field probes
-    found = []
-    for _ in range(seeds):
-        limits = []
-        for x in rng.uniform(0.0, 2 * math.pi, size=k * dim).reshape(k, dim):
-            for _ in range(max_iter):
-                g = field.grad(x)
-                if np.linalg.norm(g) <= tol:
-                    break
-                try:
-                    step = np.linalg.solve(field.hess(x) + 1e-12 * np.eye(dim), -g)
-                except np.linalg.LinAlgError:
-                    x = None
-                    break
-                if np.linalg.norm(step) > 1.0:
-                    step *= 1.0 / np.linalg.norm(step)
-                x = x + step
-            converged = x is not None and np.linalg.norm(field.grad(x)) <= tol
-            limits.append(x % (2 * math.pi) if converged else None)
-        found.append(limits)
-    return found
+def per_start_search(field, domain, stride=1):
+    """Reference: Newton's method from every ``stride``-th start of the
+    search's grid, one start at a time (one-row field calls); the limits
+    (mod 2 pi) whose gradient norm reaches _GRAD_TOL."""
+    n = field.grid_size()
+    h = 2 * math.pi / n
+    limits = []
+    for x in _grid(n, domain.dim)[::stride]:
+        for _ in range(100):
+            g, H = (d[0] for d in field.derivatives(x[None]))
+            step = np.linalg.lstsq(H, -g, rcond=None)[0]
+            x = x + step * min(1.0, h / max(np.linalg.norm(step), h))
+            if not np.linalg.norm(step) > 1e-14:
+                break
+        if np.linalg.norm(field.derivatives(x[None])[0]) <= _GRAD_TOL:
+            limits.append(x % (2 * math.pi))
+    return limits
 
 
 def same_configuration(a, b, tol):
     """Equal center sets up to relabeling and 2 pi."""
     return any(np.max(np.abs((a[list(p)] - b + math.pi) % (2 * math.pi) - math.pi)) <= tol
                for p in itertools.permutations(range(len(a))))
+
+
+# four Morse or degenerate fields and their numbers of critical points
+FIELDS = [("cos(2*theta)", 4), ("cos(2*theta) + 0.3*sin(3*theta)", 4),
+          ("sin(theta) + 0.3*cos(3*theta)", 6), ("cos(theta)**3", 4)]
 
 
 class TestCriticalPointSearch:
@@ -288,21 +285,55 @@ class TestCriticalPointSearch:
         ("cos(theta1) + 0.5*sin(theta2)", 2, 2, 3),
     ])
     def test_matches_per_seed_reference(self, expr, k, dim, seed):
+        # the batched search against scalar Newton from its grid's starts (on
+        # the torus every 7th of them): the same points, each k-subset once,
+        # whatever the seed
         domain = TorusDomain() if dim == 2 else CircleDomain()
         field = ExpressionField(expr, dim=dim)
         pts = critical_point_search(field, k, domain, seeds=8, seed=seed)
-        ref = per_seed_search(field, k, domain, seeds=8, seed=seed)
-        limits = [x for row in ref for x in row if x is not None]
-        configs = [np.array(row) for row in ref if all(x is not None for x in row)
-                   and all(domain.distance(row[i], row[j]) > 1e-6
-                           for i, j in itertools.combinations(range(k), 2))]
-        assert pts and configs
+        limits = per_start_search(field, domain, stride=7 if dim == 2 else 1)
+        points = []
+        for x in limits:
+            if all(domain.distance(x, p) > 1e-6 for p in points):
+                points.append(x)
+        assert len(pts) == math.comb(len(points), k) > 0
         for p in pts:
-            # every center is the limit of some start
             assert all(any(domain.distance(c, x) <= 1e-10 for x in limits) for c in p.centers)
-            assert any(same_configuration(p.centers, r, 1e-6) for r in configs)
-        for r in configs:
-            assert any(same_configuration(p.centers, r, 1e-6) for p in pts)
+        for x in points:
+            assert any(domain.distance(c, x) <= 1e-10 for p in pts for c in p.centers)
+
+    @pytest.mark.parametrize("expr, m", FIELDS)
+    def test_every_configuration_once(self, expr, m):
+        # C(m, k) configurations of k distinct centers in [0, 2 pi), the same
+        # for every seeds and seed
+        field = ExpressionField(expr)
+        dom = CircleDomain()
+        for k in (1, 2, 3):
+            runs = [critical_point_search(field, k, dom, seeds=seeds, seed=seed)
+                    for seeds, seed in ((1, 0), (32, 0), (32, 7), (64, 123))]
+            assert len(runs[0]) == math.comb(m, k)
+            for p in runs[0]:
+                assert np.all((0.0 <= p.centers) & (p.centers < 2 * math.pi))
+                assert all(dom.distance(p.centers[i], p.centers[j]) > 1e-3
+                           for i, j in itertools.combinations(range(k), 2))
+            for pts in runs[1:]:
+                assert [(p.centers.tobytes(), p.value, p.grad_norm, p.inertia, p.degenerate)
+                        for p in pts] == [(p.centers.tobytes(), p.value, p.grad_norm,
+                                           p.inertia, p.degenerate) for p in runs[0]]
+
+    @pytest.mark.parametrize("expr, exact, degenerate", [
+        ("cos(2*theta)", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2], []),
+        ("cos(2*theta) + 0.3*sin(3*theta)", [math.pi / 2, 3 * math.pi / 2], []),
+        ("cos(theta)**3", [math.pi / 2, 3 * math.pi / 2], [math.pi / 2, 3 * math.pi / 2]),
+    ])
+    def test_closed_form_points_to_1e_12(self, expr, exact, degenerate):
+        pts = critical_point_search(ExpressionField(expr), 1)
+        dom = CircleDomain()
+        for e in exact:
+            near = [p for p in pts if dom.distance(p.centers[0, 0], e) < 1e-3]
+            assert len(near) == 1
+            assert dom.distance(near[0].centers[0, 0], e) <= 1e-12
+            assert near[0].degenerate == (e in degenerate)
 
     def test_cos_single_center(self):
         pts = critical_point_search(ExpressionField("cos(theta)"), 1, seeds=16)
@@ -313,6 +344,7 @@ class TestCriticalPointSearch:
         by_val = {round(p.value, 6): p for p in pts}
         assert by_val[1.0].inertia == (1, 0, 0)   # maximum
         assert by_val[-1.0].inertia == (0, 0, 1)  # minimum
+        assert pts.index_sum == 0
 
     def test_cos2_pair_products(self):
         # critical configurations of W_2 are unordered pairs of distinct
@@ -329,18 +361,11 @@ class TestCriticalPointSearch:
         assert vals[0] == -2.0 and vals[-1] == 2.0
 
     def test_gradient_tolerance(self):
-        pts = critical_point_search(ExpressionField("cos(theta)"), 1, seeds=8)
-        assert all(p.grad_norm <= 1e-8 for p in pts)
-        # each center stops at _GRAD_TOL / sqrt(k), so the joined gradient of
-        # a configuration stays within _GRAD_TOL (a stop at _GRAD_TOL per
-        # center breaks it at seeds 104 and 163 here, and in the k = 3 case)
-        f = ExpressionField("cos(2*theta)")
-        for s in range(200):
-            pts = critical_point_search(f, 2, seeds=32, seed=s)
-            assert pts and all(p.grad_norm <= _GRAD_TOL for p in pts)
-        pts = critical_point_search(ExpressionField("sin(theta) + 0.3*cos(3*theta)"), 3,
-                                    seeds=32, seed=4)
-        assert pts and all(p.grad_norm <= _GRAD_TOL for p in pts)
+        # a configuration's gradient norm joins its centers' gradients
+        for expr, _ in FIELDS:
+            for k in (1, 2, 3):
+                pts = critical_point_search(ExpressionField(expr), k)
+                assert pts and all(p.grad_norm <= _GRAD_TOL for p in pts)
 
     @pytest.mark.parametrize("N", [64, 501])
     def test_one_ulp_moves_no_configuration(self, N):
@@ -374,36 +399,44 @@ class TestCriticalPointSearch:
         X = np.random.default_rng(5).uniform(0.0, 2 * math.pi, size=(7, 2))
         vals, (grads, hess) = f.values(X), f.derivatives(X)
         for r, x in enumerate(X):
-            assert vals[r] == f.value(x)
-            assert np.array_equal(grads[r], f.grad(x))
-            assert np.array_equal(hess[r], f.hess(x))
+            g, H = f.derivatives(x[None])
+            assert vals[r] == f.values(x[None])[0]
+            assert np.array_equal(grads[r], g[0]) and np.array_equal(hess[r], H[0])
 
     def test_torus_sum_of_cosines(self):
         f = ExpressionField("cos(theta1) + cos(theta2)", dim=2)
         pts = critical_point_search(f, 1, TorusDomain(), seeds=32)
         assert sorted(p.inertia for p in pts) == [(0, 0, 2), (1, 0, 1), (1, 0, 1), (2, 0, 0)]
-        assert not any(p.degenerate for p in pts)
+        assert not any(p.degenerate for p in pts) and pts.index_sum == 0
         dom = TorusDomain()
         for p in pts:
             assert min(dom.distance(p.centers[0], [a, b]) for a in (0.0, math.pi)
-                       for b in (0.0, math.pi)) < 1e-6
+                       for b in (0.0, math.pi)) <= 1e-12
+        again = critical_point_search(f, 1, TorusDomain(), seeds=5, seed=9)
+        assert [p.centers.tobytes() for p in again] == [p.centers.tobytes() for p in pts]
 
-    def test_singular_hessian_drops_only_that_seed(self):
-        # the search draws 8 probes, then one start per seed; the Hessian is
-        # made exactly singular (H + 1e-12 = 0) at the first seed's start
-        rng = np.random.default_rng(0)
-        rng.uniform(0.0, 2 * math.pi, size=(8, 1))
-        start = rng.uniform(0.0, 2 * math.pi, size=(1, 1))[0, 0]
+    def test_singular_hessian_drops_only_that_start(self):
+        # the Hessian is made 0 at one start of the grid, or at every one:
+        # that start stays put and is dropped, and its neighbours still find
+        # both points; with every start dropped, no point is left
+        start = _grid(ExpressionField("cos(theta - 0.1)").grid_size(), 1)[5, 0]
 
         class Trap(ExpressionField):
+            def __init__(self, expr, everywhere):
+                super().__init__(expr)
+                self.everywhere = everywhere
+
             def derivatives(self, X):
                 g, H = super().derivatives(X)
-                H[np.asarray(X)[:, 0] == start] = -1e-12
+                H[(np.asarray(X)[:, 0] == start) | self.everywhere] = 0.0
                 return g, H
 
-        assert critical_point_search(Trap("cos(theta)"), 1, seeds=1) == []
-        pts = critical_point_search(Trap("cos(theta)"), 1, seeds=16)
-        assert sorted(p.inertia for p in pts) == [(0, 0, 1), (1, 0, 0)]
+        ref = critical_point_search(ExpressionField("cos(theta - 0.1)"), 1)
+        pts = critical_point_search(Trap("cos(theta - 0.1)", False), 1)
+        assert [(p.centers.tobytes(), p.inertia) for p in pts] == [
+            (p.centers.tobytes(), p.inertia) for p in ref]
+        with pytest.raises(RuntimeError, match="Poincare-Hopf"):
+            critical_point_search(Trap("cos(theta - 0.1)", True), 1)
 
     def test_cubic_degenerate_zeros(self):
         # W' = -3 cos^2 sin: Morse zeros at 0 and pi, degenerate ones
@@ -419,6 +452,22 @@ class TestCriticalPointSearch:
             assert p.grad_norm <= 1e-8
         assert sum(p.degenerate for p in pts) == 2
         assert sorted(p.inertia for p in pts) == [(0, 0, 1), (0, 1, 0), (0, 1, 0), (1, 0, 0)]
+        assert pts.index_sum is None
+
+    def test_index_count_breaks_on_a_coarse_grid(self, monkeypatch):
+        # one start finds one of the four Morse points, whose index sum is
+        # -1 where chi = 0
+        monkeypatch.setattr(reduced, "_GRID_MIN", 1)
+        monkeypatch.setattr(reduced, "_GRID_MAX", 1)
+        with pytest.raises(RuntimeError, match="Poincare-Hopf"):
+            critical_point_search(ExpressionField("cos(2*theta) + 0.3*sin(3*theta)"), 1)
+
+    def test_configuration_cap(self):
+        # cos 40 theta has 80 critical points: C(80, 3) = 82160 configurations
+        f = ExpressionField("cos(40*theta)")
+        assert len(critical_point_search(f, 2)) == math.comb(80, 2)
+        with pytest.raises(TooManyConfigurations):
+            critical_point_search(f, 3)
 
     @pytest.mark.parametrize("N", [64, 501])
     def test_grid_field_search_matches_cubic_spline_reference(self, N):
@@ -443,6 +492,59 @@ class TestCriticalPointSearch:
         assert len(locs) == 4
         for e in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
             assert min(dom.distance(th, e) for th in locs) < 1e-4
+
+
+# every name an expression may use, each in an expression that also runs the
+# operators; the mpmath namespace evaluates the same text
+_MP_NS = {"sin": mpmath.sin, "cos": mpmath.cos, "tan": mpmath.tan, "exp": mpmath.exp,
+          "log": mpmath.log, "sqrt": mpmath.sqrt, "abs": abs, "tanh": mpmath.tanh,
+          "arctan": mpmath.atan, "arcsin": mpmath.asin, "arccos": mpmath.acos,
+          "pi": mpmath.pi}
+_JET_CASES = [
+    ("sin(2*theta) - cos(theta)/3", 1), ("tan(0.5*theta) * theta", 1),
+    ("exp(-theta**2) + 2**theta", 1), ("log(2 + cos(theta)) / (1 + theta)", 1),
+    ("sqrt(3 + sin(theta)) ** 1.5", 1), ("abs(sin(theta)) * theta - pi", 1),
+    ("tanh(+theta - 1) ** 3", 1), ("arctan(theta) + 1 / theta - (2 - theta)", 1),
+    ("arcsin(0.3 * sin(theta)) * (theta ** theta)", 1), ("-arccos(0.5 * cos(theta)) + 1", 1),
+    ("sin(theta1) * cos(2*theta2) + theta1**2 / (2 + theta2)", 2),
+    ("exp(sin(theta1 - theta2)) * sqrt(1 + theta1 * theta2)", 2),
+]
+
+
+class TestJetDerivatives:
+    def test_every_name_is_covered(self):
+        names = set(re.findall(r"[a-z]+", " ".join(e for e, _ in _JET_CASES)))
+        assert set(_EVAL_NS) <= names
+
+    def test_powers_one_and_zero_of_a_zero_base(self):
+        # u^1 and u^0 have no u^-1 term: their derivatives stay finite at u = 0
+        X = np.array([[0.0], [0.5]])
+        with np.errstate(all="raise"):
+            got = ExpressionField("sin(theta)**1 + sin(theta)**0").derivatives(X)
+        for a, b in zip(got, ExpressionField("sin(theta) + 1").derivatives(X)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("expr, dim", _JET_CASES)
+    def test_matches_mpmath(self, expr, dim):
+        f = ExpressionField(expr, dim=dim)
+        X = np.random.default_rng(dim).uniform(0.2, 2.9, size=(5, dim))
+        g, H = f.derivatives(X)
+        code = compile(expr, "<mp>", "eval")
+        names = ["theta"] if dim == 1 else [f"theta{i + 1}" for i in range(dim)]
+
+        def F(*t):
+            return eval(code, {"__builtins__": {}}, {**_MP_NS, **dict(zip(names, t))})
+
+        with mpmath.workdps(30):
+            for r, x in enumerate(X):
+                x = [mpmath.mpf(float(v)) for v in x]
+                for i in range(dim):
+                    e = np.eye(dim, dtype=int)[i]
+                    ref = float(mpmath.diff(F, x, tuple(e)))
+                    assert g[r, i] == pytest.approx(ref, rel=1e-13, abs=1e-14)
+                    for j in range(dim):
+                        ref = float(mpmath.diff(F, x, tuple(e + np.eye(dim, dtype=int)[j])))
+                        assert H[r, i, j] == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
 
 class TestGridFieldSpline:

@@ -19,8 +19,7 @@ CASES = [
     ("run_window_ladder.py", ["--n", "3", "--p", "3", "--rungs", "3"],
      r"tail variation across the last two rungs: \d+\.\d+%"),
     ("run_reduced_search.py", ["--field", "cos(2*theta)", "--k", "2", "--seeds", "8"],
-     r"\d+ critical configuration\(s\) of W_2 for field 'cos\(2\*theta\)' "
-     r"\(merged up to relabeling\)"),
+     r"\d+ critical configuration\(s\) of W_2 for field 'cos\(2\*theta\)'"),
 ]
 
 
