@@ -20,13 +20,13 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
+
+from . import atomic_write
 
 SCHEMA_VERSION = 1
 
@@ -43,25 +43,12 @@ class NumericalFailure(Exception):
 # io helpers
 # --------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, p)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def _emit_json(path: str | None, doc: dict) -> None:
     doc = {"schema_version": SCHEMA_VERSION, **doc}
     # strict JSON: a non-finite float raises (exit 3) instead of writing NaN
     text = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
     if path:
-        _atomic_write(path, text)
+        atomic_write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -73,7 +60,7 @@ def _emit_csv(path: str | None, header: list, rows: list, comment: str) -> None:
                               for v in row))
     text = "\n".join(lines) + "\n"
     if path:
-        _atomic_write(path, text)
+        atomic_write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -208,7 +195,8 @@ def cmd_coefficients(ns) -> str:
 def cmd_expand(ns) -> str:
     from .profiles import escobar_halfspace_optimizer
     from .geometry import fermi_jet
-    from .energy import deficit_series
+    from .energy import deficit_series, fit_power_series
+    from .moments import weighted_moments, escobar_constants
     n = ns.n = _int_check("--n", ns.n)
     _escobar_dimension_check(n)
     _cutoff_check(ns.R)
@@ -225,8 +213,20 @@ def cmd_expand(ns) -> str:
     _emit_csv(ns.out, ["eps", "numerator", "denominator", "quotient", "deficit", "err_est"],
               rows, f"{ns.functional} sweep on {geo.name}, n={n}, R={ns.R}; "
               "deficit vs the flat value at the same cutoff")
+    C = escobar_constants(n, weighted_moments(U, ns.R))
+    # the first-order coefficient that the fitted c1 should meet: rho H
+    first = (C.rho_conf if ns.functional == "escobar" else C.plain_rho) * geo.data.H
+    c1, c2, c3 = sweep.series[:3]
+    fit, dev = "n/a", "dev n/a"
+    if levels >= 3:
+        f1, f2, f3 = fit_power_series(eps, sweep.deficits / sweep.reference, (1, 2, 3))
+        fit = f"c1={f1:.6g} c2={f2:.6g} c3={f3:.6g}"
+        # a zero reference (H = 0) has no relative deviation
+        dev = (f"rel dev {abs(f1 - first) / abs(first):.3%}" if first
+               else f"abs dev {abs(f1 - first):.3e}")
     return (f"expand {geo.name} n={n}: deficit({eps[0]:.3g})={sweep.deficits[0]:.6g}, "
-            f"series c1={sweep.series[0]:.6g}")
+            f"series c1={c1:.6g} c2={c2:.6g} c3={c3:.6g}, fit {fit}, "
+            f"first-order reference={first:.9g} ({dev})")
 
 
 def cmd_estimate(ns) -> str:
@@ -342,7 +342,10 @@ def cmd_reduce(ns) -> str:
                        "grad_norm": p.grad_norm, "inertia": list(p.inertia),
                        "degenerate": p.degenerate} for p in pts]}
     _emit_json(ns.out, doc)
-    return f"reduce: {len(pts)} critical configuration(s) of W_{k}"
+    kinds = [p.kind for p in pts]
+    return (f"reduce: {len(pts)} critical configuration(s) of W_{k}: "
+            f"minima={kinds.count('minimum')} maxima={kinds.count('maximum')} "
+            f"saddles={kinds.count('saddle')} degenerate={kinds.count('degenerate')}")
 
 
 def cmd_dynamics(ns) -> str:

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .quadrature import grid_1d, hankel_factors
+from .quadrature import grid_1d, hankel_factors, schlaefli_rule
 
 if TYPE_CHECKING:
     from .moments import FDEExponents
@@ -244,8 +244,9 @@ def _bessel_tables():
     J1/h and the psi-weighted sums S0, S1 of Y0, Y1 (h = x/2; psi(m + 1) is
     the digamma function). Row k of ``hankel`` holds those of x^(-k) in
     P0, Q0, P1, Q1: +-a_k(nu), the running product of ``hankel_factors``,
-    with the sign (-1)^floor(k/2). Then ``grid_1d``'s 16-point rules on 10
-    panels of [0, pi] and on 3 panels of [0, 1], which ``profiles._kv`` shares.
+    with the sign (-1)^floor(k/2). Then ``grid_1d``'s 16-point rule on 10
+    panels of [0, pi], and ``quadrature.schlaefli_rule``, which ``profiles._kv``
+    reads too.
     """
     m = np.arange(20)
     inv_fact = np.cumprod(np.concatenate([[1.0], 1.0 / m[1:]]))
@@ -261,7 +262,7 @@ def _bessel_tables():
         hankel[:, col] = np.where(odd, 0.0, a)
         hankel[:, col + 1] = np.where(odd, a, 0.0)
     return ((series, hankel) + grid_1d(0.0, math.pi, 16, subdiv=10, base=math.pi)
-            + grid_1d(0.0, 1.0, 16, subdiv=3))
+            + schlaefli_rule())
 
 
 def _bessel01(x) -> np.ndarray:

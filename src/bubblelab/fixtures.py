@@ -19,6 +19,7 @@ import json
 import os
 from pathlib import Path
 
+from . import atomic_write
 from .quadrature import QuadratureSpec, DEFAULT_QUAD
 from .profiles import (escobar_halfspace_optimizer, gn_ground_state,
                        gn_halfspace_near_optimizer)
@@ -118,13 +119,9 @@ def regenerate(path: Path | None = None) -> dict:
             "generated": _dt.date.today().isoformat(),
         },
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = canonical_json({"schema_version": doc["schema_version"],
                               "entries": doc["entries"]})
-    text = canonical_json(doc)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    atomic_write(path, canonical_json(doc))
     return {"path": str(path), "n_entries": len(entries),
             "payload_bytes": len(payload)}
 

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import grid_1d, hankel_factors, sorted_unique
+from .quadrature import hankel_factors, schlaefli_rule, sorted_unique
 
 __all__ = [
     "RadialProfile", "Cutoff", "MomentDivergentDimension", "ShootingError",
@@ -349,13 +348,6 @@ _KV_SERIES_R = 20.0
 _KV_TERMS = 20
 
 
-@lru_cache(maxsize=1)
-def _kv_rule() -> tuple:
-    """The [0, 1] rule of ``_kv``, built on its first call: at import it would
-    load ``numpy.polynomial``."""
-    return grid_1d(0.0, 1.0, 16, subdiv=3)
-
-
 def _kv(nu: float, r):
     """Modified Bessel function K_nu(r) for r >= 0.5, in numpy.
 
@@ -364,8 +356,7 @@ def _kv(nu: float, r):
     it terminates and is the closed form, used at every r. Otherwise, below
     r = 20, K_nu(r) = e^(-r) int_0^T exp(-2r sinh^2(t/2)) cosh(nu t) dt (DLMF
     10.32.9), cut at T = acosh(1 + 40/r), where the exponent is -40, by the
-    16-point rule on 3 panels of [0, 1] that Y's Schlaefli integral uses
-    (``dynamics._bessel01``), scaled to [0, T]. For 0 <= nu <= 3 the relative
+    ``quadrature.schlaefli_rule``, scaled to [0, T]. For 0 <= nu <= 3 the relative
     error is below 4e-15: against 30-digit mpmath on [0.5, 20), scipy beyond.
     A result below the float range is 0, without a warning.
     """
@@ -379,7 +370,7 @@ def _kv(nu: float, r):
     for factor in hankel_factors(nu, _KV_TERMS):
         term = term * factor * x
         total = total + term
-    u, w = _kv_rule()
+    u, w = schlaefli_rule()
     T = np.arccosh(1.0 + 40.0 / rq)
     t = T * u
     with np.errstate(under="ignore"):

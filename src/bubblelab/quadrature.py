@@ -69,6 +69,17 @@ def grid_1d(a: float, b: float, order: int, subdiv: int = 1,
     return (lo + h * (x0 + 1.0)).ravel(), (h * w0).ravel()
 
 
+@lru_cache(maxsize=1)
+def schlaefli_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-point rule on 3 panels of [0, 1], read-only, built on first use:
+    the Schlaefli integrals of K_nu (``profiles._kv``) and of Y0, Y1
+    (``dynamics._bessel01``) scale it to their cut-off ranges."""
+    x, w = grid_1d(0.0, 1.0, 16, subdiv=3)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def hankel_factors(nu: float, terms: int) -> np.ndarray:
     """Ratios a_k(nu) / a_(k-1)(nu) = (4 nu^2 - (2k - 1)^2) / (8k), 0 < k < terms, of
     the coefficients of Hankel's expansions (DLMF 10.17.1, 10.40.2); a_0 = 1."""

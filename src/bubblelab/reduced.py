@@ -445,6 +445,16 @@ class CriticalPoint:
     inertia: tuple                       # (n_negative, n_zero, n_positive)
     degenerate: bool = False
 
+    @property
+    def kind(self) -> str:
+        """"degenerate" if flagged or if a Hessian eigenvalue is zero; else
+        "minimum" at index 0, "maximum" at index k dim, "saddle" between."""
+        negative, zero, _ = self.inertia
+        if self.degenerate or zero:
+            return "degenerate"
+        return ("minimum" if negative == 0 else
+                "maximum" if negative == self.centers.size else "saddle")
+
 
 class CriticalConfigurations(list):
     """By value; ``index_sum``: sum (-1)^index over R's points, None if degenerate."""

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -21,6 +22,13 @@ def csv_floats(lines):
     return [[float(c) for c in ln.split(",")] for ln in lines[2:]]
 
 
+def last_line(code):
+    """The last stdout line of a fresh ``python -c code``, which must exit 0."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def run_cli(args, **env):
     e = dict(os.environ, **{k: str(v) for k, v in env.items()})
     return subprocess.run([sys.executable, "-m", "bubblelab.cli", *args],
@@ -39,6 +47,13 @@ _BAD_ESCOBAR_DIMENSIONS = [
     ["estimate", "--target", "ringII", "--n", "3"],
     ["estimate", "--target", "ringII", "--n", "4"],
 ]
+
+
+# the stdout summary of ``expand --n 5``: the exact series c1-c3, the fit of
+# deficit/reference at degrees 1-3 (or n/a), and the first-order reference
+# rho H with the fitted c1's deviation from it
+_EXPAND_LINE = (r"expand \S+ n=5: deficit\(0\.01\)=\S+, series c1=(\S+) c2=(\S+) c3=(\S+), "
+                r"fit (?:c1=(\S+) c2=(\S+) c3=(\S+)|n/a), first-order reference=(\S+) \((.*)\)")
 
 
 class TestValidation:
@@ -379,6 +394,38 @@ class TestOutputs:
         assert all(len(r) == 6 for r in rows)
         assert [r[0] for r in rows] == pytest.approx([1e-2, 5e-3, 2.5e-3])
 
+    def test_expand_prints_the_series_fit_and_first_order_reference(self, tmp_path, capsys):
+        # h-only at H = 1: rho_5^conf H = 9/8, and the fitted c1's relative
+        # deviation from it; no fit below three levels
+        from bubblelab.energy import deficit_series, fit_power_series
+        from bubblelab.geometry import fermi_jet, geometry_catalog
+        from bubblelab.profiles import escobar_halfspace_optimizer
+        args = ["expand", "--geometry", "h-only", "--n", "5", "--H", "1.0", "--R", "15",
+                "--out", str(tmp_path / "sweep.csv"), "--eps-levels"]
+        assert main(args + ["3"]) == 0 and main(args + ["2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        m, short = (re.fullmatch(_EXPAND_LINE, line) for line in lines)
+        eps = 1e-2 * 0.5 ** np.arange(3)
+        jet = fermi_jet(geometry_catalog("h-only", 5, H=1.0).data, order=2, chart_radius=1.0)
+        sweep = deficit_series(jet, escobar_halfspace_optimizer(5), 15.0, eps)
+        fit = fit_power_series(eps, sweep.deficits / sweep.reference, (1, 2, 3))
+        assert [float(v) for v in m.group(1, 2, 3, 4, 5, 6)] == pytest.approx(
+            [*sweep.series[:3], *fit], rel=1e-5)
+        assert float(m.group(7)) == pytest.approx(1.125, rel=1e-8)
+        assert m.group(8) == f"rel dev {abs(fit[0] - 1.125) / 1.125:.3%}"
+        assert short.group(4, 7, 8) == (None, "1.125", "dev n/a")
+
+    def test_expand_on_an_h_free_geometry(self):
+        # ricci-only has H = 0, so the first-order reference is 0 and the
+        # deviation is reported absolute, without a divide-by-zero warning
+        out = run_cli(["expand", "--n", "5", "--geometry", "ricci-only", "--R", "15",
+                       "--eps-levels", "3"])
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        assert "inf" not in out.stdout
+        m = re.fullmatch(_EXPAND_LINE, out.stdout.splitlines()[-1])
+        assert m and m.group(7) == "0" and re.fullmatch(r"abs dev \S+", m.group(8))
+
     def test_coefficients_carries_snapshot(self, tmp_path):
         out = tmp_path / "c.json"
         assert main(["coefficients", "--n", "6", "--out", str(out)]) == 0
@@ -469,6 +516,21 @@ class TestOutputs:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "validation" and "82160" in err["detail"]
 
+    @pytest.mark.parametrize("field, k, found, counts", [
+        ("cos(2*theta)", "1", 4, "minima=2 maxima=2 saddles=0 degenerate=0"),
+        ("cos(2*theta)", "2", 6, "minima=1 maxima=1 saddles=4 degenerate=0"),
+        ("cos(theta)**3", "2", 6, "minima=0 maxima=0 saddles=1 degenerate=5"),
+    ], ids=["k1", "k2", "degenerate"])
+    def test_reduce_counts_configurations_by_kind(self, field, k, found, counts, tmp_path,
+                                                  capsys):
+        # of cos 2 theta's pairs, one is both minima, one both maxima, and the
+        # four mixed pairs are saddles; on cos^3 theta, a pair holding a
+        # degenerate point is degenerate
+        assert main(["reduce", "--field", field, "--k", k, "--seeds", "8",
+                     "--out", str(tmp_path / "crit.json")]) == 0
+        assert capsys.readouterr().out == (
+            f"reduce: {found} critical configuration(s) of W_{k}: {counts}\n")
+
     def test_reduce_field_spec_file(self, tmp_path):
         spec = tmp_path / "field.json"
         theta = np.linspace(0, 2 * math.pi, 128, endpoint=False)
@@ -511,6 +573,7 @@ _UNLOADED = ("m.split('.')[0] in ('scipy', 'hashlib', '_hashlib') "
 _WATCHED = {"decimal", "fractions", "hashlib", "numpy.random"}
 # the energy-only GN estimators: the cached GN profiles and the whole engine
 _GN_STACK = ["energy", "estimators", "fixtures", "geometry", "moments", "profiles", "quadrature"]
+_ESCOBAR_STACK = ["energy", "geometry", "moments", "profiles", "quadrature"]
 
 
 class TestLazyImports:
@@ -520,9 +583,7 @@ class TestLazyImports:
                 "for m in pkgutil.iter_modules(bubblelab.__path__):\n"
                 "    importlib.import_module('bubblelab.' + m.name)\n"
                 f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_session_setup_loads_no_polynomial_or_engine(self):
         # the set-up of the benchmark's in-process workloads builds the
@@ -534,9 +595,7 @@ class TestLazyImports:
                 f"jobs.Session(Path({str(REPO)!r}))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial') or m in "
                 "('bubblelab.energy', 'bubblelab.geometry', 'bubblelab.moments')))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_escobar_commands_do_not_load_scipy(self, tmp_path):
         code = ("import sys\n"
@@ -545,9 +604,7 @@ class TestLazyImports:
                 "assert main(['estimate', '--target', 'H', '--n', '5', "
                 f"'--out', {str(tmp_path / 'h.json')!r}]) == 0\n"
                 f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_escobar_estimates_load_no_fixtures(self, tmp_path):
         # only scal reads the cached GN profiles
@@ -558,9 +615,7 @@ class TestLazyImports:
                 "assert main(['estimate', '--target', 'ringII', '--n', '5', '--geometry', "
                 f"'ricci-only', '--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m == 'bubblelab.fixtures'))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_gn_commands_do_not_load_scipy(self, tmp_path):
         # K_nu of the GN far field is evaluated in numpy, and the reduced
@@ -576,9 +631,7 @@ class TestLazyImports:
                 "assert main(['reduce', '--field', 'cos(2*theta)', '--k', '2', '--seeds', '8', "
                 f"'--out', {str(tmp_path / 'r.json')!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_grid_commands_do_not_load_numpy_ma(self, tmp_path):
         # the quadrature and tabulation grids dedupe without np.unique
@@ -598,9 +651,7 @@ class TestLazyImports:
                 f"    out = ['--out', f'{tmp_path}/out{{i}}'] if args[0] != 'fixtures' else []\n"
                 "    assert main(args + out) == 0, args\n"
                 f"print(sorted(m for m in sys.modules if {_UNLOADED}))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_window_skips_interpolate_and_integrate(self, tmp_path):
         # the window roots are solved in numpy: no scipy module at all
@@ -609,9 +660,7 @@ class TestLazyImports:
                 "assert main(['dynamics', 'window', '--n', '3', "
                 f"'--out', {str(tmp_path / 'w.csv')!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_every_command_runs_with_scipy_unimportable(self, tmp_path):
         samples = tmp_path / "field.json"
@@ -643,16 +692,20 @@ class TestLazyImports:
                 f"    out = ['--out', f'{tmp_path}/out{{i}}'] if args[0] != 'fixtures' else []\n"
                 "    assert main(args + out) == 0, args\n"
                 "print('ok')\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "ok"
+        assert last_line(code) == "ok"
 
-    # every command of the benchmark's cli-session and the modules it loads,
-    # each command in a fresh ``python -m bubblelab.cli``: the package's
-    # modules besides cli, and of _WATCHED those the command runs (fractions
-    # and decimal for the fde exponents' exact mode); ``reduce`` on a samples
-    # file ("SAMPLES") also loads the spline evaluator of ``profiles``
+    # the commands of the benchmark's cli-session, the Escobar commands and
+    # exact Gauss-Bonnet, and the modules each loads in a fresh ``python -m
+    # bubblelab.cli``: the package's modules besides cli, and of _WATCHED
+    # those the command runs (fractions and decimal for the fde exponents'
+    # exact mode); ``reduce`` on a samples file ("SAMPLES") also loads the
+    # spline evaluator of ``profiles``
     @pytest.mark.parametrize("args, allowed", [
+        (["moments", "--n", "5"], _ESCOBAR_STACK),
+        (["coefficients", "--n", "5"], _ESCOBAR_STACK),
+        (["expand", "--geometry", "h-only", "--n", "5", "--eps-levels", "3"], _ESCOBAR_STACK),
+        (["gauss-bonnet", "--surface", "disk", "--mode", "exact"],
+         sorted(_ESCOBAR_STACK + ["estimators"])),
         (["estimate", "--target", "scal", "--n", "2", "--value", "1.0"], _GN_STACK),
         (["estimate", "--target", "scal", "--n", "3", "--value", "2.0"], _GN_STACK),
         (["gauss-bonnet", "--surface", "disk", "--mode", "estimated", "--eps", "0.01"],
@@ -693,17 +746,13 @@ class TestLazyImports:
         code = ("import sys\n"
                 "import bubblelab.profiles, bubblelab.dynamics\n"
                 "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
     def test_dynamics_and_fixtures_import_without_scipy(self):
         code = ("import sys\n"
                 "import bubblelab.dynamics, bubblelab.fixtures\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[]"
+        assert last_line(code) == "[]"
 
 
 # the two process entries: ``python -m bubblelab.cli`` and what the installed
@@ -749,9 +798,7 @@ class TestProcessEntry:
                 f"sys.argv[1:] = ['dynamics', 'window', '--n', '2', '--out', {str(tmp_path / 'w')!r}]\n"
                 "assert entry() == 0\n"
                 "print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "False True"
+        assert last_line(code) == "False True"
 
     def test_console_script_is_the_entry(self):
         tomllib = pytest.importorskip("tomllib")

@@ -136,6 +136,13 @@ class TestNumpyBessel:
         # the modulus of mpmath's values
         assert np.all(np.abs(_bessel01(x) - ref) <= 1e-15 * bessel_modulus(x))
 
+    def test_schlaefli_branch_keeps_its_bits(self):
+        # (J0, J1, Y0, Y1) at 3.7 and 11.3, as when Y's rule was dynamics' own
+        got = [v.hex() for v in _bessel01(np.array([3.7, 11.3])).ravel().tolist()]
+        assert got == ["-0x1.98cfcd6c38020p-2", "-0x1.cb084b1e7a317p-4", "0x1.b9020e18f5f38p-5",
+                       "-0x1.b6cb56d484cd7p-3", "0x1.b27afb33f1b79p-4", "-0x1.ac3e6b3acaf4bp-3",
+                       "0x1.aaacafcf0877ap-2", "0x1.a5a6b56a51de2p-4"]
+
     def test_branches_agree_at_their_joins(self):
         # each side is within 3e-15 of the modulus of the truth
         for x0 in (2.0, 20.0):
@@ -377,6 +384,17 @@ class TestWindowEigenvalues:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             small_window_lambda1(4, 0.1)
+
+    def test_roots_keep_their_bits(self):
+        # the disk, two wide windows (k = 2.7 and 15.4: Y on its Schlaefli
+        # branch) and the default ladders, as when Y's rule was dynamics' own
+        lam = [small_window_lambda1(2, d) for d in (0.0, 0.5, 0.9)] + [
+            v for n in (2, 3) for v in window_ladder(n, np.geomspace(1e-2, 1e-5, 4))["lambda1"]]
+        assert [float(v).hex() for v in lam] == [
+            "0x1.721fb80462bbcp+2", "0x1.da0a00138f2d1p+2", "0x1.d8be98596f82ep+7",
+            "0x1.06fc89bfcd7acp-1", "0x1.4b4bb91417131p-2", "0x1.e32547641b580p-3",
+            "0x1.7c152cc62c07ep-3", "0x1.f47f7c813fd5fp-6", "0x1.89ecc11a2ad78p-9",
+            "0x1.3aa12269d093fp-12", "0x1.f7535694059dep-16"]
 
 
 class TestCapacityScaling:

@@ -79,3 +79,17 @@ class TestProfileMemo:
         fixtures.cached_gn_profiles(2, 3.0)
         assert len(solves) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def test_regenerate_writes_atomically(monkeypatch, tmp_path):
+    # a write leaves the file alone; a failed one (here its rename) keeps the
+    # old file whole and leaves no temp file
+    path = tmp_path / "derived.json"
+    monkeypatch.setattr(fixtures, "_compute_entries", lambda spec: {"x": 1.0})
+    assert fixtures.regenerate(path)["n_entries"] == 1
+    old = path.read_text()
+    monkeypatch.setattr(fixtures, "_compute_entries", lambda spec: {})
+    monkeypatch.setattr(os, "replace", lambda src, dst: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        fixtures.regenerate(path)
+    assert path.read_text() == old and list(tmp_path.iterdir()) == [path]

@@ -18,7 +18,7 @@ from bubblelab.profiles import (
     gn_halfspace_near_optimizer, cutoff, MomentDivergentDimension, ShootingError,
     RadialProfile, sphere_area, _bessel_tail, _collocation_ground_state, _Bernstein, _kv,
 )
-from bubblelab import moments, profiles
+from bubblelab import moments, profiles, quadrature
 from bubblelab.fixtures import cached_gn_profiles
 from bubblelab.energy import halfspace_moment_matrix
 
@@ -372,21 +372,18 @@ class TestBesselK:
         r = np.array([0.5, 3.0, 19.9, 20.0, 20.1, 60.0])
         assert _kv(nu, r).tolist() == list(self.BITS[nu])
 
-    def test_rule_built_once(self, monkeypatch):
-        calls, real = [], profiles.grid_1d
-
-        def grid_1d(*args, **kw):
-            calls.append(args)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(profiles, "grid_1d", grid_1d)
-        profiles._kv_rule.cache_clear()
-        try:
-            for nu in (0.0, 1.0, 3.0):
-                _kv(nu, np.geomspace(0.5, 19.0, 7))
-            assert calls == [(0.0, 1.0, 16)]
-        finally:
-            profiles._kv_rule.cache_clear()
+    def test_rule_built_once(self):
+        # K_nu here and Y0, Y1 in dynamics read one read-only rule: three _kv
+        # calls, this test and _bessel_tables make one build and four reads
+        from bubblelab import dynamics
+        quadrature.schlaefli_rule.cache_clear()
+        dynamics._bessel_tables.cache_clear()
+        for nu in (0.0, 1.0, 3.0):
+            _kv(nu, np.geomspace(0.5, 19.0, 7))
+        u, w = quadrature.schlaefli_rule()
+        assert dynamics._bessel_tables()[4] is u and dynamics._bessel_tables()[5] is w
+        assert quadrature.schlaefli_rule.cache_info()[:2] == (4, 1)
+        assert not (u.flags.writeable or w.flags.writeable)
 
     def test_empty_and_scalar_inputs(self):
         assert _kv(0.0, np.array([])).shape == (0,)
